@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck lint fmt fmtcheck test cover race fuzz-smoke bench benchsmoke repairmgr-smoke shards-smoke metrics-smoke persist-smoke cache-smoke engine-bench contention-bench serve-bench partialsum-bench repairmgr-bench shards-bench persist-bench cache-bench ci
+.PHONY: build vet staticcheck lint fmt fmtcheck test cover race fuzz-smoke bench benchdiff benchsmoke repairmgr-smoke shards-smoke metrics-smoke persist-smoke cache-smoke engine-bench contention-bench serve-bench partialsum-bench repairmgr-bench shards-bench persist-bench cache-bench ci
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,19 @@ fuzz-smoke:
 # Full benchmark run (regenerates the paper's numbers as metrics).
 bench:
 	$(GO) test -run=NoTests -bench=. ./...
+
+# The paired procedure for a performance claim, as one command:
+#   make benchdiff BASE=<ref> [RUNS=10]
+# extracts BASE with git archive into a temp dir, builds ./benchmark on
+# both sides, runs every workload RUNS times per side — pair by pair on
+# one seed, alternating which side goes first — then prints the pairs
+# each side won and the benchmark's -compare verdicts. The window length
+# is the benchmark's own, never a knob here. Ten pairs take well over an
+# hour: every run is a full `-all` of six workloads.
+RUNS ?= 10
+benchdiff:
+	@test -n "$(BASE)" || { echo "usage: make benchdiff BASE=<git ref>"; exit 2; }
+	$(GO) run ./cmd/benchdiff -base $(BASE) -runs $(RUNS)
 
 # One-iteration pass over every benchmark so bench code cannot rot,
 # plus a 2-second loadgen run on a tiny live TCP cluster so the serving

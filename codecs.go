@@ -46,9 +46,11 @@ type LinearPlan = ec.LinearPlan
 // expressible as linear plans. All three codecs here implement it.
 type LinearRepairPlanner = ec.LinearRepairPlanner
 
-// EvaluateLinearPlan computes the repaired shard from a linear plan by
-// fetching each distinct range once and folding every term — the
-// single-node reference the distributed pipeline is tested against.
+// EvaluateLinearPlan computes the repaired shard from a linear plan:
+// touching ranges of one helper are fetched as one read, and each
+// target segment is folded in one fused pass. It is the executor behind
+// every codec's single-shard ExecuteRepair, and what the distributed
+// partial-sum pipeline must agree with byte for byte.
 func EvaluateLinearPlan(plan *LinearPlan, fetch FetchFunc) ([]byte, error) {
 	return ec.EvaluateLinearPlan(plan, fetch)
 }

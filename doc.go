@@ -48,6 +48,20 @@
 // parallelism levels and emits machine-readable BENCH_engine.json for
 // trend tracking; see README.md for how to run and interpret it.
 //
+// # Repair data path
+//
+// A single-block repair, for all three codecs, is one evaluation of the
+// codec's LinearPlan (EvaluateLinearPlan): touching ranges of one
+// helper are fetched as one read, fetch lengths are validated, and each
+// target segment is folded with one fused multiply-accumulate pass over
+// views of the fetched buffers. The BlockFixer reads each helper block
+// once per repair, straight into its engine worker's pooled buffer, and
+// verifies the checksum there. That closed most of the gap between the GF(2^8) kernel and the fixer
+// (it was parity over-decode, whole-block read amplification and
+// per-fetch allocation); what remains is the byte-table kernel itself
+// and the whole-payload CRC that forces a full-block read per helper.
+// README.md ("Repair data path") has the numbers.
+//
 // # Contention model
 //
 // The analytic study costs each repair in isolation; the contention

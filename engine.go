@@ -31,6 +31,10 @@ type EncodeJob = engine.EncodeJob
 // buffer, eliminating per-read allocations in long repair batches.
 type FetchIntoFunc = engine.FetchIntoFunc
 
+// EngineScratch is a worker's arena of reusable buffers, handed to
+// every closure of Engine.RunTasks and reset when the closure returns.
+type EngineScratch = engine.Scratch
+
 // NewEngine builds a concurrent stripe-execution engine.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 

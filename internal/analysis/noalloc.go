@@ -5,8 +5,9 @@ import (
 )
 
 // noAlloc keeps the byte-granular hot paths allocation-free: the
-// GF(256) fused kernels (every function in internal/gf256) and the
-// engine's per-job fold loops. An append, make, new, map literal, or
+// GF(256) fused kernels (every function in internal/gf256), the
+// engine's per-job fold loops, the repair executor's fold loop and the
+// pooled block read under it. An append, make, new, map literal, or
 // closure inside them turns a cache-resident multiply-accumulate into
 // a GC touchpoint; per-call garbage in MulAddSlices is multiplied by
 // every stripe of every repair batch.
@@ -40,6 +41,22 @@ var noAllocScopes = map[string]map[string]bool{
 	"repro/internal/engine": {
 		"runRepair": true,
 		"Bytes":     true,
+	},
+	// The repair executor's multiply-accumulate loop: it runs once per
+	// repaired block with caller-provided scratch, and a slice grown or
+	// a closure captured per term would undo the point of fusing.
+	"repro/internal/ec": {
+		"foldTerms": true,
+	},
+	// The pooled read-into path under it: one pread into the caller's
+	// recycled buffer and a CRC pass, then a view of it. The allocating
+	// fallbacks (no buffer offered, zero padding past a tight buffer)
+	// are suppressed where they stand.
+	"repro/internal/extent": {
+		"GetInto": true,
+	},
+	"repro/internal/hdfs": {
+		"readRangeInto": true,
 	},
 }
 

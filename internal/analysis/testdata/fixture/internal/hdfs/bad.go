@@ -13,7 +13,9 @@ var _ = serve.Dial
 
 type engine struct{}
 
-func (engine) RunTasks(tasks []func() error) []error { return nil }
+type scratch struct{}
+
+func (engine) RunTasks(tasks []func(*scratch) error) []error { return nil }
 
 type Cluster struct {
 	mu  sync.RWMutex

@@ -6,7 +6,9 @@ import "sync"
 
 type engine struct{}
 
-func (engine) RunTasks(tasks []func() error) []error { return nil }
+type scratch struct{}
+
+func (engine) RunTasks(tasks []func(*scratch) error) []error { return nil }
 
 type codec struct{}
 

@@ -71,8 +71,9 @@ func (s *shard) detach(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// get returns a copy of the entry's payload, refreshing its recency.
-func (s *shard) get(key uint64) ([]byte, bool) {
+// getInto returns a copy of the entry's payload — in dst when its
+// capacity holds it — refreshing the entry's recency.
+func (s *shard) getInto(key uint64, dst []byte) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.items[key]
@@ -83,9 +84,7 @@ func (s *shard) get(key uint64) ([]byte, bool) {
 	s.detach(e)
 	s.attach(e)
 	s.hits++
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return out, true
+	return append(dst[:0], e.data...), true
 }
 
 // put stores a copy of data, evicting from the LRU tail until the
@@ -210,11 +209,15 @@ func (c *Cache) shard(key uint64) *shard { return &c.shards[mix(key)&c.mask] }
 
 // Get returns a copy of the cached payload for key, refreshing its
 // recency. ok is false on a miss (and always on a nil cache).
-func (c *Cache) Get(key uint64) ([]byte, bool) {
+func (c *Cache) Get(key uint64) ([]byte, bool) { return c.GetInto(key, nil) }
+
+// GetInto is Get copying into dst when its capacity holds the payload
+// (the result is then dst[:n]), for callers that recycle read buffers.
+func (c *Cache) GetInto(key uint64, dst []byte) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.shard(key).get(key)
+	return c.shard(key).getInto(key, dst)
 }
 
 // Put caches a copy of data under key, evicting least-recently-used

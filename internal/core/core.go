@@ -43,6 +43,17 @@
 // repair, matching the paper's "~30% on average" claim. Parity repair
 // falls back to the RS cost, as does any repair whose preferred helpers
 // are unavailable.
+//
+// # How a repair executes
+//
+// The three steps above are the algebra, not the code path. Every step
+// is linear over GF(2^8), so PlanLinearRepair composes them — for the
+// cheap path and for the whole-shard fallback alike — into one
+// coefficient per (helper range, target half), and ExecuteRepair is a
+// single evaluation of that plan (ec.EvaluateLinearPlan): each range
+// fetched once, both target halves folded straight out of the fetched
+// buffers, nothing but the target computed. Only a repair of two or
+// more shards of one stripe runs the joint Reconstruct decode.
 package core
 
 import (
@@ -455,14 +466,8 @@ func (c *Code) cheapRepairPossible(idx int, alive ec.AliveFunc) bool {
 // Parity shards, ungrouped data shards, and degraded stripes fall back
 // to reading both halves of any k surviving shards (the RS cost).
 func (c *Code) PlanRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
-	if idx < 0 || idx >= c.TotalShards() {
-		return nil, fmt.Errorf("%w: %d of %d", ec.ErrShardIndex, idx, c.TotalShards())
-	}
-	if shardSize <= 0 || shardSize%2 != 0 {
-		return nil, fmt.Errorf("%w: shard size %d (must be positive and even)", ec.ErrShardSize, shardSize)
-	}
-	if alive(idx) {
-		return nil, fmt.Errorf("%w: shard %d", ec.ErrShardPresent, idx)
+	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
+		return nil, err
 	}
 	half := shardSize / 2
 	plan := &ec.RepairPlan{Shard: idx, ShardSize: shardSize}
@@ -571,17 +576,11 @@ func (a *linearAccum) finish() *ec.LinearPlan {
 //     piggybacked-parity target re-adds its own group — every step a
 //     linear substitution, folded into per-range coefficients.
 //
-// Exactly the ranges of PlanRepair are read; evaluation is
-// byte-identical to ExecuteRepair.
+// Exactly the ranges of PlanRepair are read, and ExecuteRepair is one
+// evaluation of this plan.
 func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.LinearPlan, error) {
-	if idx < 0 || idx >= c.TotalShards() {
-		return nil, fmt.Errorf("%w: %d of %d", ec.ErrShardIndex, idx, c.TotalShards())
-	}
-	if shardSize <= 0 || shardSize%2 != 0 {
-		return nil, fmt.Errorf("%w: shard size %d (must be positive and even)", ec.ErrShardSize, shardSize)
-	}
-	if alive(idx) {
-		return nil, fmt.Errorf("%w: shard %d", ec.ErrShardPresent, idx)
+	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
+		return nil, err
 	}
 	half := shardSize / 2
 	acc := newLinearAccum(idx, shardSize)
@@ -679,129 +678,13 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 	return acc.finish(), nil
 }
 
-// ExecuteRepair reconstructs shard idx by downloading the ranges of its
-// repair plan through fetch.
+// ExecuteRepair reconstructs shard idx with one evaluation of its
+// linear plan: the plan's ranges are fetched once each (a group member's
+// two halves as one read) and both target halves fold straight out of
+// the fetched buffers. Only the target is computed — a parity repair no
+// longer decodes every missing shard of both substripes to keep one.
 func (c *Code) ExecuteRepair(idx int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) ([]byte, error) {
-	plan, err := c.PlanRepair(idx, shardSize, alive)
-	if err != nil {
-		return nil, err
-	}
-	half := shardSize / 2
-
-	// Fetch all planned ranges.
-	got := make(map[int]*fetched)
-	for _, req := range plan.Reads {
-		buf, err := fetch(req)
-		if err != nil {
-			return nil, fmt.Errorf("core: fetching shard %d: %w", req.Shard, err)
-		}
-		if int64(len(buf)) != req.Length {
-			return nil, fmt.Errorf("%w: fetch of shard %d returned %d bytes, want %d", ec.ErrShardSize, req.Shard, len(buf), req.Length)
-		}
-		f := got[req.Shard]
-		if f == nil {
-			f = &fetched{}
-			got[req.Shard] = f
-		}
-		switch {
-		case req.Offset == 0 && req.Length == shardSize:
-			f.a = buf[:half:half]
-			f.b = buf[half:]
-		case req.Offset == 0 && req.Length == half:
-			f.a = buf
-		case req.Offset == half && req.Length == half:
-			f.b = buf
-		default:
-			return nil, fmt.Errorf("core: unexpected read range (%d, %d)", req.Offset, req.Length)
-		}
-	}
-
-	if c.cheapRepairPossible(idx, alive) {
-		return c.executeCheapRepair(idx, int(half), got)
-	}
-
-	// Fallback path: full reconstruct from k whole shards.
-	shards := make([][]byte, c.TotalShards())
-	for i, f := range got {
-		if f.a == nil || f.b == nil {
-			return nil, fmt.Errorf("core: incomplete fetch for shard %d", i)
-		}
-		shard := make([]byte, shardSize)
-		copy(shard[:half], f.a)
-		copy(shard[half:], f.b)
-		shards[i] = shard
-	}
-	if err := c.Reconstruct(shards); err != nil {
-		return nil, err
-	}
-	return shards[idx], nil
-}
-
-// executeCheapRepair runs the piggyback repair path for data shard idx
-// from fetched half-shards.
-func (c *Code) executeCheapRepair(idx, half int, got map[int]*fetched) ([]byte, error) {
-	g := c.groupOf[idx]
-	p := c.k + 1 + g
-
-	// Decode the b-substripe from the other data shards' b-halves plus
-	// the clean parity's b-half.
-	bShards := make([][]byte, c.TotalShards())
-	for i := 0; i < c.k; i++ {
-		if i == idx {
-			continue
-		}
-		f := got[i]
-		if f == nil || f.b == nil {
-			return nil, fmt.Errorf("core: missing b-half of data shard %d", i)
-		}
-		bShards[i] = f.b
-	}
-	if f := got[c.k]; f == nil || f.b == nil {
-		return nil, fmt.Errorf("core: missing b-half of parity 1")
-	} else {
-		bShards[c.k] = f.b
-	}
-	if err := c.rsc.ReconstructData(bShards); err != nil {
-		return nil, err
-	}
-
-	// Expose the piggyback: fetched piggybacked parity XOR its RS value.
-	fp := got[p]
-	if fp == nil || fp.b == nil {
-		return nil, fmt.Errorf("core: missing b-half of piggybacked parity %d", p)
-	}
-	piggy := append([]byte(nil), fp.b...)
-	rsParity := make([]byte, half)
-	if err := c.rsc.EncodeParityInto(bShards[:c.k], 1+g, rsParity); err != nil {
-		return nil, err
-	}
-	gf256.XorSlice(rsParity, piggy)
-
-	// XOR out the other group members' a-symbols, leaving a_idx.
-	aHalves := make([][]byte, 0, len(c.groups[g])-1)
-	for _, m := range c.groups[g] {
-		if m == idx {
-			continue
-		}
-		f := got[m]
-		if f == nil || f.a == nil {
-			return nil, fmt.Errorf("core: missing a-half of group member %d", m)
-		}
-		aHalves = append(aHalves, f.a)
-	}
-	gf256.XorAllSlices(aHalves, piggy)
-
-	shard := make([]byte, 2*half)
-	copy(shard[:half], piggy)
-	copy(shard[half:], bShards[idx])
-	return shard, nil
-}
-
-// fetched pairs the two half-shards of one source retrieved during a
-// repair; either may be nil if the plan did not read it.
-type fetched struct {
-	a []byte
-	b []byte
+	return ec.ExecuteLinearRepair(c, idx, shardSize, alive, fetch)
 }
 
 // TheoreticalRepairFraction returns the download to repair shard idx
@@ -894,16 +777,9 @@ func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.Alive
 	if err != nil {
 		return nil, err
 	}
-	shards := make([][]byte, c.TotalShards())
-	for _, req := range plan.Reads {
-		buf, err := fetch(req)
-		if err != nil {
-			return nil, fmt.Errorf("core: fetching shard %d: %w", req.Shard, err)
-		}
-		if int64(len(buf)) != req.Length {
-			return nil, fmt.Errorf("%w: fetch of shard %d returned %d bytes, want %d", ec.ErrShardSize, req.Shard, len(buf), req.Length)
-		}
-		shards[req.Shard] = buf
+	shards, err := ec.FetchShards(plan, c.TotalShards(), fetch)
+	if err != nil {
+		return nil, err
 	}
 	if err := c.Reconstruct(shards); err != nil {
 		return nil, err

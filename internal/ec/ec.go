@@ -14,7 +14,9 @@
 // traffic. ExecuteRepair performs the same reads through a caller-supplied
 // fetch function and returns the reconstructed shard, so distributed
 // stores and unit tests exercise the identical access pattern the plans
-// charge for.
+// charge for. Every codec's single-shard ExecuteRepair is one
+// evaluation of its LinearPlan (EvaluateLinearPlan, linear.go); two or
+// more missing shards share one joint Reconstruct decode.
 package ec
 
 import (
@@ -147,7 +149,11 @@ type Code interface {
 	// planned reads only touch alive shards.
 	PlanRepair(idx int, shardSize int64, alive AliveFunc) (*RepairPlan, error)
 	// ExecuteRepair reconstructs shard idx by fetching the ranges of its
-	// repair plan through fetch.
+	// repair plan through fetch; touching ranges of one helper shard may
+	// arrive as a single request. Fetched buffers are only read, and the
+	// returned shard is freshly allocated — it aliases none of them — so
+	// fetch may hand out pooled or store-owned memory and reuse it once
+	// the call returns. A fetch of the wrong length is ErrShardSize.
 	ExecuteRepair(idx int, shardSize int64, alive AliveFunc, fetch FetchFunc) ([]byte, error)
 
 	// PlanMultiRepair returns the reads required to repair all the
@@ -159,7 +165,8 @@ type Code interface {
 	PlanMultiRepair(missing []int, shardSize int64, alive AliveFunc) (*RepairPlan, error)
 	// ExecuteMultiRepair reconstructs all missing shards by fetching
 	// the ranges of the multi-repair plan, returning shard content
-	// keyed by shard index.
+	// keyed by shard index. The fetch and ownership rules are those of
+	// ExecuteRepair.
 	ExecuteMultiRepair(missing []int, shardSize int64, alive AliveFunc, fetch FetchFunc) (map[int][]byte, error)
 }
 
@@ -235,6 +242,22 @@ func ValidatePlan(plan *RepairPlan, total int, alive AliveFunc) error {
 	return nil
 }
 
+// CheckRepairTarget validates a single-shard repair request against
+// code: idx in range and not alive, shardSize a positive multiple of
+// the codec's MinShardSize.
+func CheckRepairTarget(code Code, idx int, shardSize int64, alive AliveFunc) error {
+	if total := code.TotalShards(); idx < 0 || idx >= total {
+		return fmt.Errorf("%w: %d of %d", ErrShardIndex, idx, total)
+	}
+	if unit := int64(code.MinShardSize()); shardSize <= 0 || shardSize%unit != 0 {
+		return fmt.Errorf("%w: shard size %d (must be a positive multiple of %d)", ErrShardSize, shardSize, unit)
+	}
+	if alive(idx) {
+		return fmt.Errorf("%w: shard %d", ErrShardPresent, idx)
+	}
+	return nil
+}
+
 // CheckMissing validates a multi-repair target list: non-empty, within
 // range, free of duplicates, and entirely dead according to alive.
 func CheckMissing(missing []int, total int, alive AliveFunc) error {
@@ -255,6 +278,26 @@ func CheckMissing(missing []int, total int, alive AliveFunc) error {
 		}
 	}
 	return nil
+}
+
+// FetchShards performs the reads of a plan made of whole-shard reads —
+// every joint (multi-shard) repair plan — and returns the buffers
+// indexed by shard, nil where the plan reads nothing. A fetch of the
+// wrong length is ErrShardSize.
+func FetchShards(plan *RepairPlan, total int, fetch FetchFunc) ([][]byte, error) {
+	shards := make([][]byte, total)
+	for _, req := range plan.Reads {
+		buf, err := fetch(req)
+		if err != nil {
+			return nil, fmt.Errorf("ec: fetching shard %d: %w", req.Shard, err)
+		}
+		if req.Shard < 0 || req.Shard >= total || req.Offset != 0 || int64(len(buf)) != plan.ShardSize {
+			return nil, fmt.Errorf("%w: fetch [%d, +%d) of shard %d returned %d bytes, want a whole %d-byte shard",
+				ErrShardSize, req.Offset, req.Length, req.Shard, len(buf), plan.ShardSize)
+		}
+		shards[req.Shard] = buf
+	}
+	return shards, nil
 }
 
 // CountPresent returns how many entries of shards are non-nil.

@@ -14,13 +14,16 @@
 //     the serial path (useful for parity testing and as the baseline
 //     the BENCH_engine.json speedup is measured against).
 //   - Each worker owns a scratch arena drawn from a sync.Pool. Jobs
-//     that supply a FetchInto callback have their survivor reads
-//     landed in pooled buffers, so a long repair batch recycles a few
-//     arenas instead of allocating fresh fetch buffers per stripe.
-//   - The engine never reorders or merges the reads of a repair plan;
-//     it executes exactly the access pattern the plan charges for, so
-//     traffic accounting by a FetchFunc remains byte-identical to
-//     serial execution.
+//     that supply a FetchInto callback, and the tasks of RunTasks
+//     (which receive the arena itself), land their survivor reads in
+//     pooled buffers, so a long repair batch recycles a few arenas
+//     instead of allocating fresh fetch buffers per stripe. Codecs
+//     return freshly allocated shards that never alias a fetched buffer
+//     (the ec.Code contract), so nothing is copied out of the arena.
+//   - The engine adds no reads of its own: a repair fetches what the
+//     codec's plan charges for, so traffic accounting by a FetchFunc
+//     is byte-identical to serial execution. (The codec's executor may
+//     fetch two touching ranges of one helper as a single read.)
 package engine
 
 import (
@@ -150,7 +153,7 @@ type RepairJob struct {
 type RepairResult struct {
 	// Shards holds the reconstructed shard contents keyed by index;
 	// nil when Err is set. The buffers are freshly allocated and owned
-	// by the caller.
+	// by the caller; none aliases the engine's pooled fetch buffers.
 	Shards map[int][]byte
 	// Err is the job's failure, if any. One job failing does not
 	// affect the others in the batch.
@@ -192,20 +195,11 @@ func (e *Engine) runRepair(job *RepairJob, s *Scratch) RepairResult {
 			return buf, nil
 		}
 	}
+	// The codec's results are freshly allocated and alias no fetched
+	// buffer (ec.Code), so they outlive the arena as they are.
 	shards, err := job.Code.ExecuteMultiRepair(job.Missing, job.ShardSize, job.Alive, fetch)
 	if err != nil {
 		return RepairResult{Err: err}
-	}
-	// On the pooled path, copy every result before the arena is reused:
-	// a codec is free to return views into fetched buffers (ec.Code does
-	// not forbid it), and pooled fetch buffers die at the next job. The
-	// copy is one repaired shard per missing index — noise next to the k
-	// survivor reads the pool just saved allocating.
-	if job.FetchInto != nil {
-		for idx, shard := range shards {
-			//repolint:ignore noalloc documented copy-out: repaired shards must outlive the pooled arena they may alias (one shard per missing index, not per byte)
-			shards[idx] = append([]byte(nil), shard...)
-		}
 	}
 	return RepairResult{Shards: shards}
 }
@@ -231,13 +225,15 @@ func (e *Engine) RunEncodes(jobs []EncodeJob) []error {
 }
 
 // RunTasks executes a batch of arbitrary stripe-scoped closures across
-// the worker pool, returning per-task errors in task order — the hook
-// the partial-sum BlockFixer path uses to run its fold trees with the
-// same concurrency bound as conventional repairs.
-func (e *Engine) RunTasks(tasks []func() error) []error {
+// the worker pool, returning per-task errors in task order — how the
+// BlockFixer runs its conventional decodes and partial-sum fold trees
+// under one concurrency bound. Each task receives its worker's scratch
+// arena for fetch and fold buffers; the arena is reset after the task
+// returns, so whatever a task keeps must not live in it.
+func (e *Engine) RunTasks(tasks []func(*Scratch) error) []error {
 	errs := make([]error, len(tasks))
-	e.forEach(len(tasks), func(i int, _ *Scratch) {
-		errs[i] = tasks[i]()
+	e.forEach(len(tasks), func(i int, s *Scratch) {
+		errs[i] = tasks[i](s)
 	})
 	return errs
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ec"
 	"repro/internal/lrc"
 	"repro/internal/rs"
+	"repro/internal/telemetry"
 )
 
 // testCodecs returns one instance of each codec family at the paper's
@@ -296,5 +297,95 @@ func TestEngineDefaults(t *testing.T) {
 	}
 	if got := e.RunRepairs(nil); len(got) != 0 {
 		t.Fatal("empty batch must yield empty results")
+	}
+}
+
+// TestPooledBuffersNeverEscape is the lifetime contract of the pooled
+// fetch path: what RunRepairs and RunTasks hand back is the caller's
+// own. A repaired shard — single and multi-shard patterns of every
+// codec — must be unchanged after 100 further repairs of different
+// stripes on the same worker (one worker, so every job recycles the one
+// arena), must share no memory with that arena, and survives the caller
+// scribbling over its own copy of another result.
+func TestPooledBuffersNeverEscape(t *testing.T) {
+	const shardSize = 1 << 10
+	for _, code := range testCodecs(t) {
+		eng := New(Options{Parallelism: 1})
+		stripes := buildStripes(t, code, 105, shardSize, 23)
+		job := func(st stripe) RepairJob {
+			return RepairJob{
+				Code: code, Missing: st.missing, ShardSize: shardSize,
+				Alive: ec.AllAliveExcept(st.missing...), FetchInto: fetchIntoFrom(st.shards),
+			}
+		}
+		// The first five stripes cover every failure pattern.
+		first := make([]RepairJob, 5)
+		for i := range first {
+			first[i] = job(stripes[i])
+		}
+		kept := eng.RunRepairs(first)
+		for round := 5; round < len(stripes); round++ {
+			res := eng.RunRepairs([]RepairJob{job(stripes[round])})
+			if res[0].Err != nil {
+				t.Fatalf("%s round %d: %v", code.Name(), round, res[0].Err)
+			}
+			for _, shard := range res[0].Shards {
+				for i := range shard {
+					shard[i] = 0xAA // the caller owns it: scribbling must hurt no one
+				}
+			}
+		}
+		arena := eng.scratch.Get().(*Scratch)
+		for i, res := range kept {
+			if res.Err != nil {
+				t.Fatalf("%s job %d: %v", code.Name(), i, res.Err)
+			}
+			for idx, shard := range res.Shards {
+				if !bytes.Equal(shard, stripes[i].shards[idx]) {
+					t.Fatalf("%s job %d shard %d changed after 100 further repairs on its worker", code.Name(), i, idx)
+				}
+				for _, buf := range arena.bufs {
+					if cap(buf) > 0 && cap(shard) > 0 && &buf[:1][0] == &shard[:1][0] {
+						t.Fatalf("%s job %d shard %d is a pooled buffer", code.Name(), i, idx)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunTasksHandsOutTheWorkerArena: a task draws its buffers from the
+// worker's scratch, the arena is reset between tasks (so a batch of any
+// length on one worker reuses the first task's buffers), and the
+// hit/miss instruments see it.
+func TestRunTasksHandsOutTheWorkerArena(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	eng := New(Options{Parallelism: 1, Telemetry: reg})
+	var first *byte
+	tasks := make([]func(*Scratch) error, 50)
+	for i := range tasks {
+		i := i
+		tasks[i] = func(s *Scratch) error {
+			a, b := s.Bytes(4096), s.Bytes(4096)
+			if &a[0] == &b[0] {
+				return errors.New("one task got the same buffer twice")
+			}
+			if i == 0 {
+				first = &a[0]
+			} else if &a[0] != first {
+				return fmt.Errorf("task %d did not reuse the arena", i)
+			}
+			return nil
+		}
+	}
+	for i, err := range eng.RunTasks(tasks) {
+		if err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+	}
+	snap := reg.Snapshot()
+	hits, misses := snap.Counters["engine_scratch_hits_total"], snap.Counters["engine_scratch_misses_total"]
+	if misses != 2 || hits != 98 {
+		t.Fatalf("scratch hits/misses = %d/%d, want 98/2", hits, misses)
 	}
 }

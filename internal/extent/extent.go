@@ -420,10 +420,16 @@ func (s *Store) Sync() error {
 	return s.fsyncLocked()
 }
 
-// Get returns the block's payload, verifying its CRC-32: a mismatch is
-// ErrCorrupt (counted in extent_crc_failures_total), an unknown id is
-// ErrNotFound.
-func (s *Store) Get(id int64) ([]byte, error) {
+// Get returns the block's payload in a fresh buffer, verifying its
+// CRC-32: a mismatch is ErrCorrupt (counted in
+// extent_crc_failures_total), an unknown id is ErrNotFound.
+func (s *Store) Get(id int64) ([]byte, error) { return s.GetInto(id, nil) }
+
+// GetInto is Get reading into dst when its capacity holds the payload,
+// so a caller that recycles dst reads without allocating: one pread
+// into dst, the CRC verified there. The result is dst[:n] (a fresh
+// buffer when dst is too small); on error dst's contents are undefined.
+func (s *Store) GetInto(id int64, dst []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -436,7 +442,11 @@ func (s *Store) Get(id int64) ([]byte, error) {
 	if loc.length < 0 || loc.length > s.opts.MaxPayloadBytes {
 		return nil, fmt.Errorf("%w: block %d (index length %d out of bounds)", ErrCorrupt, id, loc.length)
 	}
-	buf := make([]byte, loc.length)
+	if int64(cap(dst)) < loc.length {
+		//repolint:ignore noalloc no (or too small a) caller buffer: this is the allocating Get
+		dst = make([]byte, loc.length)
+	}
+	buf := dst[:loc.length]
 	if _, err := loc.seg.f.ReadAt(buf, loc.payloadOff); err != nil {
 		return nil, err
 	}

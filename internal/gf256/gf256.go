@@ -203,7 +203,7 @@ const fusedChunk = 32 << 10
 // cache-sized chunks and folding pairs of inputs into each pass with an
 // unrolled inner loop. len(coeffs) must equal len(inputs) and every
 // input must have the length of out. Inputs with a zero coefficient are
-// skipped.
+// skipped; an all-ones coefficient vector takes the XorAllSlices path.
 func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 	if len(coeffs) != len(inputs) {
 		panic("gf256: MulAddSlices coeffs/inputs length mismatch")
@@ -212,6 +212,19 @@ func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 		if len(in) != len(out) {
 			panic("gf256: MulAddSlices input length mismatch")
 		}
+	}
+	// An all-ones vector — an XOR parity, an LRC local repair — needs no
+	// multiplication tables at all.
+	ones := len(coeffs) > 0
+	for _, c := range coeffs {
+		if c != 1 {
+			ones = false
+			break
+		}
+	}
+	if ones {
+		XorAllSlices(inputs, out)
+		return
 	}
 	// Zero-coefficient inputs are skipped and the remaining live ones
 	// fused pairwise on the fly: pending holds a live input waiting for

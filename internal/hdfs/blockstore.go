@@ -34,9 +34,10 @@ var (
 type BlockStore interface {
 	// Put stores (or overwrites) a block payload.
 	Put(id BlockID, data []byte) error
-	// Get returns the full payload. Missing blocks are ErrNotStored;
-	// payloads failing verification are ErrCorruptReplica. Callers must
-	// not mutate the returned slice.
+	// Get returns the full payload in a buffer the caller owns: it
+	// aliases no store memory, so the read path hands out sub-slices of
+	// it without copying. Missing blocks are ErrNotStored; payloads
+	// failing verification are ErrCorruptReplica.
 	Get(id BlockID) ([]byte, error)
 	// Delete removes the block (no-op when absent).
 	Delete(id BlockID) error
@@ -54,6 +55,25 @@ type BlockStore interface {
 	Close() error
 }
 
+// intoStore is implemented by stores that can read a payload into
+// caller memory: GetInto is Get landing in dst when its capacity holds
+// the payload (the result is then dst[:n]), so the block fixer reads
+// every helper into a recycled buffer. Every store in this package has
+// it; one without (an outside decorator that only knows the BlockStore
+// surface) is read through Get.
+type intoStore interface {
+	GetInto(id BlockID, dst []byte) ([]byte, error)
+}
+
+// getInto reads id from st into dst when the store can, through the
+// allocating Get when it cannot.
+func getInto(st BlockStore, id BlockID, dst []byte) ([]byte, error) {
+	if into, ok := st.(intoStore); ok {
+		return into.GetInto(id, dst)
+	}
+	return st.Get(id)
+}
+
 // memStore is the historical volatile store: a plain map. It survives
 // CrashMachine by fiat (there is no disk to recover from), keeping the
 // pre-persistence test suite's semantics and speed.
@@ -68,12 +88,16 @@ func (m *memStore) Put(id BlockID, data []byte) error {
 	return nil
 }
 
-func (m *memStore) Get(id BlockID) ([]byte, error) {
+func (m *memStore) Get(id BlockID) ([]byte, error) { return m.GetInto(id, nil) }
+
+// GetInto copies the payload out — into dst when it fits — because the
+// map's slice is the store's own: Corrupt flips its bytes in place.
+func (m *memStore) GetInto(id BlockID, dst []byte) ([]byte, error) {
 	data, ok := m.blocks[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrNotStored, id)
 	}
-	return data, nil
+	return append(dst[:0], data...), nil
 }
 
 func (m *memStore) Delete(id BlockID) error {
@@ -124,8 +148,10 @@ type extentBlockStore struct {
 
 func (e extentBlockStore) Put(id BlockID, data []byte) error { return e.s.Put(int64(id), data) }
 
-func (e extentBlockStore) Get(id BlockID) ([]byte, error) {
-	data, err := e.s.Get(int64(id))
+func (e extentBlockStore) Get(id BlockID) ([]byte, error) { return e.GetInto(id, nil) }
+
+func (e extentBlockStore) GetInto(id BlockID, dst []byte) ([]byte, error) {
+	data, err := e.s.GetInto(int64(id), dst)
 	switch {
 	case err == nil:
 		return data, nil

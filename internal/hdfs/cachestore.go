@@ -52,8 +52,12 @@ func (s *cachedBlockStore) Put(id BlockID, data []byte) error {
 // scrubber evicted or a tombstoned delete must never be resurrected
 // from cache memory (the stale-read hazard this wrapper exists to
 // rule out).
-func (s *cachedBlockStore) Get(id BlockID) ([]byte, error) {
-	if data, ok := s.c.Get(uint64(id)); ok {
+func (s *cachedBlockStore) Get(id BlockID) ([]byte, error) { return s.GetInto(id, nil) }
+
+// GetInto is Get landing in dst (see intoStore), hit or miss, so a
+// cached node's repair reads recycle buffers like any other's.
+func (s *cachedBlockStore) GetInto(id BlockID, dst []byte) ([]byte, error) {
+	if data, ok := s.c.GetInto(uint64(id), dst); ok {
 		if s.inner.Has(id) {
 			s.cHits.Inc()
 			return data, nil
@@ -61,7 +65,7 @@ func (s *cachedBlockStore) Get(id BlockID) ([]byte, error) {
 		s.c.Delete(uint64(id))
 	}
 	s.cMisses.Inc()
-	data, err := s.inner.Get(id)
+	data, err := getInto(s.inner, id, dst)
 	if err != nil {
 		return nil, err
 	}

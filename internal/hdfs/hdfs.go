@@ -87,9 +87,20 @@ func (d *dataNode) storeBlock(id BlockID, data []byte) error {
 // block's physical end (striped blocks are logically padded to the
 // stripe's shard size). A negative offset or length is an error, not a
 // panic: repair plans are untrusted input by the time they reach a
-// datanode.
+// datanode. The result is the caller's own: a sub-slice of the buffer
+// the store's Get returned, copied only when padding is needed.
 func (d *dataNode) readRange(id BlockID, offset, length int64) ([]byte, error) {
-	if offset < 0 || length < 0 {
+	return d.readRangeInto(id, offset, length, nil)
+}
+
+// readRangeInto is readRange for callers that recycle buffers: when the
+// store can (intoStore), the block is read once, straight into buf, is
+// checksummed there, and the result is a view of buf — no allocation
+// and no second copy. buf should have the padded size as capacity; a
+// smaller (or nil) buf just means the read allocates.
+func (d *dataNode) readRangeInto(id BlockID, offset, length int64, buf []byte) ([]byte, error) {
+	end := offset + length
+	if offset < 0 || length < 0 || end < offset {
 		return nil, fmt.Errorf("hdfs: invalid read range [%d, %d+%d) of block %d", offset, offset, length, id)
 	}
 	d.mu.Lock()
@@ -97,7 +108,7 @@ func (d *dataNode) readRange(id BlockID, offset, length int64) ([]byte, error) {
 	if !d.alive {
 		return nil, fmt.Errorf("%w: node %d", ErrNodeDown, d.id)
 	}
-	data, err := d.store.Get(id)
+	data, err := getInto(d.store, id, buf)
 	if err != nil {
 		if errors.Is(err, ErrCorruptReplica) {
 			d.cCorruptReads.Inc()
@@ -108,8 +119,19 @@ func (d *dataNode) readRange(id BlockID, offset, length int64) ([]byte, error) {
 		}
 		return nil, err
 	}
+	have := int64(len(data))
+	if end > have && end <= int64(cap(data)) {
+		// Room to pad in place (a recycled shard-sized buffer).
+		data = data[:end]
+		clear(data[have:])
+		have = end
+	}
+	if end <= have {
+		return data[offset:end:end], nil
+	}
+	//repolint:ignore noalloc a read past the physical end of an exactly-sized buffer: the zero padding needs room
 	out := make([]byte, length)
-	if offset < int64(len(data)) {
+	if offset < have {
 		copy(out, data[offset:])
 	}
 	return out, nil
@@ -993,12 +1015,16 @@ func (c *Cluster) stripeAlive(sm *stripeMeta) ec.AliveFunc {
 // stripeFetchLocked builds the codec fetch function for a stripe:
 // phantom positions yield zeros for free; real positions read from a
 // random live holder and charge the transfer to the destination
-// machine. record, when non-nil, observes every (src, bytes) wire
-// transfer — the contention model replays them through the netsim
+// machine. Each fetch reads its helper block once, into a shard-sized
+// buffer drawn from scratch (the fixer passes its worker's arena; nil
+// allocates), and returns a view of it — the codec only reads fetched
+// buffers and never returns one, so the arena can be reset as soon as
+// the repair returns. record, when non-nil, observes every (src, bytes)
+// wire transfer — the contention model replays them through the netsim
 // fabric. It is invoked from the worker executing the stripe's repair
 // job, never concurrently for one stripe. Callers hold c.mu in at
 // least read mode for every invocation of the returned func.
-func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, record func(src int, bytes int64)) ec.FetchFunc {
+func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, record func(src int, bytes int64), scratch *engine.Scratch) ec.FetchFunc {
 	return func(req ec.ReadRequest) ([]byte, error) {
 		id := sm.blocks[req.Shard]
 		if id < 0 {
@@ -1010,7 +1036,11 @@ func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, record func(src int
 			return nil, fmt.Errorf("%w: stripe %d position %d", ErrBlockLost, sm.id, req.Shard)
 		}
 		src := c.pickReplica(live)
-		buf, err := c.nodes[src].readRange(id, req.Offset, req.Length)
+		var into []byte
+		if scratch != nil {
+			into = scratch.Bytes(int(sm.shardSize))
+		}
+		buf, err := c.nodes[src].readRangeInto(id, req.Offset, req.Length, into)
 		if err != nil {
 			return nil, err
 		}
@@ -1026,8 +1056,8 @@ func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, record func(src int
 
 // stripeFetch is stripeFetchLocked behind a per-call read lock, for use
 // while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *Cluster) stripeFetch(sm *stripeMeta, dst int, record func(src int, bytes int64)) ec.FetchFunc {
-	inner := c.stripeFetchLocked(sm, dst, record)
+func (c *Cluster) stripeFetch(sm *stripeMeta, dst int, record func(src int, bytes int64), scratch *engine.Scratch) ec.FetchFunc {
+	inner := c.stripeFetchLocked(sm, dst, record, scratch)
 	return func(req ec.ReadRequest) ([]byte, error) {
 		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
 		c.mu.RLock()
@@ -1058,7 +1088,7 @@ func (c *Cluster) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) 
 		}
 		return alive(pos)
 	}
-	return c.cfg.Code.ExecuteRepair(bm.stripePos, sm.shardSize, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil))
+	return c.cfg.Code.ExecuteRepair(bm.stripePos, sm.shardSize, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil, nil))
 }
 
 // FailMachine marks a machine unavailable. Its blocks become
@@ -1290,7 +1320,7 @@ func (c *Cluster) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOr
 	// One task per fix, all submitted as a single engine batch so
 	// conventional decodes and partial-sum folds share the parallelism
 	// bound instead of draining in two phases.
-	tasks := make([]func() error, len(fixes))
+	tasks := make([]func(*engine.Scratch) error, len(fixes))
 	for i, f := range fixes {
 		i, f := i, f
 		// With a contention fabric configured, each fix records its
@@ -1302,21 +1332,21 @@ func (c *Cluster) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOr
 		if !recordWire {
 			record = nil
 		}
-		conventional := func() error {
+		conventional := func(s *engine.Scratch) error {
 			out := &outcomes[i]
 			out.shards, out.err = c.cfg.Code.ExecuteMultiRepair(
-				f.positions, f.sm.shardSize, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), record))
+				f.positions, f.sm.shardSize, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), record, s))
 			return nil
 		}
 		if c.cfg.PartialSumRepair && linearOK && len(f.positions) == 1 {
-			tasks[i] = func() error {
-				shards, hops, err := c.executePartialFix(f, recordWire)
+			tasks[i] = func(s *engine.Scratch) error {
+				shards, hops, err := c.executePartialFix(f, recordWire, s)
 				if err == nil {
 					out := &outcomes[i]
 					out.shards, out.hops, out.viaPartial = shards, hops, true
 					return nil
 				}
-				return conventional()
+				return conventional(s)
 			}
 			continue
 		}
@@ -1457,12 +1487,14 @@ type fixOutcome struct {
 // per helper position, plan the rack-aware aggregation tree, and fold
 // it — each helper multiply-accumulates its local ranges and XORs in
 // its children's folded buffers, every tree edge moving exactly one
-// shard-sized buffer through the network accounting. The final hop
+// shard-sized buffer through the network accounting. Fold buffers and
+// helper reads live in the worker's scratch arena; only the repaired
+// block is copied out of it. The final hop
 // delivers the repaired shard to the fix's destination. Runs with the
 // metadata lock released; metadata reads take the read lock for their
 // own duration (stripe position tables are immutable once created, and
 // block I/O takes only datanode leaf locks).
-func (c *Cluster) executePartialFix(f *stripeFix, recordWire bool) (map[int][]byte, []netsim.Hop, error) {
+func (c *Cluster) executePartialFix(f *stripeFix, recordWire bool, scratch *engine.Scratch) (map[int][]byte, []netsim.Hop, error) {
 	pos := f.positions[0]
 	lp := c.cfg.Code.(ec.LinearRepairPlanner)
 	sm := f.sm
@@ -1506,13 +1538,25 @@ func (c *Cluster) executePartialFix(f *stripeFix, recordWire bool) (map[int][]by
 	var hops []netsim.Hop
 	var fold func(n *engine.AggNode) ([]byte, []int, error)
 	fold = func(n *engine.AggNode) ([]byte, []int, error) {
-		buf := make([]byte, tree.TargetSize)
+		buf := scratch.Bytes(int(tree.TargetSize))
+		clear(buf)
+		// A helper reads each of its blocks once, whole, however many
+		// terms slice it (a Piggybacked-RS b-half feeds both target
+		// halves): block is the padded shard the previous term read.
+		blockOf, block := -1, []byte(nil)
 		for _, t := range n.Terms {
-			data, err := c.nodes[n.Machine].readRange(sm.blocks[t.Shard], t.Offset, t.Length)
-			if err != nil {
-				return nil, nil, err
+			if t.Offset < 0 || t.Length < 0 || t.Offset > sm.shardSize-t.Length {
+				return nil, nil, fmt.Errorf("hdfs: term reads [%d, +%d) of a %d-byte shard", t.Offset, t.Length, sm.shardSize)
 			}
-			gf256.MulSliceXor(t.Coeff, data, buf[t.TargetOff:t.TargetOff+t.Length])
+			if t.Shard != blockOf {
+				var err error
+				block, err = c.nodes[n.Machine].readRangeInto(sm.blocks[t.Shard], 0, sm.shardSize, scratch.Bytes(int(sm.shardSize)))
+				if err != nil {
+					return nil, nil, err
+				}
+				blockOf = t.Shard
+			}
+			gf256.MulSliceXor(t.Coeff, block[t.Offset:t.Offset+t.Length], buf[t.TargetOff:t.TargetOff+t.Length])
 		}
 		var after []int
 		for _, child := range n.Children {
@@ -1541,7 +1585,8 @@ func (c *Cluster) executePartialFix(f *stripeFix, recordWire bool) (map[int][]by
 	if recordWire {
 		hops = append(hops, netsim.Hop{Src: tree.Root.Machine, Dst: f.worker(), Bytes: tree.TargetSize, After: rootAfter})
 	}
-	return map[int][]byte{pos: buf}, hops, nil
+	// The one copy out of the arena: the repaired block outlives the task.
+	return map[int][]byte{pos: append([]byte(nil), buf...)}, hops, nil
 }
 
 // simulateFixContention replays the applied fixes' recorded wire shape

@@ -291,40 +291,13 @@ func (c *Code) globalPass(shards [][]byte) (bool, error) {
 // PlanRepair returns the reads needed to repair shard idx. A data shard
 // or local parity whose local group is intact costs one local group
 // (k/g reads); anything else falls back to k full reads over the
-// data+global shards.
+// data+global shards. These are exactly the reads of the linear plan.
 func (c *Code) PlanRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
-	if idx < 0 || idx >= c.TotalShards() {
-		return nil, fmt.Errorf("%w: %d of %d", ec.ErrShardIndex, idx, c.TotalShards())
+	plan, err := c.PlanLinearRepair(idx, shardSize, alive)
+	if err != nil {
+		return nil, err
 	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
-	}
-	if alive(idx) {
-		return nil, fmt.Errorf("%w: shard %d", ec.ErrShardPresent, idx)
-	}
-	plan := &ec.RepairPlan{Shard: idx, ShardSize: shardSize}
-
-	if sources, ok := c.localSources(idx, alive); ok {
-		for _, s := range sources {
-			plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize})
-		}
-		return plan, nil
-	}
-
-	// Global fallback: k alive shards among data + global parities.
-	sources := make([]int, 0, c.k)
-	for i := 0; i < c.k+c.r && len(sources) < c.k; i++ {
-		if i != idx && alive(i) {
-			sources = append(sources, i)
-		}
-	}
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive among data+global, need %d", ec.ErrTooFewShards, len(sources), c.k)
-	}
-	for _, s := range sources {
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize})
-	}
-	return plan, nil
+	return plan.RepairPlan(), nil
 }
 
 // localSources returns the other members of idx's local group (including
@@ -359,16 +332,11 @@ func (c *Code) localSources(idx int, alive ec.AliveFunc) ([]int, bool) {
 // over whole surviving shards: a local repair is an XOR of the group
 // (all coefficients 1); a global repair uses the RS decode vector over
 // k data+global survivors, composing the group XOR on top when the
-// target is a local parity. Exactly the ranges of PlanRepair are read.
+// target is a local parity. A survivor whose coefficient cancels to
+// zero is not read.
 func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.LinearPlan, error) {
-	if idx < 0 || idx >= c.TotalShards() {
-		return nil, fmt.Errorf("%w: %d of %d", ec.ErrShardIndex, idx, c.TotalShards())
-	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
-	}
-	if alive(idx) {
-		return nil, fmt.Errorf("%w: shard %d", ec.ErrShardPresent, idx)
+	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
+		return nil, err
 	}
 	plan := &ec.LinearPlan{Shard: idx, ShardSize: shardSize}
 	if sources, ok := c.localSources(idx, alive); ok {
@@ -421,61 +389,25 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 	return plan, nil
 }
 
-// ExecuteRepair reconstructs shard idx by fetching the ranges of its
-// repair plan through fetch.
+// ExecuteRepair reconstructs shard idx with one evaluation of its
+// linear plan: a local repair is one fused XOR over the group, a global
+// one a single multiply-accumulate over k survivors.
 func (c *Code) ExecuteRepair(idx int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) ([]byte, error) {
-	plan, err := c.PlanRepair(idx, shardSize, alive)
-	if err != nil {
-		return nil, err
-	}
-	bufs := make(map[int][]byte, len(plan.Reads))
-	for _, req := range plan.Reads {
-		buf, err := fetch(req)
-		if err != nil {
-			return nil, fmt.Errorf("lrc: fetching shard %d: %w", req.Shard, err)
-		}
-		if int64(len(buf)) != req.Length {
-			return nil, fmt.Errorf("%w: fetch of shard %d returned %d bytes, want %d", ec.ErrShardSize, req.Shard, len(buf), req.Length)
-		}
-		bufs[req.Shard] = buf
-	}
-
-	if _, ok := c.localSources(idx, alive); ok {
-		// Local XOR repair, fused over all fetched group members.
-		out := make([]byte, shardSize)
-		inputs := make([][]byte, 0, len(bufs))
-		for _, buf := range bufs {
-			inputs = append(inputs, buf)
-		}
-		gf256.XorAllSlices(inputs, out)
-		return out, nil
-	}
-
-	// Global RS repair over data + global parities.
-	sub := make([][]byte, c.k+c.r)
-	for i, buf := range bufs {
-		sub[i] = buf
-	}
-	if err := c.rsc.Reconstruct(sub); err != nil {
-		return nil, err
-	}
-	if idx < c.k+c.r {
-		return sub[idx], nil
-	}
-	// Local parity requested through the global path: XOR its group.
-	out := make([]byte, shardSize)
-	gf256.XorAllSlices(groupSlices(sub, c.localGroups[idx-c.k-c.r], -1), out)
-	return out, nil
+	return ec.ExecuteLinearRepair(c, idx, shardSize, alive, fetch)
 }
 
 // PlanMultiRepair returns the reads to repair every missing shard of a
-// stripe in one pass. The planner mirrors Reconstruct: local groups
+// stripe in one pass; a single missing shard is PlanRepair's plan. For
+// two or more the planner mirrors Reconstruct: local groups
 // with a single missing member repair from their group; anything left
 // falls back to one global decode over k alive data+global shards. A
 // source read once serves every reconstruction that needs it.
 func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
 	if err := ec.CheckMissing(missing, c.TotalShards(), alive); err != nil {
 		return nil, err
+	}
+	if len(missing) == 1 {
+		return c.PlanRepair(missing[0], shardSize, alive)
 	}
 	if shardSize <= 0 {
 		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
@@ -577,26 +509,27 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 	return plan, nil
 }
 
-// ExecuteMultiRepair reconstructs all missing shards by fetching the
-// multi-repair plan's reads and mirroring the planner's pass order:
+// ExecuteMultiRepair reconstructs all missing shards — one through
+// ExecuteRepair's linear plan, several by fetching the multi-repair
+// plan's reads and mirroring the planner's pass order:
 // local XOR repairs where a group lacks exactly one member, a global RS
 // decode for the rest. Only the planned reads are consumed — alive
 // shards outside the plan are never touched.
 func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
+	if len(missing) == 1 {
+		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)
+		if err != nil {
+			return nil, err
+		}
+		return map[int][]byte{missing[0]: shard}, nil
+	}
 	plan, err := c.PlanMultiRepair(missing, shardSize, alive)
 	if err != nil {
 		return nil, err
 	}
-	have := make([][]byte, c.TotalShards())
-	for _, req := range plan.Reads {
-		buf, err := fetch(req)
-		if err != nil {
-			return nil, fmt.Errorf("lrc: fetching shard %d: %w", req.Shard, err)
-		}
-		if int64(len(buf)) != req.Length {
-			return nil, fmt.Errorf("%w: fetch of shard %d returned %d bytes, want %d", ec.ErrShardSize, req.Shard, len(buf), req.Length)
-		}
-		have[req.Shard] = buf
+	have, err := ec.FetchShards(plan, c.TotalShards(), fetch)
+	if err != nil {
+		return nil, err
 	}
 	need := make(map[int]bool, len(missing))
 	for _, m := range missing {

@@ -16,6 +16,7 @@ package rs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ec"
@@ -359,20 +360,13 @@ func (c *Code) RecoveryCoefficients(target int, survivors []int) ([]byte, error)
 }
 
 // PlanLinearRepair expresses the repair of shard idx as one linear
-// combination of k whole surviving shards: the same reads PlanRepair
-// charges for, each annotated with its decode coefficient. Terms with a
-// zero coefficient are dropped (their helpers contribute nothing).
+// combination of the first k alive shards, each whole shard annotated
+// with its decode coefficient.
 func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.LinearPlan, error) {
-	if idx < 0 || idx >= c.TotalShards() {
-		return nil, fmt.Errorf("%w: %d of %d", ec.ErrShardIndex, idx, c.TotalShards())
+	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
+		return nil, err
 	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
-	}
-	if alive(idx) {
-		return nil, fmt.Errorf("%w: shard %d", ec.ErrShardPresent, idx)
-	}
-	sources := c.pickAlive(idx, alive)
+	sources := c.pickAlive([]int{idx}, alive)
 	if len(sources) < c.k {
 		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
 	}
@@ -383,7 +377,7 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 	plan := &ec.LinearPlan{Shard: idx, ShardSize: shardSize}
 	for i, s := range sources {
 		if coeffs[i] == 0 {
-			continue
+			continue // contributes nothing, so it is not read
 		}
 		plan.Terms = append(plan.Terms, ec.LinearTerm{
 			Read:  ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize},
@@ -394,69 +388,31 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 }
 
 // PlanRepair returns the reads needed to repair shard idx: k whole
-// surviving shards (the paper's k-fold recovery amplification). idx must
-// be reported dead by alive.
+// surviving shards (the paper's k-fold recovery amplification) — the
+// reads of the linear plan. idx must be reported dead by alive.
 func (c *Code) PlanRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
-	if idx < 0 || idx >= c.TotalShards() {
-		return nil, fmt.Errorf("%w: %d of %d", ec.ErrShardIndex, idx, c.TotalShards())
+	plan, err := c.PlanLinearRepair(idx, shardSize, alive)
+	if err != nil {
+		return nil, err
 	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
-	}
-	if alive(idx) {
-		return nil, fmt.Errorf("%w: shard %d", ec.ErrShardPresent, idx)
-	}
-	sources := c.pickAlive(idx, alive)
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
-	}
-	plan := &ec.RepairPlan{Shard: idx, ShardSize: shardSize}
-	for _, s := range sources {
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize})
-	}
-	return plan, nil
+	return plan.RepairPlan(), nil
 }
 
-// pickAlive returns the first k alive shard indices, skipping idx.
-func (c *Code) pickAlive(idx int, alive ec.AliveFunc) []int {
+// pickAlive returns the first k alive shard indices outside skip.
+func (c *Code) pickAlive(skip []int, alive ec.AliveFunc) []int {
 	out := make([]int, 0, c.k)
 	for i := 0; i < c.TotalShards() && len(out) < c.k; i++ {
-		if i == idx || !alive(i) {
-			continue
+		if !slices.Contains(skip, i) && alive(i) {
+			out = append(out, i)
 		}
-		out = append(out, i)
 	}
 	return out
 }
 
-// ExecuteRepair reconstructs shard idx by downloading the ranges of its
-// repair plan through fetch and decoding.
+// ExecuteRepair reconstructs shard idx with one evaluation of its
+// linear plan: k whole-shard fetches folded in a single fused pass.
 func (c *Code) ExecuteRepair(idx int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) ([]byte, error) {
-	plan, err := c.PlanRepair(idx, shardSize, alive)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([][]byte, c.TotalShards())
-	for _, req := range plan.Reads {
-		buf, err := fetch(req)
-		if err != nil {
-			return nil, fmt.Errorf("rs: fetching shard %d: %w", req.Shard, err)
-		}
-		if int64(len(buf)) != req.Length {
-			return nil, fmt.Errorf("%w: fetch of shard %d returned %d bytes, want %d", ec.ErrShardSize, req.Shard, len(buf), req.Length)
-		}
-		shards[req.Shard] = buf
-	}
-	if idx < c.k {
-		if err := c.reconstruct(shards, false); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := c.reconstruct(shards, true); err != nil {
-			return nil, err
-		}
-	}
-	return shards[idx], nil
+	return ec.ExecuteLinearRepair(c, idx, shardSize, alive, fetch)
 }
 
 // PlanMultiRepair returns the reads to repair every missing shard of a
@@ -470,7 +426,7 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 	if shardSize <= 0 {
 		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
 	}
-	sources := c.pickAliveMulti(missing, alive)
+	sources := c.pickAlive(missing, alive)
 	if len(sources) < c.k {
 		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
 	}
@@ -481,40 +437,25 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 	return plan, nil
 }
 
-// pickAliveMulti returns the first k alive shard indices, skipping the
-// missing set.
-func (c *Code) pickAliveMulti(missing []int, alive ec.AliveFunc) []int {
-	skip := make(map[int]bool, len(missing))
-	for _, m := range missing {
-		skip[m] = true
-	}
-	out := make([]int, 0, c.k)
-	for i := 0; i < c.TotalShards() && len(out) < c.k; i++ {
-		if skip[i] || !alive(i) {
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// ExecuteMultiRepair reconstructs all missing shards from one joint
-// decode, returning contents keyed by shard index.
+// ExecuteMultiRepair reconstructs all missing shards, returning
+// contents keyed by shard index: a single one through ExecuteRepair's
+// linear plan (the same reads, only the target computed), several from
+// one joint decode.
 func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
+	if len(missing) == 1 {
+		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)
+		if err != nil {
+			return nil, err
+		}
+		return map[int][]byte{missing[0]: shard}, nil
+	}
 	plan, err := c.PlanMultiRepair(missing, shardSize, alive)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([][]byte, c.TotalShards())
-	for _, req := range plan.Reads {
-		buf, err := fetch(req)
-		if err != nil {
-			return nil, fmt.Errorf("rs: fetching shard %d: %w", req.Shard, err)
-		}
-		if int64(len(buf)) != req.Length {
-			return nil, fmt.Errorf("%w: fetch of shard %d returned %d bytes, want %d", ec.ErrShardSize, req.Shard, len(buf), req.Length)
-		}
-		shards[req.Shard] = buf
+	shards, err := ec.FetchShards(plan, c.TotalShards(), fetch)
+	if err != nil {
+		return nil, err
 	}
 	if err := c.reconstruct(shards, true); err != nil {
 		return nil, err

@@ -212,6 +212,9 @@ type Client struct {
 	dns     map[string]*conn
 	addrs   []string // machine id → datanode address ("" = down)
 	perRack int      // machines per rack, from the handshake
+	// refreshedAt[m] is when a transport failure against machine m last
+	// made this client re-fetch addrs (see relocated).
+	refreshedAt map[int]time.Time
 
 	rr atomic.Uint64 // rotation among latency-tied replicas
 
@@ -407,7 +410,57 @@ func (c *Client) dnCallTimeout(machine int, req *request, timeout time.Duration)
 
 // dnCallFull also surfaces the response header — debug.trace answers
 // in the header's span list, not the payload.
+//
+// A transport failure may mean the daemon restarted on a fresh port
+// while this client still holds the old one: the read would fall
+// through to a degraded read that succeeds, and nothing would ever
+// correct the table. So a transport failure re-fetches the table (at
+// most once per machine per addrRefreshEvery) and, if the machine
+// moved, retries there. A machine the table lists no address for is the
+// same case one step later: a call that failed while the daemon was
+// down already refreshed the table to "" and only another refresh
+// learns of the restart.
 func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration) (*response, []byte, error) {
+	resp, out, addr, err := c.dnCallOnce(machine, req, timeout)
+	if err == nil {
+		return resp, out, nil
+	}
+	if _, remote := err.(*RemoteError); remote || !c.relocated(machine, addr) {
+		return nil, nil, err
+	}
+	resp, out, _, err = c.dnCallOnce(machine, req, timeout)
+	return resp, out, err
+}
+
+// addrRefreshEvery bounds how often one machine's transport failures
+// make the client re-fetch the address table: a machine that is simply
+// dead fails every read of every block it held the same way, and must
+// not cost a metadata RPC per block.
+const addrRefreshEvery = time.Second
+
+// relocated reports whether the namenode lists machine at another
+// address than addr ("" for none), which a call just failed to reach.
+func (c *Client) relocated(machine int, addr string) bool {
+	c.mu.Lock()
+	recent := time.Since(c.refreshedAt[machine]) < addrRefreshEvery
+	if !recent {
+		if c.refreshedAt == nil {
+			c.refreshedAt = make(map[int]time.Time)
+		}
+		c.refreshedAt[machine] = time.Now()
+	}
+	c.mu.Unlock()
+	if recent || c.refreshAddrs() != nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return machine >= 0 && machine < len(c.addrs) && c.addrs[machine] != "" && c.addrs[machine] != addr
+}
+
+// dnCallOnce is one attempt against the machine's current address,
+// which it also returns ("" when the table lists none).
+func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration) (*response, []byte, string, error) {
 	c.mu.Lock()
 	var addr string
 	if machine >= 0 && machine < len(c.addrs) {
@@ -416,12 +469,12 @@ func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration) (*
 	cn := c.dns[addr]
 	c.mu.Unlock()
 	if addr == "" {
-		return nil, nil, fmt.Errorf("serve: datanode %d has no address (down?)", machine)
+		return nil, nil, "", fmt.Errorf("serve: datanode %d has no address (down?)", machine)
 	}
 	if cn == nil {
 		fresh, err := dialConn(addr, timeout)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, addr, err
 		}
 		c.mu.Lock()
 		if existing := c.dns[addr]; existing != nil {
@@ -450,10 +503,10 @@ func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration) (*
 			c.mu.Unlock()
 			cn.close()
 		}
-		return nil, nil, err
+		return nil, nil, addr, err
 	}
 	c.lat.observe(machine, time.Since(start))
-	return resp, out, nil
+	return resp, out, addr, nil
 }
 
 // dnRead fetches one byte range of one block from a machine. trace,

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -309,6 +310,94 @@ func TestRestartDataNode(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("post-restart read is not byte-identical")
+	}
+}
+
+// TestClientFollowsRestartedDataNode is the regression for a client
+// dialled before a restart: the daemon comes back on a fresh port, the
+// client still holds the old one, its healthy read fails to connect and
+// falls through to a degraded read that SUCCEEDS — so nothing ever
+// refreshed the address table and every later read of that machine's
+// blocks reconstructed, forever. The same client's reads after the
+// restart must be healthy again, whether or not it called the machine
+// while it was down (a call then empties the machine's table entry,
+// and only a further refresh learns the new address).
+func TestClientFollowsRestartedDataNode(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		callWhileDown bool
+	}{
+		{"idle during the outage", false},
+		{"call during the outage", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code := testCodecs(t)[1] // piggybacked-rs
+			sys := startTestSystem(t, code)
+			cl, err := Dial(sys.NameAddr(), code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			data := bytes.Repeat([]byte("warehouse"), 2048)
+			if err := cl.WriteFile("f", data); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.RaidFile("f"); err != nil {
+				t.Fatal(err)
+			}
+			read := func(stage string) int64 {
+				t.Helper()
+				before := cl.Counters().DegradedBlocks
+				got, err := cl.ReadFile("f")
+				if err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatalf("%s: read is not byte-identical", stage)
+				}
+				return cl.Counters().DegradedBlocks - before
+			}
+			if n := read("healthy"); n != 0 {
+				t.Fatalf("healthy read reconstructed %d blocks", n)
+			}
+			_, blocks, err := sys.Cluster().FileBlocks("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := blocks[0].Locations[0]
+			if err := sys.KillDataNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			if tc.callWhileDown {
+				// What a read in flight during the kill does: the call
+				// fails, the client refreshes, the table now says "".
+				if _, err := cl.dnRead(victim, int64(blocks[0].ID), 0, 1, nil); err == nil {
+					t.Fatal("a call to the dead machine succeeded")
+				}
+				cl.mu.Lock()
+				addr := cl.addrs[victim]
+				cl.mu.Unlock()
+				if addr != "" {
+					t.Fatalf("the failed call left address %q for the dead machine", addr)
+				}
+			}
+			if n := read("victim down"); n == 0 {
+				t.Fatal("read with the holder down reconstructed nothing")
+			}
+			if err := sys.RestartDataNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			if tc.callWhileDown {
+				// Refreshes are rate-limited per machine; the one made
+				// during the outage must age out before the next.
+				time.Sleep(addrRefreshEvery)
+			}
+			for i := 0; i < 3; i++ {
+				if n := read("after restart"); n != 0 {
+					t.Fatalf("read %d after the restart still reconstructed %d blocks: the client kept the stale address", i, n)
+				}
+			}
+		})
 	}
 }
 
