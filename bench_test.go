@@ -664,10 +664,9 @@ func BenchmarkAblation_VandermondeVsCauchy(b *testing.B) {
 // --- Concurrent stripe-repair engine ------------------------------------
 
 // benchEngineRepair measures multi-stripe batch repair throughput at a
-// given engine parallelism: the workload behind BENCH_engine.json
-// (regenerate with `repaircost -engine`). Throughput counts repaired
-// shard bytes; the speedup of par=GOMAXPROCS over par=1 is the
-// engine's scaling headroom on the host.
+// given engine parallelism. Throughput counts repaired shard bytes; the
+// speedup of par=GOMAXPROCS over par=1 is the engine's scaling
+// headroom on the host.
 func benchEngineRepair(b *testing.B, code Codec, parallelism int) {
 	const shardSize = 128 << 10
 	const stripes = 16

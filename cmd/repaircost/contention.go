@@ -1,5 +1,5 @@
-// Contention-mode benchmark: RS versus Piggybacked-RS repair latency on
-// the event-driven contended fabric — the operational half of the
+// Contention mode: RS versus Piggybacked-RS repair latency on the
+// event-driven contended fabric — the operational half of the
 // paper's claim. Fewer repair bytes is the mechanism; what an operator
 // feels is the tail: p99 time-in-degraded-state and how much a client's
 // degraded read slows down while the core is saturated with foreground
@@ -14,8 +14,8 @@ import (
 	"repro"
 )
 
-// ContentionBenchResult is the machine-readable BENCH_contention.json
-// payload. Everything in it is deterministic for a fixed seed.
+// ContentionBenchResult is the -out JSON payload. Everything in it is
+// simulated, so deterministic for a fixed seed.
 type ContentionBenchResult struct {
 	Benchmark string `json:"benchmark"`
 	Seed      int64  `json:"seed"`

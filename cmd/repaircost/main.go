@@ -6,194 +6,50 @@
 // explicit: Piggybacked-RS cuts repair traffic at 1.0x extra storage,
 // LRC cuts it further but pays for it in capacity.
 //
-// Beyond the default analytical table, three measurement modes run the
-// codecs on progressively more real substrates:
-//
-//   - -engine measures concurrent batch-repair throughput on the
-//     stripe-repair engine (BENCH_engine.json).
-//   - -contention replays a failure trace through the event-driven
-//     contended fabric, repairs fair-sharing NIC/TOR/aggregation
-//     bandwidth with saturating foreground load (BENCH_contention.json).
-//   - -serve brings up a live networked cluster (namenode + datanode
-//     daemons on localhost TCP) and drives closed-loop client load with
-//     a mid-run datanode kill (BENCH_serve.json).
+// Beyond the default analytical table, -contention replays a failure
+// trace through the event-driven contended fabric: repairs fair-share
+// NIC/TOR/aggregation bandwidth with saturating foreground load. The
+// simulation is deterministic for a fixed -seed; measured performance
+// comes from `go run ./benchmark` (see benchmark/README.md).
 //
 // Usage:
 //
 //	repaircost [-k K] [-r R] [-size BYTES] [-sweep] [-bounds]
-//	repaircost -engine [-parallelism N] [-stripes N] [-shard BYTES] [-out FILE]
 //	repaircost -contention [-days N] [-policy fifo|smallest-first|priority-lanes] [-seed N] [-out FILE]
-//	repaircost -serve [-clients N] [-duration D] [-seed N] [-out FILE]
-//	repaircost -repairmgr [-clients N] [-duration D] [-seed N] [-out FILE]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/stats"
 )
 
-// mode is one entry of the dispatch table: a selector flag (nil for
-// the default analytical mode), the flags that belong to the mode (for
-// grouped -h output), a default results file, and the runner.
-type mode struct {
-	name       string
-	selector   *bool
-	synopsis   string
-	flagNames  []string
-	defaultOut string
-	run        func(outFile string) error
-}
-
 func main() {
-	// Shared flags.
 	k := flag.Int("k", 10, "data shards")
 	r := flag.Int("r", 4, "parity shards")
-	seed := flag.Int64("seed", 1, "trace/placement seed (-contention, -serve)")
-	out := flag.String("out", "", "results file (default per mode; \"none\" disables)")
-
-	// Default (analytical) mode.
 	size := flag.Int64("size", 256<<20, "shard size in bytes")
 	sweep := flag.Bool("sweep", false, "print the (k, r) sweep table instead of one configuration")
 	bounds := flag.Bool("bounds", false, "compare against the regenerating-codes cut-set bounds (§5)")
 
-	// -engine mode.
-	engineMode := flag.Bool("engine", false, "measure batch repair throughput on the stripe-repair engine")
-	parallelism := flag.Int("parallelism", 0, "engine worker bound (0 = GOMAXPROCS)")
-	stripes := flag.Int("stripes", 32, "stripes per repair batch")
-	shard := flag.Int("shard", 512<<10, "shard size in bytes")
-
-	// -contention mode.
-	contentionMode := flag.Bool("contention", false, "simulate repairs on the contended fabric (RS vs Piggybacked-RS)")
-	days := flag.Int("days", 24, "trace length in days")
-	policy := flag.String("policy", "fifo", "repair scheduler policy: fifo, smallest-first, priority-lanes")
-
-	// -serve mode.
-	serveMode := flag.Bool("serve", false, "serve closed-loop client load from a live TCP cluster (all codecs)")
-	clients := flag.Int("clients", 4, "closed-loop client workers")
-	duration := flag.Duration("duration", 3*time.Second, "measured run length per codec")
-
-	// -repairmgr mode.
-	repairMgrMode := flag.Bool("repairmgr", false, "benchmark the autonomous repair control plane (all codecs)")
-
-	modes := []mode{
-		{
-			name:      "repair-cost (default)",
-			synopsis:  "analytical repair-download table",
-			flagNames: []string{"size", "sweep", "bounds"},
-			run: func(string) error {
-				return analyticalMode(*k, *r, *size, *sweep, *bounds)
-			},
-		},
-		{
-			name:       "engine",
-			selector:   engineMode,
-			synopsis:   "batch repair throughput on the stripe-repair engine",
-			flagNames:  []string{"parallelism", "stripes", "shard"},
-			defaultOut: "BENCH_engine.json",
-			run: func(outFile string) error {
-				return engineBench(*k, *r, *parallelism, *stripes, *shard, outFile)
-			},
-		},
-		{
-			name:       "contention",
-			selector:   contentionMode,
-			synopsis:   "repair latency on the contended fabric under foreground load",
-			flagNames:  []string{"days", "policy"},
-			defaultOut: "BENCH_contention.json",
-			run: func(outFile string) error {
-				return contentionBench(*k, *r, *days, *policy, *seed, outFile)
-			},
-		},
-		{
-			name:       "serve",
-			selector:   serveMode,
-			synopsis:   "closed-loop client load against a live TCP cluster",
-			flagNames:  []string{"clients", "duration"},
-			defaultOut: "BENCH_serve.json",
-			run: func(outFile string) error {
-				return serveBench(*k, *r, *clients, *duration, *seed, outFile)
-			},
-		},
-		{
-			name:       "repairmgr",
-			selector:   repairMgrMode,
-			synopsis:   "autonomous repair control plane: detection, grace window, throttled recovery",
-			flagNames:  []string{"clients", "duration"},
-			defaultOut: "BENCH_repairmgr.json",
-			run: func(outFile string) error {
-				return repairMgrBench(*k, *r, *clients, *duration, *seed, outFile)
-			},
-		},
-	}
-	flag.Usage = usageFunc(modes)
+	contention := flag.Bool("contention", false, "simulate repairs on the contended fabric (RS vs Piggybacked-RS)")
+	days := flag.Int("days", 24, "-contention: trace length in days")
+	policy := flag.String("policy", "fifo", "-contention: repair scheduler policy: fifo, smallest-first, priority-lanes")
+	seed := flag.Int64("seed", 1, "-contention: trace/placement seed")
+	out := flag.String("out", "", "-contention: also write the result as JSON to this file")
 	flag.Parse()
 
-	selected := &modes[0]
-	picked := 0
-	for i := range modes {
-		if modes[i].selector != nil && *modes[i].selector {
-			selected = &modes[i]
-			picked++
-		}
+	var err error
+	if *contention {
+		err = contentionBench(*k, *r, *days, *policy, *seed, *out)
+	} else {
+		err = analyticalMode(*k, *r, *size, *sweep, *bounds)
 	}
-	if picked > 1 {
-		fmt.Fprintln(os.Stderr, "repaircost: modes are mutually exclusive (pick one of -engine, -contention, -serve, -repairmgr)")
-		os.Exit(2)
-	}
-
-	outFile := *out
-	switch {
-	case outFile == "none":
-		outFile = ""
-	case outFile == "":
-		outFile = selected.defaultOut
-	}
-	if err := selected.run(outFile); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "repaircost:", err)
 		os.Exit(1)
-	}
-}
-
-// usageFunc renders -h with flags grouped by mode instead of one flat
-// alphabetical list.
-func usageFunc(modes []mode) func() {
-	return func() {
-		w := flag.CommandLine.Output()
-		fmt.Fprintf(w, "Usage: repaircost [mode] [flags]\n\nModes:\n")
-		for _, m := range modes {
-			label := m.name
-			if m.selector != nil {
-				label = "-" + m.name
-			}
-			fmt.Fprintf(w, "  %-22s %s", label, m.synopsis)
-			if m.defaultOut != "" {
-				fmt.Fprintf(w, " (writes %s)", m.defaultOut)
-			}
-			fmt.Fprintln(w)
-		}
-		printGroup := func(title string, names []string) {
-			fmt.Fprintf(w, "\n%s:\n", title)
-			for _, name := range names {
-				f := flag.Lookup(name)
-				if f == nil {
-					continue
-				}
-				fmt.Fprintf(w, "  -%-14s %s", f.Name, f.Usage)
-				if f.DefValue != "" && f.DefValue != "false" {
-					fmt.Fprintf(w, " (default %s)", f.DefValue)
-				}
-				fmt.Fprintln(w)
-			}
-		}
-		printGroup("Shared flags", []string{"k", "r", "seed", "out"})
-		for _, m := range modes {
-			printGroup(m.name+" flags", m.flagNames)
-		}
 	}
 }
 

@@ -46,15 +46,6 @@ type LinearPlan = ec.LinearPlan
 // expressible as linear plans. All three codecs here implement it.
 type LinearRepairPlanner = ec.LinearRepairPlanner
 
-// EvaluateLinearPlan computes the repaired shard from a linear plan:
-// touching ranges of one helper are fetched as one read, and each
-// target segment is folded in one fused pass. It is the executor behind
-// every codec's single-shard ExecuteRepair, and what the distributed
-// partial-sum pipeline must agree with byte for byte.
-func EvaluateLinearPlan(plan *LinearPlan, fetch FetchFunc) ([]byte, error) {
-	return ec.EvaluateLinearPlan(plan, fetch)
-}
-
 // RS is the systematic Reed-Solomon codec (the deployed baseline).
 type RS = rs.Code
 
@@ -155,26 +146,6 @@ func JoinShards(shards [][]byte, k, length int) ([]byte, error) {
 	}
 	if len(out) != length {
 		return nil, fmt.Errorf("repro: shards hold %d bytes, need %d", len(out), length)
-	}
-	return out, nil
-}
-
-// StandardCodecs returns the paper's codec lineup for (k, r): RS,
-// Piggybacked-RS, and — when (k, r) admits the HDFS-Xorbas two-group
-// shape — LRC. The benchmark commands compare all of them on the same
-// substrate.
-func StandardCodecs(k, r int) ([]Codec, error) {
-	rsc, err := NewRS(k, r)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := NewPiggybackedRS(k, r)
-	if err != nil {
-		return nil, err
-	}
-	out := []Codec{rsc, pb}
-	if lc, err := NewLRC(k, r, 2); err == nil {
-		out = append(out, lc)
 	}
 	return out, nil
 }

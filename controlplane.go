@@ -1,13 +1,11 @@
 // The autonomous repair control plane: the in-namenode repair manager
-// (failure detection, risk-prioritised repair queue, throttling), its
-// end-to-end benchmark, and the failure-trace policy replay.
+// (failure detection, risk-prioritised repair queue, throttling).
 
 package repro
 
 import (
 	"repro/internal/repairmgr"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // RepairManagerConfig parameterises the autonomous repair control
@@ -30,58 +28,3 @@ func DefaultRepairManagerConfig() RepairManagerConfig { return repairmgr.Default
 // throttle. The repair.status RPC (ServeClient.RepairStatus) exposes
 // node states, queue depth, and the completion log.
 func WithRepairManager(cfg RepairManagerConfig) ServeOption { return serve.WithRepairManager(cfg) }
-
-// ServeRepairStatus is a client's view of the repair control plane.
-type ServeRepairStatus = serve.RepairStatus
-
-// RepairMgrBenchConfig parameterises the repair-manager benchmark;
-// RepairMgrBenchReport is the machine-readable BENCH_repairmgr.json
-// payload: per codec, time-to-full-health after a kill, the repair
-// bytes the grace window saved, foreground p99 under throttled versus
-// unthrottled background repair, and the failure-trace replay.
-type RepairMgrBenchConfig = serve.RepairMgrBenchConfig
-
-// RepairMgrBenchReport is the repair-manager benchmark's report.
-type RepairMgrBenchReport = serve.RepairMgrBenchReport
-
-// RepairMgrBenchOption mutates a RepairMgrBenchConfig before
-// defaulting — the functional-options face of the benchmark.
-type RepairMgrBenchOption = serve.RepairMgrBenchOption
-
-// WithBenchThrottle sets the benchmark's token-bucket repair cap in
-// bytes/sec. Replaces setting RepairMgrBenchConfig.ThrottleBytesPerSec.
-func WithBenchThrottle(bytesPerSec float64) RepairMgrBenchOption {
-	return serve.WithBenchThrottle(bytesPerSec)
-}
-
-// WithBenchSeed sets the benchmark's placement/content seed.
-func WithBenchSeed(seed int64) RepairMgrBenchOption { return serve.WithBenchSeed(seed) }
-
-// WithBenchTraceDays shapes the benchmark's failure-trace replay.
-func WithBenchTraceDays(days int) RepairMgrBenchOption { return serve.WithBenchTraceDays(days) }
-
-// RunRepairMgrBench measures the autonomous repair control plane end
-// to end for each codec on live TCP clusters and replays the failure
-// trace through its policies.
-func RunRepairMgrBench(codecs []Codec, cfg RepairMgrBenchConfig, opts ...RepairMgrBenchOption) (*RepairMgrBenchReport, error) {
-	return serve.RunRepairMgrBench(codecs, cfg, opts...)
-}
-
-// ManagerReplayConfig parameterises a failure-trace replay through the
-// repair manager's policies; ManagerReplayResult compares the managed
-// cluster (grace window, throttle) against an eager baseline: repair
-// bytes saved, contended-fabric p99s, and data-loss probability.
-type ManagerReplayConfig = sim.ManagerReplayConfig
-
-// ManagerReplayResult is the eager-versus-managed trace comparison.
-type ManagerReplayResult = sim.ManagerReplayResult
-
-// DefaultManagerReplayConfig returns a replay configuration that runs
-// in seconds.
-func DefaultManagerReplayConfig() ManagerReplayConfig { return sim.DefaultManagerReplayConfig() }
-
-// RunManagerReplay replays a failure trace through the repair
-// manager's policies under one codec.
-func RunManagerReplay(c Codec, tr *Trace, cfg ManagerReplayConfig) (*ManagerReplayResult, error) {
-	return sim.RunManagerReplay(c, tr, cfg)
-}

@@ -30,28 +30,32 @@
 // engine and partial-sum fold trees), study.go (the measurement study,
 // contention model, reliability, layout, and regenerating-code
 // bounds), substrate.go (the MiniHDFS cluster substrate and the
-// sharded metadata plane), serve_api.go (the networked serving layer
-// and its benchmarks), and controlplane.go (the autonomous repair
-// control plane).
+// sharded metadata plane), serve_api.go (the networked serving layer),
+// and controlplane.go (the autonomous repair control plane).
+//
+// Measured performance comes from one program: `go run ./benchmark`
+// (six workloads on a live cluster, contract in BENCHMARK.json,
+// compared across commits by `make benchdiff`; see benchmark/README.md).
+// The Go benchmarks in bench_test.go and the internal packages
+// regenerate the paper's figures and time single layers.
 //
 // # Execution engine
 //
 // All codec execution — encode, reconstruct, repair — runs on fused,
 // cache-chunked GF(2^8) kernels (gf256.MulAddSlices), and batches of
 // stripe jobs run concurrently on the stripe-repair engine: NewEngine
-// builds a bounded worker pool (the parallelism knob, surfaced as
-// -parallelism on cmd/repaircost) with per-worker scratch-buffer reuse;
-// RunRepairs and RunEncodes execute batches with output byte-identical
-// to serial execution. The BlockFixer of NewMiniHDFS routes its stripe
-// repairs through the same engine (Config.RepairParallelism).
-// cmd/repaircost -engine measures batch repair throughput across
-// parallelism levels and emits machine-readable BENCH_engine.json for
-// trend tracking; see README.md for how to run and interpret it.
+// builds a bounded worker pool (EngineOptions.Parallelism) with
+// per-worker scratch-buffer reuse; RunRepairs and RunEncodes execute
+// batches with output byte-identical to serial execution. The
+// BlockFixer of NewMiniHDFS routes its stripe repairs through the same
+// engine (HDFSConfig.RepairParallelism). BenchmarkEngineRepair measures
+// batch repair throughput serial versus engine-parallel, and the
+// benchmark's node_repair workload measures it end to end.
 //
 // # Repair data path
 //
 // A single-block repair, for all three codecs, is one evaluation of the
-// codec's LinearPlan (EvaluateLinearPlan): touching ranges of one
+// codec's LinearPlan (ec.EvaluateLinearPlan): touching ranges of one
 // helper are fetched as one read, fetch lengths are validated, and each
 // target segment is folded with one fused multiply-accumulate pass over
 // views of the fetched buffers. The BlockFixer reads each helper block
@@ -65,17 +69,17 @@
 // # Contention model
 //
 // The analytic study costs each repair in isolation; the contention
-// layer costs them against each other. RunContentionStudy replays a
-// trace through an event-driven fluid-flow fabric (FabricTopology: NIC,
-// TOR, and aggregation-switch capacities; max-min fair sharing with
-// priority classes) behind a repair scheduler (PolicyFIFO,
-// PolicySmallestFirst, PolicyPriorityLanes) while closed-loop
-// foreground map-reduce load keeps the core saturated, yielding p50/p99
-// repair latency and degraded-read slowdown per codec.
-// cmd/repaircost -contention writes the RS versus Piggybacked-RS
-// head-to-head to BENCH_contention.json, and a MiniHDFS configured with
-// HDFSConfig.Fabric timestamps its BlockFixer passes through the same
-// model.
+// layer costs them against each other. CompareContentionCodecs replays
+// a trace through an event-driven fluid-flow fabric (NIC, TOR, and
+// aggregation-switch capacities in ContentionConfig.Topology; max-min
+// fair sharing with priority classes) behind a repair scheduler
+// (PolicyFIFO, PolicySmallestFirst, PolicyPriorityLanes) while
+// closed-loop foreground map-reduce load keeps the core saturated,
+// yielding p50/p99 repair latency and degraded-read slowdown per codec.
+// cmd/repaircost -contention prints the RS versus Piggybacked-RS
+// head-to-head (deterministic for a fixed seed), and a MiniHDFS
+// configured with HDFSConfig.Fabric timestamps its BlockFixer passes
+// through the same model.
 //
 // # Serving layer
 //
@@ -88,12 +92,9 @@
 // when a block's holder is gone (or dies mid-transfer), the client
 // fetches the stripe layout, downloads the codec's repair-plan ranges
 // from the surviving datanodes, and reconstructs the block locally.
-// RunServeLoad / RunServeBench drive a closed-loop load generator
-// (configurable clients, read/write mix, mid-run datanode kill)
-// against the live cluster, reporting client-visible throughput,
-// p50/p99 latency, and the degraded-read share per codec;
-// cmd/loadgen and cmd/repaircost -serve write the results to
-// BENCH_serve.json.
+// The benchmark drives closed-loop clients against exactly this
+// system: its healthy_read, small_read, hot_read, degraded_read and
+// ingest_mixed workloads report client-visible goodput and latency.
 //
 // # Partial-sum repair
 //
@@ -109,10 +110,8 @@
 // implements this as a dn.partial RPC (DialServe with
 // WithPartialSumRepair), the BlockFixer behind
 // HDFSConfig.PartialSumRepair, and the contention model behind
-// ContentionConfig.PartialSums; RunServePartialSumBench and
-// cmd/loadgen -partialbench write the conventional-versus-partial
-// comparison to BENCH_partialsum.json, and cmd/repaircost -contention
-// reports the corresponding p99 repair-latency relief.
+// ContentionConfig.PartialSums; cmd/repaircost -contention reports the
+// corresponding p99 repair-latency relief.
 //
 // # Sharded metadata plane
 //
@@ -132,8 +131,5 @@
 // the shared fabric is never double-counted. Serving and the repair
 // control plane consume only the Metadata / MetadataView / RepairOps /
 // AdminOps interfaces, so every layer runs unchanged against either a
-// single Cluster or a ShardedCluster. RunShardBench drives a
-// many-files Zipf metadata workload across shard counts, and
-// cmd/loadgen -shardbench writes metadata ops/sec and lock-wait per op
-// to BENCH_shards.json.
+// single Cluster or a ShardedCluster.
 package repro

@@ -10,7 +10,7 @@ import (
 //
 //  1. Every acquisition of a Cluster's metadata mutex goes through the
 //     instrumented lockMeta/rlockMeta helpers (which charge lock-wait
-//     to the contention counters BENCH_shards.json reports). A raw
+//     to the contention counters LockStats reports). A raw
 //     recv.mu.Lock()/recv.mu.RLock() inside a Cluster method is a
 //     finding, except inside the helpers themselves.
 //  2. The PR 3 phased-fixer rule: no engine execution or codec

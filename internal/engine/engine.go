@@ -12,7 +12,7 @@
 //     drop-in replacement for a serial loop.
 //   - Parallelism bounds the worker count. One worker degenerates to
 //     the serial path (useful for parity testing and as the baseline
-//     the BENCH_engine.json speedup is measured against).
+//     BenchmarkEngineRepair's speedup is measured against).
 //   - Each worker owns a scratch arena drawn from a sync.Pool. Jobs
 //     that supply a FetchInto callback, and the tasks of RunTasks
 //     (which receive the arena itself), land their survivor reads in

@@ -76,13 +76,21 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReopenRebuildsIndex is the core recovery property: close, reopen,
-// and the sequential scan reproduces exactly the pre-close state —
-// including overwrites (latest wins) and tombstones (stay dead).
+// TestReopenRebuildsIndex is the core recovery property, under every
+// fsync policy: close, reopen, and the sequential scan reproduces
+// exactly the pre-close state — including overwrites (latest wins) and
+// tombstones (stay dead) — with every recovered payload passing its
+// record CRC.
 func TestReopenRebuildsIndex(t *testing.T) {
+	for _, p := range []FsyncPolicy{FsyncNever, FsyncInterval, FsyncAlways} {
+		t.Run(p.String(), func(t *testing.T) { reopenRebuildsIndex(t, p) })
+	}
+}
+
+func reopenRebuildsIndex(t *testing.T, policy FsyncPolicy) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	s := openTest(t, dir, Options{SegmentBytes: 2048}) // force several segments
+	s := openTest(t, dir, Options{SegmentBytes: 2048, Fsync: policy}) // force several segments
 	rng := rand.New(rand.NewSource(2))
 	want := make(map[int64][]byte)
 	for i := int64(0); i < 40; i++ {
@@ -110,7 +118,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := openTest(t, dir, Options{SegmentBytes: 2048, Telemetry: reg})
+	re := openTest(t, dir, Options{SegmentBytes: 2048, Fsync: policy, Telemetry: reg})
 	if re.Len() != len(want) {
 		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(want))
 	}
@@ -123,7 +131,13 @@ func TestReopenRebuildsIndex(t *testing.T) {
 			t.Fatalf("Get(%d) after reopen: content differs", id)
 		}
 	}
+	if corrupt, err := re.VerifyAll(); err != nil || len(corrupt) != 0 {
+		t.Fatalf("VerifyAll after reopen: %d corrupt payloads, err %v", len(corrupt), err)
+	}
 	snap := reg.Snapshot()
+	if n := snap.Counters["extent_crc_failures_total"]; n != 0 {
+		t.Fatalf("clean reopen counted %d CRC failures", n)
+	}
 	if snap.Counters["extent_scan_records_total"] == 0 {
 		t.Fatal("reopen scan counted no records")
 	}

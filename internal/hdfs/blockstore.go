@@ -189,8 +189,8 @@ func (e extentBlockStore) Corrupt(id BlockID, offset int64) error {
 func (e extentBlockStore) Close() error { return e.s.Close() }
 
 // Extent exposes the wrapped extent store of a factory-built
-// BlockStore (nil for other stores) — benchmarks and smokes reach
-// through it for Stats/Compact.
+// BlockStore (nil for other stores) — the benchmark reaches through
+// it for Stats.
 func (e extentBlockStore) Extent() *extent.Store { return e.s }
 
 // ExtentStoreFactory returns a Config.StoreFactory that backs every

@@ -423,7 +423,8 @@ type Cluster struct {
 
 	// lockWaitNanos accumulates time metadata operations spent WAITING
 	// to acquire mu (read or write mode), and metaOps counts them —
-	// the contention signal BENCH_shards.json reports per shard count.
+	// the contention signal LockStats reports (and
+	// BenchmarkShardedMetadataOps compares across shard counts).
 	lockWaitNanos atomic.Int64
 	metaOps       atomic.Int64
 

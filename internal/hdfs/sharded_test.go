@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -244,4 +249,173 @@ func TestShardMachineDeathVisibleToAllShards(t *testing.T) {
 		}
 	}
 	s.RestoreMachine(victim)
+}
+
+// shardedOpsRound builds a metadata plane of the given shard count,
+// preloads 64 dataset directories of 64 tiny files, and drives the
+// directory-burst workload against it for one window: 64 workers, each
+// repeatedly picking a Zipf-popular directory and firing a burst of 512
+// metadata ops at it (30% part-file writes, the rest Stat with every
+// eighth a FileBlocks lookup: the storm a map-reduce job fires at its
+// input). Directories are shard-local, so a burst holds one shard's
+// lock and bursts against unrelated datasets never contend. The round
+// is time-boxed, not op-counted, so every worker contends until the
+// window closes and no quiet tail of stragglers flatters the single
+// lock. It returns the window's ops/sec and lock wait per op.
+func shardedOpsRound(b *testing.B, shards int, window time.Duration) (opsPerSec, lockWaitNanosPerOp float64) {
+	const (
+		dirs, filesPerDir = 64, 64
+		workers           = 64
+		burstOps          = 512
+		writeFraction     = 0.3
+		seed              = 7
+	)
+	code, err := core.New(4, 2) // never raided: the codec only sizes the config
+	if err != nil {
+		b.Fatal(err)
+	}
+	md, err := Open(Config{
+		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
+		Code:        code,
+		BlockSize:   4 << 10,
+		Replication: 3,
+		Seed:        seed,
+	}, WithShards(shards))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer md.Close()
+	payload := randBytes(seed, 512)
+	var names [dirs][filesPerDir]string
+	for d := range names {
+		for f := range names[d] {
+			names[d][f] = fmt.Sprintf("data-%04d/f-%05d", d, f)
+			if err := md.WriteFile(names[d][f], payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
+	var ops, opErrs atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	deadline := start.Add(window)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+			zipf := rand.NewZipf(rng, 1.01, 1, dirs-1)
+			done, seq := int64(0), 0
+			defer func() { ops.Add(done) }()
+			for time.Now().Before(deadline) {
+				dir := zipf.Uint64()
+				for i := 0; i < burstOps; i++ {
+					// The clock is read once per 64 ops: the ops are
+					// sub-microsecond map lookups and time.Now costs
+					// as much.
+					if i%64 == 63 && !time.Now().Before(deadline) {
+						return
+					}
+					var err error
+					switch {
+					case rng.Float64() < writeFraction:
+						err = md.WriteFile(fmt.Sprintf("data-%04d/part-%d-%d", dir, w, seq), payload)
+						seq++
+					case i%8 == 0:
+						_, _, err = md.FileBlocks(names[dir][rng.Intn(filesPerDir)])
+					default:
+						_, err = md.Stat(names[dir][rng.Intn(filesPerDir)])
+					}
+					if err != nil {
+						opErrs.Add(1)
+						continue
+					}
+					done++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if n := opErrs.Load(); n > 0 {
+		b.Fatalf("%d metadata ops failed at %d shards", n, shards)
+	}
+	n := float64(ops.Load())
+	return n / elapsed.Seconds(), float64(md.LockStats().WaitNanos) / n
+}
+
+// BenchmarkShardedMetadataOps measures metadata throughput and
+// metadata-lock wait at 1 and 4 shards — in-process, because the
+// quantity under test is lock contention inside the metadata plane and
+// a socket round-trip per op would bury it.
+//
+// Why sharding can win even on one core: the benchmark runs one
+// always-runnable CPU-bound goroutine beside the workload, standing in
+// for the rest of a namenode process (RPC serving, heartbeats, GC).
+// Whenever the scheduler preempts a goroutine that holds a metadata
+// lock, every worker that needs that lock parks behind it; with one
+// lock that is all of them — a lock convoy — while with N shards only
+// the workers bursting against the stalled shard park. That needs a
+// second scheduler thread for the interference to run on, so GOMAXPROCS
+// is raised to 2 if it is lower.
+//
+// One iteration is an unmeasured warm-up round (a process's first round
+// runs ~15% slow while the heap grows to working size, and it would
+// always be a 1-shard round) and then five interleaved 2 s rounds per
+// shard count — interleaved so drift hits both counts alike, with a GC
+// between rounds so one round's garbage is not billed to the next. Each
+// count reports its median round.
+//
+// The gate: any failed op is fatal, and so is a 4-shard median below
+// the 1-shard median by more than the 1-shard rounds' own spread
+// (fastest minus slowest) in this run — sharding must never cost
+// throughput. The allowance is measured, not a constant, because
+// identical rounds differ by 4-15% on a shared 2-CPU host while the two
+// counts' medians sit within 3% of each other there; it closes towards
+// a strict inequality as the host gets quieter.
+func BenchmarkShardedMetadataOps(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	var stop atomic.Bool
+	spun := make(chan struct{})
+	go func() {
+		defer close(spun)
+		for x := uint64(1); !stop.Load(); {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+	}()
+	defer func() { stop.Store(true); <-spun }()
+
+	const (
+		reps   = 5
+		window = 2 * time.Second
+	)
+	type round struct{ ops, wait float64 }
+	shardCounts := [2]int{1, 4}
+	var rounds [2][]round
+	shardedOpsRound(b, 1, window)
+	for i := 0; i < b.N; i++ {
+		for rep := 0; rep < reps; rep++ {
+			for j, shards := range shardCounts {
+				runtime.GC()
+				ops, wait := shardedOpsRound(b, shards, window)
+				rounds[j] = append(rounds[j], round{ops, wait})
+			}
+		}
+	}
+	var median [2]round
+	for j, shards := range shardCounts {
+		sort.Slice(rounds[j], func(x, y int) bool { return rounds[j][x].ops < rounds[j][y].ops })
+		median[j] = rounds[j][len(rounds[j])/2]
+		b.ReportMetric(median[j].ops, fmt.Sprintf("ops/s-%dshard", shards))
+		b.ReportMetric(median[j].wait, fmt.Sprintf("lockwait-ns/op-%dshard", shards))
+	}
+	spread := rounds[0][len(rounds[0])-1].ops - rounds[0][0].ops
+	b.ReportMetric(spread, "spread-ops/s-1shard")
+	if median[1].ops < median[0].ops-spread {
+		b.Fatalf("sharding cost metadata throughput: median %.0f ops/s at 4 shards is below %.0f at 1 by more than the 1-shard rounds' spread (%.0f)",
+			median[1].ops, median[0].ops, spread)
+	}
 }

@@ -212,6 +212,7 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 	defer timer.Stop()
 	timerC := timer.C
 	var hedge chan hedgeResult
+	var hedgeErr error // why the armed reconstruction failed, once it has
 	for {
 		select {
 		case r := <-primary:
@@ -219,6 +220,12 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 				return r.data, false, nil
 			}
 			primary = nil
+			if hedgeErr != nil {
+				// Reconstruction already ran and failed; a second one
+				// against the same metadata would fail the same way.
+				// readBlock refreshes metadata before its next attempt.
+				return nil, false, hedgeErr
+			}
 			if hedge == nil {
 				// The whole replica chain failed before the hedge
 				// armed: this is a plain degraded read, not a hedge.
@@ -243,7 +250,7 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 				}
 				return r.data, true, nil
 			}
-			hedge = nil
+			hedge, hedgeErr = nil, r.err
 			if primary == nil {
 				return nil, false, r.err
 			}

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/hdfs"
 	"repro/internal/testutil/leakcheck"
 )
 
@@ -42,16 +44,27 @@ func TestHedgedReadOnThrottledDataNode(t *testing.T) {
 				t.Fatalf("raided block has %d replicas, want 1", len(blocks[0].Locations))
 			}
 			victim := blocks[0].Locations[0]
-			if err := sys.ThrottleDataNode(victim, 250*time.Millisecond); err != nil {
+			const throttle = 250 * time.Millisecond
+			if err := sys.ThrottleDataNode(victim, throttle); err != nil {
 				t.Fatal(err)
 			}
 
+			start := time.Now()
 			got, err := cl.ReadFile("f")
+			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("hedged read returned mismatched bytes")
+			}
+			// The tail cut itself: the read pays the 20ms hedge delay
+			// plus one reconstruction and never waits out the holder.
+			// The bound is the throttle itself, not a wall-clock budget
+			// (this suite runs under -race on loaded hosts): a read that
+			// awaited the primary cannot finish inside it.
+			if elapsed >= throttle {
+				t.Fatalf("hedged read took %v against a %v throttle: the hedge did not cut the wait", elapsed, throttle)
 			}
 			c := cl.Counters()
 			if c.HedgedReads == 0 {
@@ -80,6 +93,62 @@ func TestHedgedReadOnThrottledDataNode(t *testing.T) {
 				t.Fatalf("post-throttle read returned mismatched bytes")
 			}
 		})
+	}
+}
+
+// TestHedgedReadReconstructsOncePerAttempt is the regression for the
+// double reconstruction: when the armed hedge arm fails and the primary
+// then fails too, hedgedRead must hand the hedge arm's error back to
+// readBlock's retry loop, not run a second reconstruction against the
+// same metadata. The block's only replica is rotted on disk AND its
+// holder throttled past the hedge delay, so in every attempt the hedge
+// arms first, fails fast (two more holders of the stripe are dead:
+// three erasures on a code that tolerates two), and the primary's
+// checksum refusal arrives afterwards. One stripe plan per attempt.
+func TestHedgedReadReconstructsOncePerAttempt(t *testing.T) {
+	code := testCodecs(t)[0] // rs(4,2)
+	sys := startTestSystem(t, code, WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+	cl, err := Dial(sys.NameAddr(), code, WithHedgedReads(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	data := make([]byte, 4*4096) // one full stripe for k=4
+	rand.New(rand.NewSource(6)).Read(data)
+	if err := cl.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.RaidFile("f"); err != nil {
+		t.Fatal(err)
+	}
+	_, blocks, err := cl.fileBlocks("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := blocks[0].Locations[0]
+	if err := sys.Cluster().InjectBitRot(victim, hdfs.BlockID(blocks[0].ID), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ThrottleDataNode(victim, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks[1:3] {
+		if err := sys.KillDataNode(b.Locations[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	plans := func() int64 { return sys.Telemetry().Snapshot().Counters["serve_degraded_plans_total"] }
+	before := plans()
+	if _, err := cl.ReadFile("f"); err == nil {
+		t.Fatal("read of an unrecoverable block succeeded")
+	}
+	if got := plans() - before; got != readAttempts {
+		t.Fatalf("%d stripe plans for %d read attempts, want one reconstruction per attempt", got, readAttempts)
+	}
+	if c := cl.Counters(); c.HedgedReads != readAttempts {
+		t.Fatalf("hedge armed %d times in %d attempts: the attempts did not take the hedged path", c.HedgedReads, readAttempts)
 	}
 }
 
@@ -139,6 +208,39 @@ func TestClientBlockCacheServesRepeatReads(t *testing.T) {
 	}
 	if c.DegradedBlocks != 0 {
 		t.Fatalf("cached reread took the degraded path: %+v", c)
+	}
+
+	// A skewed reread against a cache smaller than the working set: 48
+	// one-block files, a budget of two blocks per cache shard (at most
+	// 32 resident), Zipf-popular reads. The hot head must stay resident
+	// — at least half of all lookups hit.
+	small, err := Dial(sys.NameAddr(), codes[0], WithBlockCache(32*4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	files := make([][]byte, 48)
+	for i := range files {
+		files[i] = make([]byte, 4096)
+		rng.Read(files[i])
+		if err := small.WriteFile(fmt.Sprintf("skew-%d", i), files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zipf := rand.NewZipf(rng, 1.4, 1, uint64(len(files)-1))
+	for i := 0; i < 400; i++ {
+		f := zipf.Uint64()
+		got, err := small.ReadFile(fmt.Sprintf("skew-%d", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, files[f]) {
+			t.Fatalf("skew-%d: cached read mismatched", f)
+		}
+	}
+	c = small.Counters()
+	if ratio := float64(c.CacheHits) / float64(c.CacheHits+c.CacheMisses); ratio < 0.5 {
+		t.Fatalf("skewed reread hit ratio %.2f (%d hits, %d misses), want >= 0.5", ratio, c.CacheHits, c.CacheMisses)
 	}
 }
 

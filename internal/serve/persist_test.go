@@ -17,24 +17,11 @@ import (
 // plus telemetry (the tests assert on the store's scan counters).
 func startPersistentManagedSystem(t *testing.T, mcfg repairmgr.Config) *System {
 	t.Helper()
-	leakcheck.Cleanup(t)
-	code := testCodecs(t)[0] // rs(4,2)
-	sys, err := Start(hdfs.Config{
-		Topology:    cluster.Topology{Racks: code.TotalShards() + 2, MachinesPerRack: 2},
-		Code:        code,
-		BlockSize:   4096,
-		Replication: 3,
-		Seed:        7,
-	},
+	return startTestSystem(t, testCodecs(t)[0], // rs(4,2)
 		WithRepairManager(mcfg),
 		WithDataDir(t.TempDir()),
 		WithTelemetry(TelemetryConfig{}),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	return sys
 }
 
 // TestPersistentRestartWithinGraceZeroRepairBytes is the honest
@@ -75,9 +62,7 @@ func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 		t.Fatal("metadata forgot the crashed machine's blocks")
 	}
 
-	waitFor(t, grace/2, "victim to turn suspect", func() bool {
-		return sys.RepairManager().NodeState(victim) == repairmgr.StateSuspect
-	})
+	waitSuspect(t, sys, victim, grace/2)
 	if err := sys.RestartDataNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +255,31 @@ func TestServeCorruptReplicaFallsBackDegraded(t *testing.T) {
 	if c.DegradedBlocks == 0 {
 		t.Fatalf("read did not take the degraded path: %+v", c)
 	}
+}
+
+// TestDataDirStoresSyncOnInterval pins the durability WithDataDir
+// documents: its stores run extent.FsyncInterval, so a system that
+// keeps taking writes reaches stable storage without anyone closing a
+// store or calling Sync. (Under FsyncNever the histogram below only
+// moves at Close, segment seal, or compaction — none of which happen
+// here.)
+func TestDataDirStoresSyncOnInterval(t *testing.T) {
+	sys := startTestSystem(t, testCodecs(t)[0], WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	data := bytes.Repeat([]byte{3}, 4096)
+	seq := 0
+	waitFor(t, 10*time.Second, "an interval fsync on a store that keeps taking appends", func() bool {
+		if err := cl.WriteFile(fmt.Sprintf("f-%d", seq), data); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+		return sys.Telemetry().Snapshot().Histograms["extent_fsync_seconds"].Count > 0
+	})
 }
 
 // TestClientOutlivesTimeout pins the per-exchange deadline semantics:

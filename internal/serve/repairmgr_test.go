@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/hdfs"
 	"repro/internal/repairmgr"
-	"repro/internal/testutil/leakcheck"
 )
 
 // startManagedSystem brings up a serving cluster with the repair
@@ -19,22 +17,7 @@ import (
 // sleeping for fixed intervals.
 func startManagedSystem(t *testing.T, mcfg repairmgr.Config) *System {
 	t.Helper()
-	// The manager's poll loop and the node servers must all be reaped
-	// by sys.Close; the sentinel runs after the Close cleanup below.
-	leakcheck.Cleanup(t)
-	code := testCodecs(t)[0] // rs(4,2)
-	sys, err := Start(hdfs.Config{
-		Topology:    cluster.Topology{Racks: code.TotalShards() + 2, MachinesPerRack: 2},
-		Code:        code,
-		BlockSize:   4096,
-		Replication: 3,
-		Seed:        7,
-	}, WithRepairManager(mcfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	return sys
+	return startTestSystem(t, testCodecs(t)[0], WithRepairManager(mcfg)) // rs(4,2)
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -48,6 +31,27 @@ func waitFor(t *testing.T, deadline time.Duration, desc string, cond func() bool
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("timed out after %v waiting for %s", deadline, desc)
+}
+
+// waitSuspect waits until the failure detector has flagged the machine
+// suspect AND the control-loop poll that flagged it has finished. The
+// detector's state flips at the top of a poll, before the manager has
+// recorded what the death would cost; a restart landing in that gap is
+// credited with no saving, so tests that assert the grace-window save
+// must not act on the bare state.
+func waitSuspect(t *testing.T, sys *System, machine int, deadline time.Duration) {
+	t.Helper()
+	mgr := sys.RepairManager()
+	flaggedAt := int64(-1)
+	waitFor(t, deadline, fmt.Sprintf("machine %d to turn suspect", machine), func() bool {
+		if flaggedAt < 0 {
+			if mgr.NodeState(machine) != repairmgr.StateSuspect {
+				return false
+			}
+			flaggedAt = mgr.Status().PollCount
+		}
+		return mgr.Status().PollCount > flaggedAt
+	})
 }
 
 // preloadRaided writes and raids n files through the wire, returning
@@ -140,6 +144,42 @@ func TestManagedAutoRecoveryAfterKill(t *testing.T) {
 	}
 }
 
+// TestManagedRecoveryUnderLoad runs the kill-under-load loop on a
+// managed cluster and keeps the clients reading and writing until the
+// control plane has repaired the loss behind them: zero client-visible
+// errors from the kill through detection, background repair, and the
+// return to full health.
+func TestManagedRecoveryUnderLoad(t *testing.T) {
+	sys := startManagedSystem(t, repairmgr.Config{
+		SuspectAfter: 150 * time.Millisecond,
+		GraceWindow:  150 * time.Millisecond,
+		PollInterval: 20 * time.Millisecond,
+	})
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	data := make([]byte, 6*4096)
+	rand.New(rand.NewSource(5)).Read(data)
+	if err := cl.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.RaidFile("f"); err != nil {
+		t.Fatal(err)
+	}
+
+	degraded := killUnderLoad(t, sys, data, func() bool {
+		return sys.Cluster().Health().Healthy() && sys.RepairManager().QueueDepth() == 0
+	})
+	if degraded == 0 {
+		t.Fatal("no read took the degraded path between the kill and the repair")
+	}
+	if st := sys.RepairManager().Status(); st.RepairsDone == 0 || st.Unrecoverable != 0 {
+		t.Fatalf("cluster is healthy but the manager's accounting is %+v", st)
+	}
+}
+
 // TestManagedRestartWithinGraceCancelsRepair is the satellite
 // regression: RestartDataNode re-registers with the heartbeat detector,
 // and a kill-then-restart inside the grace window produces ZERO repair
@@ -166,9 +206,7 @@ func TestManagedRestartWithinGraceCancelsRepair(t *testing.T) {
 	// Observe the suspect state (the delayed-repair timer armed) before
 	// restarting — proving the cancel happened, not that detection
 	// never fired.
-	waitFor(t, grace/2, "victim to turn suspect", func() bool {
-		return sys.RepairManager().NodeState(victim) == repairmgr.StateSuspect
-	})
+	waitSuspect(t, sys, victim, grace/2)
 	if err := sys.RestartDataNode(victim); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func testCodecs(t *testing.T) []ec.Code {
 	return []ec.Code{rsc, pb, lc}
 }
 
-func startTestSystem(t *testing.T, code ec.Code) *System {
+func startTestSystem(t *testing.T, code ec.Code, opts ...Option) *System {
 	t.Helper()
 	// Registered before sys.Close so the leak verdict runs after it:
 	// a handler or fixer goroutine that Close fails to reap fails the
@@ -50,7 +50,7 @@ func startTestSystem(t *testing.T, code ec.Code) *System {
 		BlockSize:   4096,
 		Replication: 3,
 		Seed:        7,
-	})
+	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,113 @@ func TestCodecMismatchRejected(t *testing.T) {
 	}
 }
 
+// killUnderLoad is the closed loop behind the kill-under-load tests.
+// Four clients each loop over reads of the raided file "f" (verified
+// byte for byte against data) with every fourth operation a write of a
+// fresh file; once reads are demonstrably in flight the holder of f's
+// first block is killed, and the loop runs on until eight more reads
+// completed and recovered() holds. No wall clocks pace it: each
+// completed read signals progress, however fast or slow the host is.
+// Any client-visible error fails the test. It returns the degraded
+// block reads summed over the four clients.
+func killUnderLoad(t *testing.T, sys *System, data []byte, recovered func() bool) int64 {
+	t.Helper()
+	code := sys.Code()
+	_, blocks, err := sys.Cluster().FileBlocks("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := blocks[0].Locations[0]
+	var completed, degraded atomic.Int64
+	progress := make(chan struct{}, 1)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4) // each client reports at most one error
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rcl, err := Dial(sys.NameAddr(), code)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer rcl.Close()
+			defer func() { degraded.Add(rcl.Counters().DegradedBlocks) }()
+			for op := 0; ; op++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if op%4 == 3 {
+					if err := rcl.WriteFile(fmt.Sprintf("w-%d-%d", w, op), data[:4096+w]); err != nil {
+						errs <- fmt.Errorf("client %d write: %w", w, err)
+						return
+					}
+					continue
+				}
+				got, err := rcl.ReadFile("f")
+				if err != nil {
+					errs <- fmt.Errorf("client %d read: %w", w, err)
+					return
+				}
+				if !bytes.Equal(got, data) {
+					errs <- fmt.Errorf("client %d: content mismatch", w)
+					return
+				}
+				completed.Add(1)
+				select {
+				case progress <- struct{}{}:
+				default:
+				}
+			}
+		}(w)
+	}
+	// If every client exits on error, the wait must fail fast with the
+	// collected errors instead of hanging on progress that will never
+	// come; the deadline only bounds a recovery that never happens.
+	clientsDone := make(chan struct{})
+	go func() { wg.Wait(); close(clientsDone) }()
+	deadline := time.After(60 * time.Second)
+	waitProgress := func() bool {
+		select {
+		case <-progress:
+			return true
+		case <-clientsDone:
+			return false
+		case <-deadline:
+			t.Error("timed out waiting for the cluster to recover under load")
+			return false
+		}
+	}
+	alive := waitProgress() // at least one whole-file read completed
+	if alive {
+		if err := sys.KillDataNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		for target := completed.Load() + 8; alive && (completed.Load() < target || !recovered()); {
+			alive = waitProgress() // post-kill reads complete degraded
+		}
+	}
+	close(stop)
+	<-clientsDone
+	close(errs)
+	failed := t.Failed()
+	for err := range errs {
+		failed = true
+		t.Errorf("client-visible error during kill: %v", err)
+	}
+	if !alive && !failed {
+		t.Fatal("clients exited early without reporting errors")
+	}
+	return degraded.Load()
+}
+
 // TestDegradedReadAfterKill is the serving layer's core claim, per
-// codec: kill the datanode holding a data block — while reads are in
-// flight — and every read still returns byte-identical data with zero
-// errors, only degraded block reads.
+// codec: kill the datanode holding a data block — while reads and
+// writes are in flight — and every operation still succeeds, reads
+// byte-identical, only degraded block reads.
 func TestDegradedReadAfterKill(t *testing.T) {
 	for _, code := range testCodecs(t) {
 		t.Run(code.Name(), func(t *testing.T) {
@@ -128,86 +231,8 @@ func TestDegradedReadAfterKill(t *testing.T) {
 				t.Fatalf("healthy post-raid read broken: %v", err)
 			}
 
-			// Readers hammer the file while the kill lands mid-run. No
-			// wall clocks: each completed read signals progress, the
-			// kill lands once reads are demonstrably in flight, and the
-			// run ends after enough post-kill reads completed — however
-			// fast or slow the host is.
-			_, blocks, err := sys.Cluster().FileBlocks("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			victim := blocks[0].Locations[0]
-			var completed atomic.Int64
-			progress := make(chan struct{}, 1)
-			var wg sync.WaitGroup
-			errs := make(chan error, 64)
-			stop := make(chan struct{})
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rcl, err := Dial(sys.NameAddr(), code)
-					if err != nil {
-						errs <- err
-						return
-					}
-					defer rcl.Close()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						got, err := rcl.ReadFile("f")
-						if err != nil {
-							errs <- fmt.Errorf("reader %d: %w", w, err)
-							return
-						}
-						if !bytes.Equal(got, data) {
-							errs <- fmt.Errorf("reader %d: content mismatch", w)
-							return
-						}
-						completed.Add(1)
-						select {
-						case progress <- struct{}{}:
-						default:
-						}
-					}
-				}(w)
-			}
-			// If every reader exits on error, the wait must fail fast
-			// with the collected errors instead of hanging on progress
-			// that will never come.
-			readersDone := make(chan struct{})
-			go func() { wg.Wait(); close(readersDone) }()
-			waitProgress := func() bool {
-				select {
-				case <-progress:
-					return true
-				case <-readersDone:
-					return false
-				}
-			}
-			alive := waitProgress() // at least one whole-file read completed
-			if alive {
-				if err := sys.KillDataNode(victim); err != nil {
-					t.Fatal(err)
-				}
-				for target := completed.Load() + 8; alive && completed.Load() < target; {
-					alive = waitProgress() // post-kill reads complete degraded
-				}
-			}
-			close(stop)
-			<-readersDone
-			close(errs)
-			failed := false
-			for err := range errs {
-				failed = true
-				t.Errorf("read error during kill: %v", err)
-			}
-			if !alive && !failed {
-				t.Fatal("readers exited early without reporting errors")
+			if n := killUnderLoad(t, sys, data, func() bool { return true }); n == 0 {
+				t.Fatal("mid-run kill produced no degraded block reads")
 			}
 
 			// A fresh read after the kill must be byte-identical and

@@ -26,12 +26,9 @@ import (
 type Option func(*sysOptions)
 
 type sysOptions struct {
-	mgrCfg         *repairmgr.Config
-	hbInterval     time.Duration
-	teleCfg        *TelemetryConfig
-	dataDir        string
-	fsync          extent.FsyncPolicy
-	nodeCacheBytes int64
+	mgrCfg  *repairmgr.Config
+	teleCfg *TelemetryConfig
+	dataDir string
 }
 
 // WithRepairManager runs the autonomous repair control plane inside
@@ -44,12 +41,6 @@ func WithRepairManager(cfg repairmgr.Config) Option {
 	return func(o *sysOptions) { o.mgrCfg = &cfg }
 }
 
-// WithHeartbeatInterval overrides the datanode heartbeat period
-// (default: a third of the manager's SuspectAfter).
-func WithHeartbeatInterval(d time.Duration) Option {
-	return func(o *sysOptions) { o.hbInterval = d }
-}
-
 // WithDataDir backs every datanode with a persistent extent store
 // under dir (one dn-NNN subdirectory per machine) instead of the
 // volatile in-memory store. With persistence, KillDataNode genuinely
@@ -57,23 +48,10 @@ func WithHeartbeatInterval(d time.Duration) Option {
 // genuinely rebuilds it by scanning the machine's segment files — a
 // restart within the repair manager's grace window therefore proves
 // the bytes survived, rather than asserting it about a map that was
-// never dropped.
+// never dropped. The stores run extent.FsyncInterval: an acknowledged
+// write can be lost only inside the store's bounded sync interval.
 func WithDataDir(dir string) Option {
 	return func(o *sysOptions) { o.dataDir = dir }
-}
-
-// WithFsyncPolicy selects the extent store's durability mode (default
-// FsyncInterval). Only meaningful together with WithDataDir.
-func WithFsyncPolicy(p extent.FsyncPolicy) Option {
-	return func(o *sysOptions) { o.fsync = p }
-}
-
-// WithDataNodeCache fronts every machine's block store with a sharded
-// LRU read cache of n bytes (hdfs.Config.NodeCacheBytes): hot replica
-// reads answer from memory instead of a store pass. Most useful
-// together with WithDataDir, where a miss is a real disk read.
-func WithDataNodeCache(n int64) Option {
-	return func(o *sysOptions) { o.nodeCacheBytes = n }
 }
 
 // WithTelemetry instruments the whole system on one shared metrics
@@ -128,12 +106,9 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 	}
 	if o.dataDir != "" {
 		cfg.StoreFactory = hdfs.ExtentStoreFactory(o.dataDir, extent.Options{
-			Fsync:     o.fsync,
+			Fsync:     extent.FsyncInterval,
 			Telemetry: s.reg,
 		})
-	}
-	if o.nodeCacheBytes > 0 {
-		cfg.NodeCacheBytes = o.nodeCacheBytes
 	}
 	cluster, err := hdfs.Open(cfg)
 	if err != nil {
@@ -150,18 +125,15 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 			return nil, err
 		}
 		s.mgr = mgr
-		s.hbEvery = o.hbInterval
-		if s.hbEvery <= 0 {
-			// Three beats per suspect window keeps one lost frame from
-			// mattering.
-			suspectAfter := o.mgrCfg.SuspectAfter
-			if suspectAfter <= 0 {
-				suspectAfter = repairmgr.DefaultConfig().SuspectAfter
-			}
-			s.hbEvery = suspectAfter / 3
-			if s.hbEvery < 5*time.Millisecond {
-				s.hbEvery = 5 * time.Millisecond
-			}
+		// Three beats per suspect window keeps one lost frame from
+		// mattering.
+		suspectAfter := o.mgrCfg.SuspectAfter
+		if suspectAfter <= 0 {
+			suspectAfter = repairmgr.DefaultConfig().SuspectAfter
+		}
+		s.hbEvery = suspectAfter / 3
+		if s.hbEvery < 5*time.Millisecond {
+			s.hbEvery = 5 * time.Millisecond
 		}
 	}
 	s.dns = make([]*DataNode, cluster.Machines())

@@ -1,16 +1,9 @@
 // The networked serving layer: the live TCP cluster (namenode +
-// datanode daemons), the degraded-read client, the closed-loop load
-// generator, and the serving benchmarks (including the sharded-
-// metadata benchmark behind BENCH_shards.json).
+// datanode daemons) and the degraded-read client.
 
 package repro
 
-import (
-	"time"
-
-	"repro/internal/serve"
-	"repro/internal/telemetry"
-)
+import "repro/internal/serve"
 
 // ServeSystem is a live serving cluster: a metadata plane (MiniHDFS or
 // ShardedMiniHDFS, per HDFSConfig.Shards) behind a namenode daemon and
@@ -25,78 +18,8 @@ type ServeSystem = serve.System
 // codec's repair plan, fetching helper ranges over the wire.
 type ServeClient = serve.Client
 
-// ServeCounters are a client's cumulative operation counts, including
-// how many block reads took the degraded path.
-type ServeCounters = serve.Counters
-
-// ServeFixReport summarises a block-fixer pass driven over the wire.
-type ServeFixReport = serve.FixReport
-
-// LoadConfig parameterises the closed-loop load generator; the zero
-// value is runnable.
-type LoadConfig = serve.LoadConfig
-
-// LoadResult is one codec's measured serving behaviour under load:
-// throughput, p50/p99 latency, degraded-read share, errors.
-type LoadResult = serve.LoadResult
-
-// ServeBenchReport is the machine-readable BENCH_serve.json payload.
-type ServeBenchReport = serve.BenchReport
-
 // ServeOption configures a serving system at Start.
 type ServeOption = serve.Option
-
-// LoadOption mutates a LoadConfig before defaulting — the functional-
-// options face of the load generator.
-type LoadOption = serve.LoadOption
-
-// WithLoadShards serves the workload from a metadata plane of n
-// shards. Replaces setting LoadConfig.Shards.
-func WithLoadShards(n int) LoadOption { return serve.WithLoadShards(n) }
-
-// WithLoadClients sets the closed-loop worker count.
-func WithLoadClients(n int) LoadOption { return serve.WithLoadClients(n) }
-
-// WithLoadDuration sets the measured run length.
-func WithLoadDuration(d time.Duration) LoadOption { return serve.WithLoadDuration(d) }
-
-// WithLoadWriteFraction sets the write probability (negative for a
-// pure-read workload).
-func WithLoadWriteFraction(f float64) LoadOption { return serve.WithLoadWriteFraction(f) }
-
-// WithLoadSeed sets the placement/content/mix seed.
-func WithLoadSeed(seed int64) LoadOption { return serve.WithLoadSeed(seed) }
-
-// WithLoadPartialSumRepair serves degraded reads through the
-// partial-sum pipeline. Replaces the deprecated
-// LoadConfig.PartialSumRepair field.
-func WithLoadPartialSumRepair() LoadOption { return serve.WithLoadPartialSumRepair() }
-
-// WithLoadKillAfter arms the mid-run datanode kill (negative
-// disables).
-func WithLoadKillAfter(d time.Duration) LoadOption { return serve.WithLoadKillAfter(d) }
-
-// WithLoadZipf skews read popularity by a Zipf(s) draw over the
-// working set (s > 1; the first preloaded file is hottest).
-func WithLoadZipf(s float64) LoadOption { return serve.WithLoadZipf(s) }
-
-// WithLoadThrottle throttles the machine holding the hottest file's
-// first block by d per data RPC for the whole run — the slow-but-alive
-// failure mode, as opposed to WithLoadKillAfter's death.
-func WithLoadThrottle(d time.Duration) LoadOption { return serve.WithLoadThrottle(d) }
-
-// WithLoadClientCache gives every worker's client a block cache of n
-// bytes (see WithBlockCache).
-func WithLoadClientCache(n int64) LoadOption { return serve.WithLoadClientCache(n) }
-
-// WithLoadNodeCache fronts every datanode's store with an n-byte read
-// cache.
-func WithLoadNodeCache(n int64) LoadOption { return serve.WithLoadNodeCache(n) }
-
-// WithLoadHedge arms hedged degraded reads on every worker's client
-// with the given delay (<= 0 = adaptive, from the observed latency
-// quantiles).
-func WithLoadHedge(delay time.Duration) LoadOption { return serve.WithLoadHedge(delay) }
 
 // StartServeSystem builds the storage cluster and brings up its
 // namenode and datanode daemons (plus, with WithRepairManager, the
@@ -120,149 +43,4 @@ func WithPartialSumRepair() ServeClientOption { return serve.WithPartialSumRepai
 // with WithPartialSumRepair, in the helper tree).
 func DialServe(nameAddr string, code Codec, opts ...ServeClientOption) (*ServeClient, error) {
 	return serve.Dial(nameAddr, code, opts...)
-}
-
-// RunServeLoad starts a serving cluster for the codec, preloads and
-// raids a working set, and drives the closed-loop load (including the
-// configured mid-run datanode kill).
-func RunServeLoad(code Codec, cfg LoadConfig, opts ...LoadOption) (*LoadResult, error) {
-	return serve.RunLoad(code, cfg, opts...)
-}
-
-// RunServeBench runs the identical closed-loop load under each codec
-// in turn on a shared configuration.
-func RunServeBench(codecs []Codec, cfg LoadConfig) (*ServeBenchReport, error) {
-	return serve.RunBench(codecs, cfg)
-}
-
-// ServePartialSumBenchReport is the machine-readable
-// BENCH_partialsum.json payload: per codec, the identical kill-mid-run
-// workload served conventionally and through the partial-sum pipeline,
-// with the bytes each degraded block pulled into the reconstructing
-// client.
-type ServePartialSumBenchReport = serve.PartialSumBenchReport
-
-// RunServePartialSumBench runs each codec's load twice — conventional
-// degraded reads, then partial-sum — on one shared configuration.
-func RunServePartialSumBench(codecs []Codec, cfg LoadConfig) (*ServePartialSumBenchReport, error) {
-	return serve.RunPartialSumBench(codecs, cfg)
-}
-
-// --- Caching & hedged reads --------------------------------------------
-
-// WithBlockCache gives a client an in-process block cache of n bytes:
-// repeat reads of hot blocks are served from memory without touching
-// the cluster, and degraded reconstructions are remembered so the
-// stripe is not re-decoded on every read of a lost block.
-func WithBlockCache(n int64) ServeClientOption { return serve.WithBlockCache(n) }
-
-// WithHedgedReads arms a client's hedged degraded reads: when the
-// replica chain is slower than the hedge delay, reconstruction starts
-// speculatively and the first arm to finish wins. delay <= 0 derives
-// the delay adaptively from observed per-datanode latency quantiles.
-func WithHedgedReads(delay time.Duration) ServeClientOption { return serve.WithHedgedReads(delay) }
-
-// WithDataNodeCache fronts every datanode's block store with an n-byte
-// read cache; hits skip the store (and its disk, under the extent
-// store) entirely.
-func WithDataNodeCache(n int64) ServeOption { return serve.WithDataNodeCache(n) }
-
-// ServeCacheBenchReport is the machine-readable BENCH_cache.json
-// payload: per codec, the identical Zipf + throttled-node workload
-// served with hedging off and on, with cache hit ratios, hedge
-// win rates, and the p99/p99.9 tail cut.
-type ServeCacheBenchReport = serve.CacheBenchReport
-
-// RunServeCacheBench runs each codec's Zipf + slow-node load twice —
-// hedging off, then on — on one shared configuration with both cache
-// tiers enabled.
-func RunServeCacheBench(codecs []Codec, cfg LoadConfig) (*ServeCacheBenchReport, error) {
-	return serve.RunCacheBench(codecs, cfg)
-}
-
-// --- Telemetry ---------------------------------------------------------
-
-// TelemetryConfig configures a serving system's observability plane
-// (see WithTelemetry). The zero value enables the in-process metrics
-// registry and span stores without HTTP listeners.
-type TelemetryConfig = serve.TelemetryConfig
-
-// MetricsSnapshot is a point-in-time copy of a telemetry registry:
-// every counter, gauge, and histogram with its current value. It
-// renders as Prometheus text or JSON and merges across processes.
-type MetricsSnapshot = telemetry.Snapshot
-
-// TraceSpan is one timed hop of a sampled degraded read: which
-// process did what, under which parent span, moving how many bytes.
-type TraceSpan = telemetry.Span
-
-// WithTelemetry runs the serving system with the end-to-end telemetry
-// plane: a shared metrics registry instrumenting every tier, per-
-// daemon span stores for RPC trace propagation, and (with cfg.HTTP)
-// loopback /metrics + /debug/traces listeners on the namenode and
-// every datanode. Addresses come from ServeSystem.MetricsAddr and
-// ServeSystem.DataNodeMetricsAddr.
-func WithTelemetry(cfg TelemetryConfig) ServeOption { return serve.WithTelemetry(cfg) }
-
-// WithTraceSampling makes a client mint a trace for every n-th
-// degraded read; the propagated spans are later assembled with
-// ServeClient.CollectTrace. n = 1 traces every degraded read.
-func WithTraceSampling(every int) ServeClientOption { return serve.WithTraceSampling(every) }
-
-// WithLoadMetricsDump runs the load under WithTelemetry and attaches
-// the end-of-run registry snapshot to the LoadResult (and so to the
-// BENCH_serve.json payload). cmd/loadgen exposes it as -metrics-dump.
-func WithLoadMetricsDump() LoadOption { return serve.WithLoadMetricsDump() }
-
-// RunServeMetricsSmoke drives the end-to-end telemetry smoke check
-// for one codec: an instrumented cluster with HTTP listeners is
-// pushed through a kill / degraded-read / autonomous-repair cycle and
-// scraped twice, gated on instrument presence, cycle activity, and
-// counter monotonicity. cmd/loadgen exposes it as -metricssmoke
-// (`make metrics-smoke`).
-func RunServeMetricsSmoke(code Codec) error { return serve.RunMetricsSmoke(code) }
-
-// --- Persistence benchmark ---------------------------------------------
-
-// PersistBenchConfig parameterises the persistence benchmark: the
-// datanode extent store's append throughput under each fsync policy
-// and its recovery-scan (index rebuild) time at increasing store
-// sizes. The zero value runs a small default matrix.
-type PersistBenchConfig = serve.PersistBenchConfig
-
-// PersistBenchReport is the machine-readable BENCH_persist.json
-// payload. CheckRecovery is its acceptance gate (full index rebuilt on
-// every reopen, zero CRC failures); FormatTable renders both
-// measurements.
-type PersistBenchReport = serve.PersistBenchReport
-
-// RunPersistBench measures the extent store's append throughput per
-// fsync policy and recovery-scan time per store size; cmd/loadgen
-// -persistbench writes the result to BENCH_persist.json.
-func RunPersistBench(cfg PersistBenchConfig) (*PersistBenchReport, error) {
-	return serve.RunPersistBench(cfg)
-}
-
-// --- Sharded-metadata benchmark ----------------------------------------
-
-// ShardBenchConfig parameterises the sharded-metadata benchmark: a
-// many-files Zipf metadata workload driven in-process against the
-// Metadata plane at each configured shard count. The zero value runs
-// the default workload at 1, 4, and 16 shards.
-type ShardBenchConfig = serve.ShardBenchConfig
-
-// ShardBenchRow is one shard count's measurement: metadata ops/sec,
-// op errors, and the metadata-lock wait (total and per op).
-type ShardBenchRow = serve.ShardBenchRow
-
-// ShardBenchReport is the machine-readable BENCH_shards.json payload.
-// CheckScaling is its acceptance gate (no errors, ops/sec
-// non-decreasing in shard count); FormatTable renders the comparison.
-type ShardBenchReport = serve.ShardBenchReport
-
-// RunShardBench measures the Zipf metadata workload at every
-// configured shard count; cmd/loadgen -shardbench writes the result to
-// BENCH_shards.json.
-func RunShardBench(cfg ShardBenchConfig) (*ShardBenchReport, error) {
-	return serve.RunShardBench(cfg)
 }

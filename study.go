@@ -48,13 +48,6 @@ func CompareCodecs(baseline, candidate Codec, tr *Trace) (*Comparison, error) {
 	return sim.Compare(baseline, candidate, tr)
 }
 
-// FailureMix apportions recoveries to single/double/triple-failure
-// stripes (§2.2).
-type FailureMix = sim.FailureMix
-
-// PaperFailureMix returns the measured §2.2 mix (98.08%/1.87%/0.05%).
-func PaperFailureMix() FailureMix { return sim.PaperFailureMix() }
-
 // BacklogResult is the outcome of throttled recovery queueing over a
 // study result.
 type BacklogResult = sim.BacklogResult
@@ -67,17 +60,6 @@ func RecoveryBacklog(res *StudyResult, budgetBytesPerDay int64) (*BacklogResult,
 }
 
 // --- Contention-aware network simulation -------------------------------
-
-// FabricTopology describes the simulated fabric of the contention
-// model: racks of machines behind TOR switches joined by an aggregation
-// switch, with a bytes/second capacity at every level.
-type FabricTopology = netsim.Topology
-
-// DefaultFabricTopology returns a 2013-era fabric: 1 GbE NICs,
-// oversubscribed 5 Gb/s TOR links, a 40 Gb/s aggregation core.
-func DefaultFabricTopology(racks, machinesPerRack int) FabricTopology {
-	return netsim.DefaultTopology(racks, machinesPerRack)
-}
 
 // SchedulerPolicy selects how the contention model's repair scheduler
 // orders its queue.
@@ -106,14 +88,6 @@ type ContentionComparison = sim.ContentionComparison
 // DefaultContentionConfig returns a saturating-load configuration that
 // runs in seconds.
 func DefaultContentionConfig() ContentionConfig { return sim.DefaultContentionConfig() }
-
-// RunContentionStudy replays the trace through the event-driven
-// contended fabric under the codec, reporting simulated repair
-// latencies (queueing included) and degraded-read slowdowns instead of
-// the isolated-transfer estimates of RunStudy.
-func RunContentionStudy(c Codec, tr *Trace, cfg ContentionConfig) (*ContentionResult, error) {
-	return (&sim.ContentionStudy{Code: c, Config: cfg}).Run(tr)
-}
 
 // CompareContentionCodecs runs the contention study for a baseline and
 // a candidate codec over the same trace, foreground process, and
@@ -200,12 +174,6 @@ type RegeneratingParams = regenerating.Params
 
 // RegeneratingPoint is one storage/repair-bandwidth trade-off point.
 type RegeneratingPoint = regenerating.Point
-
-// MSRPoint returns the minimum-storage regenerating point for a file of
-// the given size — the repair-download floor for storage-optimal codes.
-func MSRPoint(fileBytes float64, p RegeneratingParams) (RegeneratingPoint, error) {
-	return regenerating.MSR(fileBytes, p)
-}
 
 // MBRPoint returns the minimum-bandwidth regenerating point — the
 // absolute repair-download floor, paid for with extra storage.

@@ -52,7 +52,7 @@ type ScrubReport = hdfs.ScrubReport
 func DefaultRaidPolicy() RaidPolicy { return hdfs.DefaultRaidPolicy() }
 
 // NewMiniHDFS builds an empty miniature DFS (a single metadata shard;
-// use OpenMiniHDFS or NewShardedMiniHDFS for a sharded plane).
+// use OpenMiniHDFS for a sharded plane).
 func NewMiniHDFS(cfg HDFSConfig, opts ...HDFSOption) (*MiniHDFS, error) {
 	return hdfs.New(cfg, opts...)
 }
@@ -95,12 +95,6 @@ type LockStats = hdfs.LockStats
 // minted strided so ID→shard routing is arithmetic.
 type ShardedMiniHDFS = hdfs.ShardedCluster
 
-// NewShardedMiniHDFS builds a metadata plane of cfg.Shards (>= 2)
-// independently locked shards sharing one physical plane.
-func NewShardedMiniHDFS(cfg HDFSConfig, opts ...HDFSOption) (*ShardedMiniHDFS, error) {
-	return hdfs.NewSharded(cfg, opts...)
-}
-
 // OpenMiniHDFS builds a metadata plane sized by cfg.Shards (after
 // options): a single MiniHDFS for 0 or 1, a ShardedMiniHDFS
 // otherwise. Callers holding the Metadata interface never care which.
@@ -111,20 +105,3 @@ func OpenMiniHDFS(cfg HDFSConfig, opts ...HDFSOption) (Metadata, error) {
 // WithShards partitions the metadata plane into n independently locked
 // shards. Replaces setting HDFSConfig.Shards.
 func WithShards(n int) HDFSOption { return hdfs.WithShards(n) }
-
-// WithRepairParallelism bounds concurrent stripe repairs in the
-// BlockFixer's engine (0 = GOMAXPROCS). Replaces the deprecated
-// HDFSConfig.RepairParallelism field.
-func WithRepairParallelism(n int) HDFSOption { return hdfs.WithRepairParallelism(n) }
-
-// WithHDFSPartialSumRepair routes the BlockFixer's single-block stripe
-// repairs through the distributed partial-sum pipeline. Replaces the
-// deprecated HDFSConfig.PartialSumRepair field. (The HDFS prefix
-// distinguishes it from WithPartialSumRepair, the serving-client dial
-// option.)
-func WithHDFSPartialSumRepair() HDFSOption { return hdfs.WithPartialSumRepair() }
-
-// WithHDFSFabric supplies link capacities for the netsim contention
-// model replayed by every BlockFixer pass. Replaces the deprecated
-// HDFSConfig.Fabric field.
-func WithHDFSFabric(t *FabricTopology) HDFSOption { return hdfs.WithFabric(t) }
