@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck lint fmt fmtcheck test cover race fuzz-smoke bench benchdiff benchsmoke ci
+.PHONY: build vet staticcheck lint fmt fmtcheck test test-purego cover race fuzz-smoke bench benchdiff benchsmoke ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,16 @@ fmtcheck:
 test:
 	$(GO) test ./...
 
+# The code a default build on this host never runs: the gf256 table
+# kernel (selected by the purego tag, and on every GOARCH but amd64)
+# under the packages that fold with it, and the non-amd64 build itself.
+# Without this the fallback and the cross build could rot unseen behind
+# the assembly.
+test-purego:
+	$(GO) test -tags purego ./internal/gf256/ ./internal/ec/ ./internal/rs/ ./internal/core/ ./internal/lrc/
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/gf256/
+
 # Per-package coverage: the `ok <pkg> coverage: NN%` lines are the CI
 # job summary; coverage.out feeds go tool cover for local drill-down.
 cover:
@@ -70,8 +80,10 @@ race:
 
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip
-# byte-identical. Seed corpora live in testdata/fuzz/.
+# byte-identical. Under them, the gf256 kernels against a byte-at-a-time
+# reference. Seed corpora live in testdata/fuzz/.
 fuzz-smoke:
+	$(GO) test -run=FuzzMulAdd -fuzz=FuzzMulAdd -fuzztime=3s ./internal/gf256/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/rs/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/core/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/lrc/
@@ -101,4 +113,4 @@ benchdiff:
 benchsmoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
 
-ci: build vet staticcheck lint fmtcheck test race benchsmoke fuzz-smoke
+ci: build vet staticcheck lint fmtcheck test test-purego race benchsmoke fuzz-smoke

@@ -6,11 +6,58 @@
 //
 // Addition and subtraction in GF(2^8) are both XOR. Multiplication and
 // division are implemented with log/exp tables built at package
-// initialisation; a full 256x256 product table backs the bulk slice
-// operations used by the codecs.
+// initialisation.
+//
+// # Tables
+//
+// Two product tables are built once at package initialisation from the
+// same log/exp multiply (mulSlow):
+//
+//   - mulTable, 256x256 bytes: mulTable[c][v] = c*v. One indexed load per
+//     byte; backs Mul, MulSlice, DotProduct and the table kernel.
+//   - nibTable, 256x32 bytes, on the amd64 build only (kernel_amd64.go):
+//     for each coefficient c, the sixteen products c*x for a low nibble x
+//     and the sixteen products c*(x<<4) for a high nibble. Because
+//     multiplication distributes over XOR, c*v = c*(v&0x0f) ^ c*(v&0xf0):
+//     two 16-entry lookups, which is what a byte-shuffle instruction does
+//     for a whole vector at once.
+//
+// # Kernels
+//
+// The multiply-accumulate operations (MulSliceXor, MulAddSlices) run one
+// of two kernels, chosen once at start-up from what the CPU reports:
+//
+//   - amd64 with AVX2 (kernel_amd64.go, kernel_amd64.s): the split-nibble
+//     kernel, 32 bytes per step with VPSHUFB over nibTable. It handles
+//     the largest multiple of 32 bytes; the table kernel finishes the
+//     tail.
+//   - everything else — amd64 without AVX2, every other GOARCH, and any
+//     build with the purego tag (kernel_generic.go): the table kernel, a
+//     mulTable lookup per byte, pair-fused and unrolled in MulAddSlices.
+//
+// Both produce identical bytes; the differential tests hold each to a
+// byte-at-a-time Mul reference. Plain XOR (coefficient 1 in MulSliceXor,
+// XorSlice, XorAllSlices) is crypto/subtle.XORBytes on every platform.
+// MulSlice, the store-only multiply, is the table loop everywhere: its
+// one caller scales matrix rows far shorter than a vector step.
+//
+// # Aliasing
+//
+// MulSlice, MulSliceXor and XorSlice read in[i] before they write
+// out[i], so in and out may be the very same slice (matrix inversion
+// scales a row in place). Any other overlap is a caller bug — a vector
+// step would read bytes an earlier step already rewrote — and panics
+// before a byte is written. The fused forms (MulAddSlices,
+// XorAllSlices) refuse an input that shares any byte with out, the same
+// slice included: out changes as inputs are folded in, so the result
+// would depend on the fold order, which differs between the kernels.
 package gf256
 
-import "fmt"
+import (
+	"crypto/subtle"
+	"fmt"
+	"unsafe"
+)
 
 // Polynomial is the primitive polynomial used to construct the field,
 // with the x^8 term dropped (the field reduction is modulo this value).
@@ -33,7 +80,8 @@ var (
 	logTable [256]int16
 
 	// mulTable[a][b] = a*b in the field. 64 KiB; the price is paid once
-	// and every bulk operation becomes a single indexed load per byte.
+	// and the table kernel's bulk operations become a single indexed load
+	// per byte.
 	mulTable [256][256]byte
 
 	// invTable[x] = x^-1 for x != 0.
@@ -65,7 +113,7 @@ func init() {
 }
 
 // mulSlow multiplies two field elements using the log/exp tables. It is
-// used only to populate mulTable during initialisation.
+// used only to populate the product tables during initialisation.
 func mulSlow(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
@@ -137,12 +185,42 @@ func Log(x byte) int {
 	return int(logTable[x])
 }
 
+// overlap reports whether a and b share a byte.
+func overlap(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	aLo, bLo := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return aLo < bLo+uintptr(len(b)) && bLo < aLo+uintptr(len(a))
+}
+
+// checkAlias panics unless in and out, of equal length, are the same
+// slice or share no byte. The kernels read in[i] before writing out[i],
+// which makes exact aliasing safe and nothing else.
+func checkAlias(in, out []byte) {
+	if overlap(in, out) && &in[0] != &out[0] {
+		panic("gf256: in and out overlap without being the same slice")
+	}
+}
+
+// checkFusedInput panics if a fused operation's input shares a byte
+// with out. Unlike the single-input forms not even exact aliasing is
+// allowed: out changes as earlier inputs are folded in, so what such an
+// input contributed would depend on the fold order.
+func checkFusedInput(in, out []byte) {
+	if overlap(in, out) {
+		panic("gf256: a fused input overlaps out")
+	}
+}
+
 // MulSlice sets out[i] = c * in[i] for every i. The two slices must have
-// equal length. c == 0 zeroes out; c == 1 copies.
+// equal length. c == 0 zeroes out; c == 1 copies. in and out may be the
+// same slice; a partial overlap is a caller bug and panics.
 func MulSlice(c byte, in, out []byte) {
 	if len(in) != len(out) {
 		panic("gf256: MulSlice length mismatch")
 	}
+	checkAlias(in, out)
 	switch c {
 	case 0:
 		for i := range out {
@@ -159,35 +237,36 @@ func MulSlice(c byte, in, out []byte) {
 }
 
 // MulSliceXor sets out[i] ^= c * in[i] for every i: a multiply-accumulate
-// in the field. The two slices must have equal length.
+// in the field. The two slices must have equal length. in and out may be
+// the same slice; a partial overlap is a caller bug and panics.
 func MulSliceXor(c byte, in, out []byte) {
 	if len(in) != len(out) {
 		panic("gf256: MulSliceXor length mismatch")
 	}
+	checkAlias(in, out)
 	switch c {
 	case 0:
 		// Adding zero is a no-op.
 	case 1:
-		for i, v := range in {
-			out[i] ^= v
-		}
+		subtle.XORBytes(out, out, in)
 	default:
+		n := mulAddVec(c, in, out)
 		mt := &mulTable[c]
-		for i, v := range in {
-			out[i] ^= mt[v]
+		for i, v := range in[n:] {
+			out[n+i] ^= mt[v]
 		}
 	}
 }
 
 // XorSlice sets out[i] ^= in[i] for every i. The two slices must have
-// equal length.
+// equal length. in and out may be the same slice (which zeroes it); a
+// partial overlap is a caller bug and panics.
 func XorSlice(in, out []byte) {
 	if len(in) != len(out) {
 		panic("gf256: XorSlice length mismatch")
 	}
-	for i, v := range in {
-		out[i] ^= v
-	}
+	checkAlias(in, out)
+	subtle.XORBytes(out, out, in)
 }
 
 // fusedChunk is the per-pass window of the fused bulk kernels. Fusing
@@ -200,10 +279,13 @@ const fusedChunk = 32 << 10
 // MulAddSlices accumulates a coefficient vector times a shard matrix:
 // out[j] ^= XOR_i coeffs[i] * inputs[i][j]. It is the fused form of
 // calling MulSliceXor once per input, processing the output in
-// cache-sized chunks and folding pairs of inputs into each pass with an
-// unrolled inner loop. len(coeffs) must equal len(inputs) and every
-// input must have the length of out. Inputs with a zero coefficient are
-// skipped; an all-ones coefficient vector takes the XorAllSlices path.
+// cache-sized chunks. With the vector kernel each input streams through
+// it once per chunk; the table kernel folds pairs of inputs into each
+// pass with an unrolled inner loop. len(coeffs) must equal len(inputs),
+// and every input must have the length of out and share no byte with it
+// (not even be out: see checkFusedInput). Inputs with a zero coefficient
+// are skipped; an all-ones coefficient vector takes the XorAllSlices
+// path.
 func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 	if len(coeffs) != len(inputs) {
 		panic("gf256: MulAddSlices coeffs/inputs length mismatch")
@@ -212,6 +294,7 @@ func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 		if len(in) != len(out) {
 			panic("gf256: MulAddSlices input length mismatch")
 		}
+		checkFusedInput(in, out)
 	}
 	// An all-ones vector — an XOR parity, an LRC local repair — needs no
 	// multiplication tables at all.
@@ -226,17 +309,26 @@ func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 		XorAllSlices(inputs, out)
 		return
 	}
-	// Zero-coefficient inputs are skipped and the remaining live ones
-	// fused pairwise on the fly: pending holds a live input waiting for
-	// its pair partner. Re-scanning the coefficient vector per chunk is
-	// a handful of byte compares against 32 KiB of accumulate work, and
-	// keeps the kernel allocation-free (no index slice per call).
 	for lo := 0; lo < len(out); lo += fusedChunk {
 		hi := lo + fusedChunk
 		if hi > len(out) {
 			hi = len(out)
 		}
 		dst := out[lo:hi]
+		if useVec {
+			// One MulSliceXor per input: vector body, table tail, plain
+			// XOR for a coefficient of one, nothing for zero.
+			for i, c := range coeffs {
+				MulSliceXor(c, inputs[i][lo:hi], dst)
+			}
+			continue
+		}
+		// The table kernel. Zero-coefficient inputs are skipped and the
+		// remaining live ones fused pairwise on the fly: pending holds a
+		// live input waiting for its pair partner. Re-scanning the
+		// coefficient vector per chunk is a handful of byte compares
+		// against 32 KiB of accumulate work, and keeps the kernel
+		// allocation-free (no index slice per call).
 		pending := -1
 		for i := range inputs {
 			if coeffs[i] == 0 {
@@ -256,7 +348,8 @@ func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 }
 
 // mulAddPair performs dst[j] ^= c1*in1[j] ^ c2*in2[j] with a 4-way
-// unrolled inner loop. Both coefficients are non-zero.
+// unrolled inner loop: the table kernel's fused step. Both coefficients
+// are non-zero.
 func mulAddPair(c1 byte, in1 []byte, c2 byte, in2 []byte, dst []byte) {
 	t1 := &mulTable[c1]
 	t2 := &mulTable[c2]
@@ -277,13 +370,14 @@ func mulAddPair(c1 byte, in1 []byte, c2 byte, in2 []byte, dst []byte) {
 
 // XorAllSlices accumulates many inputs into out: out[j] ^= XOR_i
 // inputs[i][j] — the fused form of calling XorSlice once per input,
-// chunked and pairwise-fused like MulAddSlices. Every input must have
-// the length of out.
+// chunked like MulAddSlices. Every input must have the length of out
+// and share no byte with it.
 func XorAllSlices(inputs [][]byte, out []byte) {
 	for _, in := range inputs {
 		if len(in) != len(out) {
 			panic("gf256: XorAllSlices input length mismatch")
 		}
+		checkFusedInput(in, out)
 	}
 	for lo := 0; lo < len(out); lo += fusedChunk {
 		hi := lo + fusedChunk
@@ -291,34 +385,9 @@ func XorAllSlices(inputs [][]byte, out []byte) {
 			hi = len(out)
 		}
 		dst := out[lo:hi]
-		i := 0
-		for ; i+1 < len(inputs); i += 2 {
-			xorPair(inputs[i][lo:hi], inputs[i+1][lo:hi], dst)
+		for _, in := range inputs {
+			subtle.XORBytes(dst, dst, in[lo:hi])
 		}
-		if i < len(inputs) {
-			XorSlice(inputs[i][lo:hi], dst)
-		}
-	}
-}
-
-// xorPair performs dst[j] ^= a[j] ^ b[j] with an unrolled inner loop.
-func xorPair(a, b, dst []byte) {
-	n := len(dst)
-	a = a[:n]
-	b = b[:n]
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		dst[j] ^= a[j] ^ b[j]
-		dst[j+1] ^= a[j+1] ^ b[j+1]
-		dst[j+2] ^= a[j+2] ^ b[j+2]
-		dst[j+3] ^= a[j+3] ^ b[j+3]
-		dst[j+4] ^= a[j+4] ^ b[j+4]
-		dst[j+5] ^= a[j+5] ^ b[j+5]
-		dst[j+6] ^= a[j+6] ^ b[j+6]
-		dst[j+7] ^= a[j+7] ^ b[j+7]
-	}
-	for ; j < n; j++ {
-		dst[j] ^= a[j] ^ b[j]
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package serve is the networked serving layer of the miniature DFS: a
 // namenode daemon (file → block → stripe metadata, placement, failure
 // control, block-fixer driver) and one datanode daemon per machine
-// (replica range reads), all speaking a small framed RPC protocol over
-// real TCP on localhost, plus a concurrent Client whose read path
-// transparently falls back to degraded reads — reconstructing missing
-// blocks through the codec's repair plan with every helper range
-// fetched over the wire.
+// (replica range reads, partial-sum folds), all speaking a small framed
+// RPC protocol over real TCP on localhost, plus a concurrent Client
+// whose read path transparently falls back to degraded reads —
+// reconstructing missing blocks through the codec's repair plan with
+// every helper range fetched over the wire.
 //
 // The in-memory hdfs.Cluster remains the source of truth for metadata
 // and block bytes; this package puts a real network between it and its
@@ -24,10 +24,13 @@
 //	payload: raw bytes (block data; empty for most methods)
 //
 // The namenode answers metadata methods ("info", "stat", "blocks",
-// "stripe"), mutations ("write", "raid", "fixer"), and failure control
-// ("fail", "restore"); datanodes answer "dn.read" and "dn.ping".
-// Errors travel as a string in the response header; the payload always
-// carries data, never errors.
+// "stripe"), mutations ("write", "raid", "fixer"), failure control
+// ("fail", "restore"), the datanodes' "dn.heartbeat" and the repair
+// control plane's "repair.status". Datanodes answer "dn.read" (a
+// replica range), "dn.ping", and "dn.partial" (fold this node's repair
+// ranges and its children's partial sums into one block-sized buffer).
+// Every daemon answers "debug.trace". Errors travel as a string in the
+// response header; the payload always carries data, never errors.
 package serve
 
 import (
