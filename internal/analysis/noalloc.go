@@ -48,12 +48,14 @@ var noAllocScopes = map[string]map[string]bool{
 	"repro/internal/ec": {
 		"foldTerms": true,
 	},
-	// The pooled read-into path under it: one pread into the caller's
-	// recycled buffer and a CRC pass, then a view of it. The allocating
-	// fallbacks (no buffer offered, zero padding past a tight buffer)
-	// are suppressed where they stand.
+	// The pooled read-into path under it: one pread of the chunks
+	// covering the range into the caller's recycled buffer and a CRC
+	// pass over them, then a view of it. The allocating fallbacks (no
+	// buffer offered, zero padding past a tight buffer) are suppressed
+	// where they stand.
 	"repro/internal/extent": {
-		"GetInto": true,
+		"ReadRangeInto": true,
+		"verify":        true,
 	},
 	"repro/internal/hdfs": {
 		"readRangeInto": true,

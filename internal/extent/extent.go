@@ -4,9 +4,34 @@
 // appended to rolling segment files, an in-memory index rebuilt by a
 // sequential scan on startup, torn tails truncated rather than fatal,
 // deletes as tombstones, and live-record compaction to reclaim dead
-// bytes. Payloads carry a CRC-32 verified on every read, so silent
+// bytes. Payloads carry CRC-32s verified on every read, so silent
 // disk corruption surfaces as a typed ErrCorrupt instead of rotted
 // bytes served to a client.
+//
+// # Record versions and range reads
+//
+// Put writes v2 records ("EXT2"): the fixed 32-byte header, a table of
+// one CRC-32 per ChunkSize (4 KiB) slice of the payload, the payload.
+//
+//	header   32 B               magic, id, length, CRC of the table, header CRC
+//	table    4 B x ceil(len/4096)  big-endian CRC-32 of each payload chunk
+//	payload  len B
+//
+// ReadRangeInto preads and verifies only the chunks covering the range
+// it is asked for, so a repair that needs half a helper block reads and
+// checksums half of it; a whole-block read is still one pread, and Get,
+// VerifyAll and the scrubber above still verify every byte. The
+// compatibility rule: v1 records ("EXTP", one CRC over the whole
+// payload, written before chunk tables existed) are never written but
+// open, read and compact verbatim beside v2 ones — a range read of a v1
+// record reads and verifies the whole payload, the only unit its CRC
+// covers. segment.go has the byte layout.
+//
+// The extent_read_bytes_total counter is the payload bytes actually
+// pread. It is the only place the range saving shows in numbers: the
+// repository benchmark's traced pass wraps each store in a decorator
+// that embeds hdfs.BlockStore and so hides the optional range seam (it
+// falls back to whole-block Get), so its extent.get_* rows do not.
 //
 // Durability is a policy knob: FsyncNever trusts the page cache (test
 // speed), FsyncInterval bounds the loss window, FsyncAlways syncs
@@ -14,9 +39,11 @@
 package extent
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -114,6 +141,7 @@ type Options struct {
 	// Telemetry, when non-nil, receives the store's instruments:
 	// extent_appends_total, extent_scan_records_total,
 	// extent_torn_tails_total, extent_crc_failures_total,
+	// extent_read_bytes_total (payload bytes pread by reads),
 	// extent_compactions_total, and the extent_fsync_seconds histogram.
 	Telemetry *telemetry.Registry
 }
@@ -132,13 +160,22 @@ func (o Options) withDefaults() Options {
 }
 
 // recordLoc is the index entry for one live block: where its latest
-// payload lives.
+// payload lives and what authenticates it — for a v2 record (magic
+// magicPut2) the chunk table and the CRC the header holds of it, for a
+// v1 record (magicPut) the CRC of the whole payload. The table is kept
+// as found on disk and checked against crc on every read, so compaction
+// can copy a record verbatim and a rotted table stays detectable.
 type recordLoc struct {
 	seg        *segment
+	magic      uint32
 	payloadOff int64
 	length     int64
 	crc        uint32
+	table      []byte
 }
+
+// diskLen is the record's on-disk footprint.
+func (l recordLoc) diskLen() int64 { return headerLen + int64(len(l.table)) + l.length }
 
 // Store is an append-only extent store. All methods are safe for
 // concurrent use; reads share a lock and pread from segment files, so
@@ -158,6 +195,7 @@ type Store struct {
 	cScanRecords *telemetry.Counter
 	cTornTails   *telemetry.Counter
 	cCrcFailures *telemetry.Counter
+	cReadBytes   *telemetry.Counter
 	cCompactions *telemetry.Counter
 	hFsync       *telemetry.Histogram
 }
@@ -183,6 +221,7 @@ func Open(opts Options) (*Store, error) {
 		cScanRecords: reg.Counter("extent_scan_records_total"),
 		cTornTails:   reg.Counter("extent_torn_tails_total"),
 		cCrcFailures: reg.Counter("extent_crc_failures_total"),
+		cReadBytes:   reg.Counter("extent_read_bytes_total"),
 		cCompactions: reg.Counter("extent_compactions_total"),
 		hFsync:       reg.Histogram("extent_fsync_seconds", telemetry.LatencyBuckets),
 	}
@@ -252,13 +291,12 @@ func (s *Store) openSegment(seq int) (*segment, error) {
 	seg := &segment{seq: seq, path: path, f: f, size: validLen}
 	for _, r := range records {
 		s.cScanRecords.Inc()
-		if r.del {
+		s.dropIndexEntry(r.id)
+		if r.magic == magicDel {
 			seg.garbage += headerLen
-			s.dropIndexEntry(r.id)
 			continue
 		}
-		s.dropIndexEntry(r.id)
-		s.index[r.id] = recordLoc{seg: seg, payloadOff: r.payloadOff, length: r.length, crc: r.crc}
+		s.index[r.id] = recordLoc{seg: seg, magic: r.magic, payloadOff: r.payloadOff, length: r.length, crc: r.crc, table: r.table}
 		s.live += r.length
 	}
 	return seg, nil
@@ -271,7 +309,7 @@ func (s *Store) dropIndexEntry(id int64) {
 	if !ok {
 		return
 	}
-	loc.seg.garbage += headerLen + loc.length
+	loc.seg.garbage += loc.diskLen()
 	s.live -= loc.length
 	delete(s.index, id)
 }
@@ -300,7 +338,11 @@ func (s *Store) Put(id int64, data []byte) error {
 		return ErrClosed
 	}
 	before := s.active()
-	loc, err := s.appendLocked(magicPut, id, data, crc32.ChecksumIEEE(data))
+	// The one CRC pass over the payload; the table is the index's own.
+	//repolint:ignore framecheck sized from len(data), which the record bound above already caps
+	table := make([]byte, tableLen(int64(len(data))))
+	fillTable(table, data)
+	loc, err := s.appendLocked(magicPut2, id, crc32.ChecksumIEEE(table), table, data)
 	if err != nil {
 		return err
 	}
@@ -326,7 +368,7 @@ func (s *Store) Delete(id int64) error {
 		return nil
 	}
 	before := s.active()
-	if _, err := s.appendLocked(magicDel, id, nil, 0); err != nil {
+	if _, err := s.appendLocked(magicDel, id, 0, nil, nil); err != nil {
 		return err
 	}
 	s.dropIndexEntry(id)
@@ -338,13 +380,15 @@ func (s *Store) Delete(id int64) error {
 	return s.maybeSyncLocked()
 }
 
-// appendLocked writes one record to the active segment, rolling to a
-// fresh segment first when the active one is full. The caller supplies
-// the payload CRC so compaction can copy records verbatim without
-// re-validating (a rotted payload keeps its mismatched CRC and stays
-// detectable). Callers hold mu exclusively.
-func (s *Store) appendLocked(magic uint32, id int64, data []byte, payloadCRC uint32) (recordLoc, error) {
-	recLen := int64(headerLen + len(data))
+// appendLocked writes one record — header, chunk table (v2 only, nil
+// otherwise), payload — to the active segment, rolling to a fresh
+// segment first when the active one is full. The caller supplies the
+// header's body CRC and the table so compaction can copy records of
+// either version verbatim without re-validating (a rotted payload or
+// table keeps its mismatched CRC and stays detectable). The returned
+// loc keeps table. Callers hold mu exclusively.
+func (s *Store) appendLocked(magic uint32, id int64, bodyCRC uint32, table, data []byte) (recordLoc, error) {
+	recLen := int64(headerLen + len(table) + len(data))
 	if a := s.active(); a.size > 0 && a.size+recLen > s.opts.SegmentBytes {
 		if err := s.rollLocked(); err != nil {
 			return recordLoc{}, err
@@ -355,8 +399,9 @@ func (s *Store) appendLocked(magic uint32, id int64, data []byte, payloadCRC uin
 		s.scratch = make([]byte, recLen)
 	}
 	buf := s.scratch[:recLen]
-	encodeHeader(buf[:headerLen], magic, id, uint32(len(data)), payloadCRC)
-	copy(buf[headerLen:], data)
+	encodeHeader(buf[:headerLen], magic, id, uint32(len(data)), bodyCRC)
+	copy(buf[headerLen:], table)
+	copy(buf[headerLen+len(table):], data)
 	if _, err := a.f.WriteAt(buf, a.size); err != nil {
 		// Rewind to the pre-append size so a partial write cannot be
 		// indexed; the truncate is best-effort (the scan would discard
@@ -366,7 +411,7 @@ func (s *Store) appendLocked(magic uint32, id int64, data []byte, payloadCRC uin
 		}
 		return recordLoc{}, err
 	}
-	loc := recordLoc{seg: a, payloadOff: a.size + headerLen, length: int64(len(data)), crc: payloadCRC}
+	loc := recordLoc{seg: a, magic: magic, payloadOff: a.size + recLen - int64(len(data)), length: int64(len(data)), crc: bodyCRC, table: table}
 	a.size += recLen
 	return loc, nil
 }
@@ -420,16 +465,31 @@ func (s *Store) Sync() error {
 	return s.fsyncLocked()
 }
 
-// Get returns the block's payload in a fresh buffer, verifying its
-// CRC-32: a mismatch is ErrCorrupt (counted in
+// Get returns the block's payload in a fresh buffer, verifying every
+// CRC-32 over it: a mismatch is ErrCorrupt (counted in
 // extent_crc_failures_total), an unknown id is ErrNotFound.
 func (s *Store) Get(id int64) ([]byte, error) { return s.GetInto(id, nil) }
 
 // GetInto is Get reading into dst when its capacity holds the payload,
 // so a caller that recycles dst reads without allocating: one pread
-// into dst, the CRC verified there. The result is dst[:n] (a fresh
+// into dst, the CRCs verified there. The result is dst[:n] (a fresh
 // buffer when dst is too small); on error dst's contents are undefined.
 func (s *Store) GetInto(id int64, dst []byte) ([]byte, error) {
+	return s.ReadRangeInto(id, 0, math.MaxInt64, dst)
+}
+
+// ReadRangeInto returns payload bytes [offset, offset+length), clipped
+// to the payload's end (so possibly fewer than length, none at all past
+// it), reading and verifying no more than it must: of a v2 record the
+// chunks covering the range — one pread of them, each checked against
+// its table entry — of a v1 record the whole payload. The bytes land in
+// dst when its capacity holds what is read, which is never more than
+// the payload, and the result is then a view into dst; a smaller dst
+// means the read allocates. On error dst's contents are undefined.
+func (s *Store) ReadRangeInto(id, offset, length int64, dst []byte) ([]byte, error) {
+	if offset < 0 || length < 0 {
+		return nil, fmt.Errorf("extent: invalid read range [%d, +%d) of block %d", offset, length, id)
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -442,19 +502,54 @@ func (s *Store) GetInto(id int64, dst []byte) ([]byte, error) {
 	if loc.length < 0 || loc.length > s.opts.MaxPayloadBytes {
 		return nil, fmt.Errorf("%w: block %d (index length %d out of bounds)", ErrCorrupt, id, loc.length)
 	}
-	if int64(cap(dst)) < loc.length {
-		//repolint:ignore noalloc no (or too small a) caller buffer: this is the allocating Get
-		dst = make([]byte, loc.length)
+	if offset >= loc.length || length == 0 {
+		return dst[:0], nil
 	}
-	buf := dst[:loc.length]
-	if _, err := loc.seg.f.ReadAt(buf, loc.payloadOff); err != nil {
+	end := loc.length
+	if length < end-offset {
+		end = offset + length
+	}
+	// [lo, hi) is what must be read to verify [offset, end).
+	lo, hi := int64(0), loc.length
+	if loc.magic == magicPut2 {
+		lo = offset / ChunkSize * ChunkSize
+		hi = min((end+ChunkSize-1)/ChunkSize*ChunkSize, loc.length)
+	}
+	span := hi - lo // at most loc.length, bounded above
+	if int64(cap(dst)) < span {
+		//repolint:ignore noalloc no (or too small a) caller buffer: this is the allocating read
+		dst = make([]byte, span)
+	}
+	buf := dst[:span]
+	if _, err := loc.seg.f.ReadAt(buf, loc.payloadOff+lo); err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(buf) != loc.crc {
+	s.cReadBytes.Add(span)
+	if !loc.verify(buf, lo) {
 		s.cCrcFailures.Inc()
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, id)
 	}
-	return buf, nil
+	return buf[offset-lo : end-lo], nil
+}
+
+// verify reports whether buf — the payload bytes from lo, a chunk
+// boundary, to a chunk boundary or the payload's end (all of it for a
+// v1 record) — matches the record's checksums.
+func (l recordLoc) verify(buf []byte, lo int64) bool {
+	if l.magic != magicPut2 {
+		return crc32.ChecksumIEEE(buf) == l.crc
+	}
+	if crc32.ChecksumIEEE(l.table) != l.crc {
+		return false
+	}
+	for entry := l.table[lo/ChunkSize*4:]; len(buf) > 0; entry = entry[4:] {
+		n := min(len(buf), ChunkSize)
+		if crc32.ChecksumIEEE(buf[:n]) != binary.BigEndian.Uint32(entry) {
+			return false
+		}
+		buf = buf[n:]
+	}
+	return true
 }
 
 // Has reports whether the index holds the block.
@@ -531,9 +626,10 @@ type CompactStats struct {
 // active tail and deletes the sealed files. Copying every sealed
 // segment at once keeps tombstone semantics exact: a tombstone's
 // effect is already folded into the index, so no surviving older
-// record can resurrect on the next scan. Payloads are copied verbatim
-// with their original CRC — bit rot in a sealed segment stays
-// detectable after compaction instead of being silently re-blessed.
+// record can resurrect on the next scan. Records of either version are
+// copied verbatim — payload, chunk table and original CRC — so bit rot
+// in a sealed segment stays detectable after compaction instead of
+// being silently re-blessed.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -607,7 +703,7 @@ func (s *Store) compactLocked() (CompactStats, error) {
 		if _, err := r.loc.seg.f.ReadAt(buf, r.loc.payloadOff); err != nil {
 			return st, err
 		}
-		loc, err := s.appendLocked(magicPut, r.id, buf, r.loc.crc)
+		loc, err := s.appendLocked(r.loc.magic, r.id, r.loc.crc, r.loc.table, buf)
 		if err != nil {
 			return st, err
 		}
@@ -668,8 +764,8 @@ func (s *Store) Corrupt(id int64, offset int64) error {
 	return nil
 }
 
-// VerifyAll CRC-checks every live record, returning the ids that fail
-// (ascending). Non-corruption I/O errors abort the sweep.
+// VerifyAll CRC-checks every byte of every live record, returning the
+// ids that fail (ascending). Non-corruption I/O errors abort the sweep.
 func (s *Store) VerifyAll() ([]int64, error) {
 	var corrupt []int64
 	for _, id := range s.IDs() {

@@ -49,15 +49,16 @@ func buildStore(t *testing.T, dir string, n int) (contents map[int64][]byte, rec
 		t.Fatal(err)
 	}
 	fileEnd = fi.Size()
-	recStart = fileEnd - headerLen - int64(len(last))
+	recStart = fileEnd - headerLen - tableLen(int64(len(last))) - int64(len(last))
 	return contents, recStart, fileEnd
 }
 
 // TestCrashMidAppendEveryByteBoundary is the satellite crash-recovery
 // table: the last record is torn at EVERY byte boundary — mid-header,
-// exactly at the header/payload seam, and mid-payload — and each
-// truncation must reopen without error, recover every complete record,
-// and discard the tail exactly once in telemetry.
+// exactly at the header/table and table/payload seams of the v2 record,
+// and mid-payload — and each truncation must reopen without error,
+// recover every complete record, and discard the tail exactly once in
+// telemetry.
 func TestCrashMidAppendEveryByteBoundary(t *testing.T) {
 	master := t.TempDir()
 	contents, recStart, fileEnd := buildStore(t, master, 6)
@@ -222,6 +223,14 @@ func FuzzScanSegment(f *testing.F) {
 	var del [headerLen]byte
 	encodeHeader(del[:], magicDel, 7, 9, 0)
 	f.Add(del[:])
+	// A valid v2 record, then the same record with its table cut short
+	// and with a rotted table (indexed, reads as corrupt).
+	v2 := encodeV2(7, []byte("abc"))
+	f.Add(v2)
+	f.Add(v2[:headerLen+2])
+	rotted := append([]byte{}, v2...)
+	rotted[headerLen] ^= 0xFF
+	f.Add(rotted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -3,7 +3,7 @@
 // A dataNode delegates its byte storage to a BlockStore: the default
 // memStore keeps the historical in-memory map semantics (fast, volatile
 // — every existing test keeps its speed), while the extent-backed store
-// persists blocks to append-only segment files with per-record CRCs, so
+// persists blocks to append-only segment files with per-chunk CRCs, so
 // a machine crash genuinely discards the in-memory index and recovery
 // genuinely re-scans the disk (Config.StoreFactory / ExtentStoreFactory
 // select it).
@@ -12,7 +12,9 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/extent"
 )
@@ -27,10 +29,11 @@ var (
 	ErrNotStored = errors.New("hdfs: block not stored")
 )
 
-// BlockStore is one datanode's byte storage. Implementations need not
-// be internally synchronised against other stores, but must tolerate
-// the dataNode's concurrency: all calls arrive under the node's leaf
-// mutex.
+// BlockStore is one datanode's byte storage. Implementations must be
+// safe for concurrent use: the dataNode serialises writes and lifecycle
+// calls under its leaf mutex, but reads run outside it — concurrently
+// with each other, with writes, and with a Close that a crash issues,
+// after which they must fail rather than serve stale bytes.
 type BlockStore interface {
 	// Put stores (or overwrites) a block payload.
 	Put(id BlockID, data []byte) error
@@ -55,62 +58,97 @@ type BlockStore interface {
 	Close() error
 }
 
-// intoStore is implemented by stores that can read a payload into
-// caller memory: GetInto is Get landing in dst when its capacity holds
-// the payload (the result is then dst[:n]), so the block fixer reads
-// every helper into a recycled buffer. Every store in this package has
-// it; one without (an outside decorator that only knows the BlockStore
-// surface) is read through Get.
+// intoStore is implemented by stores that can read a range of a
+// payload into caller memory: GetInto returns payload bytes
+// [offset, offset+length), clipped to the payload's end, landing in dst
+// when its capacity holds what the store reads for them — never more
+// than the whole payload — and the result is then a view into dst. The
+// block fixer and the datanode daemons read every helper range this way
+// into a recycled buffer; the extent-backed store also reads and
+// verifies only the chunks covering the range. Every store in this
+// package has it; one without (an outside decorator that only knows the
+// BlockStore surface) is read whole through Get.
 type intoStore interface {
-	GetInto(id BlockID, dst []byte) ([]byte, error)
+	GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error)
 }
 
-// getInto reads id from st into dst when the store can, through the
-// allocating Get when it cannot.
-func getInto(st BlockStore, id BlockID, dst []byte) ([]byte, error) {
+// wholeBlock is the length that asks GetInto for a payload's every byte.
+const wholeBlock = math.MaxInt64
+
+// getInto reads [offset, offset+length) of id from st into dst when the
+// store can, through the allocating whole-block Get when it cannot.
+func getInto(st BlockStore, id BlockID, offset, length int64, dst []byte) ([]byte, error) {
 	if into, ok := st.(intoStore); ok {
-		return into.GetInto(id, dst)
+		return into.GetInto(id, offset, length, dst)
 	}
-	return st.Get(id)
+	data, err := st.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return clipRange(data, offset, length), nil
 }
 
-// memStore is the historical volatile store: a plain map. It survives
-// CrashMachine by fiat (there is no disk to recover from), keeping the
-// pre-persistence test suite's semantics and speed.
+// clipRange returns data[offset:offset+length] clipped to data's end.
+// offset and length are non-negative.
+func clipRange(data []byte, offset, length int64) []byte {
+	have := int64(len(data))
+	if offset >= have {
+		return data[:0]
+	}
+	if length > have-offset {
+		length = have - offset
+	}
+	return data[offset : offset+length]
+}
+
+// memStore is the historical volatile store: a map behind a lock. It
+// survives CrashMachine by fiat (there is no disk to recover from),
+// keeping the pre-persistence test suite's semantics and speed.
 type memStore struct {
+	mu     sync.RWMutex
 	blocks map[BlockID][]byte
 }
 
 func newMemStore() *memStore { return &memStore{blocks: make(map[BlockID][]byte)} }
 
 func (m *memStore) Put(id BlockID, data []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.blocks[id] = append([]byte(nil), data...)
 	return nil
 }
 
-func (m *memStore) Get(id BlockID) ([]byte, error) { return m.GetInto(id, nil) }
+func (m *memStore) Get(id BlockID) ([]byte, error) { return m.GetInto(id, 0, wholeBlock, nil) }
 
-// GetInto copies the payload out — into dst when it fits — because the
+// GetInto copies the range out — into dst when it fits — because the
 // map's slice is the store's own: Corrupt flips its bytes in place.
-func (m *memStore) GetInto(id BlockID, dst []byte) ([]byte, error) {
+func (m *memStore) GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	data, ok := m.blocks[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrNotStored, id)
 	}
-	return append(dst[:0], data...), nil
+	return append(dst[:0], clipRange(data, offset, length)...), nil
 }
 
 func (m *memStore) Delete(id BlockID) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	delete(m.blocks, id)
 	return nil
 }
 
 func (m *memStore) Has(id BlockID) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	_, ok := m.blocks[id]
 	return ok
 }
 
 func (m *memStore) IDs() []BlockID {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	out := make([]BlockID, 0, len(m.blocks))
 	for id := range m.blocks {
 		out = append(out, id)
@@ -119,6 +157,8 @@ func (m *memStore) IDs() []BlockID {
 }
 
 func (m *memStore) StoredBytes() int64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var total int64
 	for _, b := range m.blocks {
 		total += int64(len(b))
@@ -127,6 +167,8 @@ func (m *memStore) StoredBytes() int64 {
 }
 
 func (m *memStore) Corrupt(id BlockID, offset int64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	data, ok := m.blocks[id]
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrNotStored, id)
@@ -148,10 +190,10 @@ type extentBlockStore struct {
 
 func (e extentBlockStore) Put(id BlockID, data []byte) error { return e.s.Put(int64(id), data) }
 
-func (e extentBlockStore) Get(id BlockID) ([]byte, error) { return e.GetInto(id, nil) }
+func (e extentBlockStore) Get(id BlockID) ([]byte, error) { return e.GetInto(id, 0, wholeBlock, nil) }
 
-func (e extentBlockStore) GetInto(id BlockID, dst []byte) ([]byte, error) {
-	data, err := e.s.GetInto(int64(id), dst)
+func (e extentBlockStore) GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error) {
+	data, err := e.s.ReadRangeInto(int64(id), offset, length, dst)
 	switch {
 	case err == nil:
 		return data, nil

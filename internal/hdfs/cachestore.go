@@ -9,6 +9,8 @@
 package hdfs
 
 import (
+	"sync"
+
 	"repro/internal/cache"
 	"repro/internal/telemetry"
 )
@@ -19,12 +21,14 @@ import (
 const nodeCacheShards = 8
 
 // cachedBlockStore wraps an inner BlockStore with a byte-budgeted
-// read cache. Like every BlockStore it is called under the owning
-// dataNode's leaf mutex; the cache's own shard locks make the wrapper
-// additionally safe if that ever changes.
+// read cache. Reads reach it outside the owning dataNode's leaf mutex
+// and share mu; every call that changes stored bytes holds it
+// exclusively, so a read that missed cannot fill the cache with bytes a
+// concurrent overwrite or corruption has just invalidated.
 type cachedBlockStore struct {
 	inner BlockStore
 	c     *cache.Cache
+	mu    sync.RWMutex
 
 	cHits, cMisses *telemetry.Counter
 }
@@ -43,6 +47,8 @@ func newCachedBlockStore(inner BlockStore, budget int64, reg *telemetry.Registry
 // Put writes through and invalidates: the cache refills on the next
 // read, which keeps it holding only blocks something actually reads.
 func (s *cachedBlockStore) Put(id BlockID, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.c.Delete(uint64(id))
 	return s.inner.Put(id, data)
 }
@@ -52,31 +58,38 @@ func (s *cachedBlockStore) Put(id BlockID, data []byte) error {
 // scrubber evicted or a tombstoned delete must never be resurrected
 // from cache memory (the stale-read hazard this wrapper exists to
 // rule out).
-func (s *cachedBlockStore) Get(id BlockID) ([]byte, error) { return s.GetInto(id, nil) }
+func (s *cachedBlockStore) Get(id BlockID) ([]byte, error) { return s.GetInto(id, 0, wholeBlock, nil) }
 
 // GetInto is Get landing in dst (see intoStore), hit or miss, so a
-// cached node's repair reads recycle buffers like any other's.
-func (s *cachedBlockStore) GetInto(id BlockID, dst []byte) ([]byte, error) {
+// cached node's repair reads recycle buffers like any other's. The
+// cache holds and serves whole blocks: a range read copies out or
+// fills the whole block — dst should have room for it — and returns
+// the range's view of it.
+func (s *cachedBlockStore) GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if data, ok := s.c.GetInto(uint64(id), dst); ok {
 		if s.inner.Has(id) {
 			s.cHits.Inc()
-			return data, nil
+			return clipRange(data, offset, length), nil
 		}
 		s.c.Delete(uint64(id))
 	}
 	s.cMisses.Inc()
-	data, err := getInto(s.inner, id, dst)
+	data, err := getInto(s.inner, id, 0, wholeBlock, dst)
 	if err != nil {
 		return nil, err
 	}
 	s.c.Put(uint64(id), data)
-	return data, nil
+	return clipRange(data, offset, length), nil
 }
 
 // Delete evicts the cached copy before the tombstone lands, covering
 // both explicit deletes and the scrubber's corrupt-replica eviction
 // (which deletes through the same path).
 func (s *cachedBlockStore) Delete(id BlockID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.c.Delete(uint64(id))
 	return s.inner.Delete(id)
 }
@@ -92,6 +105,8 @@ func (s *cachedBlockStore) StoredBytes() int64 { return s.inner.StoredBytes() }
 // copy — otherwise the scrubber's whole detection path is untestable
 // on a cached node.
 func (s *cachedBlockStore) Corrupt(id BlockID, offset int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.c.Delete(uint64(id))
 	return s.inner.Corrupt(id, offset)
 }
@@ -100,6 +115,8 @@ func (s *cachedBlockStore) Corrupt(id BlockID, offset int64) error {
 // dies with it, and recovery (the reopen factory) builds a fresh,
 // cold wrapper over the rescanned store.
 func (s *cachedBlockStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.c.Purge()
 	return s.inner.Close()
 }

@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -87,28 +88,35 @@ func (d *dataNode) storeBlock(id BlockID, data []byte) error {
 // block's physical end (striped blocks are logically padded to the
 // stripe's shard size). A negative offset or length is an error, not a
 // panic: repair plans are untrusted input by the time they reach a
-// datanode. The result is the caller's own: a sub-slice of the buffer
-// the store's Get returned, copied only when padding is needed.
+// datanode. The result is the caller's own.
 func (d *dataNode) readRange(id BlockID, offset, length int64) ([]byte, error) {
 	return d.readRangeInto(id, offset, length, nil)
 }
 
 // readRangeInto is readRange for callers that recycle buffers: when the
-// store can (intoStore), the block is read once, straight into buf, is
+// store can (intoStore), the range is read once, straight into buf, is
 // checksummed there, and the result is a view of buf — no allocation
-// and no second copy. buf should have the padded size as capacity; a
-// smaller (or nil) buf just means the read allocates.
+// and no second copy — and an extent-backed store touches only the
+// chunks covering the range. buf should have the block's padded size
+// as capacity, which holds whatever any store reads for any range; a
+// smaller (or nil) buf just means the read may allocate.
+//
+// The node's mutex is held only to check liveness and take the store
+// handle, never across the disk read and its CRC pass: reads of one
+// machine run in parallel, under the store's own lock. A crash that
+// lands mid-read closes that store, so the read fails or completes
+// from the bytes as they were; it never sees a reopened store.
 func (d *dataNode) readRangeInto(id BlockID, offset, length int64, buf []byte) ([]byte, error) {
-	end := offset + length
-	if offset < 0 || length < 0 || end < offset {
+	if offset < 0 || length < 0 || offset+length < offset {
 		return nil, fmt.Errorf("hdfs: invalid read range [%d, %d+%d) of block %d", offset, offset, length, id)
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.alive {
+	alive, st := d.alive, d.store
+	d.mu.Unlock()
+	if !alive {
 		return nil, fmt.Errorf("%w: node %d", ErrNodeDown, d.id)
 	}
-	data, err := getInto(d.store, id, buf)
+	data, err := getInto(st, id, offset, length, buf)
 	if err != nil {
 		if errors.Is(err, ErrCorruptReplica) {
 			d.cCorruptReads.Inc()
@@ -120,20 +128,19 @@ func (d *dataNode) readRangeInto(id BlockID, offset, length int64, buf []byte) (
 		return nil, err
 	}
 	have := int64(len(data))
-	if end > have && end <= int64(cap(data)) {
-		// Room to pad in place (a recycled shard-sized buffer).
-		data = data[:end]
-		clear(data[have:])
-		have = end
+	if have == length {
+		return data[:length:length], nil
 	}
-	if end <= have {
-		return data[offset:end:end], nil
+	// The range runs past the block's physical end: pad with zeros, in
+	// place when there is room (a recycled shard-sized buffer).
+	if length <= int64(cap(data)) {
+		data = data[:length:length]
+		clear(data[have:])
+		return data, nil
 	}
 	//repolint:ignore noalloc a read past the physical end of an exactly-sized buffer: the zero padding needs room
 	out := make([]byte, length)
-	if offset < have {
-		copy(out, data[offset:])
-	}
+	copy(out, data)
 	return out, nil
 }
 
@@ -1016,9 +1023,10 @@ func (c *Cluster) stripeAlive(sm *stripeMeta) ec.AliveFunc {
 // stripeFetchLocked builds the codec fetch function for a stripe:
 // phantom positions yield zeros for free; real positions read from a
 // random live holder and charge the transfer to the destination
-// machine. Each fetch reads its helper block once, into a shard-sized
-// buffer drawn from scratch (the fixer passes its worker's arena; nil
-// allocates), and returns a view of it — the codec only reads fetched
+// machine. Each fetch reads the range the plan asks for — not the
+// helper's whole block — once, into a shard-sized buffer drawn from
+// scratch (the fixer passes its worker's arena; nil allocates), and
+// returns a view of it — the codec only reads fetched
 // buffers and never returns one, so the arena can be reset as soon as
 // the repair returns. record, when non-nil, observes every (src, bytes)
 // wire transfer — the contention model replays them through the netsim
@@ -1234,7 +1242,7 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 	for id := range c.blocks {
 		ids = append(ids, id)
 	}
-	sortBlockIDs(ids)
+	slices.Sort(ids)
 
 	lostByStripe := make(map[StripeID][]*blockMeta)
 	var stripeOrder []StripeID
@@ -1760,16 +1768,6 @@ func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int) error
 	return nil
 }
 
-func sortBlockIDs(ids []BlockID) {
-	// Insertion sort is fine: fixer passes scan at most a few thousand
-	// blocks in tests, and the dependency stays stdlib-free.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
 // FileInfo is a snapshot of one file's metadata.
 type FileInfo struct {
 	Name   string
@@ -2062,7 +2060,7 @@ func (c *Cluster) MachineInventory(m int) MachineInventory {
 		inv.Replicated = append(inv.Replicated, bm.id)
 	}
 	sort.Slice(inv.Stripes, func(i, j int) bool { return inv.Stripes[i] < inv.Stripes[j] })
-	sortBlockIDs(inv.Replicated)
+	slices.Sort(inv.Replicated)
 	return inv
 }
 
@@ -2160,15 +2158,17 @@ func (c *Cluster) Health() HealthSummary {
 	return h
 }
 
-// NodeReadRange serves a range read of one replica directly from one
-// datanode's store — the serving layer's datanode daemons answer range
-// reads with it, touching only the node's leaf lock, never the
+// NodeReadRangeInto serves a range read of one replica directly from
+// one datanode's store — the serving layer's datanode daemons answer
+// range reads with it, touching only the node's leaf lock, never the
 // namenode metadata. Reads past the block's physical end are
 // zero-padded, exactly as readRange pads striped blocks to the shard
-// size.
-func (c *Cluster) NodeReadRange(machine int, id BlockID, offset, length int64) ([]byte, error) {
+// size. The bytes land in buf when its capacity holds the block's
+// padded size (the result is then a view of buf, which the caller may
+// recycle once done with the result); a smaller or nil buf allocates.
+func (c *Cluster) NodeReadRangeInto(machine int, id BlockID, offset, length int64, buf []byte) ([]byte, error) {
 	if machine < 0 || machine >= len(c.nodes) {
 		return nil, fmt.Errorf("hdfs: no machine %d", machine)
 	}
-	return c.nodes[machine].readRange(id, offset, length)
+	return c.nodes[machine].readRangeInto(id, offset, length, buf)
 }

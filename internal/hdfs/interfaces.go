@@ -63,9 +63,10 @@ type MetadataView interface {
 	Network() *cluster.Network
 	// LockStats returns cumulative metadata-lock contention counters.
 	LockStats() LockStats
-	// NodeReadRange reads a byte range of a block replica from one
-	// machine — the DataNode data path.
-	NodeReadRange(machine int, id BlockID, offset, length int64) ([]byte, error)
+	// NodeReadRangeInto reads a byte range of a block replica from one
+	// machine — the DataNode data path — into buf when its capacity
+	// holds the block's padded size (nil allocates).
+	NodeReadRangeInto(machine int, id BlockID, offset, length int64, buf []byte) ([]byte, error)
 }
 
 // RepairOps is the mutation surface the repair control plane drives:

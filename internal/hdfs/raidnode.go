@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"time"
 )
@@ -135,7 +136,7 @@ func (c *Cluster) RunScrubber() (*ScrubReport, error) {
 	for id := range c.blocks {
 		ids = append(ids, id)
 	}
-	sortBlockIDs(ids)
+	slices.Sort(ids)
 
 	for _, id := range ids {
 		bm := c.blocks[id]
@@ -208,7 +209,7 @@ func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
 	}
 	c.scrubCursor = (c.scrubCursor + machines) % len(c.nodes)
 	report.NextMachine = c.scrubCursor
-	sortBlockIDs(report.AffectedBlocks)
+	slices.Sort(report.AffectedBlocks)
 	return report, nil
 }
 
@@ -224,7 +225,7 @@ func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[Bl
 	if !ok {
 		return // crashed store; nothing scannable until recovery
 	}
-	sortBlockIDs(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		bm, ok := c.blocks[id]
 		if !ok {
@@ -298,6 +299,6 @@ func (c *Cluster) BlocksOn(machine int) []BlockID {
 			}
 		}
 	}
-	sortBlockIDs(out)
+	slices.Sort(out)
 	return out
 }

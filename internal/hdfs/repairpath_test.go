@@ -28,6 +28,18 @@ func testStores(t *testing.T) map[string]BlockStore {
 	}
 }
 
+// viewOf reports whether view's first byte lies inside buf's backing
+// array.
+func viewOf(view, buf []byte) bool {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		if &buf[i] == &view[0] {
+			return true
+		}
+	}
+	return false
+}
+
 // TestStoreReadsAreCallerOwned is the ownership half of the pooled read
 // path, one row per store: Get (and GetInto, where the store has it)
 // hands the caller memory no later read, overwrite or bit-rot injection
@@ -66,15 +78,25 @@ func TestStoreReadsAreCallerOwned(t *testing.T) {
 			t.Fatalf("%s: no GetInto — the fixer would read it through the allocating Get", name)
 		}
 		buf := make([]byte, 512)
-		got, err = into.GetInto(7, buf)
+		got, err = into.GetInto(7, 0, wholeBlock, buf)
 		if err != nil || !bytes.Equal(got, payload) || &got[0] != &buf[0] {
 			t.Fatalf("%s: GetInto did not land the payload in the caller's buffer (err %v)", name, err)
 		}
-		got, err = into.GetInto(7, make([]byte, 10))
+		got, err = into.GetInto(7, 0, wholeBlock, make([]byte, 10))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: GetInto with too small a buffer: %v", name, err)
 		}
-		if _, err := into.GetInto(8, buf); err == nil {
+		// A range is clipped to the payload's end and still lands in buf.
+		for _, r := range [][2]int64{{10, 50}, {250, 100}, {300, 5}, {1000, 5}, {0, 0}} {
+			got, err = into.GetInto(7, r[0], r[1], buf)
+			if err != nil || !bytes.Equal(got, clipRange(payload, r[0], r[1])) {
+				t.Fatalf("%s: GetInto range [%d,+%d) wrong (err %v)", name, r[0], r[1], err)
+			}
+			if len(got) > 0 && !viewOf(got, buf) {
+				t.Fatalf("%s: GetInto range [%d,+%d) did not land in the caller's buffer", name, r[0], r[1])
+			}
+		}
+		if _, err := into.GetInto(8, 0, wholeBlock, buf); err == nil {
 			t.Fatalf("%s: GetInto of an unknown block succeeded", name)
 		}
 	}
@@ -101,7 +123,7 @@ func TestReadRangeIntoViewsAndPads(t *testing.T) {
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s: readRangeInto(%d, %d) wrong (err %v)", name, tc.off, tc.n, err)
 			}
-			if _, pooled := st.(intoStore); pooled && &got[0] != &buf[tc.off] {
+			if _, pooled := st.(intoStore); pooled && !viewOf(got, buf) {
 				t.Fatalf("%s: readRangeInto(%d, %d) is not a view of the caller's buffer", name, tc.off, tc.n)
 			}
 			if plain, err := d.readRange(7, tc.off, tc.n); err != nil || !bytes.Equal(plain, want) {

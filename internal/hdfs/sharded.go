@@ -34,6 +34,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -244,10 +245,10 @@ func (s *ShardedCluster) Network() *cluster.Network { return s.net }
 // MachineAlive reports liveness of one (shared) machine.
 func (s *ShardedCluster) MachineAlive(id int) bool { return s.shards[0].MachineAlive(id) }
 
-// NodeReadRange serves a range read directly from the shared datanode
-// store, touching no shard's metadata lock.
-func (s *ShardedCluster) NodeReadRange(machine int, id BlockID, offset, length int64) ([]byte, error) {
-	return s.shards[0].NodeReadRange(machine, id, offset, length)
+// NodeReadRangeInto serves a range read directly from the shared
+// datanode store, touching no shard's metadata lock.
+func (s *ShardedCluster) NodeReadRangeInto(machine int, id BlockID, offset, length int64, buf []byte) ([]byte, error) {
+	return s.shards[0].NodeReadRangeInto(machine, id, offset, length, buf)
 }
 
 // BlocksOn lists block ids with a replica on the machine. The store is
@@ -334,7 +335,7 @@ func (s *ShardedCluster) MachineInventory(m int) MachineInventory {
 		inv.Replicated = append(inv.Replicated, part.Replicated...)
 	}
 	sort.Slice(inv.Stripes, func(i, j int) bool { return inv.Stripes[i] < inv.Stripes[j] })
-	sortBlockIDs(inv.Replicated)
+	slices.Sort(inv.Replicated)
 	return inv
 }
 
@@ -428,7 +429,7 @@ func (s *ShardedCluster) fanOutFix(run func(i int, sh *Cluster) (*FixReport, err
 	for _, part := range parts {
 		mergeFixInto(report, part)
 	}
-	sortBlockIDs(report.Unrecoverable)
+	slices.Sort(report.Unrecoverable)
 	report.CrossRackBytes = s.net.CrossRackBytes() - netBefore
 	for _, err := range errs {
 		if err != nil {
@@ -501,7 +502,7 @@ func (s *ShardedCluster) RunScrubber() (*ScrubReport, error) {
 			return report, err
 		}
 	}
-	sortBlockIDs(report.AffectedBlocks)
+	slices.Sort(report.AffectedBlocks)
 	return report, nil
 }
 
@@ -521,7 +522,7 @@ func (s *ShardedCluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
 			return report, err
 		}
 	}
-	sortBlockIDs(report.AffectedBlocks)
+	slices.Sort(report.AffectedBlocks)
 	return report, nil
 }
 

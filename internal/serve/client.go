@@ -44,6 +44,10 @@ func partialTimeout(n int) time.Duration {
 	return defaultTimeout + time.Duration(n)*perNodePartialBudget
 }
 
+// fetchArenas recycles the buffers a degraded read downloads helper
+// ranges into, one arena per read in flight.
+var fetchArenas = sync.Pool{New: func() any { return new(engine.Scratch) }}
+
 // conn is one pooled client connection: requests on it are serialised
 // (the protocol is strict request/response lockstep).
 type conn struct {
@@ -74,7 +78,10 @@ func dialConn(addr string, timeout time.Duration) (*conn, error) {
 // poisons the NEXT exchange on a client held open past its timeout.
 // Both deadlines are disarmed on success so an idle pooled connection
 // carries no ticking clock.
-func (c *conn) call(req *request, payload []byte, timeout time.Duration) (*response, []byte, error) {
+//
+// The response payload is read into dst when its capacity holds it
+// (see readFrame); nil allocates.
+func (c *conn) call(req *request, payload []byte, timeout time.Duration, dst []byte) (*response, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.nc.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
@@ -90,7 +97,7 @@ func (c *conn) call(req *request, payload []byte, timeout time.Duration) (*respo
 		return nil, nil, err
 	}
 	var resp response
-	out, err := readFrame(c.br, &resp)
+	out, err := readFrame(c.br, &resp, dst)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -361,7 +368,7 @@ func (c *Client) nameCallPayload(req *request, payload []byte) (*response, []byt
 			}
 			c.mu.Unlock()
 		}
-		resp, out, err := cn.call(req, payload, c.timeout)
+		resp, out, err := cn.call(req, payload, c.timeout, nil)
 		if err == nil {
 			return resp, out, nil
 		}
@@ -396,20 +403,10 @@ func (c *Client) refreshAddrs() error {
 	return nil
 }
 
-// dnCall performs one RPC against the given machine's datanode.
-func (c *Client) dnCall(machine int, req *request) ([]byte, error) {
-	return c.dnCallTimeout(machine, req, c.timeout)
-}
-
-// dnCallTimeout is dnCall with an explicit deadline — partial-sum
-// calls scale theirs with the fold tree's size.
-func (c *Client) dnCallTimeout(machine int, req *request, timeout time.Duration) ([]byte, error) {
-	_, out, err := c.dnCallFull(machine, req, timeout)
-	return out, err
-}
-
-// dnCallFull also surfaces the response header — debug.trace answers
-// in the header's span list, not the payload.
+// dnCallFull performs one RPC against the given machine's datanode and
+// returns the response header beside the payload — debug.trace answers
+// in the header's span list, not the payload. Partial-sum calls scale
+// timeout with the fold tree's size.
 //
 // A transport failure may mean the daemon restarted on a fresh port
 // while this client still holds the old one: the read would fall
@@ -420,15 +417,18 @@ func (c *Client) dnCallTimeout(machine int, req *request, timeout time.Duration)
 // same case one step later: a call that failed while the daemon was
 // down already refreshed the table to "" and only another refresh
 // learns of the restart.
-func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration) (*response, []byte, error) {
-	resp, out, addr, err := c.dnCallOnce(machine, req, timeout)
+//
+// dst, when non-nil, is where the response payload lands (see
+// conn.call).
+func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration, dst []byte) (*response, []byte, error) {
+	resp, out, addr, err := c.dnCallOnce(machine, req, timeout, dst)
 	if err == nil {
 		return resp, out, nil
 	}
 	if _, remote := err.(*RemoteError); remote || !c.relocated(machine, addr) {
 		return nil, nil, err
 	}
-	resp, out, _, err = c.dnCallOnce(machine, req, timeout)
+	resp, out, _, err = c.dnCallOnce(machine, req, timeout, dst)
 	return resp, out, err
 }
 
@@ -460,7 +460,7 @@ func (c *Client) relocated(machine int, addr string) bool {
 
 // dnCallOnce is one attempt against the machine's current address,
 // which it also returns ("" when the table lists none).
-func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration) (*response, []byte, string, error) {
+func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, dst []byte) (*response, []byte, string, error) {
 	c.mu.Lock()
 	var addr string
 	if machine >= 0 && machine < len(c.addrs) {
@@ -487,7 +487,7 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration) (*
 		c.mu.Unlock()
 	}
 	start := time.Now()
-	resp, out, err := cn.call(req, nil, timeout)
+	resp, out, err := cn.call(req, nil, timeout, dst)
 	if err != nil {
 		if _, remote := err.(*RemoteError); !remote {
 			// A transport failure took this long to surface — that IS
@@ -509,11 +509,13 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration) (*
 	return resp, out, addr, nil
 }
 
-// dnRead fetches one byte range of one block from a machine. trace,
-// when non-nil, rides the request so the datanode's span parents under
-// the caller's.
-func (c *Client) dnRead(machine int, block, offset, length int64, trace *telemetry.TraceContext) ([]byte, error) {
-	return c.dnCall(machine, &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace})
+// dnRead fetches one byte range of one block from a machine, into dst
+// when it is non-nil and holds the range. trace, when non-nil, rides
+// the request so the datanode's span parents under the caller's.
+func (c *Client) dnRead(machine int, block, offset, length int64, trace *telemetry.TraceContext, dst []byte) ([]byte, error) {
+	req := &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace}
+	_, out, err := c.dnCallFull(machine, req, c.timeout, dst)
+	return out, err
 }
 
 // WriteFile stores data as a new file.
@@ -689,7 +691,7 @@ func (c *Client) CollectTrace(traceID uint64) ([]telemetry.Span, error) {
 		if addr == "" {
 			continue
 		}
-		resp, _, err := c.dnCallFull(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout)
+		resp, _, err := c.dnCallFull(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout, nil)
 		if err != nil {
 			continue
 		}
@@ -795,7 +797,8 @@ func (c *Client) readBlock(name string, index int, b wireBlock) ([]byte, error) 
 		// below reconstructs around it.
 		if len(b.Locations) > 0 {
 			for _, m := range c.replicaOrder(b.Locations) {
-				data, err := c.dnRead(m, b.ID, 0, b.Size, nil)
+				// A fresh buffer per block: the result is the caller's.
+				data, err := c.dnRead(m, b.ID, 0, b.Size, nil, nil)
 				if err == nil {
 					c.cBlocksRead.Inc()
 					c.cacheFill(b, data)
@@ -906,6 +909,15 @@ func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fet
 		// Any pipeline failure (helper died mid-fold, stale addresses,
 		// no linear plan) falls back to the conventional fan-in below.
 	}
+	// Helper ranges land in shard-sized buffers of a recycled arena: the
+	// codec only reads fetched buffers and returns a shard that aliases
+	// none of them (ec.Code.ExecuteRepair), so the arena is released the
+	// moment the repair returns, decoded or failed.
+	arena := fetchArenas.Get().(*engine.Scratch)
+	defer func() {
+		arena.Reset()
+		fetchArenas.Put(arena)
+	}()
 	fetch := func(req ec.ReadRequest) ([]byte, error) {
 		if req.Length < 0 || req.Length > st.ShardSize {
 			return nil, fmt.Errorf("serve: plan read of %d bytes exceeds shard size %d", req.Length, st.ShardSize)
@@ -918,8 +930,9 @@ func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fet
 			return nil, fmt.Errorf("serve: stripe %d position %d has no live holder", b.Stripe, req.Shard)
 		}
 		var lastErr error
+		dst := arena.Bytes(int(st.ShardSize))
 		for _, m := range c.replicaOrder(p.Locations) {
-			buf, err := c.dnRead(m, p.Block, req.Offset, req.Length, tc)
+			buf, err := c.dnRead(m, p.Block, req.Offset, req.Length, tc, dst)
 			if err == nil {
 				c.cDegradedBytes.Add(req.Length)
 				fetched.Add(req.Length)
@@ -999,12 +1012,12 @@ func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.Alive
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.dnCallTimeout(tree.Root.Machine, &request{
+	_, out, err := c.dnCallFull(tree.Root.Machine, &request{
 		Method:  methodDNPartial,
 		Length:  tree.TargetSize,
 		Partial: root,
 		Trace:   tc,
-	}, partialTimeout(len(tree.Nodes())))
+	}, partialTimeout(len(tree.Nodes())), nil)
 	if err != nil {
 		return nil, err
 	}

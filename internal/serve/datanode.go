@@ -94,11 +94,17 @@ func (d *DataNode) dataDelay() {
 	}
 }
 
-func (d *DataNode) handle(req *request, _ []byte) (*response, []byte) {
+func (d *DataNode) handle(req *request, _ []byte, lend *[]byte) (*response, []byte) {
 	switch req.Method {
 	case methodDNRead:
 		d.dataDelay()
-		buf, err := d.cluster.NodeReadRange(d.machine, hdfs.BlockID(req.Block), req.Offset, req.Length)
+		// No legitimate read is longer than a padded block, so that is
+		// also all the lent buffer ever has to hold.
+		bound := d.maxTargetSize()
+		if req.Length > bound {
+			return errResponse(fmt.Errorf("serve: read of %d bytes exceeds shard bound %d", req.Length, bound)), nil
+		}
+		buf, err := d.cluster.NodeReadRangeInto(d.machine, hdfs.BlockID(req.Block), req.Offset, req.Length, lentBytes(lend, bound))
 		if err != nil {
 			return errResponse(err), nil
 		}
@@ -110,7 +116,7 @@ func (d *DataNode) handle(req *request, _ []byte) (*response, []byte) {
 		return okResponse(), nil
 	case methodDNPartial:
 		d.dataDelay()
-		buf, err := d.partial(req)
+		buf, err := d.partial(req, lend)
 		if err != nil {
 			return errResponse(err), nil
 		}
@@ -134,31 +140,36 @@ func (d *DataNode) maxTargetSize() int64 {
 }
 
 // partial answers one dn.partial call: fold this node's terms and its
-// children's folded buffers into one target-sized partial sum.
-func (d *DataNode) partial(req *request) ([]byte, error) {
+// children's folded buffers into one target-sized partial sum. The
+// node's own term reads pass through the lent buffer; the sum does not.
+func (d *DataNode) partial(req *request, lend *[]byte) ([]byte, error) {
 	if err := validatePartial(req.Partial, req.Length); err != nil {
 		return nil, err
 	}
-	if max := d.maxTargetSize(); req.Length > max {
-		return nil, fmt.Errorf("serve: partial target size %d exceeds shard bound %d", req.Length, max)
+	bound := d.maxTargetSize()
+	if req.Length > bound {
+		return nil, fmt.Errorf("serve: partial target size %d exceeds shard bound %d", req.Length, bound)
 	}
 	if req.Partial.Machine != d.machine {
 		return nil, fmt.Errorf("serve: partial tree addressed to machine %d, this is %d", req.Partial.Machine, d.machine)
 	}
-	return d.fold(req.Partial, req.Length, req.Trace)
+	return d.fold(req.Partial, req.Length, req.Trace, lentBytes(lend, bound))
 }
 
 // fold computes one node's partial sum: local terms multiply-accumulate
 // out of this machine's block store; child subtrees are fetched from
 // their daemons concurrently and XORed in. The returned buffer is the
-// subtree's entire contribution to the repaired shard.
-func (d *DataNode) fold(n *wirePartialNode, targetSize int64, trace *telemetry.TraceContext) ([]byte, error) {
+// subtree's entire contribution to the repaired shard, freshly
+// allocated: it owns its memory. scratch, a padded block's worth of
+// capacity, is reused for each term's read, whose bytes are folded into
+// the sum before the next read overwrites them.
+func (d *DataNode) fold(n *wirePartialNode, targetSize int64, trace *telemetry.TraceContext, scratch []byte) ([]byte, error) {
 	d.cFolds.Inc()
 	d.cFoldTerms.Add(int64(len(n.Terms)))
 	//repolint:ignore framecheck targetSize is bounds-checked by partial() (validatePartial plus the shard-size cap) before the recursion starts
 	buf := make([]byte, targetSize)
 	for _, t := range n.Terms {
-		data, err := d.cluster.NodeReadRange(d.machine, hdfs.BlockID(t.Block), t.Offset, t.Length)
+		data, err := d.cluster.NodeReadRangeInto(d.machine, hdfs.BlockID(t.Block), t.Offset, t.Length, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +213,7 @@ func fetchChildPartial(child *wirePartialNode, targetSize int64, trace *telemetr
 	defer cn.close()
 	// trace carries THIS daemon's span id (the dispatch layer rewrote it
 	// before the handler ran), so the child's span parents correctly.
-	_, out, err := cn.call(&request{Method: methodDNPartial, Length: targetSize, Partial: child, Trace: trace}, nil, timeout)
+	_, out, err := cn.call(&request{Method: methodDNPartial, Length: targetSize, Partial: child, Trace: trace}, nil, timeout, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +259,7 @@ func (d *DataNode) startHeartbeats(nameAddr string, every time.Duration) {
 				cn = fresh
 			}
 			req := &request{Method: methodHeartbeat, Machine: d.machine}
-			if _, _, err := cn.call(req, nil, heartbeatTimeout); err != nil {
+			if _, _, err := cn.call(req, nil, heartbeatTimeout, nil); err != nil {
 				if _, remote := err.(*RemoteError); !remote {
 					cn.close()
 					cn = nil

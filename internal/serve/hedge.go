@@ -192,7 +192,7 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 	go func() {
 		var lastErr error
 		for _, m := range c.replicaOrder(b.Locations) {
-			data, err := c.dnRead(m, b.ID, 0, b.Size, nil)
+			data, err := c.dnRead(m, b.ID, 0, b.Size, nil, nil)
 			if err == nil {
 				primary <- hedgeResult{data: data}
 				return

@@ -112,7 +112,7 @@ func startNameNode(cluster hdfs.Metadata, code ec.Code, blockSize int64, ctl con
 // Addr returns the namenode's listen address.
 func (n *NameNode) Addr() string { return n.srv.addr() }
 
-func (n *NameNode) handle(req *request, payload []byte) (*response, []byte) {
+func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, []byte) {
 	switch req.Method {
 	case methodInfo:
 		resp := okResponse()

@@ -44,8 +44,8 @@ import (
 )
 
 // Frame size sanity bounds: a header is small JSON; a payload is at
-// most one file write (tests and the load generator use kilobyte-to-
-// megabyte payloads).
+// most one file write (kilobytes to megabytes in tests and the
+// benchmark).
 const (
 	maxHeaderBytes  = 1 << 20
 	maxPayloadBytes = 1 << 30
@@ -334,8 +334,10 @@ func writeFrame(w io.Writer, hdr any, payload []byte) error {
 }
 
 // readFrame reads one frame, unmarshalling the header into hdr and
-// returning the payload.
-func readFrame(r io.Reader, hdr any) ([]byte, error) {
+// returning the payload — read into dst when its capacity holds it (the
+// result is then dst[:n], the caller's to recycle), into a fresh buffer
+// otherwise.
+func readFrame(r io.Reader, hdr any, dst []byte) ([]byte, error) {
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, err
@@ -355,7 +357,10 @@ func readFrame(r io.Reader, hdr any) ([]byte, error) {
 	if plen == 0 {
 		return nil, nil
 	}
-	payload := make([]byte, plen)
+	if cap(dst) < int(plen) {
+		dst = make([]byte, plen)
+	}
+	payload := dst[:plen]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}

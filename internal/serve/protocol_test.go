@@ -27,7 +27,7 @@ func TestReadFrameTruncations(t *testing.T) {
 	raw := full.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
 		var req request
-		_, err := readFrame(bytes.NewReader(raw[:cut]), &req)
+		_, err := readFrame(bytes.NewReader(raw[:cut]), &req, nil)
 		if err == nil {
 			t.Fatalf("frame truncated at %d of %d bytes accepted", cut, len(raw))
 		}
@@ -35,7 +35,7 @@ func TestReadFrameTruncations(t *testing.T) {
 	// The intact frame still parses (the loop above must not be
 	// vacuously passing on a broken encoder).
 	var req request
-	payload, err := readFrame(bytes.NewReader(raw), &req)
+	payload, err := readFrame(bytes.NewReader(raw), &req, nil)
 	if err != nil || req.Method != "dn.read" || string(payload) != "payload-bytes" {
 		t.Fatalf("intact frame broken: %v %+v %q", err, req, payload)
 	}
@@ -54,7 +54,7 @@ func TestReadFrameOversizedDeclaredLengths(t *testing.T) {
 	cases["payload"] = pre
 	for name, preamble := range cases {
 		var req request
-		_, err := readFrame(bytes.NewReader(append(preamble[:], 0x7b, 0x7d)), &req)
+		_, err := readFrame(bytes.NewReader(append(preamble[:], 0x7b, 0x7d)), &req, nil)
 		if !errors.Is(err, errFrameTooLarge) {
 			t.Errorf("oversized %s length: got %v, want errFrameTooLarge", name, err)
 		}
@@ -71,7 +71,7 @@ func TestReadFrameCorruptHeader(t *testing.T) {
 	buf.Write(pre[:])
 	buf.Write(hdr)
 	var req request
-	if _, err := readFrame(&buf, &req); err == nil || !strings.Contains(err.Error(), "bad frame header") {
+	if _, err := readFrame(&buf, &req, nil); err == nil || !strings.Contains(err.Error(), "bad frame header") {
 		t.Fatalf("corrupt JSON header: got %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func robustServer(t *testing.T) (addr string, healthy func() error) {
 			return err
 		}
 		defer cn.close()
-		_, _, err = cn.call(&request{Method: methodDNPing}, nil, shortTimeout)
+		_, _, err = cn.call(&request{Method: methodDNPing}, nil, shortTimeout, nil)
 		return err
 	}
 	return dnAddr, healthy
@@ -179,7 +179,7 @@ func TestServerRejectsMalformedPartialTrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dial: %v", tc.name, err)
 		}
-		_, _, err = cn.call(tc.req, nil, shortTimeout)
+		_, _, err = cn.call(tc.req, nil, shortTimeout, nil)
 		cn.close()
 		var remote *RemoteError
 		if !errors.As(err, &remote) {
@@ -211,7 +211,7 @@ func misbehavingServer(t *testing.T, respond func(c net.Conn)) string {
 			go func(c net.Conn) {
 				defer c.Close()
 				var req request
-				if _, err := readFrame(c, &req); err != nil {
+				if _, err := readFrame(c, &req, nil); err != nil {
 					return
 				}
 				respond(c)
@@ -268,7 +268,7 @@ func TestClientSurvivesMisbehavingServer(t *testing.T) {
 			defer cn.close()
 			done := make(chan error, 1)
 			go func() {
-				_, _, err := cn.call(&request{Method: methodDNPing}, nil, shortTimeout)
+				_, _, err := cn.call(&request{Method: methodDNPing}, nil, shortTimeout, nil)
 				done <- err
 			}()
 			select {
@@ -308,7 +308,7 @@ func TestPartialChildFailureSurfacesAsError(t *testing.T) {
 			Machine:  0,
 			Children: []wirePartialNode{{Machine: 1, Addr: deadAddr}},
 		},
-	}, nil, shortTimeout)
+	}, nil, shortTimeout, nil)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("dead child: got %v, want a RemoteError", err)

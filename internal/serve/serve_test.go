@@ -396,7 +396,7 @@ func TestClientFollowsRestartedDataNode(t *testing.T) {
 			if tc.callWhileDown {
 				// What a read in flight during the kill does: the call
 				// fails, the client refreshes, the table now says "".
-				if _, err := cl.dnRead(victim, int64(blocks[0].ID), 0, 1, nil); err == nil {
+				if _, err := cl.dnRead(victim, int64(blocks[0].ID), 0, 1, nil, nil); err == nil {
 					t.Fatal("a call to the dead machine succeeded")
 				}
 				cl.mu.Lock()
@@ -437,7 +437,7 @@ func TestFrameSizeGuards(t *testing.T) {
 	b := buf.Bytes()
 	b[4], b[5], b[6], b[7] = 0xFF, 0xFF, 0xFF, 0xFF
 	var req request
-	if _, err := readFrame(bytes.NewReader(b), &req); err == nil {
+	if _, err := readFrame(bytes.NewReader(b), &req, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	if !strings.Contains(fmt.Sprint(errFrameTooLarge), "size bound") {

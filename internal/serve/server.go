@@ -14,8 +14,26 @@ import (
 )
 
 // handlerFunc answers one request. The returned payload rides in the
-// response frame's payload section.
-type handlerFunc func(req *request, payload []byte) (*response, []byte)
+// response frame's payload section. lend is a recycled buffer the
+// handler may size (lentBytes) and read its answer into: the returned
+// payload may alias it, because the server flushes the response frame
+// before it lends the buffer to anyone else.
+type handlerFunc func(req *request, payload []byte, lend *[]byte) (*response, []byte)
+
+// lendPool recycles the buffers lent to handlers across every
+// connection of every daemon in the process: one is out only from a
+// request's dispatch to the flush of its response, so the pool holds
+// about as many as there are requests in flight, not one per idle
+// connection.
+var lendPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// lentBytes returns the lent buffer, empty, with room for n bytes.
+func lentBytes(lend *[]byte, n int64) []byte {
+	if int64(cap(*lend)) < n {
+		*lend = make([]byte, n)
+	}
+	return (*lend)[:0]
+}
 
 // server is one TCP daemon.
 type server struct {
@@ -82,31 +100,42 @@ func (s *server) serveConn(c net.Conn) {
 	bw := bufio.NewWriter(c)
 	for {
 		var req request
-		payload, err := readFrame(br, &req)
+		payload, err := readFrame(br, &req, nil)
 		if err != nil {
 			return
 		}
-		resp, out := s.dispatch(&req, payload)
-		if err := writeFrame(bw, resp, out); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if !s.answer(bw, &req, payload) {
 			return
 		}
 	}
+}
+
+// answer dispatches one request and writes its response frame through
+// to the socket, reporting whether the connection is still good. The
+// buffer lent to the handler goes back to the pool only here, after the
+// flush: out may be a view of it, and a bufio.Writer passes a payload
+// larger than its own buffer straight through without copying.
+func (s *server) answer(bw *bufio.Writer, req *request, payload []byte) bool {
+	lend := lendPool.Get().(*[]byte)
+	defer lendPool.Put(lend)
+	resp, out := s.dispatch(req, payload, lend)
+	if err := writeFrame(bw, resp, out); err != nil {
+		return false
+	}
+	return bw.Flush() == nil
 }
 
 // safeHandle runs the handler with a recover barrier: a panic on one
 // request (a validation gap, a hostile frame a guard missed) becomes a
 // remote error on that connection instead of taking down the whole
 // process — the namenode and every datanode daemon share it.
-func (s *server) safeHandle(req *request, payload []byte) (resp *response, out []byte) {
+func (s *server) safeHandle(req *request, payload []byte, lend *[]byte) (resp *response, out []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, out = errResponse(fmt.Errorf("serve: internal error handling %q: %v", req.Method, r)), nil
 		}
 	}()
-	resp, out = s.handle(req, payload)
+	resp, out = s.handle(req, payload, lend)
 	return resp, out
 }
 

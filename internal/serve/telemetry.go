@@ -78,13 +78,13 @@ func rpcMetric(base, role, method string) string {
 // answers debug.trace itself, mints a server span for sampled requests
 // (rewriting the header's span id so the handler's downstream calls
 // parent under it), and charges the per-method instruments.
-func (s *server) dispatch(req *request, payload []byte) (*response, []byte) {
+func (s *server) dispatch(req *request, payload []byte, lend *[]byte) (*response, []byte) {
 	t := s.tele
 	if t == nil {
 		if req.Method == methodDebugTrace {
 			return errResponse(errTracingDisabled), nil
 		}
-		return s.safeHandle(req, payload)
+		return s.safeHandle(req, payload, lend)
 	}
 	if req.Method == methodDebugTrace {
 		resp := okResponse()
@@ -103,7 +103,7 @@ func (s *server) dispatch(req *request, payload []byte) (*response, []byte) {
 		req.Trace.SpanID = telemetry.NewID()
 	}
 	start := time.Now()
-	resp, out := s.safeHandle(req, payload)
+	resp, out := s.safeHandle(req, payload, lend)
 	elapsed := time.Since(start)
 
 	if reg := t.reg; reg != nil {
