@@ -72,11 +72,15 @@ cover:
 # (fake clocks, status polling), not wall-clock sleeps, and repeating
 # them back-to-back is the regression gate for that flakiness class.
 # The sharded-metadata property tests and the concurrency storms
-# (single and 4-shard planes, cross-shard writes) also repeat.
+# (single and 4-shard planes, cross-shard writes) also repeat. The
+# lent-buffer test runs once more under the purego tag: the detector
+# does not see reads made by the assembly kernels, and a decoder
+# reading a buffer the caller overwrites is exactly what it pins.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/... ./internal/repairmgr/...
 	$(GO) test -race -count=2 -run 'TestShard|TestConcurrent' ./internal/hdfs/
+	$(GO) test -race -tags purego -run TestLosingHedgeArm ./internal/serve/
 
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip

@@ -74,6 +74,46 @@ func TestConcurrentShardedClusterAccess(t *testing.T) {
 	}
 }
 
+// TestStoreRePlacesAReplicaWhoseMachineDied is the storm's "datanode
+// down" failure made deterministic: the machine a placement picked dies
+// before the store reaches it (in a ShardedCluster, to a FailMachine
+// holding another shard's lock). The replica lands on another live
+// machine, off the racks the rest of the placement uses; with no live
+// machine left the store fails.
+func TestStoreRePlacesAReplicaWhoseMachineDied(t *testing.T) {
+	c := testCluster(t, pbCode(t), 5)
+	c.lockMeta()
+	defer c.mu.Unlock()
+	placement, err := c.placeLiveLocked(c.cfg.Replication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := placement[1]
+	c.nodes[dead].setAlive(false)
+	got, err := c.storePlacedLocked(placement, 1, 7, []byte("replica"))
+	if err != nil {
+		t.Fatalf("store on a placement whose machine died: %v", err)
+	}
+	if got == dead || got != placement[1] || !c.nodes[got].isAlive() || !c.nodes[got].has(7) {
+		t.Fatalf("replica went to machine %d (placement now %v), want a live machine other than %d holding it", got, placement, dead)
+	}
+	racks := make(map[int]bool)
+	for _, m := range placement {
+		racks[c.cfg.Topology.RackOf(m)] = true
+	}
+	if len(racks) != len(placement) {
+		t.Fatalf("placement %v after the move shares a rack", placement)
+	}
+
+	// Every machine dead: there is nowhere to re-place to.
+	for _, n := range c.nodes {
+		n.setAlive(false)
+	}
+	if _, err := c.storePlacedLocked(placement, 0, 8, []byte("replica")); err == nil {
+		t.Fatal("store succeeded with every machine down")
+	}
+}
+
 const stormIters = 40
 
 // runConcurrentAccessStorm is the storm body, written against the

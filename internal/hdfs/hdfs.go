@@ -674,8 +674,9 @@ func (c *Cluster) WriteFile(name string, data []byte) error {
 		if err != nil {
 			return c.rollbackWriteLocked(fm, err)
 		}
-		for _, m := range machines {
-			if err := c.nodes[m].storeBlock(id, data[off:end]); err != nil {
+		for i := range machines {
+			m, err := c.storePlacedLocked(machines, i, id, data[off:end])
+			if err != nil {
 				return c.rollbackWriteLocked(fm, err)
 			}
 			bm.locations = append(bm.locations, m)
@@ -729,6 +730,39 @@ func (c *Cluster) placeLiveLocked(n int) ([]int, error) {
 	return placement, nil
 }
 
+// storeReplaceAttempts bounds how often storePlacedLocked re-places one
+// replica whose machine died between placement and store.
+const storeReplaceAttempts = 3
+
+// storePlacedLocked stores a block on placement[i] and returns the
+// machine that took it. placeLiveLocked picked placement[i] alive, but
+// the shards of a ShardedCluster share their datanodes while FailMachine
+// takes each shard's metadata lock in turn: under this shard's lock the
+// machine can still die to a FailMachine holding another's. A store
+// refused with ErrNodeDown therefore re-places that one replica — on a
+// live machine off the racks the rest of the placement uses, the rule
+// placeLiveLocked applies — and records the move in placement, instead
+// of failing the write.
+func (c *Cluster) storePlacedLocked(placement []int, i int, id BlockID, data []byte) (int, error) {
+	for attempt := 0; ; attempt++ {
+		err := c.nodes[placement[i]].storeBlock(id, data)
+		if !errors.Is(err, ErrNodeDown) || attempt == storeReplaceAttempts {
+			return placement[i], err
+		}
+		used := make(map[int]bool, len(placement))
+		for j, m := range placement {
+			if j != i {
+				used[c.cfg.Topology.RackOf(m)] = true
+			}
+		}
+		alt, err := c.pickLiveMachine(used)
+		if err != nil {
+			return placement[i], err
+		}
+		placement[i] = alt
+	}
+}
+
 // liveLocations returns the datanodes that are alive and hold the block.
 func (c *Cluster) liveLocations(bm *blockMeta) []int {
 	var out []int
@@ -738,6 +772,18 @@ func (c *Cluster) liveLocations(bm *blockMeta) []int {
 		}
 	}
 	return out
+}
+
+// hasLiveLocation reports whether liveLocations would be non-empty,
+// without building the list: the fixer's scan asks it of every striped
+// block in the namespace.
+func (c *Cluster) hasLiveLocation(bm *blockMeta) bool {
+	for _, m := range bm.locations {
+		if c.nodes[m].isAlive() && c.nodes[m].has(bm.id) {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadFile returns the file's contents, reconstructing missing striped
@@ -935,10 +981,10 @@ func (c *Cluster) raidStripeLocked(group []BlockID) error {
 			if err != nil {
 				return err
 			}
-			if err := c.net.Transfer(src, dst, bm.size); err != nil {
+			if dst, err = c.storePlacedLocked(placement, i, id, buf); err != nil {
 				return err
 			}
-			if err := c.nodes[dst].storeBlock(id, buf); err != nil {
+			if err := c.net.Transfer(src, dst, bm.size); err != nil {
 				return err
 			}
 		}
@@ -958,11 +1004,11 @@ func (c *Cluster) raidStripeLocked(group []BlockID) error {
 		pos := k + j
 		id := c.nextBlock
 		c.nextBlock += BlockID(c.idStride)
-		dst := placement[pos]
-		if err := c.net.Transfer(encoder, dst, shardSize); err != nil {
+		dst, err := c.storePlacedLocked(placement, pos, id, shards[pos])
+		if err != nil {
 			return err
 		}
-		if err := c.nodes[dst].storeBlock(id, shards[pos]); err != nil {
+		if err := c.net.Transfer(encoder, dst, shardSize); err != nil {
 			return err
 		}
 		bm := &blockMeta{
@@ -1004,7 +1050,7 @@ func (c *Cluster) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
 		if id < 0 {
 			return true // phantom zero block
 		}
-		return len(c.liveLocations(c.blocks[id])) > 0
+		return c.hasLiveLocation(c.blocks[id])
 	}
 }
 
@@ -1104,9 +1150,13 @@ func (c *Cluster) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) 
 // unreachable but are retained, so RestoreMachine models the common
 // case of §2.2 (machines return after transient unavailability).
 // Liveness transitions take the metadata lock exclusively so they
-// serialise against mutations that check liveness and then act on it
-// (placement during WriteFile, fixer planning/application): a machine
-// cannot die between a placement's liveness check and its store.
+// serialise against this cluster's mutations that check liveness and
+// then act on it (placement during WriteFile, fixer planning and
+// application). That holds for a Cluster on its own. As one shard of a
+// ShardedCluster it shares its datanodes with the others, whose
+// FailMachine does not take this lock: there a machine can die between
+// a placement's liveness check and its store, and the store re-places
+// the replica (storePlacedLocked).
 func (c *Cluster) FailMachine(id int) {
 	c.lockMeta()
 	defer c.mu.Unlock()
@@ -1249,10 +1299,9 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 	for _, id := range ids {
 		bm := c.blocks[id]
 		report.ScannedBlocks++
-		live := c.liveLocations(bm)
 
 		if bm.stripe != noStripe {
-			if len(live) > 0 {
+			if c.hasLiveLocation(bm) {
 				continue
 			}
 			if _, seen := lostByStripe[bm.stripe]; !seen {
@@ -1262,6 +1311,7 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 			continue
 		}
 
+		live := c.liveLocations(bm)
 		target := c.cfg.Replication
 		if len(live) >= target && len(live) > 0 {
 			continue
@@ -1420,7 +1470,7 @@ func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 			}
 			bm := c.blocks[bid]
 			report.ScannedBlocks++
-			if len(c.liveLocations(bm)) > 0 {
+			if c.hasLiveLocation(bm) {
 				continue
 			}
 			if _, lost := lostByStripe[sid]; !lost {
@@ -1718,7 +1768,7 @@ func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*strip
 func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, report *FixReport) {
 	worker := f.worker()
 	for i, bm := range f.lost {
-		if len(c.liveLocations(bm)) > 0 {
+		if c.hasLiveLocation(bm) {
 			continue
 		}
 		content := shards[bm.stripePos][:bm.size]
@@ -2102,7 +2152,7 @@ func (c *Cluster) StripeErasures(id StripeID) (int, error) {
 		if bid < 0 {
 			continue
 		}
-		if len(c.liveLocations(c.blocks[bid])) == 0 {
+		if !c.hasLiveLocation(c.blocks[bid]) {
 			erasures++
 		}
 	}

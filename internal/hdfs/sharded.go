@@ -260,9 +260,12 @@ func (s *ShardedCluster) TotalStoredBytes() int64 { return s.shards[0].TotalStor
 
 // --- Machine lifecycle (fan-out) ---------------------------------------
 
-// FailMachine marks a machine dead in every shard's view. Each shard
-// observes the death under its own metadata lock, so a shard's
-// placements and fixes serialise against it independently.
+// FailMachine marks a machine dead in every shard's view, taking each
+// shard's metadata lock in turn. The datanode is shared, so the first
+// of those already fails it for all: a write or raid running under a
+// later shard's lock can pass its liveness check and then find the
+// machine down at store time, and re-places that replica
+// (Cluster.storePlacedLocked) rather than failing.
 func (s *ShardedCluster) FailMachine(id int) {
 	for _, sh := range s.shards {
 		sh.FailMachine(id)

@@ -23,7 +23,7 @@ import (
 // startExtentSystem starts a Piggybacked-RS(4,2) system on extent
 // stores with the given block size (several checksum chunks, so range
 // reads are real range reads).
-func startExtentSystem(t *testing.T, blockSize int64) (*System, ec.Code) {
+func startExtentSystem(t testing.TB, blockSize int64) (*System, ec.Code) {
 	t.Helper()
 	leakcheck.Cleanup(t)
 	code, err := core.New(4, 2)
@@ -46,7 +46,7 @@ func startExtentSystem(t *testing.T, blockSize int64) (*System, ec.Code) {
 
 // writeFiles stores n files of the given size and returns their
 // contents by name.
-func writeFiles(t *testing.T, sys *System, code ec.Code, n, size int, raid bool) map[string][]byte {
+func writeFiles(t testing.TB, sys *System, code ec.Code, n, size int, raid bool) map[string][]byte {
 	t.Helper()
 	cl, err := Dial(sys.NameAddr(), code)
 	if err != nil {
@@ -172,9 +172,11 @@ func TestReadBeyondShardBoundRefused(t *testing.T) {
 }
 
 // TestDegradedReadSurvivesHelperDyingMidFetch: a degraded read is
-// parked on a helper when that helper's daemon dies. The repair fails,
-// gives its arena back, and the retry plans around the dead helper;
-// the reads that follow reuse the arena and must stay byte-identical.
+// parked on a helper when that helper's daemon dies. The file's other
+// blocks are lent, so the helpers it fetches from are parity holders.
+// The repair fails, gives its arena back, and the retry plans around
+// the dead helper; the reads that follow reuse the arena and must stay
+// byte-identical.
 func TestDegradedReadSurvivesHelperDyingMidFetch(t *testing.T) {
 	const blockSize = 16 << 10
 	sys, code := startExtentSystem(t, blockSize)
@@ -186,7 +188,26 @@ func TestDegradedReadSurvivesHelperDyingMidFetch(t *testing.T) {
 	if err := sys.KillDataNode(blocks[0].Locations[0]); err != nil {
 		t.Fatal(err)
 	}
-	helper := blocks[1].Locations[0] // same stripe (k=4), every plan reads it
+	// The first parity the plan reads (k=4: one stripe, every other data
+	// block in hand).
+	plan, err := code.PlanRepair(0, blockSize, ec.AllAliveExcept(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.Cluster().Stripe(blocks[0].Stripe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	helper := -1
+	for _, r := range plan.Reads {
+		if r.Shard >= code.DataShards() {
+			helper = st.Positions[r.Shard].Locations[0]
+			break
+		}
+	}
+	if helper < 0 {
+		t.Fatalf("the plan %+v reads no parity", plan.Reads)
+	}
 	cl, err := Dial(sys.NameAddr(), code)
 	if err != nil {
 		t.Fatal(err)

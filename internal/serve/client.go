@@ -1,10 +1,11 @@
 // The serving-layer client. Reads are replica-spread and self-healing:
 // each block read rotates across live replicas, and when none answers
 // — the holder died, or died mid-transfer — the client fetches the
-// stripe layout from the namenode, downloads the surviving helper
-// ranges of the codec's repair plan from their datanodes, and decodes
-// the missing block locally (a degraded read). Callers see bytes,
-// never failures, as long as the stripe stays recoverable; the
+// stripe layout from the namenode, downloads the helper ranges of the
+// codec's repair plan that the read does not already hold from their
+// datanodes, and decodes the missing block locally (a degraded read;
+// see "Degraded reads and lent blocks" in the package doc). Callers see
+// bytes, never failures, as long as the stripe stays recoverable; the
 // Counters expose how many block reads had to take the degraded path.
 package serve
 
@@ -125,9 +126,19 @@ func isCorruptReplicaErr(err error) bool {
 // counts block reads that were served by reconstruction rather than a
 // replica; DegradedBlocks/BlocksRead is the degraded-read share.
 // DegradedBytesFetched is the payload the client downloaded to serve
-// those reconstructions — the paper's bottleneck quantity. A
-// conventional degraded read pulls the whole repair plan (~k blocks);
-// a partial-sum one pulls a single folded block.
+// those reconstructions — the paper's bottleneck quantity — and
+// DegradedBytesLent the part of their repair plans answered from blocks
+// the same ReadFile already held. For every reconstruction the
+// conventional fan-in serves,
+//
+//	DegradedBytesFetched + DegradedBytesLent == Σ plan.TotalBytes()
+//
+// over the reconstructed blocks' repair plans, less their reads of
+// phantom positions (a short tail stripe's known zeros, which are
+// neither downloaded nor held). A whole-stripe read that lost one data
+// block therefore fetches only the plan's parity ranges, one block's
+// worth; a partial-sum reconstruction fetches a single folded block and
+// is lent nothing.
 type Counters struct {
 	Reads                int64 // whole-file reads completed
 	Writes               int64 // whole-file writes completed
@@ -135,6 +146,7 @@ type Counters struct {
 	DegradedBlocks       int64 // block reads served via reconstruction
 	PartialSumBlocks     int64 // degraded reads served by the partial-sum pipeline
 	DegradedBytesFetched int64 // bytes received at this client for reconstructions
+	DegradedBytesLent    int64 // repair-plan bytes answered from blocks the read already held
 	CorruptReplicas      int64 // replica reads refused by a datanode's checksum verification
 	CacheHits            int64 // block reads served from the client block cache (WithBlockCache)
 	CacheMisses          int64 // block reads that consulted the cache and went to the network
@@ -244,6 +256,7 @@ type Client struct {
 	cDegradedBlocks *telemetry.Counter
 	cPartialBlocks  *telemetry.Counter
 	cDegradedBytes  *telemetry.Counter
+	cDegradedLent   *telemetry.Counter
 	cCorruptReps    *telemetry.Counter
 	cCacheHits      *telemetry.Counter
 	cCacheMisses    *telemetry.Counter
@@ -276,6 +289,7 @@ func Dial(nameAddr string, code ec.Code, opts ...ClientOption) (*Client, error) 
 	c.cDegradedBlocks = c.reg.Counter("client_degraded_blocks_total")
 	c.cPartialBlocks = c.reg.Counter("client_partialsum_blocks_total")
 	c.cDegradedBytes = c.reg.Counter("client_degraded_bytes_total")
+	c.cDegradedLent = c.reg.Counter("client_degraded_bytes_lent_total")
 	c.cCorruptReps = c.reg.Counter("client_corrupt_replicas_total")
 	c.cCacheHits = c.reg.Counter("client_cache_hits_total")
 	c.cCacheMisses = c.reg.Counter("client_cache_misses_total")
@@ -310,6 +324,7 @@ func (c *Client) Counters() Counters {
 		DegradedBlocks:       c.cDegradedBlocks.Value(),
 		PartialSumBlocks:     c.cPartialBlocks.Value(),
 		DegradedBytesFetched: c.cDegradedBytes.Value(),
+		DegradedBytesLent:    c.cDegradedLent.Value(),
 		CorruptReplicas:      c.cCorruptReps.Value(),
 		CacheHits:            c.cCacheHits.Value(),
 		CacheMisses:          c.cCacheMisses.Value(),
@@ -512,9 +527,17 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, ds
 // dnRead fetches one byte range of one block from a machine, into dst
 // when it is non-nil and holds the range. trace, when non-nil, rides
 // the request so the datanode's span parents under the caller's.
+//
+// A datanode answers a range with exactly its length (zero-padded past
+// the block's end), so a reply of any other length is a failed replica:
+// callers move on to the next one, and nothing of the wrong size is ever
+// assembled into a file, lent, cached or handed to the decoder.
 func (c *Client) dnRead(machine int, block, offset, length int64, trace *telemetry.TraceContext, dst []byte) ([]byte, error) {
 	req := &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace}
 	_, out, err := c.dnCallFull(machine, req, c.timeout, dst)
+	if err == nil && int64(len(out)) != length {
+		return nil, fmt.Errorf("serve: datanode %d answered [%d,+%d) of block %d with %d bytes", machine, offset, length, block, len(out))
+	}
 	return out, err
 }
 
@@ -709,10 +732,14 @@ func (c *Client) fileBlocks(name string) (int64, []wireBlock, error) {
 	return resp.Size, resp.Blocks, nil
 }
 
-// ReadFile returns the file's contents. Block reads rotate across
-// replicas; blocks with no answering replica are transparently
-// reconstructed from their stripe (degraded read), with helper ranges
-// fetched over the wire.
+// ReadFile returns the file's contents. It is stripe-aware: every block
+// a replica can serve is read first (replicas tried fastest-first), and
+// only then are the blocks no replica answered for reconstructed from
+// their stripes (degraded read) — with the blocks already in hand lent
+// to the codec, so a plan read of a shard this read holds costs nothing
+// and only the rest (the parity ranges) crosses the wire. A degraded
+// read of a whole stripe thus downloads k blocks, what a healthy one
+// does, not k−1 plus a full repair plan drawn from those same blocks.
 func (c *Client) ReadFile(name string) ([]byte, error) {
 	size, blocks, err := c.fileBlocks(name)
 	if err != nil {
@@ -723,16 +750,66 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	if size < 0 || size > maxPayloadBytes {
 		return nil, fmt.Errorf("serve: file %s reports size %d out of bounds", name, size)
 	}
+	// The result is assembled as blocks arrive for as long as none is
+	// missing (on the all-healthy path, all of it), a copy of each block
+	// while it is still warm; the rest follows the second pass.
 	out := make([]byte, 0, size)
+	assembled := 0 // blocks[:assembled] are in out
 	for i := range blocks {
-		data, err := c.readBlock(name, i, blocks[i])
+		data, err := c.readBlock(name, i, blocks, false)
+		if err == errLeftForStripe {
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: read %s block %d: %w", name, i, err)
 		}
-		out = append(out, data...)
+		blocks[i].held = data
+		if assembled == i {
+			out = append(out, data...)
+			assembled++
+		}
+	}
+	// In block order, so a block reconstructed here is itself lent to the
+	// next loss in its stripe.
+	for i := assembled; i < len(blocks); i++ {
+		if blocks[i].held == nil {
+			data, err := c.readBlock(name, i, blocks, true)
+			if err != nil {
+				return nil, fmt.Errorf("serve: read %s block %d: %w", name, i, err)
+			}
+			blocks[i].held = data
+		}
+		out = append(out, blocks[i].held...)
+	}
+	if int64(len(out)) != size {
+		return nil, fmt.Errorf("serve: file %s assembled to %d bytes, namenode reports %d", name, len(out), size)
 	}
 	c.cReads.Inc()
 	return out, nil
+}
+
+// errLeftForStripe is readBlock's answer, on ReadFile's first pass, for
+// a striped block no replica served: reconstruct it once the rest of
+// the file is in hand.
+var errLeftForStripe = errors.New("serve: block left for stripe reconstruction")
+
+// lentTo gathers, by stripe position, the blocks of b's stripe that the
+// read owning the table already holds: what a reconstruction of b need
+// not download. Lent buffers are immutable from the moment they are
+// held — ReadFile returns a copy, never a view of them — because a
+// hedge arm that lost its race may still be decoding from them after
+// ReadFile has returned. The set is a snapshot, built per
+// reconstruction on ReadFile's own goroutine (so such an arm never
+// reads the table while ReadFile fills it), and never on the
+// all-healthy path.
+func (c *Client) lentTo(b wireBlock, blocks []wireBlock) [][]byte {
+	lent := make([][]byte, c.code.TotalShards())
+	for i := range blocks {
+		if o := &blocks[i]; o.held != nil && o.Stripe == b.Stripe && o.StripePos >= 0 && o.StripePos < len(lent) {
+			lent[o.StripePos] = o.held
+		}
+	}
+	return lent
 }
 
 // cacheFill records a successfully read block in the client cache
@@ -743,12 +820,22 @@ func (c *Client) cacheFill(b wireBlock, data []byte) {
 	c.blockCache.Put(uint64(b.ID), data)
 }
 
-// readBlock reads one block, retrying with refreshed metadata when
+// readBlock reads blocks[index], retrying with refreshed metadata when
 // replicas or helpers die mid-flight. The block cache is consulted
 // before any RPC; every successful read — healthy, hedged, degraded —
-// fills it.
-func (c *Client) readBlock(name string, index int, b wireBlock) ([]byte, error) {
-	if c.blockCache != nil {
+// fills it. ReadFile calls it twice at most: with reconstruct false it
+// returns errLeftForStripe in place of reconstructing a striped block
+// whose replicas (as the table lists them) did not serve it, and with
+// reconstruct true it picks up exactly there, the blocks the table
+// holds by then lent to the reconstruction.
+func (c *Client) readBlock(name string, index int, blocks []wireBlock, reconstruct bool) ([]byte, error) {
+	b := blocks[index]
+	// The size is wire data too, and a block is never empty: ReadFile
+	// tells a held block from a lost one by its bytes.
+	if b.Size <= 0 || b.Size > maxPayloadBytes {
+		return nil, fmt.Errorf("serve: block %d reports size %d out of bounds", b.ID, b.Size)
+	}
+	if c.blockCache != nil && !reconstruct {
 		if data, ok := c.blockCache.Get(uint64(b.ID)); ok {
 			c.cCacheHits.Inc()
 			c.cBlocksRead.Inc()
@@ -764,56 +851,64 @@ func (c *Client) readBlock(name string, index int, b wireBlock) ([]byte, error) 
 			if err := c.refreshAddrs(); err != nil {
 				return nil, err
 			}
-			_, blocks, err := c.fileBlocks(name)
+			_, fresh, err := c.fileBlocks(name)
 			if err != nil {
 				return nil, err
 			}
-			if index >= len(blocks) {
+			if index >= len(fresh) {
 				return nil, fmt.Errorf("serve: block index %d vanished", index)
 			}
-			b = blocks[index]
+			b = fresh[index]
 		}
 
-		// Hedged path: race the replica chain against a delayed stripe
-		// reconstruction (see hedge.go). It subsumes both branches
-		// below — whichever arm wins carries the bytes.
-		if c.hedge && b.Stripe >= 0 && len(b.Locations) > 0 {
-			data, degraded, err := c.hedgedRead(b)
-			if err == nil {
-				c.cBlocksRead.Inc()
-				if degraded {
-					c.cDegradedBlocks.Inc()
-				}
-				c.cacheFill(b, data)
-				return data, nil
-			}
-			lastErr = err
-			continue
-		}
-
-		// Healthy path: walk live replicas fastest-first. A replica the
-		// datanode refuses on checksum grounds is as gone as one on a
-		// dead machine — count it and keep going; the stripe fallback
-		// below reconstructs around it.
-		if len(b.Locations) > 0 {
-			for _, m := range c.replicaOrder(b.Locations) {
-				// A fresh buffer per block: the result is the caller's.
-				data, err := c.dnRead(m, b.ID, 0, b.Size, nil, nil)
+		if attempt > 0 || !reconstruct {
+			if c.hedge && b.Stripe >= 0 && len(b.Locations) > 0 {
+				// Hedged path: race the replica chain against a delayed
+				// stripe reconstruction (see hedge.go). Once the hedge has
+				// armed, whichever arm wins carries the bytes and a failure
+				// is the whole attempt's.
+				data, degraded, armed, err := c.hedgedRead(b, blocks)
 				if err == nil {
 					c.cBlocksRead.Inc()
+					if degraded {
+						c.cDegradedBlocks.Inc()
+					}
 					c.cacheFill(b, data)
 					return data, nil
 				}
-				if isCorruptReplicaErr(err) {
-					c.cCorruptReps.Inc()
-				}
 				lastErr = err
+				if armed {
+					continue
+				}
+			} else {
+				// Healthy path: walk live replicas fastest-first. A replica
+				// the datanode refuses on checksum grounds is as gone as
+				// one on a dead machine — count it and keep going; the
+				// stripe reconstructs around it.
+				for _, m := range c.replicaOrder(b.Locations) {
+					// A fresh buffer per block: it may be lent, so it is
+					// never written again.
+					data, err := c.dnRead(m, b.ID, 0, b.Size, nil, nil)
+					if err == nil {
+						c.cBlocksRead.Inc()
+						c.cacheFill(b, data)
+						return data, nil
+					}
+					if isCorruptReplicaErr(err) {
+						c.cCorruptReps.Inc()
+					}
+					lastErr = err
+				}
+			}
+			if attempt == 0 && b.Stripe >= 0 {
+				// ReadFile's first pass (attempt 0 comes here only then).
+				return nil, errLeftForStripe
 			}
 		}
 
 		// Degraded path: reconstruct from the stripe.
 		if b.Stripe >= 0 {
-			data, err := c.degradedRead(b)
+			data, err := c.degradedRead(b, c.lentTo(b, blocks))
 			if err == nil {
 				c.cBlocksRead.Inc()
 				c.cDegradedBlocks.Inc()
@@ -830,12 +925,13 @@ func (c *Client) readBlock(name string, index int, b wireBlock) ([]byte, error) 
 
 // degradedRead reconstructs one striped block: fetch the stripe layout,
 // then either drive the partial-sum pipeline (one folded buffer from
-// the helper tree) or execute the codec's repair plan with every helper
-// range read over the wire, and truncate the decoded shard to the
-// block's logical size. Phantom positions (short tail stripes) decode
-// as zeros without touching the network — exactly the access pattern
-// the repair plans charge for.
-func (c *Client) degradedRead(b wireBlock) ([]byte, error) {
+// the helper tree) or execute the codec's repair plan, and truncate the
+// decoded shard to the block's logical size. A plan read of a position
+// in lent (see lentTo; nil lends nothing) is answered from the held
+// block, every other one is read over the wire, and phantom positions
+// (short tail stripes) decode as zeros without touching the network —
+// exactly the access pattern the repair plans charge for.
+func (c *Client) degradedRead(b wireBlock, lent [][]byte) ([]byte, error) {
 	// Sampling decision: every Nth degraded read mints a trace context
 	// that rides every RPC the reconstruction issues, plus a root span
 	// recorded locally whose Bytes is the total payload this client
@@ -852,7 +948,7 @@ func (c *Client) degradedRead(b wireBlock) ([]byte, error) {
 		c.lastTrace.Store(tc.TraceID)
 		traceStart = time.Now()
 	}
-	out, err := c.degradedReadTraced(b, tc, &fetched)
+	out, err := c.degradedReadTraced(b, lent, tc, &fetched)
 	if tc != nil {
 		span := telemetry.Span{
 			TraceID:       tc.TraceID,
@@ -871,7 +967,7 @@ func (c *Client) degradedRead(b wireBlock) ([]byte, error) {
 	return out, err
 }
 
-func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
+func (c *Client) degradedReadTraced(b wireBlock, lent [][]byte, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
 	resp, err := c.nameCall(&request{Method: methodStripe, Stripe: b.Stripe, Trace: tc}, nil)
 	if err != nil {
 		return nil, err
@@ -880,26 +976,35 @@ func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fet
 	if st == nil {
 		return nil, fmt.Errorf("serve: stripe %d reply missing layout", b.Stripe)
 	}
-	// The shard size comes off the wire; bound it before it sizes any
-	// reconstruction buffer (here and in the partial-sum pipeline).
-	if st.ShardSize <= 0 || st.ShardSize > maxPayloadBytes {
+	// The layout comes off the wire; bound the shard size before it sizes
+	// any reconstruction buffer (here and in the partial-sum pipeline),
+	// and hold the position table to the codec's width before a plan
+	// indexes it.
+	if st.ShardSize <= 0 || st.ShardSize > maxPayloadBytes || b.Size > st.ShardSize {
 		return nil, fmt.Errorf("serve: stripe %d reports shard size %d out of bounds", b.Stripe, st.ShardSize)
+	}
+	if len(st.Positions) != c.code.TotalShards() {
+		return nil, fmt.Errorf("serve: stripe %d lists %d positions, %s has %d", b.Stripe, len(st.Positions), c.code.Name(), c.code.TotalShards())
+	}
+	held := func(pos int) []byte {
+		if pos >= len(lent) || int64(len(lent[pos])) > st.ShardSize {
+			return nil
+		}
+		return lent[pos]
 	}
 	// The target position is forced erased regardless of the layout's
 	// listed holders: the caller only reaches the degraded path after
 	// every replica failed to serve — dead daemon, or the datanode
 	// refused the stored bytes on checksum grounds. The codec rejects
 	// repairing a position whose alive-view says present, and a replica
-	// that cannot be read does not count as present.
+	// that cannot be read does not count as present. A lent position is
+	// present whatever became of its holders: the bytes are here.
 	alive := func(pos int) bool {
-		if pos < 0 || pos >= len(st.Positions) {
-			return false
-		}
-		if pos == b.StripePos {
+		if pos < 0 || pos >= len(st.Positions) || pos == b.StripePos {
 			return false
 		}
 		p := st.Positions[pos]
-		return p.Block < 0 || len(p.Locations) > 0
+		return p.Block < 0 || len(p.Locations) > 0 || held(pos) != nil
 	}
 	if c.partialSum {
 		if shard, err := c.partialDegradedRead(b, st, alive, tc, fetched); err == nil {
@@ -907,20 +1012,37 @@ func (c *Client) degradedReadTraced(b wireBlock, tc *telemetry.TraceContext, fet
 			return shard[:b.Size], nil
 		}
 		// Any pipeline failure (helper died mid-fold, stale addresses,
-		// no linear plan) falls back to the conventional fan-in below.
+		// no linear plan, a position only this client holds) falls back
+		// to the conventional fan-in below.
 	}
 	// Helper ranges land in shard-sized buffers of a recycled arena: the
 	// codec only reads fetched buffers and returns a shard that aliases
 	// none of them (ec.Code.ExecuteRepair), so the arena is released the
-	// moment the repair returns, decoded or failed.
+	// moment the repair returns, decoded or failed — and a lent block,
+	// handed over as a view, is never written.
 	arena := fetchArenas.Get().(*engine.Scratch)
 	defer func() {
 		arena.Reset()
 		fetchArenas.Put(arena)
 	}()
 	fetch := func(req ec.ReadRequest) ([]byte, error) {
-		if req.Length < 0 || req.Length > st.ShardSize {
-			return nil, fmt.Errorf("serve: plan read of %d bytes exceeds shard size %d", req.Length, st.ShardSize)
+		if req.Offset < 0 || req.Length < 0 || req.Offset+req.Length > st.ShardSize {
+			return nil, fmt.Errorf("serve: plan read [%d,+%d) exceeds shard size %d", req.Offset, req.Length, st.ShardSize)
+		}
+		if h := held(req.Shard); h != nil {
+			c.cDegradedLent.Add(req.Length)
+			if end := req.Offset + req.Length; end <= int64(len(h)) {
+				return h[req.Offset:end:end], nil
+			}
+			// The block is shorter than the shard (a file's last block):
+			// the plan reads into its zero padding.
+			dst := arena.Bytes(int(req.Length))
+			n := 0
+			if req.Offset < int64(len(h)) {
+				n = copy(dst, h[req.Offset:])
+			}
+			clear(dst[n:])
+			return dst, nil
 		}
 		p := st.Positions[req.Shard]
 		if p.Block < 0 {

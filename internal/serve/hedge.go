@@ -4,10 +4,10 @@
 // spread) instead of blind rotation. On top of the ordering sits the
 // hedge engine: when a striped block's primary replica chain is slow —
 // slower than a configured or quantile-derived delay — the client
-// launches a stripe reconstruction in parallel and returns whichever
-// path answers first. A slow-but-alive datanode then costs one hedge
-// delay, not a full RPC timeout, and is never declared dead for being
-// slow.
+// launches a stripe reconstruction in parallel — lent the blocks its
+// ReadFile already holds — and returns whichever path answers first. A
+// slow-but-alive datanode then costs one hedge delay, not a full RPC
+// timeout, and is never declared dead for being slow.
 package serve
 
 import (
@@ -183,11 +183,14 @@ type hedgeResult struct {
 // reconstruction and returns whichever answers first with the block's
 // bytes; degraded reports whether reconstruction served the read. The
 // timer only arms the hedge — a primary that answers before it fires
-// costs nothing extra. The losing arm is left to finish into a
-// buffered channel and its result is dropped; neither arm is ever
-// cancelled mid-RPC, so a hedge never poisons the winner's pooled
-// connection.
-func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error) {
+// costs nothing extra, and a replica chain that fails before it fires
+// returns its error with armed false: nothing was reconstructed, and
+// readBlock decides when to. The reconstruction is lent what the read
+// owning blocks holds when the hedge arms (see lentTo). The losing arm
+// is left to finish into a buffered channel and its result is dropped;
+// neither arm is ever cancelled mid-RPC, so a hedge never poisons the
+// winner's pooled connection.
+func (c *Client) hedgedRead(b wireBlock, blocks []wireBlock) (data []byte, degraded, armed bool, err error) {
 	primary := make(chan hedgeResult, 1)
 	go func() {
 		var lastErr error
@@ -217,28 +220,29 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 		select {
 		case r := <-primary:
 			if r.err == nil {
-				return r.data, false, nil
+				return r.data, false, armed, nil
 			}
 			primary = nil
 			if hedgeErr != nil {
 				// Reconstruction already ran and failed; a second one
 				// against the same metadata would fail the same way.
 				// readBlock refreshes metadata before its next attempt.
-				return nil, false, hedgeErr
+				return nil, false, true, hedgeErr
 			}
 			if hedge == nil {
 				// The whole replica chain failed before the hedge
 				// armed: this is a plain degraded read, not a hedge.
-				data, derr := c.degradedRead(b)
-				return data, derr == nil, derr
+				return nil, false, false, r.err
 			}
 			// Reconstruction is already in flight; wait it out.
 		case <-timerC:
 			timerC = nil
+			armed = true
 			c.cHedgedReads.Inc()
 			hedge = make(chan hedgeResult, 1)
+			lent := c.lentTo(b, blocks)
 			go func() {
-				data, err := c.degradedRead(b)
+				data, err := c.degradedRead(b, lent)
 				hedge <- hedgeResult{data: data, err: err}
 			}()
 		case r := <-hedge:
@@ -248,11 +252,11 @@ func (c *Client) hedgedRead(b wireBlock) (data []byte, degraded bool, err error)
 					// the hedge paid off.
 					c.cHedgeWins.Inc()
 				}
-				return r.data, true, nil
+				return r.data, true, true, nil
 			}
 			hedge, hedgeErr = nil, r.err
 			if primary == nil {
-				return nil, false, r.err
+				return nil, false, true, r.err
 			}
 			// Primary still pending; let it finish.
 		}

@@ -145,10 +145,12 @@ func TestPartialSumDegradedRead(t *testing.T) {
 	}
 }
 
-// TestPartialSumVersusConventionalBytes quantifies the tentpole's
-// traffic claim on a live cluster: the identical degraded workload
-// costs a conventional client ~k shards per reconstruction and a
-// partial-sum client exactly one.
+// TestPartialSumVersusConventionalBytes quantifies, on a live cluster,
+// what the identical degraded whole-file read downloads per
+// reconstruction. RS's plan reads k whole shards. The conventional
+// client already holds k-1 of them — the file's other blocks — so it
+// fetches one parity shard and is lent the rest; the partial-sum client
+// has the helpers fold the plan and fetches the one folded shard.
 func TestPartialSumVersusConventionalBytes(t *testing.T) {
 	code := testCodecs(t)[0] // rs(4,2): plan reads k=4 whole shards
 	sys := startTestSystem(t, code)
@@ -173,7 +175,7 @@ func TestPartialSumVersusConventionalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	perBlock := func(opts ...ClientOption) int64 {
+	perBlock := func(opts ...ClientOption) (fetched, lent int64) {
 		cl, err := Dial(sys.NameAddr(), code, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -190,16 +192,16 @@ func TestPartialSumVersusConventionalBytes(t *testing.T) {
 		if c.DegradedBlocks == 0 {
 			t.Fatal("no degraded blocks")
 		}
-		return c.DegradedBytesFetched / c.DegradedBlocks
+		return c.DegradedBytesFetched / c.DegradedBlocks, c.DegradedBytesLent / c.DegradedBlocks
 	}
 
-	shardSize := int64(4096)
-	conventional := perBlock()
-	partial := perBlock(WithPartialSumRepair())
-	if conventional != int64(code.DataShards())*shardSize {
-		t.Fatalf("conventional degraded read fetched %d bytes/block, want k*shard = %d", conventional, int64(code.DataShards())*shardSize)
+	shardSize, k := int64(4096), int64(code.DataShards())
+	fetched, lent := perBlock()
+	if fetched != shardSize || lent != (k-1)*shardSize || fetched+lent != k*shardSize {
+		t.Fatalf("conventional degraded read fetched %d and was lent %d bytes/block, want one shard = %d fetched, k-1 lent, k*shard = %d in all",
+			fetched, lent, shardSize, k*shardSize)
 	}
-	if partial != shardSize {
-		t.Fatalf("partial-sum degraded read fetched %d bytes/block, want one shard = %d", partial, shardSize)
+	if fetched, lent := perBlock(WithPartialSumRepair()); fetched != shardSize || lent != 0 {
+		t.Fatalf("partial-sum degraded read fetched %d and was lent %d bytes/block, want one shard = %d and nothing", fetched, lent, shardSize)
 	}
 }

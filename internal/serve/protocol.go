@@ -4,8 +4,9 @@
 // (replica range reads, partial-sum folds), all speaking a small framed
 // RPC protocol over real TCP on localhost, plus a concurrent Client
 // whose read path transparently falls back to degraded reads —
-// reconstructing missing blocks through the codec's repair plan with
-// every helper range fetched over the wire.
+// reconstructing missing blocks through the codec's repair plan, with
+// only the helper ranges it does not already hold fetched over the
+// wire.
 //
 // The in-memory hdfs.Cluster remains the source of truth for metadata
 // and block bytes; this package puts a real network between it and its
@@ -31,6 +32,36 @@
 // ranges and its children's partial sums into one block-sized buffer).
 // Every daemon answers "debug.trace". Errors travel as a string in the
 // response header; the payload always carries data, never errors.
+//
+// # Degraded reads and lent blocks
+//
+// Client.ReadFile downloads each stripe once. It reads every block a
+// replica can serve, then reconstructs the rest, and what it holds is
+// lent to those reconstructions: the fetch callback the codec's
+// ExecuteRepair runs its plan through (one builder, in
+// degradedReadTraced, shared with the hedge arm) answers a read of a
+// held shard with a view of the held block — a zero-padded copy in the
+// fetch arena only where the block is shorter than the shard — and goes
+// to a datanode for the rest. A lent position counts as alive; a block
+// reconstructed earlier in the read is lent to later ones of its
+// stripe; nothing is lent across stripes. The codec, its plan and the
+// plan's cost are untouched: lending only decides which of the plan's
+// bytes cross the wire (Counters.DegradedBytesFetched) and which do not
+// (Counters.DegradedBytesLent), so a whole-stripe read that lost one
+// data block downloads k blocks, as a healthy read does.
+//
+// The immutability rule: a buffer is lent only after it passed the
+// reply-length check, and from then on is never written — not recycled,
+// not padded in place, and never a view of the slice ReadFile returns,
+// which is the caller's to overwrite. A hedge arm that lost its race
+// keeps decoding from what it was lent after ReadFile has returned.
+//
+// WithPartialSumRepair still goes first when set. Its fold tree hands
+// the client one folded shard, which is also all a lent reconstruction
+// fetches for a single loss, so lending saves that client nothing; the
+// tree is for the client that holds none of the stripe, and any
+// failure in it (including a position only this client still holds)
+// falls back to the lent fan-in.
 package serve
 
 import (
@@ -270,6 +301,12 @@ type wireBlock struct {
 	Stripe    int64 `json:"stripe"` // -1 when unstriped
 	StripePos int   `json:"stripe_pos"`
 	Locations []int `json:"locations,omitempty"`
+
+	// held never crosses the wire (encoding/json skips unexported
+	// fields): it is the block's bytes once a client's ReadFile has them,
+	// kept in the table the read already owns so that holding a block
+	// costs the all-healthy path no allocation. See Client.lentTo.
+	held []byte
 }
 
 // wireStripe is one stripe's client-visible layout, enough for a
