@@ -10,9 +10,13 @@
 // serialising every Get on one mutex.
 //
 // Payload ownership: Put copies the value in and Get copies it out.
-// Both copies are deliberate — the serving read path pads, truncates,
-// and appends to block buffers in place, and a cache that hands out
-// aliased memory turns every such edit into silent cache poisoning.
+// Both copies are deliberate — a payload handed to Put may be a view
+// of a result its caller goes on to overwrite (Client.ReadFile caches
+// out of the slice it returns), a Get lands in a buffer its caller
+// recycles, and a cache that shared memory with either would be
+// silently poisoned by the next write. A stored payload is never edited
+// in place: an overwriting Put swaps in a fresh copy, which is what lets
+// Get copy out after the shard lock is released.
 //
 // A nil *Cache is valid and caches nothing: Get always misses, Put is
 // a no-op. Callers thread an optional cache without nil checks, the
@@ -71,9 +75,11 @@ func (s *shard) detach(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// getInto returns a copy of the entry's payload — in dst when its
-// capacity holds it — refreshing the entry's recency.
-func (s *shard) getInto(key uint64, dst []byte) ([]byte, bool) {
+// lookup returns the entry's stored payload, refreshing the entry's
+// recency. The slice is the cache's own and is never written again (put
+// replaces e.data, it does not edit it), so the caller may read it
+// without the lock — and must not write it.
+func (s *shard) lookup(key uint64) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.items[key]
@@ -84,7 +90,18 @@ func (s *shard) getInto(key uint64, dst []byte) ([]byte, bool) {
 	s.detach(e)
 	s.attach(e)
 	s.hits++
-	return append(dst[:0], e.data...), true
+	return e.data, true
+}
+
+// getInto returns a copy of the entry's payload — in dst when its
+// capacity holds it. The copy runs after the shard lock is released: a
+// block-sized memmove under it would stall every other key of the shard.
+func (s *shard) getInto(key uint64, dst []byte) ([]byte, bool) {
+	data, ok := s.lookup(key)
+	if !ok {
+		return nil, false
+	}
+	return append(dst[:0], data...), true
 }
 
 // put stores a copy of data, evicting from the LRU tail until the

@@ -197,6 +197,55 @@ func TestConcurrentStorm(t *testing.T) {
 	}
 }
 
+// TestGetIntoRacingAnOverwriteReturnsOneVersionWhole: GetInto copies the
+// payload out after the shard lock is gone, which is only sound because
+// an overwriting Put swaps the stored slice and never edits it. Readers
+// racing a writer that alternates two versions of one key must each get
+// one of them, whole. Run under -race.
+func TestGetIntoRacingAnOverwriteReturnsOneVersionWhole(t *testing.T) {
+	const size = 64 << 10
+	c := New(1<<20, 1)
+	versions := [][]byte{bytes.Repeat([]byte{0xaa}, size), bytes.Repeat([]byte{0xbb}, size)}
+	c.Put(7, versions[0])
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Put(7, versions[i%2])
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			dst := make([]byte, size)
+			for i := 0; i < 500; i++ {
+				got, ok := c.GetInto(7, dst)
+				if !ok || len(got) != size {
+					t.Errorf("GetInto = %d bytes, %v", len(got), ok)
+					return
+				}
+				if !bytes.Equal(got, versions[0]) && !bytes.Equal(got, versions[1]) {
+					t.Error("GetInto returned a mix of two versions")
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	recount(t, c)
+}
+
 // TestShardRouting pins that the mixed hash actually spreads dense
 // sequential keys: with 1024 keys over 16 shards no shard should be
 // empty and none should hold more than a quarter of the keys.

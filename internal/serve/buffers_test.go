@@ -351,3 +351,61 @@ func TestServingAReadAllocatesUnderAQuarterBlock(t *testing.T) {
 		t.Fatalf("serving one %d-byte dn.read allocates %d bytes, want at most %d", blockSize, got, blockSize/4)
 	}
 }
+
+// healthyFile stores one raided file of 10 x 256 KiB (the benchmark's
+// healthy_read shape) as "f0" on a live extent-backed system and returns
+// a client to read it with and its contents.
+func healthyFile(t testing.TB) (*Client, []byte) {
+	t.Helper()
+	const blockSize = 256 << 10
+	sys, code := startExtentSystem(t, blockSize)
+	data := writeFiles(t, sys, code, 1, 10*blockSize, true)["f0"]
+	cl, err := Dial(sys.NameAddr(), code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, data
+}
+
+// readFileLoop is the body both BenchmarkReadFileHealthy and the
+// allocation gate below time: whole-file reads, byte-compared.
+func readFileLoop(b *testing.B, cl *Client, data []byte) {
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := cl.ReadFile("f0")
+		if err != nil || !bytes.Equal(got, data) {
+			b.Fatalf("healthy read: %v", err)
+		}
+	}
+}
+
+// BenchmarkReadFileHealthy reads a healthy 10 x 256 KiB file end to end:
+// namenode, ten datanode reads, extent store, CRC. B/op is the whole
+// process's — client and daemons — per file read.
+func BenchmarkReadFileHealthy(b *testing.B) {
+	cl, data := healthyFile(b)
+	readFileLoop(b, cl, data)
+}
+
+// TestHealthyReadFileAllocatesTheResultOnce: a healthy whole-file read
+// allocates its result and little else — at most 1.1x the file's size,
+// client and daemons together. Every block is read straight into its
+// slot of the result; a per-block buffer assembled into the result
+// afterwards cost 2x.
+func TestHealthyReadFileAllocatesTheResultOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector: the datanodes would allocate blocks of their own")
+	}
+	cl, data := healthyFile(t)
+	res := testing.Benchmark(func(b *testing.B) { readFileLoop(b, cl, data) })
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	t.Logf("%d B/op, %d allocs/op over %d reads of %d bytes", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N, len(data))
+	if got, limit := res.AllocedBytesPerOp(), int64(len(data))*11/10; got > limit {
+		t.Fatalf("a healthy read of a %d-byte file allocates %d bytes, want at most %d", len(data), got, limit)
+	}
+}

@@ -11,6 +11,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -531,7 +532,10 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, ds
 // A datanode answers a range with exactly its length (zero-padded past
 // the block's end), so a reply of any other length is a failed replica:
 // callers move on to the next one, and nothing of the wrong size is ever
-// assembled into a file, lent, cached or handed to the decoder.
+// kept as a file's bytes, lent, cached or handed to the decoder. A
+// successful read therefore landed in dst whenever dst could hold the
+// range; a failed one may have written any part of dst, never past its
+// capacity.
 func (c *Client) dnRead(machine int, block, offset, length int64, trace *telemetry.TraceContext, dst []byte) ([]byte, error) {
 	req := &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace}
 	_, out, err := c.dnCallFull(machine, req, c.timeout, dst)
@@ -740,49 +744,65 @@ func (c *Client) fileBlocks(name string) (int64, []wireBlock, error) {
 // and only the rest (the parity ranges) crosses the wire. A degraded
 // read of a whole stripe thus downloads k blocks, what a healthy one
 // does, not k−1 plus a full repair plan drawn from those same blocks.
+//
+// The result is the only buffer a block's bytes land in: it is allocated
+// once, each block owns its slot of it, and a replica's reply or a cache
+// hit is read straight into the slot (see readBlock). The slice is the
+// caller's from the moment ReadFile returns — nothing this client started
+// still writes to it or reads from it (see "Who may write into or borrow
+// the result" in the package doc).
 func (c *Client) ReadFile(name string) ([]byte, error) {
 	size, blocks, err := c.fileBlocks(name)
 	if err != nil {
 		return nil, err
 	}
-	// The size is namenode-reported wire data; bound it before it
-	// sizes the assembly buffer.
+	// The table is namenode-reported wire data. It sizes the result and
+	// cuts it into slots, so it must add up before a byte is allocated or
+	// a datanode asked for one; and a block is never empty, so a slot
+	// always has bytes to tell a held block from a lost one by.
 	if size < 0 || size > maxPayloadBytes {
 		return nil, fmt.Errorf("serve: file %s reports size %d out of bounds", name, size)
 	}
-	// The result is assembled as blocks arrive for as long as none is
-	// missing (on the all-healthy path, all of it), a copy of each block
-	// while it is still warm; the rest follows the second pass.
-	out := make([]byte, 0, size)
-	assembled := 0 // blocks[:assembled] are in out
+	var sum int64
 	for i := range blocks {
-		data, err := c.readBlock(name, i, blocks, false)
-		if err == errLeftForStripe {
-			continue
+		b := &blocks[i]
+		if b.Size <= 0 || b.Size > maxPayloadBytes {
+			return nil, fmt.Errorf("serve: file %s block %d reports size %d out of bounds", name, b.ID, b.Size)
 		}
-		if err != nil {
+		sum += b.Size
+	}
+	if sum != size {
+		return nil, fmt.Errorf("serve: file %s block sizes do not add up to the %d bytes the namenode reports", name, size)
+	}
+	out := make([]byte, size)
+	type lostBlock struct {
+		index int
+		slot  []byte
+	}
+	var lost []lostBlock // no replica served these; in block order
+	off := int64(0)
+	for i := range blocks {
+		// The slot's capacity ends where the next block's begins: whatever
+		// is read into it cannot run over a neighbour.
+		end := off + blocks[i].Size
+		slot := out[off:end:end]
+		off = end
+		switch err := c.readBlock(name, i, blocks, slot, false); {
+		case err == errLeftForStripe:
+			lost = append(lost, lostBlock{i, slot})
+		case err != nil:
 			return nil, fmt.Errorf("serve: read %s block %d: %w", name, i, err)
-		}
-		blocks[i].held = data
-		if assembled == i {
-			out = append(out, data...)
-			assembled++
+		default:
+			blocks[i].held = slot
 		}
 	}
 	// In block order, so a block reconstructed here is itself lent to the
 	// next loss in its stripe.
-	for i := assembled; i < len(blocks); i++ {
-		if blocks[i].held == nil {
-			data, err := c.readBlock(name, i, blocks, true)
-			if err != nil {
-				return nil, fmt.Errorf("serve: read %s block %d: %w", name, i, err)
-			}
-			blocks[i].held = data
+	for _, l := range lost {
+		if err := c.readBlock(name, l.index, blocks, l.slot, true); err != nil {
+			return nil, fmt.Errorf("serve: read %s block %d: %w", name, l.index, err)
 		}
-		out = append(out, blocks[i].held...)
-	}
-	if int64(len(out)) != size {
-		return nil, fmt.Errorf("serve: file %s assembled to %d bytes, namenode reports %d", name, len(out), size)
+		blocks[l.index].held = l.slot
 	}
 	c.cReads.Inc()
 	return out, nil
@@ -795,18 +815,21 @@ var errLeftForStripe = errors.New("serve: block left for stripe reconstruction")
 
 // lentTo gathers, by stripe position, the blocks of b's stripe that the
 // read owning the table already holds: what a reconstruction of b need
-// not download. Lent buffers are immutable from the moment they are
-// held — ReadFile returns a copy, never a view of them — because a
-// hedge arm that lost its race may still be decoding from them after
-// ReadFile has returned. The set is a snapshot, built per
-// reconstruction on ReadFile's own goroutine (so such an arm never
-// reads the table while ReadFile fills it), and never on the
-// all-healthy path.
-func (c *Client) lentTo(b wireBlock, blocks []wireBlock) [][]byte {
+// not download. A held block is its slot of ReadFile's result, so the set
+// is views of the result, and only work ReadFile waits for may have it as
+// such. detached makes each a copy instead — for a hedge arm, which may
+// still be decoding from what it was lent after ReadFile has returned and
+// the caller has overwritten the result. The set is a snapshot, built per
+// reconstruction on ReadFile's own goroutine (so such an arm never reads
+// the table while ReadFile fills it), and never on the all-healthy path.
+func (c *Client) lentTo(b wireBlock, blocks []wireBlock, detached bool) [][]byte {
 	lent := make([][]byte, c.code.TotalShards())
 	for i := range blocks {
 		if o := &blocks[i]; o.held != nil && o.Stripe == b.Stripe && o.StripePos >= 0 && o.StripePos < len(lent) {
 			lent[o.StripePos] = o.held
+			if detached {
+				lent[o.StripePos] = bytes.Clone(o.held)
+			}
 		}
 	}
 	return lent
@@ -815,31 +838,40 @@ func (c *Client) lentTo(b wireBlock, blocks []wireBlock) [][]byte {
 // cacheFill records a successfully read block in the client cache
 // (no-op without WithBlockCache). Every fill is a full block keyed by
 // its immutable id, so a hit can be returned without consulting
-// metadata.
+// metadata. The cache copies data in: it is a slot of a result the
+// caller is about to own.
 func (c *Client) cacheFill(b wireBlock, data []byte) {
 	c.blockCache.Put(uint64(b.ID), data)
 }
 
-// readBlock reads blocks[index], retrying with refreshed metadata when
-// replicas or helpers die mid-flight. The block cache is consulted
-// before any RPC; every successful read — healthy, hedged, degraded —
-// fills it. ReadFile calls it twice at most: with reconstruct false it
-// returns errLeftForStripe in place of reconstructing a striped block
-// whose replicas (as the table lists them) did not serve it, and with
-// reconstruct true it picks up exactly there, the blocks the table
-// holds by then lent to the reconstruction.
-func (c *Client) readBlock(name string, index int, blocks []wireBlock, reconstruct bool) ([]byte, error) {
+// readBlock reads blocks[index] into slot — its len(slot) == Size bytes
+// of ReadFile's result — retrying with refreshed metadata when replicas
+// or helpers die mid-flight. On success the slot holds the block; on
+// failure its contents are unspecified (a replica that died mid-payload
+// leaves it half written) and whatever serves the block next overwrites
+// all of it. The block cache is consulted before any RPC; every
+// successful read — healthy, hedged, degraded — fills it. ReadFile calls
+// it twice at most: with reconstruct false it returns errLeftForStripe in
+// place of reconstructing a striped block whose replicas (as the table
+// lists them) did not serve it, and with reconstruct true it picks up
+// exactly there, the blocks the table holds by then lent to the
+// reconstruction.
+//
+// Who writes the slot: the cache and the plain replica chain read
+// straight into it, on this goroutine. A reconstruction and both arms of
+// a hedged read produce the block in memory of their own, and it is
+// copied in once — the reconstruction because the codec allocates its
+// output, the hedge arms because the one that loses the race keeps
+// running after ReadFile has returned.
+func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []byte, reconstruct bool) error {
 	b := blocks[index]
-	// The size is wire data too, and a block is never empty: ReadFile
-	// tells a held block from a lost one by its bytes.
-	if b.Size <= 0 || b.Size > maxPayloadBytes {
-		return nil, fmt.Errorf("serve: block %d reports size %d out of bounds", b.ID, b.Size)
-	}
 	if c.blockCache != nil && !reconstruct {
-		if data, ok := c.blockCache.Get(uint64(b.ID)); ok {
+		// A hit of another length than the table's (the namenode's word
+		// against an earlier one of its own) is not the block.
+		if data, ok := c.blockCache.GetInto(uint64(b.ID), slot); ok && len(data) == len(slot) {
 			c.cCacheHits.Inc()
 			c.cBlocksRead.Inc()
-			return data, nil
+			return nil
 		}
 		c.cCacheMisses.Inc()
 	}
@@ -849,16 +881,18 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, reconstru
 			// Metadata may be stale: the holder set changed, daemons
 			// moved ports, or the block got fixed to a new machine.
 			if err := c.refreshAddrs(); err != nil {
-				return nil, err
+				return err
 			}
 			_, fresh, err := c.fileBlocks(name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if index >= len(fresh) {
-				return nil, fmt.Errorf("serve: block index %d vanished", index)
+				return fmt.Errorf("serve: block index %d vanished", index)
 			}
-			b = fresh[index]
+			if b = fresh[index]; b.Size != int64(len(slot)) {
+				return fmt.Errorf("serve: block %d changed size from %d to %d under the read", b.ID, len(slot), b.Size)
+			}
 		}
 
 		if attempt > 0 || !reconstruct {
@@ -869,12 +903,13 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, reconstru
 				// is the whole attempt's.
 				data, degraded, armed, err := c.hedgedRead(b, blocks)
 				if err == nil {
+					copy(slot, data)
 					c.cBlocksRead.Inc()
 					if degraded {
 						c.cDegradedBlocks.Inc()
 					}
-					c.cacheFill(b, data)
-					return data, nil
+					c.cacheFill(b, slot)
+					return nil
 				}
 				lastErr = err
 				if armed {
@@ -886,13 +921,11 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, reconstru
 				// one on a dead machine — count it and keep going; the
 				// stripe reconstructs around it.
 				for _, m := range c.replicaOrder(b.Locations) {
-					// A fresh buffer per block: it may be lent, so it is
-					// never written again.
-					data, err := c.dnRead(m, b.ID, 0, b.Size, nil, nil)
+					_, err := c.dnRead(m, b.ID, 0, b.Size, nil, slot)
 					if err == nil {
 						c.cBlocksRead.Inc()
-						c.cacheFill(b, data)
-						return data, nil
+						c.cacheFill(b, slot)
+						return nil
 					}
 					if isCorruptReplicaErr(err) {
 						c.cCorruptReps.Inc()
@@ -902,25 +935,27 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, reconstru
 			}
 			if attempt == 0 && b.Stripe >= 0 {
 				// ReadFile's first pass (attempt 0 comes here only then).
-				return nil, errLeftForStripe
+				return errLeftForStripe
 			}
 		}
 
-		// Degraded path: reconstruct from the stripe.
+		// Degraded path: reconstruct from the stripe. ReadFile waits for
+		// it, so it is lent views of the result.
 		if b.Stripe >= 0 {
-			data, err := c.degradedRead(b, c.lentTo(b, blocks))
+			data, err := c.degradedRead(b, c.lentTo(b, blocks, false))
 			if err == nil {
+				copy(slot, data)
 				c.cBlocksRead.Inc()
 				c.cDegradedBlocks.Inc()
-				c.cacheFill(b, data)
-				return data, nil
+				c.cacheFill(b, slot)
+				return nil
 			}
 			lastErr = err
 		} else if len(b.Locations) == 0 && lastErr == nil {
 			lastErr = fmt.Errorf("serve: block %d has no live replicas and no stripe", b.ID)
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // degradedRead reconstructs one striped block: fetch the stripe layout,

@@ -185,16 +185,22 @@ type hedgeResult struct {
 // timer only arms the hedge — a primary that answers before it fires
 // costs nothing extra, and a replica chain that fails before it fires
 // returns its error with armed false: nothing was reconstructed, and
-// readBlock decides when to. The reconstruction is lent what the read
-// owning blocks holds when the hedge arms (see lentTo). The losing arm
-// is left to finish into a buffered channel and its result is dropped;
-// neither arm is ever cancelled mid-RPC, so a hedge never poisons the
-// winner's pooled connection.
+// readBlock decides when to. The reconstruction is lent copies of what
+// the read owning blocks holds when the hedge arms (see lentTo). The
+// losing arm is left to finish into a buffered channel and its result is
+// dropped; neither arm is ever cancelled mid-RPC, so a hedge never
+// poisons the winner's pooled connection. That is also why neither arm
+// touches the result of the ReadFile it serves: each reads into memory
+// of its own, and the winner's bytes are copied into the block's slot by
+// readBlock.
 func (c *Client) hedgedRead(b wireBlock, blocks []wireBlock) (data []byte, degraded, armed bool, err error) {
 	primary := make(chan hedgeResult, 1)
 	go func() {
 		var lastErr error
 		for _, m := range c.replicaOrder(b.Locations) {
+			// Into a buffer of the arm's own, never the block's slot of
+			// the result: this goroutine keeps reading after the hedge
+			// wins and ReadFile returns.
 			data, err := c.dnRead(m, b.ID, 0, b.Size, nil, nil)
 			if err == nil {
 				primary <- hedgeResult{data: data}
@@ -240,7 +246,8 @@ func (c *Client) hedgedRead(b wireBlock, blocks []wireBlock) (data []byte, degra
 			armed = true
 			c.cHedgedReads.Inc()
 			hedge = make(chan hedgeResult, 1)
-			lent := c.lentTo(b, blocks)
+			// Copies: the arm keeps decoding after the primary wins.
+			lent := c.lentTo(b, blocks, true)
 			go func() {
 				data, err := c.degradedRead(b, lent)
 				hedge <- hedgeResult{data: data, err: err}

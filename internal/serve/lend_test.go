@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,8 +299,9 @@ func TestLosingHedgeArmReadsLentBlocksAfterReadFileReturns(t *testing.T) {
 	}
 }
 
-// shortReplies is a datanode that answers every dn.read one byte short.
-func shortReplies(t *testing.T) string {
+// fakeDataNode listens like a datanode and hands every request frame of
+// every connection to answer, hanging up when answer returns an error.
+func fakeDataNode(t *testing.T, answer func(c net.Conn, req *request) error) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -319,7 +321,7 @@ func shortReplies(t *testing.T) string {
 					if _, err := readFrame(c, &req, nil); err != nil {
 						return
 					}
-					if err := writeFrame(c, okResponse(), make([]byte, req.Length-1)); err != nil {
+					if err := answer(c, &req); err != nil {
 						return
 					}
 				}
@@ -327,6 +329,14 @@ func shortReplies(t *testing.T) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// wrongLengthReplies is a datanode that answers every dn.read with by
+// bytes more (or, negative, fewer) than were asked for, all of them 0x55.
+func wrongLengthReplies(t *testing.T, by int64) string {
+	return fakeDataNode(t, func(c net.Conn, req *request) error {
+		return writeFrame(c, okResponse(), bytes.Repeat([]byte{0x55}, int(req.Length+by)))
+	})
 }
 
 // TestWrongLengthReplyIsAFailedReplica: a datanode that answers a read
@@ -348,7 +358,7 @@ func TestWrongLengthReplyIsAFailedReplica(t *testing.T) {
 	defer cl.Close()
 	liar := blocks[1].Locations[0]
 	cl.mu.Lock()
-	cl.addrs[liar] = shortReplies(t)
+	cl.addrs[liar] = wrongLengthReplies(t, -1)
 	cl.mu.Unlock()
 
 	if buf, err := cl.dnRead(liar, int64(blocks[1].ID), 0, lendBlock, nil, nil); err == nil {
@@ -411,10 +421,20 @@ func tamperingNameNode(t *testing.T, real string, tamper func(*response)) string
 
 // TestReadFileRefusesAResultOfTheWrongLength: block sizes that do not
 // add up to the file size the namenode reports fail the read; no caller
-// is handed a result of another length than the file's.
+// is handed a result of another length than the file's. The table cuts
+// the result into slots, so it is refused up front: before a single
+// datanode has been asked for a byte.
 func TestReadFileRefusesAResultOfTheWrongLength(t *testing.T) {
 	code := testCodecs(t)[0]
-	sys := startTestSystem(t, code)
+	sys := startTestSystem(t, code, WithTelemetry(TelemetryConfig{}))
+	datanodeRPCs := func() (n int64) {
+		for name, v := range sys.Telemetry().Snapshot().Counters {
+			if strings.HasPrefix(name, `rpc_requests_total{role="datanode"`) {
+				n += v
+			}
+		}
+		return n
+	}
 	setup, err := Dial(sys.NameAddr(), code)
 	if err != nil {
 		t.Fatal(err)
@@ -429,6 +449,7 @@ func TestReadFileRefusesAResultOfTheWrongLength(t *testing.T) {
 		"short block": func(r *response) { shrinkLastBlock(r, 1) },
 		"long block":  func(r *response) { shrinkLastBlock(r, -1) },
 		"empty block": func(r *response) { shrinkLastBlock(r, 1<<40) },
+		"huge block":  func(r *response) { shrinkLastBlock(r, -2*maxPayloadBytes) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cl, err := Dial(tamperingNameNode(t, sys.NameAddr(), tamper), code)
@@ -436,15 +457,20 @@ func TestReadFileRefusesAResultOfTheWrongLength(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
+			before := datanodeRPCs()
 			got, err := cl.ReadFile("f")
+			asked := datanodeRPCs() - before
 			if name == "honest" {
-				if err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("read through the relay: %v", err)
+				if err != nil || !bytes.Equal(got, data) || asked == 0 {
+					t.Fatalf("read through the relay, %d datanode RPCs: %v", asked, err)
 				}
 				return
 			}
 			if err == nil {
 				t.Fatalf("read returned %d bytes of a %d-byte file", len(got), len(data))
+			}
+			if asked != 0 {
+				t.Fatalf("%d datanode RPCs were made for a table that does not add up", asked)
 			}
 		})
 	}

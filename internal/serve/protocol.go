@@ -40,21 +40,42 @@
 // lent to those reconstructions: the fetch callback the codec's
 // ExecuteRepair runs its plan through (one builder, in
 // degradedReadTraced, shared with the hedge arm) answers a read of a
-// held shard with a view of the held block — a zero-padded copy in the
-// fetch arena only where the block is shorter than the shard — and goes
-// to a datanode for the rest. A lent position counts as alive; a block
-// reconstructed earlier in the read is lent to later ones of its
-// stripe; nothing is lent across stripes. The codec, its plan and the
+// held shard with a view of the held block (its slot of the result; see
+// the next section) — a zero-padded copy in the fetch arena only where
+// the block is shorter than the shard — and goes to a datanode for the
+// rest. A lent position counts as alive; a block reconstructed earlier
+// in the read is lent to later ones of its stripe; nothing is lent
+// across stripes. The codec, its plan and the
 // plan's cost are untouched: lending only decides which of the plan's
 // bytes cross the wire (Counters.DegradedBytesFetched) and which do not
 // (Counters.DegradedBytesLent), so a whole-stripe read that lost one
 // data block downloads k blocks, as a healthy read does.
 //
-// The immutability rule: a buffer is lent only after it passed the
-// reply-length check, and from then on is never written — not recycled,
-// not padded in place, and never a view of the slice ReadFile returns,
-// which is the caller's to overwrite. A hedge arm that lost its race
-// keeps decoding from what it was lent after ReadFile has returned.
+// # Who may write into or borrow the result
+//
+// ReadFile checks the namenode's block table first (every size in
+// bounds, the sizes adding up to the file's), allocates the result once,
+// and gives each block its slot of it: a slice whose capacity ends where
+// the next block's begins. A replica's reply and a client-cache hit are
+// read straight into the slot — there is no per-block buffer and no
+// assembly copy — and a held block is that slot, so what is lent to a
+// reconstruction is views of the result. A slot is lent only once its
+// block is whole (the reply passed the length check); a replica that
+// fails mid-payload leaves it half written, unlent, for the next replica
+// or the reconstruction to overwrite in full, and no reply of any length
+// can write past it.
+//
+// One rule keeps that safe: only work ReadFile waits for may write into
+// the result or be lent views of it. The plain replica chain and the
+// second-pass reconstruction run on ReadFile's goroutine and qualify.
+// The two arms of a hedged read do not — either can outlive the read:
+// the primary keeps reading after the hedge wins, the hedge keeps
+// decoding after the primary wins — so each reads into memory of its
+// own, the hedge is lent copies made when it arms, and the winner's
+// bytes are copied into the slot. The client cache copies in and out
+// (cache.Put owns its bytes), so a caller scribbling on the result
+// cannot poison it. When ReadFile returns, the slice is the caller's
+// alone.
 //
 // WithPartialSumRepair still goes first when set. Its fold tree hands
 // the client one folded shard, which is also all a lent reconstruction
@@ -303,9 +324,10 @@ type wireBlock struct {
 	Locations []int `json:"locations,omitempty"`
 
 	// held never crosses the wire (encoding/json skips unexported
-	// fields): it is the block's bytes once a client's ReadFile has them,
-	// kept in the table the read already owns so that holding a block
-	// costs the all-healthy path no allocation. See Client.lentTo.
+	// fields): once a client's ReadFile has the block's bytes it is the
+	// block's slot of that read's result — a view, kept in the table the
+	// read already owns so that holding a block costs the all-healthy
+	// path nothing. See Client.lentTo.
 	held []byte
 }
 
