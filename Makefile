@@ -85,12 +85,14 @@ race:
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip
 # byte-identical. Under them, the gf256 kernels against a byte-at-a-time
-# reference. Seed corpora live in testdata/fuzz/.
+# reference; beside them, the serving wire's header decoders against
+# arbitrary bytes. Seed corpora live in testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run=FuzzMulAdd -fuzz=FuzzMulAdd -fuzztime=3s ./internal/gf256/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/rs/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/core/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/lrc/
+	$(GO) test -run=FuzzDecodeHeader -fuzz=FuzzDecodeHeader -fuzztime=3s ./internal/serve/
 
 # Full benchmark run (regenerates the paper's numbers as metrics).
 bench:

@@ -52,6 +52,13 @@ func TestNoAllocGolden(t *testing.T) {
 	runGolden(t, NoAlloc(), "testdata/noalloc", "repro/internal/gf256")
 }
 
+// In the serve package only the frame writer and the header encoder are
+// in scope: the golden has both a flagged encoder and an allocating
+// decoder the rule leaves alone.
+func TestNoAllocServeGolden(t *testing.T) {
+	runGolden(t, NoAlloc(), "testdata/noalloc/serve", "repro/internal/serve")
+}
+
 // The analyzers a golden dir exercises must not fire on packages
 // outside their target path: the same sources parsed under a neutral
 // import path produce nothing.
@@ -65,6 +72,7 @@ func TestAnalyzersScopedToTargetPackages(t *testing.T) {
 		{ClockInject(), "testdata/clockinject"},
 		{FrameCheck(), "testdata/framecheck"},
 		{NoAlloc(), "testdata/noalloc"},
+		{NoAlloc(), "testdata/noalloc/serve"},
 	} {
 		pkg := parseTestdata(t, tc.dir, "example.com/elsewhere")
 		if diags := tc.az.Check(pkg); len(diags) != 0 {

@@ -19,6 +19,12 @@ import (
 //     accepts any earlier comparison in the enclosing function that
 //     mentions the same expression (or its root identifier); sizes
 //     derived from len/cap of existing data are exempt.
+//  3. The same holds for a slice of any element type when its size is
+//     a count a header decoder just yielded (Uvarint/Varint/UintNN and
+//     the serve decoder's uvarint/varint): a block table's declared
+//     length is as attacker-chosen as a payload's. A helper that makes
+//     the comparison itself and returns the checked count (the serve
+//     decoder's count) is the blessed way to size such a slice.
 type frameCheck struct{}
 
 // FrameCheck returns the framecheck analyzer.
@@ -50,6 +56,7 @@ var wireCallErrLast = map[string]bool{
 	"ReadFull": true,
 	"Read":     true,
 	"Write":    true,
+	"WriteTo":  true,
 	"Marshal":  true,
 }
 
@@ -59,6 +66,16 @@ var wireCallErrOnly = map[string]bool{
 	"Encode":    true,
 	"Decode":    true,
 	"Flush":     true,
+	// The binary frame header's decoder (serve/codec.go).
+	"decodeHeader": true,
+}
+
+// decodedCountCalls yield an integer read straight out of wire bytes:
+// whatever one is assigned to is attacker-chosen until compared.
+var decodedCountCalls = map[string]bool{
+	"Uvarint": true, "Varint": true,
+	"uvarint": true, "varint": true,
+	"Uint16": true, "Uint32": true, "Uint64": true,
 }
 
 func (a frameCheck) Check(pkg *Package) []Diagnostic {
@@ -197,6 +214,17 @@ func (a frameCheck) checkMakes(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 		return false
 	}
 
+	// Whatever a decoder call was assigned to is a decoded count (the
+	// first left-hand side: binary.Uvarint also returns a width).
+	decoded := map[string]bool{}
+	ast.Inspect(fd, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if ok && len(as.Rhs) == 1 && isDecodedCount(as.Rhs[0]) {
+			decoded[exprKey(as.Lhs[0])] = true
+		}
+		return true
+	})
+
 	var diags []Diagnostic
 	ast.Inspect(fd, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -210,9 +238,8 @@ func (a frameCheck) checkMakes(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 		if !ok || at.Len != nil {
 			return true
 		}
-		if elt, isIdent := at.Elt.(*ast.Ident); !isIdent || elt.Name != "byte" {
-			return true
-		}
+		elt, _ := at.Elt.(*ast.Ident)
+		bytes := elt != nil && elt.Name == "byte"
 		for _, sz := range call.Args[1:] {
 			if constLikeSize(sz) {
 				continue
@@ -221,12 +248,39 @@ func (a frameCheck) checkMakes(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 			if guarded(call.Pos(), key) {
 				continue
 			}
-			diags = append(diags, diag(pkg, a.Name(), call.Pos(),
-				"make([]byte, %s) without a preceding bounds check: a decoded frame length must be validated before it sizes an allocation", key))
+			switch {
+			case bytes:
+				diags = append(diags, diag(pkg, a.Name(), call.Pos(),
+					"make([]byte, %s) without a preceding bounds check: a decoded frame length must be validated before it sizes an allocation", key))
+			case isDecodedCount(sz) || decoded[key]:
+				diags = append(diags, diag(pkg, a.Name(), call.Pos(),
+					"make sized by a decoded count without a preceding bounds check: hold it to the bytes that remain before it sizes an allocation"))
+			}
 		}
 		return true
 	})
 	return diags
+}
+
+// isDecodedCount reports whether e is a decoder call (decodedCountCalls),
+// bare or inside integer conversions.
+func isDecodedCount(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+			continue
+		case *ast.CallExpr:
+			if decodedCountCalls[calleeName(x)] {
+				return true
+			}
+			if _, conv := x.Fun.(*ast.Ident); conv && len(x.Args) == 1 {
+				e = x.Args[0]
+				continue
+			}
+		}
+		return false
+	}
 }
 
 // exprKey normalises a size expression to its comparison key: the

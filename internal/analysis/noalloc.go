@@ -6,11 +6,12 @@ import (
 
 // noAlloc keeps the byte-granular hot paths allocation-free: the
 // GF(256) fused kernels (every function in internal/gf256), the
-// engine's per-job fold loops, the repair executor's fold loop and the
-// pooled block read under it. An append, make, new, map literal, or
-// closure inside them turns a cache-resident multiply-accumulate into
-// a GC touchpoint; per-call garbage in MulAddSlices is multiplied by
-// every stripe of every repair batch.
+// engine's per-job fold loops, the repair executor's fold loop, the
+// pooled block read under it and the serving wire's frame writer. An
+// append, make, new, map literal, or closure inside them turns a
+// cache-resident multiply-accumulate into a GC touchpoint; per-call
+// garbage in MulAddSlices is multiplied by every stripe of every repair
+// batch, and in writeFrame by every message.
 //
 // Allocations that ARE the design — a scratch arena refilling its
 // pool, per-batch worker setup — carry a //repolint:ignore noalloc
@@ -24,7 +25,7 @@ func NoAlloc() Analyzer { return noAlloc{} }
 func (noAlloc) Name() string { return "noalloc" }
 
 func (noAlloc) Doc() string {
-	return "gf256 kernels and engine fold loops stay allocation-free (no append/make/new/map/closure)"
+	return "gf256 kernels, engine fold loops and the frame writer stay allocation-free (no append/make/new/map/closure)"
 }
 
 // noAllocScopes maps package import path → the functions held to the
@@ -59,6 +60,25 @@ var noAllocScopes = map[string]map[string]bool{
 	},
 	"repro/internal/hdfs": {
 		"readRangeInto": true,
+	},
+	// Every RPC sends two frames through these: the header encoder
+	// appends onto a pooled buffer that keeps its capacity (the two raw
+	// appends, put and appendString, are suppressed where they stand) and
+	// writeFrame hands that buffer and the payload to the socket as they
+	// are. A make, a closure or a stray append here is garbage per
+	// message — what small reads are made of.
+	"repro/internal/serve": {
+		"writeFrame":        true,
+		"appendHeader":      true, // request and response
+		"appendTo":          true, // the dn.partial tree
+		"appendVarintField": true,
+		"appendBoolField":   true,
+		"appendStringField": true,
+		"appendString":      true,
+		"appendInts":        true,
+		"beginNested":       true,
+		"endNested":         true,
+		"put":               true,
 	},
 }
 

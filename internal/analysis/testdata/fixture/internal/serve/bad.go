@@ -22,3 +22,15 @@ func (s *server) readFrame(r io.Reader) []byte {
 	size := binary.BigEndian.Uint64(hdr[:])
 	return make([]byte, int(size)) // framecheck: attacker-sized allocation, no bounds check
 }
+
+type header struct{ blocks []int64 }
+
+func (h *header) decodeHeader(b []byte) error {
+	n, _ := binary.Uvarint(b)
+	h.blocks = make([]int64, n) // framecheck: a decoded count sizes the block table unchecked
+	return nil
+}
+
+func (s *server) readHeader(h *header, b []byte) {
+	h.decodeHeader(b) // framecheck: discarded header-decode error
+}

@@ -69,3 +69,48 @@ func poolSeed(n int) []byte {
 	//repolint:ignore framecheck golden example: n is an operator-supplied pool size, not a wire-decoded length
 	return make([]byte, n)
 }
+
+// The binary header decoder: its error is the only sign of a malformed
+// header, and a count it yields is attacker-chosen until compared —
+// whatever the slice's element type.
+type blockHeader struct{ Blocks []int64 }
+
+func (h *blockHeader) decodeHeader(b []byte) error { return nil }
+
+type decoder struct{ b []byte }
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	d.b = d.b[n:]
+	return v
+}
+
+func sloppyDecode(h *blockHeader, d *decoder, b []byte) []int64 {
+	h.decodeHeader(b)              // want "discarded result of decodeHeader"
+	_ = make([]int64, d.uvarint()) // want "sized by a decoded count"
+	v, _ := binary.Uvarint(d.b)
+	_ = make([]string, int(v)) // want "sized by a decoded count"
+	n := int(d.uvarint())
+	return make([]int64, n) // want "sized by a decoded count"
+}
+
+// The blessed shape: the count is held to the bytes that remain before
+// it sizes anything; a helper that does so hands back a checked count.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		return 0
+	}
+	return int(n)
+}
+
+func carefulDecode(h *blockHeader, d *decoder, b []byte) ([]int64, error) {
+	if err := h.decodeHeader(b); err != nil {
+		return nil, err
+	}
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return append(make([]int64, n), make([]int64, d.count())...), nil
+}

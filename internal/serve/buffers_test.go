@@ -409,3 +409,47 @@ func TestHealthyReadFileAllocatesTheResultOnce(t *testing.T) {
 		t.Fatalf("a healthy read of a %d-byte file allocates %d bytes, want at most %d", len(data), got, limit)
 	}
 }
+
+// oneBlockFile stores one raided file of a single 4 KiB block (the
+// benchmark's small_read shape) as "f0" on a live extent-backed system.
+func oneBlockFile(t testing.TB) (*Client, []byte) {
+	t.Helper()
+	const blockSize = 4 << 10
+	sys, code := startExtentSystem(t, blockSize)
+	data := writeFiles(t, sys, code, 1, blockSize, true)["f0"]
+	cl, err := Dial(sys.NameAddr(), code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, data
+}
+
+// BenchmarkReadFileOneBlock reads a one-block file end to end — a blocks
+// RPC and a dn.read — where the per-message cost is all there is.
+// allocs/op is the whole process's: client, namenode and datanode.
+func BenchmarkReadFileOneBlock(b *testing.B) {
+	cl, data := oneBlockFile(b)
+	readFileLoop(b, cl, data)
+}
+
+// TestOneBlockReadAllocatesAtMostTwentyTimes: a one-block raided ReadFile
+// — two RPCs, four frames — allocates at most 20 objects, client and
+// both daemons together. With reflected JSON headers and a prefix array
+// per frame it was 53; binary headers built and parsed in pooled buffers
+// leave 14 (the result, the block table on either side, the header
+// structs, the file's name, hdfs's own lookups).
+func TestOneBlockReadAllocatesAtMostTwentyTimes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector: pooled frame buffers would be reallocated")
+	}
+	cl, data := oneBlockFile(t)
+	res := testing.Benchmark(func(b *testing.B) { readFileLoop(b, cl, data) })
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	t.Logf("%d B/op, %d allocs/op over %d reads", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
+	if got := res.AllocsPerOp(); got > 20 {
+		t.Fatalf("a one-block read allocates %d objects, want at most 20", got)
+	}
+}

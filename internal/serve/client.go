@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ec"
 	"repro/internal/engine"
-	"repro/internal/hdfs"
 	"repro/internal/telemetry"
 )
 
@@ -56,7 +54,6 @@ type conn struct {
 	mu sync.Mutex
 	nc net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 }
 
 func dialConn(addr string, timeout time.Duration) (*conn, error) {
@@ -64,7 +61,7 @@ func dialConn(addr string, timeout time.Duration) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
+	return &conn{nc: nc, br: bufio.NewReaderSize(nc, frameReadBuffer)}, nil
 }
 
 // call performs one RPC round trip. A transport failure leaves the
@@ -74,7 +71,7 @@ func dialConn(addr string, timeout time.Duration) (*conn, error) {
 // The deadline is refreshed per PHASE of the exchange, not set once
 // for the whole call: the write phase gets a fresh budget, and the
 // read phase gets another one armed only after the request is fully
-// flushed. A single up-front deadline silently shrinks the read budget
+// written. A single up-front deadline silently shrinks the read budget
 // by however long the write took, and — the regression that motivated
 // this — any deadline left armed on the pooled connection after a call
 // poisons the NEXT exchange on a client held open past its timeout.
@@ -89,10 +86,7 @@ func (c *conn) call(req *request, payload []byte, timeout time.Duration, dst []b
 	if err := c.nc.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, nil, err
 	}
-	if err := writeFrame(c.bw, req, payload); err != nil {
-		return nil, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	if err := writeFrame(c.nc, req, payload); err != nil {
 		return nil, nil, err
 	}
 	if err := c.nc.SetReadDeadline(time.Now().Add(timeout)); err != nil {
@@ -107,7 +101,7 @@ func (c *conn) call(req *request, payload []byte, timeout time.Duration, dst []b
 		return nil, nil, err
 	}
 	if !resp.OK {
-		return nil, nil, &RemoteError{Msg: resp.Err}
+		return nil, nil, &RemoteError{Code: resp.Code, Msg: resp.Err}
 	}
 	return &resp, out, nil
 }
@@ -115,12 +109,10 @@ func (c *conn) call(req *request, payload []byte, timeout time.Duration, dst []b
 func (c *conn) close() { c.nc.Close() }
 
 // isCorruptReplicaErr reports whether a datanode RPC failed because
-// the replica's stored bytes failed checksum verification. The typed
-// sentinel does not survive the wire, so the remote message carries
-// the signal.
+// the replica's stored bytes failed checksum verification.
 func isCorruptReplicaErr(err error) bool {
 	var remote *RemoteError
-	return errors.As(err, &remote) && strings.Contains(remote.Msg, hdfs.ErrCorruptReplica.Error())
+	return errors.As(err, &remote) && remote.Code == codeCorruptReplica
 }
 
 // Counters are a client's cumulative operation counts. DegradedBlocks
@@ -421,7 +413,7 @@ func (c *Client) refreshAddrs() error {
 
 // dnCallFull performs one RPC against the given machine's datanode and
 // returns the response header beside the payload — debug.trace answers
-// in the header's span list, not the payload. Partial-sum calls scale
+// in the header's cold body, not the payload. Partial-sum calls scale
 // timeout with the fold tree's size.
 //
 // A transport failure may mean the daemon restarted on a fresh port
@@ -574,15 +566,11 @@ func (c *Client) RunBlockFixer() (FixReport, error) {
 	if err != nil {
 		return FixReport{}, err
 	}
-	if resp.Fix == nil {
-		return FixReport{}, fmt.Errorf("serve: fixer reply missing report")
+	var rep FixReport
+	if err := resp.cold(&rep); err != nil {
+		return FixReport{}, fmt.Errorf("serve: fixer reply: %w", err)
 	}
-	return FixReport{
-		ScannedBlocks:   resp.Fix.ScannedBlocks,
-		RepairedStriped: resp.Fix.RepairedStriped,
-		ReReplicated:    resp.Fix.ReReplicated,
-		Unrecoverable:   resp.Fix.Unrecoverable,
-	}, nil
+	return rep, nil
 }
 
 // FailMachine fails a machine (and its daemon) through the namenode.
@@ -599,7 +587,10 @@ func (c *Client) RestoreMachine(machine int) error {
 }
 
 // RepairStatus is the client-visible snapshot of the repair control
-// plane (see the wire struct for field semantics).
+// plane — queue depth, per-node detector states, throttle and
+// grace-window accounting, and the completion log that makes priority
+// ordering externally observable. It crosses the wire as it stands, as
+// the cold body of a repair.status reply.
 type RepairStatus struct {
 	Nodes           []RepairNodeState
 	QueueDepth      int
@@ -651,48 +642,9 @@ func (c *Client) RepairStatus() (*RepairStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Repair == nil {
-		return nil, fmt.Errorf("serve: repair status reply missing payload")
-	}
-	w := resp.Repair
-	st := &RepairStatus{
-		QueueDepth:      w.QueueDepth,
-		QueueByErasures: make(map[int]int, len(w.QueueByErasures)),
-		Paused:          w.Paused,
-		DegradedStripes: w.DegradedStripes,
-		DegradedBlocks:  w.DegradedBlocks,
-		RepairsDone:     w.RepairsDone,
-		RepairedBytes:   w.RepairedBytes,
-		Unrecoverable:   w.Unrecoverable,
-		AvoidedRepairs:  w.AvoidedRepairs,
-		AvoidedBytes:    w.AvoidedBytes,
-		LostBlocks:      w.LostBlocks,
-		ScrubSlices:     w.ScrubSlices,
-		ScrubReplicas:   w.ScrubReplicas,
-		ScrubCorrupt:    w.ScrubCorrupt,
-		ThrottleBps:     w.ThrottleBps,
-
-		UptimeSeconds:    w.UptimeSeconds,
-		SecondsSincePoll: w.SecondsSincePoll,
-		PollCount:        w.PollCount,
-	}
-	for _, n := range w.Nodes {
-		st.Nodes = append(st.Nodes, RepairNodeState{Machine: n.Machine, State: n.State})
-	}
-	for _, d := range w.QueueByErasures {
-		st.QueueByErasures[d.Erasures] = d.Count
-	}
-	for _, f := range w.Completed {
-		st.Completed = append(st.Completed, CompletedFix{
-			Seq:           f.Seq,
-			Kind:          f.Kind,
-			Stripe:        f.Stripe,
-			Block:         f.Block,
-			Erasures:      f.Erasures,
-			Bytes:         f.Bytes,
-			WaitSeconds:   f.WaitSeconds,
-			Unrecoverable: f.Unrecoverable,
-		})
+	st := new(RepairStatus)
+	if err := resp.cold(st); err != nil {
+		return nil, fmt.Errorf("serve: repair status reply: %w", err)
 	}
 	return st, nil
 }
@@ -708,21 +660,23 @@ func (c *Client) CollectTrace(traceID uint64) ([]telemetry.Span, error) {
 		return nil, errors.New("serve: trace id 0 names no trace")
 	}
 	spans := c.spans.Trace(traceID)
-	if resp, err := c.nameCall(&request{Method: methodDebugTrace, TraceID: traceID}, nil); err == nil {
-		spans = append(spans, resp.Spans...)
+	// A daemon that is down, runs without telemetry or answers with
+	// something that does not decode contributes no spans.
+	add := func(resp *response, err error) {
+		var got []telemetry.Span
+		if err == nil && resp.cold(&got) == nil {
+			spans = append(spans, got...)
+		}
 	}
+	add(c.nameCall(&request{Method: methodDebugTrace, TraceID: traceID}, nil))
 	c.mu.Lock()
 	addrs := append([]string(nil), c.addrs...)
 	c.mu.Unlock()
 	for m, addr := range addrs {
-		if addr == "" {
-			continue
+		if addr != "" {
+			resp, _, err := c.dnCallFull(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout, nil)
+			add(resp, err)
 		}
-		resp, _, err := c.dnCallFull(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout, nil)
-		if err != nil {
-			continue
-		}
-		spans = append(spans, resp.Spans...)
 	}
 	return spans, nil
 }

@@ -63,7 +63,8 @@ func startDataNode(cluster hdfs.MetadataView, machine int, tele *nodeTelemetry) 
 		d.cFolds = tele.reg.Counter("serve_partial_folds_total")
 		d.cFoldTerms = tele.reg.Counter("serve_partial_fold_terms_total")
 	}
-	srv, err := newServer(d.handle, tele)
+	// No datanode method takes a request payload.
+	srv, err := newServer(d.handle, tele, 0)
 	if err != nil {
 		return nil, err
 	}

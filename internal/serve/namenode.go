@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/ec"
 	"repro/internal/hdfs"
@@ -19,11 +18,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// repairStatusToWire flattens a manager status for the wire: detector
-// states as strings, the tier map as a sorted list.
-func repairStatusToWire(st repairmgr.Status) *wireRepairStatus {
-	w := &wireRepairStatus{
+// repairStatusOf renders a manager status as clients see it: detector
+// states and fix kinds as strings.
+func repairStatusOf(st repairmgr.Status) *RepairStatus {
+	out := &RepairStatus{
 		QueueDepth:      st.QueueDepth,
+		QueueByErasures: st.QueueByErasures,
 		Paused:          st.Paused,
 		DegradedStripes: st.DegradedStripes,
 		DegradedBlocks:  st.DegradedBlocks,
@@ -43,18 +43,10 @@ func repairStatusToWire(st repairmgr.Status) *wireRepairStatus {
 		PollCount:        st.PollCount,
 	}
 	for _, n := range st.Nodes {
-		w.Nodes = append(w.Nodes, wireNodeState{Machine: n.Machine, State: n.State.String()})
-	}
-	tiers := make([]int, 0, len(st.QueueByErasures))
-	for e := range st.QueueByErasures {
-		tiers = append(tiers, e)
-	}
-	sort.Ints(tiers)
-	for _, e := range tiers {
-		w.QueueByErasures = append(w.QueueByErasures, wireTierDepth{Erasures: e, Count: st.QueueByErasures[e]})
+		out.Nodes = append(out.Nodes, RepairNodeState{Machine: n.Machine, State: n.State.String()})
 	}
 	for _, c := range st.Completed {
-		w.Completed = append(w.Completed, wireCompletedFix{
+		out.Completed = append(out.Completed, CompletedFix{
 			Seq:           c.Seq,
 			Kind:          c.Kind.String(),
 			Stripe:        int64(c.Stripe),
@@ -65,7 +57,7 @@ func repairStatusToWire(st repairmgr.Status) *wireRepairStatus {
 			Unrecoverable: c.Unrecoverable,
 		})
 	}
-	return w
+	return out
 }
 
 // control is what the namenode needs from the System hosting it:
@@ -101,7 +93,7 @@ func startNameNode(cluster hdfs.Metadata, code ec.Code, blockSize int64, ctl con
 	if tele != nil && tele.reg != nil {
 		n.cDegradedPlans = tele.reg.Counter("serve_degraded_plans_total")
 	}
-	srv, err := newServer(n.handle, tele)
+	srv, err := newServer(n.handle, tele, maxPayloadBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +184,12 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 		if err != nil {
 			return errResponse(err), nil
 		}
-		resp := okResponse()
-		resp.Fix = &wireFixReport{
+		return coldResponse(FixReport{
 			ScannedBlocks:   rep.ScannedBlocks,
 			RepairedStriped: rep.RepairedStriped,
 			ReReplicated:    rep.ReReplicated,
 			Unrecoverable:   len(rep.Unrecoverable),
-		}
-		return resp, nil
+		}), nil
 
 	case methodFail:
 		if err := n.ctl.killDataNode(req.Machine); err != nil {
@@ -226,9 +216,7 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 		if n.mgr == nil {
 			return errResponse(errors.New("serve: repair manager disabled")), nil
 		}
-		resp := okResponse()
-		resp.Repair = repairStatusToWire(n.mgr.Status())
-		return resp, nil
+		return coldResponse(repairStatusOf(n.mgr.Status())), nil
 
 	default:
 		return errResponse(fmt.Errorf("serve: namenode: unknown method %q", req.Method)), nil

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,6 +257,63 @@ func TestServeCorruptReplicaFallsBackDegraded(t *testing.T) {
 	}
 	if c.DegradedBlocks == 0 {
 		t.Fatalf("read did not take the degraded path: %+v", c)
+	}
+}
+
+// TestCorruptReplicaIsMatchedByItsCodeNotItsWording: what makes a
+// failed dn.read a corrupt replica is the code the datanode's reply
+// carries, never the text beside it. A datanode whose error merely
+// quotes the checksum sentinel's phrase is an ordinary failed replica —
+// read around, not counted; real bit rot arrives with the code, is
+// counted, and is read around just the same.
+func TestCorruptReplicaIsMatchedByItsCodeNotItsWording(t *testing.T) {
+	sys := startTestSystem(t, testCodecs(t)[0], WithDataDir(t.TempDir()))
+	data := preloadRaided(t, sys, 1)["f-0"]
+	_, blocks, err := sys.Cluster().FileBlocks("f-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := blocks[0].Locations[0] // raided: the block's only replica
+
+	quoting, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quoting.Close()
+	quoting.mu.Lock()
+	quoting.addrs[holder] = fakeDataNode(t, func(c net.Conn, req *request) error {
+		return writeFrame(c, errResponse(fmt.Errorf("disk 3 says %q, whatever that means", hdfs.ErrCorruptReplica)), nil)
+	})
+	quoting.mu.Unlock()
+	_, err = quoting.dnRead(holder, int64(blocks[0].ID), 0, blocks[0].Size, nil, nil)
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Code != codeOther || !strings.Contains(remote.Msg, hdfs.ErrCorruptReplica.Error()) {
+		t.Fatalf("the quoting datanode's error arrived as %#v", err)
+	}
+	if got, err := quoting.ReadFile("f-0"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read around the quoting datanode: %v", err)
+	}
+	if c := quoting.Counters(); c.CorruptReplicas != 0 || c.DegradedBlocks != 1 {
+		t.Fatalf("an error that only quotes the sentinel was counted as bit rot: %+v", c)
+	}
+
+	if err := sys.Cluster().InjectBitRot(holder, blocks[0].ID, 5); err != nil {
+		t.Fatal(err)
+	}
+	honest, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer honest.Close()
+	_, err = honest.dnRead(holder, int64(blocks[0].ID), 0, blocks[0].Size, nil, nil)
+	if !errors.As(err, &remote) || remote.Code != codeCorruptReplica {
+		t.Fatalf("a checksum refusal arrived as %#v, want code %d", err, codeCorruptReplica)
+	}
+	if got, err := honest.ReadFile("f-0"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read around the rotted replica: %v", err)
+	}
+	if c := honest.Counters(); c.CorruptReplicas != 1 || c.DegradedBlocks != 1 {
+		t.Fatalf("bit rot was not counted once and reconstructed around: %+v", c)
 	}
 }
 

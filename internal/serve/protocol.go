@@ -21,8 +21,67 @@
 //
 //	uint32 header length (big endian)
 //	uint32 payload length (big endian)
-//	header: JSON (request or response)
+//	header: version byte 0x01, then tagged fields (below)
 //	payload: raw bytes (block data; empty for most methods)
+//
+// A frame leaves in one write — prefix and header built in a pooled
+// buffer, the payload passed to the socket by reference beside them
+// (writeFrame) — and a reply carrying a block of up to 4 KiB arrives in
+// one read. Neither end sizes anything by a length it has only been
+// told: a payload no buffer was lent for is read into one that grows as
+// the bytes arrive (readPayload), a datanode, which takes no request
+// payload, hangs up on a prefix declaring one, and every count inside a
+// header is held to the bytes left in it.
+//
+// There is one header encoding, for the request and the response of
+// every method (codec.go). After the version byte it is a run of
+// fields, each a one-byte key — field number<<1 | kind — and a value:
+// kind 0 a zigzag varint, kind 1 a uvarint length and that many bytes.
+// A field at its zero value is not sent.
+//
+//	 #  field            kind    value
+//	 1  method           varint  the method's id (methodNames)
+//	 2  name             bytes   file name
+//	 3  block            varint  block id
+//	 4  offset           varint
+//	 5  length           varint  read length; dn.partial: the fold buffer's size
+//	 6  machine          varint
+//	 7  stripe           varint  stripe id
+//	 8  partial          bytes   dn.partial fold tree, node by node: machine,
+//	                             address, term count, terms (block, offset,
+//	                             length, target offset, coefficient byte),
+//	                             child count, children
+//	 9  trace            bytes   trace id, span id (uvarints), sampled byte
+//	10  trace id         varint  debug.trace filter
+//	16  ok               varint  1
+//	17  err              bytes   error text
+//	18  err code         varint  what kind of error (errCode)
+//	19  size             varint  file size
+//	20  raided           varint  1
+//	21  blocks           bytes   count, then per block: id, size, stripe,
+//	                             position, location count, locations
+//	22  stripe layout    bytes   id, shard size, position count, then per
+//	                             position: block, size, location count, locations
+//	23  codec            bytes   handshake: codec name
+//	24  block size       varint  handshake
+//	25  datanodes        bytes   handshake: count, then each address
+//	26  machines/rack    varint  handshake
+//	27  cold             bytes   opaque body of a cold reply (below)
+//
+// A decoder steps over a field whose number it does not know — the kind
+// bit says how — so a field can be added (a request id, when one
+// connection comes to carry several calls) without a second format; a
+// method id it has no name for reaches the handler as "#<id>", a name
+// no handler has, and is answered "unknown method". A header whose first byte is
+// not the version (a JSON-era peer's opens with '{'), or one that ends
+// inside a field, is a bad frame header: the connection is dropped.
+//
+// The cold rule: the admin and debug structures — the fixer report,
+// repair.status, a debug.trace span dump — are not given fields. They
+// ride field 27 as one JSON blob the codec never looks into
+// (coldResponse, response.cold), so encoding/json is reachable from no
+// frame of blocks, stripe, dn.read, dn.partial, dn.heartbeat, write or
+// raid, and a new status field costs the wire nothing.
 //
 // The namenode answers metadata methods ("info", "stat", "blocks",
 // "stripe"), mutations ("write", "raid", "fixer"), failure control
@@ -30,8 +89,10 @@
 // control plane's "repair.status". Datanodes answer "dn.read" (a
 // replica range), "dn.ping", and "dn.partial" (fold this node's repair
 // ranges and its children's partial sums into one block-sized buffer).
-// Every daemon answers "debug.trace". Errors travel as a string in the
-// response header; the payload always carries data, never errors.
+// Every daemon answers "debug.trace". Errors travel in the response
+// header as text plus a code for the kinds a caller acts on (corrupt
+// replica, not found, exists, node down; RemoteError carries both); the
+// payload always carries data, never errors.
 //
 // # Degraded reads and lent blocks
 //
@@ -91,17 +152,31 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/hdfs"
 	"repro/internal/telemetry"
 )
 
-// Frame size sanity bounds: a header is small JSON; a payload is at
-// most one file write (kilobytes to megabytes in tests and the
-// benchmark).
+// Frame size sanity bounds: a header is tens of bytes (a block table or
+// a span dump, kilobytes); a payload is at most one file write
+// (kilobytes to megabytes in tests and the benchmark).
 const (
 	maxHeaderBytes  = 1 << 20
 	maxPayloadBytes = 1 << 30
 )
+
+// frameReadBuffer sizes the buffered reader on either end of a
+// connection: prefix, header and a payload of up to 4 KiB — a whole
+// small-block reply — arrive in one read(2).
+const frameReadBuffer = 8 << 10
+
+// payloadStep is how much of a payload no buffer was lent for is
+// allocated ahead of the bytes that have actually arrived (see
+// readPayload).
+const payloadStep = 256 << 10
 
 // Namenode RPC method names.
 const (
@@ -140,40 +215,39 @@ const (
 const maxPartialNodes = 256
 
 // request is the header of one RPC call. One flat struct covers every
-// method; unused fields stay at their zero value and are omitted from
-// the JSON.
+// method; unused fields stay at their zero value and are not sent.
 type request struct {
-	Method  string `json:"method"`
-	Name    string `json:"name,omitempty"`
-	Block   int64  `json:"block,omitempty"`
-	Offset  int64  `json:"offset,omitempty"`
-	Length  int64  `json:"length,omitempty"`
-	Machine int    `json:"machine,omitempty"`
-	Stripe  int64  `json:"stripe,omitempty"`
+	Method  string
+	Name    string
+	Block   int64
+	Offset  int64
+	Length  int64
+	Machine int
+	Stripe  int64
 
 	// Partial is the dn.partial fold tree rooted at the addressed
 	// datanode; Length carries the target (folded buffer) size.
-	Partial *wirePartialNode `json:"partial,omitempty"`
+	Partial *wirePartialNode
 
 	// Trace is the optional trace context of a sampled operation. The
 	// SpanID it carries is the CALLER's span: a daemon minting a span
 	// for the request uses it as the parent, then rewrites the field so
 	// downstream calls made while handling (dn.partial child fetches)
 	// parent correctly.
-	Trace *telemetry.TraceContext `json:"trace,omitempty"`
+	Trace *telemetry.TraceContext
 	// TraceID filters a debug.trace dump to one trace (0 = everything).
-	TraceID uint64 `json:"trace_id,omitempty"`
+	TraceID uint64
 }
 
 // wirePartialTerm is one local multiply-accumulate of a partial-sum
 // fold: read [off, off+len) of the block, scale by the GF(2^8)
 // coefficient, XOR into the partial buffer at target_off.
 type wirePartialTerm struct {
-	Block     int64 `json:"block"`
-	Offset    int64 `json:"offset"`
-	Length    int64 `json:"length"`
-	TargetOff int64 `json:"target_off"`
-	Coeff     byte  `json:"coeff"`
+	Block     int64
+	Offset    int64
+	Length    int64
+	TargetOff int64
+	Coeff     byte
 }
 
 // wirePartialNode is one helper of a partial-sum fold tree: the
@@ -182,10 +256,10 @@ type wirePartialTerm struct {
 // returns one target-sized payload — so each tree edge carries exactly
 // one buffer instead of the node's raw reads.
 type wirePartialNode struct {
-	Machine  int               `json:"machine"`
-	Addr     string            `json:"addr,omitempty"` // filled for children; the addressed node ignores its own
-	Terms    []wirePartialTerm `json:"terms,omitempty"`
-	Children []wirePartialNode `json:"children,omitempty"`
+	Machine  int
+	Addr     string // filled for children; the addressed node ignores its own
+	Terms    []wirePartialTerm
+	Children []wirePartialNode
 }
 
 // countNodes returns the tree's node count, capped at limit+1 so
@@ -241,90 +315,36 @@ func validatePartial(root *wirePartialNode, targetSize int64) error {
 
 // response is the header of one RPC reply.
 type response struct {
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	OK   bool
+	Err  string
+	Code errCode // what kind of error Err is; see RemoteError
 
-	Size            int64             `json:"size,omitempty"`
-	Raided          bool              `json:"raided,omitempty"`
-	Blocks          []wireBlock       `json:"blocks,omitempty"`
-	Stripe          *wireStripe       `json:"stripe,omitempty"`
-	Codec           string            `json:"codec,omitempty"`
-	BlockSize       int64             `json:"block_size,omitempty"`
-	DataNodes       []string          `json:"datanodes,omitempty"`
-	MachinesPerRack int               `json:"machines_per_rack,omitempty"`
-	Fix             *wireFixReport    `json:"fix,omitempty"`
-	Repair          *wireRepairStatus `json:"repair,omitempty"`
-	// Spans answers debug.trace: the daemon's buffered spans (the
-	// telemetry.Span JSON encoding is the wire form).
-	Spans []telemetry.Span `json:"spans,omitempty"`
-}
+	Size            int64
+	Raided          bool
+	Blocks          []wireBlock
+	Stripe          *wireStripe
+	Codec           string
+	BlockSize       int64
+	DataNodes       []string
+	MachinesPerRack int
 
-// wireRepairStatus is the repair control plane's status snapshot —
-// queue depth, per-node detector states, throttle and grace-window
-// accounting, and the completion log that makes priority ordering
-// externally observable.
-type wireRepairStatus struct {
-	Nodes           []wireNodeState    `json:"nodes"`
-	QueueDepth      int                `json:"queue_depth"`
-	QueueByErasures []wireTierDepth    `json:"queue_by_erasures,omitempty"`
-	Paused          bool               `json:"paused,omitempty"`
-	DegradedStripes int                `json:"degraded_stripes,omitempty"`
-	DegradedBlocks  int                `json:"degraded_blocks,omitempty"`
-	RepairsDone     int                `json:"repairs_done"`
-	RepairedBytes   int64              `json:"repaired_bytes"`
-	Unrecoverable   int                `json:"unrecoverable,omitempty"`
-	AvoidedRepairs  int                `json:"avoided_repairs"`
-	AvoidedBytes    int64              `json:"avoided_bytes"`
-	LostBlocks      int                `json:"lost_blocks,omitempty"`
-	ScrubSlices     int                `json:"scrub_slices,omitempty"`
-	ScrubReplicas   int                `json:"scrub_replicas,omitempty"`
-	ScrubCorrupt    int                `json:"scrub_corrupt,omitempty"`
-	ThrottleBps     float64            `json:"throttle_bytes_per_sec,omitempty"`
-	Completed       []wireCompletedFix `json:"completed,omitempty"`
-
-	// UptimeSeconds is how long the manager has existed;
-	// SecondsSincePoll how long ago the last Poll iteration ran (-1:
-	// never polled). Together they distinguish a stalled poll loop from
-	// an idle one. PollCount counts completed iterations.
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	SecondsSincePoll float64 `json:"seconds_since_poll"`
-	PollCount        int64   `json:"poll_count,omitempty"`
-}
-
-// wireNodeState is one machine's failure-detector state.
-type wireNodeState struct {
-	Machine int    `json:"machine"`
-	State   string `json:"state"` // alive | suspect | dead
-}
-
-// wireTierDepth is the queue depth at one erasure tier.
-type wireTierDepth struct {
-	Erasures int `json:"erasures"`
-	Count    int `json:"count"`
-}
-
-// wireCompletedFix is one completed repair, in completion order.
-type wireCompletedFix struct {
-	Seq           int     `json:"seq"`
-	Kind          string  `json:"kind"` // stripe | replicated
-	Stripe        int64   `json:"stripe,omitempty"`
-	Block         int64   `json:"block,omitempty"`
-	Erasures      int     `json:"erasures"`
-	Bytes         int64   `json:"bytes"`
-	WaitSeconds   float64 `json:"wait_seconds"`
-	Unrecoverable bool    `json:"unrecoverable,omitempty"`
+	// Cold is the body of a cold admin/debug reply — a FixReport, a
+	// RepairStatus, a debug.trace span dump — as JSON the header codec
+	// carries as one opaque run of bytes and never looks into (see
+	// coldResponse and cold). No method on a read or write path sets it.
+	Cold []byte
 }
 
 // wireBlock is one block's client-visible metadata.
 type wireBlock struct {
-	ID        int64 `json:"id"`
-	Size      int64 `json:"size"`
-	Stripe    int64 `json:"stripe"` // -1 when unstriped
-	StripePos int   `json:"stripe_pos"`
-	Locations []int `json:"locations,omitempty"`
+	ID        int64
+	Size      int64
+	Stripe    int64 // -1 when unstriped
+	StripePos int
+	Locations []int
 
-	// held never crosses the wire (encoding/json skips unexported
-	// fields): once a client's ReadFile has the block's bytes it is the
+	// held never crosses the wire (the header codec does not know it):
+	// once a client's ReadFile has the block's bytes it is the
 	// block's slot of that read's result — a view, kept in the table the
 	// read already owns so that holding a block costs the all-healthy
 	// path nothing. See Client.lentTo.
@@ -334,99 +354,220 @@ type wireBlock struct {
 // wireStripe is one stripe's client-visible layout, enough for a
 // client to plan and execute a degraded read.
 type wireStripe struct {
-	ID        int64     `json:"id"`
-	ShardSize int64     `json:"shard_size"`
-	Positions []wirePos `json:"positions"`
+	ID        int64
+	ShardSize int64
+	Positions []wirePos
 }
 
 // wirePos is one stripe position: block id (-1 for a phantom zero
 // block), logical size, and live holders.
 type wirePos struct {
-	Block     int64 `json:"block"`
-	Size      int64 `json:"size"`
-	Locations []int `json:"locations,omitempty"`
-}
-
-// wireFixReport is the summary of one block-fixer pass.
-type wireFixReport struct {
-	ScannedBlocks   int `json:"scanned_blocks"`
-	RepairedStriped int `json:"repaired_striped"`
-	ReReplicated    int `json:"re_replicated"`
-	Unrecoverable   int `json:"unrecoverable"`
+	Block     int64
+	Size      int64
+	Locations []int
 }
 
 // RemoteError is an error reported by the far side of an RPC, as
 // opposed to a transport failure. The client treats transport failures
 // as "try another replica / refresh metadata"; remote errors are
-// definitive answers.
-type RemoteError struct{ Msg string }
+// definitive answers. Code says which kind of failure Msg describes: the
+// typed sentinels of the far side do not cross the wire, their codes do,
+// and callers match on Code, never on Msg's wording.
+type RemoteError struct {
+	Code errCode
+	Msg  string
+}
 
 func (e *RemoteError) Error() string { return e.Msg }
+
+// errCode is the wire form of the error sentinels a caller acts on.
+type errCode uint8
+
+const (
+	codeOther          errCode = iota
+	codeCorruptReplica         // hdfs.ErrCorruptReplica: the stored bytes failed their checksum
+	codeNotFound               // hdfs.ErrFileNotFound, hdfs.ErrNotStored
+	codeExists                 // hdfs.ErrFileExists
+	codeNodeDown               // hdfs.ErrNodeDown
+)
+
+// errCodeOf classifies a handler's error for the wire. An error relayed
+// from another daemon (a child's partial sum) keeps the code it came
+// with.
+func errCodeOf(err error) errCode {
+	var remote *RemoteError
+	switch {
+	case errors.As(err, &remote):
+		return remote.Code
+	case errors.Is(err, hdfs.ErrCorruptReplica):
+		return codeCorruptReplica
+	case errors.Is(err, hdfs.ErrFileNotFound), errors.Is(err, hdfs.ErrNotStored):
+		return codeNotFound
+	case errors.Is(err, hdfs.ErrFileExists):
+		return codeExists
+	case errors.Is(err, hdfs.ErrNodeDown):
+		return codeNodeDown
+	}
+	return codeOther
+}
 
 // errFrameTooLarge guards against corrupt or hostile frame lengths.
 var errFrameTooLarge = errors.New("serve: frame exceeds size bound")
 
-// writeFrame marshals hdr and writes one length-prefixed frame.
-func writeFrame(w io.Writer, hdr any, payload []byte) error {
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return err
-	}
-	if len(hb) > maxHeaderBytes || len(payload) > maxPayloadBytes {
-		return errFrameTooLarge
-	}
-	var pre [8]byte
-	binary.BigEndian.PutUint32(pre[0:4], uint32(len(hb)))
-	binary.BigEndian.PutUint32(pre[4:8], uint32(len(payload)))
-	if _, err := w.Write(pre[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(hb); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// frameHeader is what a frame carries ahead of its payload: a *request
+// or a *response (codec.go).
+type frameHeader interface {
+	appendHeader(b []byte) []byte
+	decodeHeader(b []byte) error
 }
 
-// readFrame reads one frame, unmarshalling the header into hdr and
-// returning the payload — read into dst when its capacity holds it (the
-// result is then dst[:n], the caller's to recycle), into a fresh buffer
-// otherwise.
-func readFrame(r io.Reader, hdr any, dst []byte) ([]byte, error) {
-	var pre [8]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return nil, err
+// frameBuf is the scratch one frame is built in or parsed from: prefix
+// and header bytes, and the two-element vector a payload frame is
+// written from.
+type frameBuf struct {
+	hdr  []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+var frameBufs = sync.Pool{New: func() any { return &frameBuf{hdr: make([]byte, 0, 512)} }}
+
+func (fb *frameBuf) release() {
+	fb.vec[1] = nil // the payload is the caller's, not the pool's
+	frameBufs.Put(fb)
+}
+
+// wireOrder tells the race detector what a socket already guarantees: a
+// frame is read after it was written, so what a handler did before
+// answering happened before whatever the caller does with the answer.
+// Package syscall says so for write(2) and read(2); the vectored write
+// net.Buffers issues goes around that annotation, and tests that run a
+// client and its daemons in one process would report the handler's last
+// writes as racing with the caller. Touched in race builds only.
+var wireOrder atomic.Uint32
+
+// writeFrame sends one frame as one write: the prefix and the encoded
+// header are built in a pooled buffer and the payload is passed by
+// reference beside it (net.Buffers: one writev(2) on a TCP connection),
+// so no payload byte is copied in user space and nothing is left to
+// flush. The payload must stay untouched until writeFrame returns.
+func writeFrame(w io.Writer, hdr frameHeader, payload []byte) error {
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	b := hdr.appendHeader(put(fb.hdr[:0], 0, 0, 0, 0, 0, 0, 0, 0, headerVersion))
+	fb.hdr = b
+	if len(b)-8 > maxHeaderBytes || len(payload) > maxPayloadBytes {
+		return errFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-8))
+	binary.BigEndian.PutUint32(b[4:8], uint32(len(payload)))
+	if len(payload) == 0 {
+		_, err := w.Write(b)
+		return err
+	}
+	fb.vec[0], fb.vec[1] = b, payload
+	fb.bufs = fb.vec[:]
+	if raceEnabled {
+		wireOrder.Add(1)
+	}
+	_, err := fb.bufs.WriteTo(w)
+	return err
+}
+
+// readHeader reads a frame's prefix and header, decodes the header into
+// hdr, and returns the length of the payload that follows, which the
+// caller consumes with readPayload. A payload longer than maxPayload is
+// refused on the prefix alone, before the header is read or anything is
+// sized by it.
+func readHeader(r io.Reader, hdr frameHeader, maxPayload uint32) (int, error) {
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	pre := fb.hdr[:8]
+	if _, err := io.ReadFull(r, pre); err != nil {
+		return 0, err
+	}
+	if raceEnabled {
+		wireOrder.Load()
 	}
 	hlen := binary.BigEndian.Uint32(pre[0:4])
 	plen := binary.BigEndian.Uint32(pre[4:8])
-	if hlen > maxHeaderBytes || plen > maxPayloadBytes {
-		return nil, errFrameTooLarge
+	if hlen > maxHeaderBytes || plen > maxPayload {
+		return 0, errFrameTooLarge
 	}
-	hb := make([]byte, hlen)
+	if uint32(cap(fb.hdr)) < hlen {
+		fb.hdr = make([]byte, hlen)
+	}
+	hb := fb.hdr[:hlen]
 	if _, err := io.ReadFull(r, hb); err != nil {
-		return nil, err
+		return 0, err
 	}
-	if err := json.Unmarshal(hb, hdr); err != nil {
-		return nil, fmt.Errorf("serve: bad frame header: %w", err)
+	if err := hdr.decodeHeader(hb); err != nil {
+		return 0, err
 	}
-	if plen == 0 {
+	return int(plen), nil
+}
+
+// readPayload reads a frame's n payload bytes: into dst when its
+// capacity holds them (the result is then dst[:n], the caller's to
+// recycle), and otherwise into a buffer grown as the bytes arrive — at
+// most payloadStep, then doubling — because n is only what the peer
+// declared, and sixteen bytes must not reserve a gigabyte.
+func readPayload(r io.Reader, n int, dst []byte) ([]byte, error) {
+	if n == 0 {
 		return nil, nil
 	}
-	if cap(dst) < int(plen) {
-		dst = make([]byte, plen)
+	if cap(dst) >= n {
+		if _, err := io.ReadFull(r, dst[:n]); err != nil {
+			return nil, err
+		}
+		return dst[:n], nil
 	}
-	payload := dst[:plen]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	buf := make([]byte, 0, min(n, payloadStep))
+	for {
+		got := len(buf)
+		buf = buf[:cap(buf)]
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// readFrame reads one whole frame: header into hdr, payload as
+// readPayload lands it.
+func readFrame(r io.Reader, hdr frameHeader, dst []byte) ([]byte, error) {
+	n, err := readHeader(r, hdr, maxPayloadBytes)
+	if err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return readPayload(r, n, dst)
 }
 
 // okResponse and errResponse build reply headers.
 func okResponse() *response { return &response{OK: true} }
 
-func errResponse(err error) *response { return &response{Err: err.Error()} }
+func errResponse(err error) *response { return &response{Err: err.Error(), Code: errCodeOf(err)} }
+
+// coldResponse answers a cold admin/debug method: body rides the
+// header's opaque Cold field as JSON — the one place JSON is left on
+// the wire, and on no read or write path.
+func coldResponse(body any) *response {
+	blob, err := json.Marshal(body)
+	if err != nil {
+		return errResponse(err)
+	}
+	return &response{OK: true, Cold: blob}
+}
+
+// cold decodes a cold reply's body into v.
+func (r *response) cold(v any) error {
+	if len(r.Cold) == 0 {
+		return errors.New("serve: reply carries no body")
+	}
+	return json.Unmarshal(r.Cold, v)
+}

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,7 +65,8 @@ func TestReadFrameOversizedDeclaredLengths(t *testing.T) {
 	}
 }
 
-// TestReadFrameCorruptHeader: declared lengths fine, JSON garbage.
+// TestReadFrameCorruptHeader: declared lengths fine, and where a binary
+// header should be, JSON garbage.
 func TestReadFrameCorruptHeader(t *testing.T) {
 	hdr := []byte(`{"method": not-json!`)
 	var buf bytes.Buffer
@@ -73,6 +78,143 @@ func TestReadFrameCorruptHeader(t *testing.T) {
 	var req request
 	if _, err := readFrame(&buf, &req, nil); err == nil || !strings.Contains(err.Error(), "bad frame header") {
 		t.Fatalf("corrupt JSON header: got %v", err)
+	}
+}
+
+// TestJSONEraFrameIsRefusedByBothDaemons: there is one wire format. A
+// well-formed frame of the old one — a JSON header, opening with '{' —
+// is not answered in kind or at all: the header is refused on its first
+// byte and the daemon hangs up, namenode and datanode alike.
+func TestJSONEraFrameIsRefusedByBothDaemons(t *testing.T) {
+	sys := startTestSystem(t, testCodecs(t)[0])
+	for daemon, tc := range map[string]struct{ addr, header string }{
+		"namenode": {sys.NameAddr(), `{"method":"info"}`},
+		"datanode": {sys.dataNodeAddrs()[0], `{"method":"dn.ping"}`},
+	} {
+		var req request
+		if _, err := readFrame(bytes.NewReader(framed([]byte(tc.header))), &req, nil); !errors.Is(err, errNotBinary) {
+			t.Fatalf("%s: readFrame of a JSON header: %v, want errNotBinary", daemon, err)
+		}
+		nc, err := net.DialTimeout("tcp", tc.addr, shortTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(framed([]byte(tc.header))); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(shortTimeout))
+		if n, err := nc.Read(make([]byte, 64)); err != io.EOF {
+			t.Fatalf("%s answered a JSON-era frame with %d bytes (%v), want the connection closed", daemon, n, err)
+		}
+		nc.Close()
+	}
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatalf("namenode unhealthy afterwards: %v", err)
+	}
+	defer cl.Close()
+	if _, _, err := cl.dnCallFull(0, &request{Method: methodDNPing}, shortTimeout, nil); err != nil {
+		t.Fatalf("datanode unhealthy afterwards: %v", err)
+	}
+}
+
+// allocatedDuring returns the bytes the whole process allocated while f
+// ran.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDeclaredPayloadLengthSizesNothingUntilTheBytesArrive: sixteen
+// hostile bytes — a prefix declaring a 1 GiB payload, then silence —
+// make neither daemon reserve it. A datanode takes no request payload at
+// all and hangs up on the prefix; the namenode reads a write's payload
+// into a buffer that grows only as bytes arrive, and lets go of it when
+// the peer does. An honest write of 2.5 MiB still lands byte-identical.
+func TestDeclaredPayloadLengthSizesNothingUntilTheBytesArrive(t *testing.T) {
+	sys := startTestSystem(t, testCodecs(t)[0])
+	hostile := func(req *request) []byte {
+		var frame bytes.Buffer
+		if err := writeFrame(&frame, req, nil); err != nil {
+			t.Fatal(err)
+		}
+		raw := frame.Bytes()
+		binary.BigEndian.PutUint32(raw[4:8], maxPayloadBytes)
+		return raw
+	}
+	open := func(s *server) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
+	}
+	sys.mu.Lock()
+	dn := sys.dns[0]
+	sys.mu.Unlock()
+
+	grew := allocatedDuring(func() {
+		nc, err := net.DialTimeout("tcp", dn.Addr(), shortTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(hostile(&request{Method: methodDNRead, Block: 1, Length: 64})); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(shortTimeout))
+		if n, err := nc.Read(make([]byte, 64)); err != io.EOF {
+			t.Fatalf("datanode answered a request declaring a payload with %d bytes (%v), want the connection closed", n, err)
+		}
+	})
+	if grew > 1<<20 {
+		t.Fatalf("a prefix declaring 1 GiB made the datanode allocate %d bytes", grew)
+	}
+
+	grew = allocatedDuring(func() {
+		nc, err := net.DialTimeout("tcp", sys.NameAddr(), shortTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(append(hostile(&request{Method: methodWrite, Name: "hostile"}), "a few bytes, then nothing"...)); err != nil {
+			t.Fatal(err)
+		}
+		// The namenode is entitled to wait for the rest: it neither
+		// answers nor hangs up ...
+		nc.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		var timeout net.Error
+		if n, err := nc.Read(make([]byte, 64)); !errors.As(err, &timeout) || !timeout.Timeout() {
+			t.Fatalf("namenode reacted to a half-sent write with %d bytes (%v)", n, err)
+		}
+		// ... and drops the connection, and what it had read, when the
+		// peer goes away.
+		nc.Close()
+		for deadline := time.Now().Add(shortTimeout); open(sys.nn.srv) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("namenode kept the half-sent write's connection open")
+			}
+		}
+	})
+	if grew > 1<<20 {
+		t.Fatalf("a prefix declaring 1 GiB made the namenode allocate %d bytes", grew)
+	}
+
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	data := make([]byte, 5<<19) // 2.5 MiB: ten payloadSteps, so the buffer grows four times
+	rand.New(rand.NewSource(22)).Read(data)
+	if err := cl.WriteFile("honest", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.ReadFile("honest"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("an honest %d-byte write did not read back byte-identical: %v", len(data), err)
+	}
+	if _, err := cl.ReadFile("hostile"); err == nil {
+		t.Fatal("the half-sent write was stored")
 	}
 }
 
@@ -315,5 +457,199 @@ func TestPartialChildFailureSurfacesAsError(t *testing.T) {
 	}
 	if err := healthy(); err != nil {
 		t.Fatalf("daemon unhealthy after failed fold: %v", err)
+	}
+}
+
+// --- Frame I/O gates ----------------------------------------------------
+
+// recordingWriter keeps every Write it is handed, as handed.
+type recordingWriter struct{ writes [][]byte }
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
+	return len(p), nil
+}
+
+// countingConn counts the plain Read and Write calls that reach a TCP
+// connection. The connection is embedded, not wrapped, so that
+// net.Buffers still finds on it the vectored write it finds on a bare
+// *net.TCPConn: a frame sent that way goes out in one writev(2) and
+// never shows up as a Write here.
+type countingConn struct {
+	*net.TCPConn
+	reads, writes atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.TCPConn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.TCPConn.Write(p)
+}
+
+// TestOneWritePerFrameOneReadPerSmallReply pins the frame I/O. Out: a
+// frame without a payload is one Write of prefix and header; a frame
+// with one hands the writer exactly two buffers — prefix and header, and
+// the caller's payload itself, never a copy of it — which a TCP
+// connection takes as one vectored write, so no plain Write is seen at
+// all. In: a reply carrying a payload of up to 4 KiB is consumed with
+// one Read.
+func TestOneWritePerFrameOneReadPerSmallReply(t *testing.T) {
+	small, large := make([]byte, 4<<10), make([]byte, 256<<10)
+	rand.New(rand.NewSource(5)).Read(small)
+	rand.New(rand.NewSource(6)).Read(large)
+
+	// What any writer is handed.
+	for _, payload := range [][]byte{nil, small, large} {
+		var w recordingWriter
+		if err := writeFrame(&w, okResponse(), payload); err != nil {
+			t.Fatal(err)
+		}
+		if payload == nil {
+			if len(w.writes) != 1 {
+				t.Fatalf("a frame without a payload took %d writes", len(w.writes))
+			}
+			continue
+		}
+		if len(w.writes) != 2 || len(w.writes[0]) > 64 || len(w.writes[1]) != len(payload) || &w.writes[1][0] != &payload[0] {
+			t.Fatalf("a frame with a %d-byte payload was not written as header + the payload by reference (%d writes)", len(payload), len(w.writes))
+		}
+	}
+
+	// What a TCP connection sees. The far side answers every request with
+	// the payload the request's Length asks for.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var server atomic.Pointer[countingConn]
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		cc := &countingConn{TCPConn: c.(*net.TCPConn)}
+		server.Store(cc)
+		br := bufio.NewReaderSize(cc, frameReadBuffer)
+		for {
+			var req request
+			if _, err := readFrame(br, &req, nil); err != nil {
+				return
+			}
+			if err := writeFrame(cc, okResponse(), large[:req.Length]); err != nil {
+				return
+			}
+		}
+	}()
+	nc, err := net.DialTimeout("tcp", ln.Addr().String(), shortTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &countingConn{TCPConn: nc.(*net.TCPConn)}
+	cn := &conn{nc: client, br: bufio.NewReaderSize(client, frameReadBuffer)}
+	defer cn.close()
+	dst := make([]byte, len(large))
+	const rounds = 50
+	for _, length := range []int{0, 1, len(small), len(large)} {
+		client.reads.Store(0)
+		client.writes.Store(0)
+		if sc := server.Load(); sc != nil {
+			sc.writes.Store(0)
+		}
+		for i := 0; i < rounds; i++ {
+			_, out, err := cn.call(&request{Method: methodDNRead, Length: int64(length)}, nil, shortTimeout, dst)
+			if err != nil || !bytes.Equal(out, large[:length]) {
+				t.Fatalf("round trip of a %d-byte reply: %v", length, err)
+			}
+		}
+		// Requests carry no payload: one Write each.
+		if got := client.writes.Load(); got != rounds {
+			t.Errorf("%d requests took %d writes", rounds, got)
+		}
+		// Replies with a payload leave as one vectored write, which is not
+		// a Write; those without are one Write.
+		want := int64(0)
+		if length == 0 {
+			want = rounds
+		}
+		if got := server.Load().writes.Load(); got != want {
+			t.Errorf("%d replies of %d payload bytes took %d plain writes beside the vectored one, want %d", rounds, length, got, want)
+		}
+		if got := client.reads.Load(); length <= len(small) && got != rounds {
+			t.Errorf("%d replies of %d payload bytes were consumed with %d reads, want one each", rounds, length, got)
+		}
+	}
+}
+
+// frameExchange is one dn.read exchange pushed through the frame codec
+// alone — request out and in, a 4 KiB reply out and in, no socket — and
+// everything it needs, allocated once.
+type frameExchange struct {
+	wire          bytes.Buffer
+	req, gotReq   request
+	resp, gotResp response
+	payload, dst  []byte
+}
+
+func newFrameExchange() *frameExchange {
+	x := &frameExchange{payload: make([]byte, 4<<10), dst: make([]byte, 4<<10), resp: response{OK: true}}
+	x.req = request{Method: methodDNRead, Block: 12345, Length: int64(len(x.payload))}
+	return x
+}
+
+func (x *frameExchange) roundTrip() error {
+	x.wire.Reset()
+	if err := writeFrame(&x.wire, &x.req, nil); err != nil {
+		return err
+	}
+	if _, err := readFrame(&x.wire, &x.gotReq, nil); err != nil {
+		return err
+	}
+	if err := writeFrame(&x.wire, &x.resp, x.payload); err != nil {
+		return err
+	}
+	out, err := readFrame(&x.wire, &x.gotResp, x.dst)
+	if err == nil && (x.gotReq != x.req || !x.gotResp.OK || len(out) != len(x.payload)) {
+		err = errors.New("frame changed in the round trip")
+	}
+	return err
+}
+
+// BenchmarkFrameRoundTrip times the frame codec by itself, every core
+// encoding and decoding at once (the pooled header buffers are what they
+// share). allocs/op is the codec's own garbage per exchange.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	b.SetBytes(4 << 10)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		x := newFrameExchange()
+		for pb.Next() {
+			if err := x.roundTrip(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestFrameCodecAllocatesNothingPerExchange: a dn.read and its reply
+// pass through writeFrame and readFrame without one allocation — header
+// bytes live in pooled buffers, the payload lands in the caller's.
+func TestFrameCodecAllocatesNothingPerExchange(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	x := newFrameExchange()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := x.roundTrip(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("one exchange through the frame codec allocates %v times, want 0", allocs)
 	}
 }

@@ -16,13 +16,13 @@ import (
 // handlerFunc answers one request. The returned payload rides in the
 // response frame's payload section. lend is a recycled buffer the
 // handler may size (lentBytes) and read its answer into: the returned
-// payload may alias it, because the server flushes the response frame
-// before it lends the buffer to anyone else.
+// payload may alias it, because the server has written the response
+// frame out before it lends the buffer to anyone else.
 type handlerFunc func(req *request, payload []byte, lend *[]byte) (*response, []byte)
 
 // lendPool recycles the buffers lent to handlers across every
 // connection of every daemon in the process: one is out only from a
-// request's dispatch to the flush of its response, so the pool holds
+// request's dispatch to the write of its response, so the pool holds
 // about as many as there are requests in flight, not one per idle
 // connection.
 var lendPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -40,6 +40,10 @@ type server struct {
 	ln     net.Listener
 	handle handlerFunc
 	tele   *nodeTelemetry // nil disables instrumentation and tracing
+	// maxPayload is the longest request payload the daemon reads: a
+	// longer one is refused on the frame's prefix and the connection
+	// dropped.
+	maxPayload uint32
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
@@ -52,12 +56,12 @@ var errTracingDisabled = errors.New("serve: telemetry disabled")
 
 // newServer listens on an ephemeral localhost port and starts the
 // accept loop. tele may be nil (no instrumentation).
-func newServer(handle handlerFunc, tele *nodeTelemetry) (*server, error) {
+func newServer(handle handlerFunc, tele *nodeTelemetry, maxPayload uint32) (*server, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	s := &server{ln: ln, handle: handle, tele: tele, conns: make(map[net.Conn]bool)}
+	s := &server{ln: ln, handle: handle, tele: tele, maxPayload: maxPayload, conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -96,33 +100,35 @@ func (s *server) serveConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	br := bufio.NewReaderSize(c, frameReadBuffer)
+	// One request header serves the connection: decoding resets it, and
+	// no handler keeps it past its return.
+	var req request
 	for {
-		var req request
-		payload, err := readFrame(br, &req, nil)
+		n, err := readHeader(br, &req, s.maxPayload)
 		if err != nil {
 			return
 		}
-		if !s.answer(bw, &req, payload) {
+		payload, err := readPayload(br, n, nil)
+		if err != nil {
+			return
+		}
+		if !s.answer(c, &req, payload) {
 			return
 		}
 	}
 }
 
-// answer dispatches one request and writes its response frame through
-// to the socket, reporting whether the connection is still good. The
-// buffer lent to the handler goes back to the pool only here, after the
-// flush: out may be a view of it, and a bufio.Writer passes a payload
-// larger than its own buffer straight through without copying.
-func (s *server) answer(bw *bufio.Writer, req *request, payload []byte) bool {
+// answer dispatches one request and writes its response frame to the
+// socket, reporting whether the connection is still good. The buffer
+// lent to the handler goes back to the pool only here, after the write:
+// out may be a view of it, and writeFrame hands it to the kernel as it
+// stands.
+func (s *server) answer(c net.Conn, req *request, payload []byte) bool {
 	lend := lendPool.Get().(*[]byte)
 	defer lendPool.Put(lend)
 	resp, out := s.dispatch(req, payload, lend)
-	if err := writeFrame(bw, resp, out); err != nil {
-		return false
-	}
-	return bw.Flush() == nil
+	return writeFrame(c, resp, out) == nil
 }
 
 // safeHandle runs the handler with a recover barrier: a panic on one

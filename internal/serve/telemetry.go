@@ -87,13 +87,10 @@ func (s *server) dispatch(req *request, payload []byte, lend *[]byte) (*response
 		return s.safeHandle(req, payload, lend)
 	}
 	if req.Method == methodDebugTrace {
-		resp := okResponse()
 		if req.TraceID != 0 {
-			resp.Spans = t.spans.Trace(req.TraceID)
-		} else {
-			resp.Spans = t.spans.Spans()
+			return coldResponse(t.spans.Trace(req.TraceID)), nil
 		}
-		return resp, nil
+		return coldResponse(t.spans.Spans()), nil
 	}
 
 	sampled := req.Trace != nil && req.Trace.Sampled
