@@ -109,18 +109,19 @@
 //
 // Conventional repair concentrates the whole recovery download on the
 // reconstructing node's NIC — the paper's bottleneck. Because every
-// codec here is linear over GF(2^8), each repair is expressible as a
-// LinearPlan (helper range × coefficient → target offset), and the
-// arithmetic can migrate into the helpers: PlanAggregationTree builds
-// a rack-aware fold tree (intra-rack helpers fold at one local
-// aggregator before crossing the TOR; rack aggregators fold pairwise),
-// each helper multiply-accumulates its ranges, XORs in its children's
-// partial sums, and forwards ONE block-sized buffer. The serving layer
-// implements this as a dn.partial RPC (DialServe with
-// WithPartialSumRepair), the BlockFixer behind
-// HDFSConfig.PartialSumRepair, and the contention model behind
-// ContentionConfig.PartialSums; cmd/repaircost -contention reports the
-// corresponding p99 repair-latency relief.
+// codec here is linear over GF(2^8), each repair is a LinearPlan (helper
+// range × coefficient → target offset), and one fold runs it
+// (internal/engine Fold: a node's terms evaluated and XORed with its
+// children's partial sums) in two shapes over two transports. One node
+// holding every term is the conventional fan-in. PlanAggregationTree
+// lays the plan out as a rack-aware tree instead (intra-rack helpers
+// fold at one local aggregator before crossing the TOR; rack aggregators
+// fold pairwise) and every helper forwards ONE block-sized buffer: over
+// the wire as a dn.partial RPC (DialServe with WithPartialSumRepair), in
+// process in the BlockFixer behind HDFSConfig.PartialSumRepair, and as
+// the tree's hops in the contention model behind
+// ContentionConfig.PartialSums (cmd/repaircost -contention). Fold is
+// also what ROADMAP item 4's dn.repair destination datanode will call.
 //
 // # Sharded metadata plane
 //

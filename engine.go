@@ -53,7 +53,8 @@ type AggregationPlan = engine.AggPlan
 // placement (shard → machine, machine → rack) into the rack-aware fold
 // tree of partial-sum repair: intra-rack helpers chain into one local
 // aggregator (one buffer per TOR crossing), rack aggregators fold in a
-// balanced binary tree.
+// balanced binary tree. ok == false marks a phantom (all-zero) shard; a
+// plan that reads nothing else yields a tree with a nil Root.
 func PlanAggregationTree(plan *LinearPlan, machineOf func(shard int) (machine int, ok bool), rackOf func(machine int) int) (*AggregationPlan, error) {
-	return engine.PlanAggregationTree(plan, machineOf, rackOf)
+	return engine.PlanRepairTree(plan, func(shard int) (m int, ok bool, err error) { m, ok = machineOf(shard); return }, rackOf)
 }

@@ -52,7 +52,8 @@ var lockRecvTypes = map[string]bool{"Cluster": true, "ShardedCluster": true}
 var lockHelperFuncs = map[string]bool{"lockMeta": true, "rlockMeta": true}
 
 // decodeCalls are the engine-execution and codec calls that must never
-// run under the metadata lock.
+// run under the metadata lock (Fold, FoldTree and Repair are the shared
+// plan executor of internal/engine).
 var decodeCalls = map[string]bool{
 	"RunRepairs":         true,
 	"RunEncodes":         true,
@@ -61,6 +62,9 @@ var decodeCalls = map[string]bool{
 	"Decode":             true,
 	"ExecuteRepair":      true,
 	"ExecuteMultiRepair": true,
+	"Fold":               true,
+	"FoldTree":           true,
+	"Repair":             true,
 }
 
 func (a lockDiscipline) Check(pkg *Package) []Diagnostic {

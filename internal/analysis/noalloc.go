@@ -42,6 +42,7 @@ var noAllocScopes = map[string]map[string]bool{
 	"repro/internal/engine": {
 		"runRepair": true,
 		"Bytes":     true,
+		"Fold":      true, // one XOR pass per child's partial sum, at every node of a tree
 	},
 	// The repair executor's multiply-accumulate loop: it runs once per
 	// repaired block with caller-provided scratch, and a slice grown or

@@ -17,6 +17,8 @@ type scratch struct{}
 
 func (engine) RunTasks(tasks []func(*scratch) error) []error { return nil }
 
+func (engine) Fold() []byte { return nil }
+
 type Cluster struct {
 	mu  sync.RWMutex
 	eng engine
@@ -28,4 +30,5 @@ func (c *Cluster) brokenFixer() {
 	c.mu.Lock() // lockdiscipline: raw acquisition, bypasses the instrumented helper
 	defer c.mu.Unlock()
 	c.eng.RunTasks(nil) // lockdiscipline: decode under the metadata mutex
+	c.eng.Fold()        // lockdiscipline: the shared fold under the metadata mutex
 }

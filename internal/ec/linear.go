@@ -97,10 +97,11 @@ func (p *LinearPlan) TotalBytes() int64 {
 	return n
 }
 
-// checkBounds reports ErrShardSize unless the term's read and its fold
+// CheckBounds reports ErrShardSize unless the term's read and its fold
 // destination both lie within a shardSize-byte shard. Offset+Length can
 // wrap int64 on hostile input, so it compares against shardSize-Length.
-func (t LinearTerm) checkBounds(shardSize int64) error {
+// Every executor of a plan runs this check, and no other, before any I/O.
+func (t LinearTerm) CheckBounds(shardSize int64) error {
 	r := t.Read
 	if r.Length <= 0 || r.Length > shardSize || r.Offset < 0 || r.Offset > shardSize-r.Length ||
 		t.TargetOff < 0 || t.TargetOff > shardSize-r.Length {
@@ -135,7 +136,7 @@ func ValidateLinearPlan(plan *LinearPlan, total int, alive AliveFunc) error {
 		if !alive(r.Shard) {
 			return fmt.Errorf("ec: term reads dead shard %d", r.Shard)
 		}
-		if err := t.checkBounds(plan.ShardSize); err != nil {
+		if err := t.CheckBounds(plan.ShardSize); err != nil {
 			return err
 		}
 		if t.Coeff == 0 {
@@ -172,7 +173,7 @@ func EvaluateLinearPlan(plan *LinearPlan, fetch FetchFunc) ([]byte, error) {
 	copy(terms, plan.Terms)
 	fetches := make([]ReadRequest, n)
 	for i, t := range terms {
-		if err := t.checkBounds(plan.ShardSize); err != nil {
+		if err := t.CheckBounds(plan.ShardSize); err != nil {
 			return nil, err
 		}
 		fetches[i] = t.Read

@@ -1,19 +1,23 @@
-// The aggregation-tree planner of partial-sum repair: it turns a
-// codec's linear repair plan (which helper ranges, which GF(2^8)
-// coefficients) plus the cluster's placement (which machine holds which
-// shard, which rack holds which machine) into a rack-aware fold tree.
+// How a linear repair plan is run over a tree of machines: one fold, two
+// shapes, two transports.
 //
-// Every node of the tree is one helper machine. A node reads its local
-// ranges, multiplies them by their coefficients into a target-sized
-// buffer, XOR-folds the partial sums arriving from its children, and
-// forwards the folded buffer to its parent; the root forwards to the
-// reconstructing node. Shape: within a rack, helpers chain into one
-// local aggregator, so exactly one partial buffer crosses each rack's
-// TOR uplink; the rack aggregators then fold pairwise in a balanced
-// binary tree, so the fold finishes in ~log2 rounds instead of ~k. The
-// reconstructing node therefore receives ONE target-sized buffer where
-// a conventional repair fans k block-sized reads into its NIC — the
-// bottleneck the paper measures moved off the newcomer's link.
+// The fold (Fold) is a node's partial sum of the repair:
+// ec.EvaluateLinearPlan over the plan's terms whose ranges the node
+// holds, XORed with its children's partial sums — written down here and
+// nowhere else. One node holding every term is the conventional fan-in,
+// what a codec's ExecuteRepair runs with the caller's fetch callback.
+// The other shape is the rack-aware tree of PlanRepairTree, one node per
+// helper machine: within a rack helpers chain into one local aggregator,
+// so exactly one partial sum crosses each rack's TOR uplink; the rack
+// aggregators fold pairwise in a balanced binary tree (~log2 rounds, not
+// ~k); and the reconstructing node asks the root for ONE target-sized
+// buffer (AggPlan.Repair) where a fan-in pulls k block-sized reads into
+// its NIC — the bottleneck the paper measures, moved off the newcomer's
+// link. Callers differ only in their transport, how a node's ranges are
+// read and its children's partial sums reach it: in process (FoldTree,
+// the BlockFixer) or over dn.partial (the datanode daemon). ROADMAP item
+// 4's dn.repair destination is to be a third caller of Fold, reading its
+// peers over dn.read.
 package engine
 
 import (
@@ -22,24 +26,16 @@ import (
 	"sort"
 
 	"repro/internal/ec"
+	"repro/internal/gf256"
+	"repro/internal/netsim"
 )
-
-// AggTerm is one local multiply-accumulate a helper performs: read
-// [Offset, Offset+Length) of the block at stripe position Shard,
-// multiply by Coeff, fold into the partial buffer at TargetOff.
-type AggTerm struct {
-	Shard          int
-	Offset, Length int64
-	TargetOff      int64
-	Coeff          byte
-}
 
 // AggNode is one helper in the aggregation tree.
 type AggNode struct {
 	// Machine is the helper machine folding at this node.
 	Machine int
-	// Terms are the node's local multiply-accumulates.
-	Terms []AggTerm
+	// Terms are the plan's terms whose ranges this machine holds.
+	Terms []ec.LinearTerm
 	// Children are the subtrees whose partial sums this node folds in.
 	Children []*AggNode
 }
@@ -51,44 +47,50 @@ type AggPlan struct {
 	Shard int
 	// TargetSize is the folded buffer size (the stripe's shard size).
 	TargetSize int64
-	// Root is the final aggregator; its folded buffer IS the repaired
-	// shard and is what the reconstructing node downloads.
+	// Root is the final aggregator; its partial sum IS the repaired
+	// shard and is what the reconstructing node downloads. It is nil
+	// when every term read a phantom position: the shard is known zeros.
 	Root *AggNode
 }
 
-// ErrNoHelpers is returned when every term of the linear plan maps to a
-// phantom (all-zero) shard, leaving no machine to aggregate at; callers
-// should reconstruct locally instead.
-var ErrNoHelpers = errors.New("engine: linear plan has no addressable helpers")
-
-// PlanAggregationTree builds the rack-aware fold tree for a linear
-// repair plan. machineOf maps a stripe position to the machine serving
-// its block (ok == false marks a phantom zero shard, whose terms
-// contribute nothing and are dropped); rackOf maps machines to racks.
-// Terms of shards co-located on one machine merge into one node. The
-// tree is deterministic: machines sort ascending within racks, racks
-// sort ascending into the heap order, the lowest rack's aggregator is
-// the root.
-func PlanAggregationTree(plan *ec.LinearPlan, machineOf func(shard int) (machine int, ok bool), rackOf func(machine int) int) (*AggPlan, error) {
+// PlanRepairTree is what every tree-shaped repair does before it moves
+// a byte: pin one holder per stripe position the plan reads and lay the
+// plan's terms out over those machines as the rack-aware fold tree.
+// holderOf is the caller's replica policy: it is asked once per
+// position, in the order the plan first reads them, for the machine to
+// read it from; ok == false marks a phantom zero position, whose terms
+// contribute nothing and are dropped, and an error (no live or
+// addressable holder) fails the planning. Terms of positions held by one
+// machine merge into one node. The tree is deterministic: machines sort
+// ascending within racks (rackOf), racks sort ascending into the heap
+// order, the lowest rack's aggregator is the root.
+func PlanRepairTree(plan *ec.LinearPlan, holderOf func(pos int) (machine int, ok bool, err error), rackOf func(machine int) int) (*AggPlan, error) {
 	if plan == nil || plan.ShardSize <= 0 {
 		return nil, errors.New("engine: invalid linear plan")
 	}
-	byMachine := make(map[int][]AggTerm)
-	for _, t := range plan.Terms {
-		m, ok := machineOf(t.Read.Shard)
-		if !ok {
-			continue // phantom zero shard: contributes nothing
-		}
-		byMachine[m] = append(byMachine[m], AggTerm{
-			Shard:     t.Read.Shard,
-			Offset:    t.Read.Offset,
-			Length:    t.Read.Length,
-			TargetOff: t.TargetOff,
-			Coeff:     t.Coeff,
-		})
+	type pin struct {
+		machine int
+		ok      bool
 	}
+	pins := make(map[int]pin)
+	byMachine := make(map[int][]ec.LinearTerm)
+	for _, t := range plan.Terms {
+		p, pinned := pins[t.Read.Shard]
+		if !pinned {
+			m, ok, err := holderOf(t.Read.Shard)
+			if err != nil {
+				return nil, err
+			}
+			p = pin{m, ok}
+			pins[t.Read.Shard] = p
+		}
+		if p.ok {
+			byMachine[p.machine] = append(byMachine[p.machine], t)
+		}
+	}
+	tree := &AggPlan{Shard: plan.Shard, TargetSize: plan.ShardSize}
 	if len(byMachine) == 0 {
-		return nil, ErrNoHelpers
+		return tree, nil
 	}
 
 	byRack := make(map[int][]int)
@@ -128,7 +130,78 @@ func PlanAggregationTree(plan *ec.LinearPlan, machineOf func(shard int) (machine
 	for i := len(aggs) - 1; i > 0; i-- {
 		aggs[(i-1)/2].Children = append(aggs[(i-1)/2].Children, aggs[i])
 	}
-	return &AggPlan{Shard: plan.Shard, TargetSize: plan.ShardSize, Root: aggs[0]}, nil
+	tree.Root = aggs[0]
+	return tree, nil
+}
+
+// Repair returns the repaired shard: the root's partial sum, which ask
+// obtains however the caller reaches the root (a dn.partial call, an
+// in-process FoldTree), or zeros, without asking anyone, for a tree with
+// no root. A sum of any other length than TargetSize is ec.ErrShardSize.
+func (p *AggPlan) Repair(ask func(root *AggNode) ([]byte, error)) ([]byte, error) {
+	if p.Root == nil {
+		return make([]byte, p.TargetSize), nil
+	}
+	sum, err := ask(p.Root)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(sum)) != p.TargetSize {
+		return nil, fmt.Errorf("%w: root partial sum has %d bytes, want %d", ec.ErrShardSize, len(sum), p.TargetSize)
+	}
+	return sum, nil
+}
+
+// Fold computes one node's partial sum of a linear repair: terms
+// evaluated into a size-byte buffer — ec.EvaluateLinearPlan, so every
+// term is bounds-checked before the first read, each helper byte is read
+// once and only if a term names it, and the terms fold with the fused
+// kernel — XORed with the partial sums of the node's children. The two
+// callbacks are the caller's transport: read returns exactly the range
+// asked for, of the block at stripe position req.Shard; partials returns
+// each child subtree's partial sum (nil for a leaf). The result is fresh
+// memory, aliasing nothing a callback returned; a range or a sum of the
+// wrong length is ec.ErrShardSize, never a panic in the kernel. Fold
+// itself must stay allocation-free (repolint noalloc).
+func Fold(terms []ec.LinearTerm, size int64, read ec.FetchFunc, partials func() ([][]byte, error)) ([]byte, error) {
+	sum, err := ec.EvaluateLinearPlan(&ec.LinearPlan{ShardSize: size, Terms: terms}, read)
+	if err != nil {
+		return nil, err
+	}
+	parts, err := partials()
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range parts {
+		if int64(len(p)) != size {
+			return nil, fmt.Errorf("%w: partial sum of child %d has %d bytes, want %d", ec.ErrShardSize, i, len(p), size)
+		}
+		gf256.XorSlice(p, sum)
+	}
+	return sum, nil
+}
+
+// FoldTree is Fold over the whole subtree at n with the in-process
+// transport, its partial sum delivered to machine to: read serves a
+// range out of a machine's store, a child's partial sum is the fold of
+// its subtree, and carry (the network model's transfer) moves one
+// size-byte buffer along an edge.
+func FoldTree(n *AggNode, to int, size int64, read func(machine int, req ec.ReadRequest) ([]byte, error), carry func(from, to int) error) ([]byte, error) {
+	sum, err := Fold(n.Terms, size,
+		func(req ec.ReadRequest) ([]byte, error) { return read(n.Machine, req) },
+		func() (parts [][]byte, err error) {
+			parts = make([][]byte, len(n.Children))
+			for i, c := range n.Children {
+				if parts[i], err = FoldTree(c, n.Machine, size, read, carry); err != nil {
+					return nil, err
+				}
+			}
+			return parts, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return sum, carry(n.Machine, to)
 }
 
 // Nodes returns every node of the tree in depth-first order.
@@ -145,11 +218,32 @@ func (p *AggPlan) Nodes() []*AggNode {
 	return out
 }
 
+// Hops returns the tree's edges as the dependency-ordered transfers a
+// contention replay runs: one target-sized buffer from each child to
+// its parent and from the root to dst, each hop waiting on (After) the
+// sender's own incoming hops.
+func (p *AggPlan) Hops(dst int) []netsim.Hop {
+	var hops []netsim.Hop
+	var walk func(n *AggNode, parent int) int
+	walk = func(n *AggNode, parent int) int {
+		var after []int
+		for _, c := range n.Children {
+			after = append(after, walk(c, n.Machine))
+		}
+		hops = append(hops, netsim.Hop{Src: n.Machine, Dst: parent, Bytes: p.TargetSize, After: after})
+		return len(hops) - 1
+	}
+	if p.Root != nil {
+		walk(p.Root, dst)
+	}
+	return hops
+}
+
 // FlattenTerms returns every local term of the tree — the effective
 // coefficient set the fold computes, which must equal the linear plan's
 // (the property the correctness suite asserts).
-func (p *AggPlan) FlattenTerms() []AggTerm {
-	var out []AggTerm
+func (p *AggPlan) FlattenTerms() []ec.LinearTerm {
+	var out []ec.LinearTerm
 	for _, n := range p.Nodes() {
 		out = append(out, n.Terms...)
 	}
@@ -172,9 +266,8 @@ func (p *AggPlan) Validate(rackOf func(machine int) int) error {
 		}
 		seen[n.Machine] = true
 		for _, t := range n.Terms {
-			// Overflow-safe: TargetOff+Length can wrap int64.
-			if t.Length <= 0 || t.Length > p.TargetSize || t.TargetOff < 0 || t.TargetOff > p.TargetSize-t.Length {
-				return fmt.Errorf("engine: term folds [%d, +%d) outside %d-byte target", t.TargetOff, t.Length, p.TargetSize)
+			if err := t.CheckBounds(p.TargetSize); err != nil {
+				return err
 			}
 		}
 		for _, c := range n.Children {

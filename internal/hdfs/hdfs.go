@@ -30,7 +30,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ec"
 	"repro/internal/engine"
-	"repro/internal/gf256"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
 )
@@ -1399,10 +1398,9 @@ func (c *Cluster) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOr
 		}
 		if c.cfg.PartialSumRepair && linearOK && len(f.positions) == 1 {
 			tasks[i] = func(s *engine.Scratch) error {
-				shards, hops, err := c.executePartialFix(f, recordWire, s)
+				shards, tree, err := c.executePartialFix(f, s)
 				if err == nil {
-					out := &outcomes[i]
-					out.shards, out.hops, out.viaPartial = shards, hops, true
+					outcomes[i].shards, outcomes[i].tree = shards, tree
 					return nil
 				}
 				return conventional(s)
@@ -1424,7 +1422,7 @@ func (c *Cluster) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOr
 		}
 		repairedBefore := report.RepairedStriped
 		c.applyStripeFixLocked(f, outcomes[i].shards, report)
-		if outcomes[i].viaPartial && report.RepairedStriped > repairedBefore {
+		if outcomes[i].tree != nil && report.RepairedStriped > repairedBefore {
 			report.PartialSumRepairs++
 		}
 		applied = append(applied, i)
@@ -1532,120 +1530,57 @@ func (c *Cluster) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 
 // fixOutcome is the execution-phase result of one planned stripe fix.
 type fixOutcome struct {
-	shards     map[int][]byte
-	err        error
-	viaPartial bool
-	// transfers (fan-in legs) or hops (fold-tree edges) record the wire
-	// shape for the contention replay; at most one is non-empty.
+	shards map[int][]byte
+	err    error
+	// transfers (fan-in legs) or the edges of tree (a fix the partial-sum
+	// pipeline delivered) are what the contention replay runs; one is set.
 	transfers []netsim.Transfer
-	hops      []netsim.Hop
+	tree      *engine.AggPlan
 }
 
-// executePartialFix rebuilds the single lost block of a stripe through
-// the partial-sum pipeline: plan the linear repair, pin a live holder
-// per helper position, plan the rack-aware aggregation tree, and fold
-// it — each helper multiply-accumulates its local ranges and XORs in
-// its children's folded buffers, every tree edge moving exactly one
-// shard-sized buffer through the network accounting. Fold buffers and
-// helper reads live in the worker's scratch arena; only the repaired
-// block is copied out of it. The final hop
-// delivers the repaired shard to the fix's destination. Runs with the
-// metadata lock released; metadata reads take the read lock for their
-// own duration (stripe position tables are immutable once created, and
-// block I/O takes only datanode leaf locks).
-func (c *Cluster) executePartialFix(f *stripeFix, recordWire bool, scratch *engine.Scratch) (map[int][]byte, []netsim.Hop, error) {
-	pos := f.positions[0]
-	lp := c.cfg.Code.(ec.LinearRepairPlanner)
-	sm := f.sm
-
+// executePartialFix rebuilds the single lost block of a stripe in the
+// tree shape: ask the codec for the linear plan, pin a live holder per
+// helper position (pickReplica), lay the plan out as the rack-aware
+// aggregation tree, and fold it in process (engine.FoldTree). Ranges are
+// read into shard-sized buffers of the worker's arena, which hold
+// whatever any store reads for any range; every tree edge and the final
+// root → destination hop moves one shard-sized buffer through the
+// network accounting. Runs with the metadata lock released; planning
+// takes the read lock for its own duration (stripe position tables are
+// immutable once created, and block I/O takes only datanode leaf locks).
+func (c *Cluster) executePartialFix(f *stripeFix, scratch *engine.Scratch) (map[int][]byte, *engine.AggPlan, error) {
+	pos, sm := f.positions[0], f.sm
 	c.rlockMeta()
-	plan, err := lp.PlanLinearRepair(pos, sm.shardSize, c.stripeAliveLocked(sm))
-	if err != nil {
-		c.mu.RUnlock()
-		return nil, nil, err
-	}
-	holder := make(map[int]int)
-	for _, t := range plan.Terms {
-		shard := t.Read.Shard
-		if _, ok := holder[shard]; ok {
-			continue
-		}
-		id := sm.blocks[shard]
-		if id < 0 {
-			continue // phantom zero shard
-		}
-		live := c.liveLocations(c.blocks[id])
-		if len(live) == 0 {
-			c.mu.RUnlock()
-			return nil, nil, fmt.Errorf("%w: stripe %d position %d", ErrBlockLost, sm.id, shard)
-		}
-		holder[shard] = c.pickReplica(live)
+	plan, err := c.cfg.Code.(ec.LinearRepairPlanner).PlanLinearRepair(pos, sm.shardSize, c.stripeAliveLocked(sm))
+	var tree *engine.AggPlan
+	if err == nil {
+		tree, err = engine.PlanRepairTree(plan, func(shard int) (int, bool, error) {
+			id := sm.blocks[shard]
+			if id < 0 {
+				return 0, false, nil // phantom zero shard
+			}
+			live := c.liveLocations(c.blocks[id])
+			if len(live) == 0 {
+				return 0, false, fmt.Errorf("%w: stripe %d position %d", ErrBlockLost, sm.id, shard)
+			}
+			return c.pickReplica(live), true, nil
+		}, c.cfg.Topology.RackOf)
 	}
 	c.mu.RUnlock()
-
-	tree, err := engine.PlanAggregationTree(plan,
-		func(shard int) (int, bool) { m, ok := holder[shard]; return m, ok },
-		c.cfg.Topology.RackOf,
-	)
-	if err != nil {
-		if errors.Is(err, engine.ErrNoHelpers) {
-			// Every helper was a phantom: the lost block is known zeros.
-			return map[int][]byte{pos: make([]byte, sm.shardSize)}, nil, nil
-		}
-		return nil, nil, err
-	}
-	var hops []netsim.Hop
-	var fold func(n *engine.AggNode) ([]byte, []int, error)
-	fold = func(n *engine.AggNode) ([]byte, []int, error) {
-		buf := scratch.Bytes(int(tree.TargetSize))
-		clear(buf)
-		// A helper reads each of its blocks once, whole, however many
-		// terms slice it (a Piggybacked-RS b-half feeds both target
-		// halves): block is the padded shard the previous term read.
-		blockOf, block := -1, []byte(nil)
-		for _, t := range n.Terms {
-			if t.Offset < 0 || t.Length < 0 || t.Offset > sm.shardSize-t.Length {
-				return nil, nil, fmt.Errorf("hdfs: term reads [%d, +%d) of a %d-byte shard", t.Offset, t.Length, sm.shardSize)
-			}
-			if t.Shard != blockOf {
-				var err error
-				block, err = c.nodes[n.Machine].readRangeInto(sm.blocks[t.Shard], 0, sm.shardSize, scratch.Bytes(int(sm.shardSize)))
-				if err != nil {
-					return nil, nil, err
-				}
-				blockOf = t.Shard
-			}
-			gf256.MulSliceXor(t.Coeff, block[t.Offset:t.Offset+t.Length], buf[t.TargetOff:t.TargetOff+t.Length])
-		}
-		var after []int
-		for _, child := range n.Children {
-			cbuf, cafter, err := fold(child)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := c.net.Transfer(child.Machine, n.Machine, tree.TargetSize); err != nil {
-				return nil, nil, err
-			}
-			if recordWire {
-				hops = append(hops, netsim.Hop{Src: child.Machine, Dst: n.Machine, Bytes: tree.TargetSize, After: cafter})
-				after = append(after, len(hops)-1)
-			}
-			gf256.XorSlice(cbuf, buf)
-		}
-		return buf, after, nil
-	}
-	buf, rootAfter, err := fold(tree.Root)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.net.Transfer(tree.Root.Machine, f.worker(), tree.TargetSize); err != nil {
+	read := func(machine int, req ec.ReadRequest) ([]byte, error) {
+		return c.nodes[machine].readRangeInto(sm.blocks[req.Shard], req.Offset, req.Length, scratch.Bytes(int(sm.shardSize)))
+	}
+	carry := func(from, to int) error { return c.net.Transfer(from, to, sm.shardSize) }
+	shard, err := tree.Repair(func(root *engine.AggNode) ([]byte, error) {
+		return engine.FoldTree(root, f.worker(), sm.shardSize, read, carry)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	if recordWire {
-		hops = append(hops, netsim.Hop{Src: tree.Root.Machine, Dst: f.worker(), Bytes: tree.TargetSize, After: rootAfter})
-	}
-	// The one copy out of the arena: the repaired block outlives the task.
-	return map[int][]byte{pos: append([]byte(nil), buf...)}, hops, nil
+	return map[int][]byte{pos: shard}, tree, nil
 }
 
 // simulateFixContention replays the applied fixes' recorded wire shape
@@ -1666,12 +1601,11 @@ func (c *Cluster) simulateFixContention(fixes []*stripeFix, outcomes []fixOutcom
 	// the real two-phase pass, where blocks ship only after decoding.
 	for jobID, i := range applied {
 		f := fixes[i]
-		sched.Submit(netsim.Job{
-			ID:        jobID,
-			Dst:       f.worker(),
-			Transfers: append([]netsim.Transfer(nil), outcomes[i].transfers...),
-			Hops:      append([]netsim.Hop(nil), outcomes[i].hops...),
-		})
+		job := netsim.Job{ID: jobID, Dst: f.worker(), Transfers: append([]netsim.Transfer(nil), outcomes[i].transfers...)}
+		if tree := outcomes[i].tree; tree != nil {
+			job.Hops = tree.Hops(f.worker())
+		}
+		sched.Submit(job)
 	}
 	shipID := len(applied)
 	for _, i := range applied {

@@ -146,8 +146,8 @@ func TestDecodeMatrixCache(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDegradedReadPath covers ReconstructData used as a degraded read:
-// only data shards are needed, any k survivors suffice.
+// TestDegradedReadAnySurvivorSubset covers Reconstruct used as a
+// degraded read: any k survivors suffice to recover every data shard.
 func TestDegradedReadAnySurvivorSubset(t *testing.T) {
 	c, _ := New(10, 4)
 	rng := rand.New(rand.NewSource(6))
@@ -161,7 +161,7 @@ func TestDegradedReadAnySurvivorSubset(t *testing.T) {
 		for _, i := range keep {
 			work[i] = append([]byte(nil), orig[i]...)
 		}
-		if err := c.ReconstructData(work); err != nil {
+		if err := c.Reconstruct(work); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := 0; i < 10; i++ {

@@ -204,16 +204,6 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 // Reconstruct fills in every nil shard (data and parity) in place, given
 // at least k present shards.
 func (c *Code) Reconstruct(shards [][]byte) error {
-	return c.reconstruct(shards, true)
-}
-
-// ReconstructData fills in only the nil data shards, leaving missing
-// parity shards nil. It is the cheaper call when only data is needed.
-func (c *Code) ReconstructData(shards [][]byte) error {
-	return c.reconstruct(shards, false)
-}
-
-func (c *Code) reconstruct(shards [][]byte, parityToo bool) error {
 	size, err := ec.CheckShards(shards, c.TotalShards(), true)
 	if err != nil {
 		return err
@@ -266,18 +256,16 @@ func (c *Code) reconstruct(shards [][]byte, parityToo bool) error {
 		}
 	}
 
-	if parityToo {
-		for j := 0; j < c.r; j++ {
-			p := c.k + j
-			if shards[p] != nil {
-				continue
-			}
-			out := make([]byte, size)
-			if err := c.EncodeParityInto(shards[:c.k], j, out); err != nil {
-				return err
-			}
-			shards[p] = out
+	for j := 0; j < c.r; j++ {
+		p := c.k + j
+		if shards[p] != nil {
+			continue
 		}
+		out := make([]byte, size)
+		if err := c.EncodeParityInto(shards[:c.k], j, out); err != nil {
+			return err
+		}
+		shards[p] = out
 	}
 	return nil
 }
@@ -457,7 +445,7 @@ func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.Alive
 	if err != nil {
 		return nil, err
 	}
-	if err := c.reconstruct(shards, true); err != nil {
+	if err := c.Reconstruct(shards); err != nil {
 		return nil, err
 	}
 	out := make(map[int][]byte, len(missing))

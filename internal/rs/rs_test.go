@@ -242,27 +242,6 @@ func TestReconstructBeyondToleranceFails(t *testing.T) {
 	}
 }
 
-func TestReconstructDataLeavesParityNil(t *testing.T) {
-	c, _ := New(4, 2)
-	rng := rand.New(rand.NewSource(4))
-	orig := randShards(rng, 4, 2, 32)
-	if err := c.Encode(orig); err != nil {
-		t.Fatal(err)
-	}
-	work := cloneShards(orig)
-	work[1] = nil
-	work[5] = nil
-	if err := c.ReconstructData(work); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(work[1], orig[1]) {
-		t.Fatal("data shard not reconstructed")
-	}
-	if work[5] != nil {
-		t.Fatal("ReconstructData must not rebuild parity")
-	}
-}
-
 func TestReconstructNoopWhenComplete(t *testing.T) {
 	c, _ := New(3, 2)
 	rng := rand.New(rand.NewSource(5))

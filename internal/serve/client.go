@@ -150,12 +150,12 @@ type Counters struct {
 // ClientOption configures a Client at dial time.
 type ClientOption func(*Client)
 
-// WithPartialSumRepair makes the client's degraded reads use the
-// distributed partial-sum pipeline: instead of downloading every helper
-// range of the repair plan, the client ships the codec's linear repair
-// plan as a rack-aware fold tree to the helpers and downloads ONE
-// folded block-sized buffer from the root aggregator. Any failure along
-// the tree falls back to the conventional fan-in transparently.
+// WithPartialSumRepair makes the client's degraded reads take the tree
+// shape of the fold ("Degraded reads and lent blocks" in the package
+// doc): instead of downloading every helper range of the repair plan, the
+// client ships the plan as a rack-aware fold tree to the helpers and
+// downloads ONE folded block-sized buffer from the root aggregator. Any
+// failure along the tree falls back to the conventional fan-in.
 func WithPartialSumRepair() ClientOption {
 	return func(c *Client) { c.partialSum = true }
 }
@@ -1060,19 +1060,13 @@ func (c *Client) degradedReadTraced(b wireBlock, lent [][]byte, tc *telemetry.Tr
 	return shard[:b.Size], nil
 }
 
-// partialDegradedRead reconstructs one striped block through the
-// distributed partial-sum pipeline: plan the repair as a linear
-// combination, map each helper shard to a live holder, build the
-// rack-aware fold tree, and download the single folded buffer from the
-// root aggregator. The reconstructing client's NIC carries one
+// partialDegradedRead reconstructs one striped block in the tree shape:
+// ask the codec for the linear plan, pin a live, addressable holder per
+// position it reads (replicaOrder over the address table), lay it out as
+// the rack-aware fold tree, and ask the root aggregator for its partial
+// sum over dn.partial. The reconstructing client's NIC carries one
 // block-sized payload instead of the plan's ~k.
 func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.AliveFunc, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
-	// degradedRead bounds st.ShardSize before calling here; repeat the
-	// check so the zero-fold fast path below stays safe under any
-	// future caller.
-	if st.ShardSize <= 0 || st.ShardSize > maxPayloadBytes {
-		return nil, fmt.Errorf("serve: stripe %d reports shard size %d out of bounds", st.ID, st.ShardSize)
-	}
 	lp, ok := c.code.(ec.LinearRepairPlanner)
 	if !ok {
 		return nil, fmt.Errorf("serve: %s has no linear repair plan", c.code.Name())
@@ -1088,84 +1082,50 @@ func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.Alive
 	if err != nil {
 		return nil, err
 	}
-	// Pin one live, addressable holder per stripe position up front so
-	// the tree planner sees a stable placement.
-	holder := make([]int, len(st.Positions))
-	for pos, p := range st.Positions {
-		holder[pos] = -1
+	tree, err := engine.PlanRepairTree(plan, func(pos int) (int, bool, error) {
+		p := st.Positions[pos]
 		if p.Block < 0 {
-			continue
+			return 0, false, nil
 		}
 		for _, m := range c.replicaOrder(p.Locations) {
 			if m >= 0 && m < len(addrs) && addrs[m] != "" {
-				holder[pos] = m
-				break
+				return m, true, nil
 			}
 		}
-	}
-	for _, t := range plan.Terms {
-		if p := st.Positions[t.Read.Shard]; p.Block >= 0 && holder[t.Read.Shard] < 0 {
-			return nil, fmt.Errorf("serve: stripe %d position %d has no addressable holder", st.ID, t.Read.Shard)
-		}
-	}
-	tree, err := engine.PlanAggregationTree(plan,
-		func(shard int) (int, bool) { return holder[shard], st.Positions[shard].Block >= 0 },
-		func(m int) int { return m / perRack },
-	)
-	if err != nil {
-		if errors.Is(err, engine.ErrNoHelpers) {
-			// Every term was a phantom zero shard: the fold is zero.
-			return make([]byte, st.ShardSize), nil
-		}
-		return nil, err
-	}
-	root, err := wireTree(tree.Root, st, addrs)
+		return 0, false, fmt.Errorf("serve: stripe %d position %d has no addressable holder", st.ID, pos)
+	}, func(m int) int { return m / perRack })
 	if err != nil {
 		return nil, err
 	}
-	_, out, err := c.dnCallFull(tree.Root.Machine, &request{
-		Method:  methodDNPartial,
-		Length:  tree.TargetSize,
-		Partial: root,
-		Trace:   tc,
-	}, partialTimeout(len(tree.Nodes())), nil)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(out)) != tree.TargetSize {
-		return nil, fmt.Errorf("serve: partial buffer has %d bytes, want %d", len(out), tree.TargetSize)
-	}
-	c.cDegradedBytes.Add(int64(len(out)))
-	fetched.Add(int64(len(out)))
-	return out, nil
+	return tree.Repair(func(root *engine.AggNode) ([]byte, error) {
+		_, out, err := c.dnCallFull(root.Machine, &request{
+			Method:  methodDNPartial,
+			Length:  tree.TargetSize,
+			Partial: wireTree(root, st, addrs),
+			Trace:   tc,
+		}, partialTimeout(len(tree.Nodes())), nil)
+		c.cDegradedBytes.Add(int64(len(out)))
+		fetched.Add(int64(len(out)))
+		return out, err
+	})
 }
 
 // wireTree converts a planned aggregation tree into its wire form,
 // resolving stripe positions to block ids and machines to daemon
-// addresses.
-func wireTree(n *engine.AggNode, st *wireStripe, addrs []string) (*wirePartialNode, error) {
-	out := &wirePartialNode{Machine: n.Machine}
-	if n.Machine >= 0 && n.Machine < len(addrs) {
-		out.Addr = addrs[n.Machine]
-	}
-	if out.Addr == "" {
-		return nil, fmt.Errorf("serve: helper machine %d has no address", n.Machine)
-	}
+// addresses (every machine in the tree was pinned as addressable).
+func wireTree(n *engine.AggNode, st *wireStripe, addrs []string) *wirePartialNode {
+	out := &wirePartialNode{Machine: n.Machine, Addr: addrs[n.Machine]}
 	for _, t := range n.Terms {
 		out.Terms = append(out.Terms, wirePartialTerm{
-			Block:     st.Positions[t.Shard].Block,
-			Offset:    t.Offset,
-			Length:    t.Length,
+			Block:     st.Positions[t.Read.Shard].Block,
+			Offset:    t.Read.Offset,
+			Length:    t.Read.Length,
 			TargetOff: t.TargetOff,
 			Coeff:     t.Coeff,
 		})
 	}
 	for _, child := range n.Children {
-		wc, err := wireTree(child, st, addrs)
-		if err != nil {
-			return nil, err
-		}
-		out.Children = append(out.Children, *wc)
+		out.Children = append(out.Children, *wireTree(child, st, addrs))
 	}
-	return out, nil
+	return out
 }

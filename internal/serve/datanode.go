@@ -6,24 +6,24 @@
 // or block fix downloads) arrive here as ordinary dn.read calls with a
 // sub-block offset and length.
 //
-// The one smart thing a datanode does is dn.partial: the helper-side
-// half of partial-sum repair. The request carries a fold tree; the
-// daemon reads its own term ranges, scales each by its GF(2^8)
-// coefficient into a target-sized buffer, recursively collects each
-// child subtree's folded buffer from the child's daemon (in parallel),
-// XORs everything together, and answers with the single folded buffer.
-// The requester — the next helper up the tree, or the reconstructing
-// client — receives one block-sized payload however many helpers fed
-// the subtree.
+// The one smart thing a datanode does is dn.partial, the helper side of
+// a tree-shaped repair: the request carries this node's subtree of the
+// plan, and the daemon answers with its partial sum — engine.Fold over
+// its own terms' ranges and its children's partial sums, which it
+// collects from their daemons in parallel. The requester — the next
+// helper up the tree, or the reconstructing client — receives one
+// block-sized payload however many helpers fed the subtree.
 package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gf256"
+	"repro/internal/ec"
+	"repro/internal/engine"
 	"repro/internal/hdfs"
 	"repro/internal/telemetry"
 )
@@ -140,9 +140,10 @@ func (d *DataNode) maxTargetSize() int64 {
 	return bs
 }
 
-// partial answers one dn.partial call: fold this node's terms and its
-// children's folded buffers into one target-sized partial sum. The
-// node's own term reads pass through the lent buffer; the sum does not.
+// partial answers one dn.partial call with this node's partial sum of the
+// repair: engine.Fold over the on-the-wire transport — ranges out of this
+// machine's block store, children's partial sums from their daemons. The
+// sum is freshly allocated and owns its memory.
 func (d *DataNode) partial(req *request, lend *[]byte) ([]byte, error) {
 	if err := validatePartial(req.Partial, req.Length); err != nil {
 		return nil, err
@@ -151,52 +152,52 @@ func (d *DataNode) partial(req *request, lend *[]byte) ([]byte, error) {
 	if req.Length > bound {
 		return nil, fmt.Errorf("serve: partial target size %d exceeds shard bound %d", req.Length, bound)
 	}
-	if req.Partial.Machine != d.machine {
-		return nil, fmt.Errorf("serve: partial tree addressed to machine %d, this is %d", req.Partial.Machine, d.machine)
+	n := req.Partial
+	if n.Machine != d.machine {
+		return nil, fmt.Errorf("serve: partial tree addressed to machine %d, this is %d", n.Machine, d.machine)
 	}
-	return d.fold(req.Partial, req.Length, req.Trace, lentBytes(lend, bound))
-}
-
-// fold computes one node's partial sum: local terms multiply-accumulate
-// out of this machine's block store; child subtrees are fetched from
-// their daemons concurrently and XORed in. The returned buffer is the
-// subtree's entire contribution to the repaired shard, freshly
-// allocated: it owns its memory. scratch, a padded block's worth of
-// capacity, is reused for each term's read, whose bytes are folded into
-// the sum before the next read overwrites them.
-func (d *DataNode) fold(n *wirePartialNode, targetSize int64, trace *telemetry.TraceContext, scratch []byte) ([]byte, error) {
 	d.cFolds.Inc()
 	d.cFoldTerms.Add(int64(len(n.Terms)))
-	//repolint:ignore framecheck targetSize is bounds-checked by partial() (validatePartial plus the shard-size cap) before the recursion starts
-	buf := make([]byte, targetSize)
-	for _, t := range n.Terms {
-		data, err := d.cluster.NodeReadRangeInto(d.machine, hdfs.BlockID(t.Block), t.Offset, t.Length, scratch)
-		if err != nil {
-			return nil, err
-		}
-		gf256.MulSliceXor(t.Coeff, data, buf[t.TargetOff:t.TargetOff+t.Length])
+	// A plan's terms name stripe positions and the wire's name blocks;
+	// here a term's shard is the index of the first term naming its
+	// block, so ranges of one block coalesce and ranges of two never do.
+	terms := make([]ec.LinearTerm, len(n.Terms))
+	for i, t := range n.Terms {
+		terms[i] = t.linear(slices.IndexFunc(n.Terms, func(o wirePartialTerm) bool { return o.Block == t.Block }))
 	}
-	if len(n.Children) == 0 {
-		return buf, nil
+	// A fold keeps every range it read until the sum is done, so only the
+	// first read may have the lent buffer (one padded block); a node that
+	// reads a second range (two blocks of the stripe here) allocates it.
+	scratch := lentBytes(lend, bound)
+	read := func(r ec.ReadRequest) ([]byte, error) {
+		dst := scratch
+		scratch = nil
+		return d.cluster.NodeReadRangeInto(d.machine, hdfs.BlockID(n.Terms[r.Shard].Block), r.Offset, r.Length, dst)
 	}
-	parts := make([][]byte, len(n.Children))
-	errs := make([]error, len(n.Children))
+	return engine.Fold(terms, req.Length, read, req.childPartials)
+}
+
+// childPartials fetches the partial sum of every child subtree of a
+// dn.partial request from its daemon, concurrently.
+func (r *request) childPartials() ([][]byte, error) {
+	children := r.Partial.Children
+	parts := make([][]byte, len(children))
+	errs := make([]error, len(children))
 	var wg sync.WaitGroup
-	for i := range n.Children {
+	for i := range children {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = fetchChildPartial(&n.Children[i], targetSize, trace)
+			parts[i], errs[i] = fetchChildPartial(&children[i], r.Length, r.Trace)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("serve: partial from machine %d: %w", n.Children[i].Machine, err)
+			return nil, fmt.Errorf("serve: partial from machine %d: %w", children[i].Machine, err)
 		}
-		gf256.XorSlice(parts[i], buf)
 	}
-	return buf, nil
+	return parts, nil
 }
 
 // fetchChildPartial performs one child-subtree RPC over a fresh

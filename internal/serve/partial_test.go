@@ -146,62 +146,101 @@ func TestPartialSumDegradedRead(t *testing.T) {
 }
 
 // TestPartialSumVersusConventionalBytes quantifies, on a live cluster,
-// what the identical degraded whole-file read downloads per
-// reconstruction. RS's plan reads k whole shards. The conventional
-// client already holds k-1 of them — the file's other blocks — so it
-// fetches one parity shard and is lent the rest; the partial-sum client
-// has the helpers fold the plan and fetches the one folded shard.
+// what the identical degraded read costs in its two shapes.
+//
+// On the wire, per reconstruction of a whole-file read: RS's plan reads k
+// whole shards. The conventional client already holds k-1 of them — the
+// file's other blocks — so it fetches one parity shard and is lent the
+// rest; the partial-sum client has the helpers fold the plan and fetches
+// the one folded shard.
+//
+// On the helpers' disks, for a read of the lost block alone (nothing
+// held, so both shapes run the whole plan): summed over the datanodes'
+// extent stores, the tree reads exactly the bytes the fan-in asks for —
+// every range the plan names once, however many terms it feeds (a
+// Piggybacked-RS b-half feeds both halves of the target).
 func TestPartialSumVersusConventionalBytes(t *testing.T) {
-	code := testCodecs(t)[0] // rs(4,2): plan reads k=4 whole shards
-	sys := startTestSystem(t, code)
-	setup, err := Dial(sys.NameAddr(), code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer setup.Close()
+	for i, code := range testCodecs(t)[:2] { // rs(4,2), piggybacked-rs(4,2)
+		i, code := i, code
+		t.Run(code.Name(), func(t *testing.T) {
+			sys := startTestSystem(t, code, WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+			setup, err := Dial(sys.NameAddr(), code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer setup.Close()
 
-	data := bytes.Repeat([]byte("recovery"), 2048) // 4 blocks, one stripe
-	if err := setup.WriteFile("f", data); err != nil {
-		t.Fatal(err)
-	}
-	if err := setup.RaidFile("f"); err != nil {
-		t.Fatal(err)
-	}
-	_, blocks, err := sys.Cluster().FileBlocks("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.KillDataNode(blocks[0].Locations[0]); err != nil {
-		t.Fatal(err)
-	}
+			data := bytes.Repeat([]byte("recovery"), 2048) // 4 blocks, one stripe
+			if err := setup.WriteFile("f", data); err != nil {
+				t.Fatal(err)
+			}
+			if err := setup.RaidFile("f"); err != nil {
+				t.Fatal(err)
+			}
+			_, blocks, err := sys.Cluster().FileBlocks("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.KillDataNode(blocks[0].Locations[0]); err != nil {
+				t.Fatal(err)
+			}
 
-	perBlock := func(opts ...ClientOption) (fetched, lent int64) {
-		cl, err := Dial(sys.NameAddr(), code, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		got, err := cl.ReadFile("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("degraded read not byte-identical")
-		}
-		c := cl.Counters()
-		if c.DegradedBlocks == 0 {
-			t.Fatal("no degraded blocks")
-		}
-		return c.DegradedBytesFetched / c.DegradedBlocks, c.DegradedBytesLent / c.DegradedBlocks
-	}
+			perBlock := func(opts ...ClientOption) (fetched, lent int64) {
+				cl, err := Dial(sys.NameAddr(), code, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				got, err := cl.ReadFile("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatal("degraded read not byte-identical")
+				}
+				c := cl.Counters()
+				if c.DegradedBlocks == 0 {
+					t.Fatal("no degraded blocks")
+				}
+				return c.DegradedBytesFetched / c.DegradedBlocks, c.DegradedBytesLent / c.DegradedBlocks
+			}
 
-	shardSize, k := int64(4096), int64(code.DataShards())
-	fetched, lent := perBlock()
-	if fetched != shardSize || lent != (k-1)*shardSize || fetched+lent != k*shardSize {
-		t.Fatalf("conventional degraded read fetched %d and was lent %d bytes/block, want one shard = %d fetched, k-1 lent, k*shard = %d in all",
-			fetched, lent, shardSize, k*shardSize)
-	}
-	if fetched, lent := perBlock(WithPartialSumRepair()); fetched != shardSize || lent != 0 {
-		t.Fatalf("partial-sum degraded read fetched %d and was lent %d bytes/block, want one shard = %d and nothing", fetched, lent, shardSize)
+			shardSize, k := int64(4096), int64(code.DataShards())
+			if i == 0 { // rs: the plan reads k whole shards
+				fetched, lent := perBlock()
+				if fetched != shardSize || lent != (k-1)*shardSize || fetched+lent != k*shardSize {
+					t.Fatalf("conventional degraded read fetched %d and was lent %d bytes/block, want one shard = %d fetched, k-1 lent, k*shard = %d in all",
+						fetched, lent, shardSize, k*shardSize)
+				}
+			}
+			if fetched, lent := perBlock(WithPartialSumRepair()); fetched != shardSize || lent != 0 {
+				t.Fatalf("partial-sum degraded read fetched %d and was lent %d bytes/block, want one shard = %d and nothing", fetched, lent, shardSize)
+			}
+
+			diskBytes := func(opts ...ClientOption) int64 {
+				cl, err := Dial(sys.NameAddr(), code, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				_, table, err := cl.fileBlocks("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := sys.Telemetry().Snapshot().Counters["extent_read_bytes_total"]
+				got, err := cl.degradedRead(table[0], nil)
+				if err != nil || !bytes.Equal(got, data[:shardSize]) {
+					t.Fatalf("degraded read of the lost block alone wrong (err %v)", err)
+				}
+				if partial := cl.Counters().PartialSumBlocks; (partial == 1) != (len(opts) > 0) {
+					t.Fatalf("%d reconstructions took the partial-sum pipeline with %d options set", partial, len(opts))
+				}
+				return sys.Telemetry().Snapshot().Counters["extent_read_bytes_total"] - before
+			}
+			conventional, tree := diskBytes(), diskBytes(WithPartialSumRepair())
+			if conventional == 0 || tree != conventional {
+				t.Fatalf("the helpers read %d bytes from disk for the partial-sum reconstruction, %d for the conventional one of the same block", tree, conventional)
+			}
+		})
 	}
 }

@@ -96,21 +96,36 @@
 //
 // # Degraded reads and lent blocks
 //
+// A lost block is rebuilt by one fold (engine.Fold: a node's partial sum
+// of the codec's linear repair plan is ec.EvaluateLinearPlan over the
+// terms it holds, XORed with its children's) in one of two shapes, over
+// one of two transports; internal/engine/aggtree.go has the whole
+// account. By default the client is the one node and holds every term:
+// degradedReadTraced runs the codec's ExecuteRepair — that fold, without
+// children — over a fetch callback (one builder, shared with the hedge
+// arm). With WithPartialSumRepair the datanodes fold the plan along a
+// rack-aware tree (dn.partial), the client asks the root for one folded
+// shard, and any failure in the tree, including a position only this
+// client still holds, falls back to the first shape. A datanode that
+// rebuilds a block it is to store (ROADMAP item 4's dn.repair) is to be
+// a third caller of engine.Fold, not a third implementation.
+//
 // Client.ReadFile downloads each stripe once. It reads every block a
 // replica can serve, then reconstructs the rest, and what it holds is
-// lent to those reconstructions: the fetch callback the codec's
-// ExecuteRepair runs its plan through (one builder, in
-// degradedReadTraced, shared with the hedge arm) answers a read of a
+// lent to those reconstructions: the fetch callback answers a read of a
 // held shard with a view of the held block (its slot of the result; see
 // the next section) — a zero-padded copy in the fetch arena only where
 // the block is shorter than the shard — and goes to a datanode for the
 // rest. A lent position counts as alive; a block reconstructed earlier
 // in the read is lent to later ones of its stripe; nothing is lent
-// across stripes. The codec, its plan and the
-// plan's cost are untouched: lending only decides which of the plan's
-// bytes cross the wire (Counters.DegradedBytesFetched) and which do not
+// across stripes. The codec, its plan and the plan's cost are
+// untouched: lending only decides which of the plan's bytes cross the
+// wire (Counters.DegradedBytesFetched) and which do not
 // (Counters.DegradedBytesLent), so a whole-stripe read that lost one
-// data block downloads k blocks, as a healthy read does.
+// data block downloads k blocks, as a healthy read does. The tree shape
+// is lent nothing — one folded shard is all a lent reconstruction
+// fetches for a single loss too — so it is for the client that holds
+// none of the stripe.
 //
 // # Who may write into or borrow the result
 //
@@ -137,13 +152,6 @@
 // (cache.Put owns its bytes), so a caller scribbling on the result
 // cannot poison it. When ReadFile returns, the slice is the caller's
 // alone.
-//
-// WithPartialSumRepair still goes first when set. Its fold tree hands
-// the client one folded shard, which is also all a lent reconstruction
-// fetches for a single loss, so lending saves that client nothing; the
-// tree is for the client that holds none of the stripe, and any
-// failure in it (including a position only this client still holds)
-// falls back to the lent fan-in.
 package serve
 
 import (
@@ -156,6 +164,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ec"
 	"repro/internal/hdfs"
 	"repro/internal/telemetry"
 )
@@ -239,15 +248,22 @@ type request struct {
 	TraceID uint64
 }
 
-// wirePartialTerm is one local multiply-accumulate of a partial-sum
-// fold: read [off, off+len) of the block, scale by the GF(2^8)
-// coefficient, XOR into the partial buffer at target_off.
+// wirePartialTerm is one term of a linear repair plan as a datanode is
+// sent it: read [off, off+len) of the block, scale by the GF(2^8)
+// coefficient, XOR into the partial sum at target_off — an ec.LinearTerm
+// naming a block id, because a datanode knows blocks, not stripes.
 type wirePartialTerm struct {
 	Block     int64
 	Offset    int64
 	Length    int64
 	TargetOff int64
 	Coeff     byte
+}
+
+// linear returns the ec.LinearTerm the term stands for, reading the
+// given shard index.
+func (t wirePartialTerm) linear(shard int) ec.LinearTerm {
+	return ec.LinearTerm{Read: ec.ReadRequest{Shard: shard, Offset: t.Offset, Length: t.Length}, Coeff: t.Coeff, TargetOff: t.TargetOff}
 }
 
 // wirePartialNode is one helper of a partial-sum fold tree: the
@@ -275,9 +291,14 @@ func (n *wirePartialNode) countNodes(limit int) int {
 	return count
 }
 
+// maxPartialTerms bounds the terms of one node of a partial-sum tree: a
+// fold holds every range it reads until the sum is done, so the term
+// count bounds what one dn.partial can make a daemon hold.
+const maxPartialTerms = 4 * maxPartialNodes
+
 // validatePartial checks one partial-sum request's structural bounds
 // before any I/O: a sane target size, a bounded tree, and every term
-// folding inside the target.
+// reading and folding inside a target-sized shard (ec's one check).
 func validatePartial(root *wirePartialNode, targetSize int64) error {
 	if root == nil {
 		return errors.New("serve: partial request missing tree")
@@ -290,14 +311,12 @@ func validatePartial(root *wirePartialNode, targetSize int64) error {
 	}
 	var walk func(n *wirePartialNode) error
 	walk = func(n *wirePartialNode) error {
+		if len(n.Terms) > maxPartialTerms {
+			return fmt.Errorf("serve: partial node exceeds %d terms", maxPartialTerms)
+		}
 		for _, t := range n.Terms {
-			if t.Length <= 0 || t.Offset < 0 {
-				return fmt.Errorf("serve: partial term reads [%d, %d+%d)", t.Offset, t.Offset, t.Length)
-			}
-			// Overflow-safe: TargetOff+Length can wrap int64 on hostile
-			// input, so compare against targetSize-Length instead.
-			if t.Length > targetSize || t.TargetOff < 0 || t.TargetOff > targetSize-t.Length {
-				return fmt.Errorf("serve: partial term folds [%d, +%d) outside %d-byte target", t.TargetOff, t.Length, targetSize)
+			if err := t.linear(0).CheckBounds(targetSize); err != nil {
+				return err
 			}
 		}
 		for i := range n.Children {

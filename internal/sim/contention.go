@@ -240,7 +240,7 @@ func buildJob(rng *rand.Rand, topo netsim.Topology, reads []sourceRead, stripeWi
 }
 
 // partialHops plans the repair's aggregation tree over the placed
-// helpers and flattens it into dependency-ordered netsim hops. Only
+// helpers and takes its edges as dependency-ordered netsim hops. Only
 // the shape matters to the fluid model, so the tree is planned from
 // unit-coefficient terms; every edge carries one folded buffer of the
 // full block size (partial-sum repair trades the k-fan-in bottleneck
@@ -254,26 +254,15 @@ func partialHops(topo netsim.Topology, reads []sourceRead, machines []int, dst i
 			Coeff: 1,
 		})
 	}
-	tree, err := engine.PlanAggregationTree(plan,
-		func(shard int) (int, bool) { return machines[shard], true },
+	tree, err := engine.PlanRepairTree(plan,
+		func(pos int) (int, bool, error) { return machines[pos], true, nil },
 		topo.RackOf,
 	)
 	if err != nil {
 		// Unreachable: every read has a placed machine.
 		panic(fmt.Sprintf("sim: partial tree: %v", err))
 	}
-	var hops []netsim.Hop
-	var walk func(n *engine.AggNode, parent int) int
-	walk = func(n *engine.AggNode, parent int) int {
-		var after []int
-		for _, c := range n.Children {
-			after = append(after, walk(c, n.Machine))
-		}
-		hops = append(hops, netsim.Hop{Src: n.Machine, Dst: parent, Bytes: blockBytes, After: after})
-		return len(hops) - 1
-	}
-	walk(tree.Root, dst)
-	return hops
+	return tree.Hops(dst)
 }
 
 // isolatedJobSeconds runs the identical job alone on an idle fabric —
