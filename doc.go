@@ -123,23 +123,23 @@
 // ContentionConfig.PartialSums (cmd/repaircost -contention). Fold is
 // also what ROADMAP item 4's dn.repair destination datanode will call.
 //
-// # Sharded metadata plane
+// # The metadata plane
 //
-// A single MiniHDFS serialises every metadata operation behind one
-// lock — fine for the paper's repair studies, a bottleneck for
-// many-files serving workloads. OpenMiniHDFS with WithShards(n > 1)
-// partitions the file→stripe metadata into n independent shards behind
-// the Metadata interface: files route to shards by a seeded consistent
-// hash of their parent directory (stable across restarts, and keeping
-// each directory subtree shard-local), block and stripe IDs are minted
-// strided so id→shard routing is arithmetic, and each shard owns its
-// own lock, rng, block-fixer pass, and scrubber cursor while all
-// shards share one physical plane (datanodes plus the switch-level
-// network). Cross-shard operations — FixStripes, ReReplicateBlocks,
-// MachineInventory, machine death — fan out and merge; merged fixer
-// reports measure cross-rack traffic once around the whole fan-out so
-// the shared fabric is never double-counted. Serving and the repair
-// control plane consume only the Metadata / MetadataView / RepairOps /
-// AdminOps interfaces, so every layer runs unchanged against either a
-// single Cluster or a ShardedCluster.
+// A MiniHDFS is HDFSConfig.Shards independent metadata shards — one by
+// default, which is the paper's single namenode — over one physical
+// plane (datanodes plus the switch-level network). One shard serialises
+// every metadata mutation behind one lock: right for the paper's repair
+// studies, a bottleneck for many-files serving workloads, which set
+// Shards higher. Either way it is the same type running the same code:
+// files route to shards by a seeded consistent hash of their parent
+// directory (stable across restarts, and keeping each directory subtree
+// shard-local), block and stripe IDs are minted strided so id→shard
+// routing is arithmetic, and each shard owns its own lock, rng,
+// block-fixer pass, and scrubber cursor. Operations that span shards —
+// FixStripes, ReReplicateBlocks, MachineInventory, machine death —
+// reach every shard and merge; merged fixer reports measure cross-rack
+// traffic once around the whole fan-out so the shared fabric is never
+// double-counted. Serving and the repair control plane consume only
+// the Metadata / MetadataView / RepairOps / AdminOps / ShardRouter
+// interfaces, never the concrete type.
 package repro

@@ -159,11 +159,11 @@ func ExampleNewEngine() {
 	// repaired: true
 }
 
-// The sharded metadata plane: WithShards spreads files over
-// independently locked metadata shards by a seeded consistent hash,
-// while IO through the Metadata interface behaves exactly like a
-// single MiniHDFS. The same seed routes identically after a restart.
-func ExampleOpenMiniHDFS() {
+// The metadata plane: Shards spreads files over independently locked
+// metadata shards by a seeded consistent hash, while IO behaves exactly
+// as it does at one shard. The same seed routes identically after a
+// restart.
+func ExampleNewMiniHDFS() {
 	code, err := repro.NewRS(2, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -174,8 +174,9 @@ func ExampleOpenMiniHDFS() {
 		BlockSize:   1 << 20,
 		Replication: 2,
 		Seed:        42,
+		Shards:      4,
 	}
-	md, err := repro.OpenMiniHDFS(cfg, repro.WithShards(4))
+	md, err := repro.NewMiniHDFS(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,15 +186,14 @@ func ExampleOpenMiniHDFS() {
 		}
 	}
 
-	restarted, err := repro.OpenMiniHDFS(cfg, repro.WithShards(4))
+	restarted, err := repro.NewMiniHDFS(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	router, router2 := md.(repro.ShardRouter), restarted.(repro.ShardRouter)
 	stable := true
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("warehouse-%03d", i)
-		if router.ShardOf(name) != router2.ShardOf(name) {
+		if md.ShardOf(name) != restarted.ShardOf(name) {
 			stable = false
 		}
 	}
@@ -202,7 +202,7 @@ func ExampleOpenMiniHDFS() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("shards:", router.Shards())
+	fmt.Println("shards:", md.Shards())
 	fmt.Println("routing stable across restart:", stable)
 	fmt.Println("intact:", string(back) == "cold data")
 	// Output:

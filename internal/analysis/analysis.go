@@ -6,15 +6,16 @@
 //
 // The analyzers:
 //
-//   - lockdiscipline — inside internal/hdfs, every metadata-mutex
-//     acquisition goes through the instrumented lockMeta/rlockMeta
-//     helpers, and no engine/codec decode call runs while the metadata
-//     lock is held (the phased-fixer rule: plan under the lock, decode
-//     with it released, apply under the lock).
+//   - lockdiscipline — inside internal/hdfs, every acquisition of a
+//     metadata shard's mutex (metaShard.mu) goes through the
+//     instrumented lockMeta/rlockMeta helpers, only metaShard methods
+//     call them, and no engine/codec decode call runs while the
+//     metadata lock is held (the phased-fixer rule: plan under the
+//     lock, decode with it released, apply under the lock).
 //   - layering — packages serve, sim, repairmgr, and engine consume
-//     the Metadata interface family, never *hdfs.Cluster or
-//     *hdfs.ShardedCluster concretely; and the intra-module import
-//     graph must respect the layer ranks (no upward imports).
+//     the Metadata interface family, never *hdfs.Cluster concretely;
+//     and the intra-module import graph must respect the layer ranks
+//     (no upward imports).
 //   - clockinject — internal/repairmgr never reads the wall clock
 //     directly; timestamps flow through the injected Clock so
 //     failure-detector timelines stay table-testable. The one

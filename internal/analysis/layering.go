@@ -10,10 +10,9 @@ import (
 //  1. Interface consumption (PR 6): packages serve, sim, repairmgr,
 //     and engine — everything above the metadata substrate — must use
 //     the Metadata/MetadataView/RepairOps/AdminOps interface family.
-//     Naming the concrete hdfs.Cluster or hdfs.ShardedCluster types
-//     (fields, params, assertions, conversions) re-couples them to one
-//     implementation and breaks the sharded/unsharded symmetry. Tests
-//     are checked too: they are consumers like any other.
+//     Naming the concrete hdfs.Cluster type (fields, params,
+//     assertions, conversions) re-couples them to the implementation.
+//     Tests are checked too: they are consumers like any other.
 //  2. No upward imports: every internal package has a layer rank, and
 //     imports must flow strictly downward (hdfs importing serve, or
 //     two same-rank packages importing each other, is a cycle waiting
@@ -33,8 +32,8 @@ func (layering) Doc() string {
 // hdfsPath is the metadata substrate package.
 const hdfsPath = "repro/internal/hdfs"
 
-// concreteBanned are the hdfs types consumers may not name.
-var concreteBanned = map[string]bool{"Cluster": true, "ShardedCluster": true}
+// concreteBanned is the hdfs type consumers may not name.
+const concreteBanned = "Cluster"
 
 // interfaceConsumers are the packages bound to the interface family.
 var interfaceConsumers = map[string]bool{
@@ -120,7 +119,7 @@ func (a layering) checkImports(pkg *Package, f *File, rank int) []Diagnostic {
 	return diags
 }
 
-// checkConcrete flags hdfs.Cluster / hdfs.ShardedCluster references.
+// checkConcrete flags hdfs.Cluster references.
 func (a layering) checkConcrete(pkg *Package, f *File) []Diagnostic {
 	local, ok := importLocalName(f.AST, hdfsPath)
 	if !ok || local == "_" || local == "." {
@@ -133,7 +132,7 @@ func (a layering) checkConcrete(pkg *Package, f *File) []Diagnostic {
 			return true
 		}
 		base, ok := sel.X.(*ast.Ident)
-		if !ok || base.Name != local || !concreteBanned[sel.Sel.Name] {
+		if !ok || base.Name != local || sel.Sel.Name != concreteBanned {
 			return true
 		}
 		diags = append(diags, diag(pkg, a.Name(), sel.Pos(),

@@ -6,23 +6,29 @@ import (
 	"sort"
 )
 
-// lockDiscipline enforces the metadata-mutex rules of internal/hdfs:
+// lockDiscipline enforces the metadata-mutex rules of internal/hdfs.
+// The mutex is a metadata shard's (metaShard.mu); the plane above the
+// shards, Cluster, has none of its own.
 //
-//  1. Every acquisition of a Cluster's metadata mutex goes through the
+//  1. Every acquisition of a shard's metadata mutex goes through the
 //     instrumented lockMeta/rlockMeta helpers (which charge lock-wait
 //     to the contention counters LockStats reports). A raw
-//     recv.mu.Lock()/recv.mu.RLock() inside a Cluster method is a
+//     recv.mu.Lock()/recv.mu.RLock() inside a metaShard method is a
 //     finding, except inside the helpers themselves.
 //  2. The PR 3 phased-fixer rule: no engine execution or codec
 //     encode/decode call may run while the metadata lock is held. A
 //     fixer pass plans under the lock, decodes with it released, and
 //     applies under the lock; holding it across a decode serialises
 //     every foreground read behind reconstruction.
+//  3. Confinement: the helpers are called only from metaShard methods.
+//     The plane reaches a shard's lock through the shard's methods, so
+//     rules 1 and 2 — which key on the method receiver — see every
+//     acquisition there is.
 //
 // Unlock/RUnlock calls are not findings — only acquisitions are
 // instrumented — and per-datanode leaf locks (node.mu) are out of
-// scope: the rule keys on the method receiver, so only the metadata
-// mutex of the enclosing Cluster/ShardedCluster method is matched.
+// scope: rules 1 and 2 match only the metadata mutex of the enclosing
+// metaShard method's receiver.
 type lockDiscipline struct{}
 
 // LockDiscipline returns the lockdiscipline analyzer.
@@ -45,8 +51,9 @@ const cacheTargetPath = "repro/internal/cache"
 // shard's mutex.
 const cacheShardType = "shard"
 
-// lockRecvTypes are the receiver types whose mu is the metadata mutex.
-var lockRecvTypes = map[string]bool{"Cluster": true, "ShardedCluster": true}
+// lockRecvType is the receiver type whose mu is the metadata mutex: the
+// per-shard metadata type.
+const lockRecvType = "metaShard"
 
 // lockHelperFuncs are the blessed acquisition helpers.
 var lockHelperFuncs = map[string]bool{"lockMeta": true, "rlockMeta": true}
@@ -86,12 +93,27 @@ func (a lockDiscipline) Check(pkg *Package) []Diagnostic {
 				continue
 			}
 			recv, recvType := recvInfo(fd)
-			if recv == "" || !lockRecvTypes[recvType] {
+			if recv == "" || recvType != lockRecvType {
+				diags = append(diags, a.checkConfined(pkg, fd)...)
 				continue
 			}
 			diags = append(diags, a.checkFunc(pkg, fd, recv)...)
 		}
 	}
+	return diags
+}
+
+// checkConfined flags a lockMeta/rlockMeta call in a function that is
+// not a metaShard method (rule 3).
+func (a lockDiscipline) checkConfined(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
+	var diags []Diagnostic
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && lockHelperFuncs[calleeName(call)] && !isBuiltinLike(call) {
+			diags = append(diags, diag(pkg, a.Name(), call.Pos(),
+				"%s outside a %s method: the plane takes a shard's metadata lock through the shard's methods, where the lock rules are checked", calleeName(call), lockRecvType))
+		}
+		return true
+	})
 	return diags
 }
 
@@ -224,7 +246,7 @@ type lockEvent struct {
 	name string
 }
 
-// checkFunc walks one Cluster method. Each function literal inside it
+// checkFunc walks one metaShard method. Each function literal inside it
 // is simulated as its own scope (a closure's body runs later, under
 // whatever lock state its caller establishes), but the raw-acquisition
 // rule applies everywhere.

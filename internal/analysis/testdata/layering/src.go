@@ -12,15 +12,14 @@ import (
 var _ = repairmgr.New
 var _ = serve.Dial
 
-// Concrete metadata types re-couple the consumer to one
-// implementation; the interface family keeps the sharded and
-// unsharded clusters interchangeable.
+// The concrete metadata plane re-couples the consumer to the
+// implementation; the interface family is what consumers hold.
 type harness struct {
 	direct *hdfs.Cluster // want "concrete hdfs.Cluster reference"
 	meta   hdfs.Metadata
 }
 
-func newHarness(c *hdfs.ShardedCluster) *harness { // want "concrete hdfs.ShardedCluster reference"
+func newHarness(c *hdfs.Cluster) *harness { // want "concrete hdfs.Cluster reference"
 	//repolint:ignore layering golden example of a justified concrete reference
 	var keep *hdfs.Cluster
 	_ = keep

@@ -122,16 +122,15 @@ func TestCachedStoreHitDoubleChecksLiveness(t *testing.T) {
 func TestNodeCacheColdAfterCrashRecovery(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	md, err := New(Config{
-		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
-		Code:        rsCode(t),
-		BlockSize:   1 << 10,
-		Replication: 1, // single replica keeps every read on one node
-		Seed:        1,
-	},
-		WithStoreFactory(ExtentStoreFactory(t.TempDir(), extent.Options{})),
-		WithNodeCacheBytes(1<<20),
-		WithTelemetry(reg),
-	)
+		Topology:       cluster.Topology{Racks: 20, MachinesPerRack: 3},
+		Code:           rsCode(t),
+		BlockSize:      1 << 10,
+		Replication:    1, // single replica keeps every read on one node
+		Seed:           1,
+		StoreFactory:   ExtentStoreFactory(t.TempDir(), extent.Options{}),
+		NodeCacheBytes: 1 << 20,
+		Telemetry:      reg,
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -124,7 +124,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 			if err != nil || len(locs) == 0 || len(locs[0]) == 0 {
 				continue
 			}
-			blockID := c.files[name].blocks[0]
+			blockID := only(t, c).files[name].blocks[0]
 			if err := c.InjectBitRot(locs[0][0], blockID, 0); err != nil {
 				t.Fatalf("seed %d step %d: rot: %v", seed, step, err)
 			}

@@ -19,22 +19,21 @@ import (
 // after it settles. Run under -race, this is the proof the metadata
 // RWMutex + per-datanode lock decomposition is sound.
 func TestConcurrentClusterAccess(t *testing.T) {
-	code, err := core.New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{
+	runConcurrentAccessStorm(t, stormCluster(t, 1))
+}
+
+// stormCluster builds the plane the storm runs against.
+func stormCluster(t *testing.T, shards int) *Cluster {
+	t.Helper()
+	return newForTest(t, Config{
 		Topology:          cluster.Topology{Racks: 10, MachinesPerRack: 2},
-		Code:              code,
+		Code:              pbCode(t),
 		BlockSize:         2048,
 		Replication:       3,
 		Seed:              11,
+		Shards:            shards,
 		RepairParallelism: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runConcurrentAccessStorm(t, c)
 }
 
 // TestConcurrentShardedClusterAccess runs the same storm against a
@@ -44,22 +43,7 @@ func TestConcurrentClusterAccess(t *testing.T) {
 // is the proof the per-shard locks plus the shared physical plane
 // compose soundly.
 func TestConcurrentShardedClusterAccess(t *testing.T) {
-	code, err := core.New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSharded(Config{
-		Topology:          cluster.Topology{Racks: 10, MachinesPerRack: 2},
-		Code:              code,
-		BlockSize:         2048,
-		Replication:       3,
-		Seed:              11,
-		Shards:            4,
-		RepairParallelism: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := stormCluster(t, 4)
 	runConcurrentAccessStorm(t, s)
 	// The storm must actually have spanned shards: the per-directory
 	// names route to at least two of them.
@@ -76,12 +60,12 @@ func TestConcurrentShardedClusterAccess(t *testing.T) {
 
 // TestStoreRePlacesAReplicaWhoseMachineDied is the storm's "datanode
 // down" failure made deterministic: the machine a placement picked dies
-// before the store reaches it (in a ShardedCluster, to a FailMachine
+// before the store reaches it (at more than one shard, to a FailMachine
 // holding another shard's lock). The replica lands on another live
 // machine, off the racks the rest of the placement uses; with no live
 // machine left the store fails.
 func TestStoreRePlacesAReplicaWhoseMachineDied(t *testing.T) {
-	c := testCluster(t, pbCode(t), 5)
+	c := only(t, testCluster(t, pbCode(t), 5))
 	c.lockMeta()
 	defer c.mu.Unlock()
 	placement, err := c.placeLiveLocked(c.cfg.Replication)
@@ -116,9 +100,8 @@ func TestStoreRePlacesAReplicaWhoseMachineDied(t *testing.T) {
 
 const stormIters = 40
 
-// runConcurrentAccessStorm is the storm body, written against the
-// Metadata interface so the single-shard Cluster and the
-// ShardedCluster run the identical scenario.
+// runConcurrentAccessStorm is the storm body, run against a one-shard
+// and a four-shard plane.
 func runConcurrentAccessStorm(t *testing.T, c Metadata) {
 	t.Helper()
 

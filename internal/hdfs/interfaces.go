@@ -8,12 +8,12 @@ import (
 )
 
 // The serving, repair, and admin layers consume the metadata plane
-// through the three interfaces below instead of the concrete *Cluster,
-// so a single-shard Cluster and an N-shard ShardedCluster are
-// interchangeable everywhere above this package. The split follows the
-// consumers: DataNode RPC handlers need MetadataView, the repair
-// manager needs MetadataView + RepairOps, and test harnesses / the
-// namenode need everything (Metadata).
+// through the interfaces below instead of the concrete *Cluster, so
+// nothing above this package depends on how the plane is built. The
+// split follows the consumers: DataNode RPC handlers need MetadataView,
+// the repair manager needs MetadataView + RepairOps (of the plane, and
+// of each shard for its lanes), and test harnesses / the namenode need
+// everything (Metadata).
 
 // MetadataView is the read-only serving surface of the metadata plane:
 // file, block, stripe and machine lookups plus cluster-wide summaries.
@@ -125,19 +125,19 @@ type AdminOps interface {
 	InjectBitRot(machine int, id BlockID, offset int64) error
 }
 
-// Metadata is the full metadata-plane API — what hdfs.Open returns and
-// what the serve namenode holds. Both Cluster and ShardedCluster
-// satisfy it.
+// Metadata is the full metadata-plane API — what the serve namenode
+// holds. *Cluster, built by New, is its one implementation.
 type Metadata interface {
 	MetadataView
 	RepairOps
 	AdminOps
+	ShardRouter
 }
 
-// ShardRouter is the optional routing surface a sharded metadata plane
-// exposes; consumers that want per-shard lanes (the repair manager)
-// type-assert their Metadata to it. A single Cluster satisfies it too,
-// with one shard.
+// ShardRouter is the routing surface of the plane: how many metadata
+// shards it has (one or more), which of them owns a name or an id, and
+// each shard's own read and repair surface — the repair manager builds
+// one lane per shard from it.
 type ShardRouter interface {
 	// Shards returns the shard count (>= 1).
 	Shards() int
@@ -147,31 +147,14 @@ type ShardRouter interface {
 	ShardOfStripe(id StripeID) int
 	// ShardOfBlock returns the shard index owning the block id.
 	ShardOfBlock(id BlockID) int
-	// Shard returns the shard at index i as a Metadata plane of its
-	// own (routing-free: callers must only hand it ids it owns).
-	Shard(i int) Metadata
+	// Shard returns the read and repair surface of the shard at index i
+	// (routing-free: callers must only hand it ids it owns; machine- and
+	// cluster-scoped answers cover what that shard owns).
+	Shard(i int) interface {
+		MetadataView
+		RepairOps
+	}
 }
 
 // Compile-time interface conformance.
-var (
-	_ Metadata    = (*Cluster)(nil)
-	_ Metadata    = (*ShardedCluster)(nil)
-	_ ShardRouter = (*Cluster)(nil)
-	_ ShardRouter = (*ShardedCluster)(nil)
-)
-
-// Shards reports one shard: the standalone Cluster is the degenerate
-// sharded plane.
-func (c *Cluster) Shards() int { return 1 }
-
-// ShardOf routes every file to shard 0.
-func (c *Cluster) ShardOf(name string) int { return 0 }
-
-// ShardOfStripe routes every stripe to shard 0.
-func (c *Cluster) ShardOfStripe(id StripeID) int { return 0 }
-
-// ShardOfBlock routes every block to shard 0.
-func (c *Cluster) ShardOfBlock(id BlockID) int { return 0 }
-
-// Shard returns the cluster itself.
-func (c *Cluster) Shard(i int) Metadata { return c }
+var _ Metadata = (*Cluster)(nil)

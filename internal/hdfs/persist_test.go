@@ -3,6 +3,8 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,25 +12,47 @@ import (
 	"repro/internal/telemetry"
 )
 
-// persistentCluster builds an extent-backed cluster writing under dir.
-func persistentCluster(t *testing.T, dir string, reg *telemetry.Registry, opts ...Option) *Cluster {
+// persistentConfig is the configuration of an extent-backed cluster
+// writing under dir; callers set further fields before newForTest.
+func persistentConfig(t *testing.T, dir string, reg *telemetry.Registry) Config {
 	t.Helper()
-	base := []Option{
-		WithStoreFactory(ExtentStoreFactory(dir, extent.Options{Telemetry: reg})),
-		WithTelemetry(reg),
+	return Config{
+		Topology:     cluster.Topology{Racks: 20, MachinesPerRack: 3},
+		Code:         rsCode(t),
+		BlockSize:    1024,
+		Replication:  3,
+		Seed:         5,
+		StoreFactory: ExtentStoreFactory(dir, extent.Options{Telemetry: reg}),
+		Telemetry:    reg,
 	}
-	c, err := New(Config{
-		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
-		Code:        rsCode(t),
-		BlockSize:   1024,
-		Replication: 3,
-		Seed:        5,
-	}, append(base, opts...)...)
+}
+
+// newForTest builds the cluster cfg describes and closes it with the
+// test.
+func newForTest(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// persistentCluster builds an extent-backed cluster writing under dir.
+func persistentCluster(t *testing.T, dir string, reg *telemetry.Registry) *Cluster {
+	t.Helper()
+	return newForTest(t, persistentConfig(t, dir, reg))
+}
+
+// only returns the one metadata shard of a one-shard plane, for tests
+// that reach into its files, blocks or locks.
+func only(t *testing.T, c *Cluster) *metaShard {
+	t.Helper()
+	if len(c.shards) != 1 {
+		t.Fatalf("plane has %d shards; this test reaches into the only one", len(c.shards))
+	}
+	return c.shards[0]
 }
 
 // TestPersistentCrashRecoverRoundTrip is the honest kill/restart cycle
@@ -133,7 +157,7 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := c.files["f"]
+	fm := only(t, c).files["f"]
 	victimBlock := fm.blocks[0]
 	victimMachine := locs[0][0]
 	if err := c.InjectBitRot(victimMachine, victimBlock, 7); err != nil {
@@ -198,7 +222,7 @@ func TestScrubberSliceFindsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimBlock := c.files["f"].blocks[0]
+	victimBlock := only(t, c).files["f"].blocks[0]
 	if err := c.InjectBitRot(locs[0][0], victimBlock, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +260,7 @@ func TestPersistentReadCorruptReplicaFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := c.files["f"].blocks[0]
+	id := only(t, c).files["f"].blocks[0]
 	for _, m := range locs[0] {
 		if err := c.InjectBitRot(m, id, 3); err != nil {
 			t.Fatal(err)
@@ -283,47 +307,77 @@ func TestPersistentDecommissionWipesDisk(t *testing.T) {
 }
 
 // TestShardedPersistentCrashRecover drives the crash/recover cycle
-// through the sharded metadata plane, where the physical stores are
-// shared across shards and must be closed/reopened exactly once.
+// through the plane at one and at four shards: the physical stores
+// belong to the plane, are shared by its shards, and must be closed and
+// reopened exactly once however many shards there are.
 func TestShardedPersistentCrashRecover(t *testing.T) {
-	dir := t.TempDir()
-	sc, err := NewSharded(Config{
-		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
-		Code:        rsCode(t),
-		BlockSize:   1024,
-		Replication: 3,
-		Seed:        5,
-		Shards:      4,
-	}, WithStoreFactory(ExtentStoreFactory(dir, extent.Options{})))
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var opens, closes atomic.Int64
+			cfg := persistentConfig(t, t.TempDir(), nil)
+			cfg.Shards = shards
+			inner := cfg.StoreFactory
+			cfg.StoreFactory = func(machine int) (BlockStore, error) {
+				st, err := inner(machine)
+				opens.Add(1)
+				return closeCounter{st, &closes}, err
+			}
+			sc := newForTest(t, cfg)
+			data := randBytes(71, 4096)
+			if err := sc.WriteFile("a/f", data); err != nil {
+				t.Fatal(err)
+			}
+			locs, err := sc.BlockLocations("a/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := locs[0][0]
+			opens.Store(0)
+			if err := sc.CrashMachine(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.CrashMachine(m); err != nil {
+				t.Fatalf("crash must be idempotent: %v", err)
+			}
+			if sc.MachineAlive(m) {
+				t.Fatal("crashed machine still alive")
+			}
+			if err := sc.RecoverMachine(m); err != nil {
+				t.Fatal(err)
+			}
+			if o, c := opens.Load(), closes.Load(); o != 1 || c != 1 {
+				t.Fatalf("two crashes and a recovery closed the store %d times and reopened it %d times, want 1 and 1", c, o)
+			}
+			got, err := sc.ReadFile("a/f")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("crash/recover read: %v", err)
+			}
+			if err := sc.CrashMachine(sc.Machines()); err == nil {
+				t.Fatal("out-of-range machine accepted by CrashMachine")
+			}
+			if err := sc.RecoverMachine(-1); err == nil {
+				t.Fatal("out-of-range machine accepted by RecoverMachine")
+			}
+			closes.Store(0)
+			if err := sc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c, want := closes.Load(), int64(sc.Machines()); c != want {
+				t.Fatalf("Close closed %d stores, want each of the %d once", c, want)
+			}
+		})
 	}
-	defer sc.Close()
-	data := randBytes(71, 4096)
-	if err := sc.WriteFile("a/f", data); err != nil {
-		t.Fatal(err)
-	}
-	locs, err := sc.BlockLocations("a/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := locs[0][0]
-	if err := sc.CrashMachine(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.CrashMachine(m); err != nil {
-		t.Fatalf("crash must be idempotent: %v", err)
-	}
-	if err := sc.RecoverMachine(m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sc.ReadFile("a/f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("sharded crash/recover read: %v", err)
-	}
-	if err := sc.CrashMachine(len(sc.nodes)); err == nil {
-		t.Fatal("out-of-range machine accepted")
-	}
+}
+
+// closeCounter counts the Close calls a store receives.
+type closeCounter struct {
+	BlockStore
+	closes *atomic.Int64
+}
+
+func (c closeCounter) Close() error {
+	c.closes.Add(1)
+	return c.BlockStore.Close()
 }
 
 // TestReadRangeMapsStoreErrors pins the dataNode error contract: a
@@ -339,7 +393,7 @@ func TestReadRangeMapsStoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := c.files["f"].blocks[0]
+	id := only(t, c).files["f"].blocks[0]
 	node := c.nodes[locs[0][0]]
 	if _, err := node.readRange(id+9999, 0, 10); err == nil || errors.Is(err, ErrCorruptReplica) {
 		t.Fatalf("missing block error: %v", err)

@@ -33,7 +33,7 @@ func DefaultRaidPolicy() RaidPolicy { return RaidPolicy{ColdAge: DefaultColdAge}
 
 // AdvanceClock moves the cluster's logical clock forward. The clock
 // only drives the raid policy; it never affects data paths.
-func (c *Cluster) AdvanceClock(d time.Duration) {
+func (c *metaShard) AdvanceClock(d time.Duration) {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	if d > 0 {
@@ -42,7 +42,7 @@ func (c *Cluster) AdvanceClock(d time.Duration) {
 }
 
 // Now returns the logical clock.
-func (c *Cluster) Now() time.Duration {
+func (c *metaShard) Now() time.Duration {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	return c.now
@@ -51,7 +51,7 @@ func (c *Cluster) Now() time.Duration {
 // RaidCandidates returns the files the policy would erasure-code:
 // un-raided files whose last access is at least ColdAge ago, sorted by
 // name for determinism.
-func (c *Cluster) RaidCandidates(policy RaidPolicy) []string {
+func (c *metaShard) RaidCandidates(policy RaidPolicy) []string {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	var out []string
@@ -79,27 +79,21 @@ type RaidReport struct {
 	CrossRackBytes int64
 }
 
-// RunRaidNode applies the policy: every cold file is erasure-coded and
-// its extra replicas dropped, exactly as the production RaidNode does
-// for data older than three months.
-func (c *Cluster) RunRaidNode(policy RaidPolicy) (*RaidReport, error) {
-	report := &RaidReport{}
-	before := c.TotalStoredBytes()
-	netBefore := c.net.CrossRackBytes()
+// raidCold erasure-codes every file of this shard the policy calls cold,
+// counting into report; the caller measures the pass's byte deltas.
+func (c *metaShard) raidCold(policy RaidPolicy, report *RaidReport) error {
 	for _, name := range c.RaidCandidates(policy) {
 		info, err := c.Stat(name)
 		if err != nil {
-			return report, err
+			return err
 		}
 		if err := c.RaidFile(name); err != nil {
-			return report, fmt.Errorf("hdfs: raid policy on %s: %w", name, err)
+			return fmt.Errorf("hdfs: raid policy on %s: %w", name, err)
 		}
 		report.FilesRaided++
 		report.BlocksEncoded += info.Blocks
 	}
-	report.StorageReclaimedBytes = before - c.TotalStoredBytes()
-	report.CrossRackBytes = c.net.CrossRackBytes() - netBefore
-	return report, nil
+	return nil
 }
 
 // ScrubReport summarises one scrubber pass.
@@ -127,7 +121,7 @@ type ScrubReport struct {
 // block's recorded CRC-32 and evicts corrupt replicas. It does not
 // repair; run the BlockFixer afterwards, as the production pipeline
 // does.
-func (c *Cluster) RunScrubber() (*ScrubReport, error) {
+func (c *metaShard) RunScrubber() (*ScrubReport, error) {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	report := &ScrubReport{}
@@ -191,7 +185,7 @@ func (c *Cluster) RunScrubber() (*ScrubReport, error) {
 // machines are skipped (their replicas are unreadable, and the failure
 // detector owns that case). The report's Resumed field distinguishes a
 // mid-cycle slice from one that started a fresh cycle at machine 0.
-func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
+func (c *metaShard) RunScrubberSlice(machines int) (*ScrubReport, error) {
 	if machines < 1 {
 		return nil, errors.New("hdfs: scrub slice must cover at least one machine")
 	}
@@ -216,7 +210,7 @@ func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
 // scrubMachineLocked checksums every replica held by one live machine,
 // evicting corrupt ones. affected dedups blocks across the machines of
 // one slice.
-func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[BlockID]bool) {
+func (c *metaShard) scrubMachineLocked(m int, report *ScrubReport, affected map[BlockID]bool) {
 	node := c.nodes[m]
 	if !node.isAlive() {
 		return
@@ -266,7 +260,7 @@ func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[Bl
 // given machine — a test hook standing in for the silent disk
 // corruption scrubbers exist to catch. It deliberately bypasses
 // checksum maintenance.
-func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
+func (c *metaShard) InjectBitRot(machine int, id BlockID, offset int64) error {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	node := c.nodes[machine]
@@ -279,26 +273,4 @@ func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
 	// byte in the segment file on disk, so only a read path that
 	// actually verifies disk contents can notice.
 	return node.store.Corrupt(id, offset)
-}
-
-// BlocksOn returns the ids of blocks with a replica on the machine,
-// sorted ascending.
-func (c *Cluster) BlocksOn(machine int) []BlockID {
-	c.rlockMeta()
-	defer c.mu.RUnlock()
-	node := c.nodes[machine]
-	out, ok := node.blockIDs()
-	if !ok {
-		// Crashed persistent store: the index handle is gone, but the
-		// namenode's metadata still knows what the machine held — and
-		// the repair control plane asks exactly this question about
-		// machines that just died (grace-window repair estimates).
-		for id, bm := range c.blocks {
-			if containsInt(bm.locations, machine) {
-				out = append(out, id)
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
 }

@@ -109,7 +109,7 @@ func TestScrubberDetectsBitRot(t *testing.T) {
 
 	// Rot one byte of block 2's only replica, behind the system's back.
 	locs, _ := c.BlockLocations("f")
-	fm := c.files["f"]
+	fm := only(t, c).files["f"]
 	target := fm.blocks[2]
 	if err := c.InjectBitRot(locs[2][0], target, 100); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestScrubberChecksReplicatedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	locs, _ := c.BlockLocations("f")
-	id := c.files["f"].blocks[0]
+	id := only(t, c).files["f"].blocks[0]
 	if err := c.InjectBitRot(locs[0][1], id, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestInjectBitRotValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	locs, _ := c.BlockLocations("f")
-	id := c.files["f"].blocks[0]
+	id := only(t, c).files["f"].blocks[0]
 	if err := c.InjectBitRot(locs[0][0], id, 1000); err == nil {
 		t.Fatal("out-of-range offset accepted")
 	}
@@ -245,7 +245,7 @@ func TestBlocksOn(t *testing.T) {
 	}
 	found := false
 	for _, id := range ids {
-		if id == c.files["f"].blocks[0] {
+		if id == only(t, c).files["f"].blocks[0] {
 			found = true
 		}
 	}

@@ -144,7 +144,8 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 			Replication:      3,
 			Seed:             3,
 			PartialSumRepair: tc.partial,
-		}, WithStoreFactory(ExtentStoreFactory(t.TempDir(), extent.Options{Telemetry: reg})))
+			StoreFactory:     ExtentStoreFactory(t.TempDir(), extent.Options{Telemetry: reg}),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

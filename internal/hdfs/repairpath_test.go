@@ -153,7 +153,9 @@ func TestReadFileResultIsCallerOwned(t *testing.T) {
 	for _, persistent := range []bool{false, true} {
 		var c *Cluster
 		if persistent {
-			c = persistentCluster(t, t.TempDir(), telemetry.NewRegistry(), WithCode(pbCode(t)))
+			cfg := persistentConfig(t, t.TempDir(), telemetry.NewRegistry())
+			cfg.Code = pbCode(t)
+			c = newForTest(t, cfg)
 		} else {
 			c = testCluster(t, pbCode(t), 3)
 		}
@@ -190,11 +192,9 @@ func TestReadFileResultIsCallerOwned(t *testing.T) {
 func TestFixerReadsHelpersIntoTheWorkerArena(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		reg := telemetry.NewRegistry()
-		opts := []Option{WithCode(pbCode(t)), WithRepairParallelism(1)}
-		if partial {
-			opts = append(opts, WithPartialSumRepair())
-		}
-		c := persistentCluster(t, t.TempDir(), reg, opts...)
+		cfg := persistentConfig(t, t.TempDir(), reg)
+		cfg.Code, cfg.RepairParallelism, cfg.PartialSumRepair = pbCode(t), 1, partial
+		c := newForTest(t, cfg)
 		files := map[string][]byte{}
 		for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
 			files[name] = randBytes(int64(30+i), 4*1024)

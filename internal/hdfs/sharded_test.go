@@ -15,24 +15,27 @@ import (
 	"repro/internal/core"
 )
 
-func newShardedForTest(t *testing.T, shards int, seed int64) *ShardedCluster {
+// newPlaneForTest builds a plane of the given shard count over 16
+// machines.
+func newPlaneForTest(t *testing.T, shards int, seed int64) *Cluster {
 	t.Helper()
-	code, err := core.New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSharded(Config{
+	return newForTest(t, Config{
 		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
-		Code:        code,
+		Code:        pbCode(t),
 		BlockSize:   2048,
 		Replication: 3,
 		Seed:        seed,
 		Shards:      shards,
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// eachShardCount runs the test body against a one-shard and a
+// four-shard plane: whatever a plane promises, it promises at any shard
+// count.
+func eachShardCount(t *testing.T, body func(t *testing.T, nShards int)) {
+	for _, nShards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) { body(t, nShards) })
 	}
-	return s
 }
 
 // TestShardRoutingExactlyOne is the partition property: every file
@@ -41,9 +44,10 @@ func newShardedForTest(t *testing.T, shards int, seed int64) *ShardedCluster {
 // merged total. It also pins the directory-routing rule (files sharing
 // a parent directory share a shard) and the strided id rule (every
 // stripe minted by shard i routes back to shard i arithmetically).
-func TestShardRoutingExactlyOne(t *testing.T) {
-	const nShards = 4
-	s := newShardedForTest(t, nShards, 21)
+func TestShardRoutingExactlyOne(t *testing.T) { eachShardCount(t, testShardRoutingExactlyOne) }
+
+func testShardRoutingExactlyOne(t *testing.T, nShards int) {
+	s := newPlaneForTest(t, nShards, 21)
 
 	var names []string
 	for d := 0; d < 24; d++ {
@@ -80,7 +84,7 @@ func TestShardRoutingExactlyOne(t *testing.T) {
 			t.Fatalf("%q owned by %d shards, want exactly 1", name, owners)
 		}
 	}
-	if len(used) < 2 {
+	if nShards > 1 && len(used) < 2 {
 		t.Fatalf("all %d files routed to a single shard; want spread over >= 2", len(names))
 	}
 
@@ -135,15 +139,15 @@ func TestShardRoutingStableAcrossRestart(t *testing.T) {
 		corpus = append(corpus, fmt.Sprintf("a/b/c-%d/leaf-%d", rng.Intn(40), i))
 	}
 
-	a := newShardedForTest(t, 4, 77)
-	b := newShardedForTest(t, 4, 77)
+	a := newPlaneForTest(t, 4, 77)
+	b := newPlaneForTest(t, 4, 77)
 	for _, name := range corpus {
 		if ga, gb := a.ShardOf(name), b.ShardOf(name); ga != gb {
 			t.Fatalf("ShardOf(%q): %d on first boot, %d on restart", name, ga, gb)
 		}
 	}
 
-	other := newShardedForTest(t, 4, 78)
+	other := newPlaneForTest(t, 4, 78)
 	moved := 0
 	for _, name := range corpus {
 		if a.ShardOf(name) != other.ShardOf(name) {
@@ -161,8 +165,11 @@ func TestShardRoutingStableAcrossRestart(t *testing.T) {
 // each shard's view, each affected shard's health degrades under its
 // own lock, and one merged fixer pass heals them all.
 func TestShardMachineDeathVisibleToAllShards(t *testing.T) {
-	const nShards = 4
-	s := newShardedForTest(t, nShards, 33)
+	eachShardCount(t, testShardMachineDeathVisibleToAllShards)
+}
+
+func testShardMachineDeathVisibleToAllShards(t *testing.T, nShards int) {
+	s := newPlaneForTest(t, nShards, 33)
 
 	for d := 0; d < 32; d++ {
 		for f := 0; f < 3; f++ {
@@ -274,13 +281,14 @@ func shardedOpsRound(b *testing.B, shards int, window time.Duration) (opsPerSec,
 	if err != nil {
 		b.Fatal(err)
 	}
-	md, err := Open(Config{
+	md, err := New(Config{
 		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
 		Code:        code,
 		BlockSize:   4 << 10,
 		Replication: 3,
 		Seed:        seed,
-	}, WithShards(shards))
+		Shards:      shards,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

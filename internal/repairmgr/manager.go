@@ -162,22 +162,22 @@ type Status struct {
 // draining for unrelated shards never contend on shared maps. A
 // single-shard cluster has exactly one lane.
 type lane struct {
-	shard hdfs.Metadata
+	shard hdfs.RepairOps
 	reg   *Registry
 	queue *Queue
 }
 
 // Manager is the autonomous repair control plane over one metadata
-// plane — a Cluster or a ShardedCluster; it consumes the hdfs.Metadata
-// interface and never the concrete type. Detection stays global
-// (machines are not shardable); triage and queueing split into one
-// lane per metadata shard, discovered through hdfs.ShardRouter.
+// plane, which it consumes as the hdfs.Metadata interface and never as
+// the concrete type. Detection is global (machines are not shardable);
+// triage and queueing run in one lane per metadata shard of the plane
+// (Shards() of them, one or more), and a stripe or block id finds its
+// lane by the plane's own routing.
 type Manager struct {
 	cfg     Config
 	cluster hdfs.Metadata
 	det     *Detector
 	lanes   []*lane
-	router  hdfs.ShardRouter
 	bucket  *TokenBucket
 
 	width, tolerance int // codec geometry
@@ -230,11 +230,9 @@ type suspectEstimate struct {
 	bytes   int64
 }
 
-// New builds a manager over the metadata plane. When cluster is a
-// ShardedCluster (anything satisfying hdfs.ShardRouter), the manager
-// builds one registry+queue lane per shard; otherwise one lane covers
-// everything. It does not start the control loop; call Start, or drive
-// Poll directly.
+// New builds a manager over the metadata plane, with one registry+queue
+// lane per metadata shard. It does not start the control loop; call
+// Start, or drive Poll directly.
 func New(cluster hdfs.Metadata, cfg Config) (*Manager, error) {
 	if cluster == nil {
 		return nil, errors.New("repairmgr: cluster is required")
@@ -258,22 +256,13 @@ func New(cluster hdfs.Metadata, cfg Config) (*Manager, error) {
 		suspects:   make(map[int]suspectEstimate),
 		started:    now,
 	}
-	if router, ok := cluster.(hdfs.ShardRouter); ok && router.Shards() > 1 {
-		m.router = router
-		for i := 0; i < router.Shards(); i++ {
-			shard := router.Shard(i)
-			m.lanes = append(m.lanes, &lane{
-				shard: shard,
-				reg:   NewRegistry(shard),
-				queue: NewQueue(QueueConfig{AgingTier: cfg.AgingTier}),
-			})
-		}
-	} else {
-		m.lanes = []*lane{{
-			shard: cluster,
-			reg:   NewRegistry(cluster),
+	for i := 0; i < cluster.Shards(); i++ {
+		shard := cluster.Shard(i)
+		m.lanes = append(m.lanes, &lane{
+			shard: shard,
+			reg:   NewRegistry(shard),
 			queue: NewQueue(QueueConfig{AgingTier: cfg.AgingTier}),
-		}}
+		})
 	}
 	if cfg.ScrubInterval > 0 {
 		m.nextScrub = now.Add(cfg.ScrubInterval)
@@ -334,18 +323,12 @@ func (m *Manager) registerTelemetry() {
 
 // laneForStripe returns the lane owning the stripe id.
 func (m *Manager) laneForStripe(id hdfs.StripeID) *lane {
-	if m.router == nil {
-		return m.lanes[0]
-	}
-	return m.lanes[m.router.ShardOfStripe(id)]
+	return m.lanes[m.cluster.ShardOfStripe(id)]
 }
 
 // laneForBlock returns the lane owning the block id.
 func (m *Manager) laneForBlock(id hdfs.BlockID) *lane {
-	if m.router == nil {
-		return m.lanes[0]
-	}
-	return m.lanes[m.router.ShardOfBlock(id)]
+	return m.lanes[m.cluster.ShardOfBlock(id)]
 }
 
 // Start launches the live control loop.

@@ -2,6 +2,7 @@ package repairmgr
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -47,6 +48,12 @@ type testHarness struct {
 
 func newHarness(t *testing.T, cfg Config) *testHarness {
 	t.Helper()
+	return newHarnessShards(t, cfg, 1)
+}
+
+// newHarnessShards is newHarness over a plane of the given shard count.
+func newHarnessShards(t *testing.T, cfg Config, shards int) *testHarness {
+	t.Helper()
 	// Catches a Run loop (or anything else) left behind at test end —
 	// most tests here are tick-driven and goroutine-free, but the
 	// Start/Stop smoke test spawns the live loop.
@@ -61,6 +68,7 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 		BlockSize:   1024,
 		Replication: 3,
 		Seed:        42,
+		Shards:      shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +165,56 @@ func TestManagerAutoRepairsDeadNode(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("repaired content differs")
+	}
+}
+
+// TestManagerRunsOneLanePerShard: the manager builds its lanes from the
+// plane's shard count — one lane over a one-shard plane, four over a
+// four-shard one — and a machine death that degrades stripes of every
+// shard heals through those lanes either way.
+func TestManagerRunsOneLanePerShard(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			h := newHarnessShards(t, Config{
+				SuspectAfter: 3 * time.Second,
+				GraceWindow:  5 * time.Second,
+			}, shards)
+			if got := h.mgr.Lanes(); got != shards {
+				t.Fatalf("Lanes() = %d over a %d-shard plane", got, shards)
+			}
+			files := make(map[string][]byte)
+			for d := 0; d < 24; d++ {
+				name := fmt.Sprintf("d-%02d/f", d)
+				files[name] = h.raided(name, 4096)
+			}
+			// The victim holds stripes of every shard, so every lane has work.
+			victim := -1
+			for m := 0; m < h.cluster.Machines() && victim < 0; m++ {
+				owners := make(map[int]bool)
+				for _, sid := range h.cluster.MachineInventory(m).Stripes {
+					owners[h.cluster.ShardOfStripe(sid)] = true
+				}
+				if len(owners) == shards {
+					victim = m
+				}
+			}
+			if victim < 0 {
+				t.Fatal("no machine holds stripes of every shard; grow the corpus")
+			}
+			h.cluster.FailMachine(victim)
+			for i := 0; i < 10; i++ {
+				h.tick(time.Second)
+			}
+			st := h.mgr.Status()
+			if !h.cluster.Health().Healthy() || st.QueueDepth != 0 || st.DegradedStripes != 0 {
+				t.Fatalf("not healed through %d lanes: %+v, status %+v", shards, h.cluster.Health(), st)
+			}
+			for name, want := range files {
+				if got, err := h.cluster.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s after repair: %v", name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -36,8 +36,8 @@ type BlockHealth struct {
 
 // Registry tracks known degradations against the cluster's metadata.
 // It consumes the read-only MetadataView, so a registry can sit over a
-// whole cluster or over one shard of a ShardedCluster — the manager
-// runs one per shard lane.
+// whole plane or over one of its shards — the manager runs one per
+// shard lane.
 type Registry struct {
 	cluster hdfs.MetadataView
 

@@ -1,8 +1,7 @@
 // System wires a full serving cluster together on localhost: one
-// hdfs metadata plane (a single Cluster, or a ShardedCluster when
-// Config.Shards > 1) as the storage substrate, one datanode daemon per
-// machine, and one namenode fronting the metadata — each on its own
-// TCP port. It is also the failure injector: KillDataNode marks the
+// hdfs metadata plane (Config.Shards metadata shards, one by default)
+// as the storage substrate, one datanode daemon per machine, and one
+// namenode fronting the metadata — each on its own TCP port. It is also the failure injector: KillDataNode marks the
 // machine dead at the namenode AND tears down its daemon with every
 // open connection, so clients experience the same thing a real machine
 // loss produces — connections cut mid-frame, then metadata that no
@@ -110,7 +109,7 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 			Telemetry: s.reg,
 		})
 	}
-	cluster, err := hdfs.Open(cfg)
+	cluster, err := hdfs.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -208,8 +207,8 @@ func (s *System) NameAddr() string { return s.nn.Addr() }
 
 // Cluster exposes the storage substrate's metadata plane for
 // in-process inspection (tests, victim selection in the load
-// generator). Callers get the hdfs.Metadata interface — the substrate
-// may be a single Cluster or a ShardedCluster.
+// generator). Callers get the hdfs.Metadata interface, not the
+// substrate's concrete type.
 func (s *System) Cluster() hdfs.Metadata { return s.cluster }
 
 // Code returns the cluster's codec.

@@ -5,8 +5,8 @@ package repro
 
 import "repro/internal/serve"
 
-// ServeSystem is a live serving cluster: a metadata plane (MiniHDFS or
-// ShardedMiniHDFS, per HDFSConfig.Shards) behind a namenode daemon and
+// ServeSystem is a live serving cluster: a MiniHDFS metadata plane
+// (HDFSConfig.Shards metadata shards) behind a namenode daemon and
 // per-machine datanode daemons on localhost TCP. It doubles as the
 // failure injector: KillDataNode severs a datanode's connections
 // mid-frame and fails the machine; RestartDataNode brings it back on a

@@ -1,6 +1,6 @@
 // The cluster substrate: the switch-level network model, the MiniHDFS
-// (HDFS + HDFS-RAID) cluster, and the sharded metadata plane behind
-// the Metadata interface family.
+// (HDFS + HDFS-RAID) cluster, and the Metadata interface family the
+// layers above consume it through.
 
 package repro
 
@@ -23,17 +23,14 @@ type BandwidthModel = cluster.BandwidthModel
 // DefaultBandwidthModel returns 2013-era disk and NIC bandwidths.
 func DefaultBandwidthModel() BandwidthModel { return cluster.DefaultBandwidthModel() }
 
-// MiniHDFS is the in-process HDFS + HDFS-RAID model: one metadata
-// shard. It satisfies Metadata (and, degenerately, ShardRouter).
+// MiniHDFS is the in-process HDFS + HDFS-RAID model: HDFSConfig.Shards
+// metadata shards (one by default — the paper's single namenode) over
+// one physical plane of datanodes and network. It is the one
+// implementation of Metadata.
 type MiniHDFS = hdfs.Cluster
 
 // HDFSConfig parameterises a MiniHDFS.
 type HDFSConfig = hdfs.Config
-
-// HDFSOption mutates an HDFSConfig before validation; options apply
-// after the base config, so they win over the corresponding
-// (deprecated) struct fields.
-type HDFSOption = hdfs.Option
 
 // FixReport summarises one BlockFixer pass.
 type FixReport = hdfs.FixReport
@@ -51,13 +48,12 @@ type ScrubReport = hdfs.ScrubReport
 // not accessed for three months.
 func DefaultRaidPolicy() RaidPolicy { return hdfs.DefaultRaidPolicy() }
 
-// NewMiniHDFS builds an empty miniature DFS (a single metadata shard;
-// use OpenMiniHDFS for a sharded plane).
-func NewMiniHDFS(cfg HDFSConfig, opts ...HDFSOption) (*MiniHDFS, error) {
-	return hdfs.New(cfg, opts...)
+// NewMiniHDFS builds an empty miniature DFS.
+func NewMiniHDFS(cfg HDFSConfig) (*MiniHDFS, error) {
+	return hdfs.New(cfg)
 }
 
-// --- Sharded metadata plane --------------------------------------------
+// --- The metadata plane's interface family --------------------------------
 
 // MetadataView is the read-only face of the metadata plane: lookups,
 // placement, stats, and health. Serving datanodes consume exactly this.
@@ -73,35 +69,19 @@ type RepairOps = hdfs.RepairOps
 type AdminOps = hdfs.AdminOps
 
 // Metadata is the full metadata-plane contract — MetadataView,
-// RepairOps, and AdminOps together. Both MiniHDFS and
-// ShardedMiniHDFS satisfy it; every layer above the substrate
-// (serving, repair manager, simulation) consumes this interface, never
-// a concrete type.
+// RepairOps, AdminOps and ShardRouter together. Every layer above the
+// substrate (serving, repair manager, simulation) consumes this
+// interface, never the concrete MiniHDFS.
 type Metadata = hdfs.Metadata
 
-// ShardRouter exposes the shard structure of a metadata plane: how
-// many shards, which shard a file name / stripe ID / block ID routes
-// to, and access to each shard. A MiniHDFS is its own single shard.
+// ShardRouter exposes the shard structure of the metadata plane: how
+// many shards (one or more), which shard a file name / stripe ID /
+// block ID routes to, and each shard's read and repair surface. Files
+// route by a seeded consistent hash of their parent directory (stable
+// across restarts, directory subtrees shard-local); block and stripe
+// IDs are minted strided so ID→shard routing is arithmetic.
 type ShardRouter = hdfs.ShardRouter
 
 // LockStats counts metadata-lock acquisitions and cumulative wait on
-// the serving paths — the contention signal the sharded plane divides.
+// the serving paths — the contention signal sharding divides.
 type LockStats = hdfs.LockStats
-
-// ShardedMiniHDFS partitions file→stripe metadata into independently
-// locked shards over one shared physical plane. Files route to shards
-// by a seeded consistent hash of their parent directory (stable across
-// restarts, directory subtrees shard-local); block and stripe IDs are
-// minted strided so ID→shard routing is arithmetic.
-type ShardedMiniHDFS = hdfs.ShardedCluster
-
-// OpenMiniHDFS builds a metadata plane sized by cfg.Shards (after
-// options): a single MiniHDFS for 0 or 1, a ShardedMiniHDFS
-// otherwise. Callers holding the Metadata interface never care which.
-func OpenMiniHDFS(cfg HDFSConfig, opts ...HDFSOption) (Metadata, error) {
-	return hdfs.Open(cfg, opts...)
-}
-
-// WithShards partitions the metadata plane into n independently locked
-// shards. Replaces setting HDFSConfig.Shards.
-func WithShards(n int) HDFSOption { return hdfs.WithShards(n) }
