@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per figure, table, or quantitative
-// claim of the paper (see DESIGN.md §4 for the experiment index), plus
+// claim of the paper (doc.go maps each one to the paper), plus
 // codec throughput and design-ablation benches. Figures' headline
 // quantities are attached to the benchmark output via ReportMetric, so
 // `go test -bench=.` regenerates the paper's numbers alongside timings.
@@ -11,20 +11,30 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/engine"
+	"repro/internal/layout"
+	"repro/internal/lrc"
+	"repro/internal/regenerating"
+	"repro/internal/reliability"
 	"repro/internal/rs"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // --- Fig. 1: recovery amplification of a (2,2) RS stripe ---------------
 
 func BenchmarkFig1_RSRecoveryNetwork(b *testing.B) {
-	code, err := NewRS(2, 2)
+	code, err := rs.New(2, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var units int64
 	for i := 0; i < b.N; i++ {
-		plan, err := code.PlanRepair(0, 1, AllAliveExcept(0))
+		plan, err := code.PlanRepair(0, 1, ec.AllAliveExcept(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,7 +47,7 @@ func BenchmarkFig1_RSRecoveryNetwork(b *testing.B) {
 // --- Fig. 2: (10,4) stripe encoding ------------------------------------
 
 func BenchmarkFig2_StripeEncode(b *testing.B) {
-	code, err := NewRS(10, 4)
+	code, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,12 +70,12 @@ func BenchmarkFig2_StripeEncode(b *testing.B) {
 // --- Fig. 3a: machine unavailability trace ------------------------------
 
 func BenchmarkFig3a_UnavailabilityTrace(b *testing.B) {
-	cfg := DefaultTraceConfig()
+	cfg := workload.DefaultConfig()
 	cfg.Days = 34 // the paper's 22 Jan - 24 Feb window
 	var median float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		tr, err := GenerateTrace(cfg)
+		tr, err := workload.Generate(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,13 +88,13 @@ func BenchmarkFig3a_UnavailabilityTrace(b *testing.B) {
 // --- §2.2 item 2: missing blocks per affected stripe --------------------
 
 func BenchmarkMissingBlockDistribution(b *testing.B) {
-	cfg := DefaultStripeFailureConfig()
+	cfg := sim.DefaultStripeFailureConfig()
 	cfg.Stripes = 50000
 	cfg.Windows = 2
 	var single float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		dist, err := MissingBlockDistribution(cfg)
+		dist, err := sim.MissingBlockDistribution(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,20 +107,20 @@ func BenchmarkMissingBlockDistribution(b *testing.B) {
 // --- Fig. 3b: blocks reconstructed and cross-rack bytes per day ---------
 
 func BenchmarkFig3b_RecoverySimulation(b *testing.B) {
-	code, err := NewRS(10, 4)
+	code, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultTraceConfig()
+	cfg := workload.DefaultConfig()
 	cfg.Days = 24 // the paper's measurement window
-	tr, err := GenerateTrace(cfg)
+	tr, err := workload.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var blocks, tb float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunStudy(code, tr)
+		res, err := sim.NewStudy(code).Run(tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +135,7 @@ func BenchmarkFig3b_RecoverySimulation(b *testing.B) {
 // --- Fig. 4 / Example 1: the toy (2,2) piggybacked code -----------------
 
 func BenchmarkFig4_ToyPiggyback(b *testing.B) {
-	code, err := NewPiggybackedRS(2, 2)
+	code, err := core.New(2, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,18 +143,18 @@ func BenchmarkFig4_ToyPiggyback(b *testing.B) {
 	if err := code.Encode(shards); err != nil {
 		b.Fatal(err)
 	}
-	fetch := func(req ReadRequest) ([]byte, error) {
+	fetch := func(req ec.ReadRequest) ([]byte, error) {
 		return shards[req.Shard][req.Offset : req.Offset+req.Length], nil
 	}
 	var downloaded int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := code.PlanRepair(0, 2, AllAliveExcept(0))
+		plan, err := code.PlanRepair(0, 2, ec.AllAliveExcept(0))
 		if err != nil {
 			b.Fatal(err)
 		}
 		downloaded = plan.TotalBytes()
-		if _, err := code.ExecuteRepair(0, 2, AllAliveExcept(0), fetch); err != nil {
+		if _, err := code.ExecuteRepair(0, 2, ec.AllAliveExcept(0), fetch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,13 +165,13 @@ func BenchmarkFig4_ToyPiggyback(b *testing.B) {
 // --- §3.1/§3.2: single-block recovery savings ---------------------------
 
 func BenchmarkSec32_DownloadSavings(b *testing.B) {
-	code, err := NewPiggybackedRS(10, 4)
+	code, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var avgAll, avgData float64
 	for i := 0; i < b.N; i++ {
-		_, avg, err := RepairFraction(code, 256<<20)
+		_, avg, err := ec.RepairFraction(code, 256<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,24 +186,24 @@ func BenchmarkSec32_DownloadSavings(b *testing.B) {
 // --- §3.2: projected cross-rack traffic reduction -----------------------
 
 func BenchmarkSec32_CrossRackReduction(b *testing.B) {
-	rsc, err := NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultTraceConfig()
+	cfg := workload.DefaultConfig()
 	cfg.Days = 24
-	tr, err := GenerateTrace(cfg)
+	tr, err := workload.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var savedTB float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := CompareCodecs(rsc, pb, tr)
+		cmp, err := sim.Compare(rsc, pb, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,23 +216,23 @@ func BenchmarkSec32_CrossRackReduction(b *testing.B) {
 // --- §3.2: recovery time -------------------------------------------------
 
 func BenchmarkSec32_RecoveryTime(b *testing.B) {
-	model := DefaultBandwidthModel()
-	rsc, err := NewRS(10, 4)
+	model := cluster.DefaultBandwidthModel()
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	const block = int64(256 << 20)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rsPlan, err := rsc.PlanRepair(0, block, AllAliveExcept(0))
+		rsPlan, err := rsc.PlanRepair(0, block, ec.AllAliveExcept(0))
 		if err != nil {
 			b.Fatal(err)
 		}
-		pbPlan, err := pb.PlanRepair(0, block, AllAliveExcept(0))
+		pbPlan, err := pb.PlanRepair(0, block, ec.AllAliveExcept(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,30 +247,30 @@ func BenchmarkSec32_RecoveryTime(b *testing.B) {
 // --- §3.2: MTTDL ---------------------------------------------------------
 
 func BenchmarkSec32_MTTDL(b *testing.B) {
-	rsc, err := NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := DefaultReliabilityParams()
+	p := reliability.DefaultParams()
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		rsSys, err := CodeSystem(rsc, 256<<20)
+		rsSys, err := reliability.CodeSystem(rsc, 256<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pbSys, err := CodeSystem(pb, 256<<20)
+		pbSys, err := reliability.CodeSystem(pb, 256<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rsY, err := MTTDLYears(rsSys, p)
+		rsY, err := reliability.MTTDLYears(rsSys, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pbY, err := MTTDLYears(pbSys, p)
+		pbY, err := reliability.MTTDLYears(pbSys, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,11 +283,11 @@ func BenchmarkSec32_MTTDL(b *testing.B) {
 // --- §1/§2.1: storage overhead -------------------------------------------
 
 func BenchmarkStorageOverhead(b *testing.B) {
-	rsc, err := NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,13 +305,13 @@ func BenchmarkStorageOverhead(b *testing.B) {
 // --- §5: LRC comparison ----------------------------------------------------
 
 func BenchmarkRelatedWork_LRC(b *testing.B) {
-	lc, err := NewLRC(10, 4, 2)
+	lc, err := lrc.New(10, 4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		_, a, err := RepairFraction(lc, 256<<20)
+		_, a, err := ec.RepairFraction(lc, 256<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +324,7 @@ func BenchmarkRelatedWork_LRC(b *testing.B) {
 
 // --- Codec throughput ------------------------------------------------------
 
-func benchEncode(b *testing.B, code Codec, shardSize int) {
+func benchEncode(b *testing.B, code ec.Code, shardSize int) {
 	shards := make([][]byte, code.TotalShards())
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < code.DataShards(); i++ {
@@ -331,7 +341,7 @@ func benchEncode(b *testing.B, code Codec, shardSize int) {
 }
 
 func BenchmarkEncode_RS_10_4(b *testing.B) {
-	code, err := NewRS(10, 4)
+	code, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func BenchmarkEncode_RS_10_4(b *testing.B) {
 }
 
 func BenchmarkEncode_PiggybackedRS_10_4(b *testing.B) {
-	code, err := NewPiggybackedRS(10, 4)
+	code, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,14 +357,14 @@ func BenchmarkEncode_PiggybackedRS_10_4(b *testing.B) {
 }
 
 func BenchmarkEncode_LRC_10_4_2(b *testing.B) {
-	code, err := NewLRC(10, 4, 2)
+	code, err := lrc.New(10, 4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchEncode(b, code, 1<<20)
 }
 
-func benchReconstruct(b *testing.B, code Codec, erase []int, shardSize int) {
+func benchReconstruct(b *testing.B, code ec.Code, erase []int, shardSize int) {
 	shards := make([][]byte, code.TotalShards())
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < code.DataShards(); i++ {
@@ -381,7 +391,7 @@ func benchReconstruct(b *testing.B, code Codec, erase []int, shardSize int) {
 }
 
 func BenchmarkReconstruct_RS_4of14(b *testing.B) {
-	code, err := NewRS(10, 4)
+	code, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -389,14 +399,14 @@ func BenchmarkReconstruct_RS_4of14(b *testing.B) {
 }
 
 func BenchmarkReconstruct_PiggybackedRS_4of14(b *testing.B) {
-	code, err := NewPiggybackedRS(10, 4)
+	code, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchReconstruct(b, code, []int{0, 3, 10, 13}, 1<<20)
 }
 
-func benchRepair(b *testing.B, code Codec, idx, shardSize int) {
+func benchRepair(b *testing.B, code ec.Code, idx, shardSize int) {
 	shards := make([][]byte, code.TotalShards())
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < code.DataShards(); i++ {
@@ -406,24 +416,24 @@ func benchRepair(b *testing.B, code Codec, idx, shardSize int) {
 	if err := code.Encode(shards); err != nil {
 		b.Fatal(err)
 	}
-	fetch := func(req ReadRequest) ([]byte, error) {
+	fetch := func(req ec.ReadRequest) ([]byte, error) {
 		return shards[req.Shard][req.Offset : req.Offset+req.Length], nil
 	}
-	plan, err := code.PlanRepair(idx, int64(shardSize), AllAliveExcept(idx))
+	plan, err := code.PlanRepair(idx, int64(shardSize), ec.AllAliveExcept(idx))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(plan.TotalBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.ExecuteRepair(idx, int64(shardSize), AllAliveExcept(idx), fetch); err != nil {
+		if _, err := code.ExecuteRepair(idx, int64(shardSize), ec.AllAliveExcept(idx), fetch); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRepairDataShard_RS(b *testing.B) {
-	code, err := NewRS(10, 4)
+	code, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -431,7 +441,7 @@ func BenchmarkRepairDataShard_RS(b *testing.B) {
 }
 
 func BenchmarkRepairDataShard_PiggybackedRS(b *testing.B) {
-	code, err := NewPiggybackedRS(10, 4)
+	code, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -439,7 +449,7 @@ func BenchmarkRepairDataShard_PiggybackedRS(b *testing.B) {
 }
 
 func BenchmarkRepairDataShard_LRC(b *testing.B) {
-	code, err := NewLRC(10, 4, 2)
+	code, err := lrc.New(10, 4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,7 +468,7 @@ func BenchmarkRepairDataShard_LRC(b *testing.B) {
 
 var repairSink []byte
 
-func benchExecuteRepair(b *testing.B, code Codec, idx int) {
+func benchExecuteRepair(b *testing.B, code ec.Code, idx int) {
 	const shardSize = 64 << 10
 	shards := make([][]byte, code.TotalShards())
 	rng := rand.New(rand.NewSource(9))
@@ -469,10 +479,10 @@ func benchExecuteRepair(b *testing.B, code Codec, idx int) {
 	if err := code.Encode(shards); err != nil {
 		b.Fatal(err)
 	}
-	fetch := func(req ReadRequest) ([]byte, error) {
+	fetch := func(req ec.ReadRequest) ([]byte, error) {
 		return shards[req.Shard][req.Offset : req.Offset+req.Length], nil
 	}
-	alive := AllAliveExcept(idx)
+	alive := ec.AllAliveExcept(idx)
 	b.SetBytes(shardSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -486,18 +496,18 @@ func benchExecuteRepair(b *testing.B, code Codec, idx int) {
 }
 
 // repairBenchCodec builds one codec family at the paper's parameters.
-func repairBenchCodec(b *testing.B, family string) Codec {
+func repairBenchCodec(b *testing.B, family string) ec.Code {
 	var (
-		code Codec
+		code ec.Code
 		err  error
 	)
 	switch family {
 	case "rs":
-		code, err = NewRS(10, 4)
+		code, err = rs.New(10, 4)
 	case "pbrs":
-		code, err = NewPiggybackedRS(10, 4)
+		code, err = core.New(10, 4)
 	case "lrc":
-		code, err = NewLRC(10, 4, 2)
+		code, err = lrc.New(10, 4, 2)
 	}
 	if err != nil {
 		b.Fatal(err)
@@ -527,8 +537,7 @@ func BenchmarkExecuteRepair_LRC_Parity(b *testing.B) {
 // --- Ablation: piggyback group sizing ---------------------------------------
 
 // The default grouping for (10,4) is {4,3,3}. This ablation quantifies
-// how alternative groupings trade per-shard savings against coverage —
-// the design decision called out in DESIGN.md §5.2.
+// how alternative groupings trade per-shard savings against coverage.
 func BenchmarkAblation_GroupSizing(b *testing.B) {
 	groupings := map[string][][]int{
 		"balanced_4_3_3":   {{0, 1, 2, 3}, {4, 5, 6}, {7, 8, 9}},
@@ -538,13 +547,13 @@ func BenchmarkAblation_GroupSizing(b *testing.B) {
 	}
 	for name, groups := range groupings {
 		b.Run(name, func(b *testing.B) {
-			code, err := NewPiggybackedRSWithGroups(10, 4, groups)
+			code, err := core.New(10, 4, core.WithGroups(groups))
 			if err != nil {
 				b.Fatal(err)
 			}
 			var avg float64
 			for i := 0; i < b.N; i++ {
-				_, a, err := RepairFraction(code, 4096)
+				_, a, err := ec.RepairFraction(code, 4096)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -558,21 +567,21 @@ func BenchmarkAblation_GroupSizing(b *testing.B) {
 // --- §2.2 extension: recovery backlog under a throttle ----------------------
 
 func BenchmarkBacklogUnderThrottle(b *testing.B) {
-	rsc, err := NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultTraceConfig()
+	cfg := workload.DefaultConfig()
 	cfg.Days = 24
-	tr, err := GenerateTrace(cfg)
+	tr, err := workload.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cmp, err := CompareCodecs(rsc, pb, tr)
+	cmp, err := sim.Compare(rsc, pb, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -580,11 +589,11 @@ func BenchmarkBacklogUnderThrottle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		budget := int64(170 * stats.TB)
-		rsBL, err := RecoveryBacklog(cmp.Baseline, budget)
+		rsBL, err := sim.RecoveryBacklog(cmp.Baseline, budget)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pbBL, err := RecoveryBacklog(cmp.Candidate, budget)
+		pbBL, err := sim.RecoveryBacklog(cmp.Candidate, budget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -598,20 +607,20 @@ func BenchmarkBacklogUnderThrottle(b *testing.B) {
 // --- Ablation: on-disk substripe layout (§4 / hop-and-couple) ---------------
 
 func BenchmarkAblation_SubstripeLayout(b *testing.B) {
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	const block = int64(256 << 20)
-	plan, err := pb.PlanRepair(0, block, AllAliveExcept(0))
+	plan, err := pb.PlanRepair(0, block, ec.AllAliveExcept(0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, k := range []LayoutKind{LayoutCoupled, LayoutInterleaved} {
+	for _, k := range []layout.Kind{layout.Coupled, layout.Interleaved} {
 		b.Run(k.String(), func(b *testing.B) {
 			var disk int64
 			for i := 0; i < b.N; i++ {
-				_, d, err := PlanDiskGeometry(k, plan)
+				_, d, err := layout.PlanGeometry(k, plan)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -626,13 +635,13 @@ func BenchmarkAblation_SubstripeLayout(b *testing.B) {
 // --- §5: distance to the regenerating-code floor ----------------------------
 
 func BenchmarkRelatedWork_CutSetBound(b *testing.B) {
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var captured float64
 	for i := 0; i < b.N; i++ {
-		msr, err := MSRRepairFraction(RegeneratingParams{N: 14, K: 10, D: 13})
+		msr, err := regenerating.RepairFractionBound(regenerating.Params{N: 14, K: 10, D: 13})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -667,11 +676,11 @@ func BenchmarkAblation_VandermondeVsCauchy(b *testing.B) {
 // given engine parallelism. Throughput counts repaired shard bytes; the
 // speedup of par=GOMAXPROCS over par=1 is the engine's scaling
 // headroom on the host.
-func benchEngineRepair(b *testing.B, code Codec, parallelism int) {
+func benchEngineRepair(b *testing.B, code ec.Code, parallelism int) {
 	const shardSize = 128 << 10
 	const stripes = 16
 	rng := rand.New(rand.NewSource(11))
-	batch := make([]RepairJob, stripes)
+	batch := make([]engine.RepairJob, stripes)
 	for s := 0; s < stripes; s++ {
 		shards := make([][]byte, code.TotalShards())
 		for i := 0; i < code.DataShards(); i++ {
@@ -683,18 +692,18 @@ func benchEngineRepair(b *testing.B, code Codec, parallelism int) {
 		}
 		missing := s % code.DataShards()
 		held := shards
-		batch[s] = RepairJob{
+		batch[s] = engine.RepairJob{
 			Code:      code,
 			Missing:   []int{missing},
 			ShardSize: shardSize,
-			Alive:     AllAliveExcept(missing),
-			FetchInto: func(req ReadRequest, dst []byte) error {
+			Alive:     ec.AllAliveExcept(missing),
+			FetchInto: func(req ec.ReadRequest, dst []byte) error {
 				copy(dst, held[req.Shard][req.Offset:req.Offset+req.Length])
 				return nil
 			},
 		}
 	}
-	eng := NewEngine(EngineOptions{Parallelism: parallelism})
+	eng := engine.New(engine.Options{Parallelism: parallelism})
 	b.SetBytes(stripes * shardSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -707,15 +716,15 @@ func benchEngineRepair(b *testing.B, code Codec, parallelism int) {
 }
 
 func BenchmarkEngineRepair(b *testing.B) {
-	rsc, err := NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lc, err := NewLRC(10, 4, 2)
+	lc, err := lrc.New(10, 4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -725,7 +734,7 @@ func BenchmarkEngineRepair(b *testing.B) {
 	}
 	for _, entry := range []struct {
 		name string
-		code Codec
+		code ec.Code
 	}{{"rs", rsc}, {"pbrs", pb}, {"lrc", lc}} {
 		for _, par := range pars {
 			b.Run(fmt.Sprintf("%s/par=%d", entry.name, par), func(b *testing.B) {

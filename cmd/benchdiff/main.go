@@ -2,7 +2,8 @@
 // it measures a base commit and the working tree with the repository's
 // benchmark (./benchmark), run by run, alternating which side goes
 // first, and then prints the benchmark's own -compare verdicts and how
-// many of the pairs each side won.
+// many of the pairs each side won. It is tooling and regenerates no row
+// of the map in the root package doc (doc.go).
 //
 //	benchdiff -base <ref> [-runs 10] [-quick]     (make benchdiff BASE=<ref>)
 //

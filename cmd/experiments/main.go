@@ -1,7 +1,7 @@
 // Command experiments runs every experiment in the reproduction and
 // prints a paper-vs-measured report: one section per figure, table, or
-// quantitative claim of the paper. EXPERIMENTS.md is generated from this
-// output.
+// quantitative claim of the paper. It regenerates every row of the map
+// in the root package doc (doc.go).
 //
 // Usage:
 //
@@ -13,8 +13,16 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/layout"
+	"repro/internal/lrc"
+	"repro/internal/regenerating"
+	"repro/internal/reliability"
+	"repro/internal/rs"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -30,15 +38,15 @@ func main() {
 }
 
 func run(days int, seed int64, quick bool) error {
-	rsc, err := repro.NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		return err
 	}
-	pb, err := repro.NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		return err
 	}
-	lc, err := repro.NewLRC(10, 4, 2)
+	lc, err := lrc.New(10, 4, 2)
 	if err != nil {
 		return err
 	}
@@ -54,10 +62,10 @@ func run(days int, seed int64, quick bool) error {
 		return err
 	}
 
-	cfg := repro.DefaultTraceConfig()
+	cfg := workload.DefaultConfig()
 	cfg.Days = days
 	cfg.Seed = seed
-	tr, err := repro.GenerateTrace(cfg)
+	tr, err := workload.Generate(cfg)
 	if err != nil {
 		return err
 	}
@@ -100,14 +108,14 @@ func run(days int, seed int64, quick bool) error {
 	return nil
 }
 
-func sec22Backlog(cmp *repro.Comparison) error {
+func sec22Backlog(cmp *sim.Comparison) error {
 	fmt.Println("\n--- §2.2 (extension): recovery vs foreground bandwidth ---")
 	budget := int64(170 * stats.TB)
-	rsBL, err := repro.RecoveryBacklog(cmp.Baseline, budget)
+	rsBL, err := sim.RecoveryBacklog(cmp.Baseline, budget)
 	if err != nil {
 		return err
 	}
-	pbBL, err := repro.RecoveryBacklog(cmp.Candidate, budget)
+	pbBL, err := sim.RecoveryBacklog(cmp.Candidate, budget)
 	if err != nil {
 		return err
 	}
@@ -120,26 +128,26 @@ func sec22Backlog(cmp *repro.Comparison) error {
 	return nil
 }
 
-func sec4Layout(pb *repro.PiggybackedRS, rsc *repro.RS) error {
+func sec4Layout(pb *core.Code, rsc *rs.Code) error {
 	fmt.Println("\n--- §4 (future work, later Hitchhiker): on-disk substripe layout ---")
 	const block = int64(256 << 20)
-	pbPlan, err := pb.PlanRepair(0, block, repro.AllAliveExcept(0))
+	pbPlan, err := pb.PlanRepair(0, block, ec.AllAliveExcept(0))
 	if err != nil {
 		return err
 	}
-	rsPlan, err := rsc.PlanRepair(0, block, repro.AllAliveExcept(0))
+	rsPlan, err := rsc.PlanRepair(0, block, ec.AllAliveExcept(0))
 	if err != nil {
 		return err
 	}
-	_, coupled, err := repro.PlanDiskGeometry(repro.LayoutCoupled, pbPlan)
+	_, coupled, err := layout.PlanGeometry(layout.Coupled, pbPlan)
 	if err != nil {
 		return err
 	}
-	_, inter, err := repro.PlanDiskGeometry(repro.LayoutInterleaved, pbPlan)
+	_, inter, err := layout.PlanGeometry(layout.Interleaved, pbPlan)
 	if err != nil {
 		return err
 	}
-	_, rsDisk, err := repro.PlanDiskGeometry(repro.LayoutCoupled, rsPlan)
+	_, rsDisk, err := layout.PlanGeometry(layout.Coupled, rsPlan)
 	if err != nil {
 		return err
 	}
@@ -150,10 +158,10 @@ func sec4Layout(pb *repro.PiggybackedRS, rsc *repro.RS) error {
 	return nil
 }
 
-func sec5Bounds(pb *repro.PiggybackedRS) error {
+func sec5Bounds(pb *core.Code) error {
 	fmt.Println("\n--- §5 (related work): regenerating-code lower bounds ---")
-	p := repro.RegeneratingParams{N: 14, K: 10, D: 13}
-	msr, err := repro.MSRRepairFraction(p)
+	p := regenerating.Params{N: 14, K: 10, D: 13}
+	msr, err := regenerating.RepairFractionBound(p)
 	if err != nil {
 		return err
 	}
@@ -165,13 +173,13 @@ func sec5Bounds(pb *repro.PiggybackedRS) error {
 	return nil
 }
 
-func fig1(rsc *repro.RS) error {
+func fig1(rsc *rs.Code) error {
 	fmt.Println("\n--- Fig. 1: network amplification of (2,2) RS recovery ---")
-	code, err := repro.NewRS(2, 2)
+	code, err := rs.New(2, 2)
 	if err != nil {
 		return err
 	}
-	plan, err := code.PlanRepair(0, 1, repro.AllAliveExcept(0))
+	plan, err := code.PlanRepair(0, 1, ec.AllAliveExcept(0))
 	if err != nil {
 		return err
 	}
@@ -181,13 +189,13 @@ func fig1(rsc *repro.RS) error {
 	return nil
 }
 
-func fig2(rsc *repro.RS) error {
+func fig2(rsc *rs.Code) error {
 	fmt.Println("\n--- Fig. 2: (10,4) striping layout ---")
 	data := make([]byte, 10*64)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	shards, err := repro.SplitShards(data, 10, 4, rsc.MinShardSize())
+	shards, err := ec.SplitShards(data, 10, 4, rsc.MinShardSize())
 	if err != nil {
 		return err
 	}
@@ -204,7 +212,7 @@ func fig2(rsc *repro.RS) error {
 	return nil
 }
 
-func fig3a(tr *repro.Trace) error {
+func fig3a(tr *workload.Trace) error {
 	fmt.Println("\n--- Fig. 3a: machines unavailable > 15 min per day ---")
 	series := tr.UnavailableSeries()
 	f := stats.IntsToFloats(series)
@@ -227,12 +235,12 @@ func fig3a(tr *repro.Trace) error {
 
 func sec22(quick bool) error {
 	fmt.Println("\n--- §2.2 item 2: missing blocks per affected stripe ---")
-	cfg := repro.DefaultStripeFailureConfig()
+	cfg := sim.DefaultStripeFailureConfig()
 	if quick {
 		cfg.Stripes = 20000
 		cfg.Windows = 2
 	}
-	dist, err := repro.MissingBlockDistribution(cfg)
+	dist, err := sim.MissingBlockDistribution(cfg)
 	if err != nil {
 		return err
 	}
@@ -242,9 +250,9 @@ func sec22(quick bool) error {
 	return nil
 }
 
-func fig3b(rsc *repro.RS, pb *repro.PiggybackedRS, tr *repro.Trace) (*repro.Comparison, error) {
+func fig3b(rsc *rs.Code, pb *core.Code, tr *workload.Trace) (*sim.Comparison, error) {
 	fmt.Println("\n--- Fig. 3b: blocks reconstructed and cross-rack bytes per day ---")
-	cmp, err := repro.CompareCodecs(rsc, pb, tr)
+	cmp, err := sim.Compare(rsc, pb, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +265,7 @@ func fig3b(rsc *repro.RS, pb *repro.PiggybackedRS, tr *repro.Trace) (*repro.Comp
 	return cmp, nil
 }
 
-func minDayBytes(r *repro.StudyResult) int64 {
+func minDayBytes(r *sim.Result) int64 {
 	m := r.Days[0].CrossRackBytes
 	for _, d := range r.Days {
 		if d.CrossRackBytes < m {
@@ -267,7 +275,7 @@ func minDayBytes(r *repro.StudyResult) int64 {
 	return m
 }
 
-func maxDayBytes(r *repro.StudyResult) int64 {
+func maxDayBytes(r *sim.Result) int64 {
 	m := r.Days[0].CrossRackBytes
 	for _, d := range r.Days {
 		if d.CrossRackBytes > m {
@@ -279,11 +287,11 @@ func maxDayBytes(r *repro.StudyResult) int64 {
 
 func fig4() error {
 	fmt.Println("\n--- Fig. 4 / Example 1: toy (2,2) piggybacked code ---")
-	code, err := repro.NewPiggybackedRS(2, 2)
+	code, err := core.New(2, 2)
 	if err != nil {
 		return err
 	}
-	plan, err := code.PlanRepair(0, 2, repro.AllAliveExcept(0))
+	plan, err := code.PlanRepair(0, 2, ec.AllAliveExcept(0))
 	if err != nil {
 		return err
 	}
@@ -293,7 +301,7 @@ func fig4() error {
 	return nil
 }
 
-func sec32Savings(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) error {
+func sec32Savings(rsc *rs.Code, pb *core.Code, lc *lrc.Code) error {
 	fmt.Println("\n--- §3.1/§3.2: single-block recovery download, (10,4), per position ---")
 	const shard = 256 << 20
 	fmt.Printf("%-22s", "position:")
@@ -301,8 +309,8 @@ func sec32Savings(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) error {
 		fmt.Printf("%6d", i)
 	}
 	fmt.Println("   avg(data)  avg(all)")
-	for _, c := range []repro.Codec{rsc, pb} {
-		per, avg, err := repro.RepairFraction(c, shard)
+	for _, c := range []ec.Code{rsc, pb} {
+		per, avg, err := ec.RepairFraction(c, shard)
 		if err != nil {
 			return err
 		}
@@ -318,16 +326,16 @@ func sec32Savings(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) error {
 		fmt.Printf("   %8.3f  %8.3f\n", dataAvg, avg)
 	}
 	fmt.Printf("paper   : piggybacked code saves ~30%% on average for single block failures\n")
-	_, pbAvg, _ := repro.RepairFraction(pb, shard)
+	_, pbAvg, _ := ec.RepairFraction(pb, shard)
 	fmt.Printf("measured: savings %.1f%% averaged over data blocks, %.1f%% over all 14 blocks\n",
 		100*(1-pb.AverageDataRepairFraction()), 100*(1-pbAvg))
-	_, lcAvg, _ := repro.RepairFraction(lc, shard)
+	_, lcAvg, _ := ec.RepairFraction(lc, shard)
 	fmt.Printf("context : %s repairs at %.3f of RS but stores %.1fx (not MDS, §5)\n",
 		lc.Name(), lcAvg, lc.StorageOverhead())
 	return nil
 }
 
-func sec32Traffic(cmp *repro.Comparison) error {
+func sec32Traffic(cmp *sim.Comparison) error {
 	fmt.Println("\n--- §3.2: projected cross-rack traffic reduction ---")
 	saved := cmp.DailySavingsBytes()
 	fmt.Printf("paper   : replacing RS with Piggybacked-RS saves \"close to fifty\" TB/day\n")
@@ -339,7 +347,7 @@ func sec32Traffic(cmp *repro.Comparison) error {
 	return nil
 }
 
-func sec32RecoveryTime(cmp *repro.Comparison) error {
+func sec32RecoveryTime(cmp *sim.Comparison) error {
 	fmt.Println("\n--- §3.2: time taken for recovery ---")
 	fmt.Printf("paper   : more helpers, fewer bytes => recovery no slower (bandwidth-bound)\n")
 	fmt.Printf("measured: mean per-block recovery %v (RS) vs %v (Piggybacked-RS)\n",
@@ -357,17 +365,17 @@ func sec32RecoveryTime(cmp *repro.Comparison) error {
 	return nil
 }
 
-func sec32MTTDL(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) error {
+func sec32MTTDL(rsc *rs.Code, pb *core.Code, lc *lrc.Code) error {
 	fmt.Println("\n--- §3.2: reliability (MTTDL) ---")
 	const block = 256 << 20
-	p := repro.DefaultReliabilityParams()
-	rep3, err := repro.ReplicationSystem(3, block)
+	p := reliability.DefaultParams()
+	rep3, err := reliability.ReplicationSystem(3, block)
 	if err != nil {
 		return err
 	}
-	systems := []repro.ReliabilitySystem{rep3}
-	for _, c := range []repro.Codec{rsc, pb, lc} {
-		sys, err := repro.CodeSystem(c, block)
+	systems := []reliability.System{rep3}
+	for _, c := range []ec.Code{rsc, pb, lc} {
+		sys, err := reliability.CodeSystem(c, block)
 		if err != nil {
 			return err
 		}
@@ -376,7 +384,7 @@ func sec32MTTDL(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) error {
 	fmt.Printf("paper   : MTTDL(Piggybacked-RS) >= MTTDL(RS); both >> replication per byte\n")
 	fmt.Printf("%-22s %14s %10s\n", "system", "MTTDL (years)", "overhead")
 	for _, sys := range systems {
-		years, err := repro.MTTDLYears(sys, p)
+		years, err := reliability.MTTDLYears(sys, p)
 		if err != nil {
 			return err
 		}
@@ -385,7 +393,7 @@ func sec32MTTDL(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) error {
 	return nil
 }
 
-func storageOverheads(rsc *repro.RS, pb *repro.PiggybackedRS, lc *repro.LRC) {
+func storageOverheads(rsc *rs.Code, pb *core.Code, lc *lrc.Code) {
 	fmt.Println("\n--- §1/§2.1: storage overhead ---")
 	fmt.Printf("paper   : (10,4) RS stores 1.4x vs 3x under replication\n")
 	fmt.Printf("measured: rs=%.1fx piggybacked-rs=%.1fx lrc=%.1fx replication=3.0x\n",

@@ -2,7 +2,8 @@
 // generates (or loads) a calibrated failure trace for the warehouse
 // cluster and prints the Fig. 3a and Fig. 3b day series, their medians,
 // and the §2.2 stripe-failure distribution, under a selectable erasure
-// code.
+// code. It regenerates the Fig. 3a, Fig. 3b, §2.2 split and §3.2
+// recovery-time rows of the map in the root package doc (doc.go).
 //
 // Usage:
 //
@@ -14,7 +15,11 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/lrc"
+	"repro/internal/rs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -34,14 +39,14 @@ func main() {
 	}
 }
 
-func pickCode(name string) (repro.Codec, error) {
+func pickCode(name string) (ec.Code, error) {
 	switch name {
 	case "rs":
-		return repro.NewRS(10, 4)
+		return rs.New(10, 4)
 	case "pbrs":
-		return repro.NewPiggybackedRS(10, 4)
+		return core.New(10, 4)
 	case "lrc":
-		return repro.NewLRC(10, 4, 2)
+		return lrc.New(10, 4, 2)
 	default:
 		return nil, fmt.Errorf("unknown code %q (want rs, pbrs, or lrc)", name)
 	}
@@ -53,7 +58,7 @@ func run(days int, seed int64, codeName string, csv bool, save, load string) err
 		return err
 	}
 
-	var tr *repro.Trace
+	var tr *workload.Trace
 	if load != "" {
 		f, err := os.Open(load)
 		if err != nil {
@@ -65,10 +70,10 @@ func run(days int, seed int64, codeName string, csv bool, save, load string) err
 			return err
 		}
 	} else {
-		cfg := repro.DefaultTraceConfig()
+		cfg := workload.DefaultConfig()
 		cfg.Days = days
 		cfg.Seed = seed
-		tr, err = repro.GenerateTrace(cfg)
+		tr, err = workload.Generate(cfg)
 		if err != nil {
 			return err
 		}
@@ -89,7 +94,7 @@ func run(days int, seed int64, codeName string, csv bool, save, load string) err
 		fmt.Fprintf(os.Stderr, "trace saved to %s\n", save)
 	}
 
-	res, err := repro.RunStudy(code, tr)
+	res, err := sim.NewStudy(code).Run(tr)
 	if err != nil {
 		return err
 	}
@@ -120,7 +125,7 @@ func run(days int, seed int64, codeName string, csv bool, save, load string) err
 		stats.FormatBytes(res.TotalCrossRackBytes), len(res.Days))
 	fmt.Printf("         mean recovery time per block    : %v\n", res.MeanRecoveryTimePerBlock().Round(1000000))
 
-	dist, err := repro.MissingBlockDistribution(repro.DefaultStripeFailureConfig())
+	dist, err := sim.MissingBlockDistribution(sim.DefaultStripeFailureConfig())
 	if err != nil {
 		return err
 	}
@@ -135,7 +140,7 @@ func run(days int, seed int64, codeName string, csv bool, save, load string) err
 
 // printUnavailabilityHistogram renders the Fig. 3a distribution as an
 // ASCII bar chart: how many days fell into each unavailability band.
-func printUnavailabilityHistogram(res *repro.StudyResult) {
+func printUnavailabilityHistogram(res *sim.Result) {
 	series := make([]float64, len(res.Days))
 	hi := 0.0
 	for i, d := range res.Days {

@@ -3,7 +3,8 @@
 // (10,4,2) LRC, across node failure rates and recovery bandwidths. The
 // sweep shows where each scheme's reliability comes from — and that the
 // piggybacked code's faster repairs translate into a constant MTTDL
-// multiplier over RS at every operating point.
+// multiplier over RS at every operating point. It regenerates the §3.2
+// MTTDL row of the map in the root package doc (doc.go).
 //
 // Usage:
 //
@@ -15,7 +16,11 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/lrc"
+	"repro/internal/reliability"
+	"repro/internal/rs"
 	"repro/internal/stats"
 )
 
@@ -30,26 +35,26 @@ func main() {
 	}
 }
 
-func systems(block int64) ([]repro.ReliabilitySystem, error) {
-	rep3, err := repro.ReplicationSystem(3, float64(block))
+func systems(block int64) ([]reliability.System, error) {
+	rep3, err := reliability.ReplicationSystem(3, float64(block))
 	if err != nil {
 		return nil, err
 	}
-	out := []repro.ReliabilitySystem{rep3}
-	rsc, err := repro.NewRS(10, 4)
+	out := []reliability.System{rep3}
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		return nil, err
 	}
-	pb, err := repro.NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		return nil, err
 	}
-	lc, err := repro.NewLRC(10, 4, 2)
+	lc, err := lrc.New(10, 4, 2)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range []repro.Codec{rsc, pb, lc} {
-		sys, err := repro.CodeSystem(c, float64(block))
+	for _, c := range []ec.Code{rsc, pb, lc} {
+		sys, err := reliability.CodeSystem(c, float64(block))
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +68,7 @@ func run(block int64, sweep string) error {
 	if err != nil {
 		return err
 	}
-	base := repro.DefaultReliabilityParams()
+	base := reliability.DefaultParams()
 
 	fmt.Printf("MTTDL (years/stripe), block %s — §3.2 reliability model\n\n",
 		stats.FormatBytes(block))
@@ -82,7 +87,7 @@ func run(block int64, sweep string) error {
 			p.NodeFailuresPerHour = 1 / (months * 30 * 24)
 			row := fmt.Sprintf("%-26s", fmt.Sprintf("MTBF %.0f months", months))
 			for _, sys := range systems {
-				years, err := repro.MTTDLYears(sys, p)
+				years, err := reliability.MTTDLYears(sys, p)
 				if err != nil {
 					return err
 				}
@@ -96,7 +101,7 @@ func run(block int64, sweep string) error {
 			p.RepairBytesPerHour = mbps * 1e6 * 3600
 			row := fmt.Sprintf("%-26s", fmt.Sprintf("repair %.0f MB/s", mbps))
 			for _, sys := range systems {
-				years, err := repro.MTTDLYears(sys, p)
+				years, err := reliability.MTTDLYears(sys, p)
 				if err != nil {
 					return err
 				}

@@ -15,6 +15,9 @@
 // reconstructs all missing shards using the codec's repair plans,
 // printing how many bytes were read; decode reassembles the original
 // file from the data shards.
+//
+// It regenerates no row of the map in the root package doc (doc.go): it
+// runs the codecs' repair plans over real files.
 package main
 
 import (
@@ -25,7 +28,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/lrc"
+	"repro/internal/rs"
 	"repro/internal/stats"
 )
 
@@ -78,14 +84,14 @@ func usage() {
   decode  -dir DIR -out FILE`)
 }
 
-func buildCodec(m manifest) (repro.Codec, error) {
+func buildCodec(m manifest) (ec.Code, error) {
 	switch m.Code {
 	case "rs":
-		return repro.NewRS(m.K, m.R)
+		return rs.New(m.K, m.R)
 	case "pbrs":
-		return repro.NewPiggybackedRS(m.K, m.R)
+		return core.New(m.K, m.R)
 	case "lrc":
-		return repro.NewLRC(m.K, m.R, m.Locals)
+		return lrc.New(m.K, m.R, m.Locals)
 	default:
 		return nil, fmt.Errorf("unknown code %q", m.Code)
 	}
@@ -97,7 +103,7 @@ func shardPath(dir string, i int) string {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
-func loadManifest(dir string) (manifest, repro.Codec, error) {
+func loadManifest(dir string) (manifest, ec.Code, error) {
 	var m manifest
 	raw, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
@@ -110,10 +116,24 @@ func loadManifest(dir string) (manifest, repro.Codec, error) {
 	if err != nil {
 		return m, nil, err
 	}
+	// The manifest is input from disk: hold it to the codec it names
+	// before any of its numbers sizes a slice or bounds a read.
+	if m.Shards != code.TotalShards() {
+		return m, nil, fmt.Errorf("manifest: %d shards, %s has %d", m.Shards, code.Name(), code.TotalShards())
+	}
+	if m.ShardSize <= 0 || m.ShardSize%int64(code.MinShardSize()) != 0 {
+		return m, nil, fmt.Errorf("manifest: shard size %d is not a positive multiple of %d", m.ShardSize, code.MinShardSize())
+	}
+	// FileSize <= k*ShardSize, without overflowing the product.
+	if k := int64(code.DataShards()); m.FileSize < 0 || (m.FileSize > 0 && (m.FileSize-1)/k >= m.ShardSize) {
+		return m, nil, fmt.Errorf("manifest: file size %d does not fit %d shards of %d", m.FileSize, k, m.ShardSize)
+	}
 	return m, code, nil
 }
 
-// loadShards reads present shard files; missing ones stay nil.
+// loadShards reads present shard files; missing ones stay nil, and so
+// does a file of the wrong length (truncated or grown), so repair
+// rebuilds it and verify reports it.
 func loadShards(dir string, m manifest) ([][]byte, error) {
 	shards := make([][]byte, m.Shards)
 	for i := range shards {
@@ -124,7 +144,9 @@ func loadShards(dir string, m manifest) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = raw
+		if int64(len(raw)) == m.ShardSize {
+			shards[i] = raw
+		}
 	}
 	return shards, nil
 }
@@ -153,7 +175,7 @@ func cmdEncode(args []string) error {
 	if err != nil {
 		return err
 	}
-	shards, err := repro.SplitShards(data, code.DataShards(), code.TotalShards()-code.DataShards(), code.MinShardSize())
+	shards, err := ec.SplitShards(data, code.DataShards(), code.TotalShards()-code.DataShards(), code.MinShardSize())
 	if err != nil {
 		return err
 	}
@@ -256,7 +278,7 @@ func cmdRepair(args []string) error {
 	}
 	alive := func(i int) bool { return i >= 0 && i < len(shards) && shards[i] != nil }
 	var readBytes int64
-	fetch := func(req repro.ReadRequest) ([]byte, error) {
+	fetch := func(req ec.ReadRequest) ([]byte, error) {
 		s := shards[req.Shard]
 		if s == nil {
 			return nil, fmt.Errorf("shard %d missing", req.Shard)
@@ -311,7 +333,7 @@ func cmdDecode(args []string) error {
 	if err := code.Reconstruct(shards); err != nil {
 		return err
 	}
-	data, err := repro.JoinShards(shards, code.DataShards(), int(m.FileSize))
+	data, err := ec.JoinShards(shards, code.DataShards(), int(m.FileSize))
 	if err != nil {
 		return err
 	}

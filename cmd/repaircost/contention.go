@@ -11,7 +11,11 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/rs"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // ContentionBenchResult is the -out JSON payload. Everything in it is
@@ -63,7 +67,7 @@ type CodecContentionResult struct {
 	DegradedSlowdownP50 float64 `json:"degraded_slowdown_p50"`
 }
 
-func toCodecResult(r *repro.ContentionResult) CodecContentionResult {
+func toCodecResult(r *sim.ContentionResult) CodecContentionResult {
 	name := r.CodeName
 	if r.PartialSums {
 		name += " +partial-sum"
@@ -84,14 +88,14 @@ func toCodecResult(r *repro.ContentionResult) CodecContentionResult {
 	}
 }
 
-func parsePolicy(s string) (repro.SchedulerPolicy, error) {
+func parsePolicy(s string) (netsim.Policy, error) {
 	switch s {
 	case "fifo":
-		return repro.PolicyFIFO, nil
+		return netsim.PolicyFIFO, nil
 	case "smallest-first":
-		return repro.PolicySmallestFirst, nil
+		return netsim.PolicySmallestFirst, nil
 	case "priority-lanes":
-		return repro.PolicyPriorityLanes, nil
+		return netsim.PolicyPriorityLanes, nil
 	default:
 		return 0, fmt.Errorf("unknown -policy %q (want fifo, smallest-first, or priority-lanes)", s)
 	}
@@ -105,22 +109,22 @@ func contentionBench(k, r, days int, policyName string, seed int64, outFile stri
 	if days < 1 {
 		return fmt.Errorf("-days must be >= 1, got %d", days)
 	}
-	rsc, err := repro.NewRS(k, r)
+	rsc, err := rs.New(k, r)
 	if err != nil {
 		return err
 	}
-	pb, err := repro.NewPiggybackedRS(k, r)
+	pb, err := core.New(k, r)
 	if err != nil {
 		return err
 	}
-	traceCfg := repro.DefaultTraceConfig()
+	traceCfg := workload.DefaultConfig()
 	traceCfg.Days = days
 	traceCfg.Seed = seed
-	tr, err := repro.GenerateTrace(traceCfg)
+	tr, err := workload.Generate(traceCfg)
 	if err != nil {
 		return err
 	}
-	cfg := repro.DefaultContentionConfig()
+	cfg := sim.DefaultContentionConfig()
 	cfg.Policy = policy
 	cfg.Seed = seed
 	if width := rsc.TotalShards(); cfg.Topology.Racks <= width {
@@ -135,7 +139,7 @@ func contentionBench(k, r, days int, policyName string, seed int64, outFile stri
 		cfg.ForegroundWorkers, cfg.ForegroundMeanBytes/1e6,
 		cfg.RepairsPerDay, cfg.DegradedReadsPerDay, cfg.MaxConcurrentRepairs)
 
-	cmp, err := repro.CompareContentionCodecs(rsc, pb, tr, cfg)
+	cmp, err := sim.CompareContention(rsc, pb, tr, cfg)
 	if err != nil {
 		return err
 	}
@@ -143,7 +147,7 @@ func contentionBench(k, r, days int, policyName string, seed int64, outFile stri
 	// partial-sum aggregation trees instead of k-wide fan-ins.
 	partialCfg := cfg
 	partialCfg.PartialSums = true
-	partialCmp, err := repro.CompareContentionCodecs(rsc, pb, tr, partialCfg)
+	partialCmp, err := sim.CompareContention(rsc, pb, tr, partialCfg)
 	if err != nil {
 		return err
 	}

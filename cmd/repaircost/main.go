@@ -4,7 +4,9 @@
 // repair fraction (download / RS baseline), the data-shard and all-shard
 // averages, and the storage overhead, making the paper's trade-off
 // explicit: Piggybacked-RS cuts repair traffic at 1.0x extra storage,
-// LRC cuts it further but pays for it in capacity.
+// LRC cuts it further but pays for it in capacity. It regenerates the
+// §3.1/§3.2 savings and storage-overhead rows of the map in the root
+// package doc (doc.go), and -bounds the §5 row.
 //
 // Beyond the default analytical table, -contention replays a failure
 // trace through the event-driven contended fabric: repairs fair-share
@@ -23,7 +25,11 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/lrc"
+	"repro/internal/regenerating"
+	"repro/internal/rs"
 	"repro/internal/stats"
 )
 
@@ -66,20 +72,20 @@ func analyticalMode(k, r int, size int64, sweep, bounds bool) error {
 // boundsTable positions each code against the information-theoretic
 // repair minimum of the regenerating-codes model the paper cites.
 func boundsTable(k, r int) error {
-	pb, err := repro.NewPiggybackedRS(k, r)
+	pb, err := core.New(k, r)
 	if err != nil {
 		return err
 	}
-	p := repro.RegeneratingParams{N: k + r, K: k, D: k + r - 1}
-	msrFrac, err := repro.MSRRepairFraction(p)
+	p := regenerating.Params{N: k + r, K: k, D: k + r - 1}
+	msrFrac, err := regenerating.RepairFractionBound(p)
 	if err != nil {
 		return err
 	}
-	mbr, err := repro.MBRPoint(1, p)
+	mbr, err := regenerating.MBR(1, p)
 	if err != nil {
 		return err
 	}
-	_, pbAvg, err := repro.RepairFraction(pb, 4096)
+	_, pbAvg, err := ec.RepairFraction(pb, 4096)
 	if err != nil {
 		return err
 	}
@@ -88,8 +94,8 @@ func boundsTable(k, r int) error {
 	fmt.Printf("%-34s %10.3f %9.2fx\n", "reed-solomon (deployed)", 1.0, pb.StorageOverhead())
 	fmt.Printf("%-34s %10.3f %9.2fx\n", "piggybacked-rs (data-shard avg)", pb.AverageDataRepairFraction(), pb.StorageOverhead())
 	fmt.Printf("%-34s %10.3f %9.2fx\n", "piggybacked-rs (all-shard avg)", pbAvg, pb.StorageOverhead())
-	if lc, err := repro.NewLRC(k, r, 2); err == nil {
-		_, lcAvg, err := repro.RepairFraction(lc, 4096)
+	if lc, err := lrc.New(k, r, 2); err == nil {
+		_, lcAvg, err := ec.RepairFraction(lc, 4096)
 		if err != nil {
 			return err
 		}
@@ -104,22 +110,22 @@ func boundsTable(k, r int) error {
 }
 
 func oneConfig(k, r int, size int64) error {
-	rsc, err := repro.NewRS(k, r)
+	rsc, err := rs.New(k, r)
 	if err != nil {
 		return err
 	}
-	pb, err := repro.NewPiggybackedRS(k, r)
+	pb, err := core.New(k, r)
 	if err != nil {
 		return err
 	}
-	codes := []repro.Codec{rsc, pb}
-	if lc, err := repro.NewLRC(k, r, 2); err == nil {
+	codes := []ec.Code{rsc, pb}
+	if lc, err := lrc.New(k, r, 2); err == nil {
 		codes = append(codes, lc)
 	}
 
 	fmt.Printf("Single-shard repair cost, (%d,%d), shard size %s\n\n", k, r, stats.FormatBytes(size))
 	for _, c := range codes {
-		per, avg, err := repro.RepairFraction(c, size)
+		per, avg, err := ec.RepairFraction(c, size)
 		if err != nil {
 			return err
 		}
@@ -148,11 +154,11 @@ func sweepTable(size int64) error {
 	fmt.Printf("%8s %8s | %8s %8s %14s %14s\n", "k", "r", "rs", "pbrs", "pbrs(data)", "pbrs savings")
 	for _, k := range []int{4, 6, 8, 10, 12, 14} {
 		for _, r := range []int{2, 3, 4, 5} {
-			pb, err := repro.NewPiggybackedRS(k, r)
+			pb, err := core.New(k, r)
 			if err != nil {
 				continue
 			}
-			_, avg, err := repro.RepairFraction(pb, size)
+			_, avg, err := ec.RepairFraction(pb, size)
 			if err != nil {
 				return err
 			}

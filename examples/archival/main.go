@@ -3,7 +3,8 @@
 // accessed for three months) the RaidNode erasure-codes them down to
 // 1.4x. The example measures the storage reclaimed and then the price of
 // that efficiency — recovery traffic when machines fail — under both RS
-// and Piggybacked-RS.
+// and Piggybacked-RS. It regenerates the storage-overhead row of the map
+// in the root package doc (doc.go).
 package main
 
 import (
@@ -13,17 +14,19 @@ import (
 	"math/rand"
 	"time"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/hdfs"
 	"repro/internal/stats"
 )
 
 func main() {
-	pb, err := repro.NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fs, err := repro.NewMiniHDFS(repro.HDFSConfig{
-		Topology:    repro.Topology{Racks: 20, MachinesPerRack: 10},
+	fs, err := hdfs.New(hdfs.Config{
+		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 10},
 		Code:        pb,
 		BlockSize:   32 << 10,
 		Replication: 3,
@@ -59,7 +62,7 @@ func main() {
 	// (§2.1: "not been accessed for more than three months") picks up
 	// everything except the hot partition and erasure-codes it.
 	fs.AdvanceClock(6 * 24 * time.Hour)
-	report, err := fs.RunRaidNode(repro.DefaultRaidPolicy())
+	report, err := fs.RunRaidNode(hdfs.DefaultRaidPolicy())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // and with (10,4) Piggybacked-RS, a machine fails, and a client reads
 // the file through the degraded path. The cross-rack traffic the two
 // codes consume shows the paper's §3.2 saving on the exact code path a
-// production cluster exercises.
+// production cluster exercises. It regenerates the §3.1/§3.2 savings row
+// of the map in the root package doc (doc.go), as cross-rack bytes.
 package main
 
 import (
@@ -11,13 +12,17 @@ import (
 	"log"
 	"math/rand"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/hdfs"
+	"repro/internal/rs"
 	"repro/internal/stats"
 )
 
-func run(codeName string, code repro.Codec) int64 {
-	fs, err := repro.NewMiniHDFS(repro.HDFSConfig{
-		Topology:    repro.Topology{Racks: 20, MachinesPerRack: 8},
+func run(codeName string, code ec.Code) int64 {
+	fs, err := hdfs.New(hdfs.Config{
+		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 8},
 		Code:        code,
 		BlockSize:   64 << 10, // 64 KB blocks scale down the 256 MB of §2.1
 		Replication: 3,
@@ -62,11 +67,11 @@ func run(codeName string, code repro.Codec) int64 {
 
 func main() {
 	fmt.Println("degraded read of one lost 64 KB block in a (10,4) stripe:")
-	rsc, err := repro.NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pb, err := repro.NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

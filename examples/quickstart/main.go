@@ -1,6 +1,7 @@
 // Quickstart: encode data with the paper's Piggybacked-RS code, lose
 // shards, reconstruct, and compare the repair download against the
-// Reed-Solomon baseline.
+// Reed-Solomon baseline. It regenerates the §3.1/§3.2 savings and
+// storage-overhead rows of the map in the root package doc (doc.go).
 package main
 
 import (
@@ -9,13 +10,14 @@ import (
 	"log"
 	"math/rand"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
 )
 
 func main() {
 	// The production parameters: 10 data shards, 4 parity shards,
 	// 1.4x storage overhead, any 4 losses tolerated.
-	code, err := repro.NewPiggybackedRS(10, 4)
+	code, err := core.New(10, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func main() {
 	rand.New(rand.NewSource(42)).Read(data)
 
 	// Split into shards and encode.
-	shards, err := repro.SplitShards(data, code.DataShards(), code.ParityShards(), code.MinShardSize())
+	shards, err := ec.SplitShards(data, code.DataShards(), code.ParityShards(), code.MinShardSize())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 	if err := code.Reconstruct(shards); err != nil {
 		log.Fatal(err)
 	}
-	restored, err := repro.JoinShards(shards, code.DataShards(), len(data))
+	restored, err := ec.JoinShards(shards, code.DataShards(), len(data))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 
 	// The paper's point: repairing ONE lost shard is the common case
 	// (98% of recoveries), and Piggybacked-RS downloads ~30% less.
-	plan, err := code.PlanRepair(3, shardSize, repro.AllAliveExcept(3))
+	plan, err := code.PlanRepair(3, shardSize, ec.AllAliveExcept(3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func main() {
 	copy(full, shards)
 	lostShard := append([]byte(nil), full[3]...)
 	full[3] = nil
-	repaired, err := code.ExecuteRepair(3, shardSize, repro.AllAliveExcept(3), func(req repro.ReadRequest) ([]byte, error) {
+	repaired, err := code.ExecuteRepair(3, shardSize, ec.AllAliveExcept(3), func(req ec.ReadRequest) ([]byte, error) {
 		return full[req.Shard][req.Offset : req.Offset+req.Length], nil
 	})
 	if err != nil {

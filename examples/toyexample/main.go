@@ -2,7 +2,8 @@
 // walked through byte by byte. Two substripes {a1, a2} and {b1, b2} are
 // RS-encoded; the piggyback a1 is added to the second parity of the
 // second substripe. Node 1 is then recovered by downloading 3 bytes
-// instead of the 4 an RS code would need.
+// instead of the 4 an RS code would need. It regenerates the Fig. 4 row
+// of the map in the root package doc (doc.go).
 package main
 
 import (
@@ -10,11 +11,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/ec"
 )
 
 func main() {
-	code, err := repro.NewPiggybackedRS(2, 2)
+	code, err := core.New(2, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func main() {
 	fmt.Printf("piggyback groups: %v (only node 1 is piggybacked, like the paper)\n\n", code.Groups())
 
 	// Recover node 1 the piggybacked way.
-	plan, err := code.PlanRepair(0, 2, repro.AllAliveExcept(0))
+	plan, err := code.PlanRepair(0, 2, ec.AllAliveExcept(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 		fmt.Printf("  read %s-byte of node %d\n", half, r.Shard+1)
 	}
 
-	repaired, err := code.ExecuteRepair(0, 2, repro.AllAliveExcept(0), func(req repro.ReadRequest) ([]byte, error) {
+	repaired, err := code.ExecuteRepair(0, 2, ec.AllAliveExcept(0), func(req ec.ReadRequest) ([]byte, error) {
 		return shards[req.Shard][req.Offset : req.Offset+req.Length], nil
 	})
 	if err != nil {

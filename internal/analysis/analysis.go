@@ -14,8 +14,9 @@
 //     lock, decode with it released, apply under the lock).
 //   - layering — packages serve, sim, repairmgr, and engine consume
 //     the Metadata interface family, never *hdfs.Cluster concretely;
-//     and the intra-module import graph must respect the layer ranks
-//     (no upward imports).
+//     the intra-module import graph must respect the layer ranks (no
+//     upward imports); and the module root (repro) declares nothing but
+//     its package doc.
 //   - clockinject — internal/repairmgr never reads the wall clock
 //     directly; timestamps flow through the injected Clock so
 //     failure-detector timelines stay table-testable. The one

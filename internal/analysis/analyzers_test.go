@@ -25,6 +25,10 @@ func TestLayeringUnrankedGolden(t *testing.T) {
 	runGolden(t, Layering(), "testdata/layering/unranked", "repro/internal/scratchpad")
 }
 
+func TestLayeringRootGolden(t *testing.T) {
+	runGolden(t, Layering(), "testdata/layering/root", "repro")
+}
+
 func TestClockInjectGolden(t *testing.T) {
 	runGolden(t, ClockInject(), "testdata/clockinject", "repro/internal/repairmgr")
 }

@@ -18,6 +18,11 @@ import (
 //     two same-rank packages importing each other, is a cycle waiting
 //     to happen). New internal packages must be added to layerRank —
 //     an unranked package is a finding, so the map cannot rot.
+//  3. An empty root: the module-root package (repro) sits above every
+//     layer and declares nothing in its non-test files — only the
+//     package doc, the map from the paper to the code. Callers import
+//     the package that does the work, so a facade of forwarders cannot
+//     grow back beside it.
 type layering struct{}
 
 // Layering returns the layering analyzer.
@@ -26,8 +31,11 @@ func Layering() Analyzer { return layering{} }
 func (layering) Name() string { return "layering" }
 
 func (layering) Doc() string {
-	return "consumers use the hdfs interface family, and intra-module imports flow strictly down the layer ranks"
+	return "consumers use the hdfs interface family, intra-module imports flow strictly down the layer ranks, and the module root declares nothing"
 }
+
+// rootPath is the module-root package: its package doc and tests only.
+const rootPath = "repro"
 
 // hdfsPath is the metadata substrate package.
 const hdfsPath = "repro/internal/hdfs"
@@ -45,8 +53,8 @@ var interfaceConsumers = map[string]bool{
 
 // layerRank orders the internal packages bottom-up. An import is legal
 // only from a strictly higher rank to a strictly lower one; cmd/*,
-// examples/*, and the root package sit above every layer and may
-// import anything.
+// examples/*, and the root package's tests sit above every layer and
+// may import anything.
 var layerRank = map[string]int{
 	"repro/internal/gf256":              0,
 	"repro/internal/cluster":            0,
@@ -92,6 +100,12 @@ func (a layering) Check(pkg *Package) []Diagnostic {
 		}
 		if interfaceConsumers[pkg.ImportPath] {
 			diags = append(diags, a.checkConcrete(pkg, f)...)
+		}
+		if pkg.ImportPath == rootPath && !f.IsTest {
+			for _, d := range f.AST.Decls {
+				diags = append(diags, diag(pkg, a.Name(), d.Pos(),
+					"the module root declares nothing but its package doc: put this in the package that does the work and import that"))
+			}
 		}
 	}
 	return diags

@@ -342,3 +342,59 @@ func RepairFraction(c Code, shardSize int64) (perShard []float64, average float6
 	}
 	return perShard, sum / float64(total), nil
 }
+
+// SplitShards splits data into k equal shards padded to a multiple of
+// align (use the codec's MinShardSize), returning the shards extended
+// with r nil parity slots, ready for Code.Encode. The per-shard size is
+// len(shards[0]); JoinShards inverts the operation.
+func SplitShards(data []byte, k, r, align int) ([][]byte, error) {
+	if k < 1 || r < 0 {
+		return nil, fmt.Errorf("ec: invalid shard counts k=%d r=%d", k, r)
+	}
+	if align < 1 {
+		return nil, fmt.Errorf("ec: invalid alignment %d", align)
+	}
+	if len(data) == 0 {
+		return nil, fmt.Errorf("ec: empty input")
+	}
+	per := (len(data) + k - 1) / k
+	if rem := per % align; rem != 0 {
+		per += align - rem
+	}
+	shards := make([][]byte, k+r)
+	for i := 0; i < k; i++ {
+		shards[i] = make([]byte, per)
+		lo := i * per
+		if lo < len(data) {
+			hi := lo + per
+			if hi > len(data) {
+				hi = len(data)
+			}
+			copy(shards[i], data[lo:hi])
+		}
+	}
+	return shards, nil
+}
+
+// JoinShards reassembles the original data of the given length from the
+// k data shards produced by SplitShards.
+func JoinShards(shards [][]byte, k, length int) ([]byte, error) {
+	if k < 1 || k > len(shards) {
+		return nil, fmt.Errorf("ec: invalid k=%d for %d shards", k, len(shards))
+	}
+	out := make([]byte, 0, length)
+	for i := 0; i < k && len(out) < length; i++ {
+		if shards[i] == nil {
+			return nil, fmt.Errorf("ec: data shard %d missing", i)
+		}
+		need := length - len(out)
+		if need > len(shards[i]) {
+			need = len(shards[i])
+		}
+		out = append(out, shards[i][:need]...)
+	}
+	if len(out) != length {
+		return nil, fmt.Errorf("ec: shards hold %d bytes, need %d", len(out), length)
+	}
+	return out, nil
+}

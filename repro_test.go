@@ -4,19 +4,31 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/ec"
+	"repro/internal/engine"
+	"repro/internal/hdfs"
+	"repro/internal/lrc"
+	"repro/internal/reliability"
+	"repro/internal/rs"
+	"repro/internal/serve"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestQuickstartFlow(t *testing.T) {
 	// The README quickstart, as a test: split, encode, lose shards,
 	// reconstruct, join.
-	code, err := NewPiggybackedRS(10, 4)
+	code, err := core.New(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, 100_000)
 	rand.New(rand.NewSource(1)).Read(data)
 
-	shards, err := SplitShards(data, code.DataShards(), code.ParityShards(), code.MinShardSize())
+	shards, err := ec.SplitShards(data, code.DataShards(), code.ParityShards(), code.MinShardSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +39,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err := code.Reconstruct(shards); err != nil {
 		t.Fatal(err)
 	}
-	got, err := JoinShards(shards, code.DataShards(), len(data))
+	got, err := ec.JoinShards(shards, code.DataShards(), len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,22 +49,22 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestSplitShardsValidation(t *testing.T) {
-	if _, err := SplitShards(nil, 4, 2, 2); err == nil {
+	if _, err := ec.SplitShards(nil, 4, 2, 2); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := SplitShards([]byte{1}, 0, 2, 2); err == nil {
+	if _, err := ec.SplitShards([]byte{1}, 0, 2, 2); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := SplitShards([]byte{1}, 4, -1, 2); err == nil {
+	if _, err := ec.SplitShards([]byte{1}, 4, -1, 2); err == nil {
 		t.Fatal("negative r accepted")
 	}
-	if _, err := SplitShards([]byte{1}, 4, 2, 0); err == nil {
+	if _, err := ec.SplitShards([]byte{1}, 4, 2, 0); err == nil {
 		t.Fatal("zero alignment accepted")
 	}
 }
 
 func TestSplitShardsAlignment(t *testing.T) {
-	shards, err := SplitShards(make([]byte, 101), 4, 2, 2)
+	shards, err := ec.SplitShards(make([]byte, 101), 4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,38 +84,38 @@ func TestSplitShardsAlignment(t *testing.T) {
 }
 
 func TestJoinShardsErrors(t *testing.T) {
-	shards, _ := SplitShards(make([]byte, 100), 4, 2, 2)
-	if _, err := JoinShards(shards, 9, 100); err == nil {
+	shards, _ := ec.SplitShards(make([]byte, 100), 4, 2, 2)
+	if _, err := ec.JoinShards(shards, 9, 100); err == nil {
 		t.Fatal("k beyond shard count accepted")
 	}
 	shards[1] = nil
-	if _, err := JoinShards(shards, 4, 100); err == nil {
+	if _, err := ec.JoinShards(shards, 4, 100); err == nil {
 		t.Fatal("missing data shard accepted")
 	}
-	shards, _ = SplitShards(make([]byte, 100), 4, 2, 2)
-	if _, err := JoinShards(shards, 4, 1000); err == nil {
+	shards, _ = ec.SplitShards(make([]byte, 100), 4, 2, 2)
+	if _, err := ec.JoinShards(shards, 4, 1000); err == nil {
 		t.Fatal("length beyond capacity accepted")
 	}
 }
 
 func TestAllCodecsSatisfyInterface(t *testing.T) {
-	rsc, err := NewRS(10, 4)
+	rsc, err := rs.New(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := NewPiggybackedRS(10, 4)
+	pb, err := core.New(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := NewLRC(10, 4, 2)
+	lc, err := lrc.New(10, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []Codec{rsc, pb, lc} {
+	for _, c := range []ec.Code{rsc, pb, lc} {
 		if c.DataShards() != 10 {
 			t.Fatalf("%s: wrong k", c.Name())
 		}
-		per, avg, err := RepairFraction(c, 4096)
+		per, avg, err := ec.RepairFraction(c, 4096)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -114,7 +126,7 @@ func TestAllCodecsSatisfyInterface(t *testing.T) {
 }
 
 func TestNewPiggybackedRSWithGroups(t *testing.T) {
-	pb, err := NewPiggybackedRSWithGroups(10, 4, [][]int{{0, 1}, {2, 3}, {4, 5}})
+	pb, err := core.New(10, 4, core.WithGroups([][]int{{0, 1}, {2, 3}, {4, 5}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,41 +137,41 @@ func TestNewPiggybackedRSWithGroups(t *testing.T) {
 	if f := pb.TheoreticalRepairFraction(9); f != 1.0 {
 		t.Fatalf("uncovered fraction %v, want 1.0", f)
 	}
-	if _, err := NewPiggybackedRSWithGroups(10, 4, [][]int{{0, 0}}); err == nil {
+	if _, err := core.New(10, 4, core.WithGroups([][]int{{0, 0}})); err == nil {
 		t.Fatal("bad groups accepted")
 	}
 }
 
 func TestStudyPipelineThroughPublicAPI(t *testing.T) {
-	cfg := DefaultTraceConfig()
+	cfg := workload.DefaultConfig()
 	cfg.Days = 8
-	tr, err := GenerateTrace(cfg)
+	tr, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsc, _ := NewRS(10, 4)
-	pb, _ := NewPiggybackedRS(10, 4)
-	cmp, err := CompareCodecs(rsc, pb, tr)
+	rsc, _ := rs.New(10, 4)
+	pb, _ := core.New(10, 4)
+	cmp, err := sim.Compare(rsc, pb, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmp.SavingsFraction() <= 0.15 {
 		t.Fatalf("savings fraction %v, want > 0.15", cmp.SavingsFraction())
 	}
-	res, err := RunStudy(rsc, tr)
+	res, err := sim.NewStudy(rsc).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalBlocks != cmp.Baseline.TotalBlocks {
-		t.Fatal("RunStudy and CompareCodecs disagree")
+		t.Fatal("Study.Run and Compare disagree")
 	}
 }
 
 func TestDistributionThroughPublicAPI(t *testing.T) {
-	cfg := DefaultStripeFailureConfig()
+	cfg := sim.DefaultStripeFailureConfig()
 	cfg.Stripes = 20000
 	cfg.Windows = 2
-	dist, err := MissingBlockDistribution(cfg)
+	dist, err := sim.MissingBlockDistribution(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,28 +181,28 @@ func TestDistributionThroughPublicAPI(t *testing.T) {
 }
 
 func TestReliabilityThroughPublicAPI(t *testing.T) {
-	pb, _ := NewPiggybackedRS(10, 4)
-	rsc, _ := NewRS(10, 4)
-	pbSys, err := CodeSystem(pb, 256<<20)
+	pb, _ := core.New(10, 4)
+	rsc, _ := rs.New(10, 4)
+	pbSys, err := reliability.CodeSystem(pb, 256<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsSys, _ := CodeSystem(rsc, 256<<20)
-	p := DefaultReliabilityParams()
-	pbY, err := MTTDLYears(pbSys, p)
+	rsSys, _ := reliability.CodeSystem(rsc, 256<<20)
+	p := reliability.DefaultParams()
+	pbY, err := reliability.MTTDLYears(pbSys, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsY, _ := MTTDLYears(rsSys, p)
+	rsY, _ := reliability.MTTDLYears(rsSys, p)
 	if pbY <= rsY {
 		t.Fatalf("MTTDL(PB)=%v <= MTTDL(RS)=%v", pbY, rsY)
 	}
 }
 
 func TestMiniHDFSThroughPublicAPI(t *testing.T) {
-	pb, _ := NewPiggybackedRS(4, 2)
-	fs, err := NewMiniHDFS(HDFSConfig{
-		Topology:    Topology{Racks: 10, MachinesPerRack: 2},
+	pb, _ := core.New(4, 2)
+	fs, err := hdfs.New(hdfs.Config{
+		Topology:    cluster.Topology{Racks: 10, MachinesPerRack: 2},
 		Code:        pb,
 		BlockSize:   512,
 		Replication: 3,
@@ -229,18 +241,18 @@ func TestMiniHDFSThroughPublicAPI(t *testing.T) {
 }
 
 // TestPartialSumThroughPublicAPI drives the partial-sum surface end to
-// end through the exported API alone: linear plans, the aggregation
-// tree, a live serving cluster with a partial-sum client, and the
-// partial-sum block fixer.
+// end through exported package APIs alone: linear plans, the
+// aggregation tree, a live serving cluster with a partial-sum client,
+// and the partial-sum block fixer.
 func TestPartialSumThroughPublicAPI(t *testing.T) {
-	code, err := NewRS(4, 2)
+	code, err := rs.New(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Linear plan + reference evaluation.
-	var lp LinearRepairPlanner = code
-	plan, err := lp.PlanLinearRepair(0, 8, AllAliveExcept(0))
+	var lp ec.LinearRepairPlanner = code
+	plan, err := lp.PlanLinearRepair(0, 8, ec.AllAliveExcept(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +262,8 @@ func TestPartialSumThroughPublicAPI(t *testing.T) {
 
 	// Aggregation tree over a toy placement: shard i on machine i,
 	// machine i on rack i/2.
-	tree, err := PlanAggregationTree(plan,
-		func(shard int) (int, bool) { return shard, true },
+	tree, err := engine.PlanRepairTree(plan,
+		func(shard int) (int, bool, error) { return shard, true, nil },
 		func(m int) int { return m / 2 },
 	)
 	if err != nil {
@@ -262,8 +274,8 @@ func TestPartialSumThroughPublicAPI(t *testing.T) {
 	}
 
 	// Live cluster: partial-sum client and fixer.
-	sys, err := StartServeSystem(HDFSConfig{
-		Topology:         Topology{Racks: 8, MachinesPerRack: 2},
+	sys, err := serve.Start(hdfs.Config{
+		Topology:         cluster.Topology{Racks: 8, MachinesPerRack: 2},
 		Code:             code,
 		BlockSize:        2048,
 		Replication:      3,
@@ -274,7 +286,7 @@ func TestPartialSumThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	cl, err := DialServe(sys.NameAddr(), code, WithPartialSumRepair())
+	cl, err := serve.Dial(sys.NameAddr(), code, serve.WithPartialSumRepair())
 	if err != nil {
 		t.Fatal(err)
 	}
