@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck lint fmt fmtcheck test test-purego cover race fuzz-smoke bench benchdiff benchsmoke ci
+.PHONY: build vet staticcheck lint fmt fmtcheck test test-purego cover loc race fuzz-smoke bench benchdiff benchsmoke ci
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ staticcheck:
 
 # Project-invariant analyzers (internal/analysis, cmd/repolint): lock
 # discipline, layering, clock injection, wire-path framing, alloc-free
-# kernels. Two gates: the real tree must be clean, and the broken
+# kernels, no test-only exports. Two gates: the real tree must be clean, and the broken
 # fixture tree must trip EVERY analyzer (so none can go silent). The
 # binary is cached in bin/ and rebuilt only when its sources change.
 REPOLINT := bin/repolint
@@ -65,6 +65,12 @@ test-purego:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	@$(GO) tool cover -func=coverage.out | tail -n 1
+
+# The line count ROADMAP item 3 is judged by: tracked non-test Go
+# outside benchmark/ (the repolint goldens and fixture count). CI prints
+# it in the job summary beside the coverage table.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 # Race detector over the whole module, then extra repeats where the
 # concurrency lives: the serving layer and the repair control plane run

@@ -27,6 +27,11 @@
 //   - noalloc — the gf256 fused kernels and the engine's per-job fold
 //     loops stay allocation-free: no append, make, new, map literal,
 //     or closure inside them.
+//   - deadexport — every exported func, var, const and method under
+//     internal/ has a caller outside its own package's tests: a
+//     program, the benchmark, the root package's paper-figure tests, or
+//     its own package's code. Test-only code is deleted, moved into a
+//     _test.go file as an oracle, or kept for a named ROADMAP item.
 //
 // A finding is suppressed in place with
 //
@@ -38,6 +43,7 @@
 //
 // Each analyzer is purely syntactic: it parses the tree (no type
 // checking, no build), so the whole suite runs in well under a second
+// (deadexport's cross-package reference index is built once per run)
 // and works on any tree that parses — including the deliberately
 // broken fixture under testdata/fixture that CI uses to prove every
 // analyzer still fires.
@@ -48,6 +54,7 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
+	"sync"
 )
 
 // Diagnostic is one finding: a position, the analyzer that produced
@@ -87,6 +94,20 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed sources, tests included.
 	Files []*File
+	// Module is the module the package was loaded with, for rules that
+	// span packages; nil for a package parsed on its own.
+	Module *Module
+}
+
+// Module is every package LoadModule parsed under one go.mod.
+type Module struct {
+	// Path is the module path (e.g. repro).
+	Path string
+	// Packages are the module's packages, sorted by import path.
+	Packages []*Package
+
+	refsOnce sync.Once
+	refs     *refIndex
 }
 
 // Analyzer is one project-invariant check.
@@ -110,6 +131,7 @@ func All() []Analyzer {
 		ClockInject(),
 		FrameCheck(),
 		NoAlloc(),
+		DeadExport(),
 	}
 }
 

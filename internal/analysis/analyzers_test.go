@@ -63,6 +63,22 @@ func TestNoAllocServeGolden(t *testing.T) {
 	runGolden(t, NoAlloc(), "testdata/noalloc/serve", "repro/internal/serve")
 }
 
+// deadexport spans packages, so its golden is a module of its own:
+// test-only code flagged, callers in cmd/ and the root's tests honoured,
+// internal/testutil exempt, suppressions kept and stale.
+func TestDeadExportGolden(t *testing.T) {
+	runModuleGolden(t, DeadExport(), "testdata/deadexport")
+}
+
+// A package parsed on its own has no module to find callers in, so
+// deadexport stays silent rather than flag everything.
+func TestDeadExportNeedsTheModule(t *testing.T) {
+	pkg := parseTestdata(t, "testdata/deadexport/internal/lib", "mini/internal/lib")
+	if diags := DeadExport().Check(pkg); len(diags) != 0 {
+		t.Errorf("deadexport fired %d finding(s) without a module: %v", len(diags), diags[0])
+	}
+}
+
 // The analyzers a golden dir exercises must not fire on packages
 // outside their target path: the same sources parsed under a neutral
 // import path produce nothing.
@@ -101,7 +117,7 @@ func TestAllNamesUnique(t *testing.T) {
 			t.Errorf("analyzer %q has no doc line", a.Name())
 		}
 	}
-	if len(seen) < 5 {
-		t.Errorf("expected at least 5 analyzers, got %d", len(seen))
+	if len(seen) < 6 {
+		t.Errorf("expected at least 6 analyzers, got %d", len(seen))
 	}
 }

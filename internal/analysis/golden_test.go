@@ -15,38 +15,57 @@ import (
 var wantRe = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
 
 // runGolden parses every .go file under dir as one package with the
-// given import path, runs the analyzer (with //repolint:ignore
-// directives applied, so goldens cover suppression behaviour too), and
+// given import path and diffs the analyzer's findings against the
+// files' `// want "..."` comments (see checkGolden).
+func runGolden(t *testing.T, az Analyzer, dir, importPath string) {
+	t.Helper()
+	checkGolden(t, az, []*Package{parseTestdata(t, dir, importPath)})
+}
+
+// runModuleGolden loads the module rooted at dir, as repolint does, and
+// diffs the analyzer's findings over every package of it against their
+// files' `// want "..."` comments — for rules that span packages.
+func runModuleGolden(t *testing.T, az Analyzer, dir string) {
+	t.Helper()
+	pkgs, err := LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, az, pkgs)
+}
+
+// checkGolden runs the analyzer over pkgs (with //repolint:ignore
+// directives applied, so goldens cover suppression behaviour too) and
 // diffs the diagnostics against the files' `// want "..."` comments:
 // every want must match a reported diagnostic on its line, and every
 // diagnostic must be covered by a want.
-func runGolden(t *testing.T, az Analyzer, dir, importPath string) {
+func checkGolden(t *testing.T, az Analyzer, pkgs []*Package) {
 	t.Helper()
-	pkg := parseTestdata(t, dir, importPath)
-
-	diags := az.Check(pkg)
-	sups, probs := CollectSuppressions(pkg, []Analyzer{az})
-	diags = ApplySuppressions(diags, sups)
-	diags = append(diags, probs...)
-	diags = append(diags, StaleSuppressions(sups)...)
-
 	type key struct {
 		file string
 		line int
 	}
+	var diags []Diagnostic
 	wants := map[key][]*regexp.Regexp{}
-	for _, f := range pkg.Files {
-		src, err := os.ReadFile(f.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(src), "\n") {
-			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					t.Fatalf("%s:%d: bad want regexp %q: %v", f.Name, i+1, m[1], err)
+	for _, pkg := range pkgs {
+		found := az.Check(pkg)
+		sups, probs := CollectSuppressions(pkg, []Analyzer{az})
+		diags = append(diags, ApplySuppressions(found, sups)...)
+		diags = append(diags, probs...)
+		diags = append(diags, StaleSuppressions(sups)...)
+		for _, f := range pkg.Files {
+			src, err := os.ReadFile(f.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						t.Fatalf("%s:%d: bad want regexp %q: %v", f.Name, i+1, m[1], err)
+					}
+					wants[key{f.Name, i + 1}] = append(wants[key{f.Name, i + 1}], re)
 				}
-				wants[key{f.Name, i + 1}] = append(wants[key{f.Name, i + 1}], re)
 			}
 		}
 	}

@@ -71,6 +71,10 @@ func LoadModule(root string) ([]*Package, error) {
 		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
+	mod := &Module{Path: modPath, Packages: pkgs}
+	for _, pkg := range pkgs {
+		pkg.Module = mod
+	}
 	return pkgs, nil
 }
 

@@ -63,7 +63,6 @@ var lockHelperFuncs = map[string]bool{"lockMeta": true, "rlockMeta": true}
 // plan executor of internal/engine).
 var decodeCalls = map[string]bool{
 	"RunRepairs":         true,
-	"RunEncodes":         true,
 	"RunTasks":           true,
 	"Encode":             true,
 	"Decode":             true,

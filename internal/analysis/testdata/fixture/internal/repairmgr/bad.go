@@ -1,5 +1,5 @@
-// Fixture package: clockinject is deliberately violated so CI can
-// assert the analyzer still fires.
+// Fixture package: clockinject and deadexport are deliberately violated
+// so CI can assert the analyzers still fire.
 package repairmgr
 
 import "time"
@@ -11,3 +11,6 @@ type detector struct {
 func (d *detector) observe() {
 	d.lastSeen = time.Now() // clockinject: wall clock outside withDefaults
 }
+
+// Unused is exported and nothing calls it.
+func Unused() {} // deadexport: an export with no caller outside its package's tests

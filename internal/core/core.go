@@ -90,7 +90,6 @@ type Option func(*options) error
 
 type options struct {
 	groups [][]int
-	cauchy bool
 }
 
 // WithGroups overrides the default piggyback grouping. Each group lists
@@ -99,14 +98,6 @@ type options struct {
 func WithGroups(groups [][]int) Option {
 	return func(o *options) error {
 		o.groups = groups
-		return nil
-	}
-}
-
-// WithCauchy selects a Cauchy-based generator for the underlying RS code.
-func WithCauchy() Option {
-	return func(o *options) error {
-		o.cauchy = true
 		return nil
 	}
 }
@@ -125,11 +116,7 @@ func New(k, r int, opts ...Option) (*Code, error) {
 			return nil, err
 		}
 	}
-	var rsOpts []rs.Option
-	if o.cauchy {
-		rsOpts = append(rsOpts, rs.WithCauchy())
-	}
-	rsc, err := rs.New(k, r, rsOpts...)
+	rsc, err := rs.New(k, r)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -246,15 +233,6 @@ func (c *Code) Groups() [][]int {
 		out[i] = append([]int(nil), g...)
 	}
 	return out
-}
-
-// GroupOf returns the piggyback group index of data shard i, or -1 if
-// shard i carries no piggyback.
-func (c *Code) GroupOf(i int) int {
-	if i < 0 || i >= c.k {
-		return -1
-	}
-	return c.groupOf[i]
 }
 
 // checkEven validates the shard size for substripe splitting.
@@ -717,6 +695,8 @@ func (c *Code) AverageDataRepairFraction() float64 {
 
 // AverageRepairFraction returns the mean of TheoreticalRepairFraction
 // over all k+r shards, weighting data and parity failures uniformly.
+//
+//repolint:ignore deadexport oracle for sim's TestPiggybackedSavingsProjection and reliability's TestCodeSystems
 func (c *Code) AverageRepairFraction() float64 {
 	var sum float64
 	for i := 0; i < c.TotalShards(); i++ {

@@ -157,12 +157,6 @@ func TestAccessors(t *testing.T) {
 	if c.Groups()[0][0] == 99 {
 		t.Fatal("Groups() must return a copy")
 	}
-	if c.GroupOf(0) != 0 || c.GroupOf(4) != 1 || c.GroupOf(7) != 2 {
-		t.Fatal("GroupOf wrong for (10,4) default groups")
-	}
-	if c.GroupOf(-1) != -1 || c.GroupOf(10) != -1 {
-		t.Fatal("GroupOf out of range must be -1")
-	}
 }
 
 func TestEncodeVerifyRoundTrip(t *testing.T) {
@@ -524,41 +518,6 @@ func TestExecuteRepairFetchFailure(t *testing.T) {
 	})
 	if !errors.Is(err, ec.ErrShardSize) {
 		t.Fatalf("short fetch: got %v", err)
-	}
-}
-
-func TestCauchyVariant(t *testing.T) {
-	c, err := New(10, 4, WithCauchy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	orig := randShards(rng, 10, 4, 64)
-	if err := c.Encode(orig); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		work := cloneShards(orig)
-		for _, e := range rng.Perm(14)[:4] {
-			work[e] = nil
-		}
-		if err := c.Reconstruct(work); err != nil {
-			t.Fatal(err)
-		}
-		for i := range orig {
-			if !bytes.Equal(work[i], orig[i]) {
-				t.Fatalf("cauchy trial %d shard %d mismatch", trial, i)
-			}
-		}
-	}
-	for idx := 0; idx < 14; idx++ {
-		got, err := c.ExecuteRepair(idx, 64, ec.AllAliveExcept(idx), memFetch(orig))
-		if err != nil {
-			t.Fatalf("cauchy repair %d: %v", idx, err)
-		}
-		if !bytes.Equal(got, orig[idx]) {
-			t.Fatalf("cauchy repair %d wrong bytes", idx)
-		}
 	}
 }
 

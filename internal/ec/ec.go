@@ -200,48 +200,6 @@ func CheckShards(shards [][]byte, total int, allowMissing bool) (int, error) {
 	return size, nil
 }
 
-// ValidatePlan checks the structural invariants every repair plan must
-// satisfy: the repaired shard in range, every read within the shard
-// bounds with positive length, sources alive, the repaired shard never
-// read, and no duplicate ranges. Codec property tests run all plans
-// through it.
-func ValidatePlan(plan *RepairPlan, total int, alive AliveFunc) error {
-	if plan == nil {
-		return errors.New("ec: nil plan")
-	}
-	if plan.Shard < 0 || plan.Shard >= total {
-		return fmt.Errorf("%w: plan target %d of %d", ErrShardIndex, plan.Shard, total)
-	}
-	if plan.ShardSize <= 0 {
-		return fmt.Errorf("%w: plan shard size %d", ErrShardSize, plan.ShardSize)
-	}
-	type span struct {
-		shard    int
-		off, len int64
-	}
-	seen := make(map[span]bool, len(plan.Reads))
-	for _, r := range plan.Reads {
-		if r.Shard < 0 || r.Shard >= total {
-			return fmt.Errorf("%w: read of shard %d", ErrShardIndex, r.Shard)
-		}
-		if r.Shard == plan.Shard {
-			return fmt.Errorf("%w: plan reads its own target %d", ErrShardIndex, r.Shard)
-		}
-		if !alive(r.Shard) {
-			return fmt.Errorf("ec: plan reads dead shard %d", r.Shard)
-		}
-		if r.Length <= 0 || r.Offset < 0 || r.Offset+r.Length > plan.ShardSize {
-			return fmt.Errorf("%w: read [%d, %d) of %d-byte shard", ErrShardSize, r.Offset, r.Offset+r.Length, plan.ShardSize)
-		}
-		s := span{r.Shard, r.Offset, r.Length}
-		if seen[s] {
-			return fmt.Errorf("ec: duplicate read %+v", s)
-		}
-		seen[s] = true
-	}
-	return nil
-}
-
 // CheckRepairTarget validates a single-shard repair request against
 // code: idx in range and not alive, shardSize a positive multiple of
 // the codec's MinShardSize.

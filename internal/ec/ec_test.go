@@ -2,6 +2,7 @@ package ec
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -99,4 +100,81 @@ func TestCountPresentAndMissing(t *testing.T) {
 			t.Fatalf("MissingIndices = %v, want %v", missing, want)
 		}
 	}
+}
+
+// ValidatePlan checks the structural invariants every repair plan must
+// satisfy: the repaired shard in range, every read within the shard
+// bounds with positive length, sources alive, the repaired shard never
+// read, and no duplicate ranges. Codec property tests run all plans
+// through it.
+func ValidatePlan(plan *RepairPlan, total int, alive AliveFunc) error {
+	if plan == nil {
+		return errors.New("ec: nil plan")
+	}
+	if plan.Shard < 0 || plan.Shard >= total {
+		return fmt.Errorf("%w: plan target %d of %d", ErrShardIndex, plan.Shard, total)
+	}
+	if plan.ShardSize <= 0 {
+		return fmt.Errorf("%w: plan shard size %d", ErrShardSize, plan.ShardSize)
+	}
+	type span struct {
+		shard    int
+		off, len int64
+	}
+	seen := make(map[span]bool, len(plan.Reads))
+	for _, r := range plan.Reads {
+		if r.Shard < 0 || r.Shard >= total {
+			return fmt.Errorf("%w: read of shard %d", ErrShardIndex, r.Shard)
+		}
+		if r.Shard == plan.Shard {
+			return fmt.Errorf("%w: plan reads its own target %d", ErrShardIndex, r.Shard)
+		}
+		if !alive(r.Shard) {
+			return fmt.Errorf("ec: plan reads dead shard %d", r.Shard)
+		}
+		if r.Length <= 0 || r.Offset < 0 || r.Offset+r.Length > plan.ShardSize {
+			return fmt.Errorf("%w: read [%d, %d) of %d-byte shard", ErrShardSize, r.Offset, r.Offset+r.Length, plan.ShardSize)
+		}
+		s := span{r.Shard, r.Offset, r.Length}
+		if seen[s] {
+			return fmt.Errorf("ec: duplicate read %+v", s)
+		}
+		seen[s] = true
+	}
+	return nil
+}
+
+// ValidateLinearPlan checks the structural invariants of a linear plan:
+// target in range, every term's read within shard bounds and alive,
+// never reading the target itself, fold destinations within the target,
+// and no zero coefficients (planners drop them).
+func ValidateLinearPlan(plan *LinearPlan, total int, alive AliveFunc) error {
+	if plan == nil {
+		return errors.New("ec: nil linear plan")
+	}
+	if plan.Shard < 0 || plan.Shard >= total {
+		return fmt.Errorf("%w: plan target %d of %d", ErrShardIndex, plan.Shard, total)
+	}
+	if plan.ShardSize <= 0 {
+		return fmt.Errorf("%w: plan shard size %d", ErrShardSize, plan.ShardSize)
+	}
+	for _, t := range plan.Terms {
+		r := t.Read
+		if r.Shard < 0 || r.Shard >= total {
+			return fmt.Errorf("%w: term reads shard %d", ErrShardIndex, r.Shard)
+		}
+		if r.Shard == plan.Shard {
+			return fmt.Errorf("%w: term reads its own target %d", ErrShardIndex, r.Shard)
+		}
+		if !alive(r.Shard) {
+			return fmt.Errorf("ec: term reads dead shard %d", r.Shard)
+		}
+		if err := t.CheckBounds(plan.ShardSize); err != nil {
+			return err
+		}
+		if t.Coeff == 0 {
+			return errors.New("ec: zero-coefficient term")
+		}
+	}
+	return nil
 }

@@ -28,7 +28,6 @@ package ec
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -107,41 +106,6 @@ func (t LinearTerm) CheckBounds(shardSize int64) error {
 		t.TargetOff < 0 || t.TargetOff > shardSize-r.Length {
 		return fmt.Errorf("%w: term folds [%d, +%d) of shard %d into offset %d of a %d-byte target",
 			ErrShardSize, r.Offset, r.Length, r.Shard, t.TargetOff, shardSize)
-	}
-	return nil
-}
-
-// ValidateLinearPlan checks the structural invariants of a linear plan:
-// target in range, every term's read within shard bounds and alive,
-// never reading the target itself, fold destinations within the target,
-// and no zero coefficients (planners drop them).
-func ValidateLinearPlan(plan *LinearPlan, total int, alive AliveFunc) error {
-	if plan == nil {
-		return errors.New("ec: nil linear plan")
-	}
-	if plan.Shard < 0 || plan.Shard >= total {
-		return fmt.Errorf("%w: plan target %d of %d", ErrShardIndex, plan.Shard, total)
-	}
-	if plan.ShardSize <= 0 {
-		return fmt.Errorf("%w: plan shard size %d", ErrShardSize, plan.ShardSize)
-	}
-	for _, t := range plan.Terms {
-		r := t.Read
-		if r.Shard < 0 || r.Shard >= total {
-			return fmt.Errorf("%w: term reads shard %d", ErrShardIndex, r.Shard)
-		}
-		if r.Shard == plan.Shard {
-			return fmt.Errorf("%w: term reads its own target %d", ErrShardIndex, r.Shard)
-		}
-		if !alive(r.Shard) {
-			return fmt.Errorf("ec: term reads dead shard %d", r.Shard)
-		}
-		if err := t.CheckBounds(plan.ShardSize); err != nil {
-			return err
-		}
-		if t.Coeff == 0 {
-			return errors.New("ec: zero-coefficient term")
-		}
 	}
 	return nil
 }

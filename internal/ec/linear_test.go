@@ -43,7 +43,7 @@ func linearCodecs(t *testing.T) []linearCodec {
 		// r == 2 leaves data shards 2 and 3 ungrouped: exercises the
 		// whole-shard fallback even for single data failures.
 		{must(pbCode(core.New(4, 2))), 2},
-		{must(pbCode(core.New(6, 3, core.WithCauchy()))), 3},
+		{must(pbCode(core.New(6, 3))), 3},
 		// Uneven custom groups, one shard left ungrouped.
 		{must(pbCode(core.New(6, 3, core.WithGroups([][]int{{5, 0, 2}, {3}})))), 3},
 		{must(lrcCode(lrc.New(10, 4, 2))), 4},

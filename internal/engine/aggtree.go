@@ -242,6 +242,8 @@ func (p *AggPlan) Hops(dst int) []netsim.Hop {
 // FlattenTerms returns every local term of the tree — the effective
 // coefficient set the fold computes, which must equal the linear plan's
 // (the property the correctness suite asserts).
+//
+//repolint:ignore deadexport ROADMAP 8: the tree-or-fan-in decision keeps or deletes the whole AggPlan
 func (p *AggPlan) FlattenTerms() []ec.LinearTerm {
 	var out []ec.LinearTerm
 	for _, n := range p.Nodes() {

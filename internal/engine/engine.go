@@ -1,6 +1,6 @@
 // Package engine is the concurrent stripe-execution engine: it takes a
-// batch of encode or repair jobs — from the measurement study, the
-// mini-HDFS BlockFixer, or the public Codec API — and runs them across
+// batch of repair jobs or stripe-scoped tasks — from the mini-HDFS
+// BlockFixer, or the benchmark's engine probe — and runs them across
 // a bounded worker pool so that many stripes are in flight at once
 // while each individual stripe still decodes with the cache-friendly
 // fused kernels of internal/gf256.
@@ -202,26 +202,6 @@ func (e *Engine) runRepair(job *RepairJob, s *Scratch) RepairResult {
 		return RepairResult{Err: err}
 	}
 	return RepairResult{Shards: shards}
-}
-
-// EncodeJob asks for the parity shards of one stripe to be computed.
-type EncodeJob struct {
-	// Code is the stripe's codec.
-	Code ec.Code
-	// Shards is the k+r shard slice passed to Code.Encode: data shards
-	// present, parity entries filled in place (allocated when nil).
-	Shards [][]byte
-}
-
-// RunEncodes executes a batch of encode jobs across the worker pool
-// and returns per-job errors in job order. Parity bytes are written
-// into each job's Shards exactly as a serial Encode would.
-func (e *Engine) RunEncodes(jobs []EncodeJob) []error {
-	errs := make([]error, len(jobs))
-	e.forEach(len(jobs), func(i int, _ *Scratch) {
-		errs[i] = jobs[i].Code.Encode(jobs[i].Shards)
-	})
-	return errs
 }
 
 // RunTasks executes a batch of arbitrary stripe-scoped closures across

@@ -149,8 +149,9 @@ func TestEngineRepairParity(t *testing.T) {
 	}
 }
 
-// TestEngineEncodeParity asserts engine-parallel encode writes the same
-// parity bytes as serial Encode for every codec.
+// TestEngineEncodeParity asserts encodes run as RunTasks tasks — the
+// way the fixer batches stripe work — write the same parity bytes as
+// serial Encode for every codec, each result in its task's slot.
 func TestEngineEncodeParity(t *testing.T) {
 	const shardSize = 4 << 10
 	for _, code := range testCodecs(t) {
@@ -158,23 +159,24 @@ func TestEngineEncodeParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			const n = 16
 			serial := make([][][]byte, n)
-			batch := make([]EncodeJob, n)
+			viaEngine := make([][][]byte, n)
+			tasks := make([]func(*Scratch) error, n)
 			for i := 0; i < n; i++ {
 				data := make([][]byte, code.TotalShards())
 				for d := 0; d < code.DataShards(); d++ {
 					data[d] = make([]byte, shardSize)
 					rng.Read(data[d])
 				}
-				viaEngine := make([][]byte, len(data))
+				stripe := make([][]byte, len(data))
 				for j, s := range data {
-					viaEngine[j] = append([]byte(nil), s...)
+					stripe[j] = append([]byte(nil), s...)
 				}
-				serial[i] = data
-				batch[i] = EncodeJob{Code: code, Shards: viaEngine}
+				serial[i], viaEngine[i] = data, stripe
+				tasks[i] = func(*Scratch) error { return code.Encode(stripe) }
 			}
-			for i, err := range New(Options{Parallelism: 4}).RunEncodes(batch) {
+			for i, err := range New(Options{Parallelism: 4}).RunTasks(tasks) {
 				if err != nil {
-					t.Fatalf("encode job %d: %v", i, err)
+					t.Fatalf("encode task %d: %v", i, err)
 				}
 			}
 			for i := 0; i < n; i++ {
@@ -182,7 +184,7 @@ func TestEngineEncodeParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for j := range serial[i] {
-					if !bytes.Equal(serial[i][j], batch[i].Shards[j]) {
+					if !bytes.Equal(serial[i][j], viaEngine[i][j]) {
 						t.Fatalf("stripe %d shard %d: engine encode differs from serial", i, j)
 					}
 				}

@@ -19,11 +19,11 @@
 //
 // ReadRangeInto preads and verifies only the chunks covering the range
 // it is asked for, so a repair that needs half a helper block reads and
-// checksums half of it; a whole-block read is still one pread, and Get,
-// VerifyAll and the scrubber above still verify every byte. The
-// compatibility rule: v1 records ("EXTP", one CRC over the whole
-// payload, written before chunk tables existed) are never written but
-// open, read and compact verbatim beside v2 ones — a range read of a v1
+// checksums half of it; a whole-block read is still one pread, and Get
+// and the scrubber above still verify every byte. The compatibility
+// rule: v1 records ("EXTP", one CRC over the whole payload, written
+// before chunk tables existed) are never written but open, read and
+// compact verbatim beside v2 ones — a range read of a v1
 // record reads and verifies the whole payload, the only unit its CRC
 // covers. segment.go has the byte layout.
 //
@@ -47,7 +47,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -92,19 +91,6 @@ func (p FsyncPolicy) String() string {
 		return "always"
 	}
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
-}
-
-// ParseFsyncPolicy maps a flag string to a policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "never":
-		return FsyncNever, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "always":
-		return FsyncAlways, nil
-	}
-	return FsyncNever, fmt.Errorf("extent: unknown fsync policy %q (never|interval|always)", s)
 }
 
 // Defaults for zero-valued Options fields.
@@ -630,6 +616,8 @@ type CompactStats struct {
 // copied verbatim — payload, chunk table and original CRC — so bit rot
 // in a sealed segment stays detectable after compaction instead of
 // being silently re-blessed.
+//
+//repolint:ignore deadexport ROADMAP 5: the chaos scheduler crashes the store at every record boundary during compaction
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -762,22 +750,6 @@ func (s *Store) Corrupt(id int64, offset int64) error {
 		return err
 	}
 	return nil
-}
-
-// VerifyAll CRC-checks every byte of every live record, returning the
-// ids that fail (ascending). Non-corruption I/O errors abort the sweep.
-func (s *Store) VerifyAll() ([]int64, error) {
-	var corrupt []int64
-	for _, id := range s.IDs() {
-		if _, err := s.Get(id); err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				corrupt = append(corrupt, id)
-				continue
-			}
-			return corrupt, err
-		}
-	}
-	return corrupt, nil
 }
 
 // Close syncs the active segment and releases every file handle.

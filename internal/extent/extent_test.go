@@ -307,18 +307,6 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 }
 
-func TestParseFsyncPolicy(t *testing.T) {
-	for in, want := range map[string]FsyncPolicy{"never": FsyncNever, "Interval": FsyncInterval, " always ": FsyncAlways} {
-		got, err := ParseFsyncPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseFsyncPolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Fatal("unknown policy parsed")
-	}
-}
-
 func TestClosedStoreRefusesOps(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{})
 	if err := s.Put(1, []byte("x")); err != nil {
@@ -435,4 +423,20 @@ func TestAutoCompactionOnDeadFraction(t *testing.T) {
 			t.Fatalf("block %d corrupted across reopen", id)
 		}
 	}
+}
+
+// VerifyAll CRC-checks every byte of every live record, returning the
+// ids that fail (ascending). Non-corruption I/O errors abort the sweep.
+func (s *Store) VerifyAll() ([]int64, error) {
+	var corrupt []int64
+	for _, id := range s.IDs() {
+		if _, err := s.Get(id); err != nil {
+			if errors.Is(err, ErrCorrupt) {
+				corrupt = append(corrupt, id)
+				continue
+			}
+			return corrupt, err
+		}
+	}
+	return corrupt, nil
 }

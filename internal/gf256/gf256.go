@@ -14,7 +14,7 @@
 // same log/exp multiply (mulSlow):
 //
 //   - mulTable, 256x256 bytes: mulTable[c][v] = c*v. One indexed load per
-//     byte; backs Mul, MulSlice, DotProduct and the table kernel.
+//     byte; backs Mul, MulSlice and the table kernel.
 //   - nibTable, 256x32 bytes, on the amd64 build only (kernel_amd64.go):
 //     for each coefficient c, the sixteen products c*x for a low nibble x
 //     and the sixteen products c*(x<<4) for a high nibble. Because
@@ -121,30 +121,8 @@ func mulSlow(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Add returns a+b in GF(2^8). Addition is XOR.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8). Subtraction equals addition (characteristic 2).
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte { return mulTable[a][b] }
-
-// Div returns a/b in GF(2^8). It panics if b is zero, mirroring integer
-// division; callers validate operands at construction time.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	logDiff := int(logTable[a]) - int(logTable[b])
-	if logDiff < 0 {
-		logDiff += 255
-	}
-	return expTable[logDiff]
-}
 
 // Inv returns the multiplicative inverse of x. It panics if x is zero.
 func Inv(x byte) byte {
@@ -152,14 +130,6 @@ func Inv(x byte) byte {
 		panic("gf256: inverse of zero")
 	}
 	return invTable[x]
-}
-
-// Exp returns generator^n for n >= 0.
-func Exp(n int) byte {
-	if n < 0 {
-		panic(fmt.Sprintf("gf256: negative exponent %d", n))
-	}
-	return expTable[n%255]
 }
 
 // Pow returns x^n for n >= 0, with 0^0 == 1.
@@ -175,14 +145,6 @@ func Pow(x byte, n int) byte {
 	}
 	logX := int(logTable[x])
 	return expTable[(logX*n)%255]
-}
-
-// Log returns log_generator(x). It panics if x is zero.
-func Log(x byte) int {
-	if x == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[x])
 }
 
 // overlap reports whether a and b share a byte.
@@ -389,18 +351,4 @@ func XorAllSlices(inputs [][]byte, out []byte) {
 			subtle.XORBytes(dst, dst, in[lo:hi])
 		}
 	}
-}
-
-// DotProduct returns the field dot product of coefficient row coeffs with
-// the column vector vals: sum_i coeffs[i]*vals[i]. The slices must have
-// equal length.
-func DotProduct(coeffs, vals []byte) byte {
-	if len(coeffs) != len(vals) {
-		panic("gf256: DotProduct length mismatch")
-	}
-	var acc byte
-	for i, c := range coeffs {
-		acc ^= mulTable[c][vals[i]]
-	}
-	return acc
 }

@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -217,21 +218,11 @@ func TestXorSlice(t *testing.T) {
 	}
 }
 
-func TestDotProduct(t *testing.T) {
-	coeffs := []byte{1, 2, 3}
-	vals := []byte{4, 5, 6}
-	want := Mul(1, 4) ^ Mul(2, 5) ^ Mul(3, 6)
-	if got := DotProduct(coeffs, vals); got != want {
-		t.Fatalf("DotProduct = %#x, want %#x", got, want)
-	}
-}
-
 func TestSliceLengthMismatchesPanic(t *testing.T) {
 	checks := []func(){
 		func() { MulSlice(2, make([]byte, 3), make([]byte, 4)) },
 		func() { MulSliceXor(2, make([]byte, 3), make([]byte, 4)) },
 		func() { XorSlice(make([]byte, 3), make([]byte, 4)) },
-		func() { DotProduct(make([]byte, 3), make([]byte, 4)) },
 	}
 	for i, fn := range checks {
 		func() {
@@ -401,4 +392,42 @@ func BenchmarkMulSliceXor_10Passes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		refMulAdd(coeffs, inputs, out)
 	}
+}
+
+// Add returns a+b in GF(2^8). Addition is XOR.
+func Add(a, b byte) byte { return a ^ b }
+
+// Sub returns a-b in GF(2^8). Subtraction equals addition (characteristic 2).
+func Sub(a, b byte) byte { return a ^ b }
+
+// Div returns a/b in GF(2^8). It panics if b is zero, mirroring integer
+// division; callers validate operands at construction time.
+func Div(a, b byte) byte {
+	if b == 0 {
+		panic("gf256: division by zero")
+	}
+	if a == 0 {
+		return 0
+	}
+	logDiff := int(logTable[a]) - int(logTable[b])
+	if logDiff < 0 {
+		logDiff += 255
+	}
+	return expTable[logDiff]
+}
+
+// Exp returns generator^n for n >= 0.
+func Exp(n int) byte {
+	if n < 0 {
+		panic(fmt.Sprintf("gf256: negative exponent %d", n))
+	}
+	return expTable[n%255]
+}
+
+// Log returns log_generator(x). It panics if x is zero.
+func Log(x byte) int {
+	if x == 0 {
+		panic("gf256: log of zero")
+	}
+	return int(logTable[x])
 }

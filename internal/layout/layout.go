@@ -21,14 +21,13 @@
 //     the filtered half, but the DISK reads as much as a full-block
 //     repair, erasing half of the paper's savings.
 //
-// The package converts blocks between the layouts and quantifies the
-// disk-read geometry of repair plans under each, so the ablation
-// benchmarks can show why the coupled layout is the one that ships.
+// The package quantifies the disk-read geometry of repair plans under
+// each layout, so the ablation benchmarks can show why the coupled
+// layout is the one that ships.
 package layout
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/ec"
 )
@@ -55,36 +54,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("layout.Kind(%d)", int(k))
 	}
-}
-
-// ToInterleaved rewrites a coupled block [a0..aH-1 b0..bH-1] into the
-// interleaved form [a0 b0 a1 b1 ...]. The input must have even length;
-// the result is a new slice.
-func ToInterleaved(coupled []byte) ([]byte, error) {
-	if len(coupled)%2 != 0 {
-		return nil, fmt.Errorf("layout: block size %d is odd", len(coupled))
-	}
-	h := len(coupled) / 2
-	out := make([]byte, len(coupled))
-	for i := 0; i < h; i++ {
-		out[2*i] = coupled[i]
-		out[2*i+1] = coupled[h+i]
-	}
-	return out, nil
-}
-
-// ToCoupled inverts ToInterleaved.
-func ToCoupled(interleaved []byte) ([]byte, error) {
-	if len(interleaved)%2 != 0 {
-		return nil, fmt.Errorf("layout: block size %d is odd", len(interleaved))
-	}
-	h := len(interleaved) / 2
-	out := make([]byte, len(interleaved))
-	for i := 0; i < h; i++ {
-		out[i] = interleaved[2*i]
-		out[h+i] = interleaved[2*i+1]
-	}
-	return out, nil
 }
 
 // Range is one contiguous physical byte range on disk.
@@ -150,23 +119,4 @@ func PlanGeometry(k Kind, plan *ec.RepairPlan) (ranges int, diskBytes int64, err
 		}
 	}
 	return ranges, diskBytes, nil
-}
-
-// DiskModel estimates helper-side read time from plan geometry.
-type DiskModel struct {
-	// Seek is the positioning cost paid per contiguous range.
-	Seek time.Duration
-	// BytesPerSec is the sequential read bandwidth.
-	BytesPerSec float64
-}
-
-// DefaultDiskModel returns 2013-era rotational-disk constants.
-func DefaultDiskModel() DiskModel {
-	return DiskModel{Seek: 10 * time.Millisecond, BytesPerSec: 100e6}
-}
-
-// ReadTime returns the aggregate helper disk time for the geometry.
-func (m DiskModel) ReadTime(ranges int, diskBytes int64) time.Duration {
-	transfer := time.Duration(float64(diskBytes) / m.BytesPerSec * float64(time.Second))
-	return time.Duration(ranges)*m.Seek + transfer
 }

@@ -1,11 +1,7 @@
 package layout
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
-	"testing/quick"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ec"
@@ -18,47 +14,6 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown kind must still render")
-	}
-}
-
-func TestInterleaveRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		if len(data)%2 != 0 {
-			data = data[:len(data)-len(data)%2]
-		}
-		inter, err := ToInterleaved(data)
-		if err != nil {
-			return false
-		}
-		back, err := ToCoupled(inter)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back, data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInterleaveLayoutExact(t *testing.T) {
-	coupled := []byte{'a', 'b', 'c', 'X', 'Y', 'Z'} // a-half abc, b-half XYZ
-	inter, err := ToInterleaved(coupled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{'a', 'X', 'b', 'Y', 'c', 'Z'}
-	if !bytes.Equal(inter, want) {
-		t.Fatalf("interleaved = %q, want %q", inter, want)
-	}
-}
-
-func TestOddSizesRejected(t *testing.T) {
-	if _, err := ToInterleaved(make([]byte, 3)); err == nil {
-		t.Fatal("odd input accepted")
-	}
-	if _, err := ToCoupled(make([]byte, 5)); err == nil {
-		t.Fatal("odd input accepted")
 	}
 }
 
@@ -172,57 +127,5 @@ func TestPlanGeometryReproducesHitchhikerMotivation(t *testing.T) {
 	}
 	if interDisk <= rsDisk {
 		t.Fatalf("interleaved piggyback disk %d should EXCEED RS %d (the Hitchhiker motivation)", interDisk, rsDisk)
-	}
-}
-
-func TestDiskModelReadTime(t *testing.T) {
-	m := DiskModel{Seek: 10 * time.Millisecond, BytesPerSec: 100e6}
-	got := m.ReadTime(5, 100e6)
-	want := 50*time.Millisecond + time.Second
-	if got != want {
-		t.Fatalf("ReadTime = %v, want %v", got, want)
-	}
-	if DefaultDiskModel().Seek <= 0 {
-		t.Fatal("default model must have a positive seek cost")
-	}
-}
-
-func TestCodecOutputSurvivesLayoutConversion(t *testing.T) {
-	// Encode with the codec, convert every shard to the interleaved
-	// on-disk form and back, then reconstruct: contents must survive.
-	pb, err := core.New(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	shards := make([][]byte, 9)
-	for i := 0; i < 6; i++ {
-		shards[i] = make([]byte, 64)
-		rng.Read(shards[i])
-	}
-	orig := make([][]byte, 9)
-	if err := pb.Encode(shards); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range shards {
-		orig[i] = append([]byte(nil), s...)
-		inter, err := ToInterleaved(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ToCoupled(inter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = back
-	}
-	shards[0], shards[7] = nil, nil
-	if err := pb.Reconstruct(shards); err != nil {
-		t.Fatal(err)
-	}
-	for i := range shards {
-		if !bytes.Equal(shards[i], orig[i]) {
-			t.Fatalf("shard %d corrupted by layout round-trip", i)
-		}
 	}
 }

@@ -96,12 +96,6 @@ func (c *Code) DataShards() int { return c.k }
 // ParityShards returns the total parity count r+g (global plus local).
 func (c *Code) ParityShards() int { return c.r + c.nLocal }
 
-// GlobalParityShards returns r.
-func (c *Code) GlobalParityShards() int { return c.r }
-
-// LocalParityShards returns g.
-func (c *Code) LocalParityShards() int { return c.nLocal }
-
 // TotalShards returns k+r+g.
 func (c *Code) TotalShards() int { return c.k + c.r + c.nLocal }
 
@@ -112,15 +106,6 @@ func (c *Code) MinShardSize() int { return 1 }
 // configuration, versus 1.4 for (10,4) RS and Piggybacked-RS.
 func (c *Code) StorageOverhead() float64 {
 	return float64(c.TotalShards()) / float64(c.k)
-}
-
-// LocalGroups returns a deep copy of the local group assignment.
-func (c *Code) LocalGroups() [][]int {
-	out := make([][]int, len(c.localGroups))
-	for i, g := range c.localGroups {
-		out[i] = append([]int(nil), g...)
-	}
-	return out
 }
 
 // Encode computes the r global and g local parity shards from the k

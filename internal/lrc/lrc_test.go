@@ -79,14 +79,14 @@ func TestXorbasConfiguration(t *testing.T) {
 	if c.TotalShards() != 16 {
 		t.Fatalf("TotalShards = %d, want 16", c.TotalShards())
 	}
-	if c.ParityShards() != 6 || c.GlobalParityShards() != 4 || c.LocalParityShards() != 2 {
+	if c.ParityShards() != 6 || c.r != 4 || c.nLocal != 2 {
 		t.Fatal("wrong parity split")
 	}
 	// §5: LRC is NOT storage optimal — 1.6x vs the 1.4x of (Piggybacked-)RS.
 	if c.StorageOverhead() != 1.6 {
 		t.Fatalf("StorageOverhead = %v, want 1.6", c.StorageOverhead())
 	}
-	groups := c.LocalGroups()
+	groups := c.localGroups
 	if len(groups) != 2 || len(groups[0]) != 5 || len(groups[1]) != 5 {
 		t.Fatalf("local groups %v, want two groups of 5", groups)
 	}
@@ -312,7 +312,7 @@ func TestUnevenGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := c.LocalGroups()
+	groups := c.localGroups
 	if len(groups[0]) != 3 || len(groups[1]) != 2 {
 		t.Fatalf("groups %v, want sizes [3 2]", groups)
 	}

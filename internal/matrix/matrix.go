@@ -26,8 +26,8 @@ var ErrSingular = errors.New("matrix: singular")
 // Storage is one flat row-major []byte; data holds per-row views into
 // it. The invariant that row r occupies backing[r*cols:(r+1)*cols] is
 // maintained by every mutator (SwapRows exchanges row contents, not
-// slice headers), so hot paths such as MulVec and RowView index the
-// flat backing directly instead of chasing per-row slice headers.
+// slice headers), so hot paths such as RowView index the flat
+// backing directly instead of chasing per-row slice headers.
 type Matrix struct {
 	rows    int
 	cols    int
@@ -46,22 +46,6 @@ func New(rows, cols int) *Matrix {
 		data[r] = backing[r*cols : (r+1)*cols : (r+1)*cols]
 	}
 	return &Matrix{rows: rows, cols: cols, backing: backing, data: data}
-}
-
-// FromRows builds a matrix from explicit row data. All rows must have the
-// same length. The rows are copied.
-func FromRows(rows [][]byte) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("matrix: FromRows requires non-empty data")
-	}
-	m := New(len(rows), len(rows[0]))
-	for r, row := range rows {
-		if len(row) != m.cols {
-			return nil, fmt.Errorf("matrix: row %d has %d columns, want %d", r, len(row), m.cols)
-		}
-		copy(m.data[r], row)
-	}
-	return m, nil
 }
 
 // Identity returns the n x n identity matrix.
@@ -107,12 +91,6 @@ func Cauchy(rows, cols int) (*Matrix, error) {
 	}
 	return m, nil
 }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the entry at (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r][c] }
@@ -178,23 +156,6 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec computes m * v for a column vector v of length Cols, writing the
-// result into dst of length Rows. It walks the flat backing row by row,
-// so no per-row slice headers are dereferenced in the inner loop.
-func (m *Matrix) MulVec(v, dst []byte) error {
-	if len(v) != m.cols {
-		return fmt.Errorf("matrix: MulVec input length %d, want %d", len(v), m.cols)
-	}
-	if len(dst) != m.rows {
-		return fmt.Errorf("matrix: MulVec output length %d, want %d", len(dst), m.rows)
-	}
-	flat := m.backing
-	for r, off := 0, 0; r < m.rows; r, off = r+1, off+m.cols {
-		dst[r] = gf256.DotProduct(flat[off:off+m.cols], v)
-	}
-	return nil
-}
-
 // Augment returns the matrix [m | o] formed by horizontal concatenation.
 func (m *Matrix) Augment(o *Matrix) (*Matrix, error) {
 	if m.rows != o.rows {
@@ -246,25 +207,6 @@ func (m *Matrix) SwapRows(r1, r2 int) {
 	for c := range a {
 		a[c], b[c] = b[c], a[c]
 	}
-}
-
-// IsIdentity reports whether m is square and equal to the identity.
-func (m *Matrix) IsIdentity() bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for r := 0; r < m.rows; r++ {
-		for c := 0; c < m.cols; c++ {
-			want := byte(0)
-			if r == c {
-				want = 1
-			}
-			if m.data[r][c] != want {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Invert returns the inverse of a square matrix, or ErrSingular if no

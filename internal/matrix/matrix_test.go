@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -405,4 +407,66 @@ func TestMulVecAfterSwapRows(t *testing.T) {
 			t.Fatalf("MulVec row %d changed by unrelated SwapRows", r)
 		}
 	}
+}
+
+// FromRows builds a matrix from explicit row data. All rows must have the
+// same length. The rows are copied.
+func FromRows(rows [][]byte) (*Matrix, error) {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		return nil, errors.New("matrix: FromRows requires non-empty data")
+	}
+	m := New(len(rows), len(rows[0]))
+	for r, row := range rows {
+		if len(row) != m.cols {
+			return nil, fmt.Errorf("matrix: row %d has %d columns, want %d", r, len(row), m.cols)
+		}
+		copy(m.data[r], row)
+	}
+	return m, nil
+}
+
+// Rows returns the number of rows.
+func (m *Matrix) Rows() int { return m.rows }
+
+// Cols returns the number of columns.
+func (m *Matrix) Cols() int { return m.cols }
+
+// MulVec computes m * v for a column vector v of length Cols, writing the
+// result into dst of length Rows. It walks the flat backing row by row,
+// so it sees exactly what the row-major invariant promises.
+func (m *Matrix) MulVec(v, dst []byte) error {
+	if len(v) != m.cols {
+		return fmt.Errorf("matrix: MulVec input length %d, want %d", len(v), m.cols)
+	}
+	if len(dst) != m.rows {
+		return fmt.Errorf("matrix: MulVec output length %d, want %d", len(dst), m.rows)
+	}
+	flat := m.backing
+	for r, off := 0, 0; r < m.rows; r, off = r+1, off+m.cols {
+		var acc byte
+		for i, c := range flat[off : off+m.cols] {
+			acc ^= gf256.Mul(c, v[i])
+		}
+		dst[r] = acc
+	}
+	return nil
+}
+
+// IsIdentity reports whether m is square and equal to the identity.
+func (m *Matrix) IsIdentity() bool {
+	if m.rows != m.cols {
+		return false
+	}
+	for r := 0; r < m.rows; r++ {
+		for c := 0; c < m.cols; c++ {
+			want := byte(0)
+			if r == c {
+				want = 1
+			}
+			if m.data[r][c] != want {
+				return false
+			}
+		}
+	}
+	return true
 }

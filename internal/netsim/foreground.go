@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 )
 
@@ -25,21 +24,6 @@ type ForegroundConfig struct {
 	Until float64
 	// Seed drives endpoint and size randomness.
 	Seed int64
-}
-
-// SaturatingForeground returns a config whose worker count saturates
-// the topology's aggregation switch for the given window.
-func SaturatingForeground(t Topology, until float64, seed int64) ForegroundConfig {
-	workers := int(math.Ceil(t.AggBytesPerSec/t.NICBytesPerSec)) * 2
-	if workers < 4 {
-		workers = 4
-	}
-	return ForegroundConfig{
-		Workers:   workers,
-		MeanBytes: 128 << 20,
-		Until:     until,
-		Seed:      seed,
-	}
 }
 
 // InjectForeground installs the foreground load on the simulator. Each

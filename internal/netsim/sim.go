@@ -125,6 +125,8 @@ func (s *Simulator) StartFlow(src, dst int, bytes int64, class Class, onDone fun
 }
 
 // ActiveFlows returns the number of flows currently in flight.
+//
+//repolint:ignore deadexport ROADMAP 9: netsim is kept or deleted by its agreement with the live shaper
 func (s *Simulator) ActiveFlows() int { return len(s.active) }
 
 // completionEpsilon treats a flow with less than this many bytes left

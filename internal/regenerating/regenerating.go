@@ -104,61 +104,6 @@ func MBR(fileBytes float64, p Params) (Point, error) {
 	return Point{Alpha: gamma, Beta: beta, Gamma: gamma}, nil
 }
 
-// CutSetCapacity returns the maximum file size supportable at per-node
-// storage alpha and per-helper download beta:
-//
-//	sum_{i=0}^{k-1} min(alpha, (d-i)*beta).
-func CutSetCapacity(alpha, beta float64, p Params) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if alpha < 0 || beta < 0 {
-		return 0, errors.New("regenerating: alpha and beta must be non-negative")
-	}
-	var capacity float64
-	for i := 0; i < p.K; i++ {
-		term := float64(p.D-i) * beta
-		if alpha < term {
-			term = alpha
-		}
-		capacity += term
-	}
-	return capacity, nil
-}
-
-// MinRepairBandwidth returns the smallest repair download gamma = d*beta
-// that supports a file of fileBytes at per-node storage alpha, by
-// binary search on the (monotone) cut-set capacity. It errors if even
-// unbounded bandwidth cannot support the file (alpha*k < B).
-func MinRepairBandwidth(fileBytes, alpha float64, p Params) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if fileBytes <= 0 {
-		return 0, errors.New("regenerating: file size must be positive")
-	}
-	if alpha*float64(p.K) < fileBytes {
-		return 0, fmt.Errorf("regenerating: storage %.3g x %d cannot hold %.3g bytes", alpha, p.K, fileBytes)
-	}
-	// Capacity is non-decreasing in beta; beta = alpha always suffices
-	// because then every term is min(alpha, (d-i)beta) >= alpha for
-	// d-i >= 1... (d-i) >= d-k+1 >= 1, so capacity >= k*alpha >= B.
-	lo, hi := 0.0, alpha
-	for iter := 0; iter < 200; iter++ {
-		mid := (lo + hi) / 2
-		cap, err := CutSetCapacity(alpha, mid, p)
-		if err != nil {
-			return 0, err
-		}
-		if cap >= fileBytes {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return float64(p.D) * hi, nil
-}
-
 // RepairFractionBound returns gamma_MSR / B for the configuration: the
 // fraction of the stripe's logical size that the cheapest possible
 // storage-optimal repair must download. For the paper's (10,4) with

@@ -1,6 +1,7 @@
 package regenerating
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -115,40 +116,6 @@ func TestPointsSatisfyCutSet(t *testing.T) {
 	}
 }
 
-func TestMinRepairBandwidthMatchesMSR(t *testing.T) {
-	// At alpha = B/k the minimal bandwidth is exactly the MSR gamma.
-	p := Params{N: 14, K: 10, D: 13}
-	const B = 1e9
-	gamma, err := MinRepairBandwidth(B, B/10, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msr, _ := MSR(B, p)
-	if math.Abs(gamma-msr.Gamma)/msr.Gamma > 1e-6 {
-		t.Fatalf("MinRepairBandwidth %v, MSR %v", gamma, msr.Gamma)
-	}
-}
-
-func TestMinRepairBandwidthMatchesMBRAtMBRStorage(t *testing.T) {
-	p := Params{N: 14, K: 10, D: 13}
-	const B = 1e9
-	mbr, _ := MBR(B, p)
-	gamma, err := MinRepairBandwidth(B, mbr.Alpha, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gamma-mbr.Gamma)/mbr.Gamma > 1e-6 {
-		t.Fatalf("MinRepairBandwidth %v at MBR storage, want %v", gamma, mbr.Gamma)
-	}
-}
-
-func TestMinRepairBandwidthInfeasible(t *testing.T) {
-	p := Params{N: 14, K: 10, D: 13}
-	if _, err := MinRepairBandwidth(1e9, 1e7, p); err == nil {
-		t.Fatal("storage below B/k accepted")
-	}
-}
-
 func TestMoreHelpersCheaperRepair(t *testing.T) {
 	// gamma_MSR decreases in d: connecting to more nodes reduces the
 	// minimum download — the regenerating-codes insight the paper
@@ -175,10 +142,29 @@ func TestInvalidFileSizes(t *testing.T) {
 	if _, err := MBR(-1, p); err == nil {
 		t.Fatal("negative file size accepted")
 	}
-	if _, err := MinRepairBandwidth(0, 1, p); err == nil {
-		t.Fatal("zero file size accepted")
-	}
 	if _, err := CutSetCapacity(-1, 0, p); err == nil {
 		t.Fatal("negative alpha accepted")
 	}
+}
+
+// CutSetCapacity returns the maximum file size supportable at per-node
+// storage alpha and per-helper download beta:
+//
+//	sum_{i=0}^{k-1} min(alpha, (d-i)*beta).
+func CutSetCapacity(alpha, beta float64, p Params) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	if alpha < 0 || beta < 0 {
+		return 0, errors.New("regenerating: alpha and beta must be non-negative")
+	}
+	var capacity float64
+	for i := 0; i < p.K; i++ {
+		term := float64(p.D-i) * beta
+		if alpha < term {
+			term = alpha
+		}
+		capacity += term
+	}
+	return capacity, nil
 }

@@ -152,26 +152,6 @@ func MTTDLYears(sys System, p Params) (float64, error) {
 	return h / (24 * 365), nil
 }
 
-// Row is one line of the comparison table produced by CompareTable.
-type Row struct {
-	System          System
-	MTTDLYears      float64
-	StorageOverhead float64
-}
-
-// CompareTable computes MTTDL for each system under shared parameters.
-func CompareTable(systems []System, p Params) ([]Row, error) {
-	rows := make([]Row, 0, len(systems))
-	for _, sys := range systems {
-		years, err := MTTDLYears(sys, p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sys.Name, err)
-		}
-		rows = append(rows, Row{System: sys, MTTDLYears: years, StorageOverhead: sys.StorageOverhead})
-	}
-	return rows, nil
-}
-
 // DefaultParams returns rates typical of the measured cluster: a node
 // suffers a recovery-triggering failure every ~6 months, and a repair
 // can move ~50 MB/s of reconstruction traffic.

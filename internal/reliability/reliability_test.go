@@ -162,29 +162,3 @@ func TestMTTDLValidation(t *testing.T) {
 		t.Fatal("tolerance >= nodes accepted")
 	}
 }
-
-func TestCompareTable(t *testing.T) {
-	rsc, _ := rs.New(10, 4)
-	rsSys, _ := CodeSystem(rsc, blockBytes)
-	rep3, _ := ReplicationSystem(3, blockBytes)
-	rows, err := CompareTable([]System{rep3, rsSys}, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	if rows[0].System.Name != "replication(3)" || rows[1].System.Name != "rs(10,4)" {
-		t.Fatal("row order not preserved")
-	}
-	for _, r := range rows {
-		if r.MTTDLYears <= 0 {
-			t.Fatalf("%s: non-positive MTTDL", r.System.Name)
-		}
-	}
-	bad := rsSys
-	bad.RepairBytes = -1
-	if _, err := CompareTable([]System{bad}, DefaultParams()); err == nil {
-		t.Fatal("bad system accepted")
-	}
-}

@@ -117,9 +117,6 @@ func (c *Code) MinShardSize() int { return 1 }
 // StorageOverhead returns (k+r)/k.
 func (c *Code) StorageOverhead() float64 { return float64(c.k+c.r) / float64(c.k) }
 
-// Generator returns a copy of the (k+r) x k systematic generator matrix.
-func (c *Code) Generator() *matrix.Matrix { return c.gen.Clone() }
-
 // ParityRow returns a copy of the k coefficients generating parity j.
 func (c *Code) ParityRow(j int) []byte {
 	if j < 0 || j >= c.r {

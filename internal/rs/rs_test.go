@@ -89,7 +89,7 @@ func TestAccessors(t *testing.T) {
 
 func TestGeneratorSystematic(t *testing.T) {
 	c, _ := New(6, 3)
-	g := c.Generator()
+	g := c.gen
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			want := byte(0)

@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ec"
 	"repro/internal/hdfs"
-	"repro/internal/testutil/leakcheck"
 )
 
 // Buffer-lifetime tests: the datanode reads every dn.read answer into a
@@ -25,23 +23,14 @@ import (
 // reads are real range reads).
 func startExtentSystem(t testing.TB, blockSize int64) (*System, ec.Code) {
 	t.Helper()
-	leakcheck.Cleanup(t)
 	code, err := core.New(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Start(hdfs.Config{
-		Topology:    cluster.Topology{Racks: code.TotalShards() + 2, MachinesPerRack: 2},
-		Code:        code,
-		BlockSize:   blockSize,
-		Replication: 3,
-		Seed:        7,
-	}, WithDataDir(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	return sys, code
+	cfg := testConfig(code)
+	cfg.BlockSize = blockSize
+	cfg, _ = onDisk(t, cfg)
+	return startSystem(t, cfg), code
 }
 
 // writeFiles stores n files of the given size and returns their

@@ -160,18 +160,6 @@ func WithPartialSumRepair() ClientOption {
 	return func(c *Client) { c.partialSum = true }
 }
 
-// WithTimeout overrides the per-exchange RPC deadline (default 10s).
-// The budget applies to each phase of each request/response exchange
-// separately — a client is never penalised for its own lifetime, only
-// a single wedged write or read can trip it.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.timeout = d
-		}
-	}
-}
-
 // WithBlockCache gives the client a sharded LRU block cache of n
 // bytes: block reads consult it before any RPC and fill it on every
 // successful read — healthy, degraded, and partial-sum alike. Keys are
@@ -188,6 +176,8 @@ func WithBlockCache(n int64) ClientOption {
 // the reconstruction wins). delay <= 0 derives the delay adaptively
 // from the client's observed latency quantiles — a multiple of the
 // recent p95, so hedges fire on outliers, not jitter.
+//
+//repolint:ignore deadexport ROADMAP 7: the slow_node_read workload compares hedged and unhedged p99
 func WithHedgedReads(delay time.Duration) ClientOption {
 	return func(c *Client) {
 		c.hedge = true
@@ -200,6 +190,8 @@ func WithHedgedReads(delay time.Duration) ClientOption {
 // propagates it on every RPC it issues, and records a root span
 // locally. Collect the assembled trace with CollectTrace after reading
 // LastTraceID.
+//
+//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain samples the trace it explains
 func WithTraceSampling(every int) ClientOption {
 	return func(c *Client) {
 		if every > 0 {
@@ -332,6 +324,8 @@ func (c *Client) Telemetry() *telemetry.Registry { return c.reg }
 
 // LastTraceID returns the trace id of the most recent sampled degraded
 // read (0 when tracing is off or nothing sampled yet).
+//
+//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain names the trace it collects
 func (c *Client) LastTraceID() uint64 { return c.lastTrace.Load() }
 
 // Close severs every pooled connection.
@@ -637,6 +631,8 @@ type CompletedFix struct {
 
 // RepairStatus fetches the control plane's status from the namenode.
 // It errors when the cluster runs without a repair manager.
+//
+//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload times the manager to Healthy()
 func (c *Client) RepairStatus() (*RepairStatus, error) {
 	resp, err := c.nameCall(&request{Method: methodRepairStatus}, nil)
 	if err != nil {
@@ -655,6 +651,8 @@ func (c *Client) RepairStatus() (*RepairStatus, error) {
 // run without telemetry) are skipped — their spans are simply absent,
 // which is what a trace of a system with failures looks like. The
 // caller builds the tree with telemetry.BuildTree.
+//
+//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain renders the collected trace
 func (c *Client) CollectTrace(traceID uint64) ([]telemetry.Span, error) {
 	if traceID == 0 {
 		return nil, errors.New("serve: trace id 0 names no trace")

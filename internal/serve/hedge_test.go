@@ -107,7 +107,8 @@ func TestHedgedReadOnThrottledDataNode(t *testing.T) {
 // checksum refusal arrives afterwards. One stripe plan per attempt.
 func TestHedgedReadReconstructsOncePerAttempt(t *testing.T) {
 	code := testCodecs(t)[0] // rs(4,2)
-	sys := startTestSystem(t, code, WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+	cfg, _ := onDisk(t, testConfig(code))
+	sys := startSystem(t, cfg, WithTelemetry(TelemetryConfig{}))
 	cl, err := Dial(sys.NameAddr(), code, WithHedgedReads(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

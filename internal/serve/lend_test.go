@@ -215,7 +215,8 @@ func TestLentBlocksCutADegradedReadToOneShard(t *testing.T) {
 			// A replica the datanode refuses for bit rot is as lost as one
 			// on a dead machine, and reconstructed the same way.
 			t.Run("bit rot", func(t *testing.T) {
-				sys := startTestSystem(t, code, WithDataDir(t.TempDir()))
+				cfg, _ := onDisk(t, testConfig(code))
+				sys := startSystem(t, cfg)
 				data := lendFile(t, sys, k*lendBlock)
 				_, blocks, err := sys.Cluster().FileBlocks("f")
 				if err != nil {

@@ -163,7 +163,8 @@ func TestPartialSumVersusConventionalBytes(t *testing.T) {
 	for i, code := range testCodecs(t)[:2] { // rs(4,2), piggybacked-rs(4,2)
 		i, code := i, code
 		t.Run(code.Name(), func(t *testing.T) {
-			sys := startTestSystem(t, code, WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+			cfg, ext := onDisk(t, testConfig(code))
+			sys := startSystem(t, cfg)
 			setup, err := Dial(sys.NameAddr(), code)
 			if err != nil {
 				t.Fatal(err)
@@ -227,7 +228,7 @@ func TestPartialSumVersusConventionalBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				before := sys.Telemetry().Snapshot().Counters["extent_read_bytes_total"]
+				before := ext.Snapshot().Counters["extent_read_bytes_total"]
 				got, err := cl.degradedRead(table[0], nil)
 				if err != nil || !bytes.Equal(got, data[:shardSize]) {
 					t.Fatalf("degraded read of the lost block alone wrong (err %v)", err)
@@ -235,7 +236,7 @@ func TestPartialSumVersusConventionalBytes(t *testing.T) {
 				if partial := cl.Counters().PartialSumBlocks; (partial == 1) != (len(opts) > 0) {
 					t.Fatalf("%d reconstructions took the partial-sum pipeline with %d options set", partial, len(opts))
 				}
-				return sys.Telemetry().Snapshot().Counters["extent_read_bytes_total"] - before
+				return ext.Snapshot().Counters["extent_read_bytes_total"] - before
 			}
 			conventional, tree := diskBytes(), diskBytes(WithPartialSumRepair())
 			if conventional == 0 || tree != conventional {

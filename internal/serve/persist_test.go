@@ -12,19 +12,18 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
 	"repro/internal/repairmgr"
+	"repro/internal/telemetry"
 	"repro/internal/testutil/leakcheck"
 )
 
 // startPersistentManagedSystem is startManagedSystem with every
-// datanode backed by an on-disk extent store under a test temp dir,
-// plus telemetry (the tests assert on the store's scan counters).
-func startPersistentManagedSystem(t *testing.T, mcfg repairmgr.Config) *System {
+// datanode backed by an on-disk extent store (onDisk), plus telemetry;
+// the tests assert on the stores' scan counters, on the registry it
+// returns.
+func startPersistentManagedSystem(t *testing.T, mcfg repairmgr.Config) (*System, *telemetry.Registry) {
 	t.Helper()
-	return startTestSystem(t, testCodecs(t)[0], // rs(4,2)
-		WithRepairManager(mcfg),
-		WithDataDir(t.TempDir()),
-		WithTelemetry(TelemetryConfig{}),
-	)
+	cfg, ext := onDisk(t, testConfig(testCodecs(t)[0])) // rs(4,2)
+	return startSystem(t, cfg, WithRepairManager(mcfg), WithTelemetry(TelemetryConfig{})), ext
 }
 
 // TestPersistentRestartWithinGraceZeroRepairBytes is the honest
@@ -38,7 +37,7 @@ func startPersistentManagedSystem(t *testing.T, mcfg repairmgr.Config) *System {
 // flag over a map that was never dropped.
 func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 	grace := 2 * time.Second
-	sys := startPersistentManagedSystem(t, repairmgr.Config{
+	sys, ext := startPersistentManagedSystem(t, repairmgr.Config{
 		SuspectAfter: 150 * time.Millisecond,
 		GraceWindow:  grace,
 		PollInterval: 20 * time.Millisecond,
@@ -50,7 +49,7 @@ func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 	}
 	victim := locs[0][0]
 	bytesBefore := sys.Cluster().Network().CrossRackBytes()
-	scansBefore := sys.Telemetry().Snapshot().Counters["extent_scan_records_total"]
+	scansBefore := ext.Snapshot().Counters["extent_scan_records_total"]
 
 	killedAt := time.Now()
 	if err := sys.KillDataNode(victim); err != nil {
@@ -75,7 +74,7 @@ func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 
 	// The restart rebuilt the index from disk: segment records were
 	// scanned, and the machine again reports inventory.
-	if got := sys.Telemetry().Snapshot().Counters["extent_scan_records_total"]; got <= scansBefore {
+	if got := ext.Snapshot().Counters["extent_scan_records_total"]; got <= scansBefore {
 		t.Fatalf("restart scanned no segment records (%d -> %d)", scansBefore, got)
 	}
 	if got := sys.Cluster().BlocksOn(victim); len(got) == 0 {
@@ -128,13 +127,8 @@ func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 	leakcheck.Cleanup(t)
 	code := testCodecs(t)[0]
-	sys, err := Start(hdfs.Config{
-		Topology:    cluster.Topology{Racks: code.TotalShards() + 2, MachinesPerRack: 2},
-		Code:        code,
-		BlockSize:   4096,
-		Replication: 3,
-		Seed:        7,
-	}, WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+	cfg, ext := onDisk(t, testConfig(code))
+	sys, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +174,7 @@ func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 		t.Fatalf("scrub evicted %d replicas, affected %v; want 1 and [%d]",
 			rep.CorruptReplicas, rep.AffectedBlocks, victimBlock)
 	}
-	if n := sys.Telemetry().Snapshot().Counters["extent_crc_failures_total"]; n == 0 {
+	if n := ext.Snapshot().Counters["extent_crc_failures_total"]; n == 0 {
 		t.Fatal("corruption was not detected at the extent store")
 	}
 
@@ -210,13 +204,8 @@ func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 func TestServeCorruptReplicaFallsBackDegraded(t *testing.T) {
 	leakcheck.Cleanup(t)
 	code := testCodecs(t)[0]
-	sys, err := Start(hdfs.Config{
-		Topology:    cluster.Topology{Racks: code.TotalShards() + 2, MachinesPerRack: 2},
-		Code:        code,
-		BlockSize:   4096,
-		Replication: 3,
-		Seed:        7,
-	}, WithDataDir(t.TempDir()))
+	cfg, _ := onDisk(t, testConfig(code))
+	sys, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +256,8 @@ func TestServeCorruptReplicaFallsBackDegraded(t *testing.T) {
 // read around, not counted; real bit rot arrives with the code, is
 // counted, and is read around just the same.
 func TestCorruptReplicaIsMatchedByItsCodeNotItsWording(t *testing.T) {
-	sys := startTestSystem(t, testCodecs(t)[0], WithDataDir(t.TempDir()))
+	cfg, _ := onDisk(t, testConfig(testCodecs(t)[0]))
+	sys := startSystem(t, cfg)
 	data := preloadRaided(t, sys, 1)["f-0"]
 	_, blocks, err := sys.Cluster().FileBlocks("f-0")
 	if err != nil {
@@ -317,14 +307,15 @@ func TestCorruptReplicaIsMatchedByItsCodeNotItsWording(t *testing.T) {
 	}
 }
 
-// TestDataDirStoresSyncOnInterval pins the durability WithDataDir
-// documents: its stores run extent.FsyncInterval, so a system that
-// keeps taking writes reaches stable storage without anyone closing a
-// store or calling Sync. (Under FsyncNever the histogram below only
-// moves at Close, segment seal, or compaction — none of which happen
-// here.)
+// TestDataDirStoresSyncOnInterval: datanode stores on
+// extent.FsyncInterval (as onDisk builds them) reach stable storage
+// while the system keeps taking writes, without anyone closing a store
+// or calling Sync — the interval is checked at append time, on the
+// serving write path. (Under FsyncNever the histogram below only moves
+// at Close, segment seal, or compaction — none of which happen here.)
 func TestDataDirStoresSyncOnInterval(t *testing.T) {
-	sys := startTestSystem(t, testCodecs(t)[0], WithDataDir(t.TempDir()), WithTelemetry(TelemetryConfig{}))
+	cfg, ext := onDisk(t, testConfig(testCodecs(t)[0]))
+	sys := startSystem(t, cfg)
 	cl, err := Dial(sys.NameAddr(), sys.Code())
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +329,7 @@ func TestDataDirStoresSyncOnInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 		seq++
-		return sys.Telemetry().Snapshot().Histograms["extent_fsync_seconds"].Count > 0
+		return ext.Snapshot().Histograms["extent_fsync_seconds"].Count > 0
 	})
 }
 
@@ -364,11 +355,12 @@ func TestClientOutlivesTimeout(t *testing.T) {
 	t.Cleanup(func() { sys.Close() })
 
 	timeout := 250 * time.Millisecond
-	cl, err := Dial(sys.NameAddr(), sys.Code(), WithTimeout(timeout))
+	cl, err := Dial(sys.NameAddr(), sys.Code())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.timeout = timeout
 	data := bytes.Repeat([]byte{7}, 4096+17)
 	if err := cl.WriteFile("long-lived", data); err != nil {
 		t.Fatal(err)

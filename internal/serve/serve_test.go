@@ -13,9 +13,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ec"
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/lrc"
 	"repro/internal/rs"
+	"repro/internal/telemetry"
 	"repro/internal/testutil/leakcheck"
 )
 
@@ -40,22 +42,43 @@ func testCodecs(t *testing.T) []ec.Code {
 
 func startTestSystem(t *testing.T, code ec.Code, opts ...Option) *System {
 	t.Helper()
-	// Registered before sys.Close so the leak verdict runs after it:
-	// a handler or fixer goroutine that Close fails to reap fails the
-	// test here instead of poisoning the next one.
-	leakcheck.Cleanup(t)
-	sys, err := Start(hdfs.Config{
+	return startSystem(t, testConfig(code), opts...)
+}
+
+// testConfig is the cluster startTestSystem runs: two racks beyond the
+// stripe width, two machines a rack, 4 KiB blocks, three replicas.
+func testConfig(code ec.Code) hdfs.Config {
+	return hdfs.Config{
 		Topology:    cluster.Topology{Racks: code.TotalShards() + 2, MachinesPerRack: 2},
 		Code:        code,
 		BlockSize:   4096,
 		Replication: 3,
 		Seed:        7,
-	}, opts...)
+	}
+}
+
+// startSystem starts cfg and closes it at cleanup.
+func startSystem(t testing.TB, cfg hdfs.Config, opts ...Option) *System {
+	t.Helper()
+	// Registered before sys.Close so the leak verdict runs after it:
+	// a handler or fixer goroutine that Close fails to reap fails the
+	// test here instead of poisoning the next one.
+	leakcheck.Cleanup(t)
+	sys, err := Start(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
 	return sys
+}
+
+// onDisk backs every datanode of cfg with an extent store under a test
+// temp dir, syncing on an interval; the stores' instruments land on the
+// returned registry.
+func onDisk(t testing.TB, cfg hdfs.Config) (hdfs.Config, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	cfg.StoreFactory = hdfs.ExtentStoreFactory(t.TempDir(), extent.Options{Fsync: extent.FsyncInterval, Telemetry: reg})
+	return cfg, reg
 }
 
 // TestWriteReadRoundTrip covers the healthy path: bytes written over

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/ec"
-	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/repairmgr"
 	"repro/internal/telemetry"
@@ -27,7 +26,6 @@ type Option func(*sysOptions)
 type sysOptions struct {
 	mgrCfg  *repairmgr.Config
 	teleCfg *TelemetryConfig
-	dataDir string
 }
 
 // WithRepairManager runs the autonomous repair control plane inside
@@ -36,21 +34,10 @@ type sysOptions struct {
 // detected losses repair themselves through the risk-prioritised,
 // bandwidth-throttled queue — no manual fixer calls. The manager's
 // clock must be real time (leave cfg.Clock nil) for a live system.
+//
+//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload runs the manager in the live System
 func WithRepairManager(cfg repairmgr.Config) Option {
 	return func(o *sysOptions) { o.mgrCfg = &cfg }
-}
-
-// WithDataDir backs every datanode with a persistent extent store
-// under dir (one dn-NNN subdirectory per machine) instead of the
-// volatile in-memory store. With persistence, KillDataNode genuinely
-// discards the machine's in-memory block index and RestartDataNode
-// genuinely rebuilds it by scanning the machine's segment files — a
-// restart within the repair manager's grace window therefore proves
-// the bytes survived, rather than asserting it about a map that was
-// never dropped. The stores run extent.FsyncInterval: an acknowledged
-// write can be lost only inside the store's bounded sync interval.
-func WithDataDir(dir string) Option {
-	return func(o *sysOptions) { o.dataDir = dir }
 }
 
 // WithTelemetry instruments the whole system on one shared metrics
@@ -102,12 +89,6 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 		// The substrate and the control plane pick their instruments off
 		// the same registry, so one scrape shows every tier.
 		cfg.Telemetry = s.reg
-	}
-	if o.dataDir != "" {
-		cfg.StoreFactory = hdfs.ExtentStoreFactory(o.dataDir, extent.Options{
-			Fsync:     extent.FsyncInterval,
-			Telemetry: s.reg,
-		})
 	}
 	cluster, err := hdfs.New(cfg)
 	if err != nil {
@@ -180,6 +161,8 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 
 // RepairManager exposes the control plane for tests and benchmarks
 // (nil when Start ran without WithRepairManager).
+//
+//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload reads the manager's state
 func (s *System) RepairManager() *repairmgr.Manager { return s.mgr }
 
 // Telemetry returns the system-wide metrics registry (nil when Start
@@ -188,10 +171,14 @@ func (s *System) Telemetry() *telemetry.Registry { return s.reg }
 
 // MetricsAddr returns the namenode's debug HTTP address ("" unless
 // WithTelemetry ran with HTTP enabled).
+//
+//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain reads histogram exemplars from /metrics
 func (s *System) MetricsAddr() string { return s.nn.DebugAddr() }
 
 // DataNodeMetricsAddr returns one datanode daemon's debug HTTP address
 // ("" when that daemon is down or HTTP is disabled).
+//
+//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain reads histogram exemplars from /metrics
 func (s *System) DataNodeMetricsAddr(machine int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,10 +217,11 @@ func (s *System) dataNodeAddrs() []string {
 
 // KillDataNode fails the machine and tears down its daemon: the
 // namenode stops listing it first (so refreshed metadata is
-// consistent), then every open connection to it is severed. With a
-// persistent store (WithDataDir) the kill is a real crash: the store
-// handle closes and the machine's in-memory block index is discarded —
-// only the segment files on disk survive.
+// consistent), then every open connection to it is severed. With
+// persistent stores (Config.StoreFactory = hdfs.ExtentStoreFactory)
+// the kill is a real crash: the store handle closes and the machine's
+// in-memory block index is discarded — only the segment files on disk
+// survive.
 func (s *System) KillDataNode(machine int) error { return s.killDataNode(machine) }
 
 func (s *System) killDataNode(machine int) error {
@@ -303,6 +291,8 @@ func (s *System) restartDataNode(machine int) error {
 // detector never confuses the slowdown with a death; clients see it
 // purely as latency. delay 0 clears the throttle; a restart also
 // clears it (the fresh daemon starts unthrottled).
+//
+//repolint:ignore deadexport ROADMAP 7: the slow_node_read workload slows one datanode
 func (s *System) ThrottleDataNode(machine int, delay time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -97,11 +97,3 @@ func RecoveryBacklog(res *Result, budgetBytesPerDay int64) (*BacklogResult, erro
 	out.MeanUtilization = utilSum / float64(len(res.Days))
 	return out, nil
 }
-
-// FinalBacklogBytes returns the queue left after the last day.
-func (b *BacklogResult) FinalBacklogBytes() int64 {
-	if len(b.Days) == 0 {
-		return 0
-	}
-	return b.Days[len(b.Days)-1].BacklogBytes
-}

@@ -34,8 +34,9 @@ func TestRecoveryBacklogConservation(t *testing.T) {
 			t.Fatalf("utilization %v out of range", d.Utilization)
 		}
 	}
-	if arrived != processed+bl.FinalBacklogBytes() {
-		t.Fatalf("conservation violated: %d != %d + %d", arrived, processed, bl.FinalBacklogBytes())
+	final := bl.Days[len(bl.Days)-1].BacklogBytes
+	if arrived != processed+final {
+		t.Fatalf("conservation violated: %d != %d + %d", arrived, processed, final)
 	}
 	if arrived != res.TotalCrossRackBytes {
 		t.Fatal("arrivals do not match study traffic")
@@ -67,7 +68,7 @@ func TestBacklogSaturationAccounting(t *testing.T) {
 	if bl.PeakBacklogBytes != 40 {
 		t.Fatalf("peak %d, want 40", bl.PeakBacklogBytes)
 	}
-	if bl.FinalBacklogBytes() != 0 {
+	if bl.Days[2].BacklogBytes != 0 {
 		t.Fatal("final backlog wrong")
 	}
 }
@@ -112,9 +113,5 @@ func TestRecoveryBacklogValidation(t *testing.T) {
 	}
 	if _, err := RecoveryBacklog(&Result{Days: make([]DayStats, 1)}, 0); err == nil {
 		t.Fatal("zero budget accepted")
-	}
-	empty := &BacklogResult{}
-	if empty.FinalBacklogBytes() != 0 {
-		t.Fatal("empty backlog must be zero")
 	}
 }

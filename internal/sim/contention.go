@@ -58,8 +58,8 @@ type ContentionConfig struct {
 	// the same stripes on the same machines.
 	PartialSums bool
 	// ForegroundWorkers is the closed-loop foreground client count; 0
-	// disables foreground load. See netsim.SaturatingForeground for a
-	// saturating setting.
+	// disables foreground load. About twice the aggregation capacity over
+	// the NIC rate saturates the core, as DefaultContentionConfig does.
 	ForegroundWorkers int
 	// ForegroundMeanBytes is the mean foreground flow size.
 	ForegroundMeanBytes float64
@@ -172,11 +172,6 @@ type ContentionResult struct {
 type ContentionStudy struct {
 	Code   ec.Code
 	Config ContentionConfig
-}
-
-// NewContentionStudy builds a study with the default configuration.
-func NewContentionStudy(code ec.Code) *ContentionStudy {
-	return &ContentionStudy{Code: code, Config: DefaultContentionConfig()}
 }
 
 // sourceRead is one helper's aggregate contribution to a repair, in

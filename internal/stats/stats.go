@@ -40,15 +40,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Min returns the minimum of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -75,20 +66,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
@@ -121,32 +98,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo] + (s[hi]-s[lo])*frac
 }
 
-// Summary bundles the descriptive statistics of one series.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	Min    float64
-	Max    float64
-	StdDev float64
-	P10    float64
-	P90    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		StdDev: StdDev(xs),
-		P10:    Percentile(xs, 10),
-		P90:    Percentile(xs, 90),
-	}
-}
-
 // Histogram counts values into equal-width buckets spanning [lo, hi).
 // Values outside the range are clamped into the first/last bucket.
 type Histogram struct {
@@ -176,15 +127,6 @@ func NewHistogram(xs []float64, lo, hi float64, n int) (*Histogram, error) {
 		h.Buckets[b]++
 	}
 	return h, nil
-}
-
-// Total returns the number of samples in the histogram.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }
 
 // Byte size units used throughout the reproduction.
@@ -220,15 +162,6 @@ func FormatBytes(n int64) string {
 
 // IntsToFloats converts an int series to float64 for the reducers.
 func IntsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Int64sToFloats converts an int64 series to float64 for the reducers.
-func Int64sToFloats(xs []int64) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = float64(x)

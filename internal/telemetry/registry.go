@@ -1,7 +1,7 @@
 // Package telemetry is the zero-dependency observability substrate of
-// the repro system: a metrics registry of atomic counters, gauges, and
-// fixed-bucket histograms with mergeable snapshots, plus request-trace
-// spans buffered in bounded per-process stores. Every tier — the
+// the repro system: a metrics registry of atomic counters, function
+// gauges, and fixed-bucket histograms with JSON snapshots, plus
+// request-trace spans buffered in bounded per-process stores. Every tier — the
 // serving daemons, the repair control plane, the metadata shards, the
 // stripe engine — registers its instruments here, and the serve layer
 // exposes the result over /metrics (Prometheus text format and JSON)
@@ -58,46 +58,9 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v (no-op on a nil receiver).
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // LatencyBuckets are the default histogram bounds for RPC latencies in
 // seconds: half a millisecond through 2.5 s, roughly geometric.
 var LatencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
-
-// SizeBuckets are the default histogram bounds for payload sizes in
-// bytes: 512 B through 16 MiB.
-var SizeBuckets = []float64{512, 4096, 32768, 262144, 1 << 21, 1 << 24}
 
 // Histogram is a fixed-bucket distribution: counts per upper bound plus
 // an implicit +Inf bucket, with a running sum and total count.
@@ -151,7 +114,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() float64
 	hists      map[string]*Histogram
 }
@@ -160,7 +122,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
 		hists:      make(map[string]*Histogram),
 	}
@@ -180,22 +141,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use (nil on a
-// nil registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // RegisterGauge binds a name to a function evaluated at snapshot time —
@@ -237,7 +182,7 @@ type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 }
 
-// Snapshot is a point-in-time capture of a registry — the mergeable,
+// Snapshot is a point-in-time capture of a registry — the
 // JSON-marshalable unit the benchmarks embed and /metrics renders.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
@@ -261,10 +206,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.counters {
 		counters[k] = v
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
 	funcs := make(map[string]func() float64, len(r.gaugeFuncs))
 	for k, v := range r.gaugeFuncs {
 		funcs[k] = v
@@ -280,9 +221,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, c := range counters {
 		s.Counters[k] = c.Value()
 	}
-	for k, g := range gauges {
-		s.Gauges[k] = g.Value()
-	}
 	for k, fn := range funcs {
 		s.Gauges[k] = fn()
 	}
@@ -290,69 +228,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = h.snapshot()
 	}
 	return s
-}
-
-// Merge returns the element-wise sum of two snapshots: counters and
-// gauges add, histograms with identical bounds add bucket-wise (a
-// histogram present on only one side carries over; mismatched bounds
-// keep the receiver's). Use it to aggregate per-process snapshots into
-// a system view.
-func (s Snapshot) Merge(other Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)+len(other.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)+len(other.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)+len(other.Histograms)),
-	}
-	for k, v := range s.Counters {
-		out.Counters[k] = v
-	}
-	for k, v := range other.Counters {
-		out.Counters[k] += v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range other.Gauges {
-		out.Gauges[k] += v
-	}
-	for k, v := range s.Histograms {
-		out.Histograms[k] = v
-	}
-	for k, v := range other.Histograms {
-		prev, ok := out.Histograms[k]
-		if !ok || !sameBounds(prev.Bounds, v.Bounds) {
-			if !ok {
-				out.Histograms[k] = v
-			}
-			continue
-		}
-		merged := HistogramSnapshot{
-			Bounds: append([]float64(nil), prev.Bounds...),
-			Counts: make([]int64, len(prev.Counts)),
-			Sum:    prev.Sum + v.Sum,
-			Count:  prev.Count + v.Count,
-		}
-		for i := range merged.Counts {
-			merged.Counts[i] = prev.Counts[i]
-			if i < len(v.Counts) {
-				merged.Counts[i] += v.Counts[i]
-			}
-		}
-		out.Histograms[k] = merged
-	}
-	return out
-}
-
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // splitName separates an instrument name into its metric base and the

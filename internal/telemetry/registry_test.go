@@ -19,12 +19,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("ops_total"); again != c {
 		t.Fatal("same name must return the same counter instance")
 	}
-	g := r.Gauge("depth")
-	g.Set(2.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 2.0 {
-		t.Fatalf("gauge = %v, want 2", got)
-	}
+	depth := 2.5
+	r.RegisterGauge("depth", func() float64 { return depth })
+	depth -= 0.5 // evaluated at snapshot time, not at registration
 	r.RegisterGauge("derived", func() float64 { return 7 })
 	snap := r.Snapshot()
 	if snap.Counters["ops_total"] != 4 || snap.Gauges["depth"] != 2.0 || snap.Gauges["derived"] != 7 {
@@ -39,12 +36,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	if c.Value() != 0 {
 		t.Fatal("nil counter must read 0")
-	}
-	g := r.Gauge("y")
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge must read 0")
 	}
 	h := r.Histogram("z", LatencyBuckets)
 	h.Observe(1)
@@ -84,34 +75,10 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("c").Add(2)
-	a.Gauge("g").Set(1)
-	a.Histogram("h", []float64{1, 2}).Observe(0.5)
-	b := NewRegistry()
-	b.Counter("c").Add(3)
-	b.Counter("only_b").Add(1)
-	b.Gauge("g").Set(4)
-	b.Histogram("h", []float64{1, 2}).Observe(1.5)
-
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Counters["c"] != 5 || m.Counters["only_b"] != 1 {
-		t.Fatalf("merged counters wrong: %+v", m.Counters)
-	}
-	if m.Gauges["g"] != 5 {
-		t.Fatalf("merged gauge = %v, want 5", m.Gauges["g"])
-	}
-	h := m.Histograms["h"]
-	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Fatalf("merged histogram wrong: %+v", h)
-	}
-}
-
 func TestPrometheusText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`rpc_requests_total{role="namenode",method="info"}`).Add(7)
-	r.Gauge("queue_depth").Set(3)
+	r.RegisterGauge("queue_depth", func() float64 { return 3 })
 	r.Histogram(`rpc_request_seconds{method="info"}`, []float64{0.1, 1}).Observe(0.05)
 	text := string(r.Snapshot().PrometheusText())
 
@@ -161,7 +128,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
 				r.Histogram("h", LatencyBuckets).Observe(0.01)
 				_ = r.Snapshot()
 			}
@@ -171,9 +137,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	snap := r.Snapshot()
 	if snap.Counters["c"] != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", snap.Counters["c"], workers*perWorker)
-	}
-	if snap.Gauges["g"] != workers*perWorker {
-		t.Fatalf("gauge = %v, want %d", snap.Gauges["g"], workers*perWorker)
 	}
 	if snap.Histograms["h"].Count != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", snap.Histograms["h"].Count, workers*perWorker)

@@ -140,6 +140,8 @@ type SpanNode struct {
 // validates the structure: exactly one root, unique span ids, every
 // parent present (no orphans), and every span reachable from the root
 // (no cycles). This is the property the trace-propagation tests pin.
+//
+//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain walks the trace tree for its critical path
 func BuildTree(spans []Span) (*SpanNode, error) {
 	if len(spans) == 0 {
 		return nil, errors.New("telemetry: no spans")

@@ -276,6 +276,8 @@ func (d *Day) SampleBlocks(cfg Config, stripeWidth, max int) []BlockDraw {
 
 // MeanBlockBytes returns the expected recovered-block size under the
 // configuration's mixture.
+//
+//repolint:ignore deadexport oracle for sim's TestRSCostIsExactlyTenBlocks
 func (c Config) MeanBlockBytes() float64 {
 	uniformMean := float64(c.MinBlockBytes+c.BlockBytes) / 2
 	return c.FullBlockProb*float64(c.BlockBytes) + (1-c.FullBlockProb)*uniformMean
@@ -290,15 +292,6 @@ func (t *Trace) UnavailableSeries() []int {
 	return out
 }
 
-// BlocksLostSeries returns the Fig. 3b block-reconstruction day series.
-func (t *Trace) BlocksLostSeries() []int {
-	out := make([]int, len(t.Days))
-	for i := range t.Days {
-		out[i] = t.Days[i].BlocksLost()
-	}
-	return out
-}
-
 // WriteJSON serialises the trace.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -306,7 +299,10 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadJSON loads a trace written by WriteJSON and validates its config.
+// ReadJSON loads a trace written by WriteJSON and validates its config
+// and every day against the invariants Generate guarantees, so an
+// edited or foreign trace cannot feed the study a negative count or an
+// event larger than a machine can hold.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
@@ -318,59 +314,33 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if len(t.Days) != t.Config.Days {
 		return nil, fmt.Errorf("workload: trace has %d days, config says %d", len(t.Days), t.Config.Days)
 	}
+	for i := range t.Days {
+		if err := t.Days[i].validate(i, t.Config); err != nil {
+			return nil, err
+		}
+	}
 	return &t, nil
 }
 
-// WriteDailyCSV writes the day series in CSV form:
-// day,unavailable,triggered,blocks_lost.
-func (t *Trace) WriteDailyCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "day,unavailable,triggered,blocks_lost"); err != nil {
-		return err
+// validate checks day i of a trace: its index, at least as many
+// unavailable machines as triggered events, and every event on a real
+// machine losing between 1 and MaxBlocksPerMachine blocks.
+func (d *Day) validate(i int, cfg Config) error {
+	if d.Index != i {
+		return fmt.Errorf("workload: day %d has index %d", i, d.Index)
 	}
-	for _, d := range t.Days {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d\n", d.Index, d.Unavailable, len(d.Triggered), d.BlocksLost()); err != nil {
-			return err
+	if d.Unavailable < len(d.Triggered) {
+		return fmt.Errorf("workload: day %d has %d unavailable machines but %d triggered events", i, d.Unavailable, len(d.Triggered))
+	}
+	for _, e := range d.Triggered {
+		if e.Machine < 0 || e.Machine >= cfg.Machines {
+			return fmt.Errorf("workload: day %d: machine %d outside [0, %d)", i, e.Machine, cfg.Machines)
+		}
+		if e.BlocksLost < 1 || e.BlocksLost > cfg.MaxBlocksPerMachine {
+			return fmt.Errorf("workload: day %d: machine %d lost %d blocks, want 1..%d", i, e.Machine, e.BlocksLost, cfg.MaxBlocksPerMachine)
 		}
 	}
 	return nil
-}
-
-// TraceFromDailyCounts builds a replayable trace from externally
-// measured day series — for operators who have their own cluster's
-// numbers (as the paper's authors did) and want to cost codes on them
-// rather than on the synthetic process. unavailable[d] is the Fig. 3a
-// count for day d; blocksLost[d] the blocks reconstructed. Block sizes
-// and stripe positions are still drawn from the config's calibrated
-// mixture, deterministically per (Seed, day).
-func TraceFromDailyCounts(cfg Config, unavailable, blocksLost []int) (*Trace, error) {
-	if len(unavailable) != len(blocksLost) {
-		return nil, fmt.Errorf("workload: %d unavailability days but %d block days",
-			len(unavailable), len(blocksLost))
-	}
-	if len(unavailable) == 0 {
-		return nil, errors.New("workload: empty day series")
-	}
-	cfg.Days = len(unavailable)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	tr := &Trace{Config: cfg, Days: make([]Day, cfg.Days)}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for d := range unavailable {
-		if unavailable[d] < 0 || blocksLost[d] < 0 {
-			return nil, fmt.Errorf("workload: negative count on day %d", d)
-		}
-		day := Day{Index: d, Unavailable: unavailable[d]}
-		if blocksLost[d] > 0 {
-			day.Triggered = []TriggeredEvent{{
-				Machine:    rng.Intn(cfg.Machines),
-				BlocksLost: blocksLost[d],
-				SizeSeed:   rng.Int63(),
-			}}
-		}
-		tr.Days[d] = day
-	}
-	return tr, nil
 }
 
 // poisson draws from Poisson(lambda) by Knuth's product method, adequate

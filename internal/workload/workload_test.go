@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,7 +118,11 @@ func TestFig3bBlockCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	med := stats.Median(stats.IntsToFloats(tr.BlocksLostSeries()))
+	series := make([]float64, len(tr.Days))
+	for i := range tr.Days {
+		series[i] = float64(tr.Days[i].BlocksLost())
+	}
+	med := stats.Median(series)
 	if med < 60000 || med > 130000 {
 		t.Fatalf("median blocks/day %v, want near 95,500", med)
 	}
@@ -176,30 +181,67 @@ func TestReplayBlocksProperties(t *testing.T) {
 	}
 }
 
+// Generate -> WriteJSON -> ReadJSON is the identity, for several seeds
+// and configs: whatever Generate makes, ReadJSON's day checks accept.
 func TestJSONRoundTrip(t *testing.T) {
+	small := DefaultConfig()
+	small.Machines = 40
+	small.MaxBlocksPerMachine = 500
+	small.IncidentProb = 0.5
+	for _, base := range []Config{DefaultConfig(), small} {
+		for _, seed := range []int64{1, 2, 99} {
+			cfg := base
+			cfg.Seed = seed
+			cfg.Days = 5
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tr.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadJSON(&buf)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if !reflect.DeepEqual(got, tr) {
+				t.Fatalf("seed %d, %d machines: trace did not round-trip", seed, cfg.Machines)
+			}
+		}
+	}
+}
+
+// A trace whose days contradict its own config is refused: a negative
+// or short unavailability count, a non-positive or over-cap block loss,
+// a machine outside the cluster, or a day out of order.
+func TestReadJSONRejectsContradictoryDays(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Days = 3
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Config != tr.Config {
-		t.Fatal("config did not round-trip")
-	}
-	if len(got.Days) != len(tr.Days) {
-		t.Fatal("days did not round-trip")
-	}
-	for i := range tr.Days {
-		if got.Days[i].Unavailable != tr.Days[i].Unavailable {
-			t.Fatalf("day %d unavailable mismatch", i)
+	for name, corrupt := range map[string]func(*Trace){
+		"negative unavailable":   func(tr *Trace) { tr.Days[0].Unavailable = -4 },
+		"fewer unavailable":      func(tr *Trace) { tr.Days[0].Unavailable = len(tr.Days[0].Triggered) - 1 },
+		"negative blocks lost":   func(tr *Trace) { tr.Days[0].Triggered[0].BlocksLost = -7 },
+		"zero blocks lost":       func(tr *Trace) { tr.Days[0].Triggered[0].BlocksLost = 0 },
+		"blocks over the cap":    func(tr *Trace) { tr.Days[0].Triggered[0].BlocksLost = 2_000_000_000 },
+		"machine out of range":   func(tr *Trace) { tr.Days[1].Triggered[0].Machine = cfg.Machines },
+		"negative machine":       func(tr *Trace) { tr.Days[1].Triggered[0].Machine = -1 },
+		"day index out of order": func(tr *Trace) { tr.Days[2].Index = 1 },
+	} {
+		tr, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Days[0].Triggered) == 0 || len(tr.Days[1].Triggered) == 0 {
+			t.Fatal("seed no longer triggers recovery on days 0 and 1")
+		}
+		corrupt(tr)
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadJSON(&buf); err == nil {
+			t.Errorf("%s: trace accepted", name)
 		}
 	}
 }
@@ -231,23 +273,6 @@ func mustConfigJSON(t *testing.T) string {
 	return strings.TrimSuffix(strings.TrimSpace(s[start:end]), ",")
 }
 
-func TestWriteDailyCSV(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Days = 2
-	tr, _ := Generate(cfg)
-	var buf bytes.Buffer
-	if err := tr.WriteDailyCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 days", len(lines))
-	}
-	if lines[0] != "day,unavailable,triggered,blocks_lost" {
-		t.Fatalf("bad header %q", lines[0])
-	}
-}
-
 func TestTriggeredFractionMatchesProbability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Days = 200
@@ -261,49 +286,6 @@ func TestTriggeredFractionMatchesProbability(t *testing.T) {
 	frac := float64(triggered) / float64(events)
 	if math.Abs(frac-cfg.TriggerProb) > 0.05 {
 		t.Fatalf("triggered fraction %v, want near %v", frac, cfg.TriggerProb)
-	}
-}
-
-func TestTraceFromDailyCounts(t *testing.T) {
-	cfg := DefaultConfig()
-	unavailable := []int{10, 20, 30}
-	blocks := []int{100, 0, 300}
-	tr, err := TraceFromDailyCounts(cfg, unavailable, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Days) != 3 {
-		t.Fatalf("got %d days", len(tr.Days))
-	}
-	for d := range unavailable {
-		if tr.Days[d].Unavailable != unavailable[d] {
-			t.Fatalf("day %d unavailable %d, want %d", d, tr.Days[d].Unavailable, unavailable[d])
-		}
-		if got := tr.Days[d].BlocksLost(); got != blocks[d] {
-			t.Fatalf("day %d blocks %d, want %d", d, got, blocks[d])
-		}
-	}
-	if len(tr.Days[1].Triggered) != 0 {
-		t.Fatal("zero-block day must have no triggered events")
-	}
-	// Replay must be deterministic and produce the requested counts.
-	n := 0
-	tr.Days[0].Triggered[0].ReplayBlocks(cfg, 14, func(BlockDraw) { n++ })
-	if n != 100 {
-		t.Fatalf("replay produced %d draws, want 100", n)
-	}
-}
-
-func TestTraceFromDailyCountsValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, err := TraceFromDailyCounts(cfg, []int{1}, []int{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := TraceFromDailyCounts(cfg, nil, nil); err == nil {
-		t.Fatal("empty series accepted")
-	}
-	if _, err := TraceFromDailyCounts(cfg, []int{-1}, []int{1}); err == nil {
-		t.Fatal("negative count accepted")
 	}
 }
 
