@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
@@ -25,6 +26,14 @@ import (
 // alive, as does an interface method of that name declared in one, or
 // a method the standard library calls through its own interfaces.
 //
+// An exported field of an exported struct is a finding when no counting
+// file writes it: a knob only tests set, or one read but set nowhere,
+// has one value in the system. A write is a composite-literal key, an
+// assignment or inc/dec of x.Name, or taking &x.Name, and fields too
+// are matched by name. A tagged field is spared: a decoder reaches it
+// by reflection. A positional literal names no field, so it writes none
+// the rule can see; key it.
+//
 // Each finding is resolved one of three ways, in this order: delete it
 // with the tests whose only subject it is; move a test oracle into a
 // _test.go file of its package (an oracle other packages' tests share
@@ -43,7 +52,7 @@ func DeadExport() Analyzer { return deadExport{} }
 func (deadExport) Name() string { return "deadexport" }
 
 func (deadExport) Doc() string {
-	return "every exported func, var, const and method under internal/ has a caller outside its package's tests"
+	return "every exported func, var, const and method under internal/ has a caller, and every exported struct field a writer, outside its package's tests"
 }
 
 // stdlibMethods are method names the standard library calls through
@@ -89,13 +98,19 @@ func (a deadExport) Check(pkg *Package) []Diagnostic {
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for _, id := range vs.Names {
-						if ast.IsExported(id.Name) && !used[id.Name] {
-							report(id, d.Tok.String())
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							if ast.IsExported(id.Name) && !used[id.Name] {
+								report(id, d.Tok.String())
+							}
+						}
+					case *ast.TypeSpec:
+						if st, ok := s.Type.(*ast.StructType); ok && ast.IsExported(s.Name.Name) {
+							for _, id := range unwrittenFields(st, refs.written) {
+								diags = append(diags, diag(pkg, a.Name(), id.Pos(),
+									"exported field %s.%s is set nowhere outside its package's tests: delete it, or keep it for a ROADMAP item", s.Name.Name, id.Name))
+							}
 						}
 					}
 				}
@@ -103,6 +118,23 @@ func (a deadExport) Check(pkg *Package) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// unwrittenFields returns the struct's exported, untagged field names
+// that no counting file writes.
+func unwrittenFields(st *ast.StructType, written map[string]bool) []*ast.Ident {
+	var out []*ast.Ident
+	for _, fld := range st.Fields.List {
+		if fld.Tag != nil {
+			continue
+		}
+		for _, id := range fld.Names {
+			if ast.IsExported(id.Name) && !written[id.Name] {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
 }
 
 // refIndex is every reference the module's counting files make.
@@ -113,13 +145,16 @@ type refIndex struct {
 	names map[string]map[string]bool
 	// methods holds every selector name and interface method name.
 	methods map[string]bool
+	// written holds every field name a composite-literal key, an
+	// assignment, an inc/dec or an address-of writes.
+	written map[string]bool
 }
 
 // references builds the module's reference index on first use: one
 // walk of every counting file, shared by every package's Check.
 func (m *Module) references() *refIndex {
 	m.refsOnce.Do(func() {
-		m.refs = &refIndex{names: map[string]map[string]bool{}, methods: map[string]bool{}}
+		m.refs = &refIndex{names: map[string]map[string]bool{}, methods: map[string]bool{}, written: map[string]bool{}}
 		for _, pkg := range m.Packages {
 			for _, f := range pkg.Files {
 				if !f.IsTest || pkg.ImportPath == m.Path {
@@ -150,10 +185,29 @@ func (r *refIndex) add(modPath, importPath string, f *ast.File) {
 		}
 		r.names[path][name] = true
 	}
+	write := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			r.written[sel.Sel.Name] = true
+		}
+	}
 	var visit func(n ast.Node) bool
 	walk := func(n ast.Node) { ast.Inspect(n, visit) }
 	visit = func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := x.Key.(*ast.Ident); ok {
+				r.written[id.Name] = true
+			}
+		case *ast.AssignStmt:
+			for _, e := range x.Lhs {
+				write(e)
+			}
+		case *ast.IncDecStmt:
+			write(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				write(x.X)
+			}
 		case *ast.Ident:
 			use(importPath, x.Name)
 		case *ast.SelectorExpr:

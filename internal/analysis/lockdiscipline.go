@@ -65,9 +65,9 @@ const lockRecvType = "metaShard"
 var lockHelperFuncs = map[string]bool{"lockMeta": true, "rlockMeta": true}
 
 // unlockedCalls are the engine-execution, codec and replica-store calls
-// that must never run under the metadata lock (Fold, FoldTree and
-// Repair are the shared plan executor of internal/engine; storeBlock is
-// a datanode's disk write).
+// that must never run under the metadata lock (Fold and Repair are the
+// shared plan executor of internal/engine; storeBlock is a datanode's
+// disk write).
 var unlockedCalls = map[string]bool{
 	"RunRepairs":         true,
 	"RunTasks":           true,
@@ -76,7 +76,6 @@ var unlockedCalls = map[string]bool{
 	"ExecuteRepair":      true,
 	"ExecuteMultiRepair": true,
 	"Fold":               true,
-	"FoldTree":           true,
 	"Repair":             true,
 	"storeBlock":         true,
 }

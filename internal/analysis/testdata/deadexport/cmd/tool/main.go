@@ -7,4 +7,7 @@ func main() {
 	lib.UsedByCmd()
 	var s lib.Shape = lib.T{}
 	_ = s
+	var o lib.Options
+	o.CmdSet = 2
+	_ = o
 }

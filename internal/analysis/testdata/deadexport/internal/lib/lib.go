@@ -24,7 +24,15 @@ func UsedByCmd() {}
 // still a caller, and unexporting it would save no line.
 func SelfUsed() {}
 
-func run() { SelfUsed(); Live() }
+func run() { SelfUsed(); Live(); _ = Options{}.ReadOnly }
+
+// Options carries the fields: a knob is live only if something outside
+// the package's tests sets it.
+type Options struct {
+	TestSet  int // want "exported field Options.TestSet is set nowhere outside its package's tests"
+	CmdSet   int
+	ReadOnly int // want "exported field Options.ReadOnly is set nowhere"
+}
 
 // Shape names Area, so every method called Area is live.
 type Shape interface{ Area() float64 }

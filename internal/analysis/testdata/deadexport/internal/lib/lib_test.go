@@ -6,4 +6,5 @@ import "testing"
 func TestLib(t *testing.T) {
 	TestOnly()
 	T{}.TestOnlyMethod()
+	_ = Options{TestSet: 1}
 }

@@ -1,5 +1,5 @@
-// Fixture package: clockinject and deadexport are deliberately violated
-// so CI can assert the analyzers still fire.
+// Fixture package: clockinject and deadexport (a func and a field) are
+// deliberately violated so CI can assert the analyzers still fire.
 package repairmgr
 
 import "time"
@@ -14,3 +14,8 @@ func (d *detector) observe() {
 
 // Unused is exported and nothing calls it.
 func Unused() {} // deadexport: an export with no caller outside its package's tests
+
+// Config has a knob nothing sets.
+type Config struct {
+	Unset int // deadexport: an exported field nothing writes
+}

@@ -1,5 +1,5 @@
 // How a linear repair plan is run over a tree of machines: one fold, two
-// shapes, two transports.
+// shapes.
 //
 // The fold (Fold) is a node's partial sum of the repair:
 // ec.EvaluateLinearPlan over the plan's terms whose ranges the node
@@ -14,10 +14,10 @@
 // buffer (AggPlan.Repair) where a fan-in pulls k block-sized reads into
 // its NIC — the bottleneck the paper measures, moved off the newcomer's
 // link. Callers differ only in their transport, how a node's ranges are
-// read and its children's partial sums reach it: in process (FoldTree,
-// the BlockFixer) or over dn.partial (the datanode daemon). ROADMAP item
-// 4's dn.repair destination is to be a third caller of Fold, reading its
-// peers over dn.read.
+// read and its children's partial sums reach it. The tree shape has one
+// transport in the system, dn.partial (the datanode daemon); the tests
+// fold it in memory. ROADMAP item 4's dn.repair destination is to be
+// one more caller of Fold, reading its peers over dn.read.
 package engine
 
 import (
@@ -135,9 +135,9 @@ func PlanRepairTree(plan *ec.LinearPlan, holderOf func(pos int) (machine int, ok
 }
 
 // Repair returns the repaired shard: the root's partial sum, which ask
-// obtains however the caller reaches the root (a dn.partial call, an
-// in-process FoldTree), or zeros, without asking anyone, for a tree with
-// no root. A sum of any other length than TargetSize is ec.ErrShardSize.
+// obtains however the caller reaches the root (a dn.partial call), or
+// zeros, without asking anyone, for a tree with no root. A sum of any
+// other length than TargetSize is ec.ErrShardSize.
 func (p *AggPlan) Repair(ask func(root *AggNode) ([]byte, error)) ([]byte, error) {
 	if p.Root == nil {
 		return make([]byte, p.TargetSize), nil
@@ -179,29 +179,6 @@ func Fold(terms []ec.LinearTerm, size int64, read ec.FetchFunc, partials func() 
 		gf256.XorSlice(p, sum)
 	}
 	return sum, nil
-}
-
-// FoldTree is Fold over the whole subtree at n with the in-process
-// transport, its partial sum delivered to machine to: read serves a
-// range out of a machine's store, a child's partial sum is the fold of
-// its subtree, and carry (the network model's transfer) moves one
-// size-byte buffer along an edge.
-func FoldTree(n *AggNode, to int, size int64, read func(machine int, req ec.ReadRequest) ([]byte, error), carry func(from, to int) error) ([]byte, error) {
-	sum, err := Fold(n.Terms, size,
-		func(req ec.ReadRequest) ([]byte, error) { return read(n.Machine, req) },
-		func() (parts [][]byte, err error) {
-			parts = make([][]byte, len(n.Children))
-			for i, c := range n.Children {
-				if parts[i], err = FoldTree(c, n.Machine, size, read, carry); err != nil {
-					return nil, err
-				}
-			}
-			return parts, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return sum, carry(n.Machine, to)
 }
 
 // Nodes returns every node of the tree in depth-first order.

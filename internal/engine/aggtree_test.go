@@ -65,8 +65,22 @@ func memRead(shards [][]byte, size int64, placement []int, bend func([]byte) []b
 	}
 }
 
-// noCarry is the transfer half: an in-memory edge costs nothing.
-func noCarry(from, to int) error { return nil }
+// foldTree is Fold over the whole subtree at n with the in-memory
+// transport: read serves a range out of a machine's shards, and a
+// child's partial sum is the fold of its subtree.
+func foldTree(n *AggNode, size int64, read func(machine int, req ec.ReadRequest) ([]byte, error)) ([]byte, error) {
+	return Fold(n.Terms, size,
+		func(req ec.ReadRequest) ([]byte, error) { return read(n.Machine, req) },
+		func() (parts [][]byte, err error) {
+			parts = make([][]byte, len(n.Children))
+			for i, c := range n.Children {
+				if parts[i], err = foldTree(c, size, read); err != nil {
+					return nil, err
+				}
+			}
+			return parts, nil
+		})
+}
 
 // repairBothShapes runs one repair through Fold in its two shapes — a
 // single node holding every term of the plan, and the tree asked for its
@@ -81,7 +95,7 @@ func repairBothShapes(t *testing.T, what string, plan *ec.LinearPlan, tree *AggP
 		t.Fatalf("%s: single-node fold differs from the reconstructed shard (err %v)", what, err)
 	}
 	got, err := tree.Repair(func(root *AggNode) ([]byte, error) {
-		return FoldTree(root, -1, tree.TargetSize, memRead(shards, tree.TargetSize, placement, nil), noCarry)
+		return foldTree(root, tree.TargetSize, memRead(shards, tree.TargetSize, placement, nil))
 	})
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("%s: tree fold differs from the reconstructed shard (err %v)", what, err)
@@ -272,7 +286,7 @@ func TestAggregationTreePhantoms(t *testing.T) {
 				"short": func(b []byte) []byte { return b[:len(b)-1] },
 				"long":  func(b []byte) []byte { return append(append([]byte(nil), b...), 0) },
 			} {
-				if _, err := FoldTree(tree.Root, -1, shardSize, memRead(stored, shardSize, placement, bend), noCarry); !errors.Is(err, ec.ErrShardSize) {
+				if _, err := foldTree(tree.Root, shardSize, memRead(stored, shardSize, placement, bend)); !errors.Is(err, ec.ErrShardSize) {
 					t.Fatalf("%s: fold over a transport handing out %s ranges: %v, want ErrShardSize", what, name, err)
 				}
 				// Honest ranges, bent partial sums. The data target's tree
@@ -288,7 +302,7 @@ func TestAggregationTreePhantoms(t *testing.T) {
 						func() ([][]byte, error) {
 							var parts [][]byte
 							for _, c := range tree.Root.Children {
-								sum, err := FoldTree(c, tree.Root.Machine, shardSize, honest, noCarry)
+								sum, err := foldTree(c, shardSize, honest)
 								if err != nil {
 									return nil, err
 								}

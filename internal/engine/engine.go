@@ -13,9 +13,9 @@
 //   - Parallelism bounds the worker count. One worker degenerates to
 //     the serial path (useful for parity testing and as the baseline
 //     BenchmarkEngineRepair's speedup is measured against).
-//   - Each worker owns a scratch arena drawn from a sync.Pool. Jobs
-//     that supply a FetchInto callback, and the tasks of RunTasks
-//     (which receive the arena itself), land their survivor reads in
+//   - Each worker owns a scratch arena drawn from a sync.Pool. Repair
+//     jobs (through their FetchInto callback) and the tasks of RunTasks
+//     (which receive the arena itself) land their survivor reads in
 //     pooled buffers, so a long repair batch recycles a few arenas
 //     instead of allocating fresh fetch buffers per stripe. Codecs
 //     return freshly allocated shards that never alias a fetched buffer
@@ -82,9 +82,6 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// Parallelism returns the worker bound.
-func (e *Engine) Parallelism() int { return e.par }
-
 // Scratch is a per-worker arena of reusable byte buffers. Buffers
 // handed out by Bytes remain valid until Reset; the engine resets the
 // arena between jobs, so pooled buffers never outlive the job that
@@ -131,7 +128,7 @@ func (s *Scratch) Reset() { s.next = 0 }
 type FetchIntoFunc func(req ec.ReadRequest, dst []byte) error
 
 // RepairJob asks for the missing shards of one stripe to be
-// reconstructed. Exactly one of Fetch or FetchInto must be set.
+// reconstructed.
 type RepairJob struct {
 	// Code is the stripe's codec. Codecs are safe for concurrent use,
 	// so one codec instance is typically shared by every job.
@@ -142,10 +139,8 @@ type RepairJob struct {
 	ShardSize int64
 	// Alive reports shard availability to the repair planner.
 	Alive ec.AliveFunc
-	// Fetch retrieves planned byte ranges (caller-allocated buffers).
-	Fetch ec.FetchFunc
-	// FetchInto, when set instead of Fetch, retrieves planned ranges
-	// into engine-pooled buffers, eliminating per-read allocations.
+	// FetchInto retrieves planned ranges into engine-pooled buffers, so
+	// no survivor read allocates.
 	FetchInto FetchIntoFunc
 }
 
@@ -161,7 +156,7 @@ type RepairResult struct {
 }
 
 // errNoFetch is returned for a repair job with no fetch callback.
-var errNoFetch = errors.New("engine: repair job needs Fetch or FetchInto")
+var errNoFetch = errors.New("engine: repair job needs FetchInto")
 
 // RunRepairs executes a batch of repair jobs across the worker pool
 // and returns per-job results in job order. Output bytes are identical
@@ -176,24 +171,21 @@ func (e *Engine) RunRepairs(jobs []RepairJob) []RepairResult {
 
 // runRepair executes one repair job with the worker's scratch arena.
 func (e *Engine) runRepair(job *RepairJob, s *Scratch) RepairResult {
-	fetch := job.Fetch
-	switch {
-	case fetch == nil && job.FetchInto == nil:
+	into := job.FetchInto
+	if into == nil {
 		return RepairResult{Err: errNoFetch}
-	case fetch == nil:
-		into := job.FetchInto
-		//repolint:ignore noalloc one adapter closure per stripe job (not per fetch) is the price of landing every survivor read in pooled buffers
-		fetch = func(req ec.ReadRequest) ([]byte, error) {
-			buf := s.Bytes(int(req.Length))
-			// Zero the recycled buffer so a FetchInto that writes short
-			// sees zeros — exactly what a fresh allocation on the Fetch
-			// path would hold — instead of a previous stripe's bytes.
-			clear(buf)
-			if err := into(req, buf); err != nil {
-				return nil, err
-			}
-			return buf, nil
+	}
+	//repolint:ignore noalloc one adapter closure per stripe job (not per fetch) is the price of landing every survivor read in pooled buffers
+	fetch := func(req ec.ReadRequest) ([]byte, error) {
+		buf := s.Bytes(int(req.Length))
+		// Zero the recycled buffer so a FetchInto that writes short
+		// sees zeros, as a fresh allocation would hold, instead of a
+		// previous stripe's bytes.
+		clear(buf)
+		if err := into(req, buf); err != nil {
+			return nil, err
 		}
+		return buf, nil
 	}
 	// The codec's results are freshly allocated and alias no fetched
 	// buffer (ec.Code), so they outlive the arena as they are.
@@ -206,10 +198,10 @@ func (e *Engine) runRepair(job *RepairJob, s *Scratch) RepairResult {
 
 // RunTasks executes a batch of arbitrary stripe-scoped closures across
 // the worker pool, returning per-task errors in task order — how the
-// BlockFixer runs its conventional decodes and partial-sum fold trees
-// under one concurrency bound. Each task receives its worker's scratch
-// arena for fetch and fold buffers; the arena is reset after the task
-// returns, so whatever a task keeps must not live in it.
+// BlockFixer runs one codec repair per stripe under one concurrency
+// bound. Each task receives its worker's scratch arena for fetch and
+// fold buffers; the arena is reset after the task returns, so whatever
+// a task keeps must not live in it.
 func (e *Engine) RunTasks(tasks []func(*Scratch) error) []error {
 	errs := make([]error, len(tasks))
 	e.forEach(len(tasks), func(i int, s *Scratch) {

@@ -100,7 +100,10 @@ func serialRepairs(t testing.TB, code ec.Code, stripes []stripe) []map[int][]byt
 
 // TestEngineRepairParity asserts engine-parallel repair output is
 // byte-identical to serial repair for RS, Piggybacked-RS, and LRC
-// across parallelism 1, 4, and GOMAXPROCS, with both fetch styles.
+// across parallelism 1, 4, and GOMAXPROCS, both ways a batch of repairs
+// runs on the engine: RunRepairs jobs fetching into pooled buffers, and
+// RunTasks tasks (the BlockFixer's shape) each calling the codec with a
+// fetch of its own.
 func TestEngineRepairParity(t *testing.T) {
 	const shardSize = 4 << 10
 	parallelisms := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -112,21 +115,32 @@ func TestEngineRepairParity(t *testing.T) {
 				name := fmt.Sprintf("%s/par=%d/pooled=%v", code.Name(), par, pooled)
 				t.Run(name, func(t *testing.T) {
 					eng := New(Options{Parallelism: par})
-					jobs := make([]RepairJob, len(stripes))
-					for i, st := range stripes {
-						jobs[i] = RepairJob{
-							Code:      code,
-							Missing:   st.missing,
-							ShardSize: shardSize,
-							Alive:     ec.AllAliveExcept(st.missing...),
+					results := make([]RepairResult, len(stripes))
+					if pooled {
+						jobs := make([]RepairJob, len(stripes))
+						for i, st := range stripes {
+							jobs[i] = RepairJob{
+								Code:      code,
+								Missing:   st.missing,
+								ShardSize: shardSize,
+								Alive:     ec.AllAliveExcept(st.missing...),
+								FetchInto: fetchIntoFrom(st.shards),
+							}
 						}
-						if pooled {
-							jobs[i].FetchInto = fetchIntoFrom(st.shards)
-						} else {
-							jobs[i].Fetch = fetchFrom(st.shards)
+						results = eng.RunRepairs(jobs)
+					} else {
+						tasks := make([]func(*Scratch) error, len(stripes))
+						for i, st := range stripes {
+							i, st := i, st
+							tasks[i] = func(*Scratch) error {
+								res := &results[i]
+								res.Shards, res.Err = code.ExecuteMultiRepair(st.missing, shardSize,
+									ec.AllAliveExcept(st.missing...), fetchFrom(st.shards))
+								return res.Err
+							}
 						}
+						eng.RunTasks(tasks)
 					}
-					results := eng.RunRepairs(jobs)
 					for i, res := range results {
 						if res.Err != nil {
 							t.Fatalf("job %d: %v", i, res.Err)
@@ -207,10 +221,10 @@ func TestEngineErrorIsolation(t *testing.T) {
 			Missing:   st.missing,
 			ShardSize: 1024,
 			Alive:     ec.AllAliveExcept(st.missing...),
-			Fetch:     fetchFrom(st.shards),
+			FetchInto: fetchIntoFrom(st.shards),
 		}
 		if i == 2 {
-			jobs[i].Fetch = func(ec.ReadRequest) ([]byte, error) { return nil, boom }
+			jobs[i].FetchInto = func(ec.ReadRequest, []byte) error { return boom }
 		}
 	}
 	// Final job: no fetch callback at all.
@@ -294,8 +308,8 @@ func TestScratchReuse(t *testing.T) {
 
 func TestEngineDefaults(t *testing.T) {
 	e := New(Options{})
-	if e.Parallelism() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default parallelism %d, want GOMAXPROCS=%d", e.Parallelism(), runtime.GOMAXPROCS(0))
+	if e.par != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default parallelism %d, want GOMAXPROCS=%d", e.par, runtime.GOMAXPROCS(0))
 	}
 	if got := e.RunRepairs(nil); len(got) != 0 {
 		t.Fatal("empty batch must yield empty results")

@@ -33,8 +33,9 @@ func ExampleEngine_RunRepairs() {
 		Missing:   []int{1},
 		ShardSize: int64(len(shards[0])),
 		Alive:     ec.AllAliveExcept(1),
-		Fetch: func(req ec.ReadRequest) ([]byte, error) {
-			return shards[req.Shard][req.Offset : req.Offset+req.Length], nil
+		FetchInto: func(req ec.ReadRequest, dst []byte) error {
+			copy(dst, shards[req.Shard][req.Offset:req.Offset+req.Length])
+			return nil
 		},
 	}})
 	if results[0].Err != nil {

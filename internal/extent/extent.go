@@ -123,6 +123,8 @@ type Options struct {
 	// at least this fraction of the sealed segments' footprint. A
 	// delete-heavy store then bounds its own disk amplification without
 	// anyone calling Compact. 0 keeps compaction strictly manual.
+	//
+	//repolint:ignore deadexport ROADMAP 5: the chaos scheduler runs delete-heavy stores with compaction armed
 	CompactAfterDeadFraction float64
 	// Telemetry, when non-nil, receives the store's instruments:
 	// extent_appends_total, extent_scan_records_total,

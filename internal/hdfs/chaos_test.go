@@ -128,7 +128,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 			if err := c.InjectBitRot(locs[0][0], blockID, 0); err != nil {
 				t.Fatalf("seed %d step %d: rot: %v", seed, step, err)
 			}
-			if _, err := c.RunScrubber(); err != nil {
+			if _, err := c.RunScrubberSlice(c.Machines()); err != nil {
 				t.Fatalf("seed %d step %d: scrub: %v", seed, step, err)
 			}
 			runFixer()
@@ -149,7 +149,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	for _, name := range names {
 		checkFile(name)
 	}
-	if _, err := c.RunScrubber(); err != nil {
+	if _, err := c.RunScrubberSlice(c.Machines()); err != nil {
 		t.Fatal(err)
 	}
 	// A final fixer pass must find nothing to do.

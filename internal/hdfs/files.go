@@ -556,12 +556,9 @@ func (c *metaShard) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
 // scratch (the fixer passes its worker's arena; nil allocates), and
 // returns a view of it — the codec only reads fetched
 // buffers and never returns one, so the arena can be reset as soon as
-// the repair returns. record, when non-nil, observes every (src, bytes)
-// wire transfer — the contention model replays them through the netsim
-// fabric. It is invoked from the worker executing the stripe's repair
-// job, never concurrently for one stripe. Callers hold c.mu in at
-// least read mode for every invocation of the returned func.
-func (c *metaShard) stripeFetchLocked(sm *stripeMeta, dst int, record func(src int, bytes int64), scratch *engine.Scratch) ec.FetchFunc {
+// the repair returns. Callers hold c.mu in at least read mode for every
+// invocation of the returned func.
+func (c *metaShard) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
 	return func(req ec.ReadRequest) ([]byte, error) {
 		id := sm.blocks[req.Shard]
 		if id < 0 {
@@ -583,9 +580,6 @@ func (c *metaShard) stripeFetchLocked(sm *stripeMeta, dst int, record func(src i
 		}
 		if err := c.net.Transfer(src, dst, req.Length); err != nil {
 			return nil, err
-		}
-		if record != nil {
-			record(src, req.Length)
 		}
 		return buf, nil
 	}
@@ -614,5 +608,5 @@ func (c *metaShard) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error
 		return alive(pos)
 	}
 	//repolint:ignore lockdiscipline the in-process degraded read decodes under the read lock, which stalls writers but no reader; the serving path decodes in the client
-	return c.cfg.Code.ExecuteRepair(bm.stripePos, sm.shardSize, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil, nil))
+	return c.cfg.Code.ExecuteRepair(bm.stripePos, sm.shardSize, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil))
 }

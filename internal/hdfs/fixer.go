@@ -1,18 +1,17 @@
 // The BlockFixer of one metadata shard — RepairOps: full passes,
-// targeted stripe repairs and re-replication, all through one
-// three-phase pipeline (plan under the metadata lock, decode on the
-// engine with it released, apply under the lock), plus the optional
-// contention replay of a pass's wire transfers.
+// targeted stripe repairs and re-replication. Every stripe repair runs
+// one way: plan under the metadata lock, one codec ExecuteMultiRepair
+// per stripe on the engine with the lock released, apply under the
+// lock.
 package hdfs
 
 import (
 	"fmt"
-	"math"
+	"hash/crc32"
 	"slices"
 
 	"repro/internal/ec"
 	"repro/internal/engine"
-	"repro/internal/netsim"
 )
 
 // stripeAlive is stripeAliveLocked behind a per-call read lock, for use
@@ -29,8 +28,8 @@ func (c *metaShard) stripeAlive(sm *stripeMeta) ec.AliveFunc {
 
 // stripeFetch is stripeFetchLocked behind a per-call read lock, for use
 // while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *metaShard) stripeFetch(sm *stripeMeta, dst int, record func(src int, bytes int64), scratch *engine.Scratch) ec.FetchFunc {
-	inner := c.stripeFetchLocked(sm, dst, record, scratch)
+func (c *metaShard) stripeFetch(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
+	inner := c.stripeFetchLocked(sm, dst, scratch)
 	return func(req ec.ReadRequest) ([]byte, error) {
 		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
 		c.mu.RLock()
@@ -48,29 +47,10 @@ type FixReport struct {
 	// ReReplicated counts replicated blocks copied from a surviving
 	// replica.
 	ReReplicated int
-	// PartialSumRepairs counts stripe repairs delivered by the
-	// partial-sum aggregation pipeline (always zero unless
-	// Config.PartialSumRepair is set).
-	PartialSumRepairs int
 	// Unrecoverable lists blocks that could not be restored.
 	Unrecoverable []BlockID
 	// CrossRackBytes is the cross-rack traffic this pass generated.
 	CrossRackBytes int64
-	// SimulatedRepairSeconds holds, when Config.Fabric is set, the
-	// contention-simulated completion time of each successful stripe
-	// repair (in stripe-fix order): the pass's transfers replayed
-	// concurrently through the netsim fabric under the engine's
-	// parallelism bound.
-	SimulatedRepairSeconds []float64
-	// SimulatedMakespanSeconds is the simulated wall time for the
-	// whole pass (zero when Config.Fabric is nil or nothing was
-	// repaired).
-	SimulatedMakespanSeconds float64
-	// SimulatedParallelism is the concurrency bound the replay ran
-	// under — Config.RepairParallelism, or GOMAXPROCS when that was 0.
-	// Simulated times are only comparable across machines when the
-	// bound matches.
-	SimulatedParallelism int
 }
 
 // RunBlockFixer scans every block and restores availability: lost
@@ -91,6 +71,7 @@ func (c *metaShard) RunBlockFixer() (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
+	defer c.mu.Unlock()
 	report := &FixReport{}
 	before := c.net.CrossRackBytes()
 
@@ -134,14 +115,8 @@ func (c *metaShard) RunBlockFixer() (*FixReport, error) {
 		report.ReReplicated++
 	}
 
-	simFn := c.repairStripes(lostByStripe, stripeOrder, report)
+	c.repairStripes(lostByStripe, stripeOrder, report)
 	report.CrossRackBytes = c.net.CrossRackBytes() - before
-	c.mu.Unlock()
-	if simFn != nil {
-		if err := simFn(); err != nil {
-			return nil, err
-		}
-	}
 	return report, nil
 }
 
@@ -150,24 +125,16 @@ func (c *metaShard) RunBlockFixer() (*FixReport, error) {
 // targeted FixStripes call. It runs in three phases so many stripes
 // decode concurrently through the engine. Planning (destination picks,
 // which consume the cluster rng) stays serial in stripe order for
-// determinism and holds the metadata lock; execution is a batch on
-// the stripe-repair engine with the lock RELEASED — each fetch takes
-// the read lock for its own duration, and the network fabric's byte
-// accounting is thread-safe — so foreground reads interleave with
-// the decodes; application (stores, onward shipping) retakes the
-// lock and is serial again in stripe order.
-//
-// With PartialSumRepair set, single-block fixes of a linear-planning
-// codec run as aggregation-tree folds instead of engine decodes; a
-// pipeline that fails mid-fold (helper died) falls back to the
-// conventional fan-in within its task.
+// determinism and holds the metadata lock; execution is one codec
+// ExecuteMultiRepair task per stripe on the engine with the lock
+// RELEASED — each fetch takes the read lock for its own duration, and
+// the network fabric's byte accounting is thread-safe — so foreground
+// reads interleave with the decodes; application (stores, onward
+// shipping) retakes the lock and is serial again in stripe order.
 //
 // Callers hold fixerMu and c.mu exclusively; repairStripes returns
-// with c.mu still held. The returned closure (nil unless a contention
-// fabric is configured and fixes were applied) must be run after c.mu
-// is released: it replays the recorded wire shape through the netsim
-// fabric and fills the report's Simulated* fields.
-func (c *metaShard) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOrder []StripeID, report *FixReport) func() error {
+// with c.mu still held.
+func (c *metaShard) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOrder []StripeID, report *FixReport) {
 	fixes := make([]*stripeFix, 0, len(stripeOrder))
 	for _, sid := range stripeOrder {
 		lost := lostByStripe[sid]
@@ -180,81 +147,42 @@ func (c *metaShard) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripe
 		}
 		fixes = append(fixes, fix)
 	}
-	outcomes := make([]fixOutcome, len(fixes))
-	recordWire := c.cfg.Fabric != nil
-	_, linearOK := c.cfg.Code.(ec.LinearRepairPlanner)
-	// One task per fix, all submitted as a single engine batch so
-	// conventional decodes and partial-sum folds share the parallelism
-	// bound instead of draining in two phases.
+	shards := make([]map[int][]byte, len(fixes))
 	tasks := make([]func(*engine.Scratch) error, len(fixes))
 	for i, f := range fixes {
 		i, f := i, f
-		// With a contention fabric configured, each fix records its
-		// actual wire legs (fan-in transfers or fold-tree hops); one
-		// recorder per fix, written only by the worker executing it.
-		record := func(src int, bytes int64) {
-			outcomes[i].transfers = append(outcomes[i].transfers, netsim.Transfer{Src: src, Bytes: bytes})
+		tasks[i] = func(s *engine.Scratch) (err error) {
+			shards[i], err = c.cfg.Code.ExecuteMultiRepair(
+				f.positions, f.sm.shardSize, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s))
+			return err
 		}
-		if !recordWire {
-			record = nil
-		}
-		conventional := func(s *engine.Scratch) error {
-			out := &outcomes[i]
-			out.shards, out.err = c.cfg.Code.ExecuteMultiRepair(
-				f.positions, f.sm.shardSize, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), record, s))
-			return nil
-		}
-		if c.cfg.PartialSumRepair && linearOK && len(f.positions) == 1 {
-			tasks[i] = func(s *engine.Scratch) error {
-				shards, tree, err := c.executePartialFix(f, s)
-				if err == nil {
-					outcomes[i].shards, outcomes[i].tree = shards, tree
-					return nil
-				}
-				return conventional(s)
-			}
-			continue
-		}
-		tasks[i] = conventional
 	}
 	c.mu.Unlock()
-	c.eng.RunTasks(tasks)
+	errs := c.eng.RunTasks(tasks)
 	c.lockMeta()
-	var applied []int
 	for i, f := range fixes {
-		if outcomes[i].err != nil {
+		if errs[i] != nil {
 			for _, bm := range f.lost {
 				report.Unrecoverable = append(report.Unrecoverable, bm.id)
 			}
 			continue
 		}
-		repairedBefore := report.RepairedStriped
-		c.applyStripeFixLocked(f, outcomes[i].shards, report)
-		if outcomes[i].tree != nil && report.RepairedStriped > repairedBefore {
-			report.PartialSumRepairs++
-		}
-		applied = append(applied, i)
+		c.applyStripeFixLocked(f, shards[i], report)
 	}
-	if recordWire && len(applied) > 0 {
-		return func() error {
-			return c.simulateFixContention(fixes, outcomes, applied, report)
-		}
-	}
-	return nil
 }
 
 // FixStripes repairs exactly the given stripes — the repair manager's
 // targeted entry point, so a risk-prioritised queue can drain one
 // stripe at a time instead of sweeping the whole namespace the way
 // RunBlockFixer does. Lost blocks of each stripe run through the same
-// three-phase pipeline (and the same partial-sum and contention-fabric
-// behaviour) as a full fixer pass; stripes that turn out healthy are
-// scanned and skipped. Unknown stripe ids are an error. Calls are
-// serialised against full fixer passes by fixerMu.
+// three-phase pipeline as a full fixer pass; stripes that turn out
+// healthy are scanned and skipped. Unknown stripe ids are an error.
+// Calls are serialised against full fixer passes by fixerMu.
 func (c *metaShard) FixStripes(ids []StripeID) (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
+	defer c.mu.Unlock()
 	report := &FixReport{}
 	before := c.net.CrossRackBytes()
 	lostByStripe := make(map[StripeID][]*blockMeta)
@@ -267,7 +195,6 @@ func (c *metaShard) FixStripes(ids []StripeID) (*FixReport, error) {
 		seen[sid] = true
 		sm, ok := c.stripes[sid]
 		if !ok {
-			c.mu.Unlock()
 			return nil, fmt.Errorf("hdfs: stripe %d not found", sid)
 		}
 		for _, bid := range sm.blocks {
@@ -285,14 +212,8 @@ func (c *metaShard) FixStripes(ids []StripeID) (*FixReport, error) {
 			lostByStripe[sid] = append(lostByStripe[sid], bm)
 		}
 	}
-	simFn := c.repairStripes(lostByStripe, stripeOrder, report)
+	c.repairStripes(lostByStripe, stripeOrder, report)
 	report.CrossRackBytes = c.net.CrossRackBytes() - before
-	c.mu.Unlock()
-	if simFn != nil {
-		if err := simFn(); err != nil {
-			return nil, err
-		}
-	}
 	return report, nil
 }
 
@@ -334,118 +255,6 @@ func (c *metaShard) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 	}
 	report.CrossRackBytes = c.net.CrossRackBytes() - before
 	return report, nil
-}
-
-// fixOutcome is the execution-phase result of one planned stripe fix.
-type fixOutcome struct {
-	shards map[int][]byte
-	err    error
-	// transfers (fan-in legs) or the edges of tree (a fix the partial-sum
-	// pipeline delivered) are what the contention replay runs; one is set.
-	transfers []netsim.Transfer
-	tree      *engine.AggPlan
-}
-
-// executePartialFix rebuilds the single lost block of a stripe in the
-// tree shape: ask the codec for the linear plan, pin a live holder per
-// helper position (pickReplica), lay the plan out as the rack-aware
-// aggregation tree, and fold it in process (engine.FoldTree). Ranges are
-// read into shard-sized buffers of the worker's arena, which hold
-// whatever any store reads for any range; every tree edge and the final
-// root → destination hop moves one shard-sized buffer through the
-// network accounting. Runs with the metadata lock released; planning
-// takes the read lock for its own duration (stripe position tables are
-// immutable once created, and block I/O takes only datanode leaf locks).
-func (c *metaShard) executePartialFix(f *stripeFix, scratch *engine.Scratch) (map[int][]byte, *engine.AggPlan, error) {
-	pos, sm := f.positions[0], f.sm
-	c.rlockMeta()
-	plan, err := c.cfg.Code.(ec.LinearRepairPlanner).PlanLinearRepair(pos, sm.shardSize, c.stripeAliveLocked(sm))
-	var tree *engine.AggPlan
-	if err == nil {
-		tree, err = engine.PlanRepairTree(plan, func(shard int) (int, bool, error) {
-			id := sm.blocks[shard]
-			if id < 0 {
-				return 0, false, nil // phantom zero shard
-			}
-			live := c.liveLocations(c.blocks[id])
-			if len(live) == 0 {
-				return 0, false, fmt.Errorf("%w: stripe %d position %d", ErrBlockLost, sm.id, shard)
-			}
-			return c.pickReplica(live), true, nil
-		}, c.cfg.Topology.RackOf)
-	}
-	c.mu.RUnlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	read := func(machine int, req ec.ReadRequest) ([]byte, error) {
-		return c.nodes[machine].readRangeInto(sm.blocks[req.Shard], req.Offset, req.Length, scratch.Bytes(int(sm.shardSize)))
-	}
-	carry := func(from, to int) error { return c.net.Transfer(from, to, sm.shardSize) }
-	shard, err := tree.Repair(func(root *engine.AggNode) ([]byte, error) {
-		return engine.FoldTree(root, f.worker(), sm.shardSize, read, carry)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return map[int][]byte{pos: shard}, tree, nil
-}
-
-// simulateFixContention replays the applied fixes' recorded wire shape
-// through the netsim fabric: all stripes submitted at time zero, FIFO,
-// concurrency bounded by the repair engine's parallelism — the same
-// shape the real pass executed with, but with every flow fair-sharing
-// NICs, TOR links, and the aggregation switch. Conventional fixes
-// replay as fan-ins; partial-sum fixes replay as their fold-tree hop
-// pipelines.
-func (c *metaShard) simulateFixContention(fixes []*stripeFix, outcomes []fixOutcome, applied []int, report *FixReport) error {
-	sim, err := netsim.NewSimulator(c.cfg.fabricTopology())
-	if err != nil {
-		return err
-	}
-	sched := netsim.NewScheduler(sim, netsim.PolicyFIFO, c.eng.Parallelism())
-	// Decode fan-ins first (IDs [0, len(applied))), then the onward
-	// shipping legs of multi-block fixes: FIFO admission approximates
-	// the real two-phase pass, where blocks ship only after decoding.
-	for jobID, i := range applied {
-		f := fixes[i]
-		job := netsim.Job{ID: jobID, Dst: f.worker(), Transfers: append([]netsim.Transfer(nil), outcomes[i].transfers...)}
-		if tree := outcomes[i].tree; tree != nil {
-			job.Hops = tree.Hops(f.worker())
-		}
-		sched.Submit(job)
-	}
-	shipID := len(applied)
-	for _, i := range applied {
-		f := fixes[i]
-		for j, bm := range f.lost {
-			if dst := f.destinations[j]; dst != f.worker() {
-				sched.Submit(netsim.Job{
-					ID:        shipID,
-					Dst:       dst,
-					Transfers: []netsim.Transfer{{Src: f.worker(), Bytes: bm.size}},
-				})
-				shipID++
-			}
-		}
-	}
-	if err := sim.Run(math.Inf(1)); err != nil {
-		return err
-	}
-	perFix := make([]float64, 0, len(applied))
-	var makespan float64
-	for _, r := range sched.Results() {
-		if r.Finish > makespan {
-			makespan = r.Finish
-		}
-		if r.ID < len(applied) {
-			perFix = append(perFix, r.TotalSeconds())
-		}
-	}
-	report.SimulatedRepairSeconds = perFix
-	report.SimulatedMakespanSeconds = makespan
-	report.SimulatedParallelism = c.eng.Parallelism()
-	return nil
 }
 
 // excludeRacksLocked returns the racks hosting live blocks of the
@@ -532,9 +341,13 @@ func (c *metaShard) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, re
 }
 
 // reReplicateLocked copies a replicated block from a live replica until
-// it reaches the target count, preferring fresh racks.
+// it reaches the target count, preferring fresh racks. The source is
+// the first live replica that reads back and matches the block's
+// CRC-32: a rotted replica is never copied, and the block is lost only
+// when no replica passes.
 func (c *metaShard) reReplicateLocked(bm *blockMeta, live []int, target int) error {
 	current := append([]int(nil), live...)
+	src, buf := -1, []byte(nil)
 	for len(current) < target {
 		exclude := make(map[int]bool)
 		for _, m := range current {
@@ -544,10 +357,10 @@ func (c *metaShard) reReplicateLocked(bm *blockMeta, live []int, target int) err
 		if err != nil {
 			return err
 		}
-		src := current[0]
-		buf, err := c.nodes[src].readRange(bm.id, 0, bm.size)
-		if err != nil {
-			return err
+		if src < 0 {
+			if src, buf = c.goodReplicaLocked(bm, live); src < 0 {
+				return fmt.Errorf("%w: block %d has no replica that matches its checksum", ErrBlockLost, bm.id)
+			}
 		}
 		if err := c.net.Transfer(src, dst, bm.size); err != nil {
 			return err
@@ -560,4 +373,16 @@ func (c *metaShard) reReplicateLocked(bm *blockMeta, live []int, target int) err
 	}
 	bm.locations = current
 	return nil
+}
+
+// goodReplicaLocked reads the block from the first of machines whose
+// copy reads back and matches the block's CRC-32, or returns -1 when
+// none does.
+func (c *metaShard) goodReplicaLocked(bm *blockMeta, machines []int) (int, []byte) {
+	for _, m := range machines {
+		if buf, err := c.nodes[m].readRange(bm.id, 0, bm.size); err == nil && crc32.ChecksumIEEE(buf) == bm.checksum {
+			return m, buf
+		}
+	}
+	return -1, nil
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ec"
-	"repro/internal/netsim"
 	"repro/internal/telemetry"
 )
 
@@ -102,29 +101,9 @@ type Config struct {
 	// executes concurrently through the stripe-repair engine; 0 selects
 	// GOMAXPROCS. Repaired bytes and traffic accounting are identical
 	// at any setting.
+	//
+	//repolint:ignore deadexport ROADMAP 5: the seeded chaos scheduler pins the fixer's worker count so a schedule replays
 	RepairParallelism int
-	// PartialSumRepair routes single-block stripe repairs through the
-	// distributed partial-sum pipeline when the codec supports linear
-	// repair plans: helpers fold coefficient-scaled ranges along a
-	// rack-aware aggregation tree and the destination receives ONE
-	// folded block instead of the plan's ~k ranges. Repaired bytes are
-	// byte-identical; the network accounting changes shape (one
-	// block-sized transfer per tree edge instead of a fan-in), which is
-	// the point. Multi-block fixes and pipeline failures fall back to
-	// the conventional fan-in transparently.
-	PartialSumRepair bool
-	// Fabric, when non-nil, supplies link capacities for a netsim
-	// contention model: every BlockFixer pass replays its stripe
-	// repairs' actual wire transfers through the fabric and reports
-	// simulated repair times in the FixReport. Racks and
-	// MachinesPerRack are taken from Topology; only the capacity
-	// fields of Fabric are used. Repaired bytes and the cluster
-	// byte-accounting are unaffected. The replay's concurrency bound
-	// is the repair engine's parallelism, so set RepairParallelism
-	// explicitly for results reproducible across machines (0 follows
-	// GOMAXPROCS); the bound used is recorded in
-	// FixReport.SimulatedParallelism.
-	Fabric *netsim.Topology
 	// Telemetry, when non-nil, is the metrics registry the cluster
 	// publishes into: per-shard metadata-lock gauges
 	// (hdfs_lock_wait_seconds, hdfs_meta_ops) and the repair engine's
@@ -169,19 +148,5 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hdfs: stripe width %d exceeds rack count %d (one rack per block, §2.1)",
 			c.Code.TotalShards(), c.Topology.Racks)
 	}
-	if c.Fabric != nil {
-		if err := c.fabricTopology().Validate(); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// fabricTopology merges the cluster's rack/machine layout with the
-// configured fabric capacities.
-func (c Config) fabricTopology() netsim.Topology {
-	t := *c.Fabric
-	t.Racks = c.Topology.Racks
-	t.MachinesPerRack = c.Topology.MachinesPerRack
-	return t
 }

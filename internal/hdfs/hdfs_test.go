@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ec"
 	"repro/internal/lrc"
-	"repro/internal/netsim"
 	"repro/internal/rs"
 )
 
@@ -782,133 +781,5 @@ func TestReadRangeRejectsInvalidRanges(t *testing.T) {
 	}
 	if _, err := d.readRange(7, 100, 2); err != nil {
 		t.Fatalf("offset past end must zero-pad, got error: %v", err)
-	}
-}
-
-// fixerWithFabric builds a raided cluster with a contention fabric,
-// fails the machines holding the first file block, and runs the fixer.
-func fixerWithFabric(t *testing.T, seed int64) *FixReport {
-	t.Helper()
-	fabric := netsim.Topology{
-		NICBytesPerSec:     1e6,
-		TORUpBytesPerSec:   4e6,
-		TORDownBytesPerSec: 4e6,
-		AggBytesPerSec:     16e6,
-	}
-	c, err := New(Config{
-		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
-		Code:        rsCode(t),
-		BlockSize:   1024,
-		Replication: 3,
-		Seed:        seed,
-		// Pinned so simulated times do not depend on the host's
-		// GOMAXPROCS.
-		RepairParallelism: 2,
-		Fabric:            &fabric,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := randBytes(seed, 8*1024)
-	if err := c.WriteFile("f", data); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RaidFile("f"); err != nil {
-		t.Fatal(err)
-	}
-	locs, err := c.BlockLocations("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range locs[0] {
-		c.FailMachine(m)
-	}
-	for _, m := range locs[4] {
-		c.FailMachine(m)
-	}
-	report, err := c.RunBlockFixer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return report
-}
-
-func TestFixerSimulatesContentionTimes(t *testing.T) {
-	report := fixerWithFabric(t, 42)
-	if report.RepairedStriped == 0 {
-		t.Fatal("fixer repaired nothing")
-	}
-	if len(report.SimulatedRepairSeconds) == 0 {
-		t.Fatal("no simulated repair times with Fabric configured")
-	}
-	if report.SimulatedParallelism != 2 {
-		t.Fatalf("SimulatedParallelism = %d, want the configured 2", report.SimulatedParallelism)
-	}
-	var max float64
-	for i, s := range report.SimulatedRepairSeconds {
-		if s <= 0 {
-			t.Fatalf("simulated repair %d took %g s, want > 0", i, s)
-		}
-		if s > max {
-			max = s
-		}
-	}
-	if report.SimulatedMakespanSeconds < max {
-		t.Fatalf("makespan %g s below slowest stripe %g s", report.SimulatedMakespanSeconds, max)
-	}
-	// Sanity on magnitude: a stripe repair reads 4 shards x 2 KB shard
-	// at >= 1 MB/s links, so simulated times stay well under a second.
-	if max > 1 {
-		t.Fatalf("simulated stripe repair %g s implausibly slow", max)
-	}
-}
-
-func TestFixerContentionDeterministic(t *testing.T) {
-	a := fixerWithFabric(t, 7)
-	b := fixerWithFabric(t, 7)
-	if a.SimulatedMakespanSeconds != b.SimulatedMakespanSeconds {
-		t.Fatalf("makespans differ: %g vs %g", a.SimulatedMakespanSeconds, b.SimulatedMakespanSeconds)
-	}
-	if len(a.SimulatedRepairSeconds) != len(b.SimulatedRepairSeconds) {
-		t.Fatalf("repair counts differ: %d vs %d", len(a.SimulatedRepairSeconds), len(b.SimulatedRepairSeconds))
-	}
-	for i := range a.SimulatedRepairSeconds {
-		if a.SimulatedRepairSeconds[i] != b.SimulatedRepairSeconds[i] {
-			t.Fatalf("repair %d differs: %g vs %g", i, a.SimulatedRepairSeconds[i], b.SimulatedRepairSeconds[i])
-		}
-	}
-}
-
-func TestFixerNoFabricNoSimulatedTimes(t *testing.T) {
-	c := testCluster(t, rsCode(t), 3)
-	if err := c.WriteFile("f", randBytes(3, 4096)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RaidFile("f"); err != nil {
-		t.Fatal(err)
-	}
-	locs, _ := c.BlockLocations("f")
-	for _, m := range locs[0] {
-		c.FailMachine(m)
-	}
-	report, err := c.RunBlockFixer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.SimulatedRepairSeconds != nil || report.SimulatedMakespanSeconds != 0 {
-		t.Fatal("simulated times reported without a Fabric")
-	}
-}
-
-func TestConfigValidatesFabric(t *testing.T) {
-	cfg := Config{
-		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 2},
-		Code:        rsCode(t),
-		BlockSize:   1024,
-		Replication: 2,
-		Fabric:      &netsim.Topology{}, // zero capacities
-	}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("zero-capacity fabric accepted")
 	}
 }

@@ -79,10 +79,8 @@ type RepairOps interface {
 	// ReReplicateBlocks restores replication of the given un-raided
 	// blocks.
 	ReReplicateBlocks(ids []BlockID) (*FixReport, error)
-	// RunScrubber verifies every replica checksum.
-	RunScrubber() (*ScrubReport, error)
 	// RunScrubberSlice verifies the next machines-sized slice of the
-	// round-robin scrub cursor.
+	// round-robin scrub cursor; Machines() machines is a full cycle.
 	RunScrubberSlice(machines int) (*ScrubReport, error)
 }
 

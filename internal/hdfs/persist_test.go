@@ -164,7 +164,7 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := c.RunScrubber()
+	report, err := c.RunScrubberSlice(c.Machines())
 	if err != nil {
 		t.Fatalf("scrub pass aborted: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 		t.Fatalf("unrecoverable blocks: %v", fix.Unrecoverable)
 	}
 	// And the repaired cluster scrubs clean.
-	report, err = c.RunScrubber()
+	report, err = c.RunScrubberSlice(c.Machines())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +205,54 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 	}
 	if got, err := c.ReadFile("f"); err != nil || len(got) != 4000 {
 		t.Fatalf("read after repair: %v", err)
+	}
+}
+
+// TestReReplicationSkipsRottedReplicas: a replicated block with one
+// replica dead and the first live one rotted is re-replicated from the
+// replica that still matches its checksum, on either store. The fixer
+// used to copy from the first live replica unchecked: on the in-memory
+// store the rot spread to the new copy, and on the extent store, whose
+// read of the rotted copy fails its CRC, the block was reported
+// unrecoverable while a good replica was live.
+func TestReReplicationSkipsRottedReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stores func(int) (BlockStore, error)
+	}{
+		{"mem", memStores},
+		{"extent", ExtentStoreFactory(t.TempDir(), extent.Options{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newForTest(t, storeConfig(t, tc.stores))
+			data := randBytes(61, 1000)
+			if err := c.WriteFile("f", data); err != nil {
+				t.Fatal(err)
+			}
+			locs, err := c.BlockLocations("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := locs[0]
+			c.FailMachine(l[2])
+			if err := c.InjectBitRot(l[0], only(t, c).files["f"].blocks[0], 5); err != nil {
+				t.Fatal(err)
+			}
+			fix, err := c.RunBlockFixer()
+			if err != nil || fix.ReReplicated != 1 || len(fix.Unrecoverable) != 0 {
+				t.Fatalf("fixer: %+v, %v; want one block re-replicated", fix, err)
+			}
+			// The rot injected on l[0] is the only rot left.
+			scrub, err := c.RunScrubberSlice(c.Machines())
+			if err != nil || scrub.CorruptReplicas != 1 {
+				t.Fatalf("scrub after re-replication: %+v, %v; want only the injected rot", scrub, err)
+			}
+			// With l[1] gone too, the new copy alone serves the file.
+			c.FailMachine(l[1])
+			if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read from the new replica: %v", err)
+			}
+		})
 	}
 }
 

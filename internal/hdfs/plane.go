@@ -301,15 +301,7 @@ func mergeFixInto(dst, part *FixReport) {
 	dst.ScannedBlocks += part.ScannedBlocks
 	dst.RepairedStriped += part.RepairedStriped
 	dst.ReReplicated += part.ReReplicated
-	dst.PartialSumRepairs += part.PartialSumRepairs
 	dst.Unrecoverable = append(dst.Unrecoverable, part.Unrecoverable...)
-	dst.SimulatedRepairSeconds = append(dst.SimulatedRepairSeconds, part.SimulatedRepairSeconds...)
-	if part.SimulatedMakespanSeconds > dst.SimulatedMakespanSeconds {
-		dst.SimulatedMakespanSeconds = part.SimulatedMakespanSeconds
-	}
-	if dst.SimulatedParallelism == 0 {
-		dst.SimulatedParallelism = part.SimulatedParallelism
-	}
 }
 
 // fanOutFix runs one fixer-style call per shard in parallel and merges
@@ -383,42 +375,29 @@ func (c *Cluster) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 	})
 }
 
-// scrubShards runs one scrub call per shard, in turn, and merges what
-// they found. The shared store is scanned once per shard, each shard
-// checking only blocks it owns. Cursor fields come from shard 0: every
-// shard advances its cursor over the same machine slice, so the cursors
-// stay aligned (and a full pass leaves them zero).
-func (c *Cluster) scrubShards(run func(sh *metaShard) (*ScrubReport, error)) (*ScrubReport, error) {
+// RunScrubberSlice advances every shard's scrub cursor over the same
+// machines-sized slice, in turn, and merges what they found. The shared
+// store is scanned once per shard, each shard checking only blocks it
+// owns. Cursor fields come from shard 0: every shard advances its
+// cursor over the same slice, so the cursors stay aligned.
+func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
 	report := &ScrubReport{}
 	for i, sh := range c.shards {
-		part, err := run(sh)
-		if part != nil {
-			report.ScannedReplicas += part.ScannedReplicas
-			report.CorruptReplicas += part.CorruptReplicas
-			report.AffectedBlocks = append(report.AffectedBlocks, part.AffectedBlocks...)
-			if i == 0 {
-				report.Resumed = part.Resumed
-				report.MachinesScanned = part.MachinesScanned
-				report.NextMachine = part.NextMachine
-			}
-		}
+		part, err := sh.RunScrubberSlice(machines)
 		if err != nil {
-			return report, err
+			return nil, err
+		}
+		report.ScannedReplicas += part.ScannedReplicas
+		report.CorruptReplicas += part.CorruptReplicas
+		report.AffectedBlocks = append(report.AffectedBlocks, part.AffectedBlocks...)
+		if i == 0 {
+			report.Resumed = part.Resumed
+			report.MachinesScanned = part.MachinesScanned
+			report.NextMachine = part.NextMachine
 		}
 	}
 	slices.Sort(report.AffectedBlocks)
 	return report, nil
-}
-
-// RunScrubber verifies every shard's replicas.
-func (c *Cluster) RunScrubber() (*ScrubReport, error) {
-	return c.scrubShards((*metaShard).RunScrubber)
-}
-
-// RunScrubberSlice advances every shard's scrub cursor over the same
-// machines-sized slice.
-func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
-	return c.scrubShards(func(sh *metaShard) (*ScrubReport, error) { return sh.RunScrubberSlice(machines) })
 }
 
 // --- Merged summaries --------------------------------------------------

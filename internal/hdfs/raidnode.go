@@ -106,85 +106,26 @@ type ScrubReport struct {
 	CorruptReplicas int
 	// AffectedBlocks lists blocks that lost at least one replica.
 	AffectedBlocks []BlockID
-	// Resumed reports that an incremental pass continued from a
-	// mid-cycle cursor rather than starting at machine 0. Always false
-	// for a full RunScrubber pass.
+	// Resumed reports that the slice continued from a mid-cycle cursor
+	// rather than starting at machine 0.
 	Resumed bool
-	// MachinesScanned counts the machines an incremental slice covered
-	// (zero for a full block-major RunScrubber pass); NextMachine is
-	// where the next slice resumes.
+	// MachinesScanned counts the machines the slice covered;
+	// NextMachine is where the next slice resumes.
 	MachinesScanned int
 	NextMachine     int
 }
 
-// RunScrubber recomputes every live replica's checksum against the
-// block's recorded CRC-32 and evicts corrupt replicas. It does not
-// repair; run the BlockFixer afterwards, as the production pipeline
-// does.
-func (c *metaShard) RunScrubber() (*ScrubReport, error) {
-	c.lockMeta()
-	defer c.mu.Unlock()
-	report := &ScrubReport{}
-
-	ids := make([]BlockID, 0, len(c.blocks))
-	for id := range c.blocks {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-
-	for _, id := range ids {
-		bm := c.blocks[id]
-		affected := false
-		var clean []int
-		for _, m := range bm.locations {
-			node := c.nodes[m]
-			if !node.isAlive() || !node.has(id) {
-				clean = append(clean, m)
-				continue
-			}
-			buf, err := node.readRange(id, 0, bm.size)
-			if err != nil {
-				// A storage-level checksum failure (persistent store found
-				// rot on disk) is exactly what the scrubber hunts: evict.
-				// Any other error (machine died mid-pass) is the failure
-				// detector's case — keep the replica and keep scanning
-				// instead of aborting the whole pass.
-				if errors.Is(err, ErrCorruptReplica) {
-					report.ScannedReplicas++
-					node.delete(id)
-					report.CorruptReplicas++
-					affected = true
-				} else {
-					clean = append(clean, m)
-				}
-				continue
-			}
-			report.ScannedReplicas++
-			if crc32.ChecksumIEEE(buf) != bm.checksum {
-				node.delete(id)
-				report.CorruptReplicas++
-				affected = true
-				continue
-			}
-			clean = append(clean, m)
-		}
-		if affected {
-			bm.locations = clean
-			report.AffectedBlocks = append(report.AffectedBlocks, id)
-		}
-	}
-	return report, nil
-}
-
-// RunScrubberSlice is the incremental scrubber: it verifies every
+// RunScrubberSlice is the scrubber: it recomputes the checksum of every
 // replica on the NEXT machines (round-robin cursor over the cluster,
-// wrapping), so a repair manager can schedule small scrub slices on a
-// timer instead of stalling a control-loop tick on a full-cluster
-// sweep. A slice of Machines() machines is one full cycle. Corrupt
-// replicas are evicted exactly as RunScrubber evicts them; dead
-// machines are skipped (their replicas are unreadable, and the failure
-// detector owns that case). The report's Resumed field distinguishes a
-// mid-cycle slice from one that started a fresh cycle at machine 0.
+// wrapping) against the block's recorded CRC-32 and evicts corrupt
+// replicas. It does not repair; run the BlockFixer afterwards, as the
+// production pipeline does. A repair manager schedules small slices on
+// a timer instead of stalling a control-loop tick on a full-cluster
+// sweep; a slice of Machines() machines is one full cycle, which scans
+// every machine and leaves the cursor where it began. Dead machines are
+// skipped (their replicas are unreadable, and the failure detector owns
+// that case). The report's Resumed field distinguishes a mid-cycle
+// slice from one that started a fresh cycle at machine 0.
 func (c *metaShard) RunScrubberSlice(machines int) (*ScrubReport, error) {
 	if machines < 1 {
 		return nil, errors.New("hdfs: scrub slice must cover at least one machine")

@@ -115,7 +115,7 @@ func TestScrubberDetectsBitRot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := c.RunScrubber()
+	report, err := c.RunScrubberSlice(c.Machines())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestScrubberDetectsBitRot(t *testing.T) {
 		t.Fatal("bit rot survived scrub + fix")
 	}
 	// A clean pass finds nothing.
-	report2, _ := c.RunScrubber()
+	report2, _ := c.RunScrubberSlice(c.Machines())
 	if report2.CorruptReplicas != 0 {
 		t.Fatal("clean cluster reported corruption")
 	}
@@ -159,7 +159,7 @@ func TestScrubberChecksReplicatedFiles(t *testing.T) {
 	if err := c.InjectBitRot(locs[0][1], id, 0); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.RunScrubber()
+	report, err := c.RunScrubberSlice(c.Machines())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,7 @@ func TestNodeReadsRunOutsideTheNodeLock(t *testing.T) {
 // reads from its helpers' disks no more than the plan's bytes (each
 // range rounded out to checksum chunks) — about 70% of what RS reads —
 // while an RS cluster reads k whole blocks: the saving PR 12 pinned on
-// the wire now holds on the platter. It holds in both shapes of the
-// repair: the partial-sum fixer's helpers read, between them, exactly
-// the bytes the conventional fixer's destination asks them for.
+// the wire now holds on the platter.
 func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 	const (
 		k, r      = 10, 4
@@ -131,20 +129,15 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	diskBytes := make(map[string]int64)
-	for _, tc := range []struct {
-		code    ec.Code
-		partial bool
-	}{{pb, false}, {plain, false}, {pb, true}, {plain, true}} {
-		code := tc.code
+	for _, code := range []ec.Code{pb, plain} {
 		reg := telemetry.NewRegistry()
 		c, err := New(Config{
-			Topology:         cluster.Topology{Racks: k + r + 2, MachinesPerRack: 2},
-			Code:             code,
-			BlockSize:        blockSize,
-			Replication:      3,
-			Seed:             3,
-			PartialSumRepair: tc.partial,
-			StoreFactory:     ExtentStoreFactory(t.TempDir(), extent.Options{Telemetry: reg}),
+			Topology:     cluster.Topology{Racks: k + r + 2, MachinesPerRack: 2},
+			Code:         code,
+			BlockSize:    blockSize,
+			Replication:  3,
+			Seed:         3,
+			StoreFactory: ExtentStoreFactory(t.TempDir(), extent.Options{Telemetry: reg}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,14 +191,6 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 			t.Fatalf("%s: fixer: %+v, %v", code.Name(), report, err)
 		}
 		read := reg.Snapshot().Counters["extent_read_bytes_total"] - before
-		if tc.partial {
-			if report.PartialSumRepairs != 1 {
-				t.Fatalf("%s: the repair did not take the partial-sum pipeline: %+v", code.Name(), report)
-			}
-			if conv := diskBytes[code.Name()]; read != conv {
-				t.Fatalf("%s: partial-sum repair read %d bytes from disk, the conventional one %d: a helper read more than the plan names, or a range twice", code.Name(), read, conv)
-			}
-		}
 		diskBytes[code.Name()] = read
 		if read < planBytes || read > chunked {
 			t.Fatalf("%s: repair read %d bytes from disk; the plan asks for %d, %d rounded out to chunks", code.Name(), read, planBytes, chunked)
@@ -218,7 +203,7 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 		if err := c.InjectBitRot(blocks[1].Locations[0], blocks[1].ID, blockSize-1); err != nil {
 			t.Fatal(err)
 		}
-		scrub, err := c.RunScrubber()
+		scrub, err := c.RunScrubberSlice(c.Machines())
 		if err != nil || scrub.CorruptReplicas != 1 {
 			t.Fatalf("%s: scrubber after rot in a block's last chunk: %+v, %v", code.Name(), scrub, err)
 		}

@@ -187,49 +187,44 @@ func TestReadFileResultIsCallerOwned(t *testing.T) {
 
 // TestFixerReadsHelpersIntoTheWorkerArena: a fixer pass over a machine's
 // worth of lost blocks draws its helper reads from the engine's scratch
-// pool — on both the conventional and the partial-sum path — and the
-// repaired blocks, which outlive the arena, read back byte for byte.
+// pool, and the repaired blocks, which outlive the arena, read back byte
+// for byte.
 func TestFixerReadsHelpersIntoTheWorkerArena(t *testing.T) {
-	for _, partial := range []bool{false, true} {
-		reg := telemetry.NewRegistry()
-		cfg := persistentConfig(t, t.TempDir(), reg)
-		cfg.Code, cfg.RepairParallelism, cfg.PartialSumRepair = pbCode(t), 1, partial
-		c := newForTest(t, cfg)
-		files := map[string][]byte{}
-		for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
-			files[name] = randBytes(int64(30+i), 4*1024)
-			if err := c.WriteFile(name, files[name]); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.RaidFile(name); err != nil {
-				t.Fatal(err)
-			}
+	reg := telemetry.NewRegistry()
+	cfg := persistentConfig(t, t.TempDir(), reg)
+	cfg.Code, cfg.RepairParallelism = pbCode(t), 1
+	c := newForTest(t, cfg)
+	files := map[string][]byte{}
+	for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		files[name] = randBytes(int64(30+i), 4*1024)
+		if err := c.WriteFile(name, files[name]); err != nil {
+			t.Fatal(err)
 		}
-		// Lose one block of every file.
-		for name := range files {
-			locs, _ := c.BlockLocations(name)
-			c.DecommissionMachine(locs[0][0])
+		if err := c.RaidFile(name); err != nil {
+			t.Fatal(err)
 		}
-		report, err := c.RunBlockFixer()
-		if err != nil || len(report.Unrecoverable) != 0 || report.RepairedStriped < len(files) {
-			t.Fatalf("partial=%v: fixer: %+v, %v", partial, report, err)
+	}
+	// Lose one block of every file.
+	for name := range files {
+		locs, _ := c.BlockLocations(name)
+		c.DecommissionMachine(locs[0][0])
+	}
+	report, err := c.RunBlockFixer()
+	if err != nil || len(report.Unrecoverable) != 0 || report.RepairedStriped < len(files) {
+		t.Fatalf("fixer: %+v, %v", report, err)
+	}
+	snap := reg.Snapshot()
+	hits, misses := snap.Counters["engine_scratch_hits_total"], snap.Counters["engine_scratch_misses_total"]
+	if hits == 0 || hits < 2*misses {
+		t.Fatalf("scratch hits/misses = %d/%d: helper reads are not recycling the arena", hits, misses)
+	}
+	for name, want := range files {
+		if got, err := c.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after repair: %v", name, err)
 		}
-		if partial && report.PartialSumRepairs == 0 {
-			t.Fatal("partial-sum pipeline did not run")
-		}
-		snap := reg.Snapshot()
-		hits, misses := snap.Counters["engine_scratch_hits_total"], snap.Counters["engine_scratch_misses_total"]
-		if hits == 0 || hits < 2*misses {
-			t.Fatalf("partial=%v: scratch hits/misses = %d/%d: helper reads are not recycling the arena", partial, hits, misses)
-		}
-		for name, want := range files {
-			if got, err := c.ReadFile(name); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("partial=%v: %s after repair: %v", partial, name, err)
-			}
-		}
-		if h := c.Health(); !h.Healthy() {
-			t.Fatalf("partial=%v: unhealthy after the pass: %+v", partial, h)
-		}
+	}
+	if h := c.Health(); !h.Healthy() {
+		t.Fatalf("unhealthy after the pass: %+v", h)
 	}
 }
 

@@ -213,8 +213,9 @@ func TestMachineInventoryAndHealth(t *testing.T) {
 }
 
 // TestScrubberSliceRoundRobin: slices walk the machines round-robin,
-// report Resumed mid-cycle, and a full cycle of slices finds exactly
-// what one full pass finds.
+// report Resumed mid-cycle, a cycle of slices finds a rotted replica
+// exactly once, and one slice of Machines() machines is a full cycle
+// from wherever the cursor stands.
 func TestScrubberSliceRoundRobin(t *testing.T) {
 	c := testCluster(t, rsCode(t), 15)
 	raidedFile(t, c, "a", 4096)
@@ -268,6 +269,42 @@ func TestScrubberSliceRoundRobin(t *testing.T) {
 	}
 	if h := c.Health(); h.MissingStriped != 1 {
 		t.Fatalf("health after scrub eviction: %+v", h)
+	}
+
+	// A full-cycle slice started mid-cycle scans every machine, those
+	// below the cursor included, and leaves the cursor where it began.
+	n, victim := c.Machines(), -1
+	var rotted BlockID
+	for _, b := range blocks[1:] {
+		if m := b.Locations[0]; m < n-1 {
+			victim, rotted = m, b.ID
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no block with a replica below the last machine")
+	}
+	rep, err := c.RunScrubberSlice(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps := (victim + 1 - rep.NextMachine + n) % n; steps > 0 {
+		if _, err := c.RunScrubberSlice(steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.InjectBitRot(victim, rotted, 10); err != nil {
+		t.Fatal(err)
+	}
+	full, err := c.RunScrubberSlice(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Resumed || full.MachinesScanned != n || full.NextMachine != victim+1 {
+		t.Fatalf("full cycle from cursor %d: %+v", victim+1, full)
+	}
+	if full.CorruptReplicas != 1 || len(full.AffectedBlocks) != 1 || full.AffectedBlocks[0] != rotted {
+		t.Fatalf("full cycle from cursor %d missed the rot on machine %d: %+v", victim+1, victim, full)
 	}
 
 	if _, err := c.RunScrubberSlice(0); err == nil {

@@ -41,17 +41,24 @@ type Config struct {
 	// PollInterval is the live control loop's tick.
 	PollInterval time.Duration
 	// RepairBytesPerSec caps sustained cross-rack repair traffic
-	// (token bucket); 0 leaves repair unthrottled. RepairBurstBytes is
-	// the bucket capacity (default: one second of rate).
+	// (token bucket); 0 leaves repair unthrottled.
+	//
+	//repolint:ignore deadexport ROADMAP 9: the trace replay through the real manager decides whether the throttle pays for itself
 	RepairBytesPerSec float64
-	RepairBurstBytes  float64
+	// RepairBurstBytes is the bucket capacity (default: one second of
+	// rate).
+	//
+	//repolint:ignore deadexport ROADMAP 9: the trace replay through the real manager decides whether the throttle pays for itself
+	RepairBurstBytes float64
 	// AgingTier is the queue time that promotes a waiting repair one
 	// erasure tier (starvation aging); 0 disables aging.
 	AgingTier time.Duration
 	// ScrubInterval schedules incremental scrub slices through the
 	// control loop; 0 disables background scrubbing.
+	//
+	//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload runs the manager with scrubbing on
+	ScrubInterval time.Duration
 	// ScrubSliceMachines is the slice width (default 1).
-	ScrubInterval      time.Duration
 	ScrubSliceMachines int
 	// CompletedLog caps the completion log the status RPC exposes.
 	CompletedLog int

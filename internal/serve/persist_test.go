@@ -166,7 +166,7 @@ func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 
 	// The scrubber finds it via the store's disk CRC and evicts only
 	// that replica.
-	rep, err := sys.Cluster().RunScrubber()
+	rep, err := sys.Cluster().RunScrubberSlice(sys.Cluster().Machines())
 	if err != nil {
 		t.Fatalf("scrub pass aborted: %v", err)
 	}

@@ -18,10 +18,9 @@ type TelemetryConfig struct {
 	// HTTP starts a loopback debug listener per daemon serving /metrics
 	// and /debug/traces (off by default: tests that only want counters
 	// skip the listeners entirely).
+	//
+	//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain reads a live system's /debug/traces
 	HTTP bool
-	// SpanBuffer caps each daemon's in-memory span store (default
-	// telemetry.DefaultSpanBuffer).
-	SpanBuffer int
 }
 
 // nodeTelemetry is one daemon's observability handle. A nil
@@ -39,7 +38,7 @@ type nodeTelemetry struct {
 func newNodeTelemetry(reg *telemetry.Registry, cfg TelemetryConfig, role, proc string) (*nodeTelemetry, error) {
 	nt := &nodeTelemetry{
 		reg:   reg,
-		spans: telemetry.NewSpanStore(cfg.SpanBuffer),
+		spans: telemetry.NewSpanStore(0),
 		role:  role,
 		proc:  proc,
 	}

@@ -242,8 +242,8 @@ func TestMiniHDFSThroughPublicAPI(t *testing.T) {
 
 // TestPartialSumThroughPublicAPI drives the partial-sum surface end to
 // end through exported package APIs alone: linear plans, the
-// aggregation tree, a live serving cluster with a partial-sum client,
-// and the partial-sum block fixer.
+// aggregation tree, and a live serving cluster with a partial-sum client
+// whose kill the block fixer then repairs.
 func TestPartialSumThroughPublicAPI(t *testing.T) {
 	code, err := rs.New(4, 2)
 	if err != nil {
@@ -273,14 +273,13 @@ func TestPartialSumThroughPublicAPI(t *testing.T) {
 		t.Fatalf("bad tree: %+v", tree)
 	}
 
-	// Live cluster: partial-sum client and fixer.
+	// Live cluster: partial-sum client, then the fixer.
 	sys, err := serve.Start(hdfs.Config{
-		Topology:         cluster.Topology{Racks: 8, MachinesPerRack: 2},
-		Code:             code,
-		BlockSize:        2048,
-		Replication:      3,
-		Seed:             5,
-		PartialSumRepair: true,
+		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
+		Code:        code,
+		BlockSize:   2048,
+		Replication: 3,
+		Seed:        5,
 	})
 	if err != nil {
 		t.Fatal(err)
