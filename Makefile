@@ -77,15 +77,14 @@ loc:
 # twice more (-count=2) because their tests synchronize on progress
 # (fake clocks, status polling), not wall-clock sleeps, and repeating
 # them back-to-back is the regression gate for that flakiness class.
-# The sharded-metadata property tests and the concurrency storms
-# (single and 4-shard planes, cross-shard writes) also repeat. The
+# The metadata plane's concurrency storms also repeat. The
 # lent-buffer test runs once more under the purego tag: the detector
 # does not see reads made by the assembly kernels, and a decoder
 # reading a buffer the caller overwrites is exactly what it pins.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/... ./internal/repairmgr/...
-	$(GO) test -race -count=2 -run 'TestShard|TestConcurrent' ./internal/hdfs/
+	$(GO) test -race -count=2 -run TestConcurrent ./internal/hdfs/
 	$(GO) test -race -tags purego -run TestLosingHedgeArm ./internal/serve/
 
 # A few seconds of native Go fuzzing per codec: random data, random
@@ -118,10 +117,8 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff -base $(BASE) -runs $(RUNS)
 
 # One-iteration pass over every Go benchmark so bench code cannot rot.
-# BenchmarkShardedMetadataOps (internal/hdfs) carries the one timing
-# gate — sharding must not cost metadata throughput — which is why it
-# is a benchmark here and not a tier-1 test. The live-cluster smoke of
-# ./benchmark is benchmark/smoke_test.go, already in `make test`.
+# It gates no timing. The live-cluster smoke of ./benchmark is
+# benchmark/smoke_test.go, already in `make test`.
 benchsmoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
 

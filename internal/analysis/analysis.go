@@ -6,14 +6,13 @@
 //
 // The analyzers:
 //
-//   - lockdiscipline — inside internal/hdfs, every acquisition of a
-//     metadata shard's mutex (metaShard.mu) goes through the
-//     instrumented lockMeta/rlockMeta helpers, only metaShard methods
-//     call them, and no engine/codec decode or encode call and no
-//     replica store runs while the metadata lock is held (the phased
-//     rule: plan under the lock, decode, encode and store with it
-//     released, commit under the lock), counting a *Locked method as
-//     entered with the lock held.
+//   - lockdiscipline — inside internal/hdfs, every acquisition of the
+//     metadata mutex (Cluster.mu) goes through the instrumented
+//     lockMeta/rlockMeta helpers, and no engine/codec decode or encode
+//     call and no replica store runs while the metadata lock is held
+//     (the phased rule: plan under the lock, decode, encode and store
+//     with it released, commit under the lock), counting a *Locked
+//     method as entered with the lock held.
 //   - layering — packages serve, sim, repairmgr, and engine consume
 //     the Metadata interface family, never *hdfs.Cluster concretely;
 //     the intra-module import graph must respect the layer ranks (no

@@ -8,13 +8,12 @@ import (
 )
 
 // lockDiscipline enforces the metadata-mutex rules of internal/hdfs.
-// The mutex is a metadata shard's (metaShard.mu); the plane above the
-// shards, Cluster, has none of its own.
+// The mutex is the cluster's (Cluster.mu).
 //
-//  1. Every acquisition of a shard's metadata mutex goes through the
+//  1. Every acquisition of the metadata mutex goes through the
 //     instrumented lockMeta/rlockMeta helpers (which charge lock-wait
 //     to the contention counters LockStats reports). A raw
-//     recv.mu.Lock()/recv.mu.RLock() inside a metaShard method is a
+//     recv.mu.Lock()/recv.mu.RLock() inside a Cluster method is a
 //     finding, except inside the helpers themselves.
 //  2. The phased-mutation rule: no engine execution, codec
 //     encode/decode or replica store (storeBlock) may run while the
@@ -22,19 +21,15 @@ import (
 //     with it released, and applies under the lock; a write or raid
 //     plans under it, encodes and stores with it released, and commits
 //     under it. Holding it across a decode or a disk write serialises
-//     every foreground read behind that I/O. A metaShard method named
+//     every foreground read behind that I/O. A Cluster method named
 //     *Locked is documented to be entered with the lock held, so its
 //     body is replayed from the held state: the rule sees a call one
 //     frame below the lockMeta that guards it.
-//  3. Confinement: the helpers are called only from metaShard methods.
-//     The plane reaches a shard's lock through the shard's methods, so
-//     rules 1 and 2 — which key on the method receiver — see every
-//     acquisition there is.
 //
 // Unlock/RUnlock calls are not findings — only acquisitions are
 // instrumented — and per-datanode leaf locks (node.mu) are out of
-// scope: rules 1 and 2 match only the metadata mutex of the enclosing
-// metaShard method's receiver.
+// scope: both rules match only the metadata mutex of the enclosing
+// Cluster method's receiver.
 type lockDiscipline struct{}
 
 // LockDiscipline returns the lockdiscipline analyzer.
@@ -57,9 +52,8 @@ const cacheTargetPath = "repro/internal/cache"
 // shard's mutex.
 const cacheShardType = "shard"
 
-// lockRecvType is the receiver type whose mu is the metadata mutex: the
-// per-shard metadata type.
-const lockRecvType = "metaShard"
+// lockRecvType is the receiver type whose mu is the metadata mutex.
+const lockRecvType = "Cluster"
 
 // lockHelperFuncs are the blessed acquisition helpers.
 var lockHelperFuncs = map[string]bool{"lockMeta": true, "rlockMeta": true}
@@ -98,28 +92,11 @@ func (a lockDiscipline) Check(pkg *Package) []Diagnostic {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			recv, recvType := recvInfo(fd)
-			if recv == "" || recvType != lockRecvType {
-				diags = append(diags, a.checkConfined(pkg, fd)...)
-				continue
+			if recv, recvType := recvInfo(fd); recv != "" && recvType == lockRecvType {
+				diags = append(diags, a.checkFunc(pkg, fd, recv)...)
 			}
-			diags = append(diags, a.checkFunc(pkg, fd, recv)...)
 		}
 	}
-	return diags
-}
-
-// checkConfined flags a lockMeta/rlockMeta call in a function that is
-// not a metaShard method (rule 3).
-func (a lockDiscipline) checkConfined(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
-	var diags []Diagnostic
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && lockHelperFuncs[calleeName(call)] && !isBuiltinLike(call) {
-			diags = append(diags, diag(pkg, a.Name(), call.Pos(),
-				"%s outside a %s method: the plane takes a shard's metadata lock through the shard's methods, where the lock rules are checked", calleeName(call), lockRecvType))
-		}
-		return true
-	})
 	return diags
 }
 
@@ -252,7 +229,7 @@ type lockEvent struct {
 	name string
 }
 
-// checkFunc walks one metaShard method. Each function literal inside it
+// checkFunc walks one Cluster method. Each function literal inside it
 // is simulated as its own scope (a closure's body runs later, under
 // whatever lock state its caller establishes), but the raw-acquisition
 // rule applies everywhere. The body of a *Locked method starts with the

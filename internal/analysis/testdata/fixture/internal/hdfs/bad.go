@@ -19,23 +19,16 @@ func (engine) RunTasks(tasks []func(*scratch) error) []error { return nil }
 
 func (engine) Fold() []byte { return nil }
 
-type metaShard struct {
+type Cluster struct {
 	mu  sync.RWMutex
 	eng engine
 }
 
-func (c *metaShard) lockMeta() { c.mu.Lock() }
+func (c *Cluster) lockMeta() { c.mu.Lock() }
 
-func (c *metaShard) brokenFixer() {
+func (c *Cluster) brokenFixer() {
 	c.mu.Lock() // lockdiscipline: raw acquisition, bypasses the instrumented helper
 	defer c.mu.Unlock()
 	c.eng.RunTasks(nil) // lockdiscipline: decode under the metadata mutex
 	c.eng.Fold()        // lockdiscipline: the shared fold under the metadata mutex
-}
-
-type Cluster struct{ shards []*metaShard }
-
-func (p *Cluster) aroundTheShard() {
-	p.shards[0].lockMeta() // lockdiscipline: the plane takes a shard's lock outside the shard's methods
-	p.shards[0].mu.Unlock()
 }

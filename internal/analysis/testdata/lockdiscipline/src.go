@@ -1,5 +1,5 @@
-// Golden input for the lockdiscipline analyzer: a miniature metadata
-// shard and plane with the same lock vocabulary as internal/hdfs.
+// Golden input for the lockdiscipline analyzer: a miniature cluster
+// with the same lock vocabulary as internal/hdfs.
 package hdfs
 
 import "sync"
@@ -16,34 +16,34 @@ func (codec) Decode(shards [][]byte) error { return nil }
 
 func (codec) Encode(shards [][]byte) error { return nil }
 
-type metaShard struct {
+type Cluster struct {
 	mu   sync.RWMutex
 	eng  engine
 	code codec
 }
 
 // The helpers themselves are the blessed acquisition sites.
-func (c *metaShard) lockMeta()  { c.mu.Lock() }
-func (c *metaShard) rlockMeta() { c.mu.RLock() }
+func (c *Cluster) lockMeta()  { c.mu.Lock() }
+func (c *Cluster) rlockMeta() { c.mu.RLock() }
 
-func (c *metaShard) rawLock() {
+func (c *Cluster) rawLock() {
 	c.mu.Lock() // want "raw c.mu.Lock"
 	defer c.mu.Unlock()
 }
 
-func (c *metaShard) rawRLock() int {
+func (c *Cluster) rawRLock() int {
 	c.mu.RLock() // want "raw c.mu.RLock"
 	defer c.mu.RUnlock()
 	return 0
 }
 
-func (c *metaShard) decodeUnderLock() {
+func (c *Cluster) decodeUnderLock() {
 	c.lockMeta()
 	c.eng.RunTasks(nil) // want "RunTasks called while holding the metadata mutex"
 	c.mu.Unlock()
 }
 
-func (c *metaShard) decodeUnderDeferredUnlock() error {
+func (c *Cluster) decodeUnderDeferredUnlock() error {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	return c.code.Decode(nil) // want "Decode called while holding the metadata mutex"
@@ -51,7 +51,7 @@ func (c *metaShard) decodeUnderDeferredUnlock() error {
 
 // The phased-fixer shape: plan under the lock, decode with it
 // released, apply under the lock. No findings.
-func (c *metaShard) phasedFixer() {
+func (c *Cluster) phasedFixer() {
 	c.lockMeta()
 	c.mu.Unlock()
 	c.eng.RunTasks(nil)
@@ -62,7 +62,7 @@ func (c *metaShard) phasedFixer() {
 // A closure body is its own lock scope: it runs later, under whatever
 // state its caller establishes, so the outer lockMeta does not leak
 // into it — but the raw-acquisition rule still applies inside.
-func (c *metaShard) closureScopes() func() error {
+func (c *Cluster) closureScopes() func() error {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	return func() error {
@@ -76,17 +76,17 @@ func (c *metaShard) closureScopes() func() error {
 // A *Locked method is entered with the lock held — its documented
 // contract — so its body replays from the held state, and a call one
 // frame below the lockMeta that guards it is seen.
-func (c *metaShard) encodeStripeLocked() error {
+func (c *Cluster) encodeStripeLocked() error {
 	return c.code.Encode(nil) // want "Encode called while holding the metadata mutex"
 }
 
-func (c *metaShard) storeReplicaLocked(n *dataNode) error {
+func (c *Cluster) storeReplicaLocked(n *dataNode) error {
 	return n.storeBlock(nil) // want "storeBlock called while holding the metadata mutex"
 }
 
 // A plain helper is entered without the lock: storing there is what the
 // plan / I/O / commit split is for.
-func (c *metaShard) storeReplica(n *dataNode) error {
+func (c *Cluster) storeReplica(n *dataNode) error {
 	return n.storeBlock(nil)
 }
 
@@ -98,34 +98,4 @@ func (n *dataNode) storeBlock(data []byte) error { return nil }
 func (n *dataNode) wipe() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-}
-
-// The plane has no metadata mutex of its own. It reaches a shard's lock
-// through the shard's methods, where the rules above see it; taking
-// the lock from a plane method — or any function that is not a shard
-// method — would hide the acquisition from them.
-type Cluster struct{ shards []*metaShard }
-
-func (c *metaShard) locked(change func()) {
-	c.lockMeta()
-	defer c.mu.Unlock()
-	change()
-}
-
-func (p *Cluster) throughTheShard() {
-	for _, sh := range p.shards {
-		sh.locked(func() {})
-	}
-}
-
-func (p *Cluster) aroundTheShard() {
-	for _, sh := range p.shards {
-		sh.lockMeta() // want "lockMeta outside a metaShard method"
-		sh.mu.Unlock()
-	}
-}
-
-func firstShardStats(shards []*metaShard) {
-	shards[0].rlockMeta() // want "rlockMeta outside a metaShard method"
-	shards[0].mu.RUnlock()
 }

@@ -103,7 +103,6 @@ func forEachSubset(pool []int, max int, fn func(sub []int)) {
 // now a tautology, so the anchor is the independent decode.
 func TestExecutorMatchesReconstruct(t *testing.T) {
 	for _, lc := range linearCodecs(t) {
-		lc := lc
 		code := lc.code
 		t.Run(code.Name(), func(t *testing.T) {
 			lp, ok := code.(ec.LinearRepairPlanner)
@@ -310,7 +309,6 @@ func TestRepairFollowsTheAliveSet(t *testing.T) {
 		}
 		errs := make(chan error, 4)
 		for g := 0; g < 4; g++ {
-			g := g
 			go func() {
 				for round := 0; round < 3; round++ {
 					for i := range patterns {

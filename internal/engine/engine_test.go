@@ -131,7 +131,6 @@ func TestEngineRepairParity(t *testing.T) {
 					} else {
 						tasks := make([]func(*Scratch) error, len(stripes))
 						for i, st := range stripes {
-							i, st := i, st
 							tasks[i] = func(*Scratch) error {
 								res := &results[i]
 								res.Shards, res.Err = code.ExecuteMultiRepair(st.missing, shardSize,
@@ -380,7 +379,6 @@ func TestRunTasksHandsOutTheWorkerArena(t *testing.T) {
 	var first *byte
 	tasks := make([]func(*Scratch) error, 50)
 	for i := range tasks {
-		i := i
 		tasks[i] = func(s *Scratch) error {
 			a, b := s.Bytes(4096), s.Bytes(4096)
 			if &a[0] == &b[0] {

@@ -69,7 +69,6 @@ func TestCrashMidAppendEveryByteBoundary(t *testing.T) {
 	}
 
 	for cut := recStart; cut < fileEnd; cut++ {
-		cut := cut
 		t.Run(fmt.Sprintf("cut=%d", cut-recStart), func(t *testing.T) {
 			dir := t.TempDir()
 			// Clone the master store with the last segment truncated at cut.

@@ -15,7 +15,6 @@ import (
 // corrupted.
 func TestChaos(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runChaos(t, seed, 250)
 		})
@@ -124,7 +123,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 			if err != nil || len(locs) == 0 || len(locs[0]) == 0 {
 				continue
 			}
-			blockID := only(t, c).files[name].blocks[0]
+			blockID := c.files[name].blocks[0]
 			if err := c.InjectBitRot(locs[0][0], blockID, 0); err != nil {
 				t.Fatalf("seed %d step %d: rot: %v", seed, step, err)
 			}

@@ -19,43 +19,14 @@ import (
 // after it settles. Run under -race, this is the proof the metadata
 // RWMutex + per-datanode lock decomposition is sound.
 func TestConcurrentClusterAccess(t *testing.T) {
-	runConcurrentAccessStorm(t, stormCluster(t, 1))
-}
-
-// stormCluster builds the plane the storm runs against.
-func stormCluster(t *testing.T, shards int) *Cluster {
-	t.Helper()
-	return newForTest(t, Config{
+	runConcurrentAccessStorm(t, newForTest(t, Config{
 		Topology:          cluster.Topology{Racks: 10, MachinesPerRack: 2},
 		Code:              pbCode(t),
 		BlockSize:         2048,
 		Replication:       3,
 		Seed:              11,
-		Shards:            shards,
 		RepairParallelism: 2,
-	})
-}
-
-// TestConcurrentShardedClusterAccess runs the same storm against a
-// four-shard plane. Every file gets its own directory, so the writers'
-// names route across shards (cross-shard writes racing fan-out fixer
-// passes and machine deaths observed by all shards); under -race this
-// is the proof the per-shard locks plus the shared physical plane
-// compose soundly.
-func TestConcurrentShardedClusterAccess(t *testing.T) {
-	s := stormCluster(t, 4)
-	runConcurrentAccessStorm(t, s)
-	// The storm must actually have spanned shards: the per-directory
-	// names route to at least two of them.
-	used := make(map[int]bool)
-	for w := 0; w < 2; w++ {
-		for i := 0; i < stormIters; i++ {
-			used[s.ShardOf(fmt.Sprintf("w-%d-%d/part", w, i))] = true
-		}
-	}
-	if len(used) < 2 {
-		t.Fatalf("storm writes all routed to one shard of %d", s.Shards())
-	}
+	}))
 }
 
 // TestStoreRePlacesAReplicaWhoseMachineDied is the storm's "datanode
@@ -65,7 +36,7 @@ func TestConcurrentShardedClusterAccess(t *testing.T) {
 // the rest of the placement uses; with no live machine left the store
 // fails.
 func TestStoreRePlacesAReplicaWhoseMachineDied(t *testing.T) {
-	c := only(t, testCluster(t, pbCode(t), 5))
+	c := testCluster(t, pbCode(t), 5)
 	c.lockMeta()
 	placement, err := c.placeLiveLocked(c.cfg.Replication)
 	c.mu.Unlock()
@@ -98,10 +69,7 @@ func TestStoreRePlacesAReplicaWhoseMachineDied(t *testing.T) {
 	}
 }
 
-const stormIters = 40
-
-// runConcurrentAccessStorm is the storm body, run against a one-shard
-// and a four-shard plane.
+// runConcurrentAccessStorm is the storm body.
 func runConcurrentAccessStorm(t *testing.T, c Metadata) {
 	t.Helper()
 
@@ -131,8 +99,7 @@ func runConcurrentAccessStorm(t *testing.T, c Metadata) {
 	}
 
 	// Preload: six files, half raided, so readers exercise replicated,
-	// striped, and degraded paths from the first iteration. One
-	// directory per file, so a sharded plane spreads them.
+	// striped, and degraded paths from the first iteration.
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("base-%d/blk", i)
 		data := content(int64(100+i), 5*2048)
@@ -147,7 +114,7 @@ func runConcurrentAccessStorm(t *testing.T, c Metadata) {
 		addFile(name, data)
 	}
 
-	const iters = stormIters
+	const iters = 40
 	var wg sync.WaitGroup
 	errc := make(chan error, 256)
 

@@ -9,54 +9,49 @@ import (
 	"repro/internal/rs"
 )
 
-// The metadata plane: Shards spreads files over independently locked
-// metadata shards by a seeded consistent hash, while IO behaves exactly
-// as it does at one shard. The same seed routes identically after a
-// restart.
+// The metadata plane: one namenode's metadata over rack-aware
+// datanodes. A raided file reads back intact after the machine holding
+// one of its blocks dies, and the fixer restores full health.
 func ExampleNew() {
 	code, err := rs.New(2, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := hdfs.Config{
+	md, err := hdfs.New(hdfs.Config{
 		Topology:    cluster.Topology{Racks: 3, MachinesPerRack: 2},
 		Code:        code,
-		BlockSize:   1 << 20,
+		BlockSize:   8,
 		Replication: 2,
 		Seed:        42,
-		Shards:      4,
-	}
-	md, err := hdfs.New(cfg)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < 64; i++ {
-		if err := md.WriteFile(fmt.Sprintf("warehouse-%03d", i), []byte("cold data")); err != nil {
-			log.Fatal(err)
-		}
+	if err := md.WriteFile("warehouse/cold", []byte("sixteen bytes!!!")); err != nil {
+		log.Fatal(err)
 	}
+	if err := md.RaidFile("warehouse/cold"); err != nil {
+		log.Fatal(err)
+	}
+	locs, err := md.BlockLocations("warehouse/cold")
+	if err != nil {
+		log.Fatal(err)
+	}
+	md.FailMachine(locs[0][0])
 
-	restarted, err := hdfs.New(cfg)
+	back, err := md.ReadFile("warehouse/cold")
 	if err != nil {
 		log.Fatal(err)
 	}
-	stable := true
-	for i := 0; i < 64; i++ {
-		name := fmt.Sprintf("warehouse-%03d", i)
-		if md.ShardOf(name) != restarted.ShardOf(name) {
-			stable = false
-		}
-	}
-
-	back, err := md.ReadFile("warehouse-007")
+	fix, err := md.RunBlockFixer()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("shards:", md.Shards())
-	fmt.Println("routing stable across restart:", stable)
-	fmt.Println("intact:", string(back) == "cold data")
+	fmt.Println("intact:", string(back) == "sixteen bytes!!!")
+	fmt.Println("repaired:", fix.RepairedStriped)
+	fmt.Println("healthy:", md.Health().Healthy())
 	// Output:
-	// shards: 4
-	// routing stable across restart: true
 	// intact: true
+	// repaired: 1
+	// healthy: true
 }

@@ -1,7 +1,7 @@
-// File I/O on one metadata shard — the AdminOps data path: WriteFile
-// with rack-aware live placement, ReadFile with on-the-fly
-// reconstruction of a missing striped block (the degraded read), and
-// RaidFile, which erasure-codes a file's blocks into stripes.
+// File I/O — the AdminOps data path: WriteFile with rack-aware live
+// placement, ReadFile with on-the-fly reconstruction of a missing
+// striped block (the degraded read), and RaidFile, which erasure-codes
+// a file's blocks into stripes.
 package hdfs
 
 import (
@@ -22,7 +22,7 @@ import (
 // the lock again, publishes the file and its blocks in one step: no
 // metadata query sees a half-written file. A failure deletes every
 // replica the write stored and publishes nothing.
-func (c *metaShard) WriteFile(name string, data []byte) error {
+func (c *Cluster) WriteFile(name string, data []byte) error {
 	if len(data) == 0 {
 		return errors.New("hdfs: empty file")
 	}
@@ -36,7 +36,7 @@ func (c *metaShard) WriteFile(name string, data []byte) error {
 	var placements [][]int
 	for off := int64(0); off < int64(len(data)); off += c.cfg.BlockSize {
 		id := c.nextBlock
-		c.nextBlock += BlockID(c.idStride)
+		c.nextBlock++
 		machines, err := c.placeLiveLocked(c.cfg.Replication)
 		if err != nil {
 			c.mu.Unlock()
@@ -86,7 +86,7 @@ func (c *metaShard) WriteFile(name string, data []byte) error {
 // flight, releasing the lock while it waits: the operation in flight
 // decides what the caller then finds (the file or its absence, raided
 // or not). Callers hold c.mu exclusively, and hold it again on return.
-func (c *metaShard) awaitLocked(name string) {
+func (c *Cluster) awaitLocked(name string) {
 	for {
 		done, busy := c.inflight[name]
 		if !busy {
@@ -100,9 +100,9 @@ func (c *metaShard) awaitLocked(name string) {
 
 // claimLocked marks name in flight; releaseLocked ends the claim and
 // wakes every operation awaiting it. Callers hold c.mu exclusively.
-func (c *metaShard) claimLocked(name string) { c.inflight[name] = make(chan struct{}) }
+func (c *Cluster) claimLocked(name string) { c.inflight[name] = make(chan struct{}) }
 
-func (c *metaShard) releaseLocked(name string) {
+func (c *Cluster) releaseLocked(name string) {
 	close(c.inflight[name])
 	delete(c.inflight, name)
 }
@@ -116,7 +116,7 @@ type replica struct {
 // abandon ends a write or raid that failed before its commit: it
 // deletes what the operation stored, then releases the claim, so an
 // operation awaiting the name finds the stores as they were.
-func (c *metaShard) abandon(name string, stored []replica, cause error) error {
+func (c *Cluster) abandon(name string, stored []replica, cause error) error {
 	c.dropUnrecorded(stored)
 	c.lockMeta()
 	c.releaseLocked(name)
@@ -129,7 +129,7 @@ func (c *metaShard) abandon(name string, stored []replica, cause error) error {
 // It holds the read lock across the deletes, so reads proceed while no
 // fixer can record one of these replicas between the check and the
 // delete.
-func (c *metaShard) dropUnrecorded(replicas []replica) {
+func (c *Cluster) dropUnrecorded(replicas []replica) {
 	if len(replicas) == 0 {
 		return
 	}
@@ -146,7 +146,7 @@ func (c *metaShard) dropUnrecorded(replicas []replica) {
 // placeLiveLocked selects n machines on distinct racks, substituting a
 // live machine (on an unused rack where possible) for any dead pick —
 // the namenode never targets a machine that missed its heartbeat.
-func (c *metaShard) placeLiveLocked(n int) ([]int, error) {
+func (c *Cluster) placeLiveLocked(n int) ([]int, error) {
 	placement, err := c.placeStripe(n)
 	if err != nil {
 		return nil, err
@@ -182,7 +182,7 @@ const storeReplaceAttempts = 3
 // racks the rest of the placement uses, the rule placeLiveLocked
 // applies — and records the move in placement, instead of failing the
 // write. It reads no metadata: callers need not hold the lock.
-func (c *metaShard) storePlaced(placement []int, i int, id BlockID, data []byte) (int, error) {
+func (c *Cluster) storePlaced(placement []int, i int, id BlockID, data []byte) (int, error) {
 	for attempt := 0; ; attempt++ {
 		err := c.nodes[placement[i]].storeBlock(id, data)
 		if !errors.Is(err, ErrNodeDown) || attempt == storeReplaceAttempts {
@@ -208,7 +208,7 @@ func (c *metaShard) storePlaced(placement []int, i int, id BlockID, data []byte)
 // measures recovery traffic, not foreground traffic. Reads hold the
 // metadata lock in read mode, so any number of healthy reads and
 // degraded reconstructions run in parallel.
-func (c *metaShard) ReadFile(name string) ([]byte, error) {
+func (c *Cluster) ReadFile(name string) ([]byte, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	fm, ok := c.files[name]
@@ -234,7 +234,7 @@ func (c *metaShard) ReadFile(name string) ([]byte, error) {
 // does not occupy, so every helper read crosses racks, the same
 // accounting as a fixer repair. Callers hold c.mu in at least read
 // mode.
-func (c *metaShard) readBlockLocked(bm *blockMeta) ([]byte, error) {
+func (c *Cluster) readBlockLocked(bm *blockMeta) ([]byte, error) {
 	live := c.liveLocations(bm)
 	for len(live) > 0 {
 		i := 0
@@ -264,7 +264,7 @@ func (c *metaShard) readBlockLocked(bm *blockMeta) ([]byte, error) {
 // pickLiveMachine returns a random live machine, avoiding racks in the
 // exclusion set when possible. It touches only the rng (behind rngMu)
 // and the per-node liveness flags, so it is callable from read paths.
-func (c *metaShard) pickLiveMachine(excludeRacks map[int]bool) (int, error) {
+func (c *Cluster) pickLiveMachine(excludeRacks map[int]bool) (int, error) {
 	if m, err := c.pickReplacement(excludeRacks); err == nil && c.nodes[m].isAlive() {
 		return m, nil
 	}
@@ -302,7 +302,7 @@ func (c *metaShard) pickLiveMachine(excludeRacks map[int]bool) (int, error) {
 // The commit publishes every stripe of the file at once, and only then
 // are the replicas the raid drops deleted: a raid that fails leaves the
 // file as it was, replicated and in no stripe.
-func (c *metaShard) RaidFile(name string) error {
+func (c *Cluster) RaidFile(name string) error {
 	c.lockMeta()
 	c.awaitLocked(name)
 	fm, ok := c.files[name]
@@ -373,7 +373,7 @@ type stripePlan struct {
 // planStripeLocked draws one group of <= k data blocks' stripe: the
 // encoder, the placement, the stripe id and the parity ids, in the
 // order the placement rng has always been drawn.
-func (c *metaShard) planStripeLocked(group []BlockID) (*stripePlan, error) {
+func (c *Cluster) planStripeLocked(group []BlockID) (*stripePlan, error) {
 	code := c.cfg.Code
 	k := code.DataShards()
 	width := code.TotalShards()
@@ -413,7 +413,7 @@ func (c *metaShard) planStripeLocked(group []BlockID) (*stripePlan, error) {
 	}
 
 	sid := c.nextStripe
-	c.nextStripe += StripeID(c.idStride)
+	c.nextStripe++
 	p.sm = &stripeMeta{id: sid, shardSize: shardSize, blocks: make([]BlockID, width)}
 	for pos := range p.sm.blocks {
 		p.sm.blocks[pos] = -1
@@ -423,7 +423,7 @@ func (c *metaShard) planStripeLocked(group []BlockID) (*stripePlan, error) {
 	}
 	for j := 0; j < width-k; j++ {
 		id := c.nextBlock
-		c.nextBlock += BlockID(c.idStride)
+		c.nextBlock++
 		p.sm.blocks[k+j] = id
 		p.parity = append(p.parity, &blockMeta{id: id, index: j, size: shardSize, stripe: sid, stripePos: k + j})
 	}
@@ -435,7 +435,7 @@ func (c *metaShard) planStripeLocked(group []BlockID) (*stripePlan, error) {
 // blocks that move are copied to their stripe machines from the shards
 // it read, then the parity is stored. It returns every replica it
 // stored, which a failed raid deletes.
-func (c *metaShard) encodeStripe(p *stripePlan) (stored []replica, err error) {
+func (c *Cluster) encodeStripe(p *stripePlan) (stored []replica, err error) {
 	code := c.cfg.Code
 	shardSize := p.sm.shardSize
 	shards := make([][]byte, code.TotalShards())
@@ -490,7 +490,7 @@ func (c *metaShard) encodeStripe(p *stripePlan) (stored []replica, err error) {
 
 // readFromAny reads a block's first n bytes, zero-padded, from the
 // first of holders that serves them, and returns the machine that did.
-func (c *metaShard) readFromAny(holders []int, id BlockID, n int64) (buf []byte, from int, err error) {
+func (c *Cluster) readFromAny(holders []int, id BlockID, n int64) (buf []byte, from int, err error) {
 	for _, m := range holders {
 		if buf, err = c.nodes[m].readRange(id, 0, n); err == nil {
 			return buf, m, nil
@@ -503,7 +503,7 @@ func (c *metaShard) readFromAny(holders []int, id BlockID, n int64) (buf []byte,
 // lives on its stripe machine alone, and the parity blocks and the
 // stripe appear. It returns dropped extended by the replicas the data
 // blocks no longer record, for deletion once the lock is released.
-func (c *metaShard) commitStripeLocked(p *stripePlan, dropped []replica) []replica {
+func (c *Cluster) commitStripeLocked(p *stripePlan, dropped []replica) []replica {
 	for i, bm := range p.data {
 		dst := p.placement[i]
 		for _, m := range bm.locations {
@@ -535,7 +535,7 @@ func containsInt(xs []int, x int) bool {
 // positions are always available (they are known zeros), real positions
 // require a live holder. Callers hold c.mu in at least read mode for
 // every invocation of the returned func.
-func (c *metaShard) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
+func (c *Cluster) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
 	return func(pos int) bool {
 		if pos < 0 || pos >= len(sm.blocks) {
 			return false
@@ -558,7 +558,7 @@ func (c *metaShard) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
 // buffers and never returns one, so the arena can be reset as soon as
 // the repair returns. Callers hold c.mu in at least read mode for every
 // invocation of the returned func.
-func (c *metaShard) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
+func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
 	return func(req ec.ReadRequest) ([]byte, error) {
 		id := sm.blocks[req.Shard]
 		if id < 0 {
@@ -595,7 +595,7 @@ func (c *metaShard) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.S
 // the bytes on checksum grounds), and the codec rejects repairing a
 // position its alive-view reports present. A replica that cannot be
 // read is a replica that does not exist.
-func (c *metaShard) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) {
+func (c *Cluster) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) {
 	if bm.stripe == noStripe {
 		return nil, fmt.Errorf("%w: block %d is not striped", ErrBlockLost, bm.id)
 	}

@@ -1,8 +1,7 @@
-// The BlockFixer of one metadata shard — RepairOps: full passes,
-// targeted stripe repairs and re-replication. Every stripe repair runs
-// one way: plan under the metadata lock, one codec ExecuteMultiRepair
-// per stripe on the engine with the lock released, apply under the
-// lock.
+// The BlockFixer — RepairOps: full passes, targeted stripe repairs and
+// re-replication. Every stripe repair runs one way: plan under the
+// metadata lock, one codec ExecuteMultiRepair per stripe on the engine
+// with the lock released, apply under the lock.
 package hdfs
 
 import (
@@ -16,7 +15,7 @@ import (
 
 // stripeAlive is stripeAliveLocked behind a per-call read lock, for use
 // while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *metaShard) stripeAlive(sm *stripeMeta) ec.AliveFunc {
+func (c *Cluster) stripeAlive(sm *stripeMeta) ec.AliveFunc {
 	inner := c.stripeAliveLocked(sm)
 	return func(pos int) bool {
 		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
@@ -28,7 +27,7 @@ func (c *metaShard) stripeAlive(sm *stripeMeta) ec.AliveFunc {
 
 // stripeFetch is stripeFetchLocked behind a per-call read lock, for use
 // while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *metaShard) stripeFetch(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
+func (c *Cluster) stripeFetch(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
 	inner := c.stripeFetchLocked(sm, dst, scratch)
 	return func(req ec.ReadRequest) ([]byte, error) {
 		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
@@ -67,7 +66,7 @@ type FixReport struct {
 // Passes are serialised against each other. In concurrent use,
 // CrossRackBytes also includes recovery traffic from degraded reads
 // that overlapped the pass.
-func (c *metaShard) RunBlockFixer() (*FixReport, error) {
+func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
@@ -116,8 +115,15 @@ func (c *metaShard) RunBlockFixer() (*FixReport, error) {
 	}
 
 	c.repairStripes(lostByStripe, stripeOrder, report)
+	return c.finish(report, before), nil
+}
+
+// finish closes a pass's report: unrecoverable ids ascending, and the
+// cross-rack traffic the fabric counted since before.
+func (c *Cluster) finish(report *FixReport, before int64) *FixReport {
+	slices.Sort(report.Unrecoverable)
 	report.CrossRackBytes = c.net.CrossRackBytes() - before
-	return report, nil
+	return report
 }
 
 // repairStripes runs the stripe-repair pipeline for the given lost
@@ -134,7 +140,7 @@ func (c *metaShard) RunBlockFixer() (*FixReport, error) {
 //
 // Callers hold fixerMu and c.mu exclusively; repairStripes returns
 // with c.mu still held.
-func (c *metaShard) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOrder []StripeID, report *FixReport) {
+func (c *Cluster) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOrder []StripeID, report *FixReport) {
 	fixes := make([]*stripeFix, 0, len(stripeOrder))
 	for _, sid := range stripeOrder {
 		lost := lostByStripe[sid]
@@ -150,7 +156,6 @@ func (c *metaShard) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripe
 	shards := make([]map[int][]byte, len(fixes))
 	tasks := make([]func(*engine.Scratch) error, len(fixes))
 	for i, f := range fixes {
-		i, f := i, f
 		tasks[i] = func(s *engine.Scratch) (err error) {
 			shards[i], err = c.cfg.Code.ExecuteMultiRepair(
 				f.positions, f.sm.shardSize, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s))
@@ -178,7 +183,7 @@ func (c *metaShard) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripe
 // three-phase pipeline as a full fixer pass; stripes that turn out
 // healthy are scanned and skipped. Unknown stripe ids are an error.
 // Calls are serialised against full fixer passes by fixerMu.
-func (c *metaShard) FixStripes(ids []StripeID) (*FixReport, error) {
+func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
@@ -213,8 +218,7 @@ func (c *metaShard) FixStripes(ids []StripeID) (*FixReport, error) {
 		}
 	}
 	c.repairStripes(lostByStripe, stripeOrder, report)
-	report.CrossRackBytes = c.net.CrossRackBytes() - before
-	return report, nil
+	return c.finish(report, before), nil
 }
 
 // ReReplicateBlocks restores the replication target of exactly the
@@ -225,7 +229,7 @@ func (c *metaShard) FixStripes(ids []StripeID) (*FixReport, error) {
 // unrecoverable. Unknown block ids are skipped, not an error: the
 // manager may hold a stale inventory of a machine whose blocks were
 // since deleted.
-func (c *metaShard) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
+func (c *Cluster) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
@@ -253,13 +257,12 @@ func (c *metaShard) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 		}
 		report.ReReplicated++
 	}
-	report.CrossRackBytes = c.net.CrossRackBytes() - before
-	return report, nil
+	return c.finish(report, before), nil
 }
 
 // excludeRacksLocked returns the racks hosting live blocks of the
 // stripe, skipping the given block.
-func (c *metaShard) excludeRacksLocked(sm *stripeMeta, skip BlockID) map[int]bool {
+func (c *Cluster) excludeRacksLocked(sm *stripeMeta, skip BlockID) map[int]bool {
 	exclude := make(map[int]bool)
 	for _, peer := range sm.blocks {
 		if peer < 0 || peer == skip {
@@ -289,7 +292,7 @@ func (f *stripeFix) worker() int { return f.destinations[0] }
 // planStripeFixLocked picks a fresh-rack destination for every lost
 // block of the stripe. Planning consumes the cluster rng, so callers
 // must plan stripes in deterministic order.
-func (c *metaShard) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*stripeFix, error) {
+func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*stripeFix, error) {
 	exclude := c.excludeRacksLocked(sm, -1)
 	fix := &stripeFix{
 		sm:           sm,
@@ -316,7 +319,7 @@ func (c *metaShard) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*str
 // mid-pass) is left as it is; a block whose destination died mid-pass
 // is recorded unrecoverable on its own, without disturbing the
 // accounting of siblings in the same fix that did land.
-func (c *metaShard) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, report *FixReport) {
+func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, report *FixReport) {
 	worker := f.worker()
 	for i, bm := range f.lost {
 		if c.hasLiveLocation(bm) {
@@ -345,7 +348,7 @@ func (c *metaShard) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, re
 // the first live replica that reads back and matches the block's
 // CRC-32: a rotted replica is never copied, and the block is lost only
 // when no replica passes.
-func (c *metaShard) reReplicateLocked(bm *blockMeta, live []int, target int) error {
+func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int) error {
 	current := append([]int(nil), live...)
 	src, buf := -1, []byte(nil)
 	for len(current) < target {
@@ -378,7 +381,7 @@ func (c *metaShard) reReplicateLocked(bm *blockMeta, live []int, target int) err
 // goodReplicaLocked reads the block from the first of machines whose
 // copy reads back and matches the block's CRC-32, or returns -1 when
 // none does.
-func (c *metaShard) goodReplicaLocked(bm *blockMeta, machines []int) (int, []byte) {
+func (c *Cluster) goodReplicaLocked(bm *blockMeta, machines []int) (int, []byte) {
 	for _, m := range machines {
 		if buf, err := c.nodes[m].readRange(bm.id, 0, bm.size); err == nil && crc32.ChecksumIEEE(buf) == bm.checksum {
 			return m, buf

@@ -89,14 +89,8 @@ type Config struct {
 	// Replication is the replica count for un-raided files (3 in the
 	// paper's cluster).
 	Replication int
-	// Seed drives placement randomness and the file-to-shard consistent
-	// hash.
+	// Seed drives placement randomness.
 	Seed int64
-	// Shards partitions the metadata plane: files are assigned to one
-	// of Shards independent metadata shards by seeded consistent hash,
-	// each with its own metadata lock, placement rng, fixer pass,
-	// scrubber cursor, and repair queue. 0 means 1.
-	Shards int
 	// RepairParallelism bounds how many stripe repairs the BlockFixer
 	// executes concurrently through the stripe-repair engine; 0 selects
 	// GOMAXPROCS. Repaired bytes and traffic accounting are identical
@@ -105,9 +99,8 @@ type Config struct {
 	//repolint:ignore deadexport ROADMAP 5: the seeded chaos scheduler pins the fixer's worker count so a schedule replays
 	RepairParallelism int
 	// Telemetry, when non-nil, is the metrics registry the cluster
-	// publishes into: per-shard metadata-lock gauges
-	// (hdfs_lock_wait_seconds, hdfs_meta_ops) and the repair engine's
-	// instruments.
+	// publishes into: the metadata-lock gauges (hdfs_lock_wait_seconds,
+	// hdfs_meta_ops) and the repair engine's instruments.
 	Telemetry *telemetry.Registry
 	// StoreFactory, when non-nil, builds each datanode's BlockStore
 	// (ExtentStoreFactory for the persistent extent store). Nil keeps
@@ -128,9 +121,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if err := c.Topology.Validate(); err != nil {
 		return err
-	}
-	if c.Shards < 0 {
-		return errors.New("hdfs: Shards must be >= 0")
 	}
 	if c.Code == nil {
 		return errors.New("hdfs: Code is required")

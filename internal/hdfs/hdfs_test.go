@@ -3,6 +3,7 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -77,6 +78,81 @@ func TestConfigValidation(t *testing.T) {
 		if err := mut(good).Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestUnknownMachineIDs calls every entry point of Cluster that takes a
+// machine id with ids just outside [0, Machines()). None may panic: the
+// lookups report nothing, the calls that return an error return one,
+// and the rest leave every machine as it was.
+func TestUnknownMachineIDs(t *testing.T) {
+	c := testCluster(t, rsCode(t), 3)
+	data := randBytes(3, 2048)
+	if err := c.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	_, blocks, err := c.FileBlocks("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := blocks[0].ID
+	refused := func(err error) error {
+		if err == nil {
+			return errors.New("accepted")
+		}
+		return nil
+	}
+	for _, bad := range []int{-1, c.Machines()} {
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"FailMachine", func() error { c.FailMachine(bad); return nil }},
+			{"DecommissionMachine", func() error { c.DecommissionMachine(bad); return nil }},
+			{"RestoreMachine", func() error { c.RestoreMachine(bad); return nil }},
+			{"CrashMachine", func() error { return refused(c.CrashMachine(bad)) }},
+			{"RecoverMachine", func() error { return refused(c.RecoverMachine(bad)) }},
+			{"InjectBitRot", func() error { return refused(c.InjectBitRot(bad, id, 0)) }},
+			{"NodeReadRangeInto", func() error {
+				_, err := c.NodeReadRangeInto(bad, id, 0, 1, nil)
+				return refused(err)
+			}},
+			{"BlocksOn", func() error {
+				if ids := c.BlocksOn(bad); len(ids) != 0 {
+					return fmt.Errorf("holds %v", ids)
+				}
+				return nil
+			}},
+			{"MachineInventory", func() error {
+				if inv := c.MachineInventory(bad); len(inv.Stripes)+len(inv.Replicated) != 0 {
+					return fmt.Errorf("holds %+v", inv)
+				}
+				return nil
+			}},
+			{"MachineAlive", func() error {
+				if c.MachineAlive(bad) {
+					return errors.New("alive")
+				}
+				return nil
+			}},
+		} {
+			t.Run(fmt.Sprintf("%s/id=%d", tc.name, bad), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				if err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if live := c.Stats().LiveMachines; live != c.Machines() {
+		t.Fatalf("%d of %d machines live after calls on unknown ids", live, c.Machines())
+	}
+	if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after calls on unknown ids: %v", err)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // through the interfaces below instead of the concrete *Cluster, so
 // nothing above this package depends on how the plane is built. The
 // split follows the consumers: DataNode RPC handlers need MetadataView,
-// the repair manager needs MetadataView + RepairOps (of the plane, and
-// of each shard for its lanes), and test harnesses / the namenode need
-// everything (Metadata).
+// the repair manager's health registry needs MetadataView, and the
+// manager itself, test harnesses and the namenode need everything
+// (Metadata).
 
 // MetadataView is the read-only serving surface of the metadata plane:
 // file, block, stripe and machine lookups plus cluster-wide summaries.
@@ -129,29 +129,6 @@ type Metadata interface {
 	MetadataView
 	RepairOps
 	AdminOps
-	ShardRouter
-}
-
-// ShardRouter is the routing surface of the plane: how many metadata
-// shards it has (one or more), which of them owns a name or an id, and
-// each shard's own read and repair surface — the repair manager builds
-// one lane per shard from it.
-type ShardRouter interface {
-	// Shards returns the shard count (>= 1).
-	Shards() int
-	// ShardOf returns the shard index owning the file name.
-	ShardOf(name string) int
-	// ShardOfStripe returns the shard index owning the stripe id.
-	ShardOfStripe(id StripeID) int
-	// ShardOfBlock returns the shard index owning the block id.
-	ShardOfBlock(id BlockID) int
-	// Shard returns the read and repair surface of the shard at index i
-	// (routing-free: callers must only hand it ids it owns; machine- and
-	// cluster-scoped answers cover what that shard owns).
-	Shard(i int) interface {
-		MetadataView
-		RepairOps
-	}
 }
 
 // Compile-time interface conformance.

@@ -3,7 +3,6 @@ package hdfs
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -43,16 +42,6 @@ func newForTest(t *testing.T, cfg Config) *Cluster {
 func persistentCluster(t *testing.T, dir string, reg *telemetry.Registry) *Cluster {
 	t.Helper()
 	return newForTest(t, persistentConfig(t, dir, reg))
-}
-
-// only returns the one metadata shard of a one-shard plane, for tests
-// that reach into its files, blocks or locks.
-func only(t *testing.T, c *Cluster) *metaShard {
-	t.Helper()
-	if len(c.shards) != 1 {
-		t.Fatalf("plane has %d shards; this test reaches into the only one", len(c.shards))
-	}
-	return c.shards[0]
 }
 
 // TestPersistentCrashRecoverRoundTrip is the honest kill/restart cycle
@@ -157,7 +146,7 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := only(t, c).files["f"]
+	fm := c.files["f"]
 	victimBlock := fm.blocks[0]
 	victimMachine := locs[0][0]
 	if err := c.InjectBitRot(victimMachine, victimBlock, 7); err != nil {
@@ -235,7 +224,7 @@ func TestReReplicationSkipsRottedReplicas(t *testing.T) {
 			}
 			l := locs[0]
 			c.FailMachine(l[2])
-			if err := c.InjectBitRot(l[0], only(t, c).files["f"].blocks[0], 5); err != nil {
+			if err := c.InjectBitRot(l[0], c.files["f"].blocks[0], 5); err != nil {
 				t.Fatal(err)
 			}
 			fix, err := c.RunBlockFixer()
@@ -270,7 +259,7 @@ func TestScrubberSliceFindsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimBlock := only(t, c).files["f"].blocks[0]
+	victimBlock := c.files["f"].blocks[0]
 	if err := c.InjectBitRot(locs[0][0], victimBlock, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +297,7 @@ func TestPersistentReadCorruptReplicaFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := only(t, c).files["f"].blocks[0]
+	id := c.files["f"].blocks[0]
 	for _, m := range locs[0] {
 		if err := c.InjectBitRot(m, id, 3); err != nil {
 			t.Fatal(err)
@@ -354,66 +343,55 @@ func TestPersistentDecommissionWipesDisk(t *testing.T) {
 	}
 }
 
-// TestShardedPersistentCrashRecover drives the crash/recover cycle
-// through the plane at one and at four shards: the physical stores
-// belong to the plane, are shared by its shards, and must be closed and
-// reopened exactly once however many shards there are.
-func TestShardedPersistentCrashRecover(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var opens, closes atomic.Int64
-			cfg := persistentConfig(t, t.TempDir(), nil)
-			cfg.Shards = shards
-			inner := cfg.StoreFactory
-			cfg.StoreFactory = func(machine int) (BlockStore, error) {
-				st, err := inner(machine)
-				opens.Add(1)
-				return closeCounter{st, &closes}, err
-			}
-			sc := newForTest(t, cfg)
-			data := randBytes(71, 4096)
-			if err := sc.WriteFile("a/f", data); err != nil {
-				t.Fatal(err)
-			}
-			locs, err := sc.BlockLocations("a/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := locs[0][0]
-			opens.Store(0)
-			if err := sc.CrashMachine(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := sc.CrashMachine(m); err != nil {
-				t.Fatalf("crash must be idempotent: %v", err)
-			}
-			if sc.MachineAlive(m) {
-				t.Fatal("crashed machine still alive")
-			}
-			if err := sc.RecoverMachine(m); err != nil {
-				t.Fatal(err)
-			}
-			if o, c := opens.Load(), closes.Load(); o != 1 || c != 1 {
-				t.Fatalf("two crashes and a recovery closed the store %d times and reopened it %d times, want 1 and 1", c, o)
-			}
-			got, err := sc.ReadFile("a/f")
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("crash/recover read: %v", err)
-			}
-			if err := sc.CrashMachine(sc.Machines()); err == nil {
-				t.Fatal("out-of-range machine accepted by CrashMachine")
-			}
-			if err := sc.RecoverMachine(-1); err == nil {
-				t.Fatal("out-of-range machine accepted by RecoverMachine")
-			}
-			closes.Store(0)
-			if err := sc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if c, want := closes.Load(), int64(sc.Machines()); c != want {
-				t.Fatalf("Close closed %d stores, want each of the %d once", c, want)
-			}
-		})
+// TestPersistentCrashRecoverClosesEachStoreOnce drives the
+// crash/recover cycle through the cluster: a machine's store is closed
+// and reopened exactly once however often it is crashed, and Close
+// closes every store once.
+func TestPersistentCrashRecoverClosesEachStoreOnce(t *testing.T) {
+	var opens, closes atomic.Int64
+	cfg := persistentConfig(t, t.TempDir(), nil)
+	inner := cfg.StoreFactory
+	cfg.StoreFactory = func(machine int) (BlockStore, error) {
+		st, err := inner(machine)
+		opens.Add(1)
+		return closeCounter{st, &closes}, err
+	}
+	sc := newForTest(t, cfg)
+	data := randBytes(71, 4096)
+	if err := sc.WriteFile("a/f", data); err != nil {
+		t.Fatal(err)
+	}
+	locs, err := sc.BlockLocations("a/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := locs[0][0]
+	opens.Store(0)
+	if err := sc.CrashMachine(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.CrashMachine(m); err != nil {
+		t.Fatalf("crash must be idempotent: %v", err)
+	}
+	if sc.MachineAlive(m) {
+		t.Fatal("crashed machine still alive")
+	}
+	if err := sc.RecoverMachine(m); err != nil {
+		t.Fatal(err)
+	}
+	if o, c := opens.Load(), closes.Load(); o != 1 || c != 1 {
+		t.Fatalf("two crashes and a recovery closed the store %d times and reopened it %d times, want 1 and 1", c, o)
+	}
+	got, err := sc.ReadFile("a/f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("crash/recover read: %v", err)
+	}
+	closes.Store(0)
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, want := closes.Load(), int64(sc.Machines()); c != want {
+		t.Fatalf("Close closed %d stores, want each of the %d once", c, want)
 	}
 }
 
@@ -441,7 +419,7 @@ func TestReadRangeMapsStoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := only(t, c).files["f"].blocks[0]
+	id := c.files["f"].blocks[0]
 	node := c.nodes[locs[0][0]]
 	if _, err := node.readRange(id+9999, 0, 10); err == nil || errors.Is(err, ErrCorruptReplica) {
 		t.Fatalf("missing block error: %v", err)

@@ -1,7 +1,6 @@
-// The physical plane: the datanodes with their pluggable block stores,
-// the state every metadata shard shares, and the machine lifecycle
-// (fail, restore, crash, recover, decommission, close). Machines and
-// racks are not shardable, so all of this exists once per Cluster.
+// The datanodes with their pluggable block stores, the machine-scoped
+// accessors, and the machine lifecycle (fail, restore, crash, recover,
+// decommission, close).
 package hdfs
 
 import (
@@ -219,20 +218,9 @@ func (d *dataNode) wipe() {
 	}
 }
 
-// physical is the one physical plane under every metadata shard of a
-// Cluster: the configuration, the datanode stores and the cross-rack
-// traffic fabric. Machines and racks are not shardable, so there is
-// exactly one, and every shard points at it.
-type physical struct {
-	cfg   Config
-	net   *cluster.Network
-	nodes []*dataNode
-}
-
-// newDataNodes builds the physical stores every metadata shard shares.
-// With no StoreFactory every node gets the volatile in-memory store; a
-// factory makes nodes persistent and crash-recoverable
-// (CrashMachine/RecoverMachine).
+// newDataNodes builds the datanode stores. With no StoreFactory every
+// node gets the volatile in-memory store; a factory makes nodes
+// persistent and crash-recoverable (CrashMachine/RecoverMachine).
 func newDataNodes(cfg Config) ([]*dataNode, error) {
 	var cCorrupt *telemetry.Counter
 	if cfg.Telemetry != nil {
@@ -276,13 +264,13 @@ func newDataNodes(cfg Config) ([]*dataNode, error) {
 }
 
 // Network exposes the byte-accounting fabric.
-func (c *physical) Network() *cluster.Network { return c.net }
+func (c *Cluster) Network() *cluster.Network { return c.net }
 
 // Code returns the configured codec.
-func (c *physical) Code() ec.Code { return c.cfg.Code }
+func (c *Cluster) Code() ec.Code { return c.cfg.Code }
 
 // machine bounds-checks a machine id coming from outside the package.
-func (c *physical) machine(id int) (*dataNode, error) {
+func (c *Cluster) machine(id int) (*dataNode, error) {
 	if id < 0 || id >= len(c.nodes) {
 		return nil, fmt.Errorf("hdfs: no machine %d", id)
 	}
@@ -291,7 +279,7 @@ func (c *physical) machine(id int) (*dataNode, error) {
 
 // TotalStoredBytes sums the physical bytes held by live and dead
 // datanodes — the denominator of storage-overhead measurements.
-func (c *physical) TotalStoredBytes() int64 {
+func (c *Cluster) TotalStoredBytes() int64 {
 	var total int64
 	for _, n := range c.nodes {
 		total += n.storedBytes()
@@ -300,21 +288,21 @@ func (c *physical) TotalStoredBytes() int64 {
 }
 
 // Machines returns the number of datanodes in the cluster.
-func (c *physical) Machines() int { return len(c.nodes) }
+func (c *Cluster) Machines() int { return len(c.nodes) }
 
 // Topology returns the cluster's rack/machine layout — the serving
 // layer hands its geometry to clients so partial-sum fold trees can be
 // planned rack-aware.
-func (c *physical) Topology() cluster.Topology { return c.cfg.Topology }
+func (c *Cluster) Topology() cluster.Topology { return c.cfg.Topology }
 
 // BlockSize returns the configured block payload bound. Shard sizes
 // never exceed it rounded up to the codec's alignment, which is the
 // bound the serving layer enforces on partial-sum fold buffers.
-func (c *physical) BlockSize() int64 { return c.cfg.BlockSize }
+func (c *Cluster) BlockSize() int64 { return c.cfg.BlockSize }
 
 // MachineAlive reports whether the machine currently answers
 // heartbeats.
-func (c *physical) MachineAlive(id int) bool {
+func (c *Cluster) MachineAlive(id int) bool {
 	if id < 0 || id >= len(c.nodes) {
 		return false
 	}
@@ -323,7 +311,7 @@ func (c *physical) MachineAlive(id int) bool {
 
 // Replication returns the configured replica target for un-striped
 // files.
-func (c *physical) Replication() int { return c.cfg.Replication }
+func (c *Cluster) Replication() int { return c.cfg.Replication }
 
 // NodeReadRangeInto serves a range read of one replica directly from
 // one datanode's store — the serving layer's datanode daemons answer
@@ -333,7 +321,7 @@ func (c *physical) Replication() int { return c.cfg.Replication }
 // size. The bytes land in buf when its capacity holds the block's
 // padded size (the result is then a view of buf, which the caller may
 // recycle once done with the result); a smaller or nil buf allocates.
-func (c *physical) NodeReadRangeInto(machine int, id BlockID, offset, length int64, buf []byte) ([]byte, error) {
+func (c *Cluster) NodeReadRangeInto(machine int, id BlockID, offset, length int64, buf []byte) ([]byte, error) {
 	node, err := c.machine(machine)
 	if err != nil {
 		return nil, err
@@ -341,9 +329,8 @@ func (c *physical) NodeReadRangeInto(machine int, id BlockID, offset, length int
 	return node.readRangeInto(id, offset, length, buf)
 }
 
-// transition applies one machine-state change under every shard's
-// metadata lock IN TURN, stopping at the first error. Within a shard the
-// lock orders the change against what the shard decides under it from
+// locked applies one machine-state change under the metadata lock. The
+// lock orders the change against what is decided under it from
 // liveness: placement, and the fixer's planning and application. It
 // does not order the change against the I/O of a write or raid, which
 // plans under the lock, stores with it released, and commits under it
@@ -351,28 +338,28 @@ func (c *physical) NodeReadRangeInto(machine int, id BlockID, offset, length int
 // (or crashed under the store) and re-places that replica (storePlaced)
 // rather than failing; a replica stored just before its machine died is
 // committed anyway, which is the state the change would have left had
-// it landed just after the commit — the fixer restores it. The
-// datanodes are shared, so the first turn already changes the machine
-// for every shard. Every change is idempotent (the node's crashed flag
-// makes the store close and reopen exactly once), and each turn leaves
-// the node consistent — never alive with a closed store — however
-// transitions interleave. When transition returns, no shard is still
-// inside a critical section that began before the change.
-func (c *Cluster) transition(change func() error) error {
-	for _, sh := range c.shards {
-		if err := sh.locked(change); err != nil {
-			return err
-		}
-	}
-	return nil
+// it landed just after the commit — the fixer restores it. Every change
+// is idempotent (the node's crashed flag makes the store close and
+// reopen exactly once) and leaves the node consistent — never alive
+// with a closed store — however changes interleave. When locked
+// returns, no critical section that began before the change is still
+// running.
+func (c *Cluster) locked(change func() error) error {
+	c.lockMeta()
+	defer c.mu.Unlock()
+	return change()
 }
 
 // FailMachine marks a machine unavailable. Its blocks become
 // unreachable but are retained, so RestoreMachine models the common
-// case of §2.2 (machines return after transient unavailability).
+// case of §2.2 (machines return after transient unavailability). An
+// unknown machine is left alone.
 func (c *Cluster) FailMachine(id int) {
-	node := c.nodes[id]
-	_ = c.transition(func() error {
+	node, err := c.machine(id)
+	if err != nil {
+		return
+	}
+	_ = c.locked(func() error {
 		node.setAlive(false)
 		return nil
 	})
@@ -393,7 +380,7 @@ func (c *Cluster) CrashMachine(id int) error {
 	if err != nil {
 		return err
 	}
-	return c.transition(func() error {
+	return c.locked(func() error {
 		node.setAlive(false)
 		return node.crash()
 	})
@@ -407,7 +394,7 @@ func (c *Cluster) RecoverMachine(id int) error {
 	if err != nil {
 		return err
 	}
-	return c.transition(func() error {
+	return c.locked(func() error {
 		if err := node.recover(); err != nil {
 			return err
 		}
@@ -418,18 +405,21 @@ func (c *Cluster) RecoverMachine(id int) error {
 
 // DecommissionMachine permanently removes a machine: its blocks are
 // wiped before it is marked down, so even restoring it returns nothing.
+// An unknown machine is left alone.
 func (c *Cluster) DecommissionMachine(id int) {
-	node := c.nodes[id]
-	_ = c.transition(func() error {
+	node, err := c.machine(id)
+	if err != nil {
+		return
+	}
+	_ = c.locked(func() error {
 		node.wipe()
 		node.setAlive(false)
 		return nil
 	})
 }
 
-// Close releases every datanode's store, once each — the stores belong
-// to the plane, not to a shard. The cluster must not be in use, nor be
-// used afterwards.
+// Close releases every datanode's store, once each. The cluster must
+// not be in use, nor be used afterwards.
 func (c *Cluster) Close() error {
 	var first error
 	for _, n := range c.nodes {

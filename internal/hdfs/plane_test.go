@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -11,13 +12,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestOneShardPlacementIsPinned pins what a one-shard plane does with a
-// seed to what the single-lock cluster of every earlier revision did
-// with it: the values below were captured from that cluster (seed 42,
-// testCluster's topology) before the plane replaced it. Shard 0 draws
-// the placement stream of Seed itself, block and stripe ids are dense
-// from 0, and the shard's gauges carry the label shard="0" — so seeded
-// experiments and dashboards carry over unchanged.
+// TestOneShardPlacementIsPinned pins what the cluster does with a seed
+// to what the single-lock cluster of every earlier revision did with
+// it: the values below were captured from that cluster (seed 42,
+// testCluster's topology). Placement draws the stream of Seed itself,
+// block and stripe ids are dense from 0, and the metadata-lock gauges
+// are published — so seeded experiments carry over unchanged.
 func TestOneShardPlacementIsPinned(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newForTest(t, Config{
@@ -75,55 +75,105 @@ func TestOneShardPlacementIsPinned(t *testing.T) {
 		t.Fatal("a fourth stripe exists: stripe ids are not dense")
 	}
 	gauges := reg.Snapshot().Gauges
-	if ops, ok := gauges[`hdfs_meta_ops{shard="0"}`]; !ok || ops == 0 {
-		t.Fatalf(`no hdfs_meta_ops{shard="0"} gauge counting the operations above: %v`, gauges)
+	if ops, ok := gauges["hdfs_meta_ops"]; !ok || ops == 0 {
+		t.Fatalf("no hdfs_meta_ops gauge counting the operations above: %v", gauges)
 	}
-	if _, ok := gauges[`hdfs_lock_wait_seconds{shard="0"}`]; !ok {
-		t.Fatalf(`no hdfs_lock_wait_seconds{shard="0"} gauge: %v`, gauges)
+	if _, ok := gauges["hdfs_lock_wait_seconds"]; !ok {
+		t.Fatalf("no hdfs_lock_wait_seconds gauge: %v", gauges)
 	}
 }
 
-// TestBlocksOnSurvivesACrashOnEveryShard: the repair manager asks what a
-// machine held right after it died, when a persistent node's index is
-// gone and only metadata can answer — and at four shards three quarters
-// of that metadata lives outside shard 0. The answer must not change
-// when the store closes.
-func TestBlocksOnSurvivesACrashOnEveryShard(t *testing.T) {
-	eachShardCount(t, func(t *testing.T, nShards int) {
-		c := newForTest(t, Config{
-			Topology:     cluster.Topology{Racks: 8, MachinesPerRack: 2},
-			Code:         pbCode(t),
-			BlockSize:    1024,
-			Replication:  3,
-			Seed:         11,
-			Shards:       nShards,
-			StoreFactory: ExtentStoreFactory(t.TempDir(), extent.Options{}),
-		})
-		for d := 0; d < 24; d++ {
-			name := fmt.Sprintf("d-%02d/f", d)
-			if err := c.WriteFile(name, randBytes(int64(d), 4*1024)); err != nil {
+// TestBlocksOnSurvivesACrash: the repair manager asks what a machine
+// held right after it died, when a persistent node's index is gone and
+// only metadata can answer. The answer must not change when the store
+// closes.
+func TestBlocksOnSurvivesACrash(t *testing.T) {
+	c := newForTest(t, Config{
+		Topology:     cluster.Topology{Racks: 8, MachinesPerRack: 2},
+		Code:         pbCode(t),
+		BlockSize:    1024,
+		Replication:  3,
+		Seed:         11,
+		StoreFactory: ExtentStoreFactory(t.TempDir(), extent.Options{}),
+	})
+	for d := 0; d < 24; d++ {
+		name := fmt.Sprintf("d-%02d/f", d)
+		if err := c.WriteFile(name, randBytes(int64(d), 4*1024)); err != nil {
+			t.Fatal(err)
+		}
+		if d%2 == 0 {
+			if err := c.RaidFile(name); err != nil {
 				t.Fatal(err)
 			}
-			if d%2 == 0 {
-				if err := c.RaidFile(name); err != nil {
+		}
+	}
+	const victim = 3
+	before := c.BlocksOn(victim)
+	if len(before) == 0 {
+		t.Fatalf("machine %d holds no blocks; grow the corpus", victim)
+	}
+	if err := c.CrashMachine(victim); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.BlocksOn(victim); !slices.Equal(before, after) {
+		t.Fatalf("BlocksOn(%d) = %v before the crash, %v after", victim, before, after)
+	}
+}
+
+// TestMachineDeathHealsInOneFixerPass: a machine death degrades the
+// health of the blocks it held, and one fixer pass heals them all with
+// the machine still down.
+func TestMachineDeathHealsInOneFixerPass(t *testing.T) {
+	s := newForTest(t, Config{
+		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
+		Code:        pbCode(t),
+		BlockSize:   2048,
+		Replication: 3,
+		Seed:        33,
+	})
+	for d := 0; d < 32; d++ {
+		for f := 0; f < 3; f++ {
+			name := fmt.Sprintf("job-%02d/out-%d", d, f)
+			if err := s.WriteFile(name, bytes.Repeat([]byte{byte(d)}, 4*2048)); err != nil {
+				t.Fatal(err)
+			}
+			if f == 0 {
+				if err := s.RaidFile(name); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		const victim = 3
-		before := c.BlocksOn(victim)
-		owners := make(map[int]bool)
-		for _, id := range before {
-			owners[c.ShardOfBlock(id)] = true
-		}
-		if len(owners) != nShards {
-			t.Fatalf("machine %d holds blocks of %d shards out of %d; grow the corpus", victim, len(owners), nShards)
-		}
-		if err := c.CrashMachine(victim); err != nil {
-			t.Fatal(err)
-		}
-		if after := c.BlocksOn(victim); !slices.Equal(before, after) {
-			t.Fatalf("BlocksOn(%d) = %v before the crash, %v after", victim, before, after)
-		}
-	})
+	}
+	// With 96 files over 16 machines, machine 0 holds both stripes and
+	// replicated blocks; fail loudly if not.
+	const victim = 0
+	if inv := s.MachineInventory(victim); len(inv.Stripes) == 0 || len(inv.Replicated) == 0 {
+		t.Fatalf("machine %d holds %+v; grow the corpus", victim, inv)
+	}
+	if h := s.Health(); !h.Healthy() {
+		t.Fatalf("unhealthy before the death: %+v", h)
+	}
+
+	s.FailMachine(victim)
+	if s.MachineAlive(victim) {
+		t.Fatalf("machine %d still alive", victim)
+	}
+	if h := s.Health(); h.MissingStriped == 0 || h.UnderReplicated == 0 {
+		t.Fatalf("machine %d held stripes and replicas but health is %+v after its death", victim, h)
+	}
+
+	rep, err := s.RunBlockFixer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RepairedStriped == 0 || rep.ReReplicated == 0 {
+		t.Fatalf("fixer pass repaired too little: %+v", rep)
+	}
+	if len(rep.Unrecoverable) != 0 {
+		t.Fatalf("fixer reports unrecoverable blocks: %v", rep.Unrecoverable)
+	}
+	if h := s.Health(); !h.Healthy() {
+		t.Fatalf("still degraded after the fixer pass: %+v", h)
+	}
+	s.RestoreMachine(victim)
 }

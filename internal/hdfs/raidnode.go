@@ -33,7 +33,7 @@ func DefaultRaidPolicy() RaidPolicy { return RaidPolicy{ColdAge: DefaultColdAge}
 
 // AdvanceClock moves the cluster's logical clock forward. The clock
 // only drives the raid policy; it never affects data paths.
-func (c *metaShard) AdvanceClock(d time.Duration) {
+func (c *Cluster) AdvanceClock(d time.Duration) {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	if d > 0 {
@@ -42,7 +42,7 @@ func (c *metaShard) AdvanceClock(d time.Duration) {
 }
 
 // Now returns the logical clock.
-func (c *metaShard) Now() time.Duration {
+func (c *Cluster) Now() time.Duration {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	return c.now
@@ -51,7 +51,7 @@ func (c *metaShard) Now() time.Duration {
 // RaidCandidates returns the files the policy would erasure-code:
 // un-raided files whose last access is at least ColdAge ago, sorted by
 // name for determinism.
-func (c *metaShard) RaidCandidates(policy RaidPolicy) []string {
+func (c *Cluster) RaidCandidates(policy RaidPolicy) []string {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	var out []string
@@ -79,21 +79,27 @@ type RaidReport struct {
 	CrossRackBytes int64
 }
 
-// raidCold erasure-codes every file of this shard the policy calls cold,
-// counting into report; the caller measures the pass's byte deltas.
-func (c *metaShard) raidCold(policy RaidPolicy, report *RaidReport) error {
+// RunRaidNode applies the policy: every cold file is erasure-coded and
+// its extra replicas dropped, exactly as the production RaidNode does
+// for data older than three months.
+func (c *Cluster) RunRaidNode(policy RaidPolicy) (*RaidReport, error) {
+	report := &RaidReport{}
+	before := c.TotalStoredBytes()
+	netBefore := c.net.CrossRackBytes()
 	for _, name := range c.RaidCandidates(policy) {
 		info, err := c.Stat(name)
 		if err != nil {
-			return err
+			return report, err
 		}
 		if err := c.RaidFile(name); err != nil {
-			return fmt.Errorf("hdfs: raid policy on %s: %w", name, err)
+			return report, fmt.Errorf("hdfs: raid policy on %s: %w", name, err)
 		}
 		report.FilesRaided++
 		report.BlocksEncoded += info.Blocks
 	}
-	return nil
+	report.StorageReclaimedBytes = before - c.TotalStoredBytes()
+	report.CrossRackBytes = c.net.CrossRackBytes() - netBefore
+	return report, nil
 }
 
 // ScrubReport summarises one scrubber pass.
@@ -126,7 +132,7 @@ type ScrubReport struct {
 // skipped (their replicas are unreadable, and the failure detector owns
 // that case). The report's Resumed field distinguishes a mid-cycle
 // slice from one that started a fresh cycle at machine 0.
-func (c *metaShard) RunScrubberSlice(machines int) (*ScrubReport, error) {
+func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
 	if machines < 1 {
 		return nil, errors.New("hdfs: scrub slice must cover at least one machine")
 	}
@@ -151,7 +157,7 @@ func (c *metaShard) RunScrubberSlice(machines int) (*ScrubReport, error) {
 // scrubMachineLocked checksums every replica held by one live machine,
 // evicting corrupt ones. affected dedups blocks across the machines of
 // one slice.
-func (c *metaShard) scrubMachineLocked(m int, report *ScrubReport, affected map[BlockID]bool) {
+func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[BlockID]bool) {
 	node := c.nodes[m]
 	if !node.isAlive() {
 		return
@@ -201,10 +207,13 @@ func (c *metaShard) scrubMachineLocked(m int, report *ScrubReport, affected map[
 // given machine — a test hook standing in for the silent disk
 // corruption scrubbers exist to catch. It deliberately bypasses
 // checksum maintenance.
-func (c *metaShard) InjectBitRot(machine int, id BlockID, offset int64) error {
+func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
+	node, err := c.machine(machine)
+	if err != nil {
+		return err
+	}
 	c.lockMeta()
 	defer c.mu.Unlock()
-	node := c.nodes[machine]
 	node.mu.Lock()
 	defer node.mu.Unlock()
 	if node.crashed || !node.store.Has(id) {

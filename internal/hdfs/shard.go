@@ -1,162 +1,43 @@
-// One metadata shard: the files routed to it, their blocks and stripes,
-// the locks and rng that serialise on them, and the read-only lookups
-// and summaries of MetadataView. Writes and raiding are in files.go,
-// the BlockFixer (RepairOps) in fixer.go, the raid policy and scrubber
-// in raidnode.go.
+// The namespace of the one metadata shard: the metadata lock and its
+// contention counters, the placement rng, and the read-only lookups and
+// summaries of MetadataView. Writes and raiding are in files.go, the
+// BlockFixer (RepairOps) in fixer.go, the raid policy and scrubber in
+// raidnode.go.
 package hdfs
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 )
 
-// metaShard is one metadata shard of a Cluster: the files routed to it,
-// their blocks and stripes, and everything that serialises on them — a
-// metadata lock, a placement rng, a fixer pass, a scrubber cursor. It
-// owns no bytes: block I/O goes to the shared physical plane.
-//
-// Locking is layered so a serving frontend can drive many operations
-// concurrently (race-detector clean):
-//
-//   - mu, a RWMutex, guards the namenode metadata (files, blocks,
-//     stripes, id counters, clock, names in flight). Healthy reads and
-//     degraded-read reconstructions hold it in read mode and proceed in
-//     parallel. A mutation that moves bytes runs in three phases: it
-//     plans under mu held exclusively, does its I/O with mu released,
-//     and commits under mu again. WriteFile plans ids and placements,
-//     stores its replicas, and publishes the file; RaidFile plans
-//     stripes, reads, encodes and stores, and publishes them; a fixer
-//     pass plans repairs, decodes them on the engine, and applies them
-//     (its stores are still made under the lock, until they move to a
-//     datanode-side repair). A name claimed by a write or raid in
-//     flight makes a second one of the same name wait for its outcome.
-//   - Each dataNode has its own leaf mutex guarding its store handle and
-//     liveness flag. It covers the lifecycle calls (crash, recover,
-//     wipe) but never a block's read, write, delete or Has: block I/O
-//     on different machines never contends, and a machine-state change
-//     never waits for a block's I/O.
-//   - rngMu serialises the placement rng, which is consumed from both
-//     read paths (replica choice, degraded-read destinations) and write
-//     paths. Placement stays deterministic for a fixed seed under
-//     serial use.
-//   - fixerMu serialises whole BlockFixer passes (one fixer at a time,
-//     as in production HDFS-RAID) so a pass can release mu while its
-//     stripe decodes run on the engine.
-type metaShard struct {
-	*physical
-	eng *engine.Engine
-
-	// idStride spaces block and stripe id allocation: shard i of n mints
-	// ids congruent to i modulo n — the routing rule for id-addressed
-	// operations — so a one-shard plane allocates densely (base 0,
-	// stride 1).
-	idStride int64
-
-	// lockWaitNanos accumulates time metadata operations spent WAITING
-	// to acquire mu (read or write mode), and metaOps counts them —
-	// the contention signal LockStats reports (and
-	// BenchmarkShardedMetadataOps compares across shard counts).
-	lockWaitNanos atomic.Int64
-	metaOps       atomic.Int64
-
-	rngMu   sync.Mutex
-	rng     *rand.Rand
-	fixerMu sync.Mutex
-
-	mu         sync.RWMutex
-	files      map[string]*fileMeta
-	blocks     map[BlockID]*blockMeta
-	stripes    map[StripeID]*stripeMeta
-	nextBlock  BlockID
-	nextStripe StripeID
-	// inflight holds, for each name a WriteFile or RaidFile has claimed
-	// and not yet committed or abandoned, a channel closed when it does.
-	inflight map[string]chan struct{}
-	// now is the logical clock driving the raid policy.
-	now time.Duration
-	// scrubCursor is the next machine an incremental scrubber slice
-	// starts from (round-robin over machines).
-	scrubCursor int
-}
-
-// shardSeedStride decorrelates the shards' placement streams while
-// keeping each a pure function of (Seed, shard index), and shard 0's the
-// stream of Seed itself.
-const shardSeedStride = 0x9E3779B9
-
-// newShard builds metadata shard base of stride over the physical plane,
-// allocating block/stripe ids from base with the given stride.
-func newShard(phys *physical, base, stride int64) *metaShard {
-	cfg := phys.cfg
-	c := &metaShard{
-		physical:   phys,
-		eng:        engine.New(engine.Options{Parallelism: cfg.RepairParallelism, Telemetry: cfg.Telemetry}),
-		idStride:   stride,
-		rng:        rand.New(rand.NewSource(cfg.Seed + base*shardSeedStride)),
-		files:      make(map[string]*fileMeta),
-		blocks:     make(map[BlockID]*blockMeta),
-		stripes:    make(map[StripeID]*stripeMeta),
-		inflight:   make(map[string]chan struct{}),
-		nextBlock:  BlockID(base),
-		nextStripe: StripeID(base),
-	}
-	if reg := cfg.Telemetry; reg != nil {
-		// base is the shard's index, so it doubles as the shard label.
-		shard := strconv.FormatInt(base, 10)
-		reg.RegisterGauge(`hdfs_lock_wait_seconds{shard="`+shard+`"}`, func() float64 {
-			return float64(c.lockWaitNanos.Load()) / 1e9
-		})
-		reg.RegisterGauge(`hdfs_meta_ops{shard="`+shard+`"}`, func() float64 {
-			return float64(c.metaOps.Load())
-		})
-	}
-	return c
-}
-
 // lockMeta / rlockMeta acquire the metadata mutex, charging the wait
-// to the lock-contention counters the shard benchmark reports. EVERY
+// to the lock-contention counters LockStats reports. EVERY
 // metadata-mutex acquisition goes through them — repolint's
 // lockdiscipline analyzer enforces it — with one carved-out exception:
 // the per-read closures the engine's execution phase calls
 // (stripeAlive/stripeFetch), where charging each survivor fetch would
 // drown the serving-path contention signal.
-func (c *metaShard) lockMeta() {
+func (c *Cluster) lockMeta() {
 	t := time.Now()
 	c.mu.Lock()
 	c.lockWaitNanos.Add(int64(time.Since(t)))
 	c.metaOps.Add(1)
 }
 
-func (c *metaShard) rlockMeta() {
+func (c *Cluster) rlockMeta() {
 	t := time.Now()
 	c.mu.RLock()
 	c.lockWaitNanos.Add(int64(time.Since(t)))
 	c.metaOps.Add(1)
 }
 
-// locked runs a machine-state change of the physical plane under this
-// shard's metadata lock, so it serialises against what the shard
-// decides under that lock from liveness: placement, fixer planning and
-// fixer application.
-func (c *metaShard) locked(change func() error) error {
-	c.lockMeta()
-	defer c.mu.Unlock()
-	return change()
-}
-
 // LockStats is the metadata-lock contention summary: how long serving
 // operations waited to acquire the metadata lock, and how many
-// acquisitions that covers. A Cluster reports the sum across its
-// shards.
+// acquisitions that covers.
 type LockStats struct {
 	// WaitNanos is cumulative time spent blocked acquiring the
 	// metadata lock (read + write mode) on the instrumented paths.
@@ -166,28 +47,28 @@ type LockStats struct {
 }
 
 // LockStats returns the cumulative metadata-lock contention counters.
-func (c *metaShard) LockStats() LockStats {
+func (c *Cluster) LockStats() LockStats {
 	return LockStats{WaitNanos: c.lockWaitNanos.Load(), Acquisitions: c.metaOps.Load()}
 }
 
 // randIntn draws from the placement rng under its own mutex, so both
 // read paths (replica choice) and write paths (placement) share one
 // deterministic stream.
-func (c *metaShard) randIntn(n int) int {
+func (c *Cluster) randIntn(n int) int {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return c.rng.Intn(n)
 }
 
 // placeStripe draws a rack-disjoint placement from the shared rng.
-func (c *metaShard) placeStripe(n int) ([]int, error) {
+func (c *Cluster) placeStripe(n int) ([]int, error) {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return cluster.PlaceStripe(c.rng, c.cfg.Topology, n)
 }
 
 // pickReplacement draws a replacement machine from the shared rng.
-func (c *metaShard) pickReplacement(excludeRacks map[int]bool) (int, error) {
+func (c *Cluster) pickReplacement(excludeRacks map[int]bool) (int, error) {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return cluster.PickReplacement(c.rng, c.cfg.Topology, excludeRacks)
@@ -197,7 +78,7 @@ func (c *metaShard) pickReplacement(excludeRacks map[int]bool) (int, error) {
 // replicas instead of always hammering the first recorded location.
 // The draw comes from the cluster's seeded rng: deterministic for a
 // fixed seed under serial use.
-func (c *metaShard) pickReplica(live []int) int {
+func (c *Cluster) pickReplica(live []int) int {
 	if len(live) == 1 {
 		return live[0]
 	}
@@ -205,7 +86,7 @@ func (c *metaShard) pickReplica(live []int) int {
 }
 
 // liveLocations returns the datanodes that are alive and hold the block.
-func (c *metaShard) liveLocations(bm *blockMeta) []int {
+func (c *Cluster) liveLocations(bm *blockMeta) []int {
 	var out []int
 	for _, m := range bm.locations {
 		if c.nodes[m].isAlive() && c.nodes[m].has(bm.id) {
@@ -218,7 +99,7 @@ func (c *metaShard) liveLocations(bm *blockMeta) []int {
 // hasLiveLocation reports whether liveLocations would be non-empty,
 // without building the list: the fixer's scan asks it of every striped
 // block in the namespace.
-func (c *metaShard) hasLiveLocation(bm *blockMeta) bool {
+func (c *Cluster) hasLiveLocation(bm *blockMeta) bool {
 	for _, m := range bm.locations {
 		if c.nodes[m].isAlive() && c.nodes[m].has(bm.id) {
 			return true
@@ -236,7 +117,7 @@ type FileInfo struct {
 }
 
 // Stat returns a file's metadata.
-func (c *metaShard) Stat(name string) (FileInfo, error) {
+func (c *Cluster) Stat(name string) (FileInfo, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	fm, ok := c.files[name]
@@ -248,7 +129,7 @@ func (c *metaShard) Stat(name string) (FileInfo, error) {
 
 // BlockLocations returns, for each block of the file, the machines
 // currently holding live replicas.
-func (c *metaShard) BlockLocations(name string) ([][]int, error) {
+func (c *Cluster) BlockLocations(name string) ([][]int, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	fm, ok := c.files[name]
@@ -264,7 +145,7 @@ func (c *metaShard) BlockLocations(name string) ([][]int, error) {
 
 // StripeOf returns the stripe id and position of a file's block, or
 // noStripe if the file is not raided.
-func (c *metaShard) StripeOf(name string, blockIndex int) (StripeID, int, error) {
+func (c *Cluster) StripeOf(name string, blockIndex int) (StripeID, int, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	fm, ok := c.files[name]
@@ -280,7 +161,7 @@ func (c *metaShard) StripeOf(name string, blockIndex int) (StripeID, int, error)
 
 // StripeRacks returns the racks hosting live blocks of the stripe —
 // tests use it to assert the one-rack-per-block invariant.
-func (c *metaShard) StripeRacks(id StripeID) ([]int, error) {
+func (c *Cluster) StripeRacks(id StripeID) ([]int, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	sm, ok := c.stripes[id]
@@ -316,7 +197,7 @@ type ClusterStats struct {
 }
 
 // Stats returns the cluster inventory.
-func (c *metaShard) Stats() ClusterStats {
+func (c *Cluster) Stats() ClusterStats {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	var s ClusterStats
@@ -365,7 +246,7 @@ type BlockInfo struct {
 // FileBlocks returns the file's size and a per-block metadata snapshot
 // — the read-path handshake of the serving layer. Like ReadFile, it
 // counts as an access for the raid policy.
-func (c *metaShard) FileBlocks(name string) (int64, []BlockInfo, error) {
+func (c *Cluster) FileBlocks(name string) (int64, []BlockInfo, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	fm, ok := c.files[name]
@@ -406,7 +287,7 @@ type StripeDetail struct {
 // Stripe returns the layout of one stripe — what a serving-layer
 // client needs to execute a degraded read: per-position block ids,
 // sizes, and live locations, plus the shard size the codec decodes at.
-func (c *metaShard) Stripe(id StripeID) (StripeDetail, error) {
+func (c *Cluster) Stripe(id StripeID) (StripeDetail, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	sm, ok := c.stripes[id]
@@ -448,7 +329,7 @@ type MachineInventory struct {
 // locations are pruned together on every eviction path, so the store
 // can only over-approximate by stale data a repair relocated away —
 // filtered by the recorded-locations check).
-func (c *metaShard) MachineInventory(m int) MachineInventory {
+func (c *Cluster) MachineInventory(m int) MachineInventory {
 	if m < 0 || m >= len(c.nodes) {
 		return MachineInventory{}
 	}
@@ -457,8 +338,8 @@ func (c *metaShard) MachineInventory(m int) MachineInventory {
 	ids, ok := c.nodes[m].blockIDs()
 	if !ok {
 		// The machine is crashed: its store handle is gone, so the only
-		// honest inventory source is namenode metadata. O(shard blocks)
-		// — acceptable for a machine that is down anyway.
+		// honest inventory source is namenode metadata. O(cluster
+		// blocks) — acceptable for a machine that is down anyway.
 		ids = c.recordedOnLocked(m)
 	}
 	var inv MachineInventory
@@ -485,7 +366,7 @@ func (c *metaShard) MachineInventory(m int) MachineInventory {
 // BlockInfoByID returns one block's client-visible snapshot by id —
 // the repair manager's health registry resolves scrub-affected blocks
 // through it. The boolean reports whether the block exists.
-func (c *metaShard) BlockInfoByID(id BlockID) (BlockInfo, bool) {
+func (c *Cluster) BlockInfoByID(id BlockID) (BlockInfo, bool) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	bm, ok := c.blocks[id]
@@ -504,7 +385,7 @@ func (c *metaShard) BlockInfoByID(id BlockID) (BlockInfo, bool) {
 // StripeErasures counts the stripe's real positions with no live
 // replica — the quantity the repair manager's health registry tracks
 // against the codec's tolerance.
-func (c *metaShard) StripeErasures(id StripeID) (int, error) {
+func (c *Cluster) StripeErasures(id StripeID) (int, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	sm, ok := c.stripes[id]
@@ -546,7 +427,7 @@ func (h HealthSummary) Healthy() bool {
 }
 
 // Health computes the availability summary.
-func (c *metaShard) Health() HealthSummary {
+func (c *Cluster) Health() HealthSummary {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
 	var h HealthSummary
@@ -572,26 +453,15 @@ func (c *metaShard) Health() HealthSummary {
 	return h
 }
 
-// recordedOnLocked lists, unsorted, the blocks this shard's metadata
-// records a replica of on the machine. O(shard blocks). Callers hold
-// c.mu in at least read mode.
-func (c *metaShard) recordedOnLocked(machine int) []BlockID {
+// recordedOnLocked lists, unsorted, the blocks the metadata records a
+// replica of on the machine. O(cluster blocks). Callers hold c.mu in at
+// least read mode.
+func (c *Cluster) recordedOnLocked(machine int) []BlockID {
 	var out []BlockID
 	for id, bm := range c.blocks {
 		if containsInt(bm.locations, machine) {
 			out = append(out, id)
 		}
 	}
-	return out
-}
-
-// BlocksOn returns the ids of this shard's blocks with a replica
-// recorded on the machine, sorted ascending — like MachineInventory, a
-// shard answers for what it owns, whether or not the machine is up.
-func (c *metaShard) BlocksOn(machine int) []BlockID {
-	c.rlockMeta()
-	defer c.mu.RUnlock()
-	out := c.recordedOnLocked(machine)
-	slices.Sort(out)
 	return out
 }

@@ -333,7 +333,7 @@ func TestFailedRaidLeavesTheFileReplicated(t *testing.T) {
 // TestNodeWritesRunOutsideTheNodeLock: storeBlock used to hold the
 // dataNode's mutex across the store's Put, so while a machine was being
 // written its liveness could not be read, nor its state changed — and a
-// transition waiting for it holds every shard's metadata lock in turn.
+// state change waiting for it holds the metadata lock.
 // With a Put parked, both must return. A crash that closes the store
 // under the parked Put makes the write re-place that replica.
 func TestNodeWritesRunOutsideTheNodeLock(t *testing.T) {

@@ -68,7 +68,6 @@ func InjectForeground(sim *Simulator, cfg ForegroundConfig) error {
 	// Stagger worker start times a little so the first recompute does
 	// not see one synchronized burst.
 	for w := 0; w < cfg.Workers; w++ {
-		w := w
 		start := float64(w) * 1e-3
 		sim.At(start, func() { launch(w) })
 	}

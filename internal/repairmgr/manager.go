@@ -3,10 +3,8 @@
 // failure detector; detector transitions drive the health registry;
 // the registry's degradations become risk-tiered queue entries; and a
 // token-bucket throttle paces how fast the queue drains into the
-// cluster's targeted repair paths (FixStripes, ReReplicateBlocks —
-// which inherit the engine's concurrency and, when configured, the
-// partial-sum aggregation trees, so throttled repairs still fold
-// rack-locally).
+// cluster's targeted repair paths (FixStripes, ReReplicateBlocks,
+// which decode on the BlockFixer's engine).
 //
 // Every timestamp flows through the injectable clock, and Poll — one
 // full control-loop iteration — is exported, so tests and simulations
@@ -164,27 +162,16 @@ type Status struct {
 	PollCount        int64
 }
 
-// lane is the per-shard slice of the control plane: one health
-// registry and one repair queue over one metadata shard, so triage and
-// draining for unrelated shards never contend on shared maps. A
-// single-shard cluster has exactly one lane.
-type lane struct {
-	shard hdfs.RepairOps
-	reg   *Registry
-	queue *Queue
-}
-
 // Manager is the autonomous repair control plane over one metadata
 // plane, which it consumes as the hdfs.Metadata interface and never as
-// the concrete type. Detection is global (machines are not shardable);
-// triage and queueing run in one lane per metadata shard of the plane
-// (Shards() of them, one or more), and a stripe or block id finds its
-// lane by the plane's own routing.
+// the concrete type: one failure detector, one health registry and one
+// risk-ordered repair queue.
 type Manager struct {
 	cfg     Config
 	cluster hdfs.Metadata
 	det     *Detector
-	lanes   []*lane
+	reg     *Registry
+	queue   *Queue
 	bucket  *TokenBucket
 
 	width, tolerance int // codec geometry
@@ -237,9 +224,8 @@ type suspectEstimate struct {
 	bytes   int64
 }
 
-// New builds a manager over the metadata plane, with one registry+queue
-// lane per metadata shard. It does not start the control loop; call
-// Start, or drive Poll directly.
+// New builds a manager over the metadata plane. It does not start the
+// control loop; call Start, or drive Poll directly.
 func New(cluster hdfs.Metadata, cfg Config) (*Manager, error) {
 	if cluster == nil {
 		return nil, errors.New("repairmgr: cluster is required")
@@ -256,20 +242,14 @@ func New(cluster hdfs.Metadata, cfg Config) (*Manager, error) {
 		cfg:        cfg,
 		cluster:    cluster,
 		det:        det,
+		reg:        NewRegistry(cluster),
+		queue:      NewQueue(QueueConfig{AgingTier: cfg.AgingTier}),
 		bucket:     NewTokenBucket(cfg.RepairBytesPerSec, cfg.RepairBurstBytes, now),
 		width:      code.TotalShards(),
 		tolerance:  code.ParityShards(),
 		dataShards: code.DataShards(),
 		suspects:   make(map[int]suspectEstimate),
 		started:    now,
-	}
-	for i := 0; i < cluster.Shards(); i++ {
-		shard := cluster.Shard(i)
-		m.lanes = append(m.lanes, &lane{
-			shard: shard,
-			reg:   NewRegistry(shard),
-			queue: NewQueue(QueueConfig{AgingTier: cfg.AgingTier}),
-		})
 	}
 	if cfg.ScrubInterval > 0 {
 		m.nextScrub = now.Add(cfg.ScrubInterval)
@@ -297,13 +277,8 @@ func (m *Manager) registerTelemetry() {
 		return float64(m.QueueDepth())
 	})
 	for tier := 1; tier <= m.tolerance; tier++ {
-		tier := tier
 		reg.RegisterGauge(`repair_queue_depth{erasures="`+strconv.Itoa(tier)+`"}`, func() float64 {
-			depth := 0
-			for _, ln := range m.lanes {
-				depth += ln.queue.DepthsByErasures()[tier]
-			}
-			return float64(depth)
+			return float64(m.queue.DepthsByErasures()[tier])
 		})
 	}
 	reg.RegisterGauge("repair_throttle_level_bytes", func() float64 {
@@ -313,29 +288,11 @@ func (m *Manager) registerTelemetry() {
 		return m.bucket.Rate()
 	})
 	reg.RegisterGauge("repair_degraded_stripes", func() float64 {
-		n := 0
-		for _, ln := range m.lanes {
-			n += ln.reg.DegradedStripes()
-		}
-		return float64(n)
+		return float64(m.reg.DegradedStripes())
 	})
 	reg.RegisterGauge("repair_degraded_blocks", func() float64 {
-		n := 0
-		for _, ln := range m.lanes {
-			n += ln.reg.DegradedBlocks()
-		}
-		return float64(n)
+		return float64(m.reg.DegradedBlocks())
 	})
-}
-
-// laneForStripe returns the lane owning the stripe id.
-func (m *Manager) laneForStripe(id hdfs.StripeID) *lane {
-	return m.lanes[m.cluster.ShardOfStripe(id)]
-}
-
-// laneForBlock returns the lane owning the block id.
-func (m *Manager) laneForBlock(id hdfs.BlockID) *lane {
-	return m.lanes[m.cluster.ShardOfBlock(id)]
 }
 
 // Start launches the live control loop.
@@ -453,40 +410,19 @@ func (m *Manager) Poll() error {
 		return nil
 	}
 
-	// Drain every lane in parallel: lanes own disjoint metadata shards,
-	// so their repairs never contend on a metadata lock; the shared
-	// token bucket still paces the aggregate. Ready/Spend on the bucket
-	// are not one atomic reservation, so concurrent lanes can overshoot
-	// the burst by at most one repair each — the same slack a real
-	// multi-writer throttle has.
-	errs := make([]error, len(m.lanes))
-	var wg sync.WaitGroup
-	for i, ln := range m.lanes {
-		wg.Add(1)
-		go func(i int, ln *lane) {
-			defer wg.Done()
-			for {
-				task, ok := ln.queue.Peek()
-				if !ok {
-					return
-				}
-				if !m.bucket.Ready(task.Bytes, m.cfg.Clock()) {
-					return
-				}
-				ln.queue.Pop()
-				if err := m.execute(ln, task); err != nil && errs[i] == nil {
-					errs[i] = err
-				}
-			}
-		}(i, ln)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	// Drain the queue in risk order until it empties or the throttle
+	// says wait.
+	var first error
+	for {
+		task, ok := m.queue.Peek()
+		if !ok || !m.bucket.Ready(task.Bytes, m.cfg.Clock()) {
+			return first
+		}
+		m.queue.Pop()
+		if err := m.execute(task); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
 }
 
 // handleTransition routes one detector transition into the registry
@@ -530,27 +466,30 @@ func (m *Manager) handleTransition(tr Transition, now time.Time) {
 	}
 }
 
-// examineAndEnqueue reconciles every lane's queue with its registry's
-// fresh view of one machine's inventory — a machine death touches
-// stripes in every shard, so all lanes examine it.
+// examineAndEnqueue reconciles the queue with the registry's fresh
+// view of one machine's inventory.
 func (m *Manager) examineAndEnqueue(machine int, now time.Time) {
-	for _, ln := range m.lanes {
-		stripes, blocks := ln.reg.ExamineMachine(machine)
-		for _, h := range stripes {
-			m.reconcileStripe(ln, h, now)
-		}
-		for _, h := range blocks {
-			m.reconcileBlock(ln, h, now)
-		}
+	stripes, blocks := m.reg.ExamineMachine(machine)
+	m.reconcile(stripes, blocks, now)
+}
+
+// reconcile turns a registry examination's health changes into queue
+// upserts and cancellations.
+func (m *Manager) reconcile(stripes []StripeHealth, blocks []BlockHealth, now time.Time) {
+	for _, h := range stripes {
+		m.reconcileStripe(h, now)
+	}
+	for _, h := range blocks {
+		m.reconcileBlock(h, now)
 	}
 }
 
-// reconcileStripe turns one stripe-health change into a lane-queue
-// upsert or cancellation.
-func (m *Manager) reconcileStripe(ln *lane, h StripeHealth, now time.Time) {
+// reconcileStripe turns one stripe-health change into a queue upsert or
+// cancellation.
+func (m *Manager) reconcileStripe(h StripeHealth, now time.Time) {
 	t := Task{Kind: TaskStripe, Stripe: h.Stripe}
 	if h.Erasures == 0 {
-		ln.queue.Remove(t.Key())
+		m.queue.Remove(t.Key())
 		return
 	}
 	t.Erasures = h.Erasures
@@ -558,20 +497,20 @@ func (m *Manager) reconcileStripe(ln *lane, h StripeHealth, now time.Time) {
 	t.Bytes = h.ShardSize * int64(m.dataShards)
 	t.Risk = m.lossRisk(m.width, m.tolerance, h.Erasures, float64(t.Bytes))
 	t.Enqueued = now
-	ln.queue.Upsert(t)
+	m.queue.Upsert(t)
 }
 
-// reconcileBlock turns one replicated-block-health change into a
-// lane-queue upsert or cancellation. Blocks with no surviving replica
-// are lost, not repairable: counted, never queued.
-func (m *Manager) reconcileBlock(ln *lane, h BlockHealth, now time.Time) {
+// reconcileBlock turns one replicated-block-health change into a queue
+// upsert or cancellation. Blocks with no surviving replica are lost,
+// not repairable: counted, never queued.
+func (m *Manager) reconcileBlock(h BlockHealth, now time.Time) {
 	t := Task{Kind: TaskReplicated, Block: h.Block}
 	if h.MissingReplicas == 0 {
-		ln.queue.Remove(t.Key())
+		m.queue.Remove(t.Key())
 		return
 	}
 	if h.LiveReplicas == 0 {
-		ln.queue.Remove(t.Key())
+		m.queue.Remove(t.Key())
 		m.mu.Lock()
 		m.lostBlocks++
 		m.mu.Unlock()
@@ -583,7 +522,7 @@ func (m *Manager) reconcileBlock(ln *lane, h BlockHealth, now time.Time) {
 	t.Bytes = h.Size * int64(h.MissingReplicas)
 	t.Risk = m.lossRisk(target, target-1, h.MissingReplicas, float64(t.Bytes))
 	t.Enqueued = now
-	ln.queue.Upsert(t)
+	m.queue.Upsert(t)
 }
 
 // estimateMachineRepair sizes the repair work THIS machine's death
@@ -610,7 +549,7 @@ func (m *Manager) estimateMachineRepair(machine int) (repairs int, bytes int64) 
 				continue
 			}
 			seen[info.Stripe] = true
-			if m.laneForStripe(info.Stripe).queue.Contains((&Task{Kind: TaskStripe, Stripe: info.Stripe}).Key()) {
+			if m.queue.Contains((&Task{Kind: TaskStripe, Stripe: info.Stripe}).Key()) {
 				continue
 			}
 			detail, err := m.cluster.Stripe(info.Stripe)
@@ -635,7 +574,7 @@ func (m *Manager) estimateMachineRepair(machine int) (repairs int, bytes int64) 
 				ours = true
 			}
 		}
-		if ours || m.laneForBlock(bid).queue.Contains((&Task{Kind: TaskReplicated, Block: bid}).Key()) {
+		if ours || m.queue.Contains((&Task{Kind: TaskReplicated, Block: bid}).Key()) {
 			continue
 		}
 		repairs++
@@ -704,37 +643,21 @@ func (m *Manager) maybeScrub(now time.Time) {
 	if len(rep.AffectedBlocks) == 0 {
 		return
 	}
-	// Route each affected block to the lane owning it, then let each
-	// lane's registry triage its own group.
-	byLane := make(map[*lane][]hdfs.BlockID)
-	for _, bid := range rep.AffectedBlocks {
-		ln := m.laneForBlock(bid)
-		byLane[ln] = append(byLane[ln], bid)
-	}
-	for ln, group := range byLane {
-		stripes, blocks := ln.reg.ExamineBlocks(group)
-		for _, h := range stripes {
-			m.reconcileStripe(ln, h, now)
-		}
-		for _, h := range blocks {
-			m.reconcileBlock(ln, h, now)
-		}
-	}
+	stripes, blocks := m.reg.ExamineBlocks(rep.AffectedBlocks)
+	m.reconcile(stripes, blocks, now)
 }
 
-// execute runs one popped task against the owning shard and accounts
-// it. Running on the lane's shard (not the whole cluster) keeps
-// parallel lane drains contention-free.
-func (m *Manager) execute(ln *lane, task Task) error {
+// execute runs one popped task and accounts it.
+func (m *Manager) execute(task Task) error {
 	var (
 		rep *hdfs.FixReport
 		err error
 	)
 	switch task.Kind {
 	case TaskStripe:
-		rep, err = ln.shard.FixStripes([]hdfs.StripeID{task.Stripe})
+		rep, err = m.cluster.FixStripes([]hdfs.StripeID{task.Stripe})
 	case TaskReplicated:
-		rep, err = ln.shard.ReReplicateBlocks([]hdfs.BlockID{task.Block})
+		rep, err = m.cluster.ReReplicateBlocks([]hdfs.BlockID{task.Block})
 	default:
 		return fmt.Errorf("repairmgr: unknown task kind %v", task.Kind)
 	}
@@ -755,14 +678,14 @@ func (m *Manager) execute(ln *lane, task Task) error {
 		done.Unrecoverable = len(rep.Unrecoverable) > 0
 		m.bucket.Spend(rep.CrossRackBytes, now)
 	}
-	// Refresh the lane's registry so a clean repair clears its entry
+	// Refresh the registry so a clean repair clears its entry
 	// and a partial one stays visible (it re-enqueues when the next
 	// event touches it).
 	switch task.Kind {
 	case TaskStripe:
-		ln.reg.MarkStripeRepaired(task.Stripe)
+		m.reg.MarkStripeRepaired(task.Stripe)
 	case TaskReplicated:
-		ln.reg.MarkBlockRepaired(task.Block)
+		m.reg.MarkBlockRepaired(task.Block)
 	}
 	m.mu.Lock()
 	m.completedSeq++
@@ -785,34 +708,18 @@ func (m *Manager) execute(ln *lane, task Task) error {
 	return err
 }
 
-// QueueDepth returns the number of pending repairs across all lanes.
-func (m *Manager) QueueDepth() int {
-	depth := 0
-	for _, ln := range m.lanes {
-		depth += ln.queue.Len()
-	}
-	return depth
-}
+// QueueDepth returns the number of pending repairs.
+func (m *Manager) QueueDepth() int { return m.queue.Len() }
 
-// Lanes returns the number of shard lanes the manager drains.
-//
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload drives the manager through a live System
-func (m *Manager) Lanes() int { return len(m.lanes) }
-
-// Status snapshots the control plane, merged across lanes.
+// Status snapshots the control plane.
 func (m *Manager) Status() Status {
 	s := Status{
 		Nodes:               m.det.Snapshot(),
-		QueueByErasures:     make(map[int]int),
+		QueueDepth:          m.queue.Len(),
+		QueueByErasures:     m.queue.DepthsByErasures(),
+		DegradedStripes:     m.reg.DegradedStripes(),
+		DegradedBlocks:      m.reg.DegradedBlocks(),
 		ThrottleBytesPerSec: m.bucket.Rate(),
-	}
-	for _, ln := range m.lanes {
-		s.QueueDepth += ln.queue.Len()
-		for erasures, n := range ln.queue.DepthsByErasures() {
-			s.QueueByErasures[erasures] += n
-		}
-		s.DegradedStripes += ln.reg.DegradedStripes()
-		s.DegradedBlocks += ln.reg.DegradedBlocks()
 	}
 	now := m.cfg.Clock()
 	m.mu.Lock()

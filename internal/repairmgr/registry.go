@@ -35,9 +35,8 @@ type BlockHealth struct {
 }
 
 // Registry tracks known degradations against the cluster's metadata.
-// It consumes the read-only MetadataView, so a registry can sit over a
-// whole plane or over one of its shards — the manager runs one per
-// shard lane.
+// It consumes only the read-only MetadataView: triage never mutates the
+// plane.
 type Registry struct {
 	cluster hdfs.MetadataView
 

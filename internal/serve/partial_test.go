@@ -17,7 +17,6 @@ import (
 // roughly ONE shard per reconstruction instead of the plan's ~k.
 func TestPartialSumDegradedRead(t *testing.T) {
 	for _, code := range testCodecs(t) {
-		code := code
 		t.Run(code.Name(), func(t *testing.T) {
 			sys := startTestSystem(t, code)
 			cl, err := Dial(sys.NameAddr(), code, WithPartialSumRepair())
@@ -161,7 +160,6 @@ func TestPartialSumDegradedRead(t *testing.T) {
 // Piggybacked-RS b-half feeds both halves of the target).
 func TestPartialSumVersusConventionalBytes(t *testing.T) {
 	for i, code := range testCodecs(t)[:2] { // rs(4,2), piggybacked-rs(4,2)
-		i, code := i, code
 		t.Run(code.Name(), func(t *testing.T) {
 			cfg, ext := onDisk(t, testConfig(code))
 			sys := startSystem(t, cfg)

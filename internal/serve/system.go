@@ -1,7 +1,7 @@
 // System wires a full serving cluster together on localhost: one
-// hdfs metadata plane (Config.Shards metadata shards, one by default)
-// as the storage substrate, one datanode daemon per machine, and one
-// namenode fronting the metadata — each on its own TCP port. It is also the failure injector: KillDataNode marks the
+// hdfs metadata plane as the storage substrate, one datanode daemon per
+// machine, and one namenode fronting the metadata — each on its own
+// TCP port. It is also the failure injector: KillDataNode marks the
 // machine dead at the namenode AND tears down its daemon with every
 // open connection, so clients experience the same thing a real machine
 // loss produces — connections cut mid-frame, then metadata that no

@@ -2,7 +2,7 @@
 // the repro system: a metrics registry of atomic counters, function
 // gauges, and fixed-bucket histograms with JSON snapshots, plus
 // request-trace spans buffered in bounded per-process stores. Every tier — the
-// serving daemons, the repair control plane, the metadata shards, the
+// serving daemons, the repair control plane, the metadata plane, the
 // stripe engine — registers its instruments here, and the serve layer
 // exposes the result over /metrics (Prometheus text format and JSON)
 // and /debug/traces.
