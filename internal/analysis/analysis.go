@@ -13,11 +13,9 @@
 //     (the phased rule: plan under the lock, decode, encode and store
 //     with it released, commit under the lock), counting a *Locked
 //     method as entered with the lock held.
-//   - layering — packages serve, sim, repairmgr, and engine consume
-//     the Metadata interface family, never *hdfs.Cluster concretely;
-//     the intra-module import graph must respect the layer ranks (no
-//     upward imports); and the module root (repro) declares nothing but
-//     its package doc.
+//   - layering — the intra-module import graph respects the layer
+//     ranks (no upward imports), and the module root (repro) declares
+//     nothing but its package doc.
 //   - clockinject — internal/repairmgr never reads the wall clock
 //     directly; timestamps flow through the injected Clock so
 //     failure-detector timelines stay table-testable. The one
@@ -78,8 +76,8 @@ type File struct {
 	// AST is the parsed file, with comments.
 	AST *ast.File
 	// IsTest reports a _test.go file. Analyzers that check production
-	// invariants (clock injection, wire-path error handling) skip test
-	// files; layering checks them too, since tests are consumers.
+	// invariants (clock injection, wire-path error handling, import
+	// ranks) skip test files.
 	IsTest bool
 }
 

@@ -1,20 +1,16 @@
-// Fixture package: framecheck and the layering concrete-type rule are
-// deliberately violated so CI can assert the analyzers still fire.
+// Fixture package: framecheck is deliberately violated so CI can assert
+// the analyzer still fires.
 package serve
 
 import (
 	"encoding/binary"
 	"io"
-
-	"repro/internal/hdfs"
 )
 
 // Dial exists so the hdfs fixture has something to import upward.
 func Dial() {}
 
-type server struct {
-	cluster *hdfs.Cluster // layering: concrete type instead of the Metadata interface
-}
+type server struct{}
 
 func (s *server) readFrame(r io.Reader) []byte {
 	var hdr [8]byte

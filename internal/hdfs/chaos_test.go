@@ -109,7 +109,9 @@ func runChaos(t *testing.T, seed int64, steps int) {
 		case 7: // restore all transient failures
 			for m := range compromised {
 				if !decommissioned[m] {
-					c.RestoreMachine(m)
+					if err := c.RecoverMachine(m); err != nil {
+						t.Fatal(err)
+					}
 					delete(compromised, m)
 				}
 			}
@@ -141,7 +143,9 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	// Quiesce: restore transients, fix everything, verify every byte.
 	for m := range compromised {
 		if !decommissioned[m] {
-			c.RestoreMachine(m)
+			if err := c.RecoverMachine(m); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	runFixer()

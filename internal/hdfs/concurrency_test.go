@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -70,7 +71,7 @@ func TestStoreRePlacesAReplicaWhoseMachineDied(t *testing.T) {
 }
 
 // runConcurrentAccessStorm is the storm body.
-func runConcurrentAccessStorm(t *testing.T, c Metadata) {
+func runConcurrentAccessStorm(t *testing.T, c *Cluster) {
 	t.Helper()
 
 	// expected maps every written file to its content; files lists the
@@ -181,15 +182,17 @@ func runConcurrentAccessStorm(t *testing.T, c Metadata) {
 		for i := 0; i < iters; i++ {
 			m := rng.Intn(c.Machines())
 			c.FailMachine(m)
-			c.RestoreMachine(m)
-			m = rng.Intn(c.Machines())
-			c.FailMachine(m)
-			if _, err := c.RunBlockFixer(); err != nil {
-				errc <- fmt.Errorf("failer fixer: %w", err)
-				c.RestoreMachine(m)
+			if err := c.RecoverMachine(m); err != nil {
+				errc <- fmt.Errorf("failer: %w", err)
 				return
 			}
-			c.RestoreMachine(m)
+			m = rng.Intn(c.Machines())
+			c.FailMachine(m)
+			_, err := c.RunBlockFixer()
+			if err = errors.Join(err, c.RecoverMachine(m)); err != nil {
+				errc <- fmt.Errorf("failer: %w", err)
+				return
+			}
 		}
 	}()
 
@@ -218,7 +221,9 @@ func runConcurrentAccessStorm(t *testing.T, c Metadata) {
 	// file ever written must read back byte-identical — the "no lost
 	// updates" bar.
 	for m := 0; m < c.Machines(); m++ {
-		c.RestoreMachine(m)
+		if err := c.RecoverMachine(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.RunBlockFixer(); err != nil {
 		t.Fatal(err)
@@ -293,7 +298,9 @@ func TestReadSpreadsAcrossReplicas(t *testing.T) {
 			t.Fatalf("read with only holder %d alive: mismatch", survivor)
 		}
 		for _, m := range holders {
-			c.RestoreMachine(m)
+			if err := c.RecoverMachine(m); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// And under full health, the seeded rng must not always pick the

@@ -1,4 +1,4 @@
-// File I/O — the AdminOps data path: WriteFile with rack-aware live
+// File I/O: WriteFile with rack-aware live
 // placement, ReadFile with on-the-fly reconstruction of a missing
 // striped block (the degraded read), and RaidFile, which erasure-codes
 // a file's blocks into stripes.

@@ -1,4 +1,4 @@
-// The BlockFixer — RepairOps: full passes, targeted stripe repairs and
+// The BlockFixer: full passes, targeted stripe repairs and
 // re-replication. Every stripe repair runs one way: plan under the
 // metadata lock, one codec ExecuteMultiRepair per stripe on the engine
 // with the lock released, apply under the lock.
@@ -74,47 +74,27 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 	report := &FixReport{}
 	before := c.net.CrossRackBytes()
 
-	// Deterministic iteration: ascending block id.
+	// Deterministic iteration: ascending block id. Re-replications run
+	// as they are met, before any stripe is planned: both draw from the
+	// placement rng.
 	ids := make([]BlockID, 0, len(c.blocks))
 	for id := range c.blocks {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 
-	lostByStripe := make(map[StripeID][]*blockMeta)
-	var stripeOrder []StripeID
+	var lost []*blockMeta
 	for _, id := range ids {
 		bm := c.blocks[id]
 		report.ScannedBlocks++
-
-		if bm.stripe != noStripe {
-			if c.hasLiveLocation(bm) {
-				continue
-			}
-			if _, seen := lostByStripe[bm.stripe]; !seen {
-				stripeOrder = append(stripeOrder, bm.stripe)
-			}
-			lostByStripe[bm.stripe] = append(lostByStripe[bm.stripe], bm)
-			continue
+		switch {
+		case bm.stripe == noStripe:
+			c.restoreReplicationLocked(bm, report)
+		case !c.hasLiveLocation(bm):
+			lost = append(lost, bm)
 		}
-
-		live := c.liveLocations(bm)
-		target := c.cfg.Replication
-		if len(live) >= target && len(live) > 0 {
-			continue
-		}
-		if len(live) == 0 {
-			report.Unrecoverable = append(report.Unrecoverable, id)
-			continue
-		}
-		if err := c.reReplicateLocked(bm, live, target); err != nil {
-			report.Unrecoverable = append(report.Unrecoverable, id)
-			continue
-		}
-		report.ReReplicated++
 	}
-
-	c.repairStripes(lostByStripe, stripeOrder, report)
+	c.repairStripes(lost, report)
 	return c.finish(report, before), nil
 }
 
@@ -128,25 +108,35 @@ func (c *Cluster) finish(report *FixReport, before int64) *FixReport {
 
 // repairStripes runs the stripe-repair pipeline for the given lost
 // blocks — the shared engine behind a full RunBlockFixer pass and a
-// targeted FixStripes call. It runs in three phases so many stripes
-// decode concurrently through the engine. Planning (destination picks,
-// which consume the cluster rng) stays serial in stripe order for
-// determinism and holds the metadata lock; execution is one codec
-// ExecuteMultiRepair task per stripe on the engine with the lock
-// RELEASED — each fetch takes the read lock for its own duration, and
-// the network fabric's byte accounting is thread-safe — so foreground
-// reads interleave with the decodes; application (stores, onward
-// shipping) retakes the lock and is serial again in stripe order.
+// targeted FixStripes call. It groups the blocks by stripe, stripes in
+// the order their first lost block comes, and runs in three phases so
+// many stripes decode concurrently through the engine. Planning
+// (destination picks, which consume the cluster rng) stays serial in
+// stripe order for determinism and holds the metadata lock; execution
+// is one codec ExecuteMultiRepair task per stripe on the engine with
+// the lock RELEASED — each fetch takes the read lock for its own
+// duration, and the network fabric's byte accounting is thread-safe —
+// so foreground reads interleave with the decodes; application (stores,
+// onward shipping) retakes the lock and is serial again in stripe
+// order.
 //
 // Callers hold fixerMu and c.mu exclusively; repairStripes returns
 // with c.mu still held.
-func (c *Cluster) repairStripes(lostByStripe map[StripeID][]*blockMeta, stripeOrder []StripeID, report *FixReport) {
+func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
+	lostByStripe := make(map[StripeID][]*blockMeta)
+	var stripeOrder []StripeID
+	for _, bm := range lost {
+		if _, seen := lostByStripe[bm.stripe]; !seen {
+			stripeOrder = append(stripeOrder, bm.stripe)
+		}
+		lostByStripe[bm.stripe] = append(lostByStripe[bm.stripe], bm)
+	}
 	fixes := make([]*stripeFix, 0, len(stripeOrder))
 	for _, sid := range stripeOrder {
-		lost := lostByStripe[sid]
-		fix, err := c.planStripeFixLocked(c.stripes[sid], lost)
+		blocks := lostByStripe[sid]
+		fix, err := c.planStripeFixLocked(c.stripes[sid], blocks)
 		if err != nil {
-			for _, bm := range lost {
+			for _, bm := range blocks {
 				report.Unrecoverable = append(report.Unrecoverable, bm.id)
 			}
 			continue
@@ -190,8 +180,7 @@ func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 	defer c.mu.Unlock()
 	report := &FixReport{}
 	before := c.net.CrossRackBytes()
-	lostByStripe := make(map[StripeID][]*blockMeta)
-	var stripeOrder []StripeID
+	var lost []*blockMeta
 	seen := make(map[StripeID]bool, len(ids))
 	for _, sid := range ids {
 		if seen[sid] {
@@ -208,16 +197,12 @@ func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 			}
 			bm := c.blocks[bid]
 			report.ScannedBlocks++
-			if c.hasLiveLocation(bm) {
-				continue
+			if !c.hasLiveLocation(bm) {
+				lost = append(lost, bm)
 			}
-			if _, lost := lostByStripe[sid]; !lost {
-				stripeOrder = append(stripeOrder, sid)
-			}
-			lostByStripe[sid] = append(lostByStripe[sid], bm)
 		}
 	}
-	c.repairStripes(lostByStripe, stripeOrder, report)
+	c.repairStripes(lost, report)
 	return c.finish(report, before), nil
 }
 
@@ -242,22 +227,25 @@ func (c *Cluster) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 			continue
 		}
 		report.ScannedBlocks++
-		live := c.liveLocations(bm)
-		target := c.cfg.Replication
-		if len(live) >= target {
-			continue
-		}
-		if len(live) == 0 {
-			report.Unrecoverable = append(report.Unrecoverable, id)
-			continue
-		}
-		if err := c.reReplicateLocked(bm, live, target); err != nil {
-			report.Unrecoverable = append(report.Unrecoverable, id)
-			continue
-		}
-		report.ReReplicated++
+		c.restoreReplicationLocked(bm, report)
 	}
 	return c.finish(report, before), nil
+}
+
+// restoreReplicationLocked brings one un-striped block back to the
+// replication target from a live replica, counting it re-replicated,
+// or unrecoverable when no replica can be copied. A block at target is
+// left alone.
+func (c *Cluster) restoreReplicationLocked(bm *blockMeta, report *FixReport) {
+	live := c.liveLocations(bm)
+	if len(live) >= c.cfg.Replication {
+		return
+	}
+	if len(live) == 0 || c.reReplicateLocked(bm, live, c.cfg.Replication) != nil {
+		report.Unrecoverable = append(report.Unrecoverable, bm.id)
+		return
+	}
+	report.ReReplicated++
 }
 
 // excludeRacksLocked returns the racks hosting live blocks of the

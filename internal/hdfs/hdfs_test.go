@@ -49,6 +49,33 @@ func pbCode(t *testing.T) *core.Code {
 	return c
 }
 
+// stripeOf returns the stripe of the file's i-th block and the block's
+// position in it.
+func stripeOf(t *testing.T, c *Cluster, name string, i int) (StripeID, int) {
+	t.Helper()
+	_, blocks, err := c.FileBlocks(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks[i].Stripe, blocks[i].StripePos
+}
+
+// stripeRacks returns the rack of every live replica in the stripe.
+func stripeRacks(t *testing.T, c *Cluster, id StripeID) []int {
+	t.Helper()
+	d, err := c.Stripe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var racks []int
+	for _, p := range d.Positions {
+		for _, m := range p.Locations {
+			racks = append(racks, c.cfg.Topology.RackOf(m))
+		}
+	}
+	return racks
+}
+
 func randBytes(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]byte, n)
@@ -109,7 +136,6 @@ func TestUnknownMachineIDs(t *testing.T) {
 		}{
 			{"FailMachine", func() error { c.FailMachine(bad); return nil }},
 			{"DecommissionMachine", func() error { c.DecommissionMachine(bad); return nil }},
-			{"RestoreMachine", func() error { c.RestoreMachine(bad); return nil }},
 			{"CrashMachine", func() error { return refused(c.CrashMachine(bad)) }},
 			{"RecoverMachine", func() error { return refused(c.RecoverMachine(bad)) }},
 			{"InjectBitRot", func() error { return refused(c.InjectBitRot(bad, id, 0)) }},
@@ -265,17 +291,11 @@ func TestStripeOnDistinctRacks(t *testing.T) {
 	if err := c.RaidFile("f"); err != nil {
 		t.Fatal(err)
 	}
-	sid, pos, err := c.StripeOf("f", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sid, pos := stripeOf(t, c, "f", 0)
 	if pos != 0 {
 		t.Fatalf("block 0 at stripe position %d, want 0", pos)
 	}
-	racks, err := c.StripeRacks(sid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	racks := stripeRacks(t, c, sid)
 	if len(racks) != 6 { // 4 data + 2 parity
 		t.Fatalf("stripe spans %d blocks, want 6", len(racks))
 	}
@@ -412,8 +432,8 @@ func TestBlockFixerRestoresAvailability(t *testing.T) {
 	}
 
 	// The repaired stripe keeps one block per rack.
-	sid, _, _ := c.StripeOf("f", 2)
-	racks, _ := c.StripeRacks(sid)
+	sid, _ := stripeOf(t, c, "f", 2)
+	racks := stripeRacks(t, c, sid)
 	seen := make(map[int]bool)
 	for _, r := range racks {
 		if seen[r] {
@@ -484,8 +504,8 @@ func TestBlockFixerJointStripeRepairTraffic(t *testing.T) {
 		t.Fatal("joint repair wrong bytes")
 	}
 	// Both repaired blocks must land on fresh, distinct racks.
-	sid, _, _ := c.StripeOf("f", 0)
-	racks, _ := c.StripeRacks(sid)
+	sid, _ := stripeOf(t, c, "f", 0)
+	racks := stripeRacks(t, c, sid)
 	seen := make(map[int]bool)
 	for _, r := range racks {
 		if seen[r] {
@@ -561,7 +581,9 @@ func TestTransientFailureAndRestore(t *testing.T) {
 	if got, _ := c.ReadFile("f"); !bytes.Equal(got, data) {
 		t.Fatal("degraded read during transient failure wrong")
 	}
-	c.RestoreMachine(m)
+	if err := c.RecoverMachine(m); err != nil {
+		t.Fatal(err)
+	}
 	c.Network().Reset()
 	got, err := c.ReadFile("f")
 	if err != nil {
@@ -710,8 +732,8 @@ func TestProductionShapeTenFour(t *testing.T) {
 	if err := c.RaidFile("warehouse/part-0"); err != nil {
 		t.Fatal(err)
 	}
-	sid, _, _ := c.StripeOf("warehouse/part-0", 0)
-	racks, _ := c.StripeRacks(sid)
+	sid, _ := stripeOf(t, c, "warehouse/part-0", 0)
+	racks := stripeRacks(t, c, sid)
 	if len(racks) != 14 {
 		t.Fatalf("stripe spans %d blocks, want 14", len(racks))
 	}

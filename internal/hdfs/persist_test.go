@@ -98,7 +98,7 @@ func TestPersistentCrashRecoverRoundTrip(t *testing.T) {
 
 // TestCrashMachineOnVolatileStoreDegradesToFail: without a store
 // factory there is no disk, so CrashMachine must behave exactly like
-// FailMachine + RestoreMachine keeps the blocks.
+// FailMachine + RecoverMachine keeps the blocks.
 func TestCrashMachineOnVolatileStoreDegradesToFail(t *testing.T) {
 	c := testCluster(t, rsCode(t), 9)
 	data := randBytes(9, 3000)

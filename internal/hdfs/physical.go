@@ -351,7 +351,7 @@ func (c *Cluster) locked(change func() error) error {
 }
 
 // FailMachine marks a machine unavailable. Its blocks become
-// unreachable but are retained, so RestoreMachine models the common
+// unreachable but are retained, so RecoverMachine models the common
 // case of §2.2 (machines return after transient unavailability). An
 // unknown machine is left alone.
 func (c *Cluster) FailMachine(id int) {
@@ -364,11 +364,6 @@ func (c *Cluster) FailMachine(id int) {
 		return nil
 	})
 }
-
-// RestoreMachine brings a machine back with its blocks intact. If the
-// machine had crashed (CrashMachine on a persistent store) its store
-// is reopened first; a node whose disk cannot be re-scanned stays dead.
-func (c *Cluster) RestoreMachine(id int) { _ = c.RecoverMachine(id) }
 
 // CrashMachine is FailMachine plus the part FailMachine cannot honestly
 // model for a persistent node: the store handle is closed and every
@@ -386,9 +381,10 @@ func (c *Cluster) CrashMachine(id int) error {
 	})
 }
 
-// RecoverMachine reopens a crashed machine's store — rebuilding its
-// block index by sequentially scanning the segment files on disk — and
-// marks it alive. The machine stays dead if the scan fails.
+// RecoverMachine brings a failed or crashed machine back with its
+// blocks intact. A crashed machine's store is reopened first —
+// rebuilding its block index by sequentially scanning the segment files
+// on disk — and the machine stays dead if the scan fails.
 func (c *Cluster) RecoverMachine(id int) error {
 	node, err := c.machine(id)
 	if err != nil {

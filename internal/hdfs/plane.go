@@ -21,8 +21,7 @@ import (
 // blocks and stripes, and everything that serialises on them: a
 // metadata lock, a placement rng, a fixer pass, a scrubber cursor —
 // over the datanode stores and the cross-rack traffic fabric. It is the
-// only metadata plane; consumers above this package hold it as
-// Metadata.
+// only metadata plane.
 //
 // Locking is layered so a serving frontend can drive many operations
 // concurrently (race-detector clean):

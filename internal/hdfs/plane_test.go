@@ -175,5 +175,4 @@ func TestMachineDeathHealsInOneFixerPass(t *testing.T) {
 	if h := s.Health(); !h.Healthy() {
 		t.Fatalf("still degraded after the fixer pass: %+v", h)
 	}
-	s.RestoreMachine(victim)
 }

@@ -207,6 +207,8 @@ func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[Bl
 // given machine — a test hook standing in for the silent disk
 // corruption scrubbers exist to catch. It deliberately bypasses
 // checksum maintenance.
+//
+//repolint:ignore deadexport ROADMAP 5(ii): the chaos scheduler's "rot under a dead replica" fault
 func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
 	node, err := c.machine(machine)
 	if err != nil {

@@ -230,7 +230,6 @@ func TestClusterStats(t *testing.T) {
 	if s.PhysicalBytes != 3*2048+6*1024 {
 		t.Fatalf("physical %d", s.PhysicalBytes)
 	}
-	c.RestoreMachine(3)
 }
 
 func TestBlocksOn(t *testing.T) {

@@ -251,10 +251,7 @@ func TestFixerTrafficIsThePlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pos := 0; pos < code.TotalShards(); pos++ {
-		sid, _, err := c.StripeOf("f", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sid, _ := stripeOf(t, c, "f", 0)
 		detail, err := c.Stripe(sid)
 		if err != nil {
 			t.Fatal(err)
@@ -273,6 +270,8 @@ func TestFixerTrafficIsThePlans(t *testing.T) {
 		if moved := c.Network().CrossRackBytes() - before; moved != plan.TotalBytes() {
 			t.Fatalf("position %d: the fix moved %d bytes, its plan charges %d", pos, moved, plan.TotalBytes())
 		}
-		c.RestoreMachine(holder)
+		if err := c.RecoverMachine(holder); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // The namespace of the one metadata shard: the metadata lock and its
 // contention counters, the placement rng, and the read-only lookups and
-// summaries of MetadataView. Writes and raiding are in files.go, the
-// BlockFixer (RepairOps) in fixer.go, the raid policy and scrubber in
-// raidnode.go.
+// summaries the serving and repair layers ask for. Writes and raiding
+// are in files.go, the BlockFixer in fixer.go, the raid policy and
+// scrubber in raidnode.go.
 package hdfs
 
 import (
@@ -141,43 +141,6 @@ func (c *Cluster) BlockLocations(name string) ([][]int, error) {
 		out[i] = c.liveLocations(c.blocks[id])
 	}
 	return out, nil
-}
-
-// StripeOf returns the stripe id and position of a file's block, or
-// noStripe if the file is not raided.
-func (c *Cluster) StripeOf(name string, blockIndex int) (StripeID, int, error) {
-	c.rlockMeta()
-	defer c.mu.RUnlock()
-	fm, ok := c.files[name]
-	if !ok {
-		return noStripe, 0, fmt.Errorf("%w: %s", ErrFileNotFound, name)
-	}
-	if blockIndex < 0 || blockIndex >= len(fm.blocks) {
-		return noStripe, 0, fmt.Errorf("hdfs: block index %d out of range", blockIndex)
-	}
-	bm := c.blocks[fm.blocks[blockIndex]]
-	return bm.stripe, bm.stripePos, nil
-}
-
-// StripeRacks returns the racks hosting live blocks of the stripe —
-// tests use it to assert the one-rack-per-block invariant.
-func (c *Cluster) StripeRacks(id StripeID) ([]int, error) {
-	c.rlockMeta()
-	defer c.mu.RUnlock()
-	sm, ok := c.stripes[id]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: stripe %d not found", id)
-	}
-	var racks []int
-	for _, bid := range sm.blocks {
-		if bid < 0 {
-			continue
-		}
-		for _, m := range c.liveLocations(c.blocks[bid]) {
-			racks = append(racks, c.cfg.Topology.RackOf(m))
-		}
-	}
-	return racks, nil
 }
 
 // ClusterStats is a point-in-time inventory of the DFS.
@@ -380,28 +343,6 @@ func (c *Cluster) BlockInfoByID(id BlockID) (BlockInfo, bool) {
 		StripePos: bm.stripePos,
 		Locations: append([]int(nil), c.liveLocations(bm)...),
 	}, true
-}
-
-// StripeErasures counts the stripe's real positions with no live
-// replica — the quantity the repair manager's health registry tracks
-// against the codec's tolerance.
-func (c *Cluster) StripeErasures(id StripeID) (int, error) {
-	c.rlockMeta()
-	defer c.mu.RUnlock()
-	sm, ok := c.stripes[id]
-	if !ok {
-		return 0, fmt.Errorf("hdfs: stripe %d not found", id)
-	}
-	erasures := 0
-	for _, bid := range sm.blocks {
-		if bid < 0 {
-			continue
-		}
-		if !c.hasLiveLocation(c.blocks[bid]) {
-			erasures++
-		}
-	}
-	return erasures, nil
 }
 
 // HealthSummary is a point-in-time availability inventory — the

@@ -18,6 +18,22 @@ func raidedFile(t *testing.T, c *Cluster, name string, size int) []byte {
 	return data
 }
 
+// erasures counts the stripe's real positions with no live replica.
+func erasures(t *testing.T, c *Cluster, id StripeID) int {
+	t.Helper()
+	d, err := c.Stripe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, p := range d.Positions {
+		if p.Block >= 0 && len(p.Locations) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFixStripesTargeted: FixStripes repairs exactly the named stripe
 // and leaves other degraded stripes alone — the property the repair
 // manager's priority queue depends on.
@@ -26,14 +42,8 @@ func TestFixStripesTargeted(t *testing.T) {
 	dataA := raidedFile(t, c, "a", 4096)
 	dataB := raidedFile(t, c, "b", 4096)
 
-	sidA, _, err := c.StripeOf("a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidB, _, err := c.StripeOf("b", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sidA, _ := stripeOf(t, c, "a", 0)
+	sidB, _ := stripeOf(t, c, "b", 0)
 	locsA, err := c.BlockLocations("a")
 	if err != nil {
 		t.Fatal(err)
@@ -44,14 +54,7 @@ func TestFixStripesTargeted(t *testing.T) {
 	}
 	c.FailMachine(locsA[0][0])
 	c.FailMachine(locsB[0][0])
-	erasuresA, err := c.StripeErasures(sidA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	erasuresB, err := c.StripeErasures(sidB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	erasuresA, erasuresB := erasures(t, c, sidA), erasures(t, c, sidB)
 	if erasuresA == 0 || erasuresB == 0 {
 		t.Fatalf("stripes not degraded by the kills: A=%d B=%d", erasuresA, erasuresB)
 	}
@@ -66,10 +69,10 @@ func TestFixStripesTargeted(t *testing.T) {
 	if rep.CrossRackBytes == 0 {
 		t.Fatal("targeted repair moved no bytes")
 	}
-	if e, _ := c.StripeErasures(sidA); e != 0 {
+	if e := erasures(t, c, sidA); e != 0 {
 		t.Fatalf("stripe %d still has %d erasures after targeted fix", sidA, e)
 	}
-	if e, _ := c.StripeErasures(sidB); e != erasuresB {
+	if e := erasures(t, c, sidB); e != erasuresB {
 		t.Fatalf("untargeted stripe %d went from %d to %d erasures", sidB, erasuresB, e)
 	}
 	got, err := c.ReadFile("a")
@@ -100,10 +103,7 @@ func TestFixStripesTargeted(t *testing.T) {
 func TestFixStripesIdempotentAndValidated(t *testing.T) {
 	c := testCluster(t, rsCode(t), 12)
 	raidedFile(t, c, "a", 4096)
-	sid, _, err := c.StripeOf("a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sid, _ := stripeOf(t, c, "a", 0)
 	rep, err := c.FixStripes([]StripeID{sid, sid}) // duplicate ids collapse
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +172,7 @@ func TestMachineInventoryAndHealth(t *testing.T) {
 		t.Fatalf("fresh cluster unhealthy: %+v", h)
 	}
 
-	sid, _, err := c.StripeOf("a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sid, _ := stripeOf(t, c, "a", 0)
 	locsA, err := c.BlockLocations("a")
 	if err != nil {
 		t.Fatal(err)

@@ -359,7 +359,9 @@ func TestNodeWritesRunOutsideTheNodeLock(t *testing.T) {
 	if rep, err := c.RunBlockFixer(); err != nil || rep.ReReplicated != 1 {
 		t.Fatalf("fixer after a machine died under a write: %+v, %v, want one re-replication", rep, err)
 	}
-	c.RestoreMachine(m)
+	if err := c.RecoverMachine(m); err != nil {
+		t.Fatal(err)
+	}
 
 	gate.arm()
 	wrote = async(func() error { return c.WriteFile("crashed", data) })

@@ -163,12 +163,11 @@ type Status struct {
 }
 
 // Manager is the autonomous repair control plane over one metadata
-// plane, which it consumes as the hdfs.Metadata interface and never as
-// the concrete type: one failure detector, one health registry and one
-// risk-ordered repair queue.
+// plane: one failure detector, one health registry and one risk-ordered
+// repair queue.
 type Manager struct {
 	cfg     Config
-	cluster hdfs.Metadata
+	cluster *hdfs.Cluster
 	det     *Detector
 	reg     *Registry
 	queue   *Queue
@@ -226,7 +225,7 @@ type suspectEstimate struct {
 
 // New builds a manager over the metadata plane. It does not start the
 // control loop; call Start, or drive Poll directly.
-func New(cluster hdfs.Metadata, cfg Config) (*Manager, error) {
+func New(cluster *hdfs.Cluster, cfg Config) (*Manager, error) {
 	if cluster == nil {
 		return nil, errors.New("repairmgr: cluster is required")
 	}

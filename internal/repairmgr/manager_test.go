@@ -40,7 +40,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // layer's dn.heartbeat loops), and polls the control loop once.
 type testHarness struct {
 	t       *testing.T
-	cluster hdfs.Metadata
+	cluster *hdfs.Cluster
 	mgr     *Manager
 	clk     *fakeClock
 }
@@ -182,7 +182,9 @@ func TestManagerGraceWindowCancelsRepair(t *testing.T) {
 	}
 	// ...restore within the grace window, then run far past the point
 	// where death would have been declared.
-	h.cluster.RestoreMachine(victim)
+	if err := h.cluster.RecoverMachine(victim); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		h.tick(time.Second)
 	}

@@ -35,18 +35,17 @@ type BlockHealth struct {
 }
 
 // Registry tracks known degradations against the cluster's metadata.
-// It consumes only the read-only MetadataView: triage never mutates the
-// plane.
+// Triage only reads the plane; the Manager does the repairs.
 type Registry struct {
-	cluster hdfs.MetadataView
+	cluster *hdfs.Cluster
 
 	mu      sync.Mutex
 	stripes map[hdfs.StripeID]int // known erasure counts (> 0)
 	blocks  map[hdfs.BlockID]int  // known missing-replica counts (> 0)
 }
 
-// NewRegistry builds an empty registry over the metadata view.
-func NewRegistry(cluster hdfs.MetadataView) *Registry {
+// NewRegistry builds an empty registry over the metadata plane.
+func NewRegistry(cluster *hdfs.Cluster) *Registry {
 	return &Registry{
 		cluster: cluster,
 		stripes: make(map[hdfs.StripeID]int),

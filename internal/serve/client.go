@@ -567,19 +567,6 @@ func (c *Client) RunBlockFixer() (FixReport, error) {
 	return rep, nil
 }
 
-// FailMachine fails a machine (and its daemon) through the namenode.
-func (c *Client) FailMachine(machine int) error {
-	_, err := c.nameCall(&request{Method: methodFail, Machine: machine}, nil)
-	return err
-}
-
-// RestoreMachine restores a machine (and its daemon) through the
-// namenode.
-func (c *Client) RestoreMachine(machine int) error {
-	_, err := c.nameCall(&request{Method: methodRestore, Machine: machine}, nil)
-	return err
-}
-
 // RepairStatus is the client-visible snapshot of the repair control
 // plane — queue depth, per-node detector states, throttle and
 // grace-window accounting, and the completion log that makes priority

@@ -42,31 +42,30 @@ const (
 	tagErr             = 17<<1 | kindBytes
 	tagErrCode         = 18<<1 | kindVarint
 	tagSize            = 19<<1 | kindVarint
-	tagRaided          = 20<<1 | kindVarint
 	tagBlocks          = 21<<1 | kindBytes // count, then wireBlocks
 	tagStripe          = 22<<1 | kindBytes // wireStripe
 	tagCodec           = 23<<1 | kindBytes
-	tagBlockSize       = 24<<1 | kindVarint
 	tagDataNodes       = 25<<1 | kindBytes // count, then strings
 	tagMachinesPerRack = 26<<1 | kindVarint
 	tagCold            = 27<<1 | kindBytes // opaque; see response.Cold
 )
 
 // methodNames gives every method its wire id: a method travels as its
-// id and nothing else. Ids are append-only — a retired method keeps its
-// slot — and one this build has no name for (0, which is also what a
-// name outside the table encodes as, or a newer build's) decodes to a
-// name no handler has, so the answer is the handler's "unknown method".
+// id and nothing else. Ids are append-only — a retired method (2 "stat",
+// 8 "fail", 9 "restore") leaves its slot empty — and one this build has
+// no name for (0, which is also what a name outside the table encodes
+// as, a retired one, or a newer build's) decodes to a name no handler
+// has, so the answer is the handler's "unknown method".
 var methodNames = [...]string{
-	1: methodInfo, 2: methodStat, 3: methodBlocks, 4: methodStripe,
-	5: methodWrite, 6: methodRaid, 7: methodFixer, 8: methodFail,
-	9: methodRestore, 10: methodHeartbeat, 11: methodRepairStatus,
+	1: methodInfo, 3: methodBlocks, 4: methodStripe,
+	5: methodWrite, 6: methodRaid, 7: methodFixer,
+	10: methodHeartbeat, 11: methodRepairStatus,
 	12: methodDebugTrace, 13: methodDNRead, 14: methodDNPing, 15: methodDNPartial,
 }
 
 func methodID(name string) int64 {
 	for id := 1; id < len(methodNames); id++ {
-		if methodNames[id] == name {
+		if name != "" && methodNames[id] == name {
 			return int64(id)
 		}
 	}
@@ -81,7 +80,7 @@ func methodID(name string) int64 {
 // with its error, far below what a hostile header could otherwise nest.
 const (
 	minBlockBytes    = 5 // id, size, stripe, position, location count
-	minPosBytes      = 3 // block, size, location count
+	minPosBytes      = 2 // block, location count
 	minTermBytes     = 5 // block, offset, length, target offset, coefficient
 	minNodeBytes     = 4 // machine, address length, term count, child count
 	maxWireTreeNodes = 4 * maxPartialNodes
@@ -203,7 +202,6 @@ func (r *response) appendHeader(b []byte) []byte {
 	b = appendStringField(b, tagErr, r.Err)
 	b = appendVarintField(b, tagErrCode, int64(r.Code))
 	b = appendVarintField(b, tagSize, r.Size)
-	b = appendBoolField(b, tagRaided, r.Raided)
 	if r.Blocks != nil {
 		var at int
 		b, at = beginNested(b, tagBlocks)
@@ -227,13 +225,11 @@ func (r *response) appendHeader(b []byte) []byte {
 		for i := range st.Positions {
 			p := &st.Positions[i]
 			b = binary.AppendVarint(b, p.Block)
-			b = binary.AppendVarint(b, p.Size)
 			b = appendInts(b, p.Locations)
 		}
 		b = endNested(b, at)
 	}
 	b = appendStringField(b, tagCodec, r.Codec)
-	b = appendVarintField(b, tagBlockSize, r.BlockSize)
 	if r.DataNodes != nil {
 		var at int
 		b, at = beginNested(b, tagDataNodes)
@@ -370,7 +366,7 @@ func (r *request) decodeHeader(b []byte) error {
 	for len(d.b) > 0 {
 		switch tag := d.byte(); tag {
 		case tagMethod:
-			if id := d.varint(); id > 0 && id < int64(len(methodNames)) {
+			if id := d.varint(); id > 0 && id < int64(len(methodNames)) && methodNames[id] != "" {
 				r.Method = methodNames[id]
 			} else {
 				r.Method = "#" + strconv.FormatInt(id, 10)
@@ -445,8 +441,6 @@ func (r *response) decodeHeader(b []byte) error {
 			r.Code = errCode(d.varint())
 		case tagSize:
 			r.Size = d.varint()
-		case tagRaided:
-			r.Raided = d.varint() == 1
 		case tagBlocks:
 			sub := d.nested()
 			r.Blocks = make([]wireBlock, sub.count(minBlockBytes))
@@ -460,15 +454,13 @@ func (r *response) decodeHeader(b []byte) error {
 			if n := sub.count(minPosBytes); n > 0 {
 				st.Positions = make([]wirePos, n)
 				for i := range st.Positions {
-					st.Positions[i] = wirePos{Block: sub.varint(), Size: sub.varint(), Locations: sub.ints()}
+					st.Positions[i] = wirePos{Block: sub.varint(), Locations: sub.ints()}
 				}
 			}
 			r.Stripe = st
 			d.join(&sub)
 		case tagCodec:
 			r.Codec = d.str()
-		case tagBlockSize:
-			r.BlockSize = d.varint()
 		case tagDataNodes:
 			sub := d.nested()
 			r.DataNodes = make([]string, sub.count(1))

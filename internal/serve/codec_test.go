@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -109,8 +110,19 @@ func TestHeaderRoundTripsEveryField(t *testing.T) {
 	}
 
 	// Every method this build names travels as its id and comes back as
-	// the same string.
+	// the same string. A retired id's slot is empty: it decodes to a name
+	// no handler has, and is answered "unknown method".
 	for id := 1; id < len(methodNames); id++ {
+		if methodNames[id] == "" {
+			var got request
+			if err := got.decodeHeader([]byte{headerVersion, tagMethod, byte(2 * id)}); err != nil || got.Method != "#"+strconv.Itoa(id) {
+				t.Fatalf("retired id %d came back as %q (%v)", id, got.Method, err)
+			}
+			if resp, _ := new(NameNode).handle(&got, nil, nil); !strings.Contains(resp.Err, "unknown method") {
+				t.Fatalf("retired id %d was answered %+v", id, resp)
+			}
+			continue
+		}
 		sent := request{Method: methodNames[id]}
 		hb := encodeHeader(&sent)
 		if !bytes.Equal(hb, []byte{headerVersion, tagMethod, byte(2 * id)}) {

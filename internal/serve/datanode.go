@@ -30,7 +30,7 @@ import (
 
 // DataNode is one machine's serving daemon.
 type DataNode struct {
-	cluster hdfs.MetadataView
+	cluster *hdfs.Cluster
 	machine int
 	srv     *server
 	tele    *nodeTelemetry
@@ -57,7 +57,7 @@ type DataNode struct {
 
 // startDataNode launches the daemon for one machine on an ephemeral
 // localhost port. tele may be nil.
-func startDataNode(cluster hdfs.MetadataView, machine int, tele *nodeTelemetry) (*DataNode, error) {
+func startDataNode(cluster *hdfs.Cluster, machine int, tele *nodeTelemetry) (*DataNode, error) {
 	d := &DataNode{cluster: cluster, machine: machine, tele: tele}
 	if tele != nil && tele.reg != nil {
 		d.cFolds = tele.reg.Counter("serve_partial_folds_total")

@@ -1,10 +1,9 @@
 // The namenode daemon: the metadata authority of the serving layer.
 // Clients ask it where blocks live ("blocks"), how a stripe is laid
 // out ("stripe", the handshake of a degraded read), and hand it whole
-// files to place ("write"). It also fronts the control plane — raiding
-// files, driving a block-fixer pass, and failing/restoring machines —
-// so a failure-injecting load generator needs nothing but the wire
-// protocol.
+// files to place ("write"). It also fronts the control plane: raiding
+// files, driving a block-fixer pass, taking the datanodes' heartbeats
+// and reporting the repair manager's status.
 package serve
 
 import (
@@ -60,24 +59,16 @@ func repairStatusOf(st repairmgr.Status) *RepairStatus {
 	return out
 }
 
-// control is what the namenode needs from the System hosting it:
-// the live datanode address table and machine-level failure control
-// that kills or restarts the daemons along with the stored state.
-type control interface {
-	dataNodeAddrs() []string
-	killDataNode(machine int) error
-	restartDataNode(machine int) error
-}
-
 // NameNode is the metadata daemon.
 type NameNode struct {
-	cluster hdfs.Metadata
+	cluster *hdfs.Cluster
 	code    ec.Code
-	bs      int64
-	ctl     control
-	mgr     *repairmgr.Manager // nil when the control plane is disabled
-	srv     *server
-	tele    *nodeTelemetry
+	// dataNodeAddrs snapshots the hosting System's live datanode
+	// address table for the handshake.
+	dataNodeAddrs func() []string
+	mgr           *repairmgr.Manager // nil when the control plane is disabled
+	srv           *server
+	tele          *nodeTelemetry
 
 	// cDegradedPlans counts stripe-layout requests — each one is a
 	// client planning a degraded read (healthy reads never ask).
@@ -88,8 +79,8 @@ type NameNode struct {
 // mgr, when non-nil, is the repair control plane the namenode fronts:
 // dn.heartbeat frames feed its failure detector and repair.status
 // exposes its queue/node/throttle state. tele may be nil.
-func startNameNode(cluster hdfs.Metadata, code ec.Code, blockSize int64, ctl control, mgr *repairmgr.Manager, tele *nodeTelemetry) (*NameNode, error) {
-	n := &NameNode{cluster: cluster, code: code, bs: blockSize, ctl: ctl, mgr: mgr, tele: tele}
+func startNameNode(cluster *hdfs.Cluster, code ec.Code, dataNodeAddrs func() []string, mgr *repairmgr.Manager, tele *nodeTelemetry) (*NameNode, error) {
+	n := &NameNode{cluster: cluster, code: code, dataNodeAddrs: dataNodeAddrs, mgr: mgr, tele: tele}
 	if tele != nil && tele.reg != nil {
 		n.cDegradedPlans = tele.reg.Counter("serve_degraded_plans_total")
 	}
@@ -109,19 +100,8 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 	case methodInfo:
 		resp := okResponse()
 		resp.Codec = n.code.Name()
-		resp.BlockSize = n.bs
-		resp.DataNodes = n.ctl.dataNodeAddrs()
+		resp.DataNodes = n.dataNodeAddrs()
 		resp.MachinesPerRack = n.cluster.Topology().MachinesPerRack
-		return resp, nil
-
-	case methodStat:
-		info, err := n.cluster.Stat(req.Name)
-		if err != nil {
-			return errResponse(err), nil
-		}
-		resp := okResponse()
-		resp.Size = info.Size
-		resp.Raided = info.Raided
 		return resp, nil
 
 	case methodBlocks:
@@ -151,7 +131,7 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 		}
 		ws := &wireStripe{ID: int64(d.ID), ShardSize: d.ShardSize, Positions: make([]wirePos, len(d.Positions))}
 		for i, p := range d.Positions {
-			ws.Positions[i] = wirePos{Block: int64(p.Block), Size: p.Size, Locations: p.Locations}
+			ws.Positions[i] = wirePos{Block: int64(p.Block), Locations: p.Locations}
 		}
 		resp := okResponse()
 		resp.Stripe = ws
@@ -190,18 +170,6 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 			ReReplicated:    rep.ReReplicated,
 			Unrecoverable:   len(rep.Unrecoverable),
 		}), nil
-
-	case methodFail:
-		if err := n.ctl.killDataNode(req.Machine); err != nil {
-			return errResponse(err), nil
-		}
-		return okResponse(), nil
-
-	case methodRestore:
-		if err := n.ctl.restartDataNode(req.Machine); err != nil {
-			return errResponse(err), nil
-		}
-		return okResponse(), nil
 
 	case methodHeartbeat:
 		if n.mgr == nil {

@@ -382,3 +382,39 @@ func TestClientOutlivesTimeout(t *testing.T) {
 		}
 	}
 }
+
+// failingClose is a store whose Close fails after closing the store
+// under it: a disk that errors while it is shut down.
+type failingClose struct{ hdfs.BlockStore }
+
+var errCloseFailed = errors.New("store close failed")
+
+func (s failingClose) Close() error {
+	_ = s.BlockStore.Close()
+	return errCloseFailed
+}
+
+// TestKillDataNodeWhoseStoreFailsToClose: a kill whose crash fails
+// still tears the daemon down. The store's error is returned, the old
+// address refuses connections, and no server goroutine outlives Close
+// (startSystem's leak check).
+func TestKillDataNodeWhoseStoreFailsToClose(t *testing.T) {
+	cfg, _ := onDisk(t, testConfig(testCodecs(t)[0]))
+	disk := cfg.StoreFactory
+	cfg.StoreFactory = func(machine int) (hdfs.BlockStore, error) {
+		st, err := disk(machine)
+		if err != nil || machine != 0 {
+			return st, err
+		}
+		return failingClose{st}, nil
+	}
+	sys := startSystem(t, cfg)
+	addr := sys.dataNodeAddrs()[0]
+	if err := sys.KillDataNode(0); !errors.Is(err, errCloseFailed) {
+		t.Fatalf("kill: %v, want the store's close error", err)
+	}
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("the killed daemon still accepts connections at %s", addr)
+	}
+}

@@ -1,8 +1,8 @@
 // Package serve is the networked serving layer of the miniature DFS: a
-// namenode daemon (file → block → stripe metadata, placement, failure
-// control, block-fixer driver) and one datanode daemon per machine
-// (replica range reads, partial-sum folds), all speaking a small framed
-// RPC protocol over real TCP on localhost, plus a concurrent Client
+// namenode daemon (file → block → stripe metadata, placement,
+// block-fixer driver, repair control plane) and one datanode daemon per
+// machine (replica range reads, partial-sum folds), all speaking a small
+// framed RPC protocol over real TCP on localhost, plus a concurrent Client
 // whose read path transparently falls back to degraded reads —
 // reconstructing missing blocks through the codec's repair plan, with
 // only the helper ranges it does not already hold fetched over the
@@ -37,7 +37,8 @@
 // every method (codec.go). After the version byte it is a run of
 // fields, each a one-byte key — field number<<1 | kind — and a value:
 // kind 0 a zigzag varint, kind 1 a uvarint length and that many bytes.
-// A field at its zero value is not sent.
+// A field at its zero value is not sent. Numbers 20 and 24 are retired
+// and are not given out again.
 //
 //	 #  field            kind    value
 //	 1  method           varint  the method's id (methodNames)
@@ -57,13 +58,11 @@
 //	17  err              bytes   error text
 //	18  err code         varint  what kind of error (errCode)
 //	19  size             varint  file size
-//	20  raided           varint  1
 //	21  blocks           bytes   count, then per block: id, size, stripe,
 //	                             position, location count, locations
 //	22  stripe layout    bytes   id, shard size, position count, then per
-//	                             position: block, size, location count, locations
+//	                             position: block, location count, locations
 //	23  codec            bytes   handshake: codec name
-//	24  block size       varint  handshake
 //	25  datanodes        bytes   handshake: count, then each address
 //	26  machines/rack    varint  handshake
 //	27  cold             bytes   opaque body of a cold reply (below)
@@ -83,13 +82,12 @@
 // frame of blocks, stripe, dn.read, dn.partial, dn.heartbeat, write or
 // raid, and a new status field costs the wire nothing.
 //
-// The namenode answers metadata methods ("info", "stat", "blocks",
-// "stripe"), mutations ("write", "raid", "fixer"), failure control
-// ("fail", "restore"), the datanodes' "dn.heartbeat" and the repair
-// control plane's "repair.status". Datanodes answer "dn.read" (a
-// replica range), "dn.ping", and "dn.partial" (fold this node's repair
-// ranges and its children's partial sums into one block-sized buffer).
-// Every daemon answers "debug.trace". Errors travel in the response
+// The namenode answers metadata methods ("info", "blocks", "stripe"),
+// mutations ("write", "raid", "fixer"), the datanodes' "dn.heartbeat"
+// and the repair control plane's "repair.status". Datanodes answer
+// "dn.read" (a replica range), "dn.ping", and "dn.partial" (fold this
+// node's repair ranges and its children's partial sums into one
+// block-sized buffer). Every daemon answers "debug.trace". Errors travel in the response
 // header as text plus a code for the kinds a caller acts on (corrupt
 // replica, not found, exists, node down; RemoteError carries both); the
 // payload always carries data, never errors.
@@ -189,15 +187,12 @@ const payloadStep = 256 << 10
 
 // Namenode RPC method names.
 const (
-	methodInfo    = "info"
-	methodStat    = "stat"
-	methodBlocks  = "blocks"
-	methodStripe  = "stripe"
-	methodWrite   = "write"
-	methodRaid    = "raid"
-	methodFixer   = "fixer"
-	methodFail    = "fail"
-	methodRestore = "restore"
+	methodInfo   = "info"
+	methodBlocks = "blocks"
+	methodStripe = "stripe"
+	methodWrite  = "write"
+	methodRaid   = "raid"
+	methodFixer  = "fixer"
 	// methodHeartbeat is sent BY datanode daemons TO the namenode on a
 	// timer; the repair manager's failure detector consumes it.
 	// methodRepairStatus returns the control plane's status snapshot.
@@ -339,11 +334,9 @@ type response struct {
 	Code errCode // what kind of error Err is; see RemoteError
 
 	Size            int64
-	Raided          bool
 	Blocks          []wireBlock
 	Stripe          *wireStripe
 	Codec           string
-	BlockSize       int64
 	DataNodes       []string
 	MachinesPerRack int
 
@@ -379,10 +372,9 @@ type wireStripe struct {
 }
 
 // wirePos is one stripe position: block id (-1 for a phantom zero
-// block), logical size, and live holders.
+// block) and live holders.
 type wirePos struct {
 	Block     int64
-	Size      int64
 	Locations []int
 }
 

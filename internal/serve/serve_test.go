@@ -339,7 +339,7 @@ func TestRestartDataNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range blocks[0].Locations {
-		if err := cl.FailMachine(m); err != nil {
+		if err := sys.KillDataNode(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +348,7 @@ func TestRestartDataNode(t *testing.T) {
 		t.Fatal("read of fully-failed unstriped file succeeded")
 	}
 	for _, m := range blocks[0].Locations {
-		if err := cl.RestoreMachine(m); err != nil {
+		if err := sys.RestartDataNode(m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 
 // System is a running serving cluster.
 type System struct {
-	cluster hdfs.Metadata
+	cluster *hdfs.Cluster
 	code    ec.Code
 	nn      *NameNode
 	mgr     *repairmgr.Manager // nil when the control plane is disabled
@@ -136,7 +136,7 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 		s.Close()
 		return nil, err
 	}
-	nn, err := startNameNode(cluster, cfg.Code, cfg.BlockSize, s, s.mgr, nnTele)
+	nn, err := startNameNode(cluster, cfg.Code, s.dataNodeAddrs, s.mgr, nnTele)
 	if err != nil {
 		nnTele.close()
 		s.Close()
@@ -194,9 +194,8 @@ func (s *System) NameAddr() string { return s.nn.Addr() }
 
 // Cluster exposes the storage substrate's metadata plane for
 // in-process inspection (tests, victim selection in the load
-// generator). Callers get the hdfs.Metadata interface, not the
-// substrate's concrete type.
-func (s *System) Cluster() hdfs.Metadata { return s.cluster }
+// generator).
+func (s *System) Cluster() *hdfs.Cluster { return s.cluster }
 
 // Code returns the cluster's codec.
 func (s *System) Code() ec.Code { return s.code }
@@ -221,10 +220,9 @@ func (s *System) dataNodeAddrs() []string {
 // persistent stores (Config.StoreFactory = hdfs.ExtentStoreFactory)
 // the kill is a real crash: the store handle closes and the machine's
 // in-memory block index is discarded — only the segment files on disk
-// survive.
-func (s *System) KillDataNode(machine int) error { return s.killDataNode(machine) }
-
-func (s *System) killDataNode(machine int) error {
+// survive. The daemon is torn down even when closing the store fails:
+// its slot is already empty, so nothing else would find it.
+func (s *System) KillDataNode(machine int) error {
 	s.mu.Lock()
 	if machine < 0 || machine >= len(s.dns) {
 		s.mu.Unlock()
@@ -233,13 +231,11 @@ func (s *System) killDataNode(machine int) error {
 	dn := s.dns[machine]
 	s.dns[machine] = nil
 	s.mu.Unlock()
-	if err := s.cluster.CrashMachine(machine); err != nil {
-		return err
-	}
+	err := s.cluster.CrashMachine(machine)
 	if dn != nil {
 		dn.close()
 	}
-	return nil
+	return err
 }
 
 // RestartDataNode brings the machine back and relaunches its daemon on
@@ -248,9 +244,7 @@ func (s *System) killDataNode(machine int) error {
 // index is RECONSTRUCTED by sequentially scanning its segment files —
 // the restart serves exactly what the disk holds, not what a
 // conveniently retained map remembers.
-func (s *System) RestartDataNode(machine int) error { return s.restartDataNode(machine) }
-
-func (s *System) restartDataNode(machine int) error {
+func (s *System) RestartDataNode(machine int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if machine < 0 || machine >= len(s.dns) {
