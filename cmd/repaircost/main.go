@@ -6,18 +6,13 @@
 // explicit: Piggybacked-RS cuts repair traffic at 1.0x extra storage,
 // LRC cuts it further but pays for it in capacity. It regenerates the
 // §3.1/§3.2 savings and storage-overhead rows of the map in the root
-// package doc (doc.go), and -bounds the §5 row.
-//
-// Beyond the default analytical table, -contention replays a failure
-// trace through the event-driven contended fabric: repairs fair-share
-// NIC/TOR/aggregation bandwidth with saturating foreground load. The
-// simulation is deterministic for a fixed -seed; measured performance
-// comes from `go run ./benchmark` (see benchmark/README.md).
+// package doc (doc.go), and -bounds the §5 row. Every table is
+// closed-form; measured performance comes from `go run ./benchmark`
+// (see benchmark/README.md).
 //
 // Usage:
 //
 //	repaircost [-k K] [-r R] [-size BYTES] [-sweep] [-bounds]
-//	repaircost -contention [-days N] [-policy fifo|smallest-first|priority-lanes] [-seed N] [-out FILE]
 package main
 
 import (
@@ -39,34 +34,21 @@ func main() {
 	size := flag.Int64("size", 256<<20, "shard size in bytes")
 	sweep := flag.Bool("sweep", false, "print the (k, r) sweep table instead of one configuration")
 	bounds := flag.Bool("bounds", false, "compare against the regenerating-codes cut-set bounds (§5)")
-
-	contention := flag.Bool("contention", false, "simulate repairs on the contended fabric (RS vs Piggybacked-RS)")
-	days := flag.Int("days", 24, "-contention: trace length in days")
-	policy := flag.String("policy", "fifo", "-contention: repair scheduler policy: fifo, smallest-first, priority-lanes")
-	seed := flag.Int64("seed", 1, "-contention: trace/placement seed")
-	out := flag.String("out", "", "-contention: also write the result as JSON to this file")
 	flag.Parse()
 
 	var err error
-	if *contention {
-		err = contentionBench(*k, *r, *days, *policy, *seed, *out)
-	} else {
-		err = analyticalMode(*k, *r, *size, *sweep, *bounds)
+	switch {
+	case *bounds:
+		err = boundsTable(*k, *r)
+	case *sweep:
+		err = sweepTable(*size)
+	default:
+		err = oneConfig(*k, *r, *size)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repaircost:", err)
 		os.Exit(1)
 	}
-}
-
-func analyticalMode(k, r int, size int64, sweep, bounds bool) error {
-	if bounds {
-		return boundsTable(k, r)
-	}
-	if sweep {
-		return sweepTable(size)
-	}
-	return oneConfig(k, r, size)
 }
 
 // boundsTable positions each code against the information-theoretic

@@ -60,8 +60,7 @@
 //   - Execution: internal/engine (batch encode/repair pool, Fold, the
 //     rack-aware repair tree).
 //   - Study: internal/workload (failure traces), internal/sim (study,
-//     comparison, backlog, contention), internal/netsim (contended
-//     fabric), internal/stats.
+//     comparison, §2.2 distribution, backlog), internal/stats.
 //   - Models: internal/cluster (topology, byte-accounting network,
 //     bandwidth model), internal/reliability, internal/layout,
 //     internal/regenerating.

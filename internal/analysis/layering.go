@@ -35,7 +35,6 @@ const rootPath = "repro"
 var layerRank = map[string]int{
 	"repro/internal/gf256":              0,
 	"repro/internal/cluster":            0,
-	"repro/internal/netsim":             0,
 	"repro/internal/workload":           0,
 	"repro/internal/stats":              0,
 	"repro/internal/regenerating":       0,

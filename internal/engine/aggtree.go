@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/ec"
 	"repro/internal/gf256"
-	"repro/internal/netsim"
 )
 
 // AggNode is one helper in the aggregation tree.
@@ -193,27 +192,6 @@ func (p *AggPlan) Nodes() []*AggNode {
 	}
 	walk(p.Root)
 	return out
-}
-
-// Hops returns the tree's edges as the dependency-ordered transfers a
-// contention replay runs: one target-sized buffer from each child to
-// its parent and from the root to dst, each hop waiting on (After) the
-// sender's own incoming hops.
-func (p *AggPlan) Hops(dst int) []netsim.Hop {
-	var hops []netsim.Hop
-	var walk func(n *AggNode, parent int) int
-	walk = func(n *AggNode, parent int) int {
-		var after []int
-		for _, c := range n.Children {
-			after = append(after, walk(c, n.Machine))
-		}
-		hops = append(hops, netsim.Hop{Src: n.Machine, Dst: parent, Bytes: p.TargetSize, After: after})
-		return len(hops) - 1
-	}
-	if p.Root != nil {
-		walk(p.Root, dst)
-	}
-	return hops
 }
 
 // FlattenTerms returns every local term of the tree — the effective

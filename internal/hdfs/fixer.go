@@ -5,6 +5,7 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -147,8 +148,7 @@ func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
 	tasks := make([]func(*engine.Scratch) error, len(fixes))
 	for i, f := range fixes {
 		tasks[i] = func(s *engine.Scratch) (err error) {
-			shards[i], err = c.cfg.Code.ExecuteMultiRepair(
-				f.positions, f.sm.shardSize, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s))
+			shards[i], err = c.executeStripeFix(f, s)
 			return err
 		}
 	}
@@ -163,6 +163,33 @@ func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
 			continue
 		}
 		c.applyStripeFixLocked(f, shards[i], report)
+	}
+}
+
+// executeStripeFix runs one stripe's joint decode at its worker. A
+// helper whose read fails its checksum is as good as erased: its
+// position is marked so and the decode runs again without it, until the
+// codec finds the erasures beyond what it tolerates. Fetches run one
+// after another, so the marking needs no lock.
+func (c *Cluster) executeStripeFix(f *stripeFix, s *engine.Scratch) (map[int][]byte, error) {
+	alive, fetch := c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s)
+	rotted := make(map[int]bool)
+	for {
+		rot := -1
+		shards, err := c.cfg.Code.ExecuteMultiRepair(f.positions, f.sm.shardSize,
+			func(pos int) bool { return !rotted[pos] && alive(pos) },
+			func(req ec.ReadRequest) ([]byte, error) {
+				buf, err := fetch(req)
+				if errors.Is(err, ErrCorruptReplica) {
+					rot = req.Shard
+				}
+				return buf, err
+			})
+		if err == nil || rot < 0 {
+			return shards, err
+		}
+		rotted[rot] = true
+		s.Reset()
 	}
 }
 
@@ -306,7 +333,10 @@ func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*strip
 // decode ran with the lock released (its machine was restored
 // mid-pass) is left as it is; a block whose destination died mid-pass
 // is recorded unrecoverable on its own, without disturbing the
-// accounting of siblings in the same fix that did land.
+// accounting of siblings in the same fix that did land. A rebuilt block
+// whose CRC-32 differs from the block's is not stored and counts
+// unrecoverable: a helper served rot its store could not detect, and
+// the scrubber must evict it before a later pass can rebuild.
 func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, report *FixReport) {
 	worker := f.worker()
 	for i, bm := range f.lost {
@@ -314,6 +344,10 @@ func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, repo
 			continue
 		}
 		content := shards[bm.stripePos][:bm.size]
+		if crc32.ChecksumIEEE(content) != bm.checksum {
+			report.Unrecoverable = append(report.Unrecoverable, bm.id)
+			continue
+		}
 		dst := f.destinations[i]
 		if dst != worker {
 			if err := c.net.Transfer(worker, dst, bm.size); err != nil {

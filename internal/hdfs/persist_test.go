@@ -3,6 +3,7 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -240,6 +241,78 @@ func TestReReplicationSkipsRottedReplicas(t *testing.T) {
 			c.FailMachine(l[1])
 			if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("read from the new replica: %v", err)
+			}
+		})
+	}
+}
+
+// TestStripeRepairSkipsRottedHelpers: a stripe repair whose helper is
+// rotted neither spreads the rot nor gives up, on either store. Block
+// 1's only replica is rotted and block 0's holder dies. The extent
+// store refuses the rotted read, so the fixer marks position 1 erased
+// and decodes block 0 from the other helpers in the same pass. The
+// in-memory store serves the rotted bytes, so the rebuilt block 0 fails
+// its checksum and is not stored; once the scrubber evicts the rot, the
+// next pass rebuilds both. The fixer used to store the wrong block 0 on
+// the in-memory store, and to report it unrecoverable on the extent
+// store.
+func TestStripeRepairSkipsRottedHelpers(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stores func(int) (BlockStore, error)
+		// refused is whether the store refuses the rotted read, so the
+		// first pass can rebuild block 0 without it.
+		refused bool
+	}{
+		{"mem", memStores, false},
+		{"extent", ExtentStoreFactory(t.TempDir(), extent.Options{}), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := storeConfig(t, tc.stores)
+			cfg.Code = rsCode(t)
+			c := newForTest(t, cfg)
+			data := randBytes(91, 6000)
+			if err := c.WriteFile("f", data); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RaidFile("f"); err != nil {
+				t.Fatal(err)
+			}
+			locs, err := c.BlockLocations("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := c.files["f"].blocks
+			if err := c.InjectBitRot(locs[1][0], blocks[1], 5); err != nil {
+				t.Fatal(err)
+			}
+			c.FailMachine(locs[0][0])
+
+			fix, err := c.RunBlockFixer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []BlockID
+			if !tc.refused {
+				want = []BlockID{blocks[0]}
+			}
+			if !slices.Equal(fix.Unrecoverable, want) {
+				t.Fatalf("first pass: unrecoverable %v, want %v (%+v)", fix.Unrecoverable, want, fix)
+			}
+			if tc.refused {
+				if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("read after the first pass: %v", err)
+				}
+			}
+
+			if _, err := c.RunScrubberSlice(c.Machines()); err != nil {
+				t.Fatal(err)
+			}
+			if fix, err := c.RunBlockFixer(); err != nil || len(fix.Unrecoverable) != 0 {
+				t.Fatalf("second pass: %+v, %v", fix, err)
+			}
+			if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after the second pass: %v", err)
 			}
 		})
 	}

@@ -92,9 +92,6 @@ func Cauchy(rows, cols int) (*Matrix, error) {
 	return m, nil
 }
 
-// At returns the entry at (r, c).
-func (m *Matrix) At(r, c int) byte { return m.data[r][c] }
-
 // Set assigns the entry at (r, c).
 func (m *Matrix) Set(r, c int, v byte) { m.data[r][c] = v }
 

@@ -24,8 +24,8 @@ func TestFromRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %d, want 3", m.At(1, 0))
+	if m.RowView(1)[0] != 3 {
+		t.Fatalf("entry (1,0) = %d, want 3", m.RowView(1)[0])
 	}
 	if _, err := FromRows([][]byte{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged rows must be rejected")
@@ -73,8 +73,8 @@ func TestMulKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	want00 := gf256.Mul(1, 5) ^ gf256.Mul(2, 7)
-	if got.At(0, 0) != want00 {
-		t.Fatalf("product (0,0) = %#x, want %#x", got.At(0, 0), want00)
+	if got.RowView(0)[0] != want00 {
+		t.Fatalf("product (0,0) = %#x, want %#x", got.RowView(0)[0], want00)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestCauchyAllSquareSubmatricesSmall(t *testing.T) {
 		for r2 := r1 + 1; r2 < 4; r2++ {
 			for c1 := 0; c1 < 4; c1++ {
 				for c2 := c1 + 1; c2 < 4; c2++ {
-					det := gf256.Mul(c.At(r1, c1), c.At(r2, c2)) ^ gf256.Mul(c.At(r1, c2), c.At(r2, c1))
+					det := gf256.Mul(c.RowView(r1)[c1], c.RowView(r2)[c2]) ^ gf256.Mul(c.RowView(r1)[c2], c.RowView(r2)[c1])
 					if det == 0 {
 						t.Fatalf("2x2 submatrix (%d,%d)x(%d,%d) singular", r1, r2, c1, c2)
 					}
@@ -269,7 +269,7 @@ func TestSelectRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.At(0, 0) != 3 || sel.At(1, 0) != 1 {
+	if sel.RowView(0)[0] != 3 || sel.RowView(1)[0] != 1 {
 		t.Fatal("SelectRows picked wrong rows")
 	}
 	if _, err := m.SelectRows([]int{5}); err == nil {
@@ -297,7 +297,7 @@ func TestAugment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cols() != 2 || got.At(0, 1) != 3 {
+	if got.Cols() != 2 || got.RowView(0)[1] != 3 {
 		t.Fatal("Augment wrong layout")
 	}
 	c := New(3, 1)
@@ -310,7 +310,7 @@ func TestCloneIndependence(t *testing.T) {
 	m, _ := FromRows([][]byte{{1, 2}})
 	c := m.Clone()
 	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
+	if m.RowView(0)[0] != 1 {
 		t.Fatal("Clone shares backing storage")
 	}
 }
@@ -350,7 +350,7 @@ func TestMulVecMatchesMatrixMulProperty(t *testing.T) {
 			return false
 		}
 		for r := 0; r < rows; r++ {
-			if prod.At(r, 0) != dst[r] {
+			if prod.RowView(r)[0] != dst[r] {
 				return false
 			}
 		}
@@ -371,7 +371,7 @@ func TestFlatBackingInvariant(t *testing.T) {
 	for r := 0; r < m.Rows(); r++ {
 		view := m.RowView(r)
 		for c := 0; c < m.Cols(); c++ {
-			if view[c] != m.At(r, c) {
+			if view[c] != m.Row(r)[c] {
 				t.Fatalf("RowView out of sync at (%d,%d) after SwapRows", r, c)
 			}
 		}

@@ -41,12 +41,12 @@ type Config struct {
 	// RepairBytesPerSec caps sustained cross-rack repair traffic
 	// (token bucket); 0 leaves repair unthrottled.
 	//
-	//repolint:ignore deadexport ROADMAP 9: the trace replay through the real manager decides whether the throttle pays for itself
+	//repolint:ignore deadexport ROADMAP 12: the trace replay through the real manager decides whether the throttle pays for itself
 	RepairBytesPerSec float64
 	// RepairBurstBytes is the bucket capacity (default: one second of
 	// rate).
 	//
-	//repolint:ignore deadexport ROADMAP 9: the trace replay through the real manager decides whether the throttle pays for itself
+	//repolint:ignore deadexport ROADMAP 12: the trace replay through the real manager decides whether the throttle pays for itself
 	RepairBurstBytes float64
 	// AgingTier is the queue time that promotes a waiting repair one
 	// erasure tier (starvation aging); 0 disables aging.
@@ -54,7 +54,7 @@ type Config struct {
 	// ScrubInterval schedules incremental scrub slices through the
 	// control loop; 0 disables background scrubbing.
 	//
-	//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload runs the manager with scrubbing on
+	//repolint:ignore deadexport ROADMAP 10: the manager becomes how the live System recovers, scrubbing included
 	ScrubInterval time.Duration
 	// ScrubSliceMachines is the slice width (default 1).
 	ScrubSliceMachines int
@@ -336,14 +336,14 @@ func (m *Manager) Stop() {
 // Pause suspends queue draining (detection, triage, and scrubbing
 // continue); Resume lifts it.
 //
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload drives the manager through a live System
+//repolint:ignore deadexport ROADMAP 10: the manager becomes the live System's one recovery driver
 func (m *Manager) Pause() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.paused = true
 }
 
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload drives the manager through a live System
+//repolint:ignore deadexport ROADMAP 10: the manager becomes the live System's one recovery driver
 func (m *Manager) Resume() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -368,7 +368,7 @@ func (m *Manager) Heartbeat(node int) error {
 
 // NodeState returns the detector's view of one machine.
 //
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload drives the manager through a live System
+//repolint:ignore deadexport ROADMAP 10: the manager becomes the live System's one recovery driver
 func (m *Manager) NodeState(node int) NodeState { return m.det.State(node) }
 
 // Poll runs one control-loop iteration: evaluate detector timeouts,

@@ -96,7 +96,7 @@ func TestGeneratorSystematic(t *testing.T) {
 			if i == j {
 				want = 1
 			}
-			if g.At(i, j) != want {
+			if g.RowView(i)[j] != want {
 				t.Fatalf("generator top block not identity at (%d,%d)", i, j)
 			}
 		}

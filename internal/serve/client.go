@@ -619,7 +619,7 @@ type CompletedFix struct {
 // RepairStatus fetches the control plane's status from the namenode.
 // It errors when the cluster runs without a repair manager.
 //
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload times the manager to Healthy()
+//repolint:ignore deadexport ROADMAP 10: node_repair times the manager to Healthy()
 func (c *Client) RepairStatus() (*RepairStatus, error) {
 	resp, err := c.nameCall(&request{Method: methodRepairStatus}, nil)
 	if err != nil {

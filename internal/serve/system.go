@@ -35,7 +35,7 @@ type sysOptions struct {
 // bandwidth-throttled queue — no manual fixer calls. The manager's
 // clock must be real time (leave cfg.Clock nil) for a live system.
 //
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload runs the manager in the live System
+//repolint:ignore deadexport ROADMAP 10: serve.Start always runs the manager, and this option folds into it
 func WithRepairManager(cfg repairmgr.Config) Option {
 	return func(o *sysOptions) { o.mgrCfg = &cfg }
 }
@@ -162,7 +162,7 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 // RepairManager exposes the control plane for tests and benchmarks
 // (nil when Start ran without WithRepairManager).
 //
-//repolint:ignore deadexport ROADMAP 7: the managed_recovery workload reads the manager's state
+//repolint:ignore deadexport ROADMAP 10: node_repair reads the manager's state through the live System
 func (s *System) RepairManager() *repairmgr.Manager { return s.mgr }
 
 // Telemetry returns the system-wide metrics registry (nil when Start

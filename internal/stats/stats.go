@@ -28,18 +28,6 @@ func Median(xs []float64) float64 {
 	return lo + (hi-lo)/2
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Min returns the minimum of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

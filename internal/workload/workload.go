@@ -246,34 +246,6 @@ func (e TriggeredEvent) ReplayBlocks(cfg Config, stripeWidth int, fn func(BlockD
 	}
 }
 
-// SampleBlocks deterministically samples up to max of the day's lost
-// blocks by stride over the full replay order, preserving each draw's
-// size and stripe position exactly as ReplayBlocks would produce it.
-// Contention studies use it to simulate a representative subset of a
-// day's repairs without replaying millions of flows; two codes sampling
-// the same day with the same stripeWidth see identical draws.
-func (d *Day) SampleBlocks(cfg Config, stripeWidth, max int) []BlockDraw {
-	if max <= 0 {
-		return nil
-	}
-	total := d.BlocksLost()
-	if total == 0 {
-		return nil
-	}
-	stride := (total + max - 1) / max
-	out := make([]BlockDraw, 0, max)
-	idx := 0
-	for _, ev := range d.Triggered {
-		ev.ReplayBlocks(cfg, stripeWidth, func(b BlockDraw) {
-			if idx%stride == 0 && len(out) < max {
-				out = append(out, b)
-			}
-			idx++
-		})
-	}
-	return out
-}
-
 // MeanBlockBytes returns the expected recovered-block size under the
 // configuration's mixture.
 //

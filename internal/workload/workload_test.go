@@ -157,7 +157,7 @@ func TestReplayBlocksProperties(t *testing.T) {
 	cfg := DefaultConfig()
 	ev := TriggeredEvent{BlocksLost: 5000, SizeSeed: 99}
 	posSeen := make(map[int]int)
-	var sizes []float64
+	var sum, n float64
 	ev.ReplayBlocks(cfg, 14, func(d BlockDraw) {
 		if d.Bytes%2 != 0 {
 			t.Fatalf("odd block size %d", d.Bytes)
@@ -169,12 +169,13 @@ func TestReplayBlocksProperties(t *testing.T) {
 			t.Fatalf("stripe position %d outside [0, 14)", d.StripePos)
 		}
 		posSeen[d.StripePos]++
-		sizes = append(sizes, float64(d.Bytes))
+		sum += float64(d.Bytes)
+		n++
 	})
 	if len(posSeen) != 14 {
 		t.Fatalf("stripe positions cover %d values, want all 14", len(posSeen))
 	}
-	mean := stats.Mean(sizes)
+	mean := sum / n
 	want := cfg.MeanBlockBytes()
 	if math.Abs(mean-want)/want > 0.05 {
 		t.Fatalf("empirical mean block size %v, want within 5%% of %v", mean, want)
@@ -323,54 +324,5 @@ func TestLognormalMedian(t *testing.T) {
 	med := stats.Median(samples)
 	if math.Abs(med-median)/median > 0.05 {
 		t.Fatalf("lognormal median %v, want within 5%% of %v", med, median)
-	}
-}
-
-func TestSampleBlocksDeterministicSubset(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Days = 2
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var day *Day
-	for i := range tr.Days {
-		if tr.Days[i].BlocksLost() > 100 {
-			day = &tr.Days[i]
-			break
-		}
-	}
-	if day == nil {
-		t.Skip("trace has no day with >100 blocks")
-	}
-	const max = 37
-	a := day.SampleBlocks(cfg, 14, max)
-	b := day.SampleBlocks(cfg, 14, max)
-	if len(a) == 0 || len(a) > max {
-		t.Fatalf("sample size %d, want in (0, %d]", len(a), max)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sampling not deterministic at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// Each sampled draw must appear in the full replay with identical
-	// size and position (the sampler preserves draws, not re-rolls).
-	full := make(map[BlockDraw]int)
-	for _, ev := range day.Triggered {
-		ev.ReplayBlocks(cfg, 14, func(d BlockDraw) { full[d]++ })
-	}
-	for i, d := range a {
-		if full[d] == 0 {
-			t.Fatalf("sampled draw %d (%+v) not in full replay", i, d)
-		}
-	}
-	// Requesting more than available returns everything.
-	all := day.SampleBlocks(cfg, 14, day.BlocksLost()+10)
-	if len(all) != day.BlocksLost() {
-		t.Fatalf("oversized request returned %d of %d", len(all), day.BlocksLost())
-	}
-	if day.SampleBlocks(cfg, 14, 0) != nil {
-		t.Fatal("max=0 must return nil")
 	}
 }
