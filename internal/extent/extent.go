@@ -189,7 +189,7 @@ type Store struct {
 }
 
 // Open builds the store over dir, creating it if needed, and rebuilds
-// the in-memory index by scanning every segment sequentially. A torn
+// the in-memory index by scanning every segment's record headers. A torn
 // tail (crash mid-append) is truncated and counted, never fatal; only
 // real I/O errors fail the open.
 func Open(opts Options) (*Store, error) {

@@ -259,3 +259,53 @@ func FuzzScanSegment(f *testing.F) {
 		}
 	})
 }
+
+// TestOpenReadsHeadersNotPayloads: reopening a store reads each record's
+// header and chunk table and skips its payload, so a datanode restart
+// costs O(records), not O(bytes on disk). The bytes are the process's
+// read(2)/pread(2) total, rchar in /proc/self/io.
+func TestOpenReadsHeadersNotPayloads(t *testing.T) {
+	rchar := func() int64 {
+		b, err := os.ReadFile("/proc/self/io")
+		if err != nil {
+			t.Skipf("no /proc/self/io to count read bytes: %v", err)
+		}
+		var n int64
+		if _, err := fmt.Sscanf(string(b), "rchar: %d", &n); err != nil {
+			t.Fatalf("parse /proc/self/io: %v", err)
+		}
+		return n
+	}
+	rchar()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records, size = 64, 256 << 10 // 16 MiB of payload
+	data := make([]byte, size)
+	for i := int64(0); i < records; i++ {
+		data[0] = byte(i)
+		if err := s.Put(i, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := rchar()
+	s, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := rchar() - before
+	defer s.Close()
+	if read >= 1<<20 {
+		t.Fatalf("Open read %d bytes to index %d records of %d bytes, want < 1 MiB", read, records, size)
+	}
+	for _, id := range []int64{0, records - 1} {
+		if got, err := s.Get(id); err != nil || len(got) != size || got[0] != byte(id) {
+			t.Fatalf("record %d after reopening: %d bytes, %v", id, len(got), err)
+		}
+	}
+}

@@ -29,13 +29,13 @@
 // the header CRC, the length bound, and the record's extent (table and
 // payload) all check out, and treats the first failure as the end of
 // valid data. Neither the chunk table nor the payload is verified
-// during the scan — recovery stays a sequential walk that keeps each
-// table as found — and both are enforced on every read instead: a
-// rotted table is ErrCorrupt for that one record, like a rotted payload.
+// during the scan — recovery walks the headers, keeps each table as
+// found, and never reads a payload — and both are enforced on every read
+// instead: a rotted table is ErrCorrupt for that one record, like a
+// rotted payload.
 package extent
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -109,32 +109,66 @@ type scanRecord struct {
 	table      []byte // v2 chunk table as found on disk; empty otherwise
 }
 
-// scanSegment walks the segment sequentially from byte 0, returning
-// every valid record, the byte length of the valid prefix, and whether
-// a torn (or garbage) tail was found after it. Only real I/O failures
-// return an error; a malformed tail is data loss bounded to the last
-// write, not a failure to open the store.
+// scanSegment reads a window of the file at a time. Past a record of
+// scanWindow bytes or more, the window is scanMinWindow: the next
+// record's header and the chunk table of a payload up to ~4 MiB, in one
+// call, and none of its payload. Past a smaller record it is
+// scanWindow, which holds several small records whole, as a buffered
+// sequential scan would.
+const (
+	scanMinWindow = 4 << 10
+	scanWindow    = 64 << 10
+)
+
+// scanSegment walks the segment's records from byte 0, returning every
+// valid record, the byte length of the valid prefix, and whether a torn
+// (or garbage) tail was found after it. It reads headers and chunk
+// tables and skips payloads: a record's extent is proved by the file
+// size, so a segment of large records costs O(records), not O(bytes).
+// Only real I/O failures return an error; a malformed tail is data loss
+// bounded to the last write, not a failure to open the store.
 func scanSegment(f *os.File, maxPayload int64) (records []scanRecord, validLen int64, torn bool, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, false, err
-	}
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, 0, false, err
 	}
 	fileSize := fi.Size()
-	br := bufio.NewReaderSize(f, 1<<16)
+	// win holds the file's bytes [winOff, winOff+len(win)); bytes inside
+	// it cost no read.
+	var buf [scanWindow]byte
+	var win []byte
+	var winOff int64
+	ahead := int64(scanMinWindow)
+	// fetch fills p with the file's bytes at off, from the window or, when
+	// they lie outside it, from a window of ahead bytes read at off (or
+	// straight from the file, when p is larger). It reports false when the
+	// file ends first.
+	fetch := func(p []byte, off int64) (bool, error) {
+		if off < winOff || off+int64(len(p)) > winOff+int64(len(win)) {
+			if int64(len(p)) > ahead {
+				n, err := f.ReadAt(p, off)
+				return n == len(p), eofIsShort(err)
+			}
+			n, err := f.ReadAt(buf[:min(ahead, fileSize-off)], off)
+			if err = eofIsShort(err); err != nil {
+				return false, err
+			}
+			win, winOff = buf[:n], off
+		}
+		if off+int64(len(p)) > winOff+int64(len(win)) {
+			return false, nil
+		}
+		copy(p, win[off-winOff:])
+		return true, nil
+	}
 	var hdr [headerLen]byte
-	for {
-		n, err := io.ReadFull(br, hdr[:])
+	for validLen < fileSize {
+		ok, err := fetch(hdr[:], validLen)
 		if err != nil {
-			if errors.Is(err, io.EOF) && n == 0 {
-				return records, validLen, false, nil // clean end
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, validLen, true, nil // torn header
-			}
 			return nil, 0, false, err
+		}
+		if !ok {
+			return records, validLen, true, nil // torn header
 		}
 		if crc32.ChecksumIEEE(hdr[0:28]) != binary.BigEndian.Uint32(hdr[28:32]) {
 			return records, validLen, true, nil
@@ -155,18 +189,13 @@ func scanSegment(f *os.File, maxPayload int64) (records []scanRecord, validLen i
 			return records, validLen, true, nil // table or payload past EOF
 		}
 		table := make([]byte, tlen)
-		if _, err := io.ReadFull(br, table); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, validLen, true, nil
-			}
-			return nil, 0, false, err
-		}
-		if length > 0 {
-			if _, err := br.Discard(int(length)); err != nil {
-				if errors.Is(err, io.EOF) {
-					return records, validLen, true, nil
-				}
+		if tlen > 0 {
+			ok, err := fetch(table, validLen+headerLen)
+			if err != nil {
 				return nil, 0, false, err
+			}
+			if !ok {
+				return records, validLen, true, nil // the file shrank under the scan
 			}
 		}
 		records = append(records, scanRecord{
@@ -178,5 +207,19 @@ func scanSegment(f *os.File, maxPayload int64) (records []scanRecord, validLen i
 			table:      table,
 		})
 		validLen += headerLen + tlen + length
+		ahead = scanMinWindow
+		if headerLen+tlen+length < scanWindow {
+			ahead = scanWindow
+		}
 	}
+	return records, validLen, false, nil // clean end
+}
+
+// eofIsShort turns ReadAt's io.EOF, which only says the read came up
+// short, into no error: the caller checks the count.
+func eofIsShort(err error) error {
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	return err
 }

@@ -10,7 +10,7 @@
 //
 // # Tables
 //
-// Two product tables are built once at package initialisation from the
+// Three product tables are built once at package initialisation from the
 // same log/exp multiply (mulSlow):
 //
 //   - mulTable, 256x256 bytes: mulTable[c][v] = c*v. One indexed load per
@@ -21,25 +21,38 @@
 //     multiplication distributes over XOR, c*v = c*(v&0x0f) ^ c*(v&0xf0):
 //     two 16-entry lookups, which is what a byte-shuffle instruction does
 //     for a whole vector at once.
+//   - gfniTable, 256 qwords, on the amd64 build only: multiplication by
+//     c as an 8x8 matrix over GF(2). Byte 7-i of gfniTable[c] is the row
+//     for output bit i, and its bit j is bit i of c*2^j, the layout the
+//     GF2P8AFFINEQB instruction reads.
 //
 // # Kernels
 //
 // The multiply-accumulate operations (MulSliceXor, MulAddSlices) run one
-// of two kernels, chosen once at start-up from what the CPU reports:
+// of three kernel tiers, chosen once at start-up from CPUID and XCR0;
+// nothing else selects one:
 //
-//   - amd64 with AVX2 (kernel_amd64.go, kernel_amd64.s): the split-nibble
-//     kernel, 32 bytes per step with VPSHUFB over nibTable. It handles
-//     the largest multiple of 32 bytes; the table kernel finishes the
-//     tail.
-//   - everything else — amd64 without AVX2, every other GOARCH, and any
-//     build with the purego tag (kernel_generic.go): the table kernel, a
-//     mulTable lookup per byte, pair-fused and unrolled in MulAddSlices.
+//   - GFNI (kernel_amd64.go, kernel_amd64.s), on amd64 CPUs that report
+//     AVX512F and GFNI under an OS that saves the ZMM registers:
+//     VGF2P8AFFINEQB on ZMM, 64 bytes per instruction. MulSliceXor takes
+//     64-byte steps. MulAddSlices folds up to 16 inputs per pass in
+//     128-byte steps, so out is loaded and stored once per step and not
+//     once per input.
+//   - AVX2, on amd64 CPUs with AVX2 and no GFNI tier: the split-nibble
+//     kernel, 32 bytes per step with VPSHUFB over nibTable, one pass per
+//     input.
+//   - the table kernel, everywhere else — amd64 without AVX2, every
+//     other GOARCH, and any build with the purego tag
+//     (kernel_generic.go): a mulTable lookup per byte, pair-fused and
+//     unrolled in MulAddSlices.
 //
-// Both produce identical bytes; the differential tests hold each to a
-// byte-at-a-time Mul reference. Plain XOR (coefficient 1 in MulSliceXor,
-// XorSlice, XorAllSlices) is crypto/subtle.XORBytes on every platform.
-// MulSlice, the store-only multiply, is the table loop everywhere: its
-// one caller scales matrix rows far shorter than a vector step.
+// A vector tier handles the largest multiple of its step and the tier
+// below it finishes the tail. All three produce identical bytes; the
+// differential tests hold each to a byte-at-a-time Mul reference. Plain
+// XOR (coefficient 1 in MulSliceXor, XorSlice, XorAllSlices) is
+// crypto/subtle.XORBytes on every platform. MulSlice, the store-only
+// multiply, is the table loop everywhere: its one caller scales matrix
+// rows far shorter than a vector step.
 //
 // # Aliasing
 //
@@ -69,6 +82,16 @@ const Order = 256
 // generator is the primitive element whose powers enumerate all non-zero
 // field elements.
 const generator = 2
+
+// kernelTier is one implementation of the multiply-accumulate
+// operations; a higher tier is faster and needs more of the CPU.
+type kernelTier int
+
+const (
+	tierTable kernelTier = iota
+	tierAVX2
+	tierGFNI
+)
 
 var (
 	// expTable[i] = generator^i. Doubled in length so products of logs
@@ -241,13 +264,13 @@ const fusedChunk = 32 << 10
 // MulAddSlices accumulates a coefficient vector times a shard matrix:
 // out[j] ^= XOR_i coeffs[i] * inputs[i][j]. It is the fused form of
 // calling MulSliceXor once per input, processing the output in
-// cache-sized chunks. With the vector kernel each input streams through
-// it once per chunk; the table kernel folds pairs of inputs into each
-// pass with an unrolled inner loop. len(coeffs) must equal len(inputs),
-// and every input must have the length of out and share no byte with it
-// (not even be out: see checkFusedInput). Inputs with a zero coefficient
-// are skipped; an all-ones coefficient vector takes the XorAllSlices
-// path.
+// cache-sized chunks. The GFNI kernel folds up to 16 inputs into each
+// pass over a chunk, the AVX2 kernel streams each input through it once,
+// and the table kernel folds pairs of inputs into each pass with an
+// unrolled inner loop. len(coeffs) must equal len(inputs), and every
+// input must have the length of out and share no byte with it (not even
+// be out: see checkFusedInput). Inputs with a zero coefficient are
+// skipped; an all-ones coefficient vector takes the XorAllSlices path.
 func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 	if len(coeffs) != len(inputs) {
 		panic("gf256: MulAddSlices coeffs/inputs length mismatch")
@@ -277,12 +300,7 @@ func MulAddSlices(coeffs []byte, inputs [][]byte, out []byte) {
 			hi = len(out)
 		}
 		dst := out[lo:hi]
-		if useVec {
-			// One MulSliceXor per input: vector body, table tail, plain
-			// XOR for a coefficient of one, nothing for zero.
-			for i, c := range coeffs {
-				MulSliceXor(c, inputs[i][lo:hi], dst)
-			}
+		if mulAddChunkVec(coeffs, inputs, lo, hi, dst) {
 			continue
 		}
 		// The table kernel. Zero-coefficient inputs are skipped and the

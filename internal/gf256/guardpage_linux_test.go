@@ -10,7 +10,9 @@ import (
 // byte outside [0, len) dies with a fault instead of passing. The
 // guard-byte checks in the differential tests catch stray writes; only
 // this catches stray reads.
-func TestKernelsStayInBounds(t *testing.T) {
+func TestKernelsStayInBounds(t *testing.T) { checkInBounds(t) }
+
+func checkInBounds(t *testing.T) {
 	page := syscall.Getpagesize()
 	// fenced returns a page of memory with an inaccessible page on each side.
 	fenced := func() []byte {
@@ -30,7 +32,13 @@ func TestKernelsStayInBounds(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = byte(i), byte(3*i+1)
 	}
-	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 127, 1000, page} {
+	// 17 fused inputs: one full GFNI pass and a second of one.
+	coeffs := make([]byte, 17)
+	inputs := make([][]byte, len(coeffs))
+	for i := range coeffs {
+		coeffs[i] = byte(i + 2)
+	}
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, page} {
 		// Flush against the fence after, then against the fence before.
 		for _, at := range []int{page - n, 0} {
 			in1, in2, out := a[at:at+n], b[at:at+n], o[at:at+n]
@@ -39,6 +47,10 @@ func TestKernelsStayInBounds(t *testing.T) {
 			MulSliceXor(1, in1, out)
 			XorSlice(in2, out)
 			MulAddSlices([]byte{5, 6}, [][]byte{in1, in2}, out)
+			for i := range inputs {
+				inputs[i] = [][]byte{in1, in2}[i%2]
+			}
+			MulAddSlices(coeffs, inputs, out)
 			XorAllSlices([][]byte{in1, in2}, out)
 		}
 	}

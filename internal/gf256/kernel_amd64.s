@@ -40,6 +40,72 @@ loop32:
 	VZEROUPPER
 	RET
 
+// GF(2^8) multiply as an affine map: VGF2P8AFFINEQB multiplies every
+// byte of a vector by the 8x8 bit matrix in the matching qword of its
+// matrix operand (gfniTable[c], broadcast to all eight qwords) and XORs
+// in the immediate, here 0. Each instruction multiplies 64 bytes.
+
+// func mulAddGFNI(mat uint64, in, out *byte, n int)
+//
+// Register use: SI in, DI out, CX bytes left, Z0 the matrix, Z1 scratch.
+TEXT ·mulAddGFNI(SB), NOSPLIT, $0-32
+	MOVQ mat+0(FP), AX
+	MOVQ in+8(FP), SI
+	MOVQ out+16(FP), DI
+	MOVQ n+24(FP), CX
+	VPBROADCASTQ AX, Z0
+loop64:
+	VMOVDQU64 (SI), Z1
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VPXORQ (DI), Z1, Z1
+	VMOVDQU64 Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $64, CX
+	JNZ loop64
+	VZEROUPPER
+	RET
+
+// func mulAddGFNIFused(mats *[16]uint64, ins *[16]*byte, k int, out *byte, n int)
+//
+// Each 128-byte step loads out into two accumulators, folds in every
+// input's product, and stores out once: k inputs cost k+1 passes of
+// loads but one of stores, where k single-input calls store k times.
+// The matrix is a broadcast memory operand, read from mats per input.
+//
+// Register use: R8 mats, R9 ins, R10 k, DI out, CX n, DX offset into
+// every operand, BX input index, SI input base, Z0 and Z1 accumulators,
+// Z2 and Z3 scratch.
+TEXT ·mulAddGFNIFused(SB), NOSPLIT, $0-40
+	MOVQ mats+0(FP), R8
+	MOVQ ins+8(FP), R9
+	MOVQ k+16(FP), R10
+	MOVQ out+24(FP), DI
+	MOVQ n+32(FP), CX
+	XORQ DX, DX
+step128:
+	VMOVDQU64 (DI)(DX*1), Z0
+	VMOVDQU64 64(DI)(DX*1), Z1
+	XORQ BX, BX
+input:
+	MOVQ (R9)(BX*8), SI
+	VMOVDQU64 (SI)(DX*1), Z2
+	VMOVDQU64 64(SI)(DX*1), Z3
+	VGF2P8AFFINEQB.BCST $0, (R8)(BX*8), Z2, Z2
+	VGF2P8AFFINEQB.BCST $0, (R8)(BX*8), Z3, Z3
+	VPXORQ Z2, Z0, Z0
+	VPXORQ Z3, Z1, Z1
+	INCQ BX
+	CMPQ BX, R10
+	JNE input
+	VMOVDQU64 Z0, (DI)(DX*1)
+	VMOVDQU64 Z1, 64(DI)(DX*1)
+	ADDQ $128, DX
+	CMPQ DX, CX
+	JNE step128
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

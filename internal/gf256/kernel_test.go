@@ -9,17 +9,31 @@ import (
 )
 
 // The differential tests hold whichever kernel this build and this CPU
-// select to a byte-at-a-time Mul reference. They run three times over:
-// in the default build (AVX2 where the host has it), under -tags purego
-// (make test-purego), and with the feature gate forced off
-// (TestCPUFeatureGate) — so both kernels are proved on one host.
+// select to a byte-at-a-time Mul reference. They run in the default
+// build (the highest tier the host has), under -tags purego (make
+// test-purego), and once per tier the host can run (TestCPUFeatureGate)
+// — so every kernel is proved on a host that has them all.
 
 const (
-	kernelAlign  = 32   // the vector step: start offsets 0..31 are every alignment
-	kernelGuard  = 32   // bytes on each side of out that must not change
+	kernelAlign  = 64   // the widest single-input step: offsets 0..63 are every alignment
+	kernelGuard  = 64   // bytes on each side of out that must not change
 	kernelMaxLen = 4097 // longest case
-	kernelMaxIn  = 14   // most fused inputs (RS(10,4) decodes with 10; 14 is a whole stripe)
+	kernelMaxIn  = 33   // most fused inputs: two full GFNI passes of 16 and one more
 )
+
+// tierNames are the tiers as the package doc and the test log name them.
+var tierNames = [...]string{tierTable: "table", tierAVX2: "avx2", tierGFNI: "gfni"}
+
+// fusedInputCounts are the fused cases' input counts: every count up to
+// one past a GFNI pass (RS(10,4) decodes with 10, a whole stripe is 14,
+// a piggybacked data repair folds 24), then the pass boundaries beyond.
+func fusedInputCounts() []int {
+	ns := make([]int, 0, 20)
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 24, 32, kernelMaxIn)
+}
 
 // kernelLengths is every tail shape around one to four vector steps,
 // plus the page-sized neighbours.
@@ -31,7 +45,7 @@ func kernelLengths() []int {
 	return append(ls, 4095, 4096, 4097)
 }
 
-// alignedBytes returns n bytes whose first element sits on a 32-byte
+// alignedBytes returns n bytes whose first element sits on a 64-byte
 // boundary, so that a start offset into it is that alignment exactly.
 func alignedBytes(n int) []byte {
 	b := make([]byte, n+kernelAlign)
@@ -163,11 +177,12 @@ func checkKernels(t *testing.T) {
 			}
 		}
 	}
-	// 1..14 fused inputs x every length, each input at its own walking
-	// alignment, x five coefficient vectors: random, a zero forced in, a
-	// one forced in, both, and all ones (MulAddSlices' XOR path).
+	// Every fused input count x every length, each input at its own
+	// walking alignment, x five coefficient vectors: random, a zero
+	// forced in, a one forced in, both, and all ones (MulAddSlices' XOR
+	// path).
 	rng := rand.New(rand.NewSource(18))
-	for nIn := 1; nIn <= kernelMaxIn; nIn++ {
+	for _, nIn := range fusedInputCounts() {
 		coeffs := make([]byte, nIn)
 		for li, n := range lengths {
 			for mix := 0; mix < 5; mix++ {
@@ -193,7 +208,12 @@ func checkKernels(t *testing.T) {
 	checkExactAlias(t)
 }
 
-func TestKernelsMatchReference(t *testing.T) { checkKernels(t) }
+// TestKernelsMatchReference sweeps the tier this build and host run,
+// and logs which one that is.
+func TestKernelsMatchReference(t *testing.T) {
+	t.Logf("gf256 kernel tier: %s", tierNames[tier])
+	checkKernels(t)
+}
 
 // checkExactAlias pins the half of the aliasing contract that callers
 // use: in and out being the same slice is allowed on every single-input
@@ -269,23 +289,26 @@ func TestPartialOverlapPanics(t *testing.T) {
 
 // TestKernelsDoNotAllocate: a fold runs once per repaired block per
 // helper; garbage here is multiplied by the repair volume.
-func TestKernelsDoNotAllocate(t *testing.T) {
+func TestKernelsDoNotAllocate(t *testing.T) { checkNoAlloc(t) }
+
+func checkNoAlloc(t *testing.T) {
 	const size = 64<<10 + 5 // two chunks and a tail
 	rng := rand.New(rand.NewSource(20))
-	inputs := make([][]byte, 10)
+	inputs := make([][]byte, 20)
 	coeffs := make([]byte, len(inputs))
 	for i := range inputs {
 		inputs[i] = make([]byte, size)
 		rng.Read(inputs[i])
-		coeffs[i] = byte(i) // a zero, a one and eight multiplies
+		coeffs[i] = byte(i) // a zero, a one and multiplies
 	}
 	out := make([]byte, size)
 	for name, fn := range map[string]func(){
-		"MulSliceXor":  func() { MulSliceXor(0x8e, inputs[0], out) },
-		"MulSlice":     func() { MulSlice(0x8e, inputs[0], out) },
-		"XorSlice":     func() { XorSlice(inputs[0], out) },
-		"MulAddSlices": func() { MulAddSlices(coeffs, inputs, out) },
-		"XorAllSlices": func() { XorAllSlices(inputs, out) },
+		"MulSliceXor":      func() { MulSliceXor(0x8e, inputs[0], out) },
+		"MulSlice":         func() { MulSlice(0x8e, inputs[0], out) },
+		"XorSlice":         func() { XorSlice(inputs[0], out) },
+		"MulAddSlices":     func() { MulAddSlices(coeffs[:10], inputs[:10], out) },
+		"MulAddSlices x20": func() { MulAddSlices(coeffs, inputs, out) }, // two GFNI passes
+		"XorAllSlices":     func() { XorAllSlices(inputs, out) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
@@ -349,7 +372,7 @@ func BenchmarkMulAddSlices(b *testing.B) {
 			})
 		}
 	}
-	// Every slice one byte off a 32-byte boundary: the cost of unaligned
+	// Every slice one byte off a 64-byte boundary: the cost of unaligned
 	// vector loads and stores, which is what pooled buffers sliced at
 	// plan offsets give the kernel in practice.
 	b.Run("64KiBx10_unaligned", func(b *testing.B) { benchMulAdd(b, 64<<10, 10, 1) })

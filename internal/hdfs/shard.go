@@ -197,10 +197,12 @@ func (c *Cluster) Stats() ClusterStats {
 // unexported state.
 
 // BlockInfo is a client-visible snapshot of one block: identity, size,
-// stripe membership, and the machines currently holding live replicas.
+// CRC-32, stripe membership, and the machines currently holding live
+// replicas.
 type BlockInfo struct {
 	ID        BlockID
 	Size      int64
+	Checksum  uint32   // CRC-32 (IEEE) of the block's bytes, recorded when it was written
 	Stripe    StripeID // noStripe (-1) when the block is not striped
 	StripePos int
 	Locations []int
@@ -223,6 +225,7 @@ func (c *Cluster) FileBlocks(name string) (int64, []BlockInfo, error) {
 		out[i] = BlockInfo{
 			ID:        bm.id,
 			Size:      bm.size,
+			Checksum:  bm.checksum,
 			Stripe:    bm.stripe,
 			StripePos: bm.stripePos,
 			Locations: append([]int(nil), c.liveLocations(bm)...),

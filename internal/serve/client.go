@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -824,6 +825,11 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 		// result.
 		if b.Stripe >= 0 {
 			data, err := c.degradedRead(b, c.lentTo(b, blocks))
+			if err == nil && crc32.ChecksumIEEE(data) != b.Checksum {
+				// A helper served rot its store could not detect. The
+				// stripe gives the same bytes again, so no retry.
+				return fmt.Errorf("serve: block %d rebuilt from its stripe does not match its CRC-32", b.ID)
+			}
 			if err == nil {
 				copy(slot, data)
 				c.cBlocksRead.Inc()

@@ -48,6 +48,7 @@ const (
 	tagDataNodes       = 25<<1 | kindBytes // count, then strings
 	tagMachinesPerRack = 26<<1 | kindVarint
 	tagCold            = 27<<1 | kindBytes // opaque; see response.Cold
+	tagChecksums       = 28<<1 | kindBytes // count, then one CRC-32 per wireBlock
 )
 
 // methodNames gives every method its wire id: a method travels as its
@@ -215,6 +216,14 @@ func (r *response) appendHeader(b []byte) []byte {
 			b = appendInts(b, bl.Locations)
 		}
 		b = endNested(b, at)
+		if r.hasChecksums() {
+			b, at = beginNested(b, tagChecksums)
+			b = binary.AppendUvarint(b, uint64(len(r.Blocks)))
+			for i := range r.Blocks {
+				b = binary.BigEndian.AppendUint32(b, r.Blocks[i].Checksum)
+			}
+			b = endNested(b, at)
+		}
 	}
 	if st := r.Stripe; st != nil {
 		var at int
@@ -289,6 +298,17 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	d.b = d.b[n:]
+	return v
+}
+
+// uint32 reads four bytes, big endian.
+func (d *decoder) uint32() uint32 {
+	if len(d.b) < 4 {
+		d.fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint32(d.b)
+	d.b = d.b[4:]
 	return v
 }
 
@@ -425,12 +445,24 @@ func (d *decoder) node(n *wirePartialNode, budget *int) {
 	}
 }
 
+// hasChecksums reports whether field 28 is sent: not when every block's
+// CRC-32 is zero, its zero value.
+func (r *response) hasChecksums() bool {
+	for i := range r.Blocks {
+		if r.Blocks[i].Checksum != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *response) decodeHeader(b []byte) error {
 	*r = response{}
 	d, err := openHeader(b)
 	if err != nil {
 		return err
 	}
+	var sums []uint32 // field 28, matched to field 21 once both are read
 	for len(d.b) > 0 {
 		switch tag := d.byte(); tag {
 		case tagOK:
@@ -472,8 +504,26 @@ func (r *response) decodeHeader(b []byte) error {
 			r.MachinesPerRack = int(d.varint())
 		case tagCold:
 			r.Cold = append([]byte(nil), d.bytes()...)
+		case tagChecksums:
+			sub := d.nested()
+			sums = make([]uint32, sub.count(4))
+			for i := range sums {
+				sums[i] = sub.uint32()
+			}
+			d.join(&sub)
 		default:
 			d.skip(tag)
+		}
+	}
+	if sums != nil {
+		// One CRC-32 per block of the table, or the header contradicts
+		// itself.
+		if len(sums) != len(r.Blocks) {
+			d.fail()
+		} else {
+			for i, sum := range sums {
+				r.Blocks[i].Checksum = sum
+			}
 		}
 	}
 	return d.err

@@ -233,6 +233,48 @@ func TestLentBlocksCutADegradedReadToOneShard(t *testing.T) {
 	}
 }
 
+// TestDegradedReadRefusesARebuildFromRot: on in-memory stores a rotted
+// replica is served as if sound, so a reconstruction it helps decodes
+// the wrong block. The client checks a rebuilt block against the CRC-32
+// the block table carries, in both shapes, and answers an error rather
+// than those bytes.
+func TestDegradedReadRefusesARebuildFromRot(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		opts []ClientOption
+	}{{"fan-in", nil}, {"partial-sum", []ClientOption{WithPartialSumRepair()}}} {
+		t.Run(shape.name, func(t *testing.T) {
+			code := testCodecs(t)[0]
+			sys := startTestSystem(t, code)
+			data := lendFile(t, sys, code.DataShards()*lendBlock)
+			_, blocks, err := sys.Cluster().FileBlocks("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(blocks[1].Locations) != 1 || blocks[1].Locations[0] == blocks[0].Locations[0] {
+				t.Fatalf("block 1 on %v, block 0 on %v: want block 1's only replica beside block 0's holder", blocks[1].Locations, blocks[0].Locations)
+			}
+			if err := sys.Cluster().InjectBitRot(blocks[1].Locations[0], blocks[1].ID, 9); err != nil {
+				t.Fatal(err)
+			}
+			killHolders(t, sys, 0)
+			cl, err := Dial(sys.NameAddr(), code, shape.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			got, err := cl.ReadFile("f")
+			if err == nil {
+				t.Fatalf("ReadFile returned %d bytes (equal to the file: %v) and no error for a block rebuilt from rot",
+					len(got), bytes.Equal(got, data))
+			}
+			if got != nil || cl.Counters().DegradedBlocks != 0 {
+				t.Fatalf("a refused rebuild still reached the caller: %d bytes, %+v", len(got), cl.Counters())
+			}
+		})
+	}
+}
+
 // fakeDataNode listens like a datanode and hands every request frame of
 // every connection to answer, hanging up when answer returns an error.
 func fakeDataNode(t *testing.T, answer func(c net.Conn, req *request) error) string {

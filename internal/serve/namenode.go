@@ -116,6 +116,7 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 			resp.Blocks[i] = wireBlock{
 				ID:        int64(b.ID),
 				Size:      b.Size,
+				Checksum:  b.Checksum,
 				Stripe:    int64(b.Stripe),
 				StripePos: b.StripePos,
 				Locations: b.Locations,

@@ -66,6 +66,9 @@
 //	25  datanodes        bytes   handshake: count, then each address
 //	26  machines/rack    varint  handshake
 //	27  cold             bytes   opaque body of a cold reply (below)
+//	28  checksums        bytes   count, then each block's CRC-32 (4 bytes,
+//	                             big endian), in field 21's order; the
+//	                             count must equal field 21's
 //
 // A decoder steps over a field whose number it does not know — the kind
 // bit says how — so a field can be added (a request id, when one
@@ -346,7 +349,8 @@ type response struct {
 type wireBlock struct {
 	ID        int64
 	Size      int64
-	Stripe    int64 // -1 when unstriped
+	Checksum  uint32 // CRC-32 (IEEE) of the block's bytes; travels in field 28
+	Stripe    int64  // -1 when unstriped
 	StripePos int
 	Locations []int
 
