@@ -62,8 +62,15 @@ test-purego:
 
 # Per-package coverage: the `ok <pkg> coverage: NN%` lines are the CI
 # job summary; coverage.out feeds go tool cover for local drill-down.
+# The suite runs with TMPDIR set to a fresh empty directory and fails if
+# it leaves anything there: every hdfs.Cluster built without a
+# StoreFactory keeps its stores in a directory of its own under
+# TMPDIR, which only Close removes.
 cover:
-	$(GO) test -coverprofile=coverage.out ./...
+	@tmp="$$(mktemp -d)"; \
+	TMPDIR="$$tmp" $(GO) test -coverprofile=coverage.out ./... || { rm -rf "$$tmp"; exit 1; }; \
+	left="$$(ls -A "$$tmp")"; rm -rf "$$tmp"; \
+	if [ -n "$$left" ]; then echo "go test left these in TMPDIR:"; echo "$$left"; exit 1; fi
 	@$(GO) tool cover -func=coverage.out | tail -n 1
 
 # The line count ROADMAP item 3 is judged by: tracked non-test Go

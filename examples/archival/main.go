@@ -35,6 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer fs.Close()
 
 	// A month of daily partitions lands in the warehouse.
 	rng := rand.New(rand.NewSource(5))

@@ -31,6 +31,7 @@ func run(codeName string, code ec.Code) int64 {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer fs.Close()
 
 	// A 10-block file: exactly one stripe under (10,4).
 	data := make([]byte, 10*64<<10)

@@ -1,12 +1,11 @@
-// Pluggable datanode block storage.
+// Datanode block storage.
 //
-// A dataNode delegates its byte storage to a BlockStore: the default
-// memStore keeps the historical in-memory map semantics (fast, volatile
-// — every existing test keeps its speed), while the extent-backed store
-// persists blocks to append-only segment files with per-chunk CRCs, so
-// a machine crash genuinely discards the in-memory index and recovery
-// genuinely re-scans the disk (Config.StoreFactory / ExtentStoreFactory
-// select it).
+// A dataNode delegates its byte storage to a BlockStore. Every datanode
+// runs the extent store: blocks live in append-only segment files with
+// per-chunk CRCs, so a machine crash discards the in-memory index and
+// recovery re-scans the disk. Without Config.StoreFactory the stores
+// sit in a directory the Cluster makes and removes on Close; with it
+// (ExtentStoreFactory, or a decorator over it) the caller chooses where.
 package hdfs
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/extent"
 )
@@ -52,8 +50,8 @@ type BlockStore interface {
 	// StoredBytes sums live payload bytes.
 	StoredBytes() int64
 	// Corrupt flips one stored payload byte in place — the bit-rot
-	// injection hook. It must corrupt the STORED bytes (disk for a
-	// persistent store), not a cached copy.
+	// injection hook. It must corrupt the STORED bytes on disk, not a
+	// cached copy.
 	Corrupt(id BlockID, offset int64) error
 	// Close releases the store's resources.
 	Close() error
@@ -65,10 +63,10 @@ type BlockStore interface {
 // when its capacity holds what the store reads for them — never more
 // than the whole payload — and the result is then a view into dst. The
 // block fixer and the datanode daemons read every helper range this way
-// into a recycled buffer; the extent-backed store also reads and
-// verifies only the chunks covering the range. Every store in this
-// package has it; one without (an outside decorator that only knows the
-// BlockStore surface) is read whole through Get.
+// into a recycled buffer, and the extent store reads and verifies only
+// the chunks covering the range. Every store in this package has it;
+// one without (an outside decorator that only knows the BlockStore
+// surface) is read whole through Get.
 type intoStore interface {
 	GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error)
 }
@@ -101,87 +99,6 @@ func clipRange(data []byte, offset, length int64) []byte {
 	}
 	return data[offset : offset+length]
 }
-
-// memStore is the historical volatile store: a map behind a lock. It
-// survives CrashMachine by fiat (there is no disk to recover from),
-// keeping the pre-persistence test suite's semantics and speed.
-type memStore struct {
-	mu     sync.RWMutex
-	blocks map[BlockID][]byte
-}
-
-func newMemStore() *memStore { return &memStore{blocks: make(map[BlockID][]byte)} }
-
-func (m *memStore) Put(id BlockID, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blocks[id] = append([]byte(nil), data...)
-	return nil
-}
-
-func (m *memStore) Get(id BlockID) ([]byte, error) { return m.GetInto(id, 0, wholeBlock, nil) }
-
-// GetInto copies the range out — into dst when it fits — because the
-// map's slice is the store's own: Corrupt flips its bytes in place.
-func (m *memStore) GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	data, ok := m.blocks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: block %d", ErrNotStored, id)
-	}
-	return append(dst[:0], clipRange(data, offset, length)...), nil
-}
-
-func (m *memStore) Delete(id BlockID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.blocks, id)
-	return nil
-}
-
-func (m *memStore) Has(id BlockID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.blocks[id]
-	return ok
-}
-
-func (m *memStore) IDs() []BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]BlockID, 0, len(m.blocks))
-	for id := range m.blocks {
-		out = append(out, id)
-	}
-	return out
-}
-
-func (m *memStore) StoredBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var total int64
-	for _, b := range m.blocks {
-		total += int64(len(b))
-	}
-	return total
-}
-
-func (m *memStore) Corrupt(id BlockID, offset int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.blocks[id]
-	if !ok {
-		return fmt.Errorf("%w: block %d", ErrNotStored, id)
-	}
-	if offset < 0 || offset >= int64(len(data)) {
-		return fmt.Errorf("hdfs: offset %d outside block of %d bytes", offset, len(data))
-	}
-	data[offset] ^= 0xFF
-	return nil
-}
-
-func (m *memStore) Close() error { return nil }
 
 // extentBlockStore adapts an extent.Store to the BlockStore surface,
 // translating its typed errors into the hdfs vocabulary.
@@ -237,7 +154,7 @@ func (e extentBlockStore) Close() error { return e.s.Close() }
 func (e extentBlockStore) Extent() *extent.Store { return e.s }
 
 // ExtentStoreFactory returns a Config.StoreFactory that backs every
-// datanode with a persistent extent store under dir, one
+// datanode with an extent store under dir, one
 // "dn-NNN" subdirectory per machine. The factory is reopen-safe:
 // calling it again for the same machine re-scans the machine's
 // segments, which is exactly what RecoverMachine does after a crash.

@@ -1,6 +1,5 @@
 // The datanode-side read cache: an optional sharded LRU in front of
-// any BlockStore, so extent-backed nodes answer hot-block reads from
-// memory instead of a disk pread + CRC pass. The cache is a pure
+// any BlockStore, so nodes answer hot-block reads from memory instead of a disk pread + CRC pass. The cache is a pure
 // accelerator, never an authority — every hit is double-checked
 // against the inner store's liveness, and every path that changes or
 // invalidates stored bytes (overwrite, delete, scrubber eviction,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/extent"
 	"repro/internal/telemetry"
 )
 
@@ -17,7 +16,7 @@ func counterValue(reg *telemetry.Registry, name string) int64 {
 
 func TestCachedStoreServesHitsAfterFirstRead(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	st := newCachedBlockStore(newMemStore(), 1<<20, reg)
+	st := newCachedBlockStore(openStore(t), 1<<20, reg)
 	payload := bytes.Repeat([]byte{0xAB}, 512)
 	if err := st.Put(7, payload); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -41,7 +40,7 @@ func TestCachedStoreServesHitsAfterFirstRead(t *testing.T) {
 }
 
 func TestCachedStoreDeleteAndOverwriteInvalidate(t *testing.T) {
-	st := newCachedBlockStore(newMemStore(), 1<<20, nil)
+	st := newCachedBlockStore(openStore(t), 1<<20, nil)
 	if err := st.Put(1, []byte("v1")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -73,13 +72,7 @@ func TestCachedStoreDeleteAndOverwriteInvalidate(t *testing.T) {
 // surfaces as ErrCorruptReplica on the very next read even when a
 // clean copy sits in cache.
 func TestCachedStoreCorruptionNotMasked(t *testing.T) {
-	factory := ExtentStoreFactory(t.TempDir(), extent.Options{})
-	inner, err := factory(0)
-	if err != nil {
-		t.Fatalf("factory: %v", err)
-	}
-	st := newCachedBlockStore(inner, 1<<20, nil)
-	defer st.Close()
+	st := newCachedBlockStore(openStore(t), 1<<20, nil)
 
 	payload := bytes.Repeat([]byte{0x5C}, 256)
 	if err := st.Put(42, payload); err != nil {
@@ -100,7 +93,7 @@ func TestCachedStoreCorruptionNotMasked(t *testing.T) {
 // inner store behind the wrapper's back; the stale cached copy must
 // not be served.
 func TestCachedStoreHitDoubleChecksLiveness(t *testing.T) {
-	inner := newMemStore()
+	inner := openStore(t)
 	st := newCachedBlockStore(inner, 1<<20, nil)
 	if err := st.Put(9, []byte("live")); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -127,7 +120,6 @@ func TestNodeCacheColdAfterCrashRecovery(t *testing.T) {
 		BlockSize:      1 << 10,
 		Replication:    1, // single replica keeps every read on one node
 		Seed:           1,
-		StoreFactory:   ExtentStoreFactory(t.TempDir(), extent.Options{}),
 		NodeCacheBytes: 1 << 20,
 		Telemetry:      reg,
 	})

@@ -259,16 +259,13 @@ func TestReadSpreadsAcrossReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{
+	c := newForTest(t, Config{
 		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
 		Code:        code,
 		BlockSize:   4096,
 		Replication: 3,
 		Seed:        1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := bytes.Repeat([]byte("spread"), 512)
 	if err := c.WriteFile("f", data); err != nil {
 		t.Fatal(err)

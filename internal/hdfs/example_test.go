@@ -27,6 +27,7 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer md.Close()
 	if err := md.WriteFile("warehouse/cold", []byte("sixteen bytes!!!")); err != nil {
 		log.Fatal(err)
 	}

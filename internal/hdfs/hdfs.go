@@ -102,16 +102,16 @@ type Config struct {
 	// publishes into: the metadata-lock gauges (hdfs_lock_wait_seconds,
 	// hdfs_meta_ops) and the repair engine's instruments.
 	Telemetry *telemetry.Registry
-	// StoreFactory, when non-nil, builds each datanode's BlockStore
-	// (ExtentStoreFactory for the persistent extent store). Nil keeps
-	// the volatile in-memory store. The factory must be reopen-safe:
-	// RecoverMachine calls it again after CrashMachine to rebuild the
-	// node's index from durable state.
+	// StoreFactory builds each datanode's BlockStore
+	// (ExtentStoreFactory, or a decorator over it). Nil: extent stores
+	// in a directory the Cluster owns — New makes it and Close removes
+	// it. The factory must be reopen-safe: RecoverMachine calls it
+	// again after CrashMachine to rebuild the node's index from durable
+	// state.
 	StoreFactory func(machine int) (BlockStore, error)
 	// NodeCacheBytes, when positive, fronts every datanode's BlockStore
 	// with a sharded LRU read cache of this byte budget (per machine):
-	// hot-block reads skip the disk scan + CRC pass of a persistent
-	// store. The cache invalidates on overwrite, delete, scrubber
+	// hot-block reads skip the store's disk read + CRC pass. The cache invalidates on overwrite, delete, scrubber
 	// eviction, corruption injection, and crash, and every hit is
 	// liveness-double-checked, so cached bytes can never go stale.
 	NodeCacheBytes int64

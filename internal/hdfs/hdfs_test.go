@@ -15,20 +15,17 @@ import (
 )
 
 // testCluster builds a cluster with a (4,2) code on a 20-rack topology
-// and 1 KB blocks, small enough for exhaustive assertions.
+// and 1 KB blocks, small enough for exhaustive assertions, and closes
+// it with the test.
 func testCluster(t *testing.T, code ec.Code, seed int64) *Cluster {
 	t.Helper()
-	c, err := New(Config{
+	return newForTest(t, Config{
 		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
 		Code:        code,
 		BlockSize:   1024,
 		Replication: 3,
 		Seed:        seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 func rsCode(t *testing.T) *rs.Code {
@@ -715,16 +712,13 @@ func TestProductionShapeTenFour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{
+	c := newForTest(t, Config{
 		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 150}, // 3000 machines
 		Code:        pb,
 		BlockSize:   4096,
 		Replication: 3,
 		Seed:        104,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := randBytes(104, 10*4096)
 	if err := c.WriteFile("warehouse/part-0", data); err != nil {
 		t.Fatal(err)
@@ -784,7 +778,7 @@ func TestFixerScansAllBlocksNoFailures(t *testing.T) {
 // what the paper's measurement observes.
 func TestBlockFixerParallelismParity(t *testing.T) {
 	run := func(par int) (*FixReport, int64, []byte) {
-		c, err := New(Config{
+		c := newForTest(t, Config{
 			Topology:          cluster.Topology{Racks: 20, MachinesPerRack: 3},
 			Code:              pbCode(t),
 			BlockSize:         1024,
@@ -792,9 +786,6 @@ func TestBlockFixerParallelismParity(t *testing.T) {
 			Seed:              13,
 			RepairParallelism: par,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		data := randBytes(77, 24*1024)
 		if err := c.WriteFile("f", data); err != nil {
 			t.Fatal(err)
@@ -852,7 +843,11 @@ func TestBlockFixerParallelismParity(t *testing.T) {
 func TestReadRangeRejectsInvalidRanges(t *testing.T) {
 	// Regression: a negative offset used to panic with a slice
 	// out-of-range inside data[offset:]; it must return an error.
-	d := &dataNode{id: 0, alive: true, store: &memStore{blocks: map[BlockID][]byte{7: []byte("abcdef")}}}
+	st := openStore(t)
+	if err := st.Put(7, []byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	d := &dataNode{id: 0, alive: true, store: st}
 	if _, err := d.readRange(7, -1, 4); err == nil {
 		t.Fatal("negative offset accepted")
 	}

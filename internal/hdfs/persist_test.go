@@ -3,6 +3,10 @@ package hdfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -12,8 +16,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// persistentConfig is the configuration of an extent-backed cluster
-// writing under dir; callers set further fields before newForTest.
+// persistentConfig is the configuration of a cluster whose extent
+// stores write under dir, with their instruments on reg; callers set
+// further fields before newForTest.
 func persistentConfig(t *testing.T, dir string, reg *telemetry.Registry) Config {
 	t.Helper()
 	return Config{
@@ -39,7 +44,8 @@ func newForTest(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-// persistentCluster builds an extent-backed cluster writing under dir.
+// persistentCluster builds a cluster whose extent stores write under
+// dir.
 func persistentCluster(t *testing.T, dir string, reg *telemetry.Registry) *Cluster {
 	t.Helper()
 	return newForTest(t, persistentConfig(t, dir, reg))
@@ -97,10 +103,11 @@ func TestPersistentCrashRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrashMachineOnVolatileStoreDegradesToFail: without a store
-// factory there is no disk, so CrashMachine must behave exactly like
-// FailMachine + RecoverMachine keeps the blocks.
-func TestCrashMachineOnVolatileStoreDegradesToFail(t *testing.T) {
+// TestDefaultClusterStoresOnDisk: without a StoreFactory every
+// datanode runs an extent store in a directory New made, so a crash
+// closes the store and only a re-scan of that directory brings the
+// replicas back.
+func TestDefaultClusterStoresOnDisk(t *testing.T) {
 	c := testCluster(t, rsCode(t), 9)
 	data := randBytes(9, 3000)
 	if err := c.WriteFile("f", data); err != nil {
@@ -110,30 +117,83 @@ func TestCrashMachineOnVolatileStoreDegradesToFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := locs[0][0]
-	if err := c.CrashMachine(m); err != nil {
-		t.Fatal(err)
+	// Crash every holder of block 0, so the read after recovery can only
+	// be served from what the reopened stores find on disk.
+	closed := map[int]BlockStore{}
+	for _, m := range locs[0] {
+		if _, err := os.Stat(filepath.Join(c.dir, fmt.Sprintf("dn-%03d", m))); err != nil {
+			t.Fatalf("machine %d's store is not in the cluster's directory: %v", m, err)
+		}
+		closed[m] = c.nodes[m].store
+		if err := c.CrashMachine(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.nodes[m].blockIDs(); ok {
+			t.Fatalf("crashed machine %d still serves its index", m)
+		}
 	}
-	if c.nodes[m].isAlive() {
-		t.Fatal("machine alive after crash")
+	for m, old := range closed {
+		if err := c.RecoverMachine(m); err != nil {
+			t.Fatal(err)
+		}
+		if c.nodes[m].store == old {
+			t.Fatalf("machine %d recovered without reopening its store", m)
+		}
 	}
-	if ids, ok := c.nodes[m].blockIDs(); !ok || len(ids) == 0 {
-		t.Fatal("volatile store lost its blocks on crash")
-	}
-	if err := c.RecoverMachine(m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadFile("f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read after volatile crash/recover: %v", err)
+	if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after crash/recover: %v", err)
 	}
 }
 
-// TestScrubberFindsOnDiskCorruption: InjectBitRot on an extent-backed
-// node flips a byte IN THE SEGMENT FILE; the scrubber's read goes back
-// to disk (store-level CRC) and must evict exactly that replica —
-// without aborting the rest of the pass, and the next fixer pass must
-// repair only the affected block.
+// TestCloseRemovesOnlyTheDirectoryNewMade: Close removes the directory
+// New made for the default stores, also when a store fails to close,
+// and leaves a StoreFactory's directory in place.
+func TestCloseRemovesOnlyTheDirectoryNewMade(t *testing.T) {
+	t.Run("default", func(t *testing.T) {
+		c := testCluster(t, rsCode(t), 9)
+		if err := c.WriteFile("f", randBytes(9, 3000)); err != nil {
+			t.Fatal(err)
+		}
+		errClose := errors.New("injected close failure")
+		c.nodes[0].store = failingClose{c.nodes[0].store, errClose}
+		if err := c.Close(); !errors.Is(err, errClose) {
+			t.Fatalf("Close: %v, want the store's failure", err)
+		}
+		if _, err := os.Stat(c.dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Close left the cluster's directory %s: %v", c.dir, err)
+		}
+	})
+	t.Run("factory", func(t *testing.T) {
+		dir := t.TempDir()
+		c := persistentCluster(t, dir, nil)
+		if err := c.WriteFile("f", randBytes(9, 3000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "dn-000")); err != nil {
+			t.Fatalf("Close removed the factory's directory: %v", err)
+		}
+	})
+}
+
+// failingClose closes its store and then reports err.
+type failingClose struct {
+	BlockStore
+	err error
+}
+
+func (f failingClose) Close() error {
+	_ = f.BlockStore.Close()
+	return f.err
+}
+
+// TestScrubberFindsOnDiskCorruption: InjectBitRot flips a byte IN THE
+// SEGMENT FILE; the scrubber's read goes back to disk (store-level CRC)
+// and must evict exactly that replica — without aborting the rest of
+// the pass, and the next fixer pass must repair only the affected
+// block.
 func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := persistentCluster(t, t.TempDir(), reg)
@@ -198,23 +258,44 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 	}
 }
 
+// rotFaults are the two kinds of rot a replica can suffer: one the
+// store's chunk CRCs catch, and one they cover.
+var rotFaults = []struct {
+	name string
+	rot  func(*Cluster, int, BlockID, int64) error
+	// refused is whether the store refuses a read of the rotted replica.
+	refused bool
+}{
+	{"store sees it", (*Cluster).InjectBitRot, true},
+	{"under the CRC", rotUnderCRC, false},
+}
+
+// rotUnderCRC rewrites the replica of block id on machine through the
+// node's own store with the byte at offset flipped, as a misdirected
+// write would: the store's chunk CRCs then cover the wrong bytes, so it
+// serves them as sound, and only the block's CRC-32 (the namenode's)
+// can tell.
+func rotUnderCRC(c *Cluster, machine int, id BlockID, offset int64) error {
+	st := c.nodes[machine].store
+	data, err := st.Get(id)
+	if err != nil {
+		return err
+	}
+	data[offset] ^= 0xFF
+	return st.Put(id, data)
+}
+
 // TestReReplicationSkipsRottedReplicas: a replicated block with one
 // replica dead and the first live one rotted is re-replicated from the
-// replica that still matches its checksum, on either store. The fixer
-// used to copy from the first live replica unchecked: on the in-memory
-// store the rot spread to the new copy, and on the extent store, whose
-// read of the rotted copy fails its CRC, the block was reported
-// unrecoverable while a good replica was live.
+// replica that still matches its checksum, whether or not the store
+// sees the rot. The fixer used to copy from the first live replica
+// unchecked: rot under the CRC spread to the new copy, and on rot the
+// store refuses, the block was reported unrecoverable while a good
+// replica was live.
 func TestReReplicationSkipsRottedReplicas(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stores func(int) (BlockStore, error)
-	}{
-		{"mem", memStores},
-		{"extent", ExtentStoreFactory(t.TempDir(), extent.Options{})},
-	} {
+	for _, tc := range rotFaults {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newForTest(t, storeConfig(t, tc.stores))
+			c := testCluster(t, pbCode(t), 7)
 			data := randBytes(61, 1000)
 			if err := c.WriteFile("f", data); err != nil {
 				t.Fatal(err)
@@ -225,7 +306,7 @@ func TestReReplicationSkipsRottedReplicas(t *testing.T) {
 			}
 			l := locs[0]
 			c.FailMachine(l[2])
-			if err := c.InjectBitRot(l[0], c.files["f"].blocks[0], 5); err != nil {
+			if err := tc.rot(c, l[0], c.files["f"].blocks[0], 5); err != nil {
 				t.Fatal(err)
 			}
 			fix, err := c.RunBlockFixer()
@@ -247,33 +328,22 @@ func TestReReplicationSkipsRottedReplicas(t *testing.T) {
 }
 
 // TestStripeRepairSkipsRottedHelpers: a stripe repair whose helper is
-// rotted neither spreads the rot nor gives up, on either store. Block
-// 1's only replica is rotted and block 0's holder dies. The extent
-// store refuses the rotted read, so the fixer marks position 1 erased
-// and decodes block 0 from the other helpers in the same pass. The
-// in-memory store serves the rotted bytes, so the rebuilt block 0 fails
-// its checksum and is not stored; once the scrubber evicts the rot, the
-// next pass rebuilds both. The fixer used to store the wrong block 0 on
-// the in-memory store, and to report it unrecoverable on the extent
-// store. A degraded ReadFile before the first pass follows the same
-// rule: byte-identical on the extent store, ErrCorruptReplica on the
-// in-memory one. It used to return the wrong bytes on the in-memory
-// store, and to fail on shard 1's checksum on the extent store.
+// rotted neither spreads the rot nor gives up, whether or not the store
+// sees the rot. Block 1's only replica is rotted and block 0's holder
+// dies. Rot the store sees is refused at the read, so the fixer marks
+// position 1 erased and decodes block 0 from the other helpers in the
+// same pass. Rot under the CRC is served as sound, so the rebuilt block
+// 0 fails its checksum and is not stored; once the scrubber evicts the
+// rot, the next pass rebuilds both. The fixer used to store the wrong
+// block 0 on rot under the CRC, and to report it unrecoverable on rot
+// the store refuses. A degraded ReadFile before the first pass follows
+// the same rule: byte-identical when the store refuses the rot,
+// ErrCorruptReplica when it serves it. It used to return the wrong
+// bytes in the one case and fail on shard 1's checksum in the other.
 func TestStripeRepairSkipsRottedHelpers(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stores func(int) (BlockStore, error)
-		// refused is whether the store refuses the rotted read, so the
-		// first pass can rebuild block 0 without it.
-		refused bool
-	}{
-		{"mem", memStores, false},
-		{"extent", ExtentStoreFactory(t.TempDir(), extent.Options{}), true},
-	} {
+	for _, tc := range rotFaults {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := storeConfig(t, tc.stores)
-			cfg.Code = rsCode(t)
-			c := newForTest(t, cfg)
+			c := testCluster(t, rsCode(t), 7)
 			data := randBytes(91, 6000)
 			if err := c.WriteFile("f", data); err != nil {
 				t.Fatal(err)
@@ -286,7 +356,7 @@ func TestStripeRepairSkipsRottedHelpers(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocks := c.files["f"].blocks
-			if err := c.InjectBitRot(locs[1][0], blocks[1], 5); err != nil {
+			if err := tc.rot(c, locs[1][0], blocks[1], 5); err != nil {
 				t.Fatal(err)
 			}
 			c.FailMachine(locs[0][0])

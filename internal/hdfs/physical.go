@@ -1,4 +1,4 @@
-// The datanodes with their pluggable block stores, the machine-scoped
+// The datanodes with their block stores, the machine-scoped
 // accessors, and the machine lifecycle (fail, restore, crash, recover,
 // decommission, close).
 package hdfs
@@ -6,6 +6,7 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/cluster"
@@ -14,14 +15,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// dataNode is one storage machine. Bytes live in a pluggable
-// BlockStore (in-memory by default, extent-file-backed when the
-// cluster is built with a StoreFactory); liveness is a flag so
-// failures are reversible (unavailability) or permanent (decommission)
-// at the caller's choice. A persistent node additionally distinguishes
-// crashed — the store handle is closed and only a reopen (disk
-// re-scan) brings the bytes back, which is what makes kill/restart
-// honest instead of a liveness-flag flip.
+// dataNode is one storage machine. Bytes live in a BlockStore on disk
+// (the extent store); liveness is a flag so failures are reversible
+// (unavailability) or permanent (decommission) at the caller's choice.
+// A node additionally distinguishes crashed — the store handle is
+// closed and only a reopen (disk re-scan) brings the bytes back, which
+// is what makes kill/restart honest instead of a liveness-flag flip.
 type dataNode struct {
 	id int
 
@@ -29,8 +28,7 @@ type dataNode struct {
 	alive   bool
 	crashed bool
 	store   BlockStore
-	// reopen rebuilds the store from durable state after a crash; nil
-	// for volatile stores, whose bytes survive a "crash" by fiat.
+	// reopen rebuilds the store from durable state after a crash.
 	reopen func() (BlockStore, error)
 
 	cCorruptReads *telemetry.Counter
@@ -74,9 +72,9 @@ func (d *dataNode) readRange(id BlockID, offset, length int64) ([]byte, error) {
 // readRangeInto is readRange for callers that recycle buffers: when the
 // store can (intoStore), the range is read once, straight into buf, is
 // checksummed there, and the result is a view of buf — no allocation
-// and no second copy — and an extent-backed store touches only the
-// chunks covering the range. buf should have the block's padded size
-// as capacity, which holds whatever any store reads for any range; a
+// and no second copy — and the extent store touches only the chunks
+// covering the range. buf should have the block's padded size as
+// capacity, which holds whatever any store reads for any range; a
 // smaller (or nil) buf just means the read may allocate.
 //
 // The node's mutex is held only to check liveness and take the store
@@ -171,12 +169,11 @@ func (d *dataNode) isAlive() bool {
 }
 
 // crash closes the store handle, discarding every in-memory structure;
-// durable bytes stay on disk for recover to re-scan. Volatile nodes
-// (reopen == nil) keep their map — there is nothing to recover from.
+// durable bytes stay on disk for recover to re-scan.
 func (d *dataNode) crash() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.reopen == nil || d.crashed {
+	if d.crashed {
 		return nil
 	}
 	d.crashed = true
@@ -204,8 +201,8 @@ func (d *dataNode) wipe() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
-		// Decommissioning a crashed persistent node: reopen best-effort
-		// so the durable replicas are actually destroyed, not orphaned.
+		// Decommissioning a crashed node: reopen best-effort so the
+		// durable replicas are actually destroyed, not orphaned.
 		st, err := d.reopen()
 		if err != nil {
 			return
@@ -218,9 +215,9 @@ func (d *dataNode) wipe() {
 	}
 }
 
-// newDataNodes builds the datanode stores. With no StoreFactory every
-// node gets the volatile in-memory store; a factory makes nodes
-// persistent and crash-recoverable (CrashMachine/RecoverMachine).
+// newDataNodes opens one store per machine through cfg.StoreFactory,
+// which New has always set, and gives each node the reopen that
+// RecoverMachine runs after CrashMachine.
 func newDataNodes(cfg Config) ([]*dataNode, error) {
 	var cCorrupt *telemetry.Counter
 	if cfg.Telemetry != nil {
@@ -238,26 +235,22 @@ func newDataNodes(cfg Config) ([]*dataNode, error) {
 				return newCachedBlockStore(st, cfg.NodeCacheBytes, cfg.Telemetry)
 			}
 		}
-		if cfg.StoreFactory != nil {
-			machine := i
-			n.reopen = func() (BlockStore, error) {
-				st, err := cfg.StoreFactory(machine)
-				if err != nil {
-					return nil, err
-				}
-				return wrap(st), nil
-			}
-			st, err := n.reopen()
+		machine := i
+		n.reopen = func() (BlockStore, error) {
+			st, err := cfg.StoreFactory(machine)
 			if err != nil {
-				for _, prev := range nodes[:i] {
-					_ = prev.store.Close()
-				}
-				return nil, fmt.Errorf("hdfs: opening store for machine %d: %w", i, err)
+				return nil, err
 			}
-			n.store = st
-		} else {
-			n.store = wrap(newMemStore())
+			return wrap(st), nil
 		}
+		st, err := n.reopen()
+		if err != nil {
+			for _, prev := range nodes[:i] {
+				_ = prev.store.Close()
+			}
+			return nil, fmt.Errorf("hdfs: opening store for machine %d: %w", i, err)
+		}
+		n.store = st
 		nodes[i] = n
 	}
 	return nodes, nil
@@ -366,10 +359,9 @@ func (c *Cluster) FailMachine(id int) {
 }
 
 // CrashMachine is FailMachine plus the part FailMachine cannot honestly
-// model for a persistent node: the store handle is closed and every
-// in-memory index structure is discarded. Only RecoverMachine's disk
-// re-scan brings the replicas back. For a volatile (in-memory) node it
-// degenerates to FailMachine — there is no durable state to lose.
+// model: the store handle is closed and every in-memory index structure
+// is discarded. Only RecoverMachine's disk re-scan brings the replicas
+// back.
 func (c *Cluster) CrashMachine(id int) error {
 	node, err := c.machine(id)
 	if err != nil {
@@ -414,8 +406,10 @@ func (c *Cluster) DecommissionMachine(id int) {
 	})
 }
 
-// Close releases every datanode's store, once each. The cluster must
-// not be in use, nor be used afterwards.
+// Close releases every datanode's store, once each, and then removes
+// the directory New made for them when Config.StoreFactory was nil —
+// also when a store fails to close. A factory's own directory is left
+// in place. The cluster must not be in use, nor be used afterwards.
 func (c *Cluster) Close() error {
 	var first error
 	for _, n := range c.nodes {
@@ -423,6 +417,11 @@ func (c *Cluster) Close() error {
 		err := n.store.Close()
 		n.mu.Unlock()
 		if err != nil && first == nil {
+			first = err
+		}
+	}
+	if c.dir != "" {
+		if err := os.RemoveAll(c.dir); err != nil && first == nil {
 			first = err
 		}
 	}

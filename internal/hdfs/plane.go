@@ -8,6 +8,7 @@ package hdfs
 
 import (
 	"math/rand"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/extent"
 )
 
 // Cluster is the miniature DFS: the namenode's metadata — files, their
@@ -55,6 +57,9 @@ type Cluster struct {
 	net   *cluster.Network
 	nodes []*dataNode
 	eng   *engine.Engine
+	// dir is the directory New made for the datanodes' stores when
+	// Config.StoreFactory was nil ("" otherwise); Close removes it.
+	dir string
 
 	// lockWaitNanos accumulates time metadata operations spent WAITING
 	// to acquire mu (read or write mode), and metaOps counts them —
@@ -83,7 +88,9 @@ type Cluster struct {
 }
 
 // New builds an empty cluster. Placement draws from a rng seeded with
-// cfg.Seed, and block and stripe ids are dense from 0.
+// cfg.Seed, and block and stripe ids are dense from 0. Without
+// cfg.StoreFactory every datanode gets an extent store in a fresh
+// directory under os.TempDir(), which Close removes.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -92,14 +99,25 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	var dir string
+	if cfg.StoreFactory == nil {
+		if dir, err = os.MkdirTemp("", "hdfs-"); err != nil {
+			return nil, err
+		}
+		cfg.StoreFactory = ExtentStoreFactory(dir, extent.Options{})
+	}
 	nodes, err := newDataNodes(cfg)
 	if err != nil {
+		if dir != "" {
+			_ = os.RemoveAll(dir)
+		}
 		return nil, err
 	}
 	c := &Cluster{
 		cfg:      cfg,
 		net:      net,
 		nodes:    nodes,
+		dir:      dir,
 		eng:      engine.New(engine.Options{Parallelism: cfg.RepairParallelism, Telemetry: cfg.Telemetry}),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		files:    make(map[string]*fileMeta),

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/extent"
 	"repro/internal/telemetry"
 )
 
@@ -84,17 +83,16 @@ func TestOneShardPlacementIsPinned(t *testing.T) {
 }
 
 // TestBlocksOnSurvivesACrash: the repair manager asks what a machine
-// held right after it died, when a persistent node's index is gone and
-// only metadata can answer. The answer must not change when the store
+// held right after it died, when the node's index is gone and only
+// metadata can answer. The answer must not change when the store
 // closes.
 func TestBlocksOnSurvivesACrash(t *testing.T) {
 	c := newForTest(t, Config{
-		Topology:     cluster.Topology{Racks: 8, MachinesPerRack: 2},
-		Code:         pbCode(t),
-		BlockSize:    1024,
-		Replication:  3,
-		Seed:         11,
-		StoreFactory: ExtentStoreFactory(t.TempDir(), extent.Options{}),
+		Topology:    cluster.Topology{Racks: 8, MachinesPerRack: 2},
+		Code:        pbCode(t),
+		BlockSize:   1024,
+		Replication: 3,
+		Seed:        11,
 	})
 	for d := 0; d < 24; d++ {
 		name := fmt.Sprintf("d-%02d/f", d)

@@ -221,8 +221,7 @@ func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
 	if node.crashed || !node.store.Has(id) {
 		return fmt.Errorf("hdfs: node %d does not hold block %d", machine, id)
 	}
-	// Corrupt the STORED bytes — for a persistent store that flips a
-	// byte in the segment file on disk, so only a read path that
-	// actually verifies disk contents can notice.
+	// Corrupt the STORED bytes — a byte in the segment file on disk,
+	// so only a read path that verifies disk contents can notice.
 	return node.store.Corrupt(id, offset)
 }

@@ -111,7 +111,7 @@ func TestScrubberDetectsBitRot(t *testing.T) {
 	locs, _ := c.BlockLocations("f")
 	fm := c.files["f"]
 	target := fm.blocks[2]
-	if err := c.InjectBitRot(locs[2][0], target, 100); err != nil {
+	if err := rotUnderCRC(c, locs[2][0], target, 100); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,7 +156,7 @@ func TestScrubberChecksReplicatedFiles(t *testing.T) {
 	}
 	locs, _ := c.BlockLocations("f")
 	id := c.files["f"].blocks[0]
-	if err := c.InjectBitRot(locs[0][1], id, 0); err != nil {
+	if err := rotUnderCRC(c, locs[0][1], id, 0); err != nil {
 		t.Fatal(err)
 	}
 	report, err := c.RunScrubberSlice(c.Machines())

@@ -46,10 +46,7 @@ func waitFor(t *testing.T, ch <-chan struct{}, what string) {
 // closes the store under the read, which then fails instead of serving
 // bytes from a handle that is gone.
 func TestNodeReadsRunOutsideTheNodeLock(t *testing.T) {
-	inner, err := ExtentStoreFactory(t.TempDir(), extent.Options{})(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := openStore(t)
 	payload := randBytes(9, 3*extent.ChunkSize)
 	if err := inner.Put(7, payload); err != nil {
 		t.Fatal(err)
@@ -131,7 +128,7 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 	diskBytes := make(map[string]int64)
 	for _, code := range []ec.Code{pb, plain} {
 		reg := telemetry.NewRegistry()
-		c, err := New(Config{
+		c := newForTest(t, Config{
 			Topology:     cluster.Topology{Racks: k + r + 2, MachinesPerRack: 2},
 			Code:         code,
 			BlockSize:    blockSize,
@@ -139,10 +136,6 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 			Seed:         3,
 			StoreFactory: ExtentStoreFactory(t.TempDir(), extent.Options{Telemetry: reg}),
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
 		data := randBytes(31, k*blockSize)
 		if err := c.WriteFile("f", data); err != nil {
 			t.Fatal(err)

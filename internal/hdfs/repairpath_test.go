@@ -10,21 +10,24 @@ import (
 	"repro/internal/telemetry"
 )
 
+// openStore opens an extent store in a directory of the test's own and
+// closes it with the test.
+func openStore(t *testing.T) BlockStore {
+	t.Helper()
+	st, err := ExtentStoreFactory(t.TempDir(), extent.Options{})(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // testStores opens one of each BlockStore the read path can sit on.
 func testStores(t *testing.T) map[string]BlockStore {
 	t.Helper()
-	open := func() BlockStore {
-		st, err := ExtentStoreFactory(t.TempDir(), extent.Options{})(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
-	}
 	return map[string]BlockStore{
-		"mem":    newMemStore(),
-		"extent": open(),
-		"cached": newCachedBlockStore(open(), 1<<20, nil),
+		"extent": openStore(t),
+		"cached": newCachedBlockStore(openStore(t), 1<<20, nil),
 	}
 }
 
@@ -44,8 +47,6 @@ func viewOf(view, buf []byte) bool {
 // path, one row per store: Get (and GetInto, where the store has it)
 // hands the caller memory no later read, overwrite or bit-rot injection
 // can reach, and GetInto lands in the caller's buffer when it fits.
-// memStore.Get used to return the map's own slice, which Corrupt flips
-// in place.
 func TestStoreReadsAreCallerOwned(t *testing.T) {
 	payload := randBytes(3, 300)
 	for name, st := range testStores(t) {
@@ -133,9 +134,6 @@ func TestReadRangeIntoViewsAndPads(t *testing.T) {
 		if _, err := d.readRangeInto(7, 1<<62, 1<<62, buf); err == nil {
 			t.Fatalf("%s: overflowing range accepted", name)
 		}
-		if name == "mem" {
-			continue // a volatile store has no checksum to fail
-		}
 		if err := st.Corrupt(7, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -146,41 +144,30 @@ func TestReadRangeIntoViewsAndPads(t *testing.T) {
 }
 
 // TestReadFileResultIsCallerOwned: what ReadFile returns — healthy and
-// degraded — is the caller's: scribbling over it changes no later read,
-// on the in-memory store (whose Get once aliased the block map) and on
-// the extent store.
+// degraded — is the caller's: scribbling over it changes no later read.
 func TestReadFileResultIsCallerOwned(t *testing.T) {
-	for _, persistent := range []bool{false, true} {
-		var c *Cluster
-		if persistent {
-			cfg := persistentConfig(t, t.TempDir(), telemetry.NewRegistry())
-			cfg.Code = pbCode(t)
-			c = newForTest(t, cfg)
-		} else {
-			c = testCluster(t, pbCode(t), 3)
+	c := testCluster(t, pbCode(t), 3)
+	data := randBytes(9, 6000)
+	if err := c.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RaidFile("f"); err != nil {
+		t.Fatal(err)
+	}
+	for _, degraded := range []bool{false, true} {
+		if degraded {
+			locs, _ := c.BlockLocations("f")
+			c.FailMachine(locs[1][0])
 		}
-		data := randBytes(9, 6000)
-		if err := c.WriteFile("f", data); err != nil {
-			t.Fatal(err)
+		got, err := c.ReadFile("f")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("degraded=%v: read: %v", degraded, err)
 		}
-		if err := c.RaidFile("f"); err != nil {
-			t.Fatal(err)
+		for i := range got {
+			got[i] = 0
 		}
-		for _, degraded := range []bool{false, true} {
-			if degraded {
-				locs, _ := c.BlockLocations("f")
-				c.FailMachine(locs[1][0])
-			}
-			got, err := c.ReadFile("f")
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("persistent=%v degraded=%v: read: %v", persistent, degraded, err)
-			}
-			for i := range got {
-				got[i] = 0
-			}
-			if again, err := c.ReadFile("f"); err != nil || !bytes.Equal(again, data) {
-				t.Fatalf("persistent=%v degraded=%v: a second read sees the first caller's writes (err %v)", persistent, degraded, err)
-			}
+		if again, err := c.ReadFile("f"); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("degraded=%v: a second read sees the first caller's writes (err %v)", degraded, err)
 		}
 	}
 }
@@ -234,16 +221,13 @@ func TestFixerReadsHelpersIntoTheWorkerArena(t *testing.T) {
 // network exactly its codec plan's bytes.
 func TestFixerTrafficIsThePlans(t *testing.T) {
 	code := pbCode(t)
-	c, err := New(Config{
+	c := newForTest(t, Config{
 		Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
 		Code:        code,
 		BlockSize:   1024,
 		Replication: 3,
 		Seed:        12,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := c.WriteFile("f", randBytes(2, 4*1024)); err != nil {
 		t.Fatal(err)
 	}

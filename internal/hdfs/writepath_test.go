@@ -24,12 +24,12 @@ type putGate struct {
 	once   *sync.Once
 }
 
-// gatedCluster builds a cluster on storeConfig whose stores, made by
-// inner, park on a new disarmed gate. The gate opens before the
-// cluster closes, so no Put is left parked behind a Close.
-func gatedCluster(t *testing.T, inner func(int) (BlockStore, error)) (*Cluster, *putGate) {
+// gatedCluster builds a cluster on storeConfig whose extent stores
+// park on a new disarmed gate. The gate opens before the cluster
+// closes, so no Put is left parked behind a Close.
+func gatedCluster(t *testing.T) (*Cluster, *putGate) {
 	g := &putGate{parked: make(chan int, 1), open: make(chan struct{}), once: new(sync.Once)}
-	c := newForTest(t, storeConfig(t, g.wrap(inner)))
+	c := newForTest(t, storeConfig(t, g.wrap(extentStores(t))))
 	t.Cleanup(g.release)
 	return c, g
 }
@@ -80,13 +80,23 @@ func (s *gatedPutStore) Put(id BlockID, data []byte) error {
 	return s.BlockStore.Put(id, data)
 }
 
-// memStores is a StoreFactory of in-memory stores.
-func memStores(int) (BlockStore, error) { return newMemStore(), nil }
+// extentStores is a StoreFactory of extent stores in a directory of the
+// test's own.
+func extentStores(t *testing.T) func(int) (BlockStore, error) {
+	return ExtentStoreFactory(t.TempDir(), extent.Options{})
+}
 
-// faultyStores is a StoreFactory of in-memory stores whose Puts all
+// faultyStores is a StoreFactory of extent stores whose Puts all
 // consult fail: a Put it refuses stores nothing.
-func faultyStores(fail func(id BlockID) bool) func(int) (BlockStore, error) {
-	return func(int) (BlockStore, error) { return &faultyStore{BlockStore: newMemStore(), fail: fail}, nil }
+func faultyStores(t *testing.T, fail func(id BlockID) bool) func(int) (BlockStore, error) {
+	stores := extentStores(t)
+	return func(machine int) (BlockStore, error) {
+		st, err := stores(machine)
+		if err != nil {
+			return nil, err
+		}
+		return &faultyStore{BlockStore: st, fail: fail}, nil
+	}
 }
 
 var errInjected = errors.New("injected store failure")
@@ -161,7 +171,7 @@ func readsOf(c *Cluster, name string, want []byte) func() error {
 // file already written is looked up and read, and the file being
 // written does not exist yet.
 func TestReadsProceedWhileAWriteIsOnDisk(t *testing.T) {
-	c, gate := gatedCluster(t, memStores)
+	c, gate := gatedCluster(t)
 	a, b := randBytes(1, 3*1024), randBytes(2, 3*1024)
 	if err := c.WriteFile("A", a); err != nil {
 		t.Fatal(err)
@@ -193,7 +203,7 @@ func TestReadsProceedWhileAWriteIsOnDisk(t *testing.T) {
 // RaidFile's Puts is parked, other files are read, and the file being
 // raided is still the replicated file it was.
 func TestReadsProceedWhileARaidIsOnDisk(t *testing.T) {
-	c, gate := gatedCluster(t, memStores)
+	c, gate := gatedCluster(t)
 	a, b := randBytes(1, 3*1024), randBytes(2, 3*1024)
 	if err := c.WriteFile("A", a); err != nil {
 		t.Fatal(err)
@@ -259,7 +269,7 @@ func TestFailedWriteLeavesNoReplicas(t *testing.T) {
 	const puts = 4 * 3
 	for n := int64(1); n <= puts; n++ {
 		var count atomic.Int64
-		c := newForTest(t, storeConfig(t, faultyStores(func(BlockID) bool { return count.Add(1) == n })))
+		c := newForTest(t, storeConfig(t, faultyStores(t, func(BlockID) bool { return count.Add(1) == n })))
 		if err := c.WriteFile("f", data); !errors.Is(err, errInjected) {
 			t.Fatalf("put %d failing: WriteFile returned %v, want the injected error", n, err)
 		}
@@ -289,7 +299,7 @@ func TestFailedRaidLeavesTheFileReplicated(t *testing.T) {
 	// The write mints ids 0-3; the raid's parity ids are 4 and 5.
 	const firstParity = BlockID(4)
 	var failed atomic.Bool
-	c := newForTest(t, storeConfig(t, faultyStores(func(id BlockID) bool {
+	c := newForTest(t, storeConfig(t, faultyStores(t, func(id BlockID) bool {
 		return id == firstParity && failed.CompareAndSwap(false, true)
 	})))
 	data := randBytes(4, 4*1024)
@@ -337,7 +347,7 @@ func TestFailedRaidLeavesTheFileReplicated(t *testing.T) {
 // With a Put parked, both must return. A crash that closes the store
 // under the parked Put makes the write re-place that replica.
 func TestNodeWritesRunOutsideTheNodeLock(t *testing.T) {
-	c, gate := gatedCluster(t, ExtentStoreFactory(t.TempDir(), extent.Options{}))
+	c, gate := gatedCluster(t)
 	data := randBytes(5, 1024)
 
 	gate.arm()
@@ -387,7 +397,7 @@ func TestNodeWritesRunOutsideTheNodeLock(t *testing.T) {
 // waits for the first one's outcome, then finds the file. Unscripted,
 // of eight writers racing one name exactly one wins.
 func TestConcurrentWritesOfOneName(t *testing.T) {
-	c, gate := gatedCluster(t, memStores)
+	c, gate := gatedCluster(t)
 	first, second := randBytes(6, 2048), randBytes(7, 2048)
 
 	gate.arm()
@@ -443,7 +453,7 @@ func TestConcurrentWritesOfOneName(t *testing.T) {
 // after a single raid — one raided it, the other finds it raided — with
 // one stripe per group of k blocks.
 func TestConcurrentRaidsOfOneFile(t *testing.T) {
-	c, gate := gatedCluster(t, memStores)
+	c, gate := gatedCluster(t)
 	data := randBytes(8, 10*1024) // 10 blocks: groups of 4, 4 and 2
 	if err := c.WriteFile("f", data); err != nil {
 		t.Fatal(err)

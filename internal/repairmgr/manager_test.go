@@ -65,6 +65,7 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cl.Close() })
 	clk := newFakeClock()
 	cfg.Clock = clk.Now
 	mgr, err := New(cl, cfg)

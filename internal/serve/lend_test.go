@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 )
 
@@ -233,11 +235,40 @@ func TestLentBlocksCutADegradedReadToOneShard(t *testing.T) {
 	}
 }
 
-// TestDegradedReadRefusesARebuildFromRot: on in-memory stores a rotted
-// replica is served as if sound, so a reconstruction it helps decodes
-// the wrong block. The client checks a rebuilt block against the CRC-32
-// the block table carries, in both shapes, and answers an error rather
-// than those bytes.
+// rottedStores is a StoreFactory of extent stores in a directory of the
+// test's own that serve the block whose id is in block (none while it
+// is -1) with one byte flipped, as if a misdirected write had put it
+// there: the chunk CRCs cover the flipped byte, so the datanode serves
+// it as sound.
+func rottedStores(t *testing.T, block *atomic.Int64) func(int) (hdfs.BlockStore, error) {
+	stores := hdfs.ExtentStoreFactory(t.TempDir(), extent.Options{})
+	return func(machine int) (hdfs.BlockStore, error) {
+		st, err := stores(machine)
+		if err != nil {
+			return nil, err
+		}
+		return rottedStore{st, block}, nil
+	}
+}
+
+type rottedStore struct {
+	hdfs.BlockStore
+	block *atomic.Int64
+}
+
+func (s rottedStore) Get(id hdfs.BlockID) ([]byte, error) {
+	data, err := s.BlockStore.Get(id)
+	if err == nil && int64(id) == s.block.Load() {
+		data[9] ^= 0xFF
+	}
+	return data, err
+}
+
+// TestDegradedReadRefusesARebuildFromRot: a replica rotted under its
+// store's CRCs is served as if sound, so a reconstruction it helps
+// decodes the wrong block. The client checks a rebuilt block against
+// the CRC-32 the block table carries, in both shapes, and answers an
+// error rather than those bytes.
 func TestDegradedReadRefusesARebuildFromRot(t *testing.T) {
 	for _, shape := range []struct {
 		name string
@@ -245,7 +276,11 @@ func TestDegradedReadRefusesARebuildFromRot(t *testing.T) {
 	}{{"fan-in", nil}, {"partial-sum", []ClientOption{WithPartialSumRepair()}}} {
 		t.Run(shape.name, func(t *testing.T) {
 			code := testCodecs(t)[0]
-			sys := startTestSystem(t, code)
+			var rotted atomic.Int64
+			rotted.Store(-1)
+			cfg := testConfig(code)
+			cfg.StoreFactory = rottedStores(t, &rotted)
+			sys := startSystem(t, cfg)
 			data := lendFile(t, sys, code.DataShards()*lendBlock)
 			_, blocks, err := sys.Cluster().FileBlocks("f")
 			if err != nil {
@@ -254,9 +289,7 @@ func TestDegradedReadRefusesARebuildFromRot(t *testing.T) {
 			if len(blocks[1].Locations) != 1 || blocks[1].Locations[0] == blocks[0].Locations[0] {
 				t.Fatalf("block 1 on %v, block 0 on %v: want block 1's only replica beside block 0's holder", blocks[1].Locations, blocks[0].Locations)
 			}
-			if err := sys.Cluster().InjectBitRot(blocks[1].Locations[0], blocks[1].ID, 9); err != nil {
-				t.Fatal(err)
-			}
+			rotted.Store(int64(blocks[1].ID))
 			killHolders(t, sys, 0)
 			cl, err := Dial(sys.NameAddr(), code, shape.opts...)
 			if err != nil {

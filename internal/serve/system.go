@@ -102,6 +102,7 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 		}
 		mgr, err := repairmgr.New(cluster, mgrCfg)
 		if err != nil {
+			s.Close()
 			return nil, err
 		}
 		s.mgr = mgr
@@ -216,12 +217,11 @@ func (s *System) dataNodeAddrs() []string {
 
 // KillDataNode fails the machine and tears down its daemon: the
 // namenode stops listing it first (so refreshed metadata is
-// consistent), then every open connection to it is severed. With
-// persistent stores (Config.StoreFactory = hdfs.ExtentStoreFactory)
-// the kill is a real crash: the store handle closes and the machine's
-// in-memory block index is discarded — only the segment files on disk
-// survive. The daemon is torn down even when closing the store fails:
-// its slot is already empty, so nothing else would find it.
+// consistent), then every open connection to it is severed. The kill
+// is a real crash: the store handle closes and the machine's in-memory
+// block index is discarded — only the segment files on disk survive.
+// The daemon is torn down even when closing the store fails: its slot
+// is already empty, so nothing else would find it.
 func (s *System) KillDataNode(machine int) error {
 	s.mu.Lock()
 	if machine < 0 || machine >= len(s.dns) {
@@ -240,10 +240,10 @@ func (s *System) KillDataNode(machine int) error {
 
 // RestartDataNode brings the machine back and relaunches its daemon on
 // a fresh port; clients discover the new address through the
-// namenode's info method. With a persistent store the machine's block
-// index is RECONSTRUCTED by sequentially scanning its segment files —
-// the restart serves exactly what the disk holds, not what a
-// conveniently retained map remembers.
+// namenode's info method. The machine's block index is RECONSTRUCTED
+// by sequentially scanning its segment files — the restart serves
+// exactly what the disk holds, not what a conveniently retained map
+// remembers.
 func (s *System) RestartDataNode(machine int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -211,6 +211,7 @@ func TestMiniHDFSThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Close()
 	data := make([]byte, 2048)
 	rand.New(rand.NewSource(2)).Read(data)
 	if err := fs.WriteFile("warm/data", data); err != nil {
