@@ -125,4 +125,6 @@ benchdiff:
 benchsmoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
 
-ci: build vet staticcheck lint fmtcheck test test-purego race benchsmoke fuzz-smoke
+# The test step is cover, as in CI: the whole suite plus the empty-TMPDIR
+# leak gate. `make test` stays the quick local run.
+ci: build vet staticcheck lint fmtcheck cover test-purego race benchsmoke fuzz-smoke

@@ -547,14 +547,15 @@ func (c *Cluster) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
 // stripeFetchLocked builds the codec fetch function for a stripe:
 // phantom positions yield zeros for free; real positions read from a
 // random live holder and charge the transfer to the destination
-// machine. Each fetch reads the range the plan asks for — not the
+// machine, and to a fixer pass's tally xrack (nil for a read). Each
+// fetch reads the range the plan asks for — not the
 // helper's whole block — once, into a shard-sized buffer drawn from
 // scratch (the fixer passes its worker's arena; nil allocates), and
 // returns a view of it — the codec only reads fetched
 // buffers and never returns one, so the arena can be reset as soon as
 // the repair returns. Callers hold c.mu in at least read mode for every
 // invocation of the returned func.
-func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
+func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scratch, xrack *int64) ec.FetchFunc {
 	return func(req ec.ReadRequest) ([]byte, error) {
 		id := sm.blocks[req.Shard]
 		if id < 0 {
@@ -574,7 +575,7 @@ func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scr
 		if err != nil {
 			return nil, err
 		}
-		if err := c.net.Transfer(src, dst, req.Length); err != nil {
+		if err := c.transfer(src, dst, req.Length, xrack); err != nil {
 			return nil, err
 		}
 		return buf, nil
@@ -607,7 +608,7 @@ func (c *Cluster) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) 
 		return alive(pos)
 	}
 	//repolint:ignore lockdiscipline the in-process degraded read decodes under the read lock, which stalls writers but no reader; the serving path decodes in the client
-	shards, err := c.decodeAroundRot(sm, []int{bm.stripePos}, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil), nil)
+	shards, err := c.decodeAroundRot(sm, []int{bm.stripePos}, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil, nil), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -28,8 +28,8 @@ func (c *Cluster) stripeAlive(sm *stripeMeta) ec.AliveFunc {
 
 // stripeFetch is stripeFetchLocked behind a per-call read lock, for use
 // while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *Cluster) stripeFetch(sm *stripeMeta, dst int, scratch *engine.Scratch) ec.FetchFunc {
-	inner := c.stripeFetchLocked(sm, dst, scratch)
+func (c *Cluster) stripeFetch(sm *stripeMeta, dst int, scratch *engine.Scratch, xrack *int64) ec.FetchFunc {
+	inner := c.stripeFetchLocked(sm, dst, scratch, xrack)
 	return func(req ec.ReadRequest) ([]byte, error) {
 		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
 		c.mu.RLock()
@@ -49,8 +49,24 @@ type FixReport struct {
 	ReReplicated int
 	// Unrecoverable lists blocks that could not be restored.
 	Unrecoverable []BlockID
-	// CrossRackBytes is the cross-rack traffic this pass generated.
+	// CrossRackBytes is the cross-rack traffic this pass generated:
+	// its helper fetches, write-outs and re-replication copies, and
+	// nothing else the fabric carried meanwhile.
 	CrossRackBytes int64
+}
+
+// transfer charges b bytes from src to dst to the fabric and, when they
+// cross racks, adds them to *xrack (nil: no tally). A fixer pass
+// tallies its own traffic this way, because the fabric's counter also
+// carries the reads and raids that run beside the pass.
+func (c *Cluster) transfer(src, dst int, b int64, xrack *int64) error {
+	if err := c.net.Transfer(src, dst, b); err != nil {
+		return err
+	}
+	if xrack != nil && c.cfg.Topology.RackOf(src) != c.cfg.Topology.RackOf(dst) {
+		*xrack += b
+	}
+	return nil
 }
 
 // RunBlockFixer scans every block and restores availability: lost
@@ -64,16 +80,13 @@ type FixReport struct {
 // planning and while applying results; the stripe decodes themselves
 // run on the engine with the lock released, so foreground reads
 // (healthy and degraded) proceed in parallel with reconstruction.
-// Passes are serialised against each other. In concurrent use,
-// CrossRackBytes also includes recovery traffic from degraded reads
-// that overlapped the pass.
+// Passes are serialised against each other.
 func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
 	defer c.mu.Unlock()
 	report := &FixReport{}
-	before := c.net.CrossRackBytes()
 
 	// Deterministic iteration: ascending block id. Re-replications run
 	// as they are met, before any stripe is planned: both draw from the
@@ -96,14 +109,12 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 		}
 	}
 	c.repairStripes(lost, report)
-	return c.finish(report, before), nil
+	return c.finish(report), nil
 }
 
-// finish closes a pass's report: unrecoverable ids ascending, and the
-// cross-rack traffic the fabric counted since before.
-func (c *Cluster) finish(report *FixReport, before int64) *FixReport {
+// finish closes a pass's report: unrecoverable ids ascending.
+func (c *Cluster) finish(report *FixReport) *FixReport {
 	slices.Sort(report.Unrecoverable)
-	report.CrossRackBytes = c.net.CrossRackBytes() - before
 	return report
 }
 
@@ -145,16 +156,22 @@ func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
 		fixes = append(fixes, fix)
 	}
 	shards := make([]map[int][]byte, len(fixes))
+	// Each task's fetches run one after another, so each tallies its
+	// own helper bytes without a lock; they are summed once all ran.
+	xrack := make([]int64, len(fixes))
 	tasks := make([]func(*engine.Scratch) error, len(fixes))
 	for i, f := range fixes {
 		tasks[i] = func(s *engine.Scratch) (err error) {
-			shards[i], err = c.decodeAroundRot(f.sm, f.positions, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s), s)
+			shards[i], err = c.decodeAroundRot(f.sm, f.positions, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s, &xrack[i]), s)
 			return err
 		}
 	}
 	c.mu.Unlock()
 	errs := c.eng.RunTasks(tasks)
 	c.lockMeta()
+	for _, b := range xrack {
+		report.CrossRackBytes += b
+	}
 	for i, f := range fixes {
 		if errs[i] != nil {
 			for _, bm := range f.lost {
@@ -209,7 +226,6 @@ func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	report := &FixReport{}
-	before := c.net.CrossRackBytes()
 	var lost []*blockMeta
 	seen := make(map[StripeID]bool, len(ids))
 	for _, sid := range ids {
@@ -233,7 +249,7 @@ func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 		}
 	}
 	c.repairStripes(lost, report)
-	return c.finish(report, before), nil
+	return c.finish(report), nil
 }
 
 // ReReplicateBlocks restores the replication target of exactly the
@@ -250,7 +266,6 @@ func (c *Cluster) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 	c.lockMeta()
 	defer c.mu.Unlock()
 	report := &FixReport{}
-	before := c.net.CrossRackBytes()
 	for _, id := range ids {
 		bm, ok := c.blocks[id]
 		if !ok || bm.stripe != noStripe {
@@ -259,7 +274,7 @@ func (c *Cluster) ReReplicateBlocks(ids []BlockID) (*FixReport, error) {
 		report.ScannedBlocks++
 		c.restoreReplicationLocked(bm, report)
 	}
-	return c.finish(report, before), nil
+	return c.finish(report), nil
 }
 
 // restoreReplicationLocked brings one un-striped block back to the
@@ -271,7 +286,7 @@ func (c *Cluster) restoreReplicationLocked(bm *blockMeta, report *FixReport) {
 	if len(live) >= c.cfg.Replication {
 		return
 	}
-	if len(live) == 0 || c.reReplicateLocked(bm, live, c.cfg.Replication) != nil {
+	if len(live) == 0 || c.reReplicateLocked(bm, live, c.cfg.Replication, &report.CrossRackBytes) != nil {
 		report.Unrecoverable = append(report.Unrecoverable, bm.id)
 		return
 	}
@@ -353,7 +368,7 @@ func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, repo
 		}
 		dst := f.destinations[i]
 		if dst != worker {
-			if err := c.net.Transfer(worker, dst, bm.size); err != nil {
+			if err := c.transfer(worker, dst, bm.size, &report.CrossRackBytes); err != nil {
 				report.Unrecoverable = append(report.Unrecoverable, bm.id)
 				continue
 			}
@@ -373,7 +388,7 @@ func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, repo
 // the first live replica that reads back and matches the block's
 // CRC-32: a rotted replica is never copied, and the block is lost only
 // when no replica passes.
-func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int) error {
+func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int, xrack *int64) error {
 	current := append([]int(nil), live...)
 	src, buf := -1, []byte(nil)
 	for len(current) < target {
@@ -390,7 +405,7 @@ func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int) error
 				return fmt.Errorf("%w: block %d has no replica that matches its checksum", ErrBlockLost, bm.id)
 			}
 		}
-		if err := c.net.Transfer(src, dst, bm.size); err != nil {
+		if err := c.transfer(src, dst, bm.size, xrack); err != nil {
 			return err
 		}
 		//repolint:ignore lockdiscipline ROADMAP 4(a): re-replication's store moves with the fixer's to the datanode side

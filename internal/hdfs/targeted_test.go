@@ -1,7 +1,11 @@
 package hdfs
 
 import (
+	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // raidedFile writes size bytes under name and raids it, returning the
@@ -306,5 +310,100 @@ func TestScrubberSliceRoundRobin(t *testing.T) {
 
 	if _, err := c.RunScrubberSlice(0); err == nil {
 		t.Fatal("zero-machine slice accepted")
+	}
+}
+
+// getGate parks the first store Get made after arm until release.
+type getGate struct {
+	armed  atomic.Bool
+	parked chan struct{}
+	open   chan struct{}
+	once   sync.Once
+}
+
+func (g *getGate) release() { g.once.Do(func() { close(g.open) }) }
+
+// wrap makes a StoreFactory whose stores park on the gate. The wrapper
+// hides the store's GetInto, so every read goes through Get.
+func (g *getGate) wrap(inner func(int) (BlockStore, error)) func(int) (BlockStore, error) {
+	return func(machine int) (BlockStore, error) {
+		st, err := inner(machine)
+		if err != nil {
+			return nil, err
+		}
+		return &gatedGetStore{BlockStore: st, gate: g}, nil
+	}
+}
+
+type gatedGetStore struct {
+	BlockStore
+	gate *getGate
+}
+
+func (s *gatedGetStore) Get(id BlockID) ([]byte, error) {
+	if s.gate.armed.CompareAndSwap(true, false) {
+		s.gate.parked <- struct{}{}
+		<-s.gate.open
+	}
+	return s.BlockStore.Get(id)
+}
+
+// TestFixReportCountsOnlyItsOwnBytes: a degraded read of another
+// stripe that runs while a targeted repair waits on its first helper
+// read charges the fabric too, but the repair's report carries only
+// the repair's own cross-rack bytes.
+func TestFixReportCountsOnlyItsOwnBytes(t *testing.T) {
+	gate := &getGate{parked: make(chan struct{}, 1), open: make(chan struct{})}
+	c := newForTest(t, storeConfig(t, gate.wrap(extentStores(t))))
+	t.Cleanup(gate.release)
+	raidedFile(t, c, "a", 4096)
+	dataB := raidedFile(t, c, "b", 4096)
+	sidA, _ := stripeOf(t, c, "a", 0)
+	sidB, _ := stripeOf(t, c, "b", 0)
+	for _, name := range []string{"a", "b"} {
+		locs, err := c.BlockLocations(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.FailMachine(locs[0][0])
+	}
+	if erasures(t, c, sidA) == 0 || erasures(t, c, sidB) == 0 {
+		t.Fatal("stripes not degraded by the kills")
+	}
+
+	fabric := c.Network()
+	x0 := fabric.CrossRackBytes()
+	gate.armed.Store(true)
+	type result struct {
+		rep *FixReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := c.FixStripes([]StripeID{sidA})
+		done <- result{rep, err}
+	}()
+	select {
+	case <-gate.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the repair's first helper read never reached a store")
+	}
+	x1 := fabric.CrossRackBytes()
+	got, err := c.ReadFile("b")
+	if err != nil || !bytes.Equal(got, dataB) {
+		t.Fatalf("degraded read beside the repair: %v", err)
+	}
+	read := fabric.CrossRackBytes() - x1
+	gate.release()
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	total := fabric.CrossRackBytes() - x0
+	if read == 0 {
+		t.Fatal("the degraded read charged no cross-rack bytes")
+	}
+	if own := total - read; res.rep.CrossRackBytes != own || own == 0 {
+		t.Fatalf("report says %d cross-rack bytes; the repair moved %d of the fabric's %d", res.rep.CrossRackBytes, own, total)
 	}
 }

@@ -70,6 +70,20 @@ func (s NodeState) String() string {
 	}
 }
 
+// MarshalText and UnmarshalText carry a state by its name, so the
+// serve layer's repair.status reply says "dead", not 2.
+func (s NodeState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+func (s *NodeState) UnmarshalText(b []byte) error {
+	for v := StateAlive; v <= StateDead; v++ {
+		if v.String() == string(b) {
+			*s = v
+			return nil
+		}
+	}
+	return fmt.Errorf("repairmgr: unknown node state %q", b)
+}
+
 // DetectorConfig sets the detector's two timeouts.
 type DetectorConfig struct {
 	// SuspectAfter is the heartbeat silence that moves a node from
@@ -191,17 +205,6 @@ func (d *Detector) Evaluate(now time.Time) []Transition {
 		}
 	}
 	return out
-}
-
-// State returns the node's current state (StateDead for unknown ids,
-// the conservative answer).
-func (d *Detector) State(node int) NodeState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if node < 0 || node >= len(d.nodes) {
-		return StateDead
-	}
-	return d.nodes[node].state
 }
 
 // NodeStatus is one node's externally visible detector state.

@@ -1,10 +1,11 @@
-// The autonomous repair manager: a control loop a serving namenode
-// runs so recovery needs no manual triggers. Heartbeats feed the
+// The autonomous repair manager: the control loop every serving
+// namenode runs, the system's one recovery driver. Heartbeats feed the
 // failure detector; detector transitions drive the health registry;
 // the registry's degradations become risk-tiered queue entries; and a
 // token-bucket throttle paces how fast the queue drains into the
 // cluster's targeted repair paths (FixStripes, ReReplicateBlocks,
-// which decode on the BlockFixer's engine).
+// which decode on the BlockFixer's engine). An operator's "repair
+// now" is RepairNow: one full fixer pass, reconciled into the queue.
 //
 // Every timestamp flows through the injectable clock, and Poll — one
 // full control-loop iteration — is exported, so tests and simulations
@@ -54,7 +55,7 @@ type Config struct {
 	// ScrubInterval schedules incremental scrub slices through the
 	// control loop; 0 disables background scrubbing.
 	//
-	//repolint:ignore deadexport ROADMAP 10: the manager becomes how the live System recovers, scrubbing included
+	//repolint:ignore deadexport ROADMAP 12: the trace replay through the real manager decides the manager's defaults, scrubbing included
 	ScrubInterval time.Duration
 	// ScrubSliceMachines is the slice width (default 1).
 	ScrubSliceMachines int
@@ -68,14 +69,16 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultConfig returns production-flavoured settings: a 3s suspect
-// timeout, a 15s grace window (transient restarts are free), a 500ms
-// control tick, unthrottled repair, 10-minute aging tiers, no
+// DefaultConfig returns the settings every serving System runs: a 3s
+// suspect timeout, the paper's 15-minute grace window (its cluster
+// starts recovering a machine only after 15 minutes of unavailability,
+// Fig. 3a, so a machine back inside it costs no repair traffic), a
+// 500ms control tick, unthrottled repair, 10-minute aging tiers, no
 // background scrubbing.
 func DefaultConfig() Config {
 	return Config{
 		SuspectAfter: 3 * time.Second,
-		GraceWindow:  15 * time.Second,
+		GraceWindow:  15 * time.Minute,
 		PollInterval: 500 * time.Millisecond,
 		AgingTier:    10 * time.Minute,
 		CompletedLog: 256,
@@ -129,8 +132,10 @@ type Status struct {
 	// DegradedStripes / DegradedBlocks are the health registry's view.
 	DegradedStripes int
 	DegradedBlocks  int
-	// RepairsDone counts completed queue entries; RepairedBytes their
-	// cross-rack traffic; Unrecoverable permanently failed entries.
+	// RepairsDone counts completed queue entries. RepairedBytes is
+	// their cross-rack traffic plus every RepairNow pass's;
+	// Unrecoverable counts permanently failed entries plus the blocks
+	// RepairNow passes could not restore.
 	RepairsDone   int
 	RepairedBytes int64
 	Unrecoverable int
@@ -334,16 +339,16 @@ func (m *Manager) Stop() {
 }
 
 // Pause suspends queue draining (detection, triage, and scrubbing
-// continue); Resume lifts it.
+// continue); Resume lifts it. RepairNow runs either way.
 //
-//repolint:ignore deadexport ROADMAP 10: the manager becomes the live System's one recovery driver
+//repolint:ignore deadexport ROADMAP 10(b): node_repair pauses the manager, kills, reads detection off repair.status, and resumes
 func (m *Manager) Pause() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.paused = true
 }
 
-//repolint:ignore deadexport ROADMAP 10: the manager becomes the live System's one recovery driver
+//repolint:ignore deadexport ROADMAP 10(b): node_repair pauses the manager, kills, reads detection off repair.status, and resumes
 func (m *Manager) Resume() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -365,11 +370,6 @@ func (m *Manager) Heartbeat(node int) error {
 	}
 	return nil
 }
-
-// NodeState returns the detector's view of one machine.
-//
-//repolint:ignore deadexport ROADMAP 10: the manager becomes the live System's one recovery driver
-func (m *Manager) NodeState(node int) NodeState { return m.det.State(node) }
 
 // Poll runs one control-loop iteration: evaluate detector timeouts,
 // process transitions, schedule due scrub slices, and drain the repair
@@ -422,6 +422,34 @@ func (m *Manager) Poll() error {
 			first = err
 		}
 	}
+}
+
+// RepairNow runs one full BlockFixer pass — every lost block the
+// cluster knows of, the grace window notwithstanding and whether or not
+// the queue is paused — and then reconciles the control plane with
+// what the pass did: queue entries it made healthy go, its bytes and
+// unrecoverable blocks join the status, and suspect nodes lose their
+// grace-window estimates, since a node that returns now saves nothing
+// the pass has not already spent. The pass is one call, so stripes
+// decode concurrently on the engine as in any fixer pass. It holds
+// pollMu, so no Poll drains the queue while it runs.
+func (m *Manager) RepairNow() (*hdfs.FixReport, error) {
+	m.pollMu.Lock()
+	defer m.pollMu.Unlock()
+	rep, err := m.cluster.RunBlockFixer()
+	if err != nil {
+		return nil, err
+	}
+	stripes, blocks := m.reg.ExamineKnown()
+	m.reconcile(stripes, blocks, m.cfg.Clock())
+	m.mu.Lock()
+	clear(m.suspects)
+	m.repairedBytes += rep.CrossRackBytes
+	m.unrecoverable += len(rep.Unrecoverable)
+	m.mu.Unlock()
+	m.cRepairedBytes.Add(rep.CrossRackBytes)
+	m.cUnrecoverable.Add(int64(len(rep.Unrecoverable)))
+	return rep, nil
 }
 
 // handleTransition routes one detector transition into the registry

@@ -178,7 +178,7 @@ func TestManagerGraceWindowCancelsRepair(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.tick(time.Second)
 	}
-	if st := h.mgr.NodeState(victim); st != StateSuspect {
+	if st := h.mgr.Status().Nodes[victim].State; st != StateSuspect {
 		t.Fatalf("victim state %v after 4s silence, want suspect", st)
 	}
 	// ...restore within the grace window, then run far past the point
@@ -429,5 +429,91 @@ func TestManagerStartStop(t *testing.T) {
 	h.mgr.Stop() // idempotent
 	if got := h.mgr.Status(); got.RepairsDone != 0 {
 		t.Fatalf("idle loop repaired something: %+v", got)
+	}
+}
+
+// TestDefaultGraceWindowIsFifteenMinutes: under DefaultConfig a silent
+// machine is still waited for 15 minutes less a second after it went
+// suspect, and is repaired once that window has passed.
+func TestDefaultGraceWindowIsFifteenMinutes(t *testing.T) {
+	def := DefaultConfig()
+	h := newHarness(t, def)
+	h.raided("f", 4096)
+	victim := h.victimOf("f")
+	h.cluster.FailMachine(victim)
+
+	h.tick(def.SuspectAfter)
+	h.tick(15*time.Minute - time.Second)
+	st := h.mgr.Status()
+	if st.Nodes[victim].State != StateSuspect || st.RepairsDone != 0 || h.cluster.Health().Healthy() {
+		t.Fatalf("15m-1s after suspect: state %v, %d repairs, healthy %v; want suspect, none, degraded",
+			st.Nodes[victim].State, st.RepairsDone, h.cluster.Health().Healthy())
+	}
+
+	h.tick(2 * time.Second)
+	st = h.mgr.Status()
+	if st.Nodes[victim].State != StateDead || st.RepairsDone == 0 || !h.cluster.Health().Healthy() {
+		t.Fatalf("past SuspectAfter+GraceWindow: state %v, %d repairs, healthy %v; want dead, repaired",
+			st.Nodes[victim].State, st.RepairsDone, h.cluster.Health().Healthy())
+	}
+}
+
+// TestRepairNowReconcilesTheQueue: a paused manager holds a dead
+// machine's repairs; RepairNow runs the full pass anyway, the entries
+// it made healthy leave the queue and the registry, and the pass's
+// bytes join the status without counting as queue repairs.
+func TestRepairNowReconcilesTheQueue(t *testing.T) {
+	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
+	for i := 0; i < 4; i++ {
+		h.raided(string(rune('a'+i)), 4096)
+	}
+	h.mgr.Pause()
+	h.cluster.FailMachine(h.victimOf("a"))
+	for i := 0; i < 5; i++ {
+		h.tick(time.Second)
+	}
+	if st := h.mgr.Status(); st.QueueDepth == 0 || st.DegradedStripes == 0 {
+		t.Fatalf("dead machine's repairs not queued: %+v", st)
+	}
+
+	rep, err := h.mgr.RepairNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := h.mgr.Status()
+	if !h.cluster.Health().Healthy() || rep.RepairedStriped == 0 {
+		t.Fatalf("RepairNow did not heal the cluster: %+v", rep)
+	}
+	if st.QueueDepth != 0 || st.DegradedStripes != 0 || st.DegradedBlocks != 0 {
+		t.Fatalf("repaired entries left in the control plane: %+v", st)
+	}
+	if st.RepairedBytes != rep.CrossRackBytes || rep.CrossRackBytes == 0 || st.RepairsDone != 0 {
+		t.Fatalf("status %+v does not account the pass's %d bytes alone", st, rep.CrossRackBytes)
+	}
+}
+
+// TestRepairNowForfeitsTheGraceSave: a machine that returns after a
+// RepairNow pass rebuilt its blocks is not credited a grace-window
+// saving — the repair it would have avoided already ran.
+func TestRepairNowForfeitsTheGraceSave(t *testing.T) {
+	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: time.Minute})
+	h.raided("f", 4096)
+	victim := h.victimOf("f")
+	h.cluster.FailMachine(victim)
+	for i := 0; i < 3; i++ {
+		h.tick(time.Second)
+	}
+	if st := h.mgr.Status(); st.Nodes[victim].State != StateSuspect {
+		t.Fatalf("victim %v, want suspect", st.Nodes[victim].State)
+	}
+	if _, err := h.mgr.RepairNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.cluster.RecoverMachine(victim); err != nil {
+		t.Fatal(err)
+	}
+	h.tick(time.Second)
+	if st := h.mgr.Status(); st.Nodes[victim].State != StateAlive || st.AvoidedRepairs != 0 || st.AvoidedRepairBytes != 0 {
+		t.Fatalf("return after RepairNow: %+v, want alive and no grace save", st)
 	}
 }

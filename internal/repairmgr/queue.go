@@ -40,6 +40,20 @@ func (k TaskKind) String() string {
 	}
 }
 
+// MarshalText and UnmarshalText carry a kind by its name ("stripe",
+// "replicated") in the repair.status reply.
+func (k TaskKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *TaskKind) UnmarshalText(b []byte) error {
+	for v := TaskStripe; v <= TaskReplicated; v++ {
+		if v.String() == string(b) {
+			*k = v
+			return nil
+		}
+	}
+	return fmt.Errorf("repairmgr: unknown task kind %q", b)
+}
+
 // Task is one pending repair.
 type Task struct {
 	Kind   TaskKind

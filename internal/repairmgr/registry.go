@@ -8,6 +8,7 @@
 package repairmgr
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/hdfs"
@@ -96,6 +97,38 @@ func (r *Registry) ExamineBlocks(ids []hdfs.BlockID) ([]StripeHealth, []BlockHea
 			}
 			continue
 		}
+		if h, changed := r.examineBlock(bid); changed {
+			blocks = append(blocks, h)
+		}
+	}
+	return stripes, blocks
+}
+
+// ExamineKnown re-derives the health of every stripe and block the
+// registry holds degraded — after a full fixer pass, which repairs
+// without going through the registry. Only entries whose counts
+// changed are returned.
+func (r *Registry) ExamineKnown() ([]StripeHealth, []BlockHealth) {
+	r.mu.Lock()
+	sids := make([]hdfs.StripeID, 0, len(r.stripes))
+	for sid := range r.stripes {
+		sids = append(sids, sid)
+	}
+	bids := make([]hdfs.BlockID, 0, len(r.blocks))
+	for bid := range r.blocks {
+		bids = append(bids, bid)
+	}
+	r.mu.Unlock()
+	slices.Sort(sids)
+	slices.Sort(bids)
+	var stripes []StripeHealth
+	for _, sid := range sids {
+		if h, changed := r.examineStripe(sid); changed {
+			stripes = append(stripes, h)
+		}
+	}
+	var blocks []BlockHealth
+	for _, bid := range bids {
 		if h, changed := r.examineBlock(bid); changed {
 			blocks = append(blocks, h)
 		}

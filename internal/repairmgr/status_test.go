@@ -1,6 +1,9 @@
 package repairmgr
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -40,5 +43,34 @@ func TestStatusUptimeAndPollLiveness(t *testing.T) {
 				step.name, st.UptimeSeconds, st.SecondsSincePoll, st.PollCount,
 				step.wantUptime, step.wantSince, step.wantPolls)
 		}
+	}
+}
+
+// TestStatusJSONNamesStatesAndKinds: a Status crosses the wire as JSON
+// with detector states and repair kinds by name, and decodes back to
+// the same values.
+func TestStatusJSONNamesStatesAndKinds(t *testing.T) {
+	in := Status{
+		Nodes:     []NodeStatus{{Machine: 0, State: StateAlive}, {Machine: 1, State: StateSuspect}, {Machine: 2, State: StateDead}},
+		Completed: []CompletedRepair{{Seq: 1, Kind: TaskStripe}, {Seq: 2, Kind: TaskReplicated}},
+	}
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{`"alive"`, `"suspect"`, `"dead"`, `"stripe"`, `"replicated"`} {
+		if !strings.Contains(string(raw), name) {
+			t.Errorf("JSON lacks %s: %s", name, raw)
+		}
+	}
+	var out Status
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Nodes, in.Nodes) || !reflect.DeepEqual(out.Completed, in.Completed) {
+		t.Fatalf("round trip: %+v, want %+v", out, in)
+	}
+	if err := json.Unmarshal([]byte(`{"Nodes":[{"State":"gone"}]}`), &out); err == nil {
+		t.Fatal("an unknown state name decoded")
 	}
 }

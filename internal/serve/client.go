@@ -22,6 +22,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/ec"
 	"repro/internal/engine"
+	"repro/internal/repairmgr"
 	"repro/internal/telemetry"
 )
 
@@ -527,7 +528,9 @@ type FixReport struct {
 	Unrecoverable   int
 }
 
-// RunBlockFixer drives one fixer pass on the namenode.
+// RunBlockFixer asks the namenode's repair manager to repair now: one
+// full fixer pass over every lost block, grace window or not
+// (repairmgr.Manager.RepairNow).
 func (c *Client) RunBlockFixer() (FixReport, error) {
 	resp, err := c.nameCall(&request{Method: methodFixer}, nil)
 	if err != nil {
@@ -540,65 +543,18 @@ func (c *Client) RunBlockFixer() (FixReport, error) {
 	return rep, nil
 }
 
-// RepairStatus is the client-visible snapshot of the repair control
-// plane — queue depth, per-node detector states, throttle and
-// grace-window accounting, and the completion log that makes priority
-// ordering externally observable. It crosses the wire as it stands, as
-// the cold body of a repair.status reply.
-type RepairStatus struct {
-	Nodes           []RepairNodeState
-	QueueDepth      int
-	QueueByErasures map[int]int
-	Paused          bool
-	DegradedStripes int
-	DegradedBlocks  int
-	RepairsDone     int
-	RepairedBytes   int64
-	Unrecoverable   int
-	AvoidedRepairs  int
-	AvoidedBytes    int64
-	LostBlocks      int
-	ScrubSlices     int
-	ScrubReplicas   int
-	ScrubCorrupt    int
-	ThrottleBps     float64
-	Completed       []CompletedFix
-	// UptimeSeconds / SecondsSincePoll (-1 = never polled) / PollCount
-	// distinguish a stalled control loop from an idle one.
-	UptimeSeconds    float64
-	SecondsSincePoll float64
-	PollCount        int64
-}
-
-// RepairNodeState is one machine's failure-detector state.
-type RepairNodeState struct {
-	Machine int
-	State   string // alive | suspect | dead
-}
-
-// CompletedFix is one completed repair, in completion order — the
-// observable record that priority ordering actually held.
-type CompletedFix struct {
-	Seq           int
-	Kind          string // stripe | replicated
-	Stripe        int64
-	Block         int64
-	Erasures      int
-	Bytes         int64
-	WaitSeconds   float64
-	Unrecoverable bool
-}
-
-// RepairStatus fetches the control plane's status from the namenode.
-// It errors when the cluster runs without a repair manager.
+// RepairStatus fetches the repair manager's status from the namenode:
+// queue depth, per-node detector states, throttle and grace-window
+// accounting, and the completion log that makes priority ordering
+// externally observable.
 //
-//repolint:ignore deadexport ROADMAP 10: node_repair times the manager to Healthy()
-func (c *Client) RepairStatus() (*RepairStatus, error) {
+//repolint:ignore deadexport ROADMAP 10(b): node_repair reads detection off repair.status and times the manager to Healthy()
+func (c *Client) RepairStatus() (*repairmgr.Status, error) {
 	resp, err := c.nameCall(&request{Method: methodRepairStatus}, nil)
 	if err != nil {
 		return nil, err
 	}
-	st := new(RepairStatus)
+	st := new(repairmgr.Status)
 	if err := resp.cold(st); err != nil {
 		return nil, fmt.Errorf("serve: repair status reply: %w", err)
 	}

@@ -48,17 +48,17 @@ type DataNode struct {
 	cFolds     *telemetry.Counter
 	cFoldTerms *telemetry.Counter
 
-	// Heartbeat sender state (control plane enabled only): hbStop ends
-	// the loop, hbWg waits it out on close.
-	hbMu   sync.Mutex
-	hbStop chan struct{}
-	hbWg   sync.WaitGroup
+	// hbStop ends the heartbeat loop (closed once, by close); hbDone is
+	// closed once the loop has returned.
+	hbStop, hbDone chan struct{}
+	stopOnce       sync.Once
 }
 
 // startDataNode launches the daemon for one machine on an ephemeral
-// localhost port. tele may be nil.
-func startDataNode(cluster *hdfs.Cluster, machine int, tele *nodeTelemetry) (*DataNode, error) {
-	d := &DataNode{cluster: cluster, machine: machine, tele: tele}
+// localhost port, beating to the namenode at nameAddr every beatEvery.
+// tele may be nil.
+func startDataNode(cluster *hdfs.Cluster, machine int, tele *nodeTelemetry, nameAddr string, beatEvery time.Duration) (*DataNode, error) {
+	d := &DataNode{cluster: cluster, machine: machine, tele: tele, hbStop: make(chan struct{}), hbDone: make(chan struct{})}
 	if tele != nil && tele.reg != nil {
 		d.cFolds = tele.reg.Counter("serve_partial_folds_total")
 		d.cFoldTerms = tele.reg.Counter("serve_partial_fold_terms_total")
@@ -69,6 +69,7 @@ func startDataNode(cluster *hdfs.Cluster, machine int, tele *nodeTelemetry) (*Da
 		return nil, err
 	}
 	d.srv = srv
+	go d.heartbeat(nameAddr, beatEvery)
 	return d, nil
 }
 
@@ -225,67 +226,43 @@ func fetchChildPartial(child *wirePartialNode, targetSize int64, trace *telemetr
 // back the sender up past its own death being declared.
 const heartbeatTimeout = time.Second
 
-// startHeartbeats launches the daemon's heartbeat loop: one
-// dn.heartbeat frame to the namenode immediately and then every
-// `every`, on a connection that is redialled after any transport
-// failure. Killing the daemon (close) stops the loop — which is
-// exactly how the failure detector learns about the death: silence.
-func (d *DataNode) startHeartbeats(nameAddr string, every time.Duration) {
-	d.hbMu.Lock()
-	defer d.hbMu.Unlock()
-	if d.hbStop != nil {
-		return // already beating
-	}
-	stop := make(chan struct{})
-	d.hbStop = stop
-	d.hbWg.Add(1)
-	go func() {
-		defer d.hbWg.Done()
-		var cn *conn
-		defer func() {
-			if cn != nil {
-				cn.close()
-			}
-		}()
-		beat := func() {
-			if cn == nil {
-				fresh, err := dialConn(nameAddr, heartbeatTimeout)
-				if err != nil {
-					return // namenode unreachable; retry next tick
-				}
-				cn = fresh
-			}
-			req := &request{Method: methodHeartbeat, Machine: d.machine}
-			if _, _, err := cn.call(req, nil, heartbeatTimeout, nil); err != nil {
-				if _, remote := err.(*RemoteError); !remote {
-					cn.close()
-					cn = nil
-				}
-			}
-		}
-		beat()
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				beat()
-			}
+// heartbeat is the daemon's heartbeat loop: one dn.heartbeat frame to
+// the namenode every `every`, on a connection that is redialled after
+// any transport failure, until close. The first beat waits a period:
+// the detector counts a machine alive from the manager's construction,
+// and RestartDataNode beats once in process. Killing the daemon
+// (close) stops the loop — which is exactly how the failure detector
+// learns about the death: silence.
+func (d *DataNode) heartbeat(nameAddr string, every time.Duration) {
+	defer close(d.hbDone)
+	var cn *conn
+	defer func() {
+		if cn != nil {
+			cn.close()
 		}
 	}()
-}
-
-// stopHeartbeats ends the heartbeat loop (idempotent).
-func (d *DataNode) stopHeartbeats() {
-	d.hbMu.Lock()
-	stop := d.hbStop
-	d.hbStop = nil
-	d.hbMu.Unlock()
-	if stop != nil {
-		close(stop)
-		d.hbWg.Wait()
+	ticker := time.NewTicker(every)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-d.hbStop:
+			return
+		case <-ticker.C:
+		}
+		if cn == nil {
+			fresh, err := dialConn(nameAddr, heartbeatTimeout)
+			if err != nil {
+				continue // namenode unreachable; retry next tick
+			}
+			cn = fresh
+		}
+		req := &request{Method: methodHeartbeat, Machine: d.machine}
+		if _, _, err := cn.call(req, nil, heartbeatTimeout, nil); err != nil {
+			if _, remote := err.(*RemoteError); !remote {
+				cn.close()
+				cn = nil
+			}
+		}
 	}
 }
 
@@ -296,7 +273,8 @@ func (d *DataNode) DebugAddr() string { return d.tele.debugAddr() }
 // close severs the listener and every client connection, and silences
 // the heartbeat loop.
 func (d *DataNode) close() {
-	d.stopHeartbeats()
+	d.stopOnce.Do(func() { close(d.hbStop) })
+	<-d.hbDone
 	d.srv.close()
 	d.tele.close()
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
-	"repro/internal/repairmgr"
 	"repro/internal/rs"
 	"repro/internal/serve"
 )
@@ -50,9 +49,9 @@ func ExampleStart() {
 	// served intact: true
 }
 
-// The autonomous repair control plane runs inside the serving
-// namenode; clients observe it through the repair.status RPC.
-func ExampleWithRepairManager() {
+// Every serving namenode runs the repair manager; clients observe it
+// through the repair.status RPC.
+func ExampleClient_RepairStatus() {
 	code, err := rs.New(2, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -63,7 +62,7 @@ func ExampleWithRepairManager() {
 		BlockSize:   1 << 20,
 		Replication: 2,
 		Seed:        1,
-	}, serve.WithRepairManager(repairmgr.DefaultConfig()))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

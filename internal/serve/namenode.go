@@ -1,9 +1,10 @@
 // The namenode daemon: the metadata authority of the serving layer.
 // Clients ask it where blocks live ("blocks"), how a stripe is laid
 // out ("stripe", the handshake of a degraded read), and hand it whole
-// files to place ("write"). It also fronts the control plane: raiding
-// files, driving a block-fixer pass, taking the datanodes' heartbeats
-// and reporting the repair manager's status.
+// files to place ("write"). It also runs the repair manager, the
+// system's one recovery driver: it raids files, takes the datanodes'
+// heartbeats into the manager's failure detector, answers "fixer" with
+// the manager's RepairNow, and reports the manager's status.
 package serve
 
 import (
@@ -17,48 +18,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// repairStatusOf renders a manager status as clients see it: detector
-// states and fix kinds as strings.
-func repairStatusOf(st repairmgr.Status) *RepairStatus {
-	out := &RepairStatus{
-		QueueDepth:      st.QueueDepth,
-		QueueByErasures: st.QueueByErasures,
-		Paused:          st.Paused,
-		DegradedStripes: st.DegradedStripes,
-		DegradedBlocks:  st.DegradedBlocks,
-		RepairsDone:     st.RepairsDone,
-		RepairedBytes:   st.RepairedBytes,
-		Unrecoverable:   st.Unrecoverable,
-		AvoidedRepairs:  st.AvoidedRepairs,
-		AvoidedBytes:    st.AvoidedRepairBytes,
-		LostBlocks:      st.LostBlocks,
-		ScrubSlices:     st.ScrubSlices,
-		ScrubReplicas:   st.ScrubbedReplicas,
-		ScrubCorrupt:    st.ScrubCorrupt,
-		ThrottleBps:     st.ThrottleBytesPerSec,
-
-		UptimeSeconds:    st.UptimeSeconds,
-		SecondsSincePoll: st.SecondsSincePoll,
-		PollCount:        st.PollCount,
-	}
-	for _, n := range st.Nodes {
-		out.Nodes = append(out.Nodes, RepairNodeState{Machine: n.Machine, State: n.State.String()})
-	}
-	for _, c := range st.Completed {
-		out.Completed = append(out.Completed, CompletedFix{
-			Seq:           c.Seq,
-			Kind:          c.Kind.String(),
-			Stripe:        int64(c.Stripe),
-			Block:         int64(c.Block),
-			Erasures:      c.Erasures,
-			Bytes:         c.Bytes,
-			WaitSeconds:   c.WaitSeconds,
-			Unrecoverable: c.Unrecoverable,
-		})
-	}
-	return out
-}
-
 // NameNode is the metadata daemon.
 type NameNode struct {
 	cluster *hdfs.Cluster
@@ -66,7 +25,7 @@ type NameNode struct {
 	// dataNodeAddrs snapshots the hosting System's live datanode
 	// address table for the handshake.
 	dataNodeAddrs func() []string
-	mgr           *repairmgr.Manager // nil when the control plane is disabled
+	mgr           *repairmgr.Manager
 	srv           *server
 	tele          *nodeTelemetry
 
@@ -76,9 +35,9 @@ type NameNode struct {
 }
 
 // startNameNode launches the namenode on an ephemeral localhost port.
-// mgr, when non-nil, is the repair control plane the namenode fronts:
-// dn.heartbeat frames feed its failure detector and repair.status
-// exposes its queue/node/throttle state. tele may be nil.
+// mgr is the repair manager the namenode runs: dn.heartbeat frames
+// feed its failure detector, "fixer" is its RepairNow, and
+// repair.status returns its Status. tele may be nil.
 func startNameNode(cluster *hdfs.Cluster, code ec.Code, dataNodeAddrs func() []string, mgr *repairmgr.Manager, tele *nodeTelemetry) (*NameNode, error) {
 	n := &NameNode{cluster: cluster, code: code, dataNodeAddrs: dataNodeAddrs, mgr: mgr, tele: tele}
 	if tele != nil && tele.reg != nil {
@@ -161,7 +120,7 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 		return okResponse(), nil
 
 	case methodFixer:
-		rep, err := n.cluster.RunBlockFixer()
+		rep, err := n.mgr.RepairNow()
 		if err != nil {
 			return errResponse(err), nil
 		}
@@ -173,19 +132,13 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 		}), nil
 
 	case methodHeartbeat:
-		if n.mgr == nil {
-			return errResponse(errors.New("serve: repair manager disabled")), nil
-		}
 		if err := n.mgr.Heartbeat(req.Machine); err != nil {
 			return errResponse(err), nil
 		}
 		return okResponse(), nil
 
 	case methodRepairStatus:
-		if n.mgr == nil {
-			return errResponse(errors.New("serve: repair manager disabled")), nil
-		}
-		return coldResponse(repairStatusOf(n.mgr.Status())), nil
+		return coldResponse(n.mgr.Status()), nil
 
 	default:
 		return errResponse(fmt.Errorf("serve: namenode: unknown method %q", req.Method)), nil

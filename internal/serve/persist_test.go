@@ -23,7 +23,7 @@ import (
 func startPersistentManagedSystem(t *testing.T, mcfg repairmgr.Config) (*System, *telemetry.Registry) {
 	t.Helper()
 	cfg, ext := onDisk(t, testConfig(testCodecs(t)[0])) // rs(4,2)
-	return startSystem(t, cfg, WithRepairManager(mcfg), WithTelemetry(TelemetryConfig{})), ext
+	return startSystem(t, cfg, withRepairConfig(mcfg), WithTelemetry(TelemetryConfig{})), ext
 }
 
 // TestPersistentRestartWithinGraceZeroRepairBytes is the honest
@@ -69,7 +69,7 @@ func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, grace/2, "victim back to alive", func() bool {
-		return sys.RepairManager().NodeState(victim) == repairmgr.StateAlive
+		return sys.mgr.Status().Nodes[victim].State == repairmgr.StateAlive
 	})
 
 	// The restart rebuilt the index from disk: segment records were

@@ -1,6 +1,8 @@
 // Package serve is the networked serving layer of the miniature DFS: a
-// namenode daemon (file → block → stripe metadata, placement,
-// block-fixer driver, repair control plane) and one datanode daemon per
+// namenode daemon (file → block → stripe metadata, placement, and the
+// repair manager, the system's one recovery driver: heartbeat
+// detection, a 15-minute grace window, a risk-ordered repair queue,
+// and "fixer" as its repair-now) and one datanode daemon per
 // machine (replica range reads, partial-sum folds), all speaking a small
 // framed RPC protocol over real TCP on localhost, plus a concurrent Client
 // whose read path transparently falls back to degraded reads —
@@ -86,8 +88,9 @@
 // raid, and a new status field costs the wire nothing.
 //
 // The namenode answers metadata methods ("info", "blocks", "stripe"),
-// mutations ("write", "raid", "fixer"), the datanodes' "dn.heartbeat"
-// and the repair control plane's "repair.status". Datanodes answer
+// mutations ("write", "raid", and "fixer", the repair manager's
+// RepairNow), the datanodes' "dn.heartbeat" and the repair manager's
+// "repair.status". Datanodes answer
 // "dn.read" (a replica range) and "dn.partial" (fold this
 // node's repair ranges and its children's partial sums into one
 // block-sized buffer). Every daemon answers "debug.trace". Errors travel in the response
@@ -339,7 +342,7 @@ type response struct {
 	MachinesPerRack int
 
 	// Cold is the body of a cold admin/debug reply — a FixReport, a
-	// RepairStatus, a debug.trace span dump — as JSON the header codec
+	// repairmgr.Status, a debug.trace span dump — as JSON the header codec
 	// carries as one opaque run of bytes and never looks into (see
 	// coldResponse and cold). No method on a read or write path sets it.
 	Cold []byte

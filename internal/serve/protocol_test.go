@@ -145,10 +145,19 @@ func TestDeclaredPayloadLengthSizesNothingUntilTheBytesArrive(t *testing.T) {
 		binary.BigEndian.PutUint32(raw[4:8], maxPayloadBytes)
 		return raw
 	}
-	open := func(s *server) int {
+	// holds reports whether the server still has a connection from
+	// addr. The datanodes' heartbeat connections to the namenode come
+	// and stay on their own schedule, so a count would not isolate the
+	// hostile dial's.
+	holds := func(s *server, addr string) bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.conns)
+		for c := range s.conns {
+			if c.RemoteAddr().String() == addr {
+				return true
+			}
+		}
+		return false
 	}
 	sys.mu.Lock()
 	dn := sys.dns[0]
@@ -190,7 +199,7 @@ func TestDeclaredPayloadLengthSizesNothingUntilTheBytesArrive(t *testing.T) {
 		// ... and drops the connection, and what it had read, when the
 		// peer goes away.
 		nc.Close()
-		for deadline := time.Now().Add(shortTimeout); open(sys.nn.srv) > 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(shortTimeout); holds(sys.nn.srv, nc.LocalAddr().String()); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("namenode kept the half-sent write's connection open")
 			}

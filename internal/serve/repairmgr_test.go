@@ -11,13 +11,20 @@ import (
 	"repro/internal/repairmgr"
 )
 
-// startManagedSystem brings up a serving cluster with the repair
-// control plane enabled on fast timings: detection settles in a few
-// hundred milliseconds, so tests poll for outcomes instead of
-// sleeping for fixed intervals.
+// withRepairConfig runs the System's repair manager on cfg instead of
+// repairmgr.DefaultConfig(): the tests' one route to windows short
+// enough to wait out.
+func withRepairConfig(cfg repairmgr.Config) Option {
+	return func(o *sysOptions) { o.mgrCfg = &cfg }
+}
+
+// startManagedSystem brings up a serving cluster whose repair manager
+// runs on fast timings: detection settles in a few hundred
+// milliseconds, so tests poll for outcomes instead of sleeping for
+// fixed intervals.
 func startManagedSystem(t *testing.T, mcfg repairmgr.Config) *System {
 	t.Helper()
-	return startTestSystem(t, testCodecs(t)[0], WithRepairManager(mcfg)) // rs(4,2)
+	return startTestSystem(t, testCodecs(t)[0], withRepairConfig(mcfg)) // rs(4,2)
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -41,16 +48,16 @@ func waitFor(t *testing.T, deadline time.Duration, desc string, cond func() bool
 // must not act on the bare state.
 func waitSuspect(t *testing.T, sys *System, machine int, deadline time.Duration) {
 	t.Helper()
-	mgr := sys.RepairManager()
 	flaggedAt := int64(-1)
 	waitFor(t, deadline, fmt.Sprintf("machine %d to turn suspect", machine), func() bool {
+		st := sys.mgr.Status()
 		if flaggedAt < 0 {
-			if mgr.NodeState(machine) != repairmgr.StateSuspect {
+			if st.Nodes[machine].State != repairmgr.StateSuspect {
 				return false
 			}
-			flaggedAt = mgr.Status().PollCount
+			flaggedAt = st.PollCount
 		}
-		return mgr.Status().PollCount > flaggedAt
+		return st.PollCount > flaggedAt
 	})
 }
 
@@ -105,7 +112,7 @@ func TestManagedAutoRecoveryAfterKill(t *testing.T) {
 	}
 
 	waitFor(t, 30*time.Second, "autonomous recovery to full health", func() bool {
-		return sys.Cluster().Health().Healthy() && sys.RepairManager().QueueDepth() == 0
+		return sys.Cluster().Health().Healthy() && sys.mgr.QueueDepth() == 0
 	})
 
 	cl, err := Dial(sys.NameAddr(), sys.Code())
@@ -125,8 +132,8 @@ func TestManagedAutoRecoveryAfterKill(t *testing.T) {
 	if st.UptimeSeconds <= 0 || st.PollCount == 0 || st.SecondsSincePoll < 0 {
 		t.Fatalf("control-loop liveness missing from repair.status: %+v", st)
 	}
-	if st.Nodes[victim].State != "dead" {
-		t.Fatalf("victim detector state %q, want dead", st.Nodes[victim].State)
+	if st.Nodes[victim].State != repairmgr.StateDead {
+		t.Fatalf("victim detector state %v, want dead", st.Nodes[victim].State)
 	}
 	// Post-recovery reads are healthy (no degraded path) and
 	// byte-identical.
@@ -170,12 +177,12 @@ func TestManagedRecoveryUnderLoad(t *testing.T) {
 	}
 
 	degraded := killUnderLoad(t, sys, data, func() bool {
-		return sys.Cluster().Health().Healthy() && sys.RepairManager().QueueDepth() == 0
+		return sys.Cluster().Health().Healthy() && sys.mgr.QueueDepth() == 0
 	})
 	if degraded == 0 {
 		t.Fatal("no read took the degraded path between the kill and the repair")
 	}
-	if st := sys.RepairManager().Status(); st.RepairsDone == 0 || st.Unrecoverable != 0 {
+	if st := sys.mgr.Status(); st.RepairsDone == 0 || st.Unrecoverable != 0 {
 		t.Fatalf("cluster is healthy but the manager's accounting is %+v", st)
 	}
 }
@@ -211,7 +218,7 @@ func TestManagedRestartWithinGraceCancelsRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, grace/2, "victim back to alive", func() bool {
-		return sys.RepairManager().NodeState(victim) == repairmgr.StateAlive
+		return sys.mgr.Status().Nodes[victim].State == repairmgr.StateAlive
 	})
 
 	// Sleep out the would-have-been death deadline plus margin, then
@@ -229,14 +236,14 @@ func TestManagedRestartWithinGraceCancelsRepair(t *testing.T) {
 	if st.RepairsDone != 0 || st.QueueDepth != 0 {
 		t.Fatalf("transient restart triggered repairs: %+v", st)
 	}
-	if st.AvoidedRepairs == 0 || st.AvoidedBytes == 0 {
+	if st.AvoidedRepairs == 0 || st.AvoidedRepairBytes == 0 {
 		t.Fatalf("grace-window save not accounted: %+v", st)
 	}
 	if got := sys.Cluster().Network().CrossRackBytes() - bytesBefore; got != 0 {
 		t.Fatalf("kill-then-restart inside the grace window moved %d repair bytes, want 0", got)
 	}
-	if st.Nodes[victim].State != "alive" {
-		t.Fatalf("victim state %q, want alive", st.Nodes[victim].State)
+	if st.Nodes[victim].State != repairmgr.StateAlive {
+		t.Fatalf("victim state %v, want alive", st.Nodes[victim].State)
 	}
 }
 
@@ -280,7 +287,7 @@ func TestManagedPriorityOrderingViaStatusRPC(t *testing.T) {
 		t.Skip("no machine pair shares a stripe under this seed")
 	}
 
-	sys.RepairManager().Pause()
+	sys.mgr.Pause()
 	if err := sys.KillDataNode(m1); err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +302,11 @@ func TestManagedPriorityOrderingViaStatusRPC(t *testing.T) {
 	waitFor(t, 30*time.Second, "both deaths triaged into the paused queue", func() bool {
 		st, err := cl.RepairStatus()
 		return err == nil && st.QueueByErasures[2] == shared && st.RepairsDone == 0 &&
-			st.Nodes[m1].State == "dead" && st.Nodes[m2].State == "dead"
+			st.Nodes[m1].State == repairmgr.StateDead && st.Nodes[m2].State == repairmgr.StateDead
 	})
-	sys.RepairManager().Resume()
+	sys.mgr.Resume()
 	waitFor(t, 30*time.Second, "resumed drain to full health", func() bool {
-		return c.Health().Healthy() && sys.RepairManager().QueueDepth() == 0
+		return c.Health().Healthy() && sys.mgr.QueueDepth() == 0
 	})
 
 	st, err := cl.RepairStatus()
@@ -327,21 +334,112 @@ func TestManagedPriorityOrderingViaStatusRPC(t *testing.T) {
 	}
 }
 
-// TestRepairStatusWithoutManager: the status RPC on an unmanaged
-// cluster is a definitive remote error, and heartbeats are rejected.
-func TestRepairStatusWithoutManager(t *testing.T) {
+// TestEverySystemRunsTheManager: a System started with no options
+// runs the repair manager — every node alive, the control loop
+// polling — and the status crosses the wire with states by name.
+func TestEverySystemRunsTheManager(t *testing.T) {
 	sys := startTestSystem(t, testCodecs(t)[0])
 	cl, err := Dial(sys.NameAddr(), sys.Code())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.RepairStatus(); err == nil {
-		t.Fatal("status RPC succeeded without a manager")
-	} else if _, ok := err.(*RemoteError); !ok {
-		t.Fatalf("want RemoteError, got %T: %v", err, err)
+	var st *repairmgr.Status
+	waitFor(t, 30*time.Second, "the default manager's first poll", func() bool {
+		st, err = cl.RepairStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.PollCount > 0
+	})
+	if len(st.Nodes) != sys.Cluster().Machines() {
+		t.Fatalf("status tracks %d nodes, want %d", len(st.Nodes), sys.Cluster().Machines())
 	}
-	if sys.RepairManager() != nil {
-		t.Fatal("unmanaged system exposes a manager")
+	for _, n := range st.Nodes {
+		if n.State != repairmgr.StateAlive {
+			t.Fatalf("node %d is %v on a fresh system", n.Machine, n.State)
+		}
+	}
+	if st.QueueDepth != 0 || st.RepairsDone != 0 {
+		t.Fatalf("a fresh system has repair work: %+v", st)
+	}
+}
+
+// TestRunBlockFixerIsTheManagersRepairNow: with the default 15-minute
+// grace window nothing repairs a killed machine on its own; the fixer
+// RPC repairs it at once, leaves the manager's queue empty, and its
+// bytes join the manager's RepairedBytes.
+func TestRunBlockFixerIsTheManagersRepairNow(t *testing.T) {
+	sys := startTestSystem(t, testCodecs(t)[0])
+	files := preloadRaided(t, sys, 3)
+	killFirstBlockHolder(t, sys, "f-0")
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	x0 := sys.Cluster().Network().CrossRackBytes()
+	rep, err := cl.RunBlockFixer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RepairedStriped == 0 || rep.Unrecoverable != 0 {
+		t.Fatalf("fixer report %+v", rep)
+	}
+	if !sys.Cluster().Health().Healthy() {
+		t.Fatal("cluster unhealthy after the fixer")
+	}
+	st, err := cl.RepairStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := sys.Cluster().Network().CrossRackBytes() - x0
+	if st.QueueDepth != 0 || st.RepairedBytes != moved || moved == 0 {
+		t.Fatalf("status after the fixer: queue %d, %d repaired bytes; the pass moved %d",
+			st.QueueDepth, st.RepairedBytes, moved)
+	}
+	for name, want := range files {
+		if got, err := cl.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after the fixer: %v", name, err)
+		}
+	}
+}
+
+// TestRepairNowLeavesNoGraceSaveToCredit: a machine killed, flagged
+// suspect, repaired around by the fixer RPC and then restarted saved
+// nothing — its blocks were rebuilt — so AvoidedRepairs stays 0.
+func TestRepairNowLeavesNoGraceSaveToCredit(t *testing.T) {
+	sys := startManagedSystem(t, repairmgr.Config{
+		SuspectAfter: 150 * time.Millisecond,
+		GraceWindow:  time.Hour,
+		PollInterval: 20 * time.Millisecond,
+	})
+	preloadRaided(t, sys, 2)
+	victim := killFirstBlockHolder(t, sys, "f-0")
+	waitSuspect(t, sys, victim, 30*time.Second)
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.RunBlockFixer(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RestartDataNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	// The restart's beat queued the suspect → alive transition; a poll
+	// that began after it has handled it.
+	polls := sys.mgr.Status().PollCount
+	waitFor(t, 30*time.Second, "a poll begun after the restart", func() bool {
+		return sys.mgr.Status().PollCount > polls+1
+	})
+	st, err := cl.RepairStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AvoidedRepairs != 0 || st.AvoidedRepairBytes != 0 {
+		t.Fatalf("restart after the fixer credited a grace save: %+v", st)
 	}
 }

@@ -1,11 +1,16 @@
 // System wires a full serving cluster together on localhost: one
 // hdfs metadata plane as the storage substrate, one datanode daemon per
-// machine, and one namenode fronting the metadata — each on its own
-// TCP port. It is also the failure injector: KillDataNode marks the
-// machine dead at the namenode AND tears down its daemon with every
-// open connection, so clients experience the same thing a real machine
-// loss produces — connections cut mid-frame, then metadata that no
-// longer lists the machine.
+// machine, and one namenode fronting the metadata and running the
+// repair manager — each daemon on its own TCP port. Recovery has one
+// driver: datanodes heartbeat the namenode, the manager's failure
+// detector declares a machine dead once it has been silent past the
+// grace window (repairmgr.DefaultConfig: the paper's 15 minutes), and
+// its queue repairs what the machine held; the "fixer" RPC is the
+// manager's repair-now. It is also the failure injector: KillDataNode
+// marks the machine dead at the namenode AND tears down its daemon with
+// every open connection, so clients experience the same thing a real
+// machine loss produces — connections cut mid-frame, then metadata that
+// no longer lists the machine.
 package serve
 
 import (
@@ -24,28 +29,18 @@ import (
 type Option func(*sysOptions)
 
 type sysOptions struct {
+	// mgrCfg replaces repairmgr.DefaultConfig(); only the package's
+	// tests set it (withRepairConfig), to shorten the windows.
 	mgrCfg  *repairmgr.Config
 	teleCfg *TelemetryConfig
 }
 
-// WithRepairManager runs the autonomous repair control plane inside
-// the namenode: every datanode daemon sends dn.heartbeat frames, the
-// manager's failure detector tracks alive → suspect → dead, and
-// detected losses repair themselves through the risk-prioritised,
-// bandwidth-throttled queue — no manual fixer calls. The manager's
-// clock must be real time (leave cfg.Clock nil) for a live system.
-//
-//repolint:ignore deadexport ROADMAP 10: serve.Start always runs the manager, and this option folds into it
-func WithRepairManager(cfg repairmgr.Config) Option {
-	return func(o *sysOptions) { o.mgrCfg = &cfg }
-}
-
 // WithTelemetry instruments the whole system on one shared metrics
 // registry — every daemon's RPC path, the storage substrate's lock and
-// meta-op stats, the repair engine, and (when the control plane runs)
-// the repair manager — and gives each daemon a bounded span store so
-// sampled requests leave a collectable trace. cfg.HTTP additionally
-// starts a loopback /metrics + /debug/traces listener per daemon.
+// meta-op stats, the repair engine, and the repair manager — and gives
+// each daemon a bounded span store so sampled requests leave a
+// collectable trace. cfg.HTTP additionally starts a loopback /metrics +
+// /debug/traces listener per daemon.
 func WithTelemetry(cfg TelemetryConfig) Option {
 	return func(o *sysOptions) { o.teleCfg = &cfg }
 }
@@ -55,8 +50,8 @@ type System struct {
 	cluster *hdfs.Cluster
 	code    ec.Code
 	nn      *NameNode
-	mgr     *repairmgr.Manager // nil when the control plane is disabled
-	hbEvery time.Duration
+	mgr     *repairmgr.Manager
+	hbEvery time.Duration // each datanode's heartbeat period
 
 	reg     *telemetry.Registry // nil when telemetry is disabled
 	teleCfg TelemetryConfig
@@ -74,8 +69,9 @@ func (s *System) nodeTele(role, proc string) (*nodeTelemetry, error) {
 	return newNodeTelemetry(s.reg, s.teleCfg, role, proc)
 }
 
-// Start builds the storage cluster from cfg and brings up one datanode
-// daemon per machine plus the namenode. Close must be called to
+// Start builds the storage cluster from cfg, the repair manager over
+// it, the namenode, and one heartbeating datanode daemon per machine,
+// then starts the manager's control loop. Close must be called to
 // release the listeners.
 func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 	var o sysOptions
@@ -95,43 +91,18 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	s.cluster = cluster
+	mgrCfg := repairmgr.DefaultConfig()
 	if o.mgrCfg != nil {
-		mgrCfg := *o.mgrCfg
-		if s.reg != nil {
-			mgrCfg.Telemetry = s.reg
-		}
-		mgr, err := repairmgr.New(cluster, mgrCfg)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.mgr = mgr
-		// Three beats per suspect window keeps one lost frame from
-		// mattering.
-		suspectAfter := o.mgrCfg.SuspectAfter
-		if suspectAfter <= 0 {
-			suspectAfter = repairmgr.DefaultConfig().SuspectAfter
-		}
-		s.hbEvery = suspectAfter / 3
-		if s.hbEvery < 5*time.Millisecond {
-			s.hbEvery = 5 * time.Millisecond
-		}
+		mgrCfg = *o.mgrCfg
 	}
-	s.dns = make([]*DataNode, cluster.Machines())
-	for m := range s.dns {
-		tele, err := s.nodeTele("datanode", "datanode-"+strconv.Itoa(m))
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		dn, err := startDataNode(cluster, m, tele)
-		if err != nil {
-			tele.close()
-			s.Close()
-			return nil, err
-		}
-		s.dns[m] = dn
+	mgrCfg.Telemetry = s.reg
+	if s.mgr, err = repairmgr.New(cluster, mgrCfg); err != nil {
+		cluster.Close()
+		return nil, err
 	}
+	// Three beats per suspect window keeps one lost frame from
+	// mattering.
+	s.hbEvery = max(mgrCfg.SuspectAfter/3, 5*time.Millisecond)
 	nnTele, err := s.nodeTele("namenode", "namenode")
 	if err != nil {
 		s.Close()
@@ -144,27 +115,35 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	s.nn = nn
-	if s.mgr != nil {
-		// Heartbeats need the namenode's address, so they start last;
-		// the detector registered every node alive at construction, so
-		// nothing is suspect before the first beats flow.
-		s.mu.Lock()
-		for _, dn := range s.dns {
-			if dn != nil {
-				dn.startHeartbeats(nn.Addr(), s.hbEvery)
-			}
+	// The detector registered every node alive at construction, so no
+	// datanode needs to beat before its first period is up.
+	s.dns = make([]*DataNode, cluster.Machines())
+	for m := range s.dns {
+		dn, err := s.startDataNode(m)
+		if err != nil {
+			s.Close()
+			return nil, err
 		}
-		s.mu.Unlock()
-		s.mgr.Start()
+		s.dns[m] = dn
 	}
+	s.mgr.Start()
 	return s, nil
 }
 
-// RepairManager exposes the control plane for tests and benchmarks
-// (nil when Start ran without WithRepairManager).
-//
-//repolint:ignore deadexport ROADMAP 10: node_repair reads the manager's state through the live System
-func (s *System) RepairManager() *repairmgr.Manager { return s.mgr }
+// startDataNode launches machine m's daemon, with its telemetry handle
+// and its heartbeats to the namenode.
+func (s *System) startDataNode(m int) (*DataNode, error) {
+	tele, err := s.nodeTele("datanode", "datanode-"+strconv.Itoa(m))
+	if err != nil {
+		return nil, err
+	}
+	dn, err := startDataNode(s.cluster, m, tele, s.nn.Addr(), s.hbEvery)
+	if err != nil {
+		tele.close()
+		return nil, err
+	}
+	return dn, nil
+}
 
 // Telemetry returns the system-wide metrics registry (nil when Start
 // ran without WithTelemetry).
@@ -256,27 +235,16 @@ func (s *System) RestartDataNode(machine int) error {
 	if err := s.cluster.RecoverMachine(machine); err != nil {
 		return err
 	}
-	tele, err := s.nodeTele("datanode", "datanode-"+strconv.Itoa(machine))
+	dn, err := s.startDataNode(machine)
 	if err != nil {
-		return err
-	}
-	dn, err := startDataNode(s.cluster, machine, tele)
-	if err != nil {
-		tele.close()
 		return err
 	}
 	s.dns[machine] = dn
-	if s.mgr != nil {
-		// Re-register with the failure detector: restart the heartbeat
-		// loop AND deliver one beat synchronously, so a restart inside
-		// the grace window cancels the pending repair instead of racing
-		// the next heartbeat tick against the death deadline.
-		dn.startHeartbeats(s.nn.Addr(), s.hbEvery)
-		if err := s.mgr.Heartbeat(machine); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Re-register with the failure detector by one beat delivered
+	// synchronously, so a restart inside the grace window cancels the
+	// pending repair instead of racing the daemon's first heartbeat
+	// tick against the death deadline.
+	return s.mgr.Heartbeat(machine)
 }
 
 // ThrottleDataNode delays every data-path RPC (dn.read, dn.partial)
@@ -304,9 +272,7 @@ func (s *System) ThrottleDataNode(machine int, delay time.Duration) error {
 // Close tears down the control plane, the namenode, and every
 // datanode daemon.
 func (s *System) Close() error {
-	if s.mgr != nil {
-		s.mgr.Stop()
-	}
+	s.mgr.Stop()
 	if s.nn != nil {
 		s.nn.close()
 	}

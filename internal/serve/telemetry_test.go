@@ -313,7 +313,7 @@ func sumPrefix(m map[string]float64, prefix string) (total float64, found bool) 
 // scrapes.
 func TestMetricsScrapeCycle(t *testing.T) {
 	code := testCodecs(t)[0]
-	sys := startTestSystem(t, code, WithTelemetry(TelemetryConfig{HTTP: true}), WithRepairManager(repairmgr.Config{
+	sys := startTestSystem(t, code, WithTelemetry(TelemetryConfig{HTTP: true}), withRepairConfig(repairmgr.Config{
 		SuspectAfter: 150 * time.Millisecond,
 		GraceWindow:  0, // repair at the suspect deadline: the cycle wants traffic, not savings
 		PollInterval: 20 * time.Millisecond,
