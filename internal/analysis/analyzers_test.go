@@ -37,9 +37,9 @@ func TestFrameCheckGolden(t *testing.T) {
 	runGolden(t, FrameCheck(), "testdata/framecheck", "repro/internal/serve")
 }
 
-// The telemetry package carries trace headers over the same frames and
-// marshals registry state in its debug handlers, so framecheck targets
-// it too: the identical golden sources must fire under its import path.
+// The telemetry package marshals registry state in its /metrics
+// handlers, so framecheck targets it too: the identical golden sources
+// must fire under its import path.
 func TestFrameCheckTelemetryGolden(t *testing.T) {
 	runGolden(t, FrameCheck(), "testdata/framecheck", "repro/internal/telemetry")
 }

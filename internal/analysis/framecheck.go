@@ -37,11 +37,11 @@ func (frameCheck) Doc() string {
 }
 
 // frameTargetPaths are the packages the rule applies to: the serve
-// wire path, the telemetry plane it carries (trace headers ride the
-// same frames; the debug HTTP handlers marshal registry state), the
-// extent store (segment headers are length-prefixed disk frames —
-// a decoded length allocates the read buffer, so the same
-// bounds-before-allocation discipline applies), and the block cache
+// wire path, the telemetry plane (its /metrics handlers marshal
+// registry state), the extent store (segment headers are
+// length-prefixed disk frames — a decoded length allocates the read
+// buffer, so the same bounds-before-allocation discipline applies),
+// and the block cache
 // (it sits directly on the read path and sizes copies from lengths
 // that originated as wire payloads).
 var frameTargetPaths = map[string]bool{

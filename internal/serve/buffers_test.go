@@ -118,7 +118,7 @@ func TestInterleavedReadsNeverSeeARecycledBuffer(t *testing.T) {
 				if i%2 == 0 {
 					dst = lent
 				}
-				got, err := cl.dnRead(r.machine, r.id, off, length, nil, dst)
+				got, err := cl.dnRead(r.machine, r.id, off, length, dst)
 				if err != nil {
 					errs <- fmt.Errorf("client %d: read [%d,+%d) of block %d on %d: %w", w, off, length, r.id, r.machine, err)
 					return
@@ -152,10 +152,10 @@ func TestReadBeyondShardBoundRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := blocks[0]
-	if _, err := cl.dnRead(b.Locations[0], int64(b.ID), 0, 8<<10, nil, nil); err != nil {
+	if _, err := cl.dnRead(b.Locations[0], int64(b.ID), 0, 8<<10, nil); err != nil {
 		t.Fatalf("block-sized read refused: %v", err)
 	}
-	if _, err := cl.dnRead(b.Locations[0], int64(b.ID), 0, 8<<10+1, nil, nil); err == nil {
+	if _, err := cl.dnRead(b.Locations[0], int64(b.ID), 0, 8<<10+1, nil); err == nil {
 		t.Fatal("a read longer than a padded block was served")
 	}
 }
@@ -326,7 +326,7 @@ func TestServingAReadAllocatesUnderAQuarterBlock(t *testing.T) {
 	res := testing.Benchmark(func(tb *testing.B) {
 		tb.ReportAllocs()
 		for i := 0; i < tb.N; i++ {
-			got, err := cl.dnRead(b.Locations[0], int64(b.ID), 0, blockSize, nil, dst)
+			got, err := cl.dnRead(b.Locations[0], int64(b.ID), 0, blockSize, dst)
 			if err != nil || !bytes.Equal(got, data) {
 				tb.Fatalf("read: %v", err)
 			}

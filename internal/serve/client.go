@@ -168,22 +168,6 @@ func WithBlockCache(n int64) ClientOption {
 	return func(c *Client) { c.blockCache = cache.New(n, cache.DefaultShards) }
 }
 
-// WithTraceSampling samples every Nth degraded read (1 = every one)
-// for distributed tracing: the sampled read mints a trace context,
-// propagates it on every RPC it issues, and records a root span
-// locally. Collect the assembled trace with CollectTrace after reading
-// LastTraceID.
-//
-//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain samples the trace it explains
-func WithTraceSampling(every int) ClientOption {
-	return func(c *Client) {
-		if every > 0 {
-			c.sampleEvery = int64(every)
-			c.spans = telemetry.NewSpanStore(0)
-		}
-	}
-}
-
 // Client talks to a serving cluster. It is safe for concurrent use;
 // workloads wanting parallel in-flight requests should prefer one
 // Client per worker, since requests on one pooled connection
@@ -226,13 +210,6 @@ type Client struct {
 	cCorruptReps    *telemetry.Counter
 	cCacheHits      *telemetry.Counter
 	cCacheMisses    *telemetry.Counter
-
-	// Trace sampling state (WithTraceSampling): every Nth degraded
-	// read propagates a trace context and records a client root span.
-	sampleEvery int64
-	degradedSeq atomic.Int64
-	lastTrace   atomic.Uint64
-	spans       *telemetry.SpanStore
 }
 
 // Dial connects to the namenode and fetches the cluster handshake.
@@ -295,12 +272,6 @@ func (c *Client) Counters() Counters {
 // Telemetry exposes the client's metrics registry — the same counters
 // Counters() reports, in mergeable snapshot form.
 func (c *Client) Telemetry() *telemetry.Registry { return c.reg }
-
-// LastTraceID returns the trace id of the most recent sampled degraded
-// read (0 when tracing is off or nothing sampled yet).
-//
-//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain names the trace it collects
-func (c *Client) LastTraceID() uint64 { return c.lastTrace.Load() }
 
 // Close severs every pooled connection.
 func (c *Client) Close() error {
@@ -379,10 +350,9 @@ func (c *Client) refreshAddrs() error {
 	return nil
 }
 
-// dnCallFull performs one RPC against the given machine's datanode and
-// returns the response header beside the payload — debug.trace answers
-// in the header's cold body, not the payload. Partial-sum calls scale
-// timeout with the fold tree's size.
+// dnCall performs one RPC against the given machine's datanode and
+// returns the response payload. Partial-sum calls scale timeout with
+// the fold tree's size.
 //
 // A transport failure may mean the daemon restarted on a fresh port
 // while this client still holds the old one: the read would fall
@@ -396,16 +366,16 @@ func (c *Client) refreshAddrs() error {
 //
 // dst, when non-nil, is where the response payload lands (see
 // conn.call).
-func (c *Client) dnCallFull(machine int, req *request, timeout time.Duration, dst []byte) (*response, []byte, error) {
-	resp, out, addr, err := c.dnCallOnce(machine, req, timeout, dst)
+func (c *Client) dnCall(machine int, req *request, timeout time.Duration, dst []byte) ([]byte, error) {
+	out, addr, err := c.dnCallOnce(machine, req, timeout, dst)
 	if err == nil {
-		return resp, out, nil
+		return out, nil
 	}
 	if _, remote := err.(*RemoteError); remote || !c.relocated(machine, addr) {
-		return nil, nil, err
+		return nil, err
 	}
-	resp, out, _, err = c.dnCallOnce(machine, req, timeout, dst)
-	return resp, out, err
+	out, _, err = c.dnCallOnce(machine, req, timeout, dst)
+	return out, err
 }
 
 // addrRefreshEvery bounds how often one machine's transport failures
@@ -436,7 +406,7 @@ func (c *Client) relocated(machine int, addr string) bool {
 
 // dnCallOnce is one attempt against the machine's current address,
 // which it also returns ("" when the table lists none).
-func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, dst []byte) (*response, []byte, string, error) {
+func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, dst []byte) ([]byte, string, error) {
 	c.mu.Lock()
 	var addr string
 	if machine >= 0 && machine < len(c.addrs) {
@@ -445,12 +415,12 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, ds
 	cn := c.dns[addr]
 	c.mu.Unlock()
 	if addr == "" {
-		return nil, nil, "", fmt.Errorf("serve: datanode %d has no address (down?)", machine)
+		return nil, "", fmt.Errorf("serve: datanode %d has no address (down?)", machine)
 	}
 	if cn == nil {
 		fresh, err := dialConn(addr, timeout)
 		if err != nil {
-			return nil, nil, addr, err
+			return nil, addr, err
 		}
 		c.mu.Lock()
 		if existing := c.dns[addr]; existing != nil {
@@ -463,7 +433,7 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, ds
 		c.mu.Unlock()
 	}
 	start := time.Now()
-	resp, out, err := cn.call(req, nil, timeout, dst)
+	_, out, err := cn.call(req, nil, timeout, dst)
 	if err != nil {
 		if _, remote := err.(*RemoteError); !remote {
 			// A transport failure took this long to surface — that IS
@@ -479,15 +449,14 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, ds
 			c.mu.Unlock()
 			cn.close()
 		}
-		return nil, nil, addr, err
+		return nil, addr, err
 	}
 	c.lat.observe(machine, time.Since(start))
-	return resp, out, addr, nil
+	return out, addr, nil
 }
 
 // dnRead fetches one byte range of one block from a machine, into dst
-// when it is non-nil and holds the range. trace, when non-nil, rides
-// the request so the datanode's span parents under the caller's.
+// when it is non-nil and holds the range.
 //
 // A datanode answers a range with exactly its length (zero-padded past
 // the block's end), so a reply of any other length is a failed replica:
@@ -496,9 +465,9 @@ func (c *Client) dnCallOnce(machine int, req *request, timeout time.Duration, ds
 // successful read therefore landed in dst whenever dst could hold the
 // range; a failed one may have written any part of dst, never past its
 // capacity.
-func (c *Client) dnRead(machine int, block, offset, length int64, trace *telemetry.TraceContext, dst []byte) ([]byte, error) {
-	req := &request{Method: methodDNRead, Block: block, Offset: offset, Length: length, Trace: trace}
-	_, out, err := c.dnCallFull(machine, req, c.timeout, dst)
+func (c *Client) dnRead(machine int, block, offset, length int64, dst []byte) ([]byte, error) {
+	req := &request{Method: methodDNRead, Block: block, Offset: offset, Length: length}
+	out, err := c.dnCall(machine, req, c.timeout, dst)
 	if err == nil && int64(len(out)) != length {
 		return nil, fmt.Errorf("serve: datanode %d answered [%d,+%d) of block %d with %d bytes", machine, offset, length, block, len(out))
 	}
@@ -559,40 +528,6 @@ func (c *Client) RepairStatus() (*repairmgr.Status, error) {
 		return nil, fmt.Errorf("serve: repair status reply: %w", err)
 	}
 	return st, nil
-}
-
-// CollectTrace assembles one distributed trace: the client's local
-// root span plus the spans buffered at the namenode and every
-// reachable datanode, filtered to traceID. Daemons that are down (or
-// run without telemetry) are skipped — their spans are simply absent,
-// which is what a trace of a system with failures looks like. The
-// caller builds the tree with telemetry.BuildTree.
-//
-//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain renders the collected trace
-func (c *Client) CollectTrace(traceID uint64) ([]telemetry.Span, error) {
-	if traceID == 0 {
-		return nil, errors.New("serve: trace id 0 names no trace")
-	}
-	spans := c.spans.Trace(traceID)
-	// A daemon that is down, runs without telemetry or answers with
-	// something that does not decode contributes no spans.
-	add := func(resp *response, err error) {
-		var got []telemetry.Span
-		if err == nil && resp.cold(&got) == nil {
-			spans = append(spans, got...)
-		}
-	}
-	add(c.nameCall(&request{Method: methodDebugTrace, TraceID: traceID}, nil))
-	c.mu.Lock()
-	addrs := append([]string(nil), c.addrs...)
-	c.mu.Unlock()
-	for m, addr := range addrs {
-		if addr != "" {
-			resp, _, err := c.dnCallFull(m, &request{Method: methodDebugTrace, TraceID: traceID}, c.timeout, nil)
-			add(resp, err)
-		}
-	}
-	return spans, nil
 }
 
 // fileBlocks fetches the file's size and block table.
@@ -760,7 +695,7 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 			// machine — count it and keep going; the stripe reconstructs
 			// around it.
 			for _, m := range c.replicaOrder(b.Locations) {
-				_, err := c.dnRead(m, b.ID, 0, b.Size, nil, slot)
+				_, err := c.dnRead(m, b.ID, 0, b.Size, slot)
 				if err == nil {
 					c.cBlocksRead.Inc()
 					c.cacheFill(b, slot)
@@ -810,43 +745,7 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 // (short tail stripes) decode as zeros without touching the network —
 // exactly the access pattern the repair plans charge for.
 func (c *Client) degradedRead(b wireBlock, lent [][]byte) ([]byte, error) {
-	// Sampling decision: every Nth degraded read mints a trace context
-	// that rides every RPC the reconstruction issues, plus a root span
-	// recorded locally whose Bytes is the total payload this client
-	// downloaded to serve the read.
-	var (
-		tc         *telemetry.TraceContext
-		rootSpan   uint64
-		traceStart time.Time
-		fetched    atomic.Int64
-	)
-	if c.sampleEvery > 0 && (c.degradedSeq.Add(1)-1)%c.sampleEvery == 0 {
-		rootSpan = telemetry.NewID()
-		tc = &telemetry.TraceContext{TraceID: telemetry.NewID(), SpanID: rootSpan, Sampled: true}
-		c.lastTrace.Store(tc.TraceID)
-		traceStart = time.Now()
-	}
-	out, err := c.degradedReadTraced(b, lent, tc, &fetched)
-	if tc != nil {
-		span := telemetry.Span{
-			TraceID:       tc.TraceID,
-			SpanID:        rootSpan,
-			Name:          "degraded_read",
-			Process:       "client",
-			StartUnixNano: traceStart.UnixNano(),
-			DurationNanos: int64(time.Since(traceStart)),
-			Bytes:         fetched.Load(),
-		}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		c.spans.Add(span)
-	}
-	return out, err
-}
-
-func (c *Client) degradedReadTraced(b wireBlock, lent [][]byte, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
-	resp, err := c.nameCall(&request{Method: methodStripe, Stripe: b.Stripe, Trace: tc}, nil)
+	resp, err := c.nameCall(&request{Method: methodStripe, Stripe: b.Stripe}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -885,7 +784,7 @@ func (c *Client) degradedReadTraced(b wireBlock, lent [][]byte, tc *telemetry.Tr
 		return p.Block < 0 || len(p.Locations) > 0 || held(pos) != nil
 	}
 	if c.partialSum {
-		if shard, err := c.partialDegradedRead(b, st, alive, tc, fetched); err == nil {
+		if shard, err := c.partialDegradedRead(b, st, alive); err == nil {
 			c.cPartialBlocks.Inc()
 			return shard[:b.Size], nil
 		}
@@ -932,10 +831,9 @@ func (c *Client) degradedReadTraced(b wireBlock, lent [][]byte, tc *telemetry.Tr
 		var lastErr error
 		dst := arena.Bytes(int(st.ShardSize))
 		for _, m := range c.replicaOrder(p.Locations) {
-			buf, err := c.dnRead(m, p.Block, req.Offset, req.Length, tc, dst)
+			buf, err := c.dnRead(m, p.Block, req.Offset, req.Length, dst)
 			if err == nil {
 				c.cDegradedBytes.Add(req.Length)
-				fetched.Add(req.Length)
 				return buf, nil
 			}
 			lastErr = err
@@ -955,7 +853,7 @@ func (c *Client) degradedReadTraced(b wireBlock, lent [][]byte, tc *telemetry.Tr
 // the rack-aware fold tree, and ask the root aggregator for its partial
 // sum over dn.partial. The reconstructing client's NIC carries one
 // block-sized payload instead of the plan's ~k.
-func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.AliveFunc, tc *telemetry.TraceContext, fetched *atomic.Int64) ([]byte, error) {
+func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.AliveFunc) ([]byte, error) {
 	lp, ok := c.code.(ec.LinearRepairPlanner)
 	if !ok {
 		return nil, fmt.Errorf("serve: %s has no linear repair plan", c.code.Name())
@@ -987,14 +885,12 @@ func (c *Client) partialDegradedRead(b wireBlock, st *wireStripe, alive ec.Alive
 		return nil, err
 	}
 	return tree.Repair(func(root *engine.AggNode) ([]byte, error) {
-		_, out, err := c.dnCallFull(root.Machine, &request{
+		out, err := c.dnCall(root.Machine, &request{
 			Method:  methodDNPartial,
 			Length:  tree.TargetSize,
 			Partial: wireTree(root, st, addrs),
-			Trace:   tc,
 		}, partialTimeout(len(tree.Nodes())), nil)
 		c.cDegradedBytes.Add(int64(len(out)))
-		fetched.Add(int64(len(out)))
 		return out, err
 	})
 }

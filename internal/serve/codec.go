@@ -9,8 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"strconv"
-
-	"repro/internal/telemetry"
 )
 
 // headerVersion opens every header. A JSON-era header opens with '{'
@@ -26,6 +24,8 @@ const (
 
 // Field keys. Request and response share one numbering, so a key means
 // one thing wherever it turns up; a field at its zero value is not sent.
+// Numbers 9, 10, 20 and 24 are retired: a decoder steps over them and
+// no new field takes them.
 const (
 	tagMethod   = 1<<1 | kindVarint // index into methodNames
 	tagName     = 2<<1 | kindBytes
@@ -35,8 +35,6 @@ const (
 	tagMachine  = 6<<1 | kindVarint
 	tagStripeID = 7<<1 | kindVarint
 	tagPartial  = 8<<1 | kindBytes // wirePartialNode
-	tagTrace    = 9<<1 | kindBytes // telemetry.TraceContext
-	tagTraceID  = 10<<1 | kindVarint
 
 	tagOK              = 16<<1 | kindVarint
 	tagErr             = 17<<1 | kindBytes
@@ -53,15 +51,16 @@ const (
 
 // methodNames gives every method its wire id: a method travels as its
 // id and nothing else. Ids are append-only — a retired method (2 "stat",
-// 8 "fail", 9 "restore", 14 "dn.ping") leaves its slot empty — and one
-// this build has no name for (0, which is also what a name outside the
-// table encodes as, a retired one, or a newer build's) decodes to a
-// name no handler has, so the answer is the handler's "unknown method".
+// 8 "fail", 9 "restore", 12 the span tracer's dump, 14 "dn.ping")
+// leaves its slot empty — and one this build has no name for (0, which
+// is also what a name outside the table encodes as, a retired one, or a
+// newer build's) decodes to a name no handler has, so the answer is the
+// handler's "unknown method".
 var methodNames = [...]string{
 	1: methodInfo, 3: methodBlocks, 4: methodStripe,
 	5: methodWrite, 6: methodRaid, 7: methodFixer,
 	10: methodHeartbeat, 11: methodRepairStatus,
-	12: methodDebugTrace, 13: methodDNRead, 15: methodDNPartial,
+	13: methodDNRead, 15: methodDNPartial,
 }
 
 func methodID(name string) int64 {
@@ -166,18 +165,7 @@ func (r *request) appendHeader(b []byte) []byte {
 		b, at = beginNested(b, tagPartial)
 		b = endNested(r.Partial.appendTo(b), at)
 	}
-	if t := r.Trace; t != nil {
-		var at int
-		b, at = beginNested(b, tagTrace)
-		b = binary.AppendUvarint(b, t.TraceID)
-		b = binary.AppendUvarint(b, t.SpanID)
-		sampled := byte(0)
-		if t.Sampled {
-			sampled = 1
-		}
-		b = endNested(put(b, sampled), at)
-	}
-	return appendVarintField(b, tagTraceID, int64(r.TraceID))
+	return b
 }
 
 func (n *wirePartialNode) appendTo(b []byte) []byte {
@@ -409,12 +397,6 @@ func (r *request) decodeHeader(b []byte) error {
 			r.Partial = new(wirePartialNode)
 			sub.node(r.Partial, &budget)
 			d.join(&sub)
-		case tagTrace:
-			sub := d.nested()
-			r.Trace = &telemetry.TraceContext{TraceID: sub.uvarint(), SpanID: sub.uvarint(), Sampled: sub.byte() == 1}
-			d.join(&sub)
-		case tagTraceID:
-			r.TraceID = uint64(d.varint())
 		default:
 			d.skip(tag)
 		}

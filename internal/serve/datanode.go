@@ -184,7 +184,7 @@ func (r *request) childPartials() ([][]byte, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = fetchChildPartial(&children[i], r.Length, r.Trace)
+			parts[i], errs[i] = fetchChildPartial(&children[i], r.Length)
 		}(i)
 	}
 	wg.Wait()
@@ -202,16 +202,14 @@ func (r *request) childPartials() ([][]byte, error) {
 // child's ENTIRE subtree fold, so it scales with the subtree size
 // instead of being a flat per-hop bound — a deep rack chain must not
 // time out level by level while every node is healthy.
-func fetchChildPartial(child *wirePartialNode, targetSize int64, trace *telemetry.TraceContext) ([]byte, error) {
+func fetchChildPartial(child *wirePartialNode, targetSize int64) ([]byte, error) {
 	timeout := partialTimeout(child.countNodes(maxPartialNodes))
 	cn, err := dialConn(child.Addr, timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer cn.close()
-	// trace carries THIS daemon's span id (the dispatch layer rewrote it
-	// before the handler ran), so the child's span parents correctly.
-	_, out, err := cn.call(&request{Method: methodDNPartial, Length: targetSize, Partial: child, Trace: trace}, nil, timeout, nil)
+	_, out, err := cn.call(&request{Method: methodDNPartial, Length: targetSize, Partial: child}, nil, timeout, nil)
 	if err != nil {
 		return nil, err
 	}

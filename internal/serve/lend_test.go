@@ -370,7 +370,7 @@ func TestWrongLengthReplyIsAFailedReplica(t *testing.T) {
 	cl.addrs[liar] = wrongLengthReplies(t, -1)
 	cl.mu.Unlock()
 
-	if buf, err := cl.dnRead(liar, int64(blocks[1].ID), 0, lendBlock, nil, nil); err == nil {
+	if buf, err := cl.dnRead(liar, int64(blocks[1].ID), 0, lendBlock, nil); err == nil {
 		t.Fatalf("a %d-byte answer to a %d-byte read was accepted", len(buf), lendBlock)
 	}
 	got, err := cl.ReadFile("f")

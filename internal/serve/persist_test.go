@@ -275,7 +275,7 @@ func TestCorruptReplicaIsMatchedByItsCodeNotItsWording(t *testing.T) {
 		return writeFrame(c, errResponse(fmt.Errorf("disk 3 says %q, whatever that means", hdfs.ErrCorruptReplica)), nil)
 	})
 	quoting.mu.Unlock()
-	_, err = quoting.dnRead(holder, int64(blocks[0].ID), 0, blocks[0].Size, nil, nil)
+	_, err = quoting.dnRead(holder, int64(blocks[0].ID), 0, blocks[0].Size, nil)
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Code != codeOther || !strings.Contains(remote.Msg, hdfs.ErrCorruptReplica.Error()) {
 		t.Fatalf("the quoting datanode's error arrived as %#v", err)
@@ -295,7 +295,7 @@ func TestCorruptReplicaIsMatchedByItsCodeNotItsWording(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer honest.Close()
-	_, err = honest.dnRead(holder, int64(blocks[0].ID), 0, blocks[0].Size, nil, nil)
+	_, err = honest.dnRead(holder, int64(blocks[0].ID), 0, blocks[0].Size, nil)
 	if !errors.As(err, &remote) || remote.Code != codeCorruptReplica {
 		t.Fatalf("a checksum refusal arrived as %#v, want code %d", err, codeCorruptReplica)
 	}

@@ -39,8 +39,8 @@
 // every method (codec.go). After the version byte it is a run of
 // fields, each a one-byte key — field number<<1 | kind — and a value:
 // kind 0 a zigzag varint, kind 1 a uvarint length and that many bytes.
-// A field at its zero value is not sent. Numbers 20 and 24 are retired
-// and are not given out again.
+// A field at its zero value is not sent. Numbers 9, 10, 20 and 24 are
+// retired and are not given out again.
 //
 //	 #  field            kind    value
 //	 1  method           varint  the method's id (methodNames)
@@ -54,8 +54,8 @@
 //	                             address, term count, terms (block, offset,
 //	                             length, target offset, coefficient byte),
 //	                             child count, children
-//	 9  trace            bytes   trace id, span id (uvarints), sampled byte
-//	10  trace id         varint  debug.trace filter
+//	 9  (retired)        bytes   was a span tracer's trace context
+//	10  (retired)        varint  was the tracer's dump filter
 //	16  ok               varint  1
 //	17  err              bytes   error text
 //	18  err code         varint  what kind of error (errCode)
@@ -80,23 +80,22 @@
 // not the version (a JSON-era peer's opens with '{'), or one that ends
 // inside a field, is a bad frame header: the connection is dropped.
 //
-// The cold rule: the admin and debug structures — the fixer report,
-// repair.status, a debug.trace span dump — are not given fields. They
-// ride field 27 as one JSON blob the codec never looks into
-// (coldResponse, response.cold), so encoding/json is reachable from no
-// frame of blocks, stripe, dn.read, dn.partial, dn.heartbeat, write or
-// raid, and a new status field costs the wire nothing.
+// The cold rule: the admin structures — the fixer report and
+// repair.status — are not given fields. They ride field 27 as one JSON
+// blob the codec never looks into (coldResponse, response.cold), so
+// encoding/json is reachable from no frame of blocks, stripe, dn.read,
+// dn.partial, dn.heartbeat, write or raid, and a new status field costs
+// the wire nothing.
 //
 // The namenode answers metadata methods ("info", "blocks", "stripe"),
 // mutations ("write", "raid", and "fixer", the repair manager's
 // RepairNow), the datanodes' "dn.heartbeat" and the repair manager's
-// "repair.status". Datanodes answer
-// "dn.read" (a replica range) and "dn.partial" (fold this
-// node's repair ranges and its children's partial sums into one
-// block-sized buffer). Every daemon answers "debug.trace". Errors travel in the response
-// header as text plus a code for the kinds a caller acts on (corrupt
-// replica, not found, exists, node down; RemoteError carries both); the
-// payload always carries data, never errors.
+// "repair.status". Datanodes answer "dn.read" (a replica range) and
+// "dn.partial" (fold this node's repair ranges and its children's
+// partial sums into one block-sized buffer). Errors travel in the
+// response header as text plus a code for the kinds a caller acts on
+// (corrupt replica, not found, exists, node down; RemoteError carries
+// both); the payload always carries data, never errors.
 //
 // # Degraded reads and lent blocks
 //
@@ -105,7 +104,7 @@
 // terms it holds, XORed with its children's) in one of two shapes, over
 // one of two transports; internal/engine/aggtree.go has the whole
 // account. By default the client is the one node and holds every term:
-// degradedReadTraced runs the codec's ExecuteRepair — that fold, without
+// degradedRead runs the codec's ExecuteRepair — that fold, without
 // children — over a fetch callback. With WithPartialSumRepair the
 // datanodes fold the plan along a
 // rack-aware tree (dn.partial), the client asks the root for one folded
@@ -166,11 +165,10 @@ import (
 
 	"repro/internal/ec"
 	"repro/internal/hdfs"
-	"repro/internal/telemetry"
 )
 
 // Frame size sanity bounds: a header is tens of bytes (a block table or
-// a span dump, kilobytes); a payload is at most one file write
+// a cold reply, kilobytes); a payload is at most one file write
 // (kilobytes to megabytes in tests and the benchmark).
 const (
 	maxHeaderBytes  = 1 << 20
@@ -200,11 +198,6 @@ const (
 	// methodRepairStatus returns the control plane's status snapshot.
 	methodHeartbeat    = "dn.heartbeat"
 	methodRepairStatus = "repair.status"
-	// methodDebugTrace is answered generically by EVERY daemon (namenode
-	// and datanodes alike): it dumps the process's buffered trace spans,
-	// optionally filtered to one trace id. Errors when the system runs
-	// without telemetry.
-	methodDebugTrace = "debug.trace"
 )
 
 // Datanode RPC method names.
@@ -233,15 +226,6 @@ type request struct {
 	// Partial is the dn.partial fold tree rooted at the addressed
 	// datanode; Length carries the target (folded buffer) size.
 	Partial *wirePartialNode
-
-	// Trace is the optional trace context of a sampled operation. The
-	// SpanID it carries is the CALLER's span: a daemon minting a span
-	// for the request uses it as the parent, then rewrites the field so
-	// downstream calls made while handling (dn.partial child fetches)
-	// parent correctly.
-	Trace *telemetry.TraceContext
-	// TraceID filters a debug.trace dump to one trace (0 = everything).
-	TraceID uint64
 }
 
 // wirePartialTerm is one term of a linear repair plan as a datanode is
@@ -341,10 +325,10 @@ type response struct {
 	DataNodes       []string
 	MachinesPerRack int
 
-	// Cold is the body of a cold admin/debug reply — a FixReport, a
-	// repairmgr.Status, a debug.trace span dump — as JSON the header codec
-	// carries as one opaque run of bytes and never looks into (see
-	// coldResponse and cold). No method on a read or write path sets it.
+	// Cold is the body of a cold admin reply — a FixReport or a
+	// repairmgr.Status — as JSON the header codec carries as one opaque
+	// run of bytes and never looks into (see coldResponse and cold). No
+	// method on a read or write path sets it.
 	Cold []byte
 }
 
@@ -566,7 +550,7 @@ func okResponse() *response { return &response{OK: true} }
 
 func errResponse(err error) *response { return &response{Err: err.Error(), Code: errCodeOf(err)} }
 
-// coldResponse answers a cold admin/debug method: body rides the
+// coldResponse answers a cold admin method: body rides the
 // header's opaque Cold field as JSON — the one place JSON is left on
 // the wire, and on no read or write path.
 func coldResponse(body any) *response {

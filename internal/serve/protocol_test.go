@@ -118,6 +118,41 @@ func TestJSONEraFrameIsRefusedByBothDaemons(t *testing.T) {
 	}
 }
 
+// TestRetiredMethodIsUnknownToBothDaemons: method id 12 named the span
+// tracer's dump, which every daemon used to answer. An older client's
+// dump request now gets "unknown method" from the namenode and a
+// datanode alike, and the connection it came on carries the next call.
+func TestRetiredMethodIsUnknownToBothDaemons(t *testing.T) {
+	sys := startTestSystem(t, testCodecs(t)[0])
+	retired := []byte{headerVersion, tagMethod, 2 * 12, 10<<1 | kindVarint, 0x0a} // id 12, trace 5
+	for daemon, tc := range map[string]struct {
+		addr string
+		next *request
+	}{
+		"namenode": {sys.NameAddr(), &request{Method: methodInfo}},
+		"datanode": {sys.dataNodeAddrs()[0], &request{Method: methodDNRead, Block: 1 << 40, Length: 1}},
+	} {
+		cn, err := dialConn(tc.addr, shortTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cn.nc.SetDeadline(time.Now().Add(shortTimeout))
+		if _, err := cn.nc.Write(framed(retired)); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if _, err := readFrame(cn.br, &resp, nil); err != nil || !strings.Contains(resp.Err, "unknown method") {
+			t.Fatalf("%s answered method id 12 with %+v (%v), want unknown method", daemon, resp, err)
+		}
+		_, _, err = cn.call(tc.next, nil, shortTimeout, nil)
+		var remote *RemoteError
+		if err != nil && !errors.As(err, &remote) {
+			t.Fatalf("%s: the connection did not carry the next call: %v", daemon, err)
+		}
+		cn.close()
+	}
+}
+
 // allocatedDuring returns the bytes the whole process allocated while f
 // ran.
 func allocatedDuring(f func()) uint64 {

@@ -419,7 +419,7 @@ func TestClientFollowsRestartedDataNode(t *testing.T) {
 			if tc.callWhileDown {
 				// What a read in flight during the kill does: the call
 				// fails, the client refreshes, the table now says "".
-				if _, err := cl.dnRead(victim, int64(blocks[0].ID), 0, 1, nil, nil); err == nil {
+				if _, err := cl.dnRead(victim, int64(blocks[0].ID), 0, 1, nil); err == nil {
 					t.Fatal("a call to the dead machine succeeded")
 				}
 				cl.mu.Lock()

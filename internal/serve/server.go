@@ -7,7 +7,6 @@ package serve
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -39,7 +38,7 @@ func lentBytes(lend *[]byte, n int64) []byte {
 type server struct {
 	ln     net.Listener
 	handle handlerFunc
-	tele   *nodeTelemetry // nil disables instrumentation and tracing
+	tele   *nodeTelemetry // nil disables instrumentation
 	// maxPayload is the longest request payload the daemon reads: a
 	// longer one is refused on the frame's prefix and the connection
 	// dropped.
@@ -50,9 +49,6 @@ type server struct {
 	closed bool
 	wg     sync.WaitGroup
 }
-
-// errTracingDisabled answers debug.trace on an uninstrumented daemon.
-var errTracingDisabled = errors.New("serve: telemetry disabled")
 
 // newServer listens on an ephemeral localhost port and starts the
 // accept loop. tele may be nil (no instrumentation).

@@ -81,7 +81,7 @@ func TestSlotHalfWrittenByADyingReplicaIsOverwrittenByTheNext(t *testing.T) {
 	// The mechanism, on a slot of the test's own.
 	const poison = 0xee
 	slot := bytes.Repeat([]byte{poison}, int(b.Size))
-	if _, err := cl.dnRead(dying, b.ID, 0, b.Size, nil, slot); err == nil {
+	if _, err := cl.dnRead(dying, b.ID, 0, b.Size, slot); err == nil {
 		t.Fatal("a payload cut off halfway was accepted")
 	}
 	half := len(slot) / 2
@@ -133,7 +133,7 @@ func TestWrongLengthReplyStaysInsideItsSlot(t *testing.T) {
 			const poison = 0xee
 			result := bytes.Repeat([]byte{poison}, 3*lendBlock)
 			slot := result[lendBlock : 2*lendBlock : 2*lendBlock]
-			if _, err := cl.dnRead(liar, int64(blocks[1].ID), 0, lendBlock, nil, slot); err == nil {
+			if _, err := cl.dnRead(liar, int64(blocks[1].ID), 0, lendBlock, slot); err == nil {
 				t.Fatal("a reply of the wrong length was accepted")
 			}
 			if !poisoned(result[:lendBlock], poison) || !poisoned(result[2*lendBlock:], poison) {

@@ -15,7 +15,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -37,10 +36,8 @@ type sysOptions struct {
 
 // WithTelemetry instruments the whole system on one shared metrics
 // registry — every daemon's RPC path, the storage substrate's lock and
-// meta-op stats, the repair engine, and the repair manager — and gives
-// each daemon a bounded span store so sampled requests leave a
-// collectable trace. cfg.HTTP additionally starts a loopback /metrics +
-// /debug/traces listener per daemon.
+// meta-op stats, the repair engine, and the repair manager. cfg.HTTP
+// additionally starts a loopback /metrics listener per daemon.
 func WithTelemetry(cfg TelemetryConfig) Option {
 	return func(o *sysOptions) { o.teleCfg = &cfg }
 }
@@ -62,11 +59,11 @@ type System struct {
 
 // nodeTele builds one daemon's telemetry handle (nil when the system
 // runs without WithTelemetry).
-func (s *System) nodeTele(role, proc string) (*nodeTelemetry, error) {
+func (s *System) nodeTele(role string) (*nodeTelemetry, error) {
 	if s.reg == nil {
 		return nil, nil
 	}
-	return newNodeTelemetry(s.reg, s.teleCfg, role, proc)
+	return newNodeTelemetry(s.reg, s.teleCfg, role)
 }
 
 // Start builds the storage cluster from cfg, the repair manager over
@@ -103,7 +100,7 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 	// Three beats per suspect window keeps one lost frame from
 	// mattering.
 	s.hbEvery = max(mgrCfg.SuspectAfter/3, 5*time.Millisecond)
-	nnTele, err := s.nodeTele("namenode", "namenode")
+	nnTele, err := s.nodeTele("namenode")
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -133,7 +130,7 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 // startDataNode launches machine m's daemon, with its telemetry handle
 // and its heartbeats to the namenode.
 func (s *System) startDataNode(m int) (*DataNode, error) {
-	tele, err := s.nodeTele("datanode", "datanode-"+strconv.Itoa(m))
+	tele, err := s.nodeTele("datanode")
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,9 @@
 // Per-daemon telemetry plumbing: each daemon (namenode, every
 // datanode) carries a nodeTelemetry — a handle on the System-wide
-// metrics registry, its own bounded span store, and an optional
-// loopback debug HTTP listener. The generic server loop threads every
-// RPC through it (per-method counters, latency histograms, byte
-// counters, span minting), so instrumenting a daemon costs its handler
-// nothing.
+// metrics registry and an optional loopback /metrics listener. The
+// generic server loop threads every RPC through it (per-method
+// counters, latency histograms, byte counters), so instrumenting a
+// daemon costs its handler nothing.
 package serve
 
 import (
@@ -15,35 +14,28 @@ import (
 
 // TelemetryConfig parameterises WithTelemetry.
 type TelemetryConfig struct {
-	// HTTP starts a loopback debug listener per daemon serving /metrics
-	// and /debug/traces (off by default: tests that only want counters
-	// skip the listeners entirely).
+	// HTTP starts a loopback listener per daemon serving /metrics (off
+	// by default: tests that only want counters skip the listeners
+	// entirely).
 	//
-	//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain reads a live system's /debug/traces
+	//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain scrapes a live system's /metrics
 	HTTP bool
 }
 
 // nodeTelemetry is one daemon's observability handle. A nil
 // *nodeTelemetry disables everything (the zero-cost default).
 type nodeTelemetry struct {
-	reg   *telemetry.Registry
-	spans *telemetry.SpanStore
-	role  string // metric label: "namenode" | "datanode"
-	proc  string // span process: "namenode", "datanode-3"
-	http  *telemetry.DebugServer
+	reg  *telemetry.Registry
+	role string // metric label: "namenode" | "datanode"
+	http *telemetry.DebugServer
 }
 
 // newNodeTelemetry builds the handle; the registry is the System-wide
-// one, the span store and HTTP listener are per-daemon.
-func newNodeTelemetry(reg *telemetry.Registry, cfg TelemetryConfig, role, proc string) (*nodeTelemetry, error) {
-	nt := &nodeTelemetry{
-		reg:   reg,
-		spans: telemetry.NewSpanStore(0),
-		role:  role,
-		proc:  proc,
-	}
+// one, the HTTP listener is per-daemon.
+func newNodeTelemetry(reg *telemetry.Registry, cfg TelemetryConfig, role string) (*nodeTelemetry, error) {
+	nt := &nodeTelemetry{reg: reg, role: role}
 	if cfg.HTTP {
-		ds, err := telemetry.NewDebugServer(reg, nt.spans)
+		ds, err := telemetry.NewDebugServer(reg)
 		if err != nil {
 			return nil, err
 		}
@@ -74,29 +66,11 @@ func rpcMetric(base, role, method string) string {
 }
 
 // dispatch is the instrumented request path of the generic server: it
-// answers debug.trace itself, mints a server span for sampled requests
-// (rewriting the header's span id so the handler's downstream calls
-// parent under it), and charges the per-method instruments.
+// charges the per-method instruments around the handler.
 func (s *server) dispatch(req *request, payload []byte, lend *[]byte) (*response, []byte) {
 	t := s.tele
 	if t == nil {
-		if req.Method == methodDebugTrace {
-			return errResponse(errTracingDisabled), nil
-		}
 		return s.safeHandle(req, payload, lend)
-	}
-	if req.Method == methodDebugTrace {
-		if req.TraceID != 0 {
-			return coldResponse(t.spans.Trace(req.TraceID)), nil
-		}
-		return coldResponse(t.spans.Spans()), nil
-	}
-
-	sampled := req.Trace != nil && req.Trace.Sampled
-	var parentID uint64
-	if sampled {
-		parentID = req.Trace.SpanID
-		req.Trace.SpanID = telemetry.NewID()
 	}
 	start := time.Now()
 	resp, out := s.safeHandle(req, payload, lend)
@@ -111,19 +85,6 @@ func (s *server) dispatch(req *request, payload []byte, lend *[]byte) (*response
 		if !resp.OK {
 			reg.Counter(rpcMetric("rpc_errors_total", t.role, req.Method)).Inc()
 		}
-	}
-	if sampled {
-		t.spans.Add(telemetry.Span{
-			TraceID:       req.Trace.TraceID,
-			SpanID:        req.Trace.SpanID,
-			ParentID:      parentID,
-			Name:          req.Method,
-			Process:       t.proc,
-			StartUnixNano: start.UnixNano(),
-			DurationNanos: int64(elapsed),
-			Bytes:         int64(len(out)),
-			Err:           resp.Err,
-		})
 	}
 	return resp, out
 }

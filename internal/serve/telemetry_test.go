@@ -12,19 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ec"
 	"repro/internal/repairmgr"
-	"repro/internal/telemetry"
 )
-
-// startTelemetrySystem is startTestSystem with the observability plane
-// on. The leakcheck sentinel is registered first, so the debug HTTP
-// listeners (when cfg.HTTP) must come down with the system — a leaked
-// handler goroutine fails the test here.
-func startTelemetrySystem(t *testing.T, code ec.Code, cfg TelemetryConfig) *System {
-	t.Helper()
-	return startTestSystem(t, code, WithTelemetry(cfg))
-}
 
 // killFirstBlockHolder kills the datanode holding the file's first
 // block and returns the victim machine.
@@ -94,150 +83,6 @@ func TestCountersRaceFreeUnderLoad(t *testing.T) {
 	wg.Wait()
 	if c := cl.Counters(); c.Reads != readers*iters || c.BlocksRead != readers*iters*4 {
 		t.Fatalf("final counters %+v, want %d reads / %d blocks", c, readers*iters, readers*iters*4)
-	}
-}
-
-// TestDegradedReadSpanTreeAfterKill pins trace propagation end to end:
-// a killed datanode forces the degraded path, the sampled read's trace
-// context rides every RPC, and the spans collected from the client,
-// the namenode, and the surviving datanodes assemble into a rooted,
-// acyclic tree with no orphans (BuildTree validates exactly that).
-// The system runs with the debug HTTP listeners ON so the leakcheck
-// sentinel also covers their shutdown.
-func TestDegradedReadSpanTreeAfterKill(t *testing.T) {
-	for _, code := range testCodecs(t) {
-		t.Run(code.Name(), func(t *testing.T) {
-			sys := startTelemetrySystem(t, code, TelemetryConfig{HTTP: true})
-			if sys.MetricsAddr() == "" {
-				t.Fatal("debug HTTP listener missing")
-			}
-			cl, err := Dial(sys.NameAddr(), code, WithTraceSampling(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-
-			rng := rand.New(rand.NewSource(3))
-			data := make([]byte, 4*4096) // one full stripe for k=4
-			rng.Read(data)
-			if err := cl.WriteFile("f", data); err != nil {
-				t.Fatal(err)
-			}
-			if err := cl.RaidFile("f"); err != nil {
-				t.Fatal(err)
-			}
-			killFirstBlockHolder(t, sys, "f")
-
-			got, err := cl.ReadFile("f")
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("degraded read broken: %v", err)
-			}
-			if cl.Counters().DegradedBlocks == 0 {
-				t.Fatal("kill produced no degraded block reads")
-			}
-
-			traceID := cl.LastTraceID()
-			if traceID == 0 {
-				t.Fatal("sampling every degraded read minted no trace")
-			}
-			spans, err := cl.CollectTrace(traceID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			root, err := telemetry.BuildTree(spans)
-			if err != nil {
-				t.Fatalf("span tree invalid: %v", err)
-			}
-			if root.Name != "degraded_read" || root.Process != "client" {
-				t.Fatalf("root span is %s@%s, want degraded_read@client", root.Name, root.Process)
-			}
-			if len(root.Children) == 0 {
-				t.Fatal("root span has no children: no RPC hop recorded its span")
-			}
-			datanodes := 0
-			root.Walk(func(n *telemetry.SpanNode) {
-				if n.TraceID != traceID {
-					t.Errorf("span %s carries trace %d, want %d", n.Name, n.TraceID, traceID)
-				}
-				if strings.HasPrefix(n.Process, "datanode-") {
-					datanodes++
-				}
-			})
-			if datanodes == 0 {
-				t.Fatal("no datanode span in the tree: helper fetches did not propagate the trace")
-			}
-		})
-	}
-}
-
-// TestPartialSumTraceByteAccounting is the acceptance criterion for
-// the trace plane: a sampled degraded read served by the partial-sum
-// pipeline must produce a span tree whose byte counts restate the
-// partial-sum claim — the reconstructing client received exactly
-// ONE block (the folded buffer), and every dn.partial hop moved one
-// block-sized payload, not ~k helper ranges.
-func TestPartialSumTraceByteAccounting(t *testing.T) {
-	const blockSize = 4096
-	code := testCodecs(t)[0] // rs: has the linear repair plan
-	sys := startTelemetrySystem(t, code, TelemetryConfig{})
-	cl, err := Dial(sys.NameAddr(), code, WithPartialSumRepair(), WithTraceSampling(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	rng := rand.New(rand.NewSource(5))
-	data := make([]byte, 4*blockSize) // one full stripe for k=4
-	rng.Read(data)
-	if err := cl.WriteFile("f", data); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.RaidFile("f"); err != nil {
-		t.Fatal(err)
-	}
-	killFirstBlockHolder(t, sys, "f")
-
-	got, err := cl.ReadFile("f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("partial-sum degraded read broken: %v", err)
-	}
-	c := cl.Counters()
-	if c.DegradedBlocks == 0 {
-		t.Fatal("kill produced no degraded block reads")
-	}
-	if c.PartialSumBlocks != c.DegradedBlocks {
-		t.Fatalf("%d of %d degraded reads fell back from the partial-sum pipeline",
-			c.DegradedBlocks-c.PartialSumBlocks, c.DegradedBlocks)
-	}
-	// Exactly one block per degraded read crossed the client's NIC.
-	if want := c.DegradedBlocks * blockSize; c.DegradedBytesFetched != want {
-		t.Fatalf("client fetched %d degraded bytes for %d blocks, want %d (one block each)",
-			c.DegradedBytesFetched, c.DegradedBlocks, want)
-	}
-
-	spans, err := cl.CollectTrace(cl.LastTraceID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := telemetry.BuildTree(spans)
-	if err != nil {
-		t.Fatalf("span tree invalid: %v", err)
-	}
-	if root.Bytes != blockSize {
-		t.Fatalf("root span moved %d bytes, want exactly one %d-byte block", root.Bytes, blockSize)
-	}
-	folds := 0
-	root.Walk(func(n *telemetry.SpanNode) {
-		if n.Name != methodDNPartial {
-			return
-		}
-		folds++
-		if n.Bytes != blockSize {
-			t.Errorf("dn.partial hop at %s moved %d bytes, want %d", n.Process, n.Bytes, blockSize)
-		}
-	})
-	if folds == 0 {
-		t.Fatal("no dn.partial span in the tree")
 	}
 }
 

@@ -1,37 +1,33 @@
 // Live exposure: a loopback HTTP listener serving the registry at
 // /metrics (Prometheus text format; ?format=json for the snapshot
-// JSON) and the span store at /debug/traces (JSON; ?trace=<id> filters
-// to one trace). Each serving daemon runs its own DebugServer, so
-// scraping a datanode shows that process's view.
+// JSON). Each serving daemon runs its own DebugServer, so scraping a
+// datanode shows that process's view.
 package telemetry
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
-	"strconv"
 )
 
-// DebugServer is one process's observability endpoint.
+// DebugServer is one process's /metrics endpoint: a loopback HTTP
+// listener over its registry.
 type DebugServer struct {
-	reg   *Registry
-	spans *SpanStore
-	ln    net.Listener
-	srv   *http.Server
+	reg *Registry
+	ln  net.Listener
+	srv *http.Server
 }
 
 // NewDebugServer starts an HTTP listener on an ephemeral loopback port
-// serving /metrics and /debug/traces. Either source may be nil (the
-// endpoint then serves an empty view). Close releases the listener.
-func NewDebugServer(reg *Registry, spans *SpanStore) (*DebugServer, error) {
+// serving /metrics. reg may be nil (the endpoint then serves an empty
+// view). Close releases the listener.
+func NewDebugServer(reg *Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	d := &DebugServer{reg: reg, spans: spans, ln: ln}
+	d := &DebugServer{reg: reg, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", d.handleMetrics)
-	mux.HandleFunc("/debug/traces", d.handleTraces)
 	d.srv = &http.Server{Handler: mux}
 	go func() {
 		// Serve returns when Close tears the listener down; the error is
@@ -67,40 +63,6 @@ func (d *DebugServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if _, err := w.Write(snap.PrometheusText()); err != nil {
-		return
-	}
-}
-
-// traceDump is the /debug/traces payload.
-type traceDump struct {
-	Spans   []Span `json:"spans"`
-	Dropped int64  `json:"dropped,omitempty"`
-}
-
-// handleTraces dumps the buffered spans, optionally filtered to one
-// trace id (?trace=<id>, decimal).
-func (d *DebugServer) handleTraces(w http.ResponseWriter, r *http.Request) {
-	dump := traceDump{Dropped: d.spans.Dropped()}
-	if q := r.URL.Query().Get("trace"); q != "" {
-		id, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "bad trace id: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		dump.Spans = d.spans.Trace(id)
-	} else {
-		dump.Spans = d.spans.Spans()
-	}
-	if dump.Spans == nil {
-		dump.Spans = []Span{}
-	}
-	blob, err := json.MarshalIndent(dump, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(blob, '\n')); err != nil {
 		return
 	}
 }

@@ -1,11 +1,10 @@
 // Package telemetry is the zero-dependency observability substrate of
 // the repro system: a metrics registry of atomic counters, function
-// gauges, and fixed-bucket histograms with JSON snapshots, plus
-// request-trace spans buffered in bounded per-process stores. Every tier — the
-// serving daemons, the repair control plane, the metadata plane, the
-// stripe engine — registers its instruments here, and the serve layer
-// exposes the result over /metrics (Prometheus text format and JSON)
-// and /debug/traces.
+// gauges, and fixed-bucket histograms with JSON snapshots. Every tier —
+// the serving daemons, the repair control plane, the metadata plane,
+// the stripe engine — registers its instruments here, and the serve
+// layer exposes the result over /metrics (Prometheus text format and
+// JSON).
 //
 // # Instrument naming
 //
