@@ -51,14 +51,14 @@ test:
 	$(GO) test ./...
 
 # The code a default build on this host never runs: the gf256 table
-# kernel (selected by the purego tag, and on every GOARCH but amd64)
-# under the packages that fold with it, and the non-amd64 build itself.
-# Without this the fallback and the cross build could rot unseen behind
-# the assembly.
+# kernel and the crc package's hash/crc32 tier (selected by the purego
+# tag, and on every GOARCH but amd64) under the packages that use them,
+# and the non-amd64 build itself. Without this the fallbacks and the
+# cross build could rot unseen behind the assembly.
 test-purego:
-	$(GO) test -tags purego ./internal/gf256/ ./internal/ec/ ./internal/rs/ ./internal/core/ ./internal/lrc/ ./internal/engine/
+	$(GO) test -tags purego ./internal/gf256/ ./internal/ec/ ./internal/rs/ ./internal/core/ ./internal/lrc/ ./internal/engine/ ./internal/crc/ ./internal/extent/
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/gf256/
+	GOARCH=arm64 $(GO) vet ./internal/gf256/ ./internal/crc/
 
 # Per-package coverage: the `ok <pkg> coverage: NN%` lines are the CI
 # job summary; coverage.out feeds go tool cover for local drill-down.
@@ -93,10 +93,12 @@ race:
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip
 # byte-identical. Under them, the gf256 kernels against a byte-at-a-time
-# reference; beside them, the serving wire's header decoders against
-# arbitrary bytes. Seed corpora live in testdata/fuzz/.
+# reference and the CRC-32 kernel against hash/crc32; beside them, the
+# serving wire's header decoders against arbitrary bytes. Seed corpora
+# live in testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run=FuzzMulAdd -fuzz=FuzzMulAdd -fuzztime=3s ./internal/gf256/
+	$(GO) test -run=FuzzChecksum -fuzz=FuzzChecksum -fuzztime=3s ./internal/crc/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/rs/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/core/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/lrc/

@@ -54,6 +54,7 @@
 // # The layers
 //
 //   - GF(2^8) arithmetic and matrices: internal/gf256, internal/matrix.
+//   - Checksums: internal/crc (CRC-32 of blocks and chunk tables).
 //   - Codecs: internal/ec (the Code contract, repair and linear plans,
 //     SplitShards/JoinShards), internal/rs, internal/core
 //     (Piggybacked-RS), internal/lrc.

@@ -23,9 +23,9 @@
 //   - framecheck — on the serve wire path, every ReadFull/Write/
 //     Marshal/Unmarshal result is checked, and any []byte allocation
 //     sized by a wire-decoded length is dominated by a bounds check.
-//   - noalloc — the gf256 fused kernels and the engine's per-job fold
-//     loops stay allocation-free: no append, make, new, map literal,
-//     or closure inside them.
+//   - noalloc — the gf256 fused kernels, the crc package and the
+//     engine's per-job fold loops stay allocation-free: no append,
+//     make, new, map literal, or closure inside them.
 //   - deadexport — every exported func, var, const and method under
 //     internal/ has a caller outside its own package's tests: a
 //     program, the benchmark, the root package's paper-figure tests, or

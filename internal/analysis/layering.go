@@ -34,6 +34,7 @@ const rootPath = "repro"
 // may import anything.
 var layerRank = map[string]int{
 	"repro/internal/gf256":              0,
+	"repro/internal/crc":                0,
 	"repro/internal/cluster":            0,
 	"repro/internal/workload":           0,
 	"repro/internal/stats":              0,

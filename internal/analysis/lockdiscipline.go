@@ -16,11 +16,11 @@ import (
 //     recv.mu.Lock()/recv.mu.RLock() inside a Cluster method is a
 //     finding, except inside the helpers themselves.
 //  2. The phased-mutation rule: no engine execution, codec
-//     encode/decode or replica store (storeBlock) may run while the
-//     metadata lock is held. A fixer pass plans under the lock, decodes
-//     with it released, and applies under the lock; a write or raid
-//     plans under it, encodes and stores with it released, and commits
-//     under it. Holding it across a decode or a disk write serialises
+//     encode/decode or replica store (storeBlock, storeChecked) may run
+//     while the metadata lock is held. A fixer pass plans under the
+//     lock, decodes with it released, and applies under the lock; a
+//     write or raid plans under it, encodes and stores with it
+//     released, and commits under it. Holding it across a decode or a disk write serialises
 //     every foreground read behind that I/O. A Cluster method named
 //     *Locked is documented to be entered with the lock held, so its
 //     body is replayed from the held state: the rule sees a call one
@@ -61,8 +61,8 @@ var lockHelperFuncs = map[string]bool{"lockMeta": true, "rlockMeta": true}
 // unlockedCalls are the engine-execution, codec and replica-store calls
 // that must never run under the metadata lock (Fold and Repair are the
 // shared plan executor of internal/engine; decodeAroundRot is hdfs's
-// codec decode around rotted helpers; storeBlock is a datanode's disk
-// write).
+// codec decode around rotted helpers; storeBlock and storeChecked are a
+// datanode's disk write).
 var unlockedCalls = map[string]bool{
 	"decodeAroundRot":    true,
 	"RunRepairs":         true,
@@ -74,6 +74,7 @@ var unlockedCalls = map[string]bool{
 	"Fold":               true,
 	"Repair":             true,
 	"storeBlock":         true,
+	"storeChecked":       true,
 }
 
 func (a lockDiscipline) Check(pkg *Package) []Diagnostic {

@@ -5,8 +5,9 @@ import (
 )
 
 // noAlloc keeps the byte-granular hot paths allocation-free: the
-// GF(256) fused kernels (every function in internal/gf256), the
-// engine's per-job fold loops, the repair executor's fold loop, the
+// GF(256) fused kernels (every function in internal/gf256), the CRC-32
+// package (every function in internal/crc), the engine's per-job fold
+// loops, the repair executor's fold loop, the
 // pooled block read under it and the serving wire's frame writer. An
 // append, make, new, map literal, or closure inside them turns a
 // cache-resident multiply-accumulate into a GC touchpoint; per-call
@@ -25,7 +26,7 @@ func NoAlloc() Analyzer { return noAlloc{} }
 func (noAlloc) Name() string { return "noalloc" }
 
 func (noAlloc) Doc() string {
-	return "gf256 kernels, engine fold loops and the frame writer stay allocation-free (no append/make/new/map/closure)"
+	return "gf256 and crc kernels, engine fold loops and the frame writer stay allocation-free (no append/make/new/map/closure)"
 }
 
 // noAllocScopes maps package import path → the functions held to the
@@ -33,6 +34,9 @@ func (noAlloc) Doc() string {
 var noAllocScopes = map[string]map[string]bool{
 	// The whole field-arithmetic package is kernel code.
 	"repro/internal/gf256": nil,
+	// So is the checksum package: every stored, read and rebuilt byte
+	// passes through it.
+	"repro/internal/crc": nil,
 	// The engine's per-job fold paths: runRepair runs once per stripe
 	// of every batch, and Scratch.Bytes is the arena handing a buffer
 	// to every survivor fetch — the two places where a stray per-call

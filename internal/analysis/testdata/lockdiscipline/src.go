@@ -84,6 +84,10 @@ func (c *Cluster) storeReplicaLocked(n *dataNode) error {
 	return n.storeBlock(nil) // want "storeBlock called while holding the metadata mutex"
 }
 
+func (c *Cluster) storeCheckedLocked(n *dataNode) error {
+	return n.storeChecked(nil, 0) // want "storeChecked called while holding the metadata mutex"
+}
+
 // A plain helper is entered without the lock: storing there is what the
 // plan / I/O / commit split is for.
 func (c *Cluster) storeReplica(n *dataNode) error {
@@ -94,6 +98,8 @@ func (c *Cluster) storeReplica(n *dataNode) error {
 type dataNode struct{ mu sync.Mutex }
 
 func (n *dataNode) storeBlock(data []byte) error { return nil }
+
+func (n *dataNode) storeChecked(data []byte, want uint32) error { return nil }
 
 func (n *dataNode) wipe() {
 	n.mu.Lock()

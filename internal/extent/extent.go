@@ -27,6 +27,18 @@
 // record reads and verifies the whole payload, the only unit its CRC
 // covers. segment.go has the byte layout.
 //
+// # One checksum pass per stored byte
+//
+// A put's one pass over its payload is the chunk table's fill
+// (crc.FillTable), made before the store lock is taken, so puts to one
+// store checksum in parallel. The block's whole CRC-32, which the layers
+// above keep (hdfs's block metadata, the serve wire's field 28), is
+// never computed over the bytes a second time: CRC-32 is linear, so
+// blockCRC folds it from the table's entries with crc.Combine, in
+// O(chunks). PutChecked compares the folded CRC with the caller's and
+// refuses a payload that does not match before anything is written;
+// Checksum folds a stored record's table on demand.
+//
 // The extent_read_bytes_total counter is the payload bytes actually
 // pread. It is the only place the range saving shows in numbers: the
 // repository benchmark's traced pass wraps each store in a decorator
@@ -39,10 +51,8 @@
 package extent
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,6 +60,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/crc"
 	"repro/internal/telemetry"
 )
 
@@ -62,6 +73,9 @@ var (
 	ErrCorrupt = errors.New("extent: payload failed CRC verification")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("extent: store closed")
+	// ErrChecksumMismatch reports a PutChecked payload whose CRC-32 is
+	// not the one the caller expects; nothing was written.
+	ErrChecksumMismatch = errors.New("extent: payload does not match its expected CRC-32")
 )
 
 // IsCorrupt reports whether err is a CRC-verification failure.
@@ -315,22 +329,55 @@ func (s *Store) createSegment(seq int) (*segment, error) {
 // active returns the segment appends go to. Callers hold mu.
 func (s *Store) active() *segment { return s.segs[len(s.segs)-1] }
 
-// Put stores (or overwrites) a block payload.
+// Put stores (or overwrites) a block payload. Its one pass over the
+// payload is the chunk table's, filled before the store lock is taken.
 func (s *Store) Put(id int64, data []byte) error {
-	if int64(len(data)) > s.opts.MaxPayloadBytes {
-		return fmt.Errorf("extent: payload of %d bytes exceeds the %d-byte record bound", len(data), s.opts.MaxPayloadBytes)
+	table, err := s.chunkTable(data)
+	if err != nil {
+		return err
 	}
+	return s.put(id, table, data)
+}
+
+// PutChecked is Put for a payload whose CRC-32 the caller knows: the
+// block's CRC is folded from the chunk table Put fills anyway (blockCRC),
+// and a payload that does not match want is refused with
+// ErrChecksumMismatch before anything is written. The payload is read
+// once, as by Put.
+func (s *Store) PutChecked(id int64, data []byte, want uint32) error {
+	table, err := s.chunkTable(data)
+	if err != nil {
+		return err
+	}
+	if got := blockCRC(table, int64(len(data))); got != want {
+		return fmt.Errorf("%w: block %d has %08x, want %08x", ErrChecksumMismatch, id, got, want)
+	}
+	return s.put(id, table, data)
+}
+
+// chunkTable returns data's chunk table, refusing a payload past the
+// record bound.
+func (s *Store) chunkTable(data []byte) ([]byte, error) {
+	if int64(len(data)) > s.opts.MaxPayloadBytes {
+		return nil, fmt.Errorf("extent: payload of %d bytes exceeds the %d-byte record bound", len(data), s.opts.MaxPayloadBytes)
+	}
+	//repolint:ignore framecheck sized from len(data), which the record bound above caps
+	table := make([]byte, tableLen(int64(len(data))))
+	crc.FillTable(table, data)
+	return table, nil
+}
+
+// put appends a v2 record of data with its chunk table; the table
+// becomes the index's own.
+func (s *Store) put(id int64, table, data []byte) error {
+	bodyCRC := crc.Checksum(table)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
 	before := s.active()
-	// The one CRC pass over the payload; the table is the index's own.
-	//repolint:ignore framecheck sized from len(data), which the record bound above already caps
-	table := make([]byte, tableLen(int64(len(data))))
-	fillTable(table, data)
-	loc, err := s.appendLocked(magicPut2, id, crc32.ChecksumIEEE(table), table, data)
+	loc, err := s.appendLocked(magicPut2, id, bodyCRC, table, data)
 	if err != nil {
 		return err
 	}
@@ -525,19 +572,36 @@ func (s *Store) ReadRangeInto(id, offset, length int64, dst []byte) ([]byte, err
 // v1 record) — matches the record's checksums.
 func (l recordLoc) verify(buf []byte, lo int64) bool {
 	if l.magic != magicPut2 {
-		return crc32.ChecksumIEEE(buf) == l.crc
+		return crc.Checksum(buf) == l.crc
 	}
-	if crc32.ChecksumIEEE(l.table) != l.crc {
-		return false
+	return crc.Checksum(l.table) == l.crc && crc.VerifyTable(l.table[lo/ChunkSize*4:], buf)
+}
+
+// Checksum returns the CRC-32 of the block's payload without reading
+// the payload: a v2 record's is folded from its chunk table (blockCRC)
+// once the header's CRC of the table authenticates it, in O(chunks); a
+// v1 record's header holds it. The payload is checked against the
+// table by every read, not here: a caller that has just read the block
+// whole has verified those bytes, and Checksum completes the check of
+// them against a block CRC kept elsewhere.
+func (s *Store) Checksum(id int64) (uint32, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return 0, ErrClosed
 	}
-	for entry := l.table[lo/ChunkSize*4:]; len(buf) > 0; entry = entry[4:] {
-		n := min(len(buf), ChunkSize)
-		if crc32.ChecksumIEEE(buf[:n]) != binary.BigEndian.Uint32(entry) {
-			return false
-		}
-		buf = buf[n:]
+	loc, ok := s.index[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	return true
+	if loc.magic != magicPut2 {
+		return loc.crc, nil
+	}
+	if crc.Checksum(loc.table) != loc.crc {
+		s.cCrcFailures.Inc()
+		return 0, fmt.Errorf("%w: block %d", ErrCorrupt, id)
+	}
+	return blockCRC(loc.table, loc.length), nil
 }
 
 // Has reports whether the index holds the block.

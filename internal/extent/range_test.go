@@ -2,6 +2,7 @@ package extent
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -20,10 +21,13 @@ func encodeV1(id int64, data []byte) []byte {
 	return append(rec, data...)
 }
 
-// encodeV2 builds a v2 record by hand, independently of appendLocked.
+// encodeV2 builds a v2 record by hand, independently of appendLocked
+// and of internal/crc: the table is hash/crc32's, chunk by chunk.
 func encodeV2(id int64, data []byte) []byte {
-	table := make([]byte, tableLen(int64(len(data))))
-	fillTable(table, data)
+	var table []byte
+	for rest := data; len(rest) > 0; rest = rest[min(len(rest), ChunkSize):] {
+		table = binary.BigEndian.AppendUint32(table, crc32.ChecksumIEEE(rest[:min(len(rest), ChunkSize)]))
+	}
 	rec := make([]byte, headerLen, headerLen+len(table)+len(data))
 	encodeHeader(rec, magicPut2, id, uint32(len(data)), crc32.ChecksumIEEE(table))
 	return append(append(rec, table...), data...)

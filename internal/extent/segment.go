@@ -38,9 +38,10 @@ package extent
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/crc"
 )
 
 const (
@@ -56,7 +57,7 @@ const (
 
 	// ChunkSize is the payload span one v2 chunk CRC covers — the
 	// granularity of a verified range read.
-	ChunkSize = 4096
+	ChunkSize = crc.ChunkSize
 )
 
 // tableLen returns the byte length of the chunk table of a v2 record
@@ -65,14 +66,17 @@ func tableLen(length int64) int64 {
 	return (length + ChunkSize - 1) / ChunkSize * 4
 }
 
-// fillTable writes payload's per-chunk CRCs into table, which has
-// tableLen(len(payload)) bytes.
-func fillTable(table, payload []byte) {
-	for i := 0; len(payload) > 0; i += 4 {
-		n := min(len(payload), ChunkSize)
-		binary.BigEndian.PutUint32(table[i:], crc32.ChecksumIEEE(payload[:n]))
-		payload = payload[n:]
+// blockCRC returns the CRC-32 of a payload of the given length from its
+// chunk table, each entry folded onto the CRC of the chunks before it
+// (crc.Combine): O(chunks), and not one payload byte read.
+func blockCRC(table []byte, length int64) uint32 {
+	var sum uint32
+	for ; length > 0; table = table[4:] {
+		n := min(length, ChunkSize)
+		sum = crc.Combine(sum, binary.BigEndian.Uint32(table), n)
+		length -= n
 	}
+	return sum
 }
 
 // encodeHeader fills a 32-byte header for a record of the given kind.
@@ -82,7 +86,7 @@ func encodeHeader(dst []byte, magic uint32, id int64, length uint32, bodyCRC uin
 	binary.BigEndian.PutUint64(dst[12:20], 0) // block offset, reserved
 	binary.BigEndian.PutUint32(dst[20:24], length)
 	binary.BigEndian.PutUint32(dst[24:28], bodyCRC)
-	binary.BigEndian.PutUint32(dst[28:32], crc32.ChecksumIEEE(dst[0:28]))
+	binary.BigEndian.PutUint32(dst[28:32], crc.Checksum(dst[0:28]))
 }
 
 // segment is one on-disk chunk file. The last segment of a store is
@@ -170,7 +174,7 @@ func scanSegment(f *os.File, maxPayload int64) (records []scanRecord, validLen i
 		if !ok {
 			return records, validLen, true, nil // torn header
 		}
-		if crc32.ChecksumIEEE(hdr[0:28]) != binary.BigEndian.Uint32(hdr[28:32]) {
+		if crc.Checksum(hdr[0:28]) != binary.BigEndian.Uint32(hdr[28:32]) {
 			return records, validLen, true, nil
 		}
 		magic := binary.BigEndian.Uint32(hdr[0:4])

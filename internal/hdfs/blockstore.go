@@ -14,6 +14,7 @@ import (
 	"math"
 	"path/filepath"
 
+	"repro/internal/crc"
 	"repro/internal/extent"
 )
 
@@ -71,6 +72,43 @@ type intoStore interface {
 	GetInto(id BlockID, offset, length int64, dst []byte) ([]byte, error)
 }
 
+// checkedStore is implemented by stores that checksum a payload as they
+// store it, in the one pass their chunk table takes: PutChecked stores
+// data only when its CRC-32 is want, and Checksum returns the CRC-32 of
+// the block the store holds, derived from that table without a second
+// pass over the bytes. The extent store (and the cache over it) has it;
+// a store without it is checksummed by the caller — the CRC computed
+// over the bytes, then a plain Put.
+type checkedStore interface {
+	PutChecked(id BlockID, data []byte, want uint32) error
+	Checksum(id BlockID) (uint32, error)
+}
+
+// putChecked stores data on st only when its CRC-32 is want; otherwise
+// it is ErrCorruptReplica and nothing is written.
+func putChecked(st BlockStore, id BlockID, data []byte, want uint32) error {
+	if cs, ok := st.(checkedStore); ok {
+		return cs.PutChecked(id, data, want)
+	}
+	if crc.Checksum(data) != want {
+		return fmt.Errorf("%w: block %d does not match its checksum", ErrCorruptReplica, id)
+	}
+	return st.Put(id, data)
+}
+
+// storedChecksum returns the CRC-32 of block id as st holds it, given
+// data, the block's bytes as just read from or written to st: the
+// store's own when it keeps one (a replica holds exactly its block's
+// bytes), computed over data otherwise or when the store cannot answer.
+func storedChecksum(st BlockStore, id BlockID, data []byte) uint32 {
+	if cs, ok := st.(checkedStore); ok {
+		if sum, err := cs.Checksum(id); err == nil {
+			return sum
+		}
+	}
+	return crc.Checksum(data)
+}
+
 // wholeBlock is the length that asks GetInto for a payload's every byte.
 const wholeBlock = math.MaxInt64
 
@@ -107,6 +145,16 @@ type extentBlockStore struct {
 }
 
 func (e extentBlockStore) Put(id BlockID, data []byte) error { return e.s.Put(int64(id), data) }
+
+func (e extentBlockStore) PutChecked(id BlockID, data []byte, want uint32) error {
+	err := e.s.PutChecked(int64(id), data, want)
+	if errors.Is(err, extent.ErrChecksumMismatch) {
+		return fmt.Errorf("%w: %w", ErrCorruptReplica, err)
+	}
+	return err
+}
+
+func (e extentBlockStore) Checksum(id BlockID) (uint32, error) { return e.s.Checksum(int64(id)) }
 
 func (e extentBlockStore) Get(id BlockID) ([]byte, error) { return e.GetInto(id, 0, wholeBlock, nil) }
 

@@ -8,6 +8,7 @@
 package hdfs
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/cache"
@@ -50,6 +51,23 @@ func (s *cachedBlockStore) Put(id BlockID, data []byte) error {
 	defer s.mu.Unlock()
 	s.c.Delete(uint64(id))
 	return s.inner.Put(id, data)
+}
+
+// PutChecked is Put through the inner store's check (putChecked).
+func (s *cachedBlockStore) PutChecked(id BlockID, data []byte, want uint32) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.c.Delete(uint64(id))
+	return putChecked(s.inner, id, data, want)
+}
+
+// Checksum is the inner store's, which keeps the stored bytes' CRC; an
+// inner store without one leaves the caller to compute it.
+func (s *cachedBlockStore) Checksum(id BlockID) (uint32, error) {
+	if cs, ok := s.inner.(checkedStore); ok {
+		return cs.Checksum(id)
+	}
+	return 0, errors.ErrUnsupported
 }
 
 // Get serves from the cache when it can. A hit is only served after

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/crc"
 	"repro/internal/telemetry"
 )
 
@@ -71,6 +72,36 @@ func TestCachedStoreDeleteAndOverwriteInvalidate(t *testing.T) {
 // honesty property on a verifying (extent-backed) store: injected rot
 // surfaces as ErrCorruptReplica on the very next read even when a
 // clean copy sits in cache.
+// TestCachedStoreCheckedPutInvalidates: the cache passes the checked
+// put and the stored checksum through to the extent store under it. A
+// checked overwrite leaves no stale copy servable, a refused one leaves
+// the block as it was, and Checksum answers for what is on disk.
+func TestCachedStoreCheckedPutInvalidates(t *testing.T) {
+	st := newCachedBlockStore(openStore(t), 1<<20, nil)
+	v1, v2 := []byte("v1"), []byte("v2")
+	if err := st.PutChecked(1, v1, crc.Checksum(v1)); err != nil {
+		t.Fatalf("PutChecked: %v", err)
+	}
+	if _, err := st.Get(1); err != nil { // fill
+		t.Fatalf("Get: %v", err)
+	}
+	if err := st.PutChecked(1, v2, crc.Checksum(v1)); !errors.Is(err, ErrCorruptReplica) {
+		t.Fatalf("PutChecked of a payload that does not match: %v, want ErrCorruptReplica", err)
+	}
+	if got, err := st.Get(1); err != nil || string(got) != "v1" {
+		t.Fatalf("Get after a refused overwrite = %q, %v; want v1", got, err)
+	}
+	if err := st.PutChecked(1, v2, crc.Checksum(v2)); err != nil {
+		t.Fatalf("checked overwrite: %v", err)
+	}
+	if got, err := st.Get(1); err != nil || string(got) != "v2" {
+		t.Fatalf("Get after a checked overwrite = %q, %v; want v2", got, err)
+	}
+	if sum, err := st.Checksum(1); err != nil || sum != crc.Checksum(v2) {
+		t.Fatalf("Checksum = %08x, %v; want %08x", sum, err, crc.Checksum(v2))
+	}
+}
+
 func TestCachedStoreCorruptionNotMasked(t *testing.T) {
 	st := newCachedBlockStore(openStore(t), 1<<20, nil)
 

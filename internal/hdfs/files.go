@@ -7,8 +7,8 @@ package hdfs
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 
+	"repro/internal/crc"
 	"repro/internal/ec"
 	"repro/internal/engine"
 )
@@ -58,11 +58,14 @@ func (c *Cluster) WriteFile(name string, data []byte) error {
 	for i, bm := range blocks {
 		off := int64(i) * c.cfg.BlockSize
 		payload := data[off : off+bm.size]
-		bm.checksum = crc32.ChecksumIEEE(payload)
 		for r := range placements[i] {
 			m, err := c.storePlaced(placements[i], r, bm.id, payload)
 			if err != nil {
 				return c.abandon(name, stored, err)
+			}
+			if r == 0 {
+				// The first replica's store checksummed the payload.
+				bm.checksum = c.nodes[m].checksum(bm.id, payload)
 			}
 			stored = append(stored, replica{m, bm.id})
 		}
@@ -478,7 +481,7 @@ func (c *Cluster) encodeStripe(p *stripePlan) (stored []replica, err error) {
 		if err := c.net.Transfer(p.encoder, dst, shardSize); err != nil {
 			return stored, err
 		}
-		pb.checksum = crc32.ChecksumIEEE(payload)
+		pb.checksum = c.nodes[dst].checksum(pb.id, payload)
 		pb.locations = []int{dst}
 	}
 	return stored, nil
@@ -613,7 +616,7 @@ func (c *Cluster) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) 
 		return nil, err
 	}
 	block := shards[bm.stripePos][:bm.size]
-	if crc32.ChecksumIEEE(block) != bm.checksum {
+	if crc.Checksum(block) != bm.checksum {
 		return nil, fmt.Errorf("%w: block %d rebuilt from its stripe does not match its checksum", ErrCorruptReplica, bm.id)
 	}
 	return block, nil

@@ -7,7 +7,6 @@ package hdfs
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"repro/internal/ec"
@@ -352,9 +351,11 @@ func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*strip
 // mid-pass) is left as it is; a block whose destination died mid-pass
 // is recorded unrecoverable on its own, without disturbing the
 // accounting of siblings in the same fix that did land. A rebuilt block
-// whose CRC-32 differs from the block's is not stored and counts
-// unrecoverable: a helper served rot its store could not detect, and
-// the scrubber must evict it before a later pass can rebuild.
+// whose CRC-32 differs from the block's is refused by the destination's
+// store (storeChecked: the check rides on the chunk-table fill, the one
+// pass over the block's bytes) and counts unrecoverable: a helper served
+// rot its store could not detect, and the scrubber must evict it before
+// a later pass can rebuild.
 func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, report *FixReport) {
 	worker := f.worker()
 	for i, bm := range f.lost {
@@ -362,10 +363,6 @@ func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, repo
 			continue
 		}
 		content := shards[bm.stripePos][:bm.size]
-		if crc32.ChecksumIEEE(content) != bm.checksum {
-			report.Unrecoverable = append(report.Unrecoverable, bm.id)
-			continue
-		}
 		dst := f.destinations[i]
 		if dst != worker {
 			if err := c.transfer(worker, dst, bm.size, &report.CrossRackBytes); err != nil {
@@ -374,7 +371,7 @@ func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, repo
 			}
 		}
 		//repolint:ignore lockdiscipline ROADMAP 4(a): the fixer's stores move to the dn.repair destination; moving them out of this phase in process measured no gain
-		if err := c.nodes[dst].storeBlock(bm.id, content); err != nil {
+		if err := c.nodes[dst].storeChecked(bm.id, content, bm.checksum); err != nil {
 			report.Unrecoverable = append(report.Unrecoverable, bm.id)
 			continue
 		}
@@ -387,7 +384,8 @@ func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, repo
 // it reaches the target count, preferring fresh racks. The source is
 // the first live replica that reads back and matches the block's
 // CRC-32: a rotted replica is never copied, and the block is lost only
-// when no replica passes.
+// when no replica passes. Each copy is stored checked against that CRC
+// too, which costs no extra pass.
 func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int, xrack *int64) error {
 	current := append([]int(nil), live...)
 	src, buf := -1, []byte(nil)
@@ -409,7 +407,7 @@ func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int, xrack
 			return err
 		}
 		//repolint:ignore lockdiscipline ROADMAP 4(a): re-replication's store moves with the fixer's to the datanode side
-		if err := c.nodes[dst].storeBlock(bm.id, buf); err != nil {
+		if err := c.nodes[dst].storeChecked(bm.id, buf, bm.checksum); err != nil {
 			return err
 		}
 		current = append(current, dst)
@@ -420,10 +418,12 @@ func (c *Cluster) reReplicateLocked(bm *blockMeta, live []int, target int, xrack
 
 // goodReplicaLocked reads the block from the first of machines whose
 // copy reads back and matches the block's CRC-32, or returns -1 when
-// none does.
+// none does. The read verifies the copy against its chunk table, and
+// the table yields the copy's CRC-32 (dataNode.checksum): one pass over
+// the bytes, not two.
 func (c *Cluster) goodReplicaLocked(bm *blockMeta, machines []int) (int, []byte) {
 	for _, m := range machines {
-		if buf, err := c.nodes[m].readRange(bm.id, 0, bm.size); err == nil && crc32.ChecksumIEEE(buf) == bm.checksum {
+		if buf, err := c.nodes[m].readRange(bm.id, 0, bm.size); err == nil && c.nodes[m].checksum(bm.id, buf) == bm.checksum {
 			return m, buf
 		}
 	}

@@ -399,6 +399,43 @@ func TestStripeRepairSkipsRottedHelpers(t *testing.T) {
 	}
 }
 
+// TestRebuiltBlockWithWrongCRCIsNeverWritten: the fixer's rebuilt block
+// is checked against the block's CRC-32 by the destination's store, as
+// it fills the chunk table, and a block that fails is refused before
+// any append — the store's append counter moves only for the blocks the
+// pass reports repaired.
+func TestRebuiltBlockWithWrongCRCIsNeverWritten(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := persistentCluster(t, t.TempDir(), reg)
+	if err := c.WriteFile("f", randBytes(93, 6000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RaidFile("f"); err != nil {
+		t.Fatal(err)
+	}
+	locs, err := c.BlockLocations("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := c.files["f"].blocks
+	if err := rotUnderCRC(c, locs[1][0], blocks[1], 5); err != nil {
+		t.Fatal(err)
+	}
+	c.FailMachine(locs[0][0])
+	appends := func() int64 { return reg.Snapshot().Counters["extent_appends_total"] }
+	before := appends()
+	fix, err := c.RunBlockFixer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(fix.Unrecoverable, blocks[0]) {
+		t.Fatalf("block %d rebuilt over a rotted helper was not refused: %+v", blocks[0], fix)
+	}
+	if got := appends() - before; got != int64(fix.RepairedStriped) {
+		t.Fatalf("the pass appended %d records for %d repaired blocks: the refused block was written", got, fix.RepairedStriped)
+	}
+}
+
 // TestScrubberSliceFindsOnDiskCorruption exercises the incremental
 // scrubber against store-level corruption: the slice covering the
 // victim machine must evict the replica instead of skipping it as a

@@ -41,15 +41,48 @@ type dataNode struct {
 // extent.ErrClosed, which is reported as ErrNodeDown: the caller
 // re-places the replica, as for a machine found down before the write.
 func (d *dataNode) storeBlock(id BlockID, data []byte) error {
+	st, err := d.liveStore()
+	if err != nil {
+		return err
+	}
+	return d.crashedUnder(st.Put(id, data))
+}
+
+// storeChecked is storeBlock for a replica whose CRC-32 the caller
+// knows: one that does not match want is refused (putChecked) with
+// ErrCorruptReplica, before anything is written.
+func (d *dataNode) storeChecked(id BlockID, data []byte, want uint32) error {
+	st, err := d.liveStore()
+	if err != nil {
+		return err
+	}
+	return d.crashedUnder(putChecked(st, id, data, want))
+}
+
+// liveStore returns the store handle, or ErrNodeDown when the node is.
+func (d *dataNode) liveStore() (BlockStore, error) {
 	alive, _, st := d.state()
 	if !alive {
-		return fmt.Errorf("%w: node %d", ErrNodeDown, d.id)
+		return nil, fmt.Errorf("%w: node %d", ErrNodeDown, d.id)
 	}
-	err := st.Put(id, data)
+	return st, nil
+}
+
+// crashedUnder reports a write that a crash closed the store under as
+// ErrNodeDown.
+func (d *dataNode) crashedUnder(err error) error {
 	if errors.Is(err, extent.ErrClosed) {
 		return fmt.Errorf("%w: node %d crashed under the write", ErrNodeDown, d.id)
 	}
 	return err
+}
+
+// checksum returns the CRC-32 of block id as this node holds it, given
+// data, its bytes as just read from or written to the node
+// (storedChecksum).
+func (d *dataNode) checksum(id BlockID, data []byte) uint32 {
+	_, _, st := d.state()
+	return storedChecksum(st, id, data)
 }
 
 // state reads the liveness and crashed flags and the store handle under

@@ -12,7 +12,6 @@ package hdfs
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"sort"
 	"time"
@@ -121,10 +120,11 @@ type ScrubReport struct {
 	NextMachine     int
 }
 
-// RunScrubberSlice is the scrubber: it recomputes the checksum of every
-// replica on the NEXT machines (round-robin cursor over the cluster,
-// wrapping) against the block's recorded CRC-32 and evicts corrupt
-// replicas. It does not repair; run the BlockFixer afterwards, as the
+// RunScrubberSlice is the scrubber: it reads every replica on the NEXT
+// machines (round-robin cursor over the cluster, wrapping), which
+// verifies its bytes against the store's chunk CRCs, checks the CRC-32
+// those chunks fold to against the block's recorded one, and evicts
+// corrupt replicas. It does not repair; run the BlockFixer afterwards, as the
 // production pipeline does. A repair manager schedules small slices on
 // a timer instead of stalling a control-loop tick on a full-cluster
 // sweep; a slice of Machines() machines is one full cycle, which scans
@@ -184,7 +184,7 @@ func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[Bl
 		} else {
 			report.ScannedReplicas++
 		}
-		if buf != nil && crc32.ChecksumIEEE(buf) == bm.checksum {
+		if buf != nil && node.checksum(id, buf) == bm.checksum {
 			continue
 		}
 		node.delete(id)

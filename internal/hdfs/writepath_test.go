@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -111,6 +112,44 @@ func (s *faultyStore) Put(id BlockID, data []byte) error {
 		return errInjected
 	}
 	return s.BlockStore.Put(id, data)
+}
+
+// TestBlockChecksumsAreThePayloadCRCs: the CRC-32 the metadata records
+// for a block — the first replica's store's, folded from the chunk
+// table it filled, or computed by the write path when a decorator
+// hides that — is hash/crc32's of the block's bytes, for written data
+// blocks (a 700-byte tail among them) and for raided parity alike.
+func TestBlockChecksumsAreThePayloadCRCs(t *testing.T) {
+	for name, stores := range map[string]func(*testing.T) func(int) (BlockStore, error){
+		"extent": extentStores,
+		"decorated": func(t *testing.T) func(int) (BlockStore, error) {
+			return faultyStores(t, func(BlockID) bool { return false })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newForTest(t, storeConfig(t, stores(t)))
+			for i, f := range []string{"a", "b"} {
+				if err := c.WriteFile(f, randBytes(int64(70+i), 4700)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.RaidFile("a"); err != nil {
+				t.Fatal(err)
+			}
+			if len(c.stripes) == 0 {
+				t.Fatal("raiding made no stripe")
+			}
+			for id, bm := range c.blocks {
+				buf, err := c.nodes[bm.locations[0]].readRange(id, 0, bm.size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := crc32.ChecksumIEEE(buf); bm.checksum != want {
+					t.Errorf("block %d (stripe %d): recorded CRC %08x, payload's %08x", id, bm.stripe, bm.checksum, want)
+				}
+			}
+		})
+	}
 }
 
 // storeConfig is testCluster's shape (20 racks of 3, 1 KiB blocks,

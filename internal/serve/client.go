@@ -13,13 +13,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/crc"
 	"repro/internal/ec"
 	"repro/internal/engine"
 	"repro/internal/repairmgr"
@@ -716,7 +716,7 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 		// result.
 		if b.Stripe >= 0 {
 			data, err := c.degradedRead(b, c.lentTo(b, blocks))
-			if err == nil && crc32.ChecksumIEEE(data) != b.Checksum {
+			if err == nil && crc.Checksum(data) != b.Checksum {
 				// A helper served rot its store could not detect. The
 				// stripe gives the same bytes again, so no retry.
 				return fmt.Errorf("serve: block %d rebuilt from its stripe does not match its CRC-32", b.ID)
