@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck lint fmt fmtcheck test test-purego cover loc race fuzz-smoke bench benchdiff benchsmoke ci
+.PHONY: build vet staticcheck lint fmt fmtcheck test test-purego cover loc race fuzz-smoke selfcheck bench benchdiff benchsmoke ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,15 @@ fuzz-smoke:
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/lrc/
 	$(GO) test -run=FuzzDecodeHeader -fuzz=FuzzDecodeHeader -fuzztime=3s ./internal/serve/
 
+# The determinism gate at full scale: one workload run twice on one
+# seed, and every metric the benchmark marks exact (the paper's
+# core.plan_bytes_frac_of_rs among them) must repeat. The test suite's
+# TestSelfCheckRepeats runs the same check on shrunken workloads only.
+# node_repair is not gated here yet: its serve.rpcs_per_op counts the
+# datanodes' timed heartbeats, so it differs between runs.
+selfcheck:
+	$(GO) run ./benchmark -selfcheck -workload degraded_read
+
 # Full benchmark run (regenerates the paper's numbers as metrics).
 bench:
 	$(GO) test -run=NoTests -bench=. ./...
@@ -129,4 +138,4 @@ benchsmoke:
 
 # The test step is cover, as in CI: the whole suite plus the empty-TMPDIR
 # leak gate. `make test` stays the quick local run.
-ci: build vet staticcheck lint fmtcheck cover test-purego race benchsmoke fuzz-smoke
+ci: build vet staticcheck lint fmtcheck cover test-purego race benchsmoke fuzz-smoke selfcheck

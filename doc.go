@@ -43,13 +43,12 @@
 //	         bounds                regenerating.MBR                   -bounds
 //
 // Programs are cmd/<name> and examples/<name>; each package doc names
-// its rows. cmd/pbrsctl (the codecs' repair plans over files on disk),
-// cmd/repolint and cmd/benchdiff (tooling) print none. The remaining
-// benchmarks in bench_test.go time the codecs (Encode_*, Reconstruct_*,
-// RepairDataShard_*, ExecuteRepair_*, Ablation_VandermondeVsCauchy)
-// and the repair engine (EngineRepair). Measured system performance
-// comes from one program, `go run ./benchmark` (contract in
-// BENCHMARK.json, see benchmark/README.md).
+// its rows. cmd/repolint and cmd/benchdiff (tooling) print none. The
+// remaining benchmarks in bench_test.go time the codecs (Encode_*,
+// Reconstruct_*, RepairDataShard_*, ExecuteRepair_*,
+// Ablation_VandermondeVsCauchy) and the repair engine (EngineRepair).
+// Measured system performance comes from one program, `go run
+// ./benchmark` (contract in BENCHMARK.json, see benchmark/README.md).
 //
 // # The layers
 //

@@ -37,13 +37,6 @@ func TestFrameCheckGolden(t *testing.T) {
 	runGolden(t, FrameCheck(), "testdata/framecheck", "repro/internal/serve")
 }
 
-// The telemetry package marshals registry state in its /metrics
-// handlers, so framecheck targets it too: the identical golden sources
-// must fire under its import path.
-func TestFrameCheckTelemetryGolden(t *testing.T) {
-	runGolden(t, FrameCheck(), "testdata/framecheck", "repro/internal/telemetry")
-}
-
 // The extent store parses length-prefixed record headers read back
 // from disk — the same attacker-shaped input as a wire frame — so
 // framecheck targets it too: the identical golden sources must fire

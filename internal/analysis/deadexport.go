@@ -36,9 +36,11 @@ import (
 //
 // Each finding is resolved one of three ways, in this order: delete it
 // with the tests whose only subject it is; move a test oracle into a
-// _test.go file of its package (an oracle other packages' tests share
-// stays, its reason naming them: "oracle for <test>"); or keep a name a
-// ROADMAP item names, citing the item:
+// _test.go file of its package (an oracle or test fault other
+// packages' tests share stays, its reason naming them: "oracle for
+// <test>", "test fault for <test>"); or keep a name an open ROADMAP
+// item names, citing the item (cmd/repolint's tests check that
+// ROADMAP.md lists it as open):
 //
 //	//repolint:ignore deadexport ROADMAP 7: the workload that calls it
 //

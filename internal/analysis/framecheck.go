@@ -37,18 +37,15 @@ func (frameCheck) Doc() string {
 }
 
 // frameTargetPaths are the packages the rule applies to: the serve
-// wire path, the telemetry plane (its /metrics handlers marshal
-// registry state), the extent store (segment headers are
-// length-prefixed disk frames — a decoded length allocates the read
-// buffer, so the same bounds-before-allocation discipline applies),
-// and the block cache
-// (it sits directly on the read path and sizes copies from lengths
-// that originated as wire payloads).
+// wire path, the extent store (segment headers are length-prefixed
+// disk frames — a decoded length allocates the read buffer, so the
+// same bounds-before-allocation discipline applies), and the block
+// cache (it sits directly on the read path and sizes copies from
+// lengths that originated as wire payloads).
 var frameTargetPaths = map[string]bool{
-	"repro/internal/serve":     true,
-	"repro/internal/telemetry": true,
-	"repro/internal/extent":    true,
-	"repro/internal/cache":     true,
+	"repro/internal/serve":  true,
+	"repro/internal/extent": true,
+	"repro/internal/cache":  true,
 }
 
 // wireCallErrLast are wire-path calls returning (n, err).

@@ -138,7 +138,7 @@ type Options struct {
 	// delete-heavy store then bounds its own disk amplification without
 	// anyone calling Compact. 0 keeps compaction strictly manual.
 	//
-	//repolint:ignore deadexport ROADMAP 5: the chaos scheduler runs delete-heavy stores with compaction armed
+	//repolint:ignore deadexport ROADMAP 11(b): the crash-state enumerator runs Compact and arms CompactAfterDeadFraction
 	CompactAfterDeadFraction float64
 	// Telemetry, when non-nil, receives the store's instruments:
 	// extent_appends_total, extent_scan_records_total,
@@ -683,7 +683,7 @@ type CompactStats struct {
 // in a sealed segment stays detectable after compaction instead of
 // being silently re-blessed.
 //
-//repolint:ignore deadexport ROADMAP 5: the chaos scheduler crashes the store at every record boundary during compaction
+//repolint:ignore deadexport ROADMAP 11(b): the crash-state enumerator crashes the store at every write of a compaction
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -20,14 +20,13 @@ import (
 // after it settles. Run under -race, this is the proof the metadata
 // RWMutex + per-datanode lock decomposition is sound.
 func TestConcurrentClusterAccess(t *testing.T) {
-	runConcurrentAccessStorm(t, newForTest(t, Config{
-		Topology:          cluster.Topology{Racks: 10, MachinesPerRack: 2},
-		Code:              pbCode(t),
-		BlockSize:         2048,
-		Replication:       3,
-		Seed:              11,
-		RepairParallelism: 2,
-	}))
+	runConcurrentAccessStorm(t, withFixerWorkers(newForTest(t, Config{
+		Topology:    cluster.Topology{Racks: 10, MachinesPerRack: 2},
+		Code:        pbCode(t),
+		BlockSize:   2048,
+		Replication: 3,
+		Seed:        11,
+	}), 2))
 }
 
 // TestStoreRePlacesAReplicaWhoseMachineDied is the storm's "datanode

@@ -91,13 +91,6 @@ type Config struct {
 	Replication int
 	// Seed drives placement randomness.
 	Seed int64
-	// RepairParallelism bounds how many stripe repairs the BlockFixer
-	// executes concurrently through the stripe-repair engine; 0 selects
-	// GOMAXPROCS. Repaired bytes and traffic accounting are identical
-	// at any setting.
-	//
-	//repolint:ignore deadexport ROADMAP 5: the seeded chaos scheduler pins the fixer's worker count so a schedule replays
-	RepairParallelism int
 	// Telemetry, when non-nil, is the metrics registry the cluster
 	// publishes into: the metadata-lock gauges (hdfs_lock_wait_seconds,
 	// hdfs_meta_ops) and the repair engine's instruments.

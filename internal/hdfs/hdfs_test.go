@@ -778,14 +778,13 @@ func TestFixerScansAllBlocksNoFailures(t *testing.T) {
 // what the paper's measurement observes.
 func TestBlockFixerParallelismParity(t *testing.T) {
 	run := func(par int) (*FixReport, int64, []byte) {
-		c := newForTest(t, Config{
-			Topology:          cluster.Topology{Racks: 20, MachinesPerRack: 3},
-			Code:              pbCode(t),
-			BlockSize:         1024,
-			Replication:       3,
-			Seed:              13,
-			RepairParallelism: par,
-		})
+		c := withFixerWorkers(newForTest(t, Config{
+			Topology:    cluster.Topology{Racks: 20, MachinesPerRack: 3},
+			Code:        pbCode(t),
+			BlockSize:   1024,
+			Replication: 3,
+			Seed:        13,
+		}), par)
 		data := randBytes(77, 24*1024)
 		if err := c.WriteFile("f", data); err != nil {
 			t.Fatal(err)

@@ -118,7 +118,7 @@ func New(cfg Config) (*Cluster, error) {
 		net:      net,
 		nodes:    nodes,
 		dir:      dir,
-		eng:      engine.New(engine.Options{Parallelism: cfg.RepairParallelism, Telemetry: cfg.Telemetry}),
+		eng:      engine.New(engine.Options{Telemetry: cfg.Telemetry}),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		files:    make(map[string]*fileMeta),
 		blocks:   make(map[BlockID]*blockMeta),

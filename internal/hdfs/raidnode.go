@@ -208,7 +208,7 @@ func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[Bl
 // corruption scrubbers exist to catch. It deliberately bypasses
 // checksum maintenance.
 //
-//repolint:ignore deadexport ROADMAP 5(ii): the chaos scheduler's "rot under a dead replica" fault
+//repolint:ignore deadexport test fault for serve's TestPersistentCorruptedSegmentTargetedRepair, TestServeCorruptReplicaFallsBackDegraded, TestCorruptReplicaIsMatchedByItsCodeNotItsWording and TestLentBlocksCutADegradedReadToOneShard, and repairmgr's TestManagerScrubScheduling
 func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
 	node, err := c.machine(machine)
 	if err != nil {

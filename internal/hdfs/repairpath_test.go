@@ -179,8 +179,8 @@ func TestReadFileResultIsCallerOwned(t *testing.T) {
 func TestFixerReadsHelpersIntoTheWorkerArena(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := persistentConfig(t, t.TempDir(), reg)
-	cfg.Code, cfg.RepairParallelism = pbCode(t), 1
-	c := newForTest(t, cfg)
+	cfg.Code = pbCode(t)
+	c := withFixerWorkers(newForTest(t, cfg), 1)
 	files := map[string][]byte{}
 	for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
 		files[name] = randBytes(int64(30+i), 4*1024)

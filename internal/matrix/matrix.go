@@ -92,9 +92,6 @@ func Cauchy(rows, cols int) (*Matrix, error) {
 	return m, nil
 }
 
-// Set assigns the entry at (r, c).
-func (m *Matrix) Set(r, c int, v byte) { m.data[r][c] = v }
-
 // Row returns a copy of row r.
 func (m *Matrix) Row(r int) []byte {
 	out := make([]byte, m.cols)

@@ -321,7 +321,7 @@ func TestMulVecMatchesMatrixMulProperty(t *testing.T) {
 		m := New(rows, cols)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
-				m.Set(r, c, byte(rng.Intn(256)))
+				m.set(r, c, byte(rng.Intn(256)))
 			}
 		}
 		v := make([]byte, cols)
@@ -334,7 +334,7 @@ func TestMulVecMatchesMatrixMulProperty(t *testing.T) {
 		}
 		colMat := New(cols, 1)
 		for i, x := range v {
-			colMat.Set(i, 0, x)
+			colMat.set(i, 0, x)
 		}
 		prod, err := m.Mul(colMat)
 		if err != nil {
@@ -367,9 +367,9 @@ func TestFlatBackingInvariant(t *testing.T) {
 			}
 		}
 	}
-	// RowView aliases: a Set must show through an existing view.
+	// RowView aliases: a set must show through an existing view.
 	view := m.RowView(3)
-	m.Set(3, 2, 0xAB)
+	m.set(3, 2, 0xAB)
 	if view[2] != 0xAB {
 		t.Fatal("RowView does not alias the matrix")
 	}
@@ -415,6 +415,9 @@ func FromRows(rows [][]byte) (*Matrix, error) {
 	}
 	return m, nil
 }
+
+// set assigns the entry at (r, c).
+func (m *Matrix) set(r, c int, v byte) { m.data[r][c] = v }
 
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }

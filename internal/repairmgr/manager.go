@@ -264,7 +264,7 @@ func New(cluster *hdfs.Cluster, cfg Config) (*Manager, error) {
 
 // registerTelemetry publishes the manager's instruments. Counters are
 // incremented inline by the control loop; gauges read the live queue,
-// throttle, and registry state at scrape time.
+// throttle, and registry state at snapshot time.
 func (m *Manager) registerTelemetry() {
 	reg := m.cfg.Telemetry
 	if reg == nil {

@@ -264,15 +264,10 @@ func (d *DataNode) heartbeat(nameAddr string, every time.Duration) {
 	}
 }
 
-// DebugAddr returns the daemon's debug HTTP address ("" when the
-// system runs without telemetry HTTP listeners).
-func (d *DataNode) DebugAddr() string { return d.tele.debugAddr() }
-
 // close severs the listener and every client connection, and silences
 // the heartbeat loop.
 func (d *DataNode) close() {
 	d.stopOnce.Do(func() { close(d.hbStop) })
 	<-d.hbDone
 	d.srv.close()
-	d.tele.close()
 }

@@ -145,12 +145,7 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 	}
 }
 
-// DebugAddr returns the namenode's debug HTTP address ("" when the
-// system runs without telemetry HTTP listeners).
-func (n *NameNode) DebugAddr() string { return n.tele.debugAddr() }
-
 // close severs the listener and every client connection.
 func (n *NameNode) close() {
 	n.srv.close()
-	n.tele.close()
 }

@@ -30,16 +30,16 @@ type Option func(*sysOptions)
 type sysOptions struct {
 	// mgrCfg replaces repairmgr.DefaultConfig(); only the package's
 	// tests set it (withRepairConfig), to shorten the windows.
-	mgrCfg  *repairmgr.Config
-	teleCfg *TelemetryConfig
+	mgrCfg    *repairmgr.Config
+	telemetry bool
 }
 
 // WithTelemetry instruments the whole system on one shared metrics
 // registry — every daemon's RPC path, the storage substrate's lock and
-// meta-op stats, the repair engine, and the repair manager. cfg.HTTP
-// additionally starts a loopback /metrics listener per daemon.
-func WithTelemetry(cfg TelemetryConfig) Option {
-	return func(o *sysOptions) { o.teleCfg = &cfg }
+// meta-op stats, the repair engine, and the repair manager — read
+// through System.Telemetry.
+func WithTelemetry(TelemetryConfig) Option {
+	return func(o *sysOptions) { o.telemetry = true }
 }
 
 // System is a running serving cluster.
@@ -50,8 +50,7 @@ type System struct {
 	mgr     *repairmgr.Manager
 	hbEvery time.Duration // each datanode's heartbeat period
 
-	reg     *telemetry.Registry // nil when telemetry is disabled
-	teleCfg TelemetryConfig
+	reg *telemetry.Registry // nil when telemetry is disabled
 
 	mu  sync.Mutex
 	dns []*DataNode // nil entry = machine's daemon currently down
@@ -59,11 +58,11 @@ type System struct {
 
 // nodeTele builds one daemon's telemetry handle (nil when the system
 // runs without WithTelemetry).
-func (s *System) nodeTele(role string) (*nodeTelemetry, error) {
+func (s *System) nodeTele(role string) *nodeTelemetry {
 	if s.reg == nil {
-		return nil, nil
+		return nil
 	}
-	return newNodeTelemetry(s.reg, s.teleCfg, role)
+	return &nodeTelemetry{reg: s.reg, role: role}
 }
 
 // Start builds the storage cluster from cfg, the repair manager over
@@ -76,11 +75,10 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 		opt(&o)
 	}
 	s := &System{code: cfg.Code}
-	if o.teleCfg != nil {
+	if o.telemetry {
 		s.reg = telemetry.NewRegistry()
-		s.teleCfg = *o.teleCfg
 		// The substrate and the control plane pick their instruments off
-		// the same registry, so one scrape shows every tier.
+		// the same registry, so one snapshot shows every tier.
 		cfg.Telemetry = s.reg
 	}
 	cluster, err := hdfs.New(cfg)
@@ -100,14 +98,8 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 	// Three beats per suspect window keeps one lost frame from
 	// mattering.
 	s.hbEvery = max(mgrCfg.SuspectAfter/3, 5*time.Millisecond)
-	nnTele, err := s.nodeTele("namenode")
+	nn, err := startNameNode(cluster, cfg.Code, s.dataNodeAddrs, s.mgr, s.nodeTele("namenode"))
 	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	nn, err := startNameNode(cluster, cfg.Code, s.dataNodeAddrs, s.mgr, nnTele)
-	if err != nil {
-		nnTele.close()
 		s.Close()
 		return nil, err
 	}
@@ -130,40 +122,12 @@ func Start(cfg hdfs.Config, opts ...Option) (*System, error) {
 // startDataNode launches machine m's daemon, with its telemetry handle
 // and its heartbeats to the namenode.
 func (s *System) startDataNode(m int) (*DataNode, error) {
-	tele, err := s.nodeTele("datanode")
-	if err != nil {
-		return nil, err
-	}
-	dn, err := startDataNode(s.cluster, m, tele, s.nn.Addr(), s.hbEvery)
-	if err != nil {
-		tele.close()
-		return nil, err
-	}
-	return dn, nil
+	return startDataNode(s.cluster, m, s.nodeTele("datanode"), s.nn.Addr(), s.hbEvery)
 }
 
 // Telemetry returns the system-wide metrics registry (nil when Start
 // ran without WithTelemetry).
 func (s *System) Telemetry() *telemetry.Registry { return s.reg }
-
-// MetricsAddr returns the namenode's debug HTTP address ("" unless
-// WithTelemetry ran with HTTP enabled).
-//
-//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain reads histogram exemplars from /metrics
-func (s *System) MetricsAddr() string { return s.nn.DebugAddr() }
-
-// DataNodeMetricsAddr returns one datanode daemon's debug HTTP address
-// ("" when that daemon is down or HTTP is disabled).
-//
-//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain reads histogram exemplars from /metrics
-func (s *System) DataNodeMetricsAddr(machine int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if machine < 0 || machine >= len(s.dns) || s.dns[machine] == nil {
-		return ""
-	}
-	return s.dns[machine].DebugAddr()
-}
 
 // NameAddr returns the namenode's address — the only address a Client
 // needs.
@@ -251,7 +215,7 @@ func (s *System) RestartDataNode(machine int) error {
 // purely as latency. delay 0 clears the throttle; a restart also
 // clears it (the fresh daemon starts unthrottled).
 //
-//repolint:ignore deadexport ROADMAP 5(ii): the chaos scheduler's late-datanode fault
+//repolint:ignore deadexport ROADMAP 14: the rack-aware transport turns it into a per-node delay
 func (s *System) ThrottleDataNode(machine int, delay time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

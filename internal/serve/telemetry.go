@@ -1,9 +1,9 @@
 // Per-daemon telemetry plumbing: each daemon (namenode, every
 // datanode) carries a nodeTelemetry — a handle on the System-wide
-// metrics registry and an optional loopback /metrics listener. The
-// generic server loop threads every RPC through it (per-method
-// counters, latency histograms, byte counters), so instrumenting a
-// daemon costs its handler nothing.
+// metrics registry and the daemon's role label. The generic server
+// loop threads every RPC through it (per-method counters, latency
+// histograms, byte counters), so instrumenting a daemon costs its
+// handler nothing. System.Telemetry().Snapshot() reads the result.
 package serve
 
 import (
@@ -12,51 +12,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TelemetryConfig parameterises WithTelemetry.
-type TelemetryConfig struct {
-	// HTTP starts a loopback listener per daemon serving /metrics (off
-	// by default: tests that only want counters skip the listeners
-	// entirely).
-	//
-	//repolint:ignore deadexport ROADMAP 6(d): pbrsctl explain scrapes a live system's /metrics
-	HTTP bool
-}
+// TelemetryConfig parameterises WithTelemetry. It has no fields: the
+// registry is the only observability surface.
+type TelemetryConfig struct{}
 
 // nodeTelemetry is one daemon's observability handle. A nil
 // *nodeTelemetry disables everything (the zero-cost default).
 type nodeTelemetry struct {
 	reg  *telemetry.Registry
 	role string // metric label: "namenode" | "datanode"
-	http *telemetry.DebugServer
-}
-
-// newNodeTelemetry builds the handle; the registry is the System-wide
-// one, the HTTP listener is per-daemon.
-func newNodeTelemetry(reg *telemetry.Registry, cfg TelemetryConfig, role string) (*nodeTelemetry, error) {
-	nt := &nodeTelemetry{reg: reg, role: role}
-	if cfg.HTTP {
-		ds, err := telemetry.NewDebugServer(reg)
-		if err != nil {
-			return nil, err
-		}
-		nt.http = ds
-	}
-	return nt, nil
-}
-
-// debugAddr returns the daemon's debug HTTP address ("" when disabled).
-func (t *nodeTelemetry) debugAddr() string {
-	if t == nil || t.http == nil {
-		return ""
-	}
-	return t.http.Addr()
-}
-
-// close releases the debug listener (nil-safe).
-func (t *nodeTelemetry) close() {
-	if t != nil && t.http != nil {
-		t.http.Close()
-	}
 }
 
 // rpcMetric builds a per-method instrument name, e.g.

@@ -2,11 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -86,86 +82,60 @@ func TestCountersRaceFreeUnderLoad(t *testing.T) {
 	}
 }
 
-// requiredInstruments are the name prefixes one namenode /metrics
-// scrape of the exercised system must contain — one per instrumented
-// tier (RPC plane, serve layer, repair control plane, metadata
-// substrate, repair engine).
-var requiredInstruments = []string{
-	"rpc_requests_total",
-	"rpc_request_seconds_bucket",
-	"rpc_response_bytes_total",
-	"serve_degraded_plans_total",
-	"repair_polls_total",
-	"repair_repairs_done_total",
-	"repair_queue_depth",
-	"hdfs_lock_wait_seconds",
-	"hdfs_meta_ops",
-	"engine_workers",
+// requiredInstruments are the name prefixes one Snapshot of the
+// exercised system must contain, by instrument kind — one per
+// instrumented tier (RPC plane, serve layer, repair control plane,
+// metadata substrate, repair engine).
+var requiredInstruments = struct{ counters, gauges, histograms []string }{
+	counters: []string{
+		"rpc_requests_total",
+		"rpc_response_bytes_total",
+		"serve_degraded_plans_total",
+		"repair_polls_total",
+		"repair_repairs_done_total",
+	},
+	gauges: []string{
+		"repair_queue_depth",
+		"hdfs_lock_wait_seconds",
+		"hdfs_meta_ops",
+		"engine_workers",
+	},
+	histograms: []string{"rpc_request_seconds"},
 }
 
-// scrapeMetrics fetches and parses one Prometheus text exposition into
-// a name → value map (full name including labels; # lines skipped).
-func scrapeMetrics(addr string) (map[string]float64, error) {
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics answered %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// hasPrefix reports whether any instrument name starts with prefix.
+func hasPrefix[V any](m map[string]V, prefix string) bool {
+	for name := range m {
+		if strings.HasPrefix(name, prefix) {
+			return true
 		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			return nil, fmt.Errorf("unparseable metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("metrics line %q: %w", line, err)
-		}
-		out[line[:sp]] = v
 	}
-	return out, nil
+	return false
 }
 
-// sumPrefix sums every metric whose name starts with prefix and
-// reports whether any did.
-func sumPrefix(m map[string]float64, prefix string) (total float64, found bool) {
+// sumPrefix sums every counter whose name starts with prefix.
+func sumPrefix(m map[string]int64, prefix string) (total int64) {
 	for name, v := range m {
 		if strings.HasPrefix(name, prefix) {
 			total += v
-			found = true
 		}
 	}
-	return total, found
+	return total
 }
 
-// TestMetricsScrapeCycle scrapes /metrics the way an operator's
-// Prometheus would — twice — around a write → raid → kill →
-// degraded-read → autonomous-repair cycle on an instrumented system
-// with the debug HTTP listeners on. It pins the contract the
-// observability layer advertises: every required instrument is
-// exposed, the cycle's instruments moved, a datanode's own listener
-// serves the shared registry, and no counter goes backwards between
-// scrapes.
+// TestMetricsScrapeCycle reads the system's registry twice around a
+// write → raid → kill → degraded-read → autonomous-repair cycle on an
+// instrumented system. It pins the contract the observability layer
+// advertises: every required instrument is registered, the cycle's
+// instruments moved, datanode RPCs land on the shared registry, and no
+// counter goes backwards between snapshots.
 func TestMetricsScrapeCycle(t *testing.T) {
 	code := testCodecs(t)[0]
-	sys := startTestSystem(t, code, WithTelemetry(TelemetryConfig{HTTP: true}), withRepairConfig(repairmgr.Config{
+	sys := startTestSystem(t, code, WithTelemetry(TelemetryConfig{}), withRepairConfig(repairmgr.Config{
 		SuspectAfter: 150 * time.Millisecond,
 		GraceWindow:  0, // repair at the suspect deadline: the cycle wants traffic, not savings
 		PollInterval: 20 * time.Millisecond,
 	}))
-	if sys.MetricsAddr() == "" {
-		t.Fatal("namenode debug HTTP listener missing")
-	}
 	files := preloadRaided(t, sys, 2)
 	cl, err := Dial(sys.NameAddr(), code)
 	if err != nil {
@@ -200,49 +170,38 @@ func TestMetricsScrapeCycle(t *testing.T) {
 		t.Fatal("the cycle produced no degraded reads")
 	}
 
-	first, err := scrapeMetrics(sys.MetricsAddr())
-	if err != nil {
-		t.Fatal(err)
+	first := sys.Telemetry().Snapshot()
+	for _, want := range requiredInstruments.counters {
+		if !hasPrefix(first.Counters, want) {
+			t.Errorf("snapshot missing counter %s", want)
+		}
 	}
-	for _, want := range requiredInstruments {
-		if _, ok := sumPrefix(first, want); !ok {
-			t.Errorf("/metrics scrape missing instrument %s", want)
+	for _, want := range requiredInstruments.gauges {
+		if !hasPrefix(first.Gauges, want) {
+			t.Errorf("snapshot missing gauge %s", want)
+		}
+	}
+	for _, want := range requiredInstruments.histograms {
+		if !hasPrefix(first.Histograms, want) {
+			t.Errorf("snapshot missing histogram %s", want)
 		}
 	}
 	for _, name := range []string{"serve_degraded_plans_total", "repair_polls_total", "repair_repairs_done_total"} {
-		if first[name] < 1 {
-			t.Errorf("%s = %v after the cycle, want >= 1", name, first[name])
+		if first.Counters[name] < 1 {
+			t.Errorf("%s = %v after the cycle, want >= 1", name, first.Counters[name])
 		}
 	}
-	if n, _ := sumPrefix(first, `rpc_requests_total{role="datanode"`); n == 0 {
+	if sumPrefix(first.Counters, `rpc_requests_total{role="datanode"`) == 0 {
 		t.Error("no datanode RPCs recorded on the shared registry")
 	}
 
-	// A surviving datanode's own listener serves the same registry.
-	dnAddr := ""
-	for m := 0; dnAddr == "" && m < sys.Cluster().Machines(); m++ {
-		dnAddr = sys.DataNodeMetricsAddr(m)
-	}
-	if dnAddr == "" {
-		t.Fatal("no datanode debug listener found")
-	}
-	if _, err := scrapeMetrics(dnAddr); err != nil {
-		t.Fatalf("datanode scrape: %v", err)
-	}
-
-	// More traffic, then monotonicity: between two scrapes no counter
-	// (the _total names) may move backwards; gauges may.
+	// More traffic, then monotonicity: between two snapshots no counter
+	// may move backwards; gauges may.
 	readAll()
-	second, err := scrapeMetrics(sys.MetricsAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v1 := range first {
-		if !strings.Contains(name, "_total") {
-			continue
-		}
-		if v2, ok := second[name]; !ok || v2 < v1 {
-			t.Errorf("counter %s went backwards: %v -> %v", name, v1, second[name])
+	second := sys.Telemetry().Snapshot()
+	for name, v1 := range first.Counters {
+		if v2, ok := second.Counters[name]; !ok || v2 < v1 {
+			t.Errorf("counter %s went backwards: %v -> %v", name, v1, second.Counters[name])
 		}
 	}
 }

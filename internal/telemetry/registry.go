@@ -1,18 +1,17 @@
 // Package telemetry is the zero-dependency observability substrate of
 // the repro system: a metrics registry of atomic counters, function
-// gauges, and fixed-bucket histograms with JSON snapshots. Every tier —
-// the serving daemons, the repair control plane, the metadata plane,
-// the stripe engine — registers its instruments here, and the serve
-// layer exposes the result over /metrics (Prometheus text format and
-// JSON).
+// gauges, and fixed-bucket histograms. Every tier — the serving
+// daemons, the repair control plane, the metadata plane, the stripe
+// engine — registers its instruments here, and a Snapshot of the
+// registry is the one way to read them: the benchmark's per-layer rows
+// and the live-system tests both read it.
 //
 // # Instrument naming
 //
 // Labels are embedded directly in the instrument name in Prometheus
 // sample syntax — `rpc_requests_total{role="datanode",method="dn.read"}`
-// — so the registry stays a flat name→instrument map and the text
-// exposition is a straight render. Histograms get their `le` bucket
-// label spliced into any existing label set at render time.
+// — so the registry stays a flat name→instrument map, and a reader
+// selects a label set by matching on the name.
 //
 // # Nil safety
 //
@@ -23,13 +22,8 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -175,18 +169,18 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // HistogramSnapshot is one histogram's captured state. Counts has one
 // entry per bound plus a final +Inf bucket.
 type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
+	Bounds []float64
+	Counts []int64
+	Sum    float64
+	Count  int64
 }
 
-// Snapshot is a point-in-time capture of a registry — the
-// JSON-marshalable unit the benchmarks embed and /metrics renders.
+// Snapshot is a point-in-time capture of a registry: the unit the
+// benchmark's per-layer rows difference and the serve tests assert on.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot captures every instrument, evaluating registered gauge
@@ -227,97 +221,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = h.snapshot()
 	}
 	return s
-}
-
-// splitName separates an instrument name into its metric base and the
-// inner label text: `x_total{a="b"}` → ("x_total", `a="b"`).
-func splitName(name string) (base, labels string) {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return name, ""
-	}
-	inner := name[i:]
-	inner = strings.TrimPrefix(inner, "{")
-	inner = strings.TrimSuffix(inner, "}")
-	return name[:i], inner
-}
-
-// formatFloat renders a float the way the Prometheus text format
-// expects (shortest round-trip representation; +Inf spelled out).
-func formatFloat(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// PrometheusText renders the snapshot in the Prometheus text exposition
-// format, instruments sorted by name, one # TYPE line per metric base.
-func (s Snapshot) PrometheusText() []byte {
-	var buf bytes.Buffer
-	typed := make(map[string]bool)
-	emitType := func(base, kind string) {
-		if !typed[base] {
-			typed[base] = true
-			fmt.Fprintf(&buf, "# TYPE %s %s\n", base, kind)
-		}
-	}
-
-	counterNames := sortedKeys(s.Counters)
-	for _, name := range counterNames {
-		base, _ := splitName(name)
-		emitType(base, "counter")
-		fmt.Fprintf(&buf, "%s %d\n", name, s.Counters[name])
-	}
-	gaugeNames := sortedKeys(s.Gauges)
-	for _, name := range gaugeNames {
-		base, _ := splitName(name)
-		emitType(base, "gauge")
-		fmt.Fprintf(&buf, "%s %s\n", name, formatFloat(s.Gauges[name]))
-	}
-	histNames := sortedKeys(s.Histograms)
-	for _, name := range histNames {
-		h := s.Histograms[name]
-		base, labels := splitName(name)
-		emitType(base, "histogram")
-		withLE := func(le string) string {
-			if labels == "" {
-				return fmt.Sprintf(`%s_bucket{le="%s"}`, base, le)
-			}
-			return fmt.Sprintf(`%s_bucket{%s,le="%s"}`, base, labels, le)
-		}
-		cum := int64(0)
-		for i, bound := range h.Bounds {
-			if i < len(h.Counts) {
-				cum += h.Counts[i]
-			}
-			fmt.Fprintf(&buf, "%s %d\n", withLE(formatFloat(bound)), cum)
-		}
-		fmt.Fprintf(&buf, "%s %d\n", withLE("+Inf"), h.Count)
-		suffix := ""
-		if labels != "" {
-			suffix = "{" + labels + "}"
-		}
-		fmt.Fprintf(&buf, "%s_sum%s %s\n", base, suffix, formatFloat(h.Sum))
-		fmt.Fprintf(&buf, "%s_count%s %d\n", base, suffix, h.Count)
-	}
-	return buf.Bytes()
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	blob, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -67,47 +65,6 @@ func TestHistogramObserve(t *testing.T) {
 	}
 	if snap.Sum < 5.6 || snap.Sum > 5.61 {
 		t.Fatalf("sum = %v, want ~5.605", snap.Sum)
-	}
-}
-
-func TestPrometheusText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(`rpc_requests_total{role="namenode",method="info"}`).Add(7)
-	r.RegisterGauge("queue_depth", func() float64 { return 3 })
-	r.Histogram(`rpc_request_seconds{method="info"}`, []float64{0.1, 1}).Observe(0.05)
-	text := string(r.Snapshot().PrometheusText())
-
-	for _, want := range []string{
-		"# TYPE rpc_requests_total counter",
-		`rpc_requests_total{role="namenode",method="info"} 7`,
-		"# TYPE queue_depth gauge",
-		"queue_depth 3",
-		"# TYPE rpc_request_seconds histogram",
-		`rpc_request_seconds_bucket{method="info",le="0.1"} 1`,
-		`rpc_request_seconds_bucket{method="info",le="+Inf"} 1`,
-		`rpc_request_seconds_sum{method="info"} 0.05`,
-		`rpc_request_seconds_count{method="info"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(1)
-	r.Histogram("h", []float64{1}).Observe(2)
-	blob, err := r.Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Counters["c"] != 1 || back.Histograms["h"].Count != 1 {
-		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
 
