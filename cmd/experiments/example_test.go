@@ -1,5 +1,11 @@
 package main
 
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
 // Every section of the report at the default trace length, with the
 // §2.2 simulation shrunk as under -quick. The report is seeded, so
 // its text is pinned: a change that does not mean to move a paper
@@ -7,7 +13,7 @@ package main
 
 // The full paper-vs-measured report: 96 days, seed 1, -quick.
 func Example_run() {
-	if err := run(96, 1, true); err != nil {
+	if err := run(os.Stdout, 96, 1, true); err != nil {
 		panic(err)
 	}
 	// Output:
@@ -87,4 +93,17 @@ func Example_run() {
 	// paper   : regenerating codes achieve lower download but restrict parameters
 	// measured: repair floor (MSR, storage-optimal) = 0.325 of stripe data; rs = 1.000;
 	//           piggybacked-rs = 0.670 (data avg) — captures 49% of the available saving
+	//           repair floor (MBR, any storage) = 0.153 of stripe data, at 1.53x MSR's per-node storage
+}
+
+// A trace length the generator refuses fails the run before the
+// report's first line, so a bad -days prints no partial report.
+func TestRunRejectsBadDaysBeforePrinting(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, 0, 1, true); err == nil {
+		t.Fatal("run accepted 0 days")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run printed %d bytes before failing:\n%s", out.Len(), out.String())
+	}
 }

@@ -1,8 +1,7 @@
 // Package stats provides the summary statistics used to reduce the
 // simulated cluster measurements to the quantities the paper reports:
-// medians of daily series (Fig. 3a, Fig. 3b), percentile spreads, simple
-// histograms, and human-readable byte formatting (the paper reports
-// terabytes per day).
+// medians of daily series (Fig. 3a, Fig. 3b), percentile spreads, and
+// human-readable byte formatting (the paper reports terabytes per day).
 package stats
 
 import (
@@ -86,37 +85,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo] + (s[hi]-s[lo])*frac
 }
 
-// Histogram counts values into equal-width buckets spanning [lo, hi).
-// Values outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-}
-
-// NewHistogram builds a histogram of xs with n equal-width buckets over
-// [lo, hi). n must be positive and hi > lo.
-func NewHistogram(xs []float64, lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: bucket count %d must be positive", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: invalid range [%v, %v)", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-	width := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		h.Buckets[b]++
-	}
-	return h, nil
-}
-
 // Byte size units used throughout the reproduction.
 const (
 	KB = 1 << 10
@@ -129,10 +97,15 @@ const (
 // FormatBytes renders a byte count the way the paper does ("180 TB",
 // "256 MB"), choosing the largest unit that keeps the value >= 1.
 func FormatBytes(n int64) string {
-	f := float64(n)
+	if n < 0 {
+		// Negate as a float: -n overflows for math.MinInt64.
+		return "-" + formatMagnitude(-float64(n))
+	}
+	return formatMagnitude(float64(n))
+}
+
+func formatMagnitude(f float64) string {
 	switch {
-	case n < 0:
-		return "-" + FormatBytes(-n)
 	case f >= PB:
 		return fmt.Sprintf("%.2f PB", f/PB)
 	case f >= TB:
@@ -144,7 +117,7 @@ func FormatBytes(n int64) string {
 	case f >= KB:
 		return fmt.Sprintf("%.2f KB", f/KB)
 	default:
-		return fmt.Sprintf("%d B", n)
+		return fmt.Sprintf("%.0f B", f)
 	}
 }
 

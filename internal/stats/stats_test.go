@@ -109,34 +109,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 9.99, -5, 100}
-	h, err := NewHistogram(xs, 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range h.Buckets {
-		total += b
-	}
-	if total != len(xs) {
-		t.Fatalf("buckets hold %d samples, want %d", total, len(xs))
-	}
-	// -5 clamps into bucket 0; 100 clamps into bucket 4.
-	if h.Buckets[0] != 3 { // 0, 1, -5
-		t.Fatalf("bucket 0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 { // 9.99, 100
-		t.Fatalf("bucket 4 = %d, want 2", h.Buckets[4])
-	}
-	if _, err := NewHistogram(xs, 0, 10, 0); err == nil {
-		t.Fatal("zero buckets must error")
-	}
-	if _, err := NewHistogram(xs, 10, 0, 5); err == nil {
-		t.Fatal("inverted range must error")
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := []struct {
 		in   int64
@@ -150,6 +122,8 @@ func TestFormatBytes(t *testing.T) {
 		{180 * TB, "180.00 TB"},
 		{10 * PB, "10.00 PB"},
 		{-TB, "-1.00 TB"},
+		{-512, "-512 B"},
+		{math.MinInt64, "-8192.00 PB"},
 	}
 	for _, c := range cases {
 		if got := FormatBytes(c.in); got != c.want {

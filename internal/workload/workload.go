@@ -22,10 +22,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -137,25 +134,25 @@ func (c Config) Validate() error {
 // block recovery.
 type TriggeredEvent struct {
 	// Machine is the unavailable machine's id.
-	Machine int `json:"machine"`
+	Machine int
 	// BlocksLost is the number of RS blocks reconstructed because of
 	// this event.
-	BlocksLost int `json:"blocks_lost"`
+	BlocksLost int
 	// SizeSeed deterministically drives the per-block size and
 	// shard-position draws during replay, so alternative codes can be
 	// costed on the identical trace without storing per-block records.
-	SizeSeed int64 `json:"size_seed"`
+	SizeSeed int64
 }
 
 // Day is one day of the trace.
 type Day struct {
 	// Index is the day number, starting at 0.
-	Index int `json:"index"`
+	Index int
 	// Unavailable is the Fig. 3a quantity: machines unavailable for
 	// more than 15 minutes during this day.
-	Unavailable int `json:"unavailable"`
+	Unavailable int
 	// Triggered lists the subset of events that led to recovery.
-	Triggered []TriggeredEvent `json:"triggered"`
+	Triggered []TriggeredEvent
 }
 
 // BlocksLost sums the blocks lost across the day's triggered events.
@@ -167,10 +164,10 @@ func (d *Day) BlocksLost() int {
 	return n
 }
 
-// Trace is a generated (or loaded) multi-day failure trace.
+// Trace is a generated multi-day failure trace.
 type Trace struct {
-	Config Config `json:"config"`
-	Days   []Day  `json:"days"`
+	Config Config
+	Days   []Day
 }
 
 // Generate builds a deterministic trace from the configuration.
@@ -262,57 +259,6 @@ func (t *Trace) UnavailableSeries() []int {
 		out[i] = t.Days[i].Unavailable
 	}
 	return out
-}
-
-// WriteJSON serialises the trace.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// ReadJSON loads a trace written by WriteJSON and validates its config
-// and every day against the invariants Generate guarantees, so an
-// edited or foreign trace cannot feed the study a negative count or an
-// event larger than a machine can hold.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("workload: decoding trace: %w", err)
-	}
-	if err := t.Config.Validate(); err != nil {
-		return nil, err
-	}
-	if len(t.Days) != t.Config.Days {
-		return nil, fmt.Errorf("workload: trace has %d days, config says %d", len(t.Days), t.Config.Days)
-	}
-	for i := range t.Days {
-		if err := t.Days[i].validate(i, t.Config); err != nil {
-			return nil, err
-		}
-	}
-	return &t, nil
-}
-
-// validate checks day i of a trace: its index, at least as many
-// unavailable machines as triggered events, and every event on a real
-// machine losing between 1 and MaxBlocksPerMachine blocks.
-func (d *Day) validate(i int, cfg Config) error {
-	if d.Index != i {
-		return fmt.Errorf("workload: day %d has index %d", i, d.Index)
-	}
-	if d.Unavailable < len(d.Triggered) {
-		return fmt.Errorf("workload: day %d has %d unavailable machines but %d triggered events", i, d.Unavailable, len(d.Triggered))
-	}
-	for _, e := range d.Triggered {
-		if e.Machine < 0 || e.Machine >= cfg.Machines {
-			return fmt.Errorf("workload: day %d: machine %d outside [0, %d)", i, e.Machine, cfg.Machines)
-		}
-		if e.BlocksLost < 1 || e.BlocksLost > cfg.MaxBlocksPerMachine {
-			return fmt.Errorf("workload: day %d: machine %d lost %d blocks, want 1..%d", i, e.Machine, e.BlocksLost, cfg.MaxBlocksPerMachine)
-		}
-	}
-	return nil
 }
 
 // poisson draws from Poisson(lambda) by Knuth's product method, adequate
