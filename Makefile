@@ -53,12 +53,16 @@ test:
 # The code a default build on this host never runs: the gf256 table
 # kernel and the crc package's hash/crc32 tier (selected by the purego
 # tag, and on every GOARCH but amd64) under the packages that use them,
-# and the non-amd64 build itself. Without this the fallbacks and the
-# cross build could rot unseen behind the assembly.
+# the non-amd64 build itself, and the serving wire's non-Linux build,
+# where a datanode copies every replica and never sends one with
+# sendfile(2). Without this the fallbacks and the cross builds could
+# rot unseen behind the assembly and the Linux send path.
 test-purego:
 	$(GO) test -tags purego ./internal/gf256/ ./internal/ec/ ./internal/rs/ ./internal/core/ ./internal/lrc/ ./internal/engine/ ./internal/crc/ ./internal/extent/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/gf256/ ./internal/crc/
+	GOOS=darwin $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/serve/
 
 # Per-package coverage: the `ok <pkg> coverage: NN%` lines are the CI
 # job summary; coverage.out feeds go tool cover for local drill-down.

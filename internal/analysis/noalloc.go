@@ -74,6 +74,7 @@ var noAllocScopes = map[string]map[string]bool{
 	// message — what small reads are made of.
 	"repro/internal/serve": {
 		"writeFrame":        true,
+		"encode":            true, // a frame's prefix and header, for writeFrame and sendFrame
 		"appendHeader":      true, // request and response
 		"appendTo":          true, // the dn.partial tree
 		"appendVarintField": true,

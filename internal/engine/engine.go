@@ -261,3 +261,39 @@ func (e *Engine) forEach(n int, fn func(i int, s *Scratch)) {
 	close(next)
 	wg.Wait()
 }
+
+// DecodeAroundRot runs decode over alive and fetch, and runs it again
+// without any position whose fetch failed with an error rotten reports:
+// a helper whose stored bytes failed their checksum is as good as
+// erased. It stops when decode succeeds, fails for another reason, or
+// the codec finds the erasures beyond what it tolerates. The BlockFixer
+// (a joint decode per stripe) and the serving client's degraded read
+// (one block) both decode through it. Fetches run one after another, as
+// the codec issues them, so the marking needs no lock. scratch, when
+// non-nil, is the arena fetch reads into, reset before each rerun.
+func DecodeAroundRot[T any](alive ec.AliveFunc, fetch ec.FetchFunc, rotten func(error) bool, scratch *Scratch,
+	decode func(ec.AliveFunc, ec.FetchFunc) (T, error)) (T, error) {
+	var rotted map[int]bool
+	for {
+		rot := -1
+		out, err := decode(
+			func(pos int) bool { return !rotted[pos] && alive(pos) },
+			func(req ec.ReadRequest) ([]byte, error) {
+				buf, err := fetch(req)
+				if err != nil && rotten(err) {
+					rot = req.Shard
+				}
+				return buf, err
+			})
+		if err == nil || rot < 0 {
+			return out, err
+		}
+		if rotted == nil {
+			rotted = make(map[int]bool)
+		}
+		rotted[rot] = true
+		if scratch != nil {
+			scratch.Reset()
+		}
+	}
+}

@@ -4,9 +4,9 @@
 // appended to rolling segment files, an in-memory index rebuilt by a
 // sequential scan on startup, torn tails truncated rather than fatal,
 // deletes as tombstones, and live-record compaction to reclaim dead
-// bytes. Payloads carry CRC-32s verified on every read, so silent
-// disk corruption surfaces as a typed ErrCorrupt instead of rotted
-// bytes served to a client.
+// bytes. Payloads carry CRC-32s verified on every read but Send, so
+// silent disk corruption surfaces as a typed ErrCorrupt instead of
+// rotted bytes served to a client.
 //
 // # Record versions and range reads
 //
@@ -27,6 +27,10 @@
 // record reads and verifies the whole payload, the only unit its CRC
 // covers. segment.go has the byte layout.
 //
+// Send is the one read that verifies nothing: it hands a whole payload's
+// place in its segment file to a caller that sends it on unread
+// (sendfile(2)), for a receiver that checks the block's CRC-32 itself.
+//
 // # One checksum pass per stored byte
 //
 // A put's one pass over its payload is the chunk table's fill
@@ -40,10 +44,11 @@
 // Checksum folds a stored record's table on demand.
 //
 // The extent_read_bytes_total counter is the payload bytes actually
-// pread. It is the only place the range saving shows in numbers: the
-// repository benchmark's traced pass wraps each store in a decorator
-// that embeds hdfs.BlockStore and so hides the optional range seam (it
-// falls back to whole-block Get), so its extent.get_* rows do not.
+// pread or sent. It is the only place the range saving shows in
+// numbers: the repository benchmark's traced pass wraps each store in a
+// decorator that embeds hdfs.BlockStore and so hides the optional range
+// seam (it falls back to whole-block Get), so its extent.get_* rows do
+// not.
 //
 // Durability is a policy knob: FsyncNever trusts the page cache (test
 // speed), FsyncInterval bounds the loss window, FsyncAlways syncs
@@ -143,7 +148,7 @@ type Options struct {
 	// Telemetry, when non-nil, receives the store's instruments:
 	// extent_appends_total, extent_scan_records_total,
 	// extent_torn_tails_total, extent_crc_failures_total,
-	// extent_read_bytes_total (payload bytes pread by reads),
+	// extent_read_bytes_total (payload bytes pread or sent by reads),
 	// extent_compactions_total, and the extent_fsync_seconds histogram.
 	Telemetry *telemetry.Registry
 }
@@ -290,7 +295,10 @@ func (s *Store) openSegment(seq int) (*segment, error) {
 		}
 		s.cTornTails.Inc()
 	}
-	seg := &segment{seq: seq, path: path, f: f, size: validLen}
+	seg, err := newSegment(seq, path, f, validLen)
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range records {
 		s.cScanRecords.Inc()
 		s.dropIndexEntry(r.id)
@@ -323,7 +331,7 @@ func (s *Store) createSegment(seq int) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &segment{seq: seq, path: path, f: f, size: 0}, nil
+	return newSegment(seq, path, f, 0)
 }
 
 // active returns the segment appends go to. Callers hold mu.
@@ -575,6 +583,52 @@ func (l recordLoc) verify(buf []byte, lo int64) bool {
 		return crc.Checksum(buf) == l.crc
 	}
 	return crc.Checksum(l.table) == l.crc && crc.VerifyTable(l.table[lo/ChunkSize*4:], buf)
+}
+
+// SendFunc sends the n bytes at offset off of the file whose
+// descriptor is fd, without reading them into memory (sendfile(2)).
+type SendFunc func(fd uintptr, off, n int64) error
+
+// Send hands block id's payload, as stored, to send: the descriptor of
+// the segment file that holds it, the payload's offset there and its
+// length. Nothing is read or verified here — the bytes leave unchecked,
+// and whoever receives them checks them against a CRC-32 of the whole
+// block it holds (Checksum's). The store lock is released before send
+// runs, so a socket write never holds it; the descriptor is held open
+// for send by the file's RawConn.Control, which takes a reference on it
+// as a pread does and no lock, so sends from one segment run side by
+// side however long each waits on its socket. A compaction or a Close
+// that retires the segment before the hold fails the send (ErrClosed)
+// and send is not called; one that retires it during send leaves the
+// descriptor open, on the same file, until send returns. The payload
+// bytes a successful send moved count in extent_read_bytes_total.
+func (s *Store) Send(id int64, send SendFunc) error {
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return ErrClosed
+	}
+	loc, ok := s.index[id]
+	if !ok {
+		s.mu.RUnlock()
+		return fmt.Errorf("%w: %d", ErrNotFound, id)
+	}
+	if loc.length < 0 || loc.length > s.opts.MaxPayloadBytes {
+		s.mu.RUnlock()
+		return fmt.Errorf("%w: block %d (index length %d out of bounds)", ErrCorrupt, id, loc.length)
+	}
+	raw := loc.seg.raw
+	s.mu.RUnlock()
+	var sendErr error
+	if err := raw.Control(func(fd uintptr) {
+		sendErr = send(fd, loc.payloadOff, loc.length)
+	}); err != nil {
+		return fmt.Errorf("%w: segment of block %d retired before the send: %w", ErrClosed, id, err)
+	}
+	if sendErr == nil {
+		s.cReadBytes.Add(loc.length)
+	}
+	return sendErr
 }
 
 // Checksum returns the CRC-32 of the block's payload without reading
@@ -832,7 +886,21 @@ func (s *Store) Close() error {
 	return s.closeLocked()
 }
 
-// closeLocked releases handles without syncing (open-failure cleanup).
+// Abandon releases every file handle without syncing, as a crash
+// leaves the store: what the page cache holds of the active segment is
+// the kernel's to write back, and nothing waits for it. Reopen the
+// directory to read the store again.
+func (s *Store) Abandon() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	return s.closeLocked()
+}
+
+// closeLocked releases handles without syncing (open-failure cleanup,
+// Abandon).
 func (s *Store) closeLocked() error {
 	var firstErr error
 	for _, seg := range s.segs {

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"syscall"
 
 	"repro/internal/crc"
 )
@@ -95,12 +96,26 @@ type segment struct {
 	seq  int
 	path string
 	f    *os.File
+	// raw is f's descriptor, held open for the length of a send
+	// (Store.Send) by its Control.
+	raw syscall.RawConn
 	// size is the byte length of valid records; a torn tail found at
 	// scan time is truncated away so size always equals the file size.
 	size int64
 	// garbage counts bytes of dead records (overwritten versions,
 	// deleted payloads, tombstones) — the compaction trigger signal.
 	garbage int64
+}
+
+// newSegment wraps an open segment file whose first size bytes are
+// valid records, closing the file if it cannot.
+func newSegment(seq int, path string, f *os.File, size int64) (*segment, error) {
+	raw, err := f.SyscallConn()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &segment{seq: seq, path: path, f: f, raw: raw, size: size}, nil
 }
 
 // scanRecord is one valid record the recovery scan surfaced.

@@ -84,6 +84,31 @@ type checkedStore interface {
 	Checksum(id BlockID) (uint32, error)
 }
 
+// sendStore is implemented by stores that keep a replica's bytes in a
+// file they can hand to a send: SendBlock calls send with the file's
+// descriptor, the block's offset in it and its length
+// (extent.Store.Send), and reads and verifies nothing — the receiver
+// checks the block's CRC-32. Only the extent store has it: the node
+// cache serves from memory, and a decorator that knows only the
+// BlockStore surface hides it.
+type sendStore interface {
+	SendBlock(id BlockID, send extent.SendFunc) error
+}
+
+// abandonStore is implemented by stores that can be closed as a crash
+// closes them: Abandon releases the store without syncing anything.
+type abandonStore interface {
+	Abandon() error
+}
+
+// abandon closes st as a crash would: unsynced when st can be.
+func abandon(st BlockStore) error {
+	if a, ok := st.(abandonStore); ok {
+		return a.Abandon()
+	}
+	return st.Close()
+}
+
 // putChecked stores data on st only when its CRC-32 is want; otherwise
 // it is ErrCorruptReplica and nothing is written.
 func putChecked(st BlockStore, id BlockID, data []byte, want uint32) error {
@@ -171,6 +196,14 @@ func (e extentBlockStore) GetInto(id BlockID, offset, length int64, dst []byte) 
 	return nil, err
 }
 
+func (e extentBlockStore) SendBlock(id BlockID, send extent.SendFunc) error {
+	err := e.s.Send(int64(id), send)
+	if errors.Is(err, extent.ErrNotFound) {
+		return fmt.Errorf("%w: block %d", ErrNotStored, id)
+	}
+	return err
+}
+
 func (e extentBlockStore) Delete(id BlockID) error { return e.s.Delete(int64(id)) }
 
 func (e extentBlockStore) Has(id BlockID) bool { return e.s.Has(int64(id)) }
@@ -195,6 +228,8 @@ func (e extentBlockStore) Corrupt(id BlockID, offset int64) error {
 }
 
 func (e extentBlockStore) Close() error { return e.s.Close() }
+
+func (e extentBlockStore) Abandon() error { return e.s.Abandon() }
 
 // Extent exposes the wrapped extent store of a factory-built
 // BlockStore (nil for other stores) — the benchmark reaches through

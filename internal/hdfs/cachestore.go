@@ -137,3 +137,12 @@ func (s *cachedBlockStore) Close() error {
 	s.c.Purge()
 	return s.inner.Close()
 }
+
+// Abandon is Close as a crash closes the store: the inner store is
+// abandoned unsynced when it can be.
+func (s *cachedBlockStore) Abandon() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.c.Purge()
+	return abandon(s.inner)
+}

@@ -183,34 +183,17 @@ func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
 }
 
 // decodeAroundRot runs the joint decode of sm's positions over alive and
-// fetch: a stripe repair at its worker, or a degraded read. A helper
-// whose read fails its checksum is as good as erased: its position is
-// marked so and the decode runs again without it, until the codec finds
-// the erasures beyond what it tolerates. Fetches run one after another,
-// so the marking needs no lock. scratch, when non-nil, is the arena
-// fetch reads into, reset before each rerun.
+// fetch — a stripe repair at its worker, or a degraded read — around
+// any helper whose read fails its checksum (engine.DecodeAroundRot).
+// scratch, when non-nil, is the arena fetch reads into.
 func (c *Cluster) decodeAroundRot(sm *stripeMeta, positions []int, alive ec.AliveFunc, fetch ec.FetchFunc, scratch *engine.Scratch) (map[int][]byte, error) {
-	rotted := make(map[int]bool)
-	for {
-		rot := -1
-		shards, err := c.cfg.Code.ExecuteMultiRepair(positions, sm.shardSize,
-			func(pos int) bool { return !rotted[pos] && alive(pos) },
-			func(req ec.ReadRequest) ([]byte, error) {
-				buf, err := fetch(req)
-				if errors.Is(err, ErrCorruptReplica) {
-					rot = req.Shard
-				}
-				return buf, err
-			})
-		if err == nil || rot < 0 {
-			return shards, err
-		}
-		rotted[rot] = true
-		if scratch != nil {
-			scratch.Reset()
-		}
-	}
+	return engine.DecodeAroundRot(alive, fetch, isCorruptReplica, scratch, func(alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
+		return c.cfg.Code.ExecuteMultiRepair(positions, sm.shardSize, alive, fetch)
+	})
 }
+
+// isCorruptReplica reports whether a read failed on checksum grounds.
+func isCorruptReplica(err error) bool { return errors.Is(err, ErrCorruptReplica) }
 
 // FixStripes repairs exactly the given stripes — the repair manager's
 // targeted entry point, so a risk-prioritised queue can drain one

@@ -151,6 +151,28 @@ func (d *dataNode) readRangeInto(id BlockID, offset, length int64, buf []byte) (
 	return out, nil
 }
 
+// sendBlock hands block id's stored bytes to send, unread and
+// unchecked (sendStore), under readRangeInto's rule: the node's mutex
+// covers the liveness check and the store handle, never the send. A
+// crash during the send closes the store under it; the send completes
+// from the file it started on or fails, and never sees a reopened
+// store.
+func (d *dataNode) sendBlock(id BlockID, send extent.SendFunc) error {
+	alive, _, st := d.state()
+	if !alive {
+		return fmt.Errorf("%w: node %d", ErrNodeDown, d.id)
+	}
+	ss, ok := st.(sendStore)
+	if !ok {
+		return fmt.Errorf("hdfs: node %d's store cannot send a replica", d.id)
+	}
+	err := ss.SendBlock(id, send)
+	if errors.Is(err, ErrNotStored) {
+		return fmt.Errorf("hdfs: node %d does not hold block %d", d.id, id)
+	}
+	return err
+}
+
 // delete and has follow storeBlock's rule: the node's mutex covers the
 // crashed flag and the store handle, not the store call.
 func (d *dataNode) delete(id BlockID) {
@@ -202,7 +224,10 @@ func (d *dataNode) isAlive() bool {
 }
 
 // crash closes the store handle, discarding every in-memory structure;
-// durable bytes stay on disk for recover to re-scan.
+// durable bytes stay on disk for recover to re-scan. Like a real crash
+// it syncs nothing (abandon): what the page cache holds is the kernel's
+// to write back, and no fsync runs under the metadata lock that
+// CrashMachine holds.
 func (d *dataNode) crash() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -210,7 +235,7 @@ func (d *dataNode) crash() error {
 		return nil
 	}
 	d.crashed = true
-	return d.store.Close()
+	return abandon(d.store)
 }
 
 // recover reopens the store from disk, rebuilding the index by
@@ -353,6 +378,23 @@ func (c *Cluster) NodeReadRangeInto(machine int, id BlockID, offset, length int6
 		return nil, err
 	}
 	return node.readRangeInto(id, offset, length, buf)
+}
+
+// NodeBlockSender returns one datanode's send of whole replicas from
+// their files, unchecked (sendStore), or nil when its store keeps none
+// (the node cache, a decorator): such a node's replicas are read with
+// NodeReadRangeInto. Like that read, the send touches only the node's
+// leaf lock, and the store's lock is released before the SendFunc runs.
+func (c *Cluster) NodeBlockSender(machine int) func(id BlockID, send extent.SendFunc) error {
+	node, err := c.machine(machine)
+	if err != nil {
+		return nil
+	}
+	_, _, st := node.state()
+	if _, ok := st.(sendStore); !ok {
+		return nil
+	}
+	return node.sendBlock
 }
 
 // locked applies one machine-state change under the metadata lock. The

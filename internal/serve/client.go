@@ -22,6 +22,7 @@ import (
 	"repro/internal/crc"
 	"repro/internal/ec"
 	"repro/internal/engine"
+	"repro/internal/hdfs"
 	"repro/internal/repairmgr"
 	"repro/internal/telemetry"
 )
@@ -109,11 +110,12 @@ func (c *conn) call(req *request, payload []byte, timeout time.Duration, dst []b
 
 func (c *conn) close() { c.nc.Close() }
 
-// isCorruptReplicaErr reports whether a datanode RPC failed because
-// the replica's stored bytes failed checksum verification.
+// isCorruptReplicaErr reports whether a replica read failed because
+// the replica's stored bytes failed checksum verification: the
+// datanode's, or this client's of a marked whole-block read.
 func isCorruptReplicaErr(err error) bool {
 	var remote *RemoteError
-	return errors.As(err, &remote) && remote.Code == codeCorruptReplica
+	return errors.As(err, &remote) && remote.Code == codeCorruptReplica || errors.Is(err, hdfs.ErrCorruptReplica)
 }
 
 // Counters are a client's cumulative operation counts. DegradedBlocks
@@ -141,7 +143,7 @@ type Counters struct {
 	PartialSumBlocks     int64 // degraded reads served by the partial-sum pipeline
 	DegradedBytesFetched int64 // bytes received at this client for reconstructions
 	DegradedBytesLent    int64 // repair-plan bytes answered from blocks the read already held
-	CorruptReplicas      int64 // replica reads refused by a datanode's checksum verification
+	CorruptReplicas      int64 // replica reads refused on checksum grounds: by the datanode's check, or by this client's of a marked whole-block read
 	CacheHits            int64 // block reads served from the client block cache (WithBlockCache)
 	CacheMisses          int64 // block reads that consulted the cache and went to the network
 }
@@ -474,6 +476,28 @@ func (c *Client) dnRead(machine int, block, offset, length int64, dst []byte) ([
 	return out, err
 }
 
+// readReplica reads block b whole from machine m into slot. A block
+// larger than sendMinBytes is asked for marked "the caller checks the
+// block's CRC-32" (request.CallerChecks), and this client checks every
+// reply to such a read against the CRC-32 the namenode keeps for the
+// block: a datanode that can sends the replica straight from its
+// segment file, unread and unchecked, and a mismatch is a corrupt
+// replica, as a datanode's own refusal is. An unmarked read's reply
+// was checked by the datanode before it left.
+func (c *Client) readReplica(m int, b wireBlock, slot []byte) error {
+	marked := b.Size > sendMinBytes
+	out, err := c.dnCall(m, &request{Method: methodDNRead, Block: b.ID, Length: b.Size, CallerChecks: marked}, c.timeout, slot)
+	switch {
+	case err != nil:
+		return err
+	case int64(len(out)) != b.Size:
+		return fmt.Errorf("serve: datanode %d answered block %d with %d bytes, want %d", m, b.ID, len(out), b.Size)
+	case marked && crc.Checksum(out) != b.Checksum:
+		return fmt.Errorf("%w: block %d as datanode %d sent it does not match its CRC-32", hdfs.ErrCorruptReplica, b.ID, m)
+	}
+	return nil
+}
+
 // WriteFile stores data as a new file.
 func (c *Client) WriteFile(name string, data []byte) error {
 	if _, err := c.nameCall(&request{Method: methodWrite, Name: name}, data); err != nil {
@@ -695,7 +719,7 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 			// machine — count it and keep going; the stripe reconstructs
 			// around it.
 			for _, m := range c.replicaOrder(b.Locations) {
-				_, err := c.dnRead(m, b.ID, 0, b.Size, slot)
+				err := c.readReplica(m, b, slot)
 				if err == nil {
 					c.cBlocksRead.Inc()
 					c.cacheFill(b, slot)
@@ -828,7 +852,9 @@ func (c *Client) degradedRead(b wireBlock, lent [][]byte) ([]byte, error) {
 		if len(p.Locations) == 0 {
 			return nil, fmt.Errorf("serve: stripe %d position %d has no live holder", b.Stripe, req.Shard)
 		}
-		var lastErr error
+		// A helper none of whose replicas served, one of them refused on
+		// checksum grounds, is erased: the decode runs again without it.
+		var lastErr, rot error
 		dst := arena.Bytes(int(st.ShardSize))
 		for _, m := range c.replicaOrder(p.Locations) {
 			buf, err := c.dnRead(m, p.Block, req.Offset, req.Length, dst)
@@ -836,11 +862,20 @@ func (c *Client) degradedRead(b wireBlock, lent [][]byte) ([]byte, error) {
 				c.cDegradedBytes.Add(req.Length)
 				return buf, nil
 			}
+			if isCorruptReplicaErr(err) {
+				c.cCorruptReps.Inc()
+				rot = err
+			}
 			lastErr = err
+		}
+		if rot != nil {
+			return nil, rot
 		}
 		return nil, lastErr
 	}
-	shard, err := c.code.ExecuteRepair(b.StripePos, st.ShardSize, alive, fetch)
+	shard, err := engine.DecodeAroundRot(alive, fetch, isCorruptReplicaErr, arena, func(alive ec.AliveFunc, fetch ec.FetchFunc) ([]byte, error) {
+		return c.code.ExecuteRepair(b.StripePos, st.ShardSize, alive, fetch)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -27,14 +27,15 @@ const (
 // Numbers 9, 10, 20 and 24 are retired: a decoder steps over them and
 // no new field takes them.
 const (
-	tagMethod   = 1<<1 | kindVarint // index into methodNames
-	tagName     = 2<<1 | kindBytes
-	tagBlock    = 3<<1 | kindVarint
-	tagOffset   = 4<<1 | kindVarint
-	tagLength   = 5<<1 | kindVarint
-	tagMachine  = 6<<1 | kindVarint
-	tagStripeID = 7<<1 | kindVarint
-	tagPartial  = 8<<1 | kindBytes // wirePartialNode
+	tagMethod       = 1<<1 | kindVarint // index into methodNames
+	tagName         = 2<<1 | kindBytes
+	tagBlock        = 3<<1 | kindVarint
+	tagOffset       = 4<<1 | kindVarint
+	tagLength       = 5<<1 | kindVarint
+	tagMachine      = 6<<1 | kindVarint
+	tagStripeID     = 7<<1 | kindVarint
+	tagPartial      = 8<<1 | kindBytes   // wirePartialNode
+	tagCallerChecks = 11<<1 | kindVarint // request.CallerChecks
 
 	tagOK              = 16<<1 | kindVarint
 	tagErr             = 17<<1 | kindBytes
@@ -160,6 +161,7 @@ func (r *request) appendHeader(b []byte) []byte {
 	b = appendVarintField(b, tagLength, r.Length)
 	b = appendVarintField(b, tagMachine, int64(r.Machine))
 	b = appendVarintField(b, tagStripeID, r.Stripe)
+	b = appendBoolField(b, tagCallerChecks, r.CallerChecks)
 	if r.Partial != nil {
 		var at int
 		b, at = beginNested(b, tagPartial)
@@ -391,6 +393,8 @@ func (r *request) decodeHeader(b []byte) error {
 			r.Machine = int(d.varint())
 		case tagStripeID:
 			r.Stripe = d.varint()
+		case tagCallerChecks:
+			r.CallerChecks = d.varint() == 1
 		case tagPartial:
 			sub := d.nested()
 			budget := maxWireTreeNodes

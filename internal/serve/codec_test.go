@@ -313,3 +313,23 @@ func FuzzDecodeHeader(f *testing.F) {
 		}
 	})
 }
+
+// TestSendFieldsRoundTrip: field 11 (a dn.read whose caller checks the
+// block's CRC-32) is one key and the varint 1, sent only when set, and
+// decodes back; a header without it decodes to unset.
+func TestSendFieldsRoundTrip(t *testing.T) {
+	req := request{Method: methodDNRead, Block: 7, Length: 64 << 10, CallerChecks: true}
+	hb := encodeHeader(&req)
+	want := []byte{headerVersion, tagMethod, 26, tagBlock, 14, tagLength, 0x80, 0x80, 0x08, tagCallerChecks, 2}
+	if !bytes.Equal(hb, want) {
+		t.Fatalf("a marked dn.read encodes as % x, want % x", hb, want)
+	}
+	var gotReq request
+	if err := gotReq.decodeHeader(hb); err != nil || gotReq != req {
+		t.Fatalf("a marked dn.read came back as %+v (%v)", gotReq, err)
+	}
+	req.CallerChecks = false
+	if hb := encodeHeader(&req); bytes.IndexByte(hb[1:], tagCallerChecks) >= 0 || gotReq.decodeHeader(hb) != nil || gotReq.CallerChecks {
+		t.Fatalf("an unmarked dn.read encodes as % x and comes back marked %v", hb, gotReq.CallerChecks)
+	}
+}

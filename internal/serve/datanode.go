@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/ec"
 	"repro/internal/engine"
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/telemetry"
 )
@@ -34,6 +35,12 @@ type DataNode struct {
 	machine int
 	srv     *server
 	tele    *nodeTelemetry
+
+	// send is the machine's send of whole replicas from their files
+	// (hdfs.Cluster.NodeBlockSender): nil when its store keeps none or
+	// this system has no sendfile(2), and then every read is copied and
+	// checked here.
+	send func(hdfs.BlockID, extent.SendFunc) error
 
 	// throttle (nanoseconds) delays every data-path RPC — dn.read and
 	// dn.partial — before it touches the store: the injected shape of a
@@ -59,6 +66,9 @@ type DataNode struct {
 // tele may be nil.
 func startDataNode(cluster *hdfs.Cluster, machine int, tele *nodeTelemetry, nameAddr string, beatEvery time.Duration) (*DataNode, error) {
 	d := &DataNode{cluster: cluster, machine: machine, tele: tele, hbStop: make(chan struct{}), hbDone: make(chan struct{})}
+	if sendfileWorks {
+		d.send = cluster.NodeBlockSender(machine)
+	}
 	if tele != nil && tele.reg != nil {
 		d.cFolds = tele.reg.Counter("serve_partial_folds_total")
 		d.cFoldTerms = tele.reg.Counter("serve_partial_fold_terms_total")
@@ -106,6 +116,9 @@ func (d *DataNode) handle(req *request, _ []byte, lend *[]byte) (*response, []by
 		if req.Length > bound {
 			return errResponse(fmt.Errorf("serve: read of %d bytes exceeds shard bound %d", req.Length, bound)), nil
 		}
+		if resp := d.sendUnchecked(req); resp != nil {
+			return resp, nil
+		}
 		buf, err := d.cluster.NodeReadRangeInto(d.machine, hdfs.BlockID(req.Block), req.Offset, req.Length, lentBytes(lend, bound))
 		if err != nil {
 			return errResponse(err), nil
@@ -121,6 +134,19 @@ func (d *DataNode) handle(req *request, _ []byte, lend *[]byte) (*response, []by
 	default:
 		return errResponse(fmt.Errorf("serve: datanode: unknown method %q", req.Method)), nil
 	}
+}
+
+// sendUnchecked answers a dn.read marked "the caller checks the
+// block's CRC-32" by a send of the replica from its segment file
+// (server.sendReplica), unread and unchecked here, when it can: the read
+// is of a whole block larger than sendMinBytes and the daemon has a
+// send. Otherwise it returns nil and the read takes the copy path,
+// where the store checks the replica's chunk CRCs before it leaves.
+func (d *DataNode) sendUnchecked(req *request) *response {
+	if d.send == nil || !req.CallerChecks || req.Offset != 0 || req.Length <= sendMinBytes {
+		return nil
+	}
+	return &response{OK: true, send: d.send}
 }
 
 // maxTargetSize returns the largest legitimate fold-buffer size: the

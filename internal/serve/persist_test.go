@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/repairmgr"
 	"repro/internal/telemetry"
@@ -416,5 +418,66 @@ func TestKillDataNodeWhoseStoreFailsToClose(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		conn.Close()
 		t.Fatalf("the killed daemon still accepts connections at %s", addr)
+	}
+}
+
+// TestKillDataNodeSyncsNothing: a kill is a crash, and a crash gets no
+// fsync in — least of all one under the metadata lock, which
+// CrashMachine holds. The extent_fsync_seconds count does not move
+// across KillDataNode, and RestartDataNode's re-scan still serves every
+// block the machine held before the kill (the process's page cache
+// holds what no sync wrote).
+func TestKillDataNodeSyncsNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := testConfig(testCodecs(t)[0])
+	cfg.StoreFactory = hdfs.ExtentStoreFactory(t.TempDir(), extent.Options{Telemetry: reg})
+	sys := startSystem(t, cfg)
+	files := preloadRaided(t, sys, 3)
+	_, first, err := sys.Cluster().FileBlocks("f-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := first[0].Locations[0]
+	// readBack reads every block the victim holds from it and returns
+	// how many there are.
+	readBack := func() (held int) {
+		t.Helper()
+		for name, data := range files {
+			_, blocks, err := sys.Cluster().FileBlocks(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := int64(0)
+			for _, b := range blocks {
+				want := data[off : off+b.Size]
+				off += b.Size
+				if !slices.Contains(b.Locations, victim) {
+					continue
+				}
+				held++
+				got, err := sys.Cluster().NodeReadRangeInto(victim, b.ID, 0, b.Size, nil)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s block %d on machine %d: %v", name, b.ID, victim, err)
+				}
+			}
+		}
+		return held
+	}
+	held := readBack()
+	if held == 0 {
+		t.Fatalf("machine %d holds none of the files' blocks", victim)
+	}
+	syncs := reg.Snapshot().Histograms["extent_fsync_seconds"].Count
+	if err := sys.KillDataNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Histograms["extent_fsync_seconds"].Count - syncs; n != 0 {
+		t.Fatalf("KillDataNode ran %d fsyncs", n)
+	}
+	if err := sys.RestartDataNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	if n := readBack(); n != held {
+		t.Fatalf("machine %d holds %d blocks after the restart, %d before the kill", victim, n, held)
 	}
 }

@@ -29,8 +29,12 @@
 // A frame leaves in one write — prefix and header built in a pooled
 // buffer, the payload passed to the socket by reference beside them
 // (writeFrame) — and a reply carrying a block of up to 4 KiB arrives in
-// one read. Neither end sizes anything by a length it has only been
-// told: a payload no buffer was lent for is read into one that grows as
+// one read. One reply leaves otherwise: a whole replica whose reader
+// checks it (below) goes as a write of its prefix and header, then
+// sendfile(2) from the datanode's segment file straight to the socket
+// (sendFrame, Linux only), and no payload byte enters the datanode's
+// memory. Neither end sizes anything by a length it has only been told:
+// a payload no buffer was lent for is read into one that grows as
 // the bytes arrive (readPayload), a datanode, which takes no request
 // payload, hangs up on a prefix declaring one, and every count inside a
 // header is held to the bytes left in it.
@@ -56,6 +60,8 @@
 //	                             child count, children
 //	 9  (retired)        bytes   was a span tracer's trace context
 //	10  (retired)        varint  was the tracer's dump filter
+//	11  caller checks    varint  1: a whole-block dn.read whose caller checks
+//	                             the block's CRC-32 itself
 //	16  ok               varint  1
 //	17  err              bytes   error text
 //	18  err code         varint  what kind of error (errCode)
@@ -97,6 +103,26 @@
 // (corrupt replica, not found, exists, node down; RemoteError carries
 // both); the payload always carries data, never errors.
 //
+// # Who checks a replica's bytes
+//
+// Every byte a replica serves is checked against a CRC-32 before
+// anyone uses it. By default the datanode checks: the extent store
+// reads the chunks covering the range and checks each against its
+// chunk CRC before the bytes leave, and refuses rot with the
+// corrupt-replica code. A range read (a degraded read's helper,
+// dn.partial) and a block of 4 KiB or less (sendMinBytes) are served
+// only that way. ReadFile's replica walk holds each block's CRC-32 from
+// the block table (field 28), so it marks its larger whole-block reads
+// "the caller checks" (field 11) and checks every reply to one against
+// that CRC-32; a mismatch is counted as a corrupt replica, like a
+// datanode's refusal, and the walk moves on. A datanode whose extent
+// store keeps the replica in a file answers a marked read by
+// sendfile(2), unread and unchecked, holding no store lock across the
+// send, so each byte is checked once, by the reader. One backed by a
+// node cache or a store decorator, or on a system without sendfile(2),
+// copies and checks the replica as for any read, and the reader checks
+// it again: one CRC-32 pass over a block it already holds.
+//
 // # Degraded reads and lent blocks
 //
 // A lost block is rebuilt by one fold (engine.Fold: a node's partial sum
@@ -105,7 +131,9 @@
 // one of two transports; internal/engine/aggtree.go has the whole
 // account. By default the client is the one node and holds every term:
 // degradedRead runs the codec's ExecuteRepair — that fold, without
-// children — over a fetch callback. With WithPartialSumRepair the
+// children — over a fetch callback, around any helper a datanode
+// refuses as corrupt: the position is erased and the decode runs again
+// without it (engine.DecodeAroundRot, as the BlockFixer's). With WithPartialSumRepair the
 // datanodes fold the plan along a
 // rack-aware tree (dn.partial), the client asks the root for one folded
 // shard, and any failure in the tree, including a position only this
@@ -164,6 +192,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ec"
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 )
 
@@ -179,6 +208,12 @@ const (
 // connection: prefix, header and a payload of up to 4 KiB — a whole
 // small-block reply — arrive in one read(2).
 const frameReadBuffer = 8 << 10
+
+// sendMinBytes is the largest replica read that is never sent by
+// sendfile(2): a payload this small arrives in the one read of a
+// frameReadBuffer reply, and a read and a copy cost less than a send
+// from the file and a check at the reader.
+const sendMinBytes = 4 << 10
 
 // payloadStep is how much of a payload no buffer was lent for is
 // allocated ahead of the bytes that have actually arrived (see
@@ -222,6 +257,11 @@ type request struct {
 	Length  int64
 	Machine int
 	Stripe  int64
+
+	// CallerChecks marks a whole-block dn.read whose caller holds the
+	// block's CRC-32 and checks the reply against it, so the datanode
+	// may send the replica from its file unchecked.
+	CallerChecks bool
 
 	// Partial is the dn.partial fold tree rooted at the addressed
 	// datanode; Length carries the target (folded buffer) size.
@@ -330,6 +370,13 @@ type response struct {
 	// run of bytes and never looks into (see coldResponse and cold). No
 	// method on a read or write path sets it.
 	Cold []byte
+
+	// send never crosses the wire: set by a datanode answering a marked
+	// read from a store that can send (hdfs.Cluster.NodeBlockSender), it
+	// is how the payload leaves. server.sendReplica calls it with the
+	// read's block and the frame's writer, sendFrame, in place of
+	// writing a payload.
+	send func(hdfs.BlockID, extent.SendFunc) error
 }
 
 // wireBlock is one block's client-visible metadata.
@@ -451,13 +498,10 @@ var wireOrder atomic.Uint32
 func writeFrame(w io.Writer, hdr frameHeader, payload []byte) error {
 	fb := frameBufs.Get().(*frameBuf)
 	defer fb.release()
-	b := hdr.appendHeader(put(fb.hdr[:0], 0, 0, 0, 0, 0, 0, 0, 0, headerVersion))
-	fb.hdr = b
-	if len(b)-8 > maxHeaderBytes || len(payload) > maxPayloadBytes {
-		return errFrameTooLarge
+	b, err := fb.encode(hdr, int64(len(payload)))
+	if err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-8))
-	binary.BigEndian.PutUint32(b[4:8], uint32(len(payload)))
 	if len(payload) == 0 {
 		_, err := w.Write(b)
 		return err
@@ -467,8 +511,21 @@ func writeFrame(w io.Writer, hdr frameHeader, payload []byte) error {
 	if raceEnabled {
 		wireOrder.Add(1)
 	}
-	_, err := fb.bufs.WriteTo(w)
+	_, err = fb.bufs.WriteTo(w)
 	return err
+}
+
+// encode builds a frame's prefix and header, for a payload of n bytes,
+// in fb.
+func (fb *frameBuf) encode(hdr frameHeader, n int64) ([]byte, error) {
+	b := hdr.appendHeader(put(fb.hdr[:0], 0, 0, 0, 0, 0, 0, 0, 0, headerVersion))
+	fb.hdr = b
+	if len(b)-8 > maxHeaderBytes || n > maxPayloadBytes {
+		return nil, errFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-8))
+	binary.BigEndian.PutUint32(b[4:8], uint32(n))
+	return b, nil
 }
 
 // readHeader reads a frame's prefix and header, decodes the header into

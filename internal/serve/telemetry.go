@@ -29,26 +29,30 @@ func rpcMetric(base, role, method string) string {
 	return base + `{role="` + role + `",method="` + method + `"}`
 }
 
-// dispatch is the instrumented request path of the generic server: it
-// charges the per-method instruments around the handler.
-func (s *server) dispatch(req *request, payload []byte, lend *[]byte) (*response, []byte) {
-	t := s.tele
-	if t == nil {
-		return s.safeHandle(req, payload, lend)
+// clock starts the timing of one request: the zero time when the
+// daemon keeps no instruments.
+func (s *server) clock() time.Time {
+	if s.tele == nil {
+		return time.Time{}
 	}
-	start := time.Now()
-	resp, out := s.safeHandle(req, payload, lend)
-	elapsed := time.Since(start)
+	return time.Now()
+}
 
-	if reg := t.reg; reg != nil {
-		reg.Counter(rpcMetric("rpc_requests_total", t.role, req.Method)).Inc()
-		reg.Histogram(rpcMetric("rpc_request_seconds", t.role, req.Method), telemetry.LatencyBuckets).
-			Observe(elapsed.Seconds())
-		reg.Counter(rpcMetric("rpc_request_bytes_total", t.role, req.Method)).Add(int64(len(payload)))
-		reg.Counter(rpcMetric("rpc_response_bytes_total", t.role, req.Method)).Add(int64(len(out)))
-		if !resp.OK {
-			reg.Counter(rpcMetric("rpc_errors_total", t.role, req.Method)).Inc()
-		}
+// record charges one request to its method's instruments: its count,
+// the time since start (the handler's, and a sent replica's send), the
+// request and response payload bytes, and an error when resp is one.
+func (s *server) record(req *request, in int, resp *response, out int64, start time.Time) {
+	t := s.tele
+	if t == nil || t.reg == nil {
+		return
 	}
-	return resp, out
+	reg := t.reg
+	reg.Counter(rpcMetric("rpc_requests_total", t.role, req.Method)).Inc()
+	reg.Histogram(rpcMetric("rpc_request_seconds", t.role, req.Method), telemetry.LatencyBuckets).
+		Observe(time.Since(start).Seconds())
+	reg.Counter(rpcMetric("rpc_request_bytes_total", t.role, req.Method)).Add(int64(in))
+	reg.Counter(rpcMetric("rpc_response_bytes_total", t.role, req.Method)).Add(out)
+	if !resp.OK {
+		reg.Counter(rpcMetric("rpc_errors_total", t.role, req.Method)).Inc()
+	}
 }
