@@ -2,8 +2,9 @@
 // (internal/analysis) over the module and exits non-zero on any
 // finding. It is the machine check for the conventions the codebase
 // runs on: metadata-lock discipline, interface-only layering, injected
-// clocks, wire-path error handling, allocation-free kernels, and no
-// exported code that only its own package's tests call. It is
+// clocks, wire-path error handling, allocation-free kernels, no
+// exported code that only its own package's tests call, and one
+// //go:linkname in the module. It is
 // tooling and regenerates no row of the map in the root package doc
 // (doc.go).
 //

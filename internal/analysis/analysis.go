@@ -31,6 +31,9 @@
 //     program, the benchmark, the root package's paper-figure tests, or
 //     its own package's code. Test-only code is deleted, moved into a
 //     _test.go file as an oracle, or kept for a named ROADMAP item.
+//   - linkname — the module's one //go:linkname is internal/serve's
+//     uninit.go pulling runtime.mallocgc (ReadFile's unzeroed result):
+//     one in any other file, or to any other target, is a finding.
 //
 // A finding is suppressed in place with
 //
@@ -131,6 +134,7 @@ func All() []Analyzer {
 		FrameCheck(),
 		NoAlloc(),
 		DeadExport(),
+		LinkName(),
 	}
 }
 

@@ -114,3 +114,17 @@ func TestAllNamesUnique(t *testing.T) {
 		t.Errorf("expected at least 6 analyzers, got %d", len(seen))
 	}
 }
+
+func TestLinkNameGolden(t *testing.T) {
+	runGolden(t, LinkName(), "testdata/linkname", "repro/internal/serve")
+}
+
+// The allowed linkname is allowed in its one package only: the golden
+// sources parsed under any other import path flag every directive,
+// runtime.mallocgc from uninit.go included.
+func TestLinkNameOutsideItsPackage(t *testing.T) {
+	pkg := parseTestdata(t, "testdata/linkname", "repro/internal/extent")
+	if diags := LinkName().Check(pkg); len(diags) != 4 {
+		t.Errorf("linkname flagged %d directive(s) outside its package, want all 4: %v", len(diags), diags)
+	}
+}

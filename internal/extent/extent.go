@@ -619,10 +619,13 @@ func (s *Store) Send(id int64, send SendFunc) error {
 	}
 	raw := loc.seg.raw
 	s.mu.RUnlock()
-	var sendErr error
-	if err := raw.Control(func(fd uintptr) {
-		sendErr = send(fd, loc.payloadOff, loc.length)
-	}); err != nil {
+	call := sendCalls.Get().(*sendCall)
+	call.send, call.off, call.n, call.err = send, loc.payloadOff, loc.length, nil
+	err := raw.Control(call.control)
+	sendErr := call.err
+	call.send, call.err = nil, nil
+	sendCalls.Put(call)
+	if err != nil {
 		return fmt.Errorf("%w: segment of block %d retired before the send: %w", ErrClosed, id, err)
 	}
 	if sendErr == nil {
@@ -630,6 +633,25 @@ func (s *Store) Send(id int64, send SendFunc) error {
 	}
 	return sendErr
 }
+
+// sendCall is one Send's hold of its segment file: control, a method
+// value bound once when the pool makes the call, is what the file's
+// RawConn.Control runs, and the send's arguments and error pass through
+// the fields, so a Send allocates no closure.
+type sendCall struct {
+	send    SendFunc
+	off, n  int64
+	err     error
+	control func(fd uintptr)
+}
+
+var sendCalls = sync.Pool{New: func() any {
+	c := new(sendCall)
+	c.control = c.run
+	return c
+}}
+
+func (c *sendCall) run(fd uintptr) { c.err = c.send(fd, c.off, c.n) }
 
 // Checksum returns the CRC-32 of the block's payload without reading
 // the payload: a v2 record's is folded from its chunk table (blockCRC)

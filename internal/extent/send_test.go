@@ -201,3 +201,29 @@ func TestSendsFromOneSegmentRunSideBySide(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSendAllocatesNothing: a Send hands its arguments to the file's
+// RawConn.Control through pooled state bound once (sendCall), not a
+// closure made per call, so a send whose SendFunc is bound once
+// allocates nothing.
+func TestSendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	s := openTest(t, t.TempDir(), Options{})
+	if err := s.Put(1, sendPayload(2*ChunkSize)); err != nil {
+		t.Fatal(err)
+	}
+	var sent int64
+	send := SendFunc(func(_ uintptr, _, n int64) error { sent += n; return nil })
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Send(1, send); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a Send allocates %v objects, want 0", allocs)
+	}
+	if sent != 101*2*ChunkSize {
+		t.Fatalf("sent %d bytes over 101 sends of %d", sent, 2*ChunkSize)
+	}
+}

@@ -573,11 +573,14 @@ func (c *Client) fileBlocks(name string) (int64, []wireBlock, error) {
 // does, not k−1 plus a full repair plan drawn from those same blocks.
 //
 // The result is the only buffer a block's bytes land in: it is allocated
-// once, each block owns its slot of it, and a replica's reply or a cache
-// hit is read straight into the slot (see readBlock). The slice is the
-// caller's from the moment ReadFile returns — nothing this client started
-// still writes to it or reads from it (see "Who may write into or borrow
-// the result" in the package doc).
+// unzeroed, each byte written once, each block owns its slot of it, and
+// a replica's reply or a cache hit is read straight into the slot (see
+// readBlock). A slot is written in full before it is held, lent, cached
+// or returned, and on any error the result is dropped unread, so no byte
+// the memory held before is ever seen. The slice is the caller's from
+// the moment ReadFile returns — nothing this client started still writes
+// to it or reads from it (see "Who may write into or borrow the result"
+// in the package doc).
 func (c *Client) ReadFile(name string) ([]byte, error) {
 	size, blocks, err := c.fileBlocks(name)
 	if err != nil {
@@ -601,7 +604,7 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 	if sum != size {
 		return nil, fmt.Errorf("serve: file %s block sizes do not add up to the %d bytes the namenode reports", name, size)
 	}
-	out := make([]byte, size)
+	out := uninitBytes(int(size))
 	type lostBlock struct {
 		index int
 		slot  []byte

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/ec"
 	"repro/internal/engine"
-	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/telemetry"
 )
@@ -36,11 +35,12 @@ type DataNode struct {
 	srv     *server
 	tele    *nodeTelemetry
 
+	// sent answers every read the daemon sends: a reply header whose
 	// send is the machine's send of whole replicas from their files
-	// (hdfs.Cluster.NodeBlockSender): nil when its store keeps none or
-	// this system has no sendfile(2), and then every read is copied and
-	// checked here.
-	send func(hdfs.BlockID, extent.SendFunc) error
+	// (hdfs.Cluster.NodeBlockSender). It is built once and never
+	// written. nil when the store keeps no files or this system has no
+	// sendfile(2), and then every read is copied and checked here.
+	sent *response
 
 	// throttle (nanoseconds) delays every data-path RPC — dn.read and
 	// dn.partial — before it touches the store: the injected shape of a
@@ -67,7 +67,9 @@ type DataNode struct {
 func startDataNode(cluster *hdfs.Cluster, machine int, tele *nodeTelemetry, nameAddr string, beatEvery time.Duration) (*DataNode, error) {
 	d := &DataNode{cluster: cluster, machine: machine, tele: tele, hbStop: make(chan struct{}), hbDone: make(chan struct{})}
 	if sendfileWorks {
-		d.send = cluster.NodeBlockSender(machine)
+		if send := cluster.NodeBlockSender(machine); send != nil {
+			d.sent = &response{OK: true, send: send}
+		}
 	}
 	if tele != nil && tele.reg != nil {
 		d.cFolds = tele.reg.Counter("serve_partial_folds_total")
@@ -138,15 +140,15 @@ func (d *DataNode) handle(req *request, _ []byte, lend *[]byte) (*response, []by
 
 // sendUnchecked answers a dn.read marked "the caller checks the
 // block's CRC-32" by a send of the replica from its segment file
-// (server.sendReplica), unread and unchecked here, when it can: the read
+// (replicaSender.reply), unread and unchecked here, when it can: the read
 // is of a whole block larger than sendMinBytes and the daemon has a
 // send. Otherwise it returns nil and the read takes the copy path,
 // where the store checks the replica's chunk CRCs before it leaves.
 func (d *DataNode) sendUnchecked(req *request) *response {
-	if d.send == nil || !req.CallerChecks || req.Offset != 0 || req.Length <= sendMinBytes {
+	if d.sent == nil || !req.CallerChecks || req.Offset != 0 || req.Length <= sendMinBytes {
 		return nil
 	}
-	return &response{OK: true, send: d.send}
+	return d.sent
 }
 
 // maxTargetSize returns the largest legitimate fold-buffer size: the

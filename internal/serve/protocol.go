@@ -32,8 +32,8 @@
 // one read. One reply leaves otherwise: a whole replica whose reader
 // checks it (below) goes as a write of its prefix and header, then
 // sendfile(2) from the datanode's segment file straight to the socket
-// (sendFrame, Linux only), and no payload byte enters the datanode's
-// memory. Neither end sizes anything by a length it has only been told:
+// (replicaSender, Linux only, one per connection), and no payload byte
+// enters the datanode's memory. Neither end sizes anything by a length it has only been told:
 // a payload no buffer was lent for is read into one that grows as
 // the bytes arrive (readPayload), a datanode, which takes no request
 // payload, hangs up on a prefix declaring one, and every count inside a
@@ -161,16 +161,25 @@
 // # Who may write into or borrow the result
 //
 // ReadFile checks the namenode's block table first (every size in
-// bounds, the sizes adding up to the file's), allocates the result once,
-// and gives each block its slot of it: a slice whose capacity ends where
-// the next block's begins. A replica's reply and a client-cache hit are
-// read straight into the slot — there is no per-block buffer and no
-// assembly copy — and a held block is that slot, so what is lent to a
-// reconstruction is views of the result. A slot is lent only once its
-// block is whole (the reply passed the length check); a replica that
-// fails mid-payload leaves it half written, unlent, for the next replica
-// or the reconstruction to overwrite in full, and no reply of any length
-// can write past it.
+// bounds, the sizes adding up to the file's), allocates the result
+// unzeroed (uninitBytes), and gives each block its slot of it: a slice
+// whose capacity ends where the next block's begins. Each byte of the
+// result is written once — by read(2) of a replica's reply into its
+// slot, by a client-cache hit's copy, or by the copy of a decoded block
+// — and never zeroed first: there is no per-block buffer and no
+// assembly copy, and a held block is that slot, so what is lent to a
+// reconstruction is views of the result.
+//
+// The memory holds whatever it held before, so one condition keeps it
+// from being seen: a slot is written in full before it is marked held,
+// lent, cached or returned, and on any error the result is dropped
+// unread. A slot is held only once its block is whole (the reply
+// passed the length check, the cache hit or the rebuilt block is the
+// table's size); a replica that fails mid-payload leaves it half
+// written, unheld, for the next replica or the reconstruction to
+// overwrite in full, and no reply of any length can write past it.
+// TestResultHoldsNoByteItDidNotRead reads a file of zeros through every
+// path over a heap strewn with freed non-zero buffers.
 //
 // One rule keeps that safe: only work ReadFile waits for may write into
 // the result or be lent views of it. The replica chain and the
@@ -373,9 +382,9 @@ type response struct {
 
 	// send never crosses the wire: set by a datanode answering a marked
 	// read from a store that can send (hdfs.Cluster.NodeBlockSender), it
-	// is how the payload leaves. server.sendReplica calls it with the
-	// read's block and the frame's writer, sendFrame, in place of
-	// writing a payload.
+	// is how the payload leaves. The connection's replicaSender calls it
+	// with the read's block and its frame writer, replicaSender.sendFile,
+	// in place of writing a payload.
 	send func(hdfs.BlockID, extent.SendFunc) error
 }
 

@@ -11,7 +11,9 @@ import (
 // reading and checking the replica, and never sets send.
 const sendfileWorks = false
 
-// sendFrame is never called off Linux (sendfileWorks).
-func sendFrame(net.Conn, frameHeader, uintptr, int64, int64) error {
-	return errors.ErrUnsupported
+// replicaSender is never asked to reply off Linux (sendfileWorks).
+type replicaSender struct{ c net.Conn }
+
+func (*replicaSender) reply(*request, *response) (bool, error) {
+	return false, errors.ErrUnsupported
 }

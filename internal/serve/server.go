@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-
-	"repro/internal/hdfs"
 )
 
 // handlerFunc answers one request. The returned payload rides in the
@@ -102,6 +100,7 @@ func (s *server) serveConn(c net.Conn) {
 	// One request header serves the connection: decoding resets it, and
 	// no handler keeps it past its return.
 	var req request
+	rs := &replicaSender{c: c}
 	for {
 		n, err := readHeader(br, &req, s.maxPayload)
 		if err != nil {
@@ -111,7 +110,7 @@ func (s *server) serveConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		if !s.answer(c, &req, payload) {
+		if !s.answer(c, rs, &req, payload) {
 			return
 		}
 	}
@@ -122,10 +121,11 @@ func (s *server) serveConn(c net.Conn) {
 // lent to the handler goes back to the pool only here, after the write:
 // out may be a view of it, and writeFrame hands it to the kernel as it
 // stands. A response with a send (a replica the reader checks) leaves
-// by sendReplica instead, and is charged to the method's instruments
-// only once the send is over: it is the read's store access and data
-// movement in one, and a send that fails is the request's error.
-func (s *server) answer(c net.Conn, req *request, payload []byte) bool {
+// by the connection's replicaSender instead, and is charged to the
+// method's instruments only once the send is over: it is the read's
+// store access and data movement in one, and a send that fails is the
+// request's error.
+func (s *server) answer(c net.Conn, rs *replicaSender, req *request, payload []byte) bool {
 	lend := lendPool.Get().(*[]byte)
 	defer lendPool.Put(lend)
 	start := s.clock()
@@ -134,7 +134,7 @@ func (s *server) answer(c net.Conn, req *request, payload []byte) bool {
 		s.record(req, len(payload), resp, int64(len(out)), start)
 		return writeFrame(c, resp, out) == nil
 	}
-	started, err := s.sendReplica(c, req, resp)
+	started, err := rs.reply(req, resp)
 	if err == nil {
 		s.record(req, len(payload), resp, req.Length, start)
 		return true
@@ -142,25 +142,6 @@ func (s *server) answer(c net.Conn, req *request, payload []byte) bool {
 	resp = errResponse(err)
 	s.record(req, len(payload), resp, 0, start)
 	return !started && writeFrame(c, resp, nil) == nil
-}
-
-// sendReplica writes a response whose payload is a replica sent from
-// its file (sendFrame), the read's whole length of it. The store hands
-// over the file with its own lock released, so no store lock is held
-// across the socket write. A send that fails before the frame's first
-// byte — the replica gone, its segment retired, a length other than
-// the read's — can still be answered with its error; one that fails
-// after it (started) cuts the frame short, and the connection is
-// dropped.
-func (s *server) sendReplica(c net.Conn, req *request, resp *response) (started bool, err error) {
-	err = resp.send(hdfs.BlockID(req.Block), func(fd uintptr, off, n int64) error {
-		if n != req.Length {
-			return fmt.Errorf("serve: replica of block %d holds %d bytes, the read asks for %d", req.Block, n, req.Length)
-		}
-		started = true
-		return sendFrame(c, resp, fd, off, n)
-	})
-	return started, err
 }
 
 // safeHandle runs the handler with a recover barrier: a panic on one

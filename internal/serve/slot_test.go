@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -268,4 +269,88 @@ func TestLentSetIsViewsOfTheResult(t *testing.T) {
 			t.Fatalf("position %d is not lent as a view of its slot", pos)
 		}
 	}
+}
+
+// strewHeap leaves the heap's free memory holding 0xa5: buffers of n
+// bytes set to it, dropped and collected, which the next allocations of
+// that size are carved from.
+func strewHeap(n int) {
+	bufs := make([][]byte, 16)
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{0xa5}, n)
+	}
+	runtime.KeepAlive(bufs)
+	runtime.GC()
+}
+
+// firstNonZero returns the index of p's first non-zero byte, or -1.
+func firstNonZero(p []byte) int {
+	for i, b := range p {
+		if b != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestResultHoldsNoByteItDidNotRead: ReadFile's result is allocated
+// unzeroed (uninitBytes), so a byte no read wrote would show what the
+// memory held before. Over a heap strewn with freed buffers of 0xa5, a
+// raided file of zeros comes back all zeros through every path that
+// writes a slot: a healthy replica read (sent, where the system has
+// sendfile(2)), a client-cache hit, a file whose last block is shorter
+// than the rest, and a reconstruction of a block whose holder died.
+func TestResultHoldsNoByteItDidNotRead(t *testing.T) {
+	code := testCodecs(t)[0]
+	cfg := testConfig(code)
+	cfg.BlockSize = sendBlock
+	sys := startSystem(t, cfg)
+	sizes := map[string]int{"f": 4 * sendBlock, "short": 4*sendBlock - sendBlock/3}
+	writer := dial(t, sys)
+	for name, size := range sizes {
+		if err := writer.WriteFile(name, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.RaidFile(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// read strews the heap and reads the file through cl, which must
+	// serve it as want says.
+	read := func(what string, cl *Client, name string, want func(Counters) bool) {
+		t.Helper()
+		before := cl.Counters()
+		strewHeap(sizes[name])
+		got, err := cl.ReadFile(name)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got) != sizes[name] {
+			t.Fatalf("%s: %d bytes, want %d", what, len(got), sizes[name])
+		}
+		if i := firstNonZero(got); i >= 0 {
+			t.Fatalf("%s: byte %d of a file of zeros is %#x, which no read wrote", what, i, got[i])
+		}
+		c := cl.Counters()
+		c.BlocksRead -= before.BlocksRead
+		c.DegradedBlocks -= before.DegradedBlocks
+		c.CacheHits -= before.CacheHits
+		if !want(c) {
+			t.Fatalf("%s: counters %+v took another path", what, c)
+		}
+	}
+	healthy := func(c Counters) bool { return c.DegradedBlocks == 0 && c.CacheHits == 0 }
+	read("healthy replica read", dial(t, sys), "f", healthy)
+	read("short last block", dial(t, sys), "short", healthy)
+
+	cached, err := Dial(sys.NameAddr(), code, WithBlockCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	read("cache-filling read", cached, "f", healthy)
+	read("client-cache hit", cached, "f", func(c Counters) bool { return c.CacheHits == c.BlocksRead })
+
+	killHolders(t, sys, 0)
+	read("degraded read", dial(t, sys), "f", func(c Counters) bool { return c.DegradedBlocks == 1 })
 }
