@@ -2,7 +2,7 @@
 // any BlockStore, so nodes answer hot-block reads from memory instead of a disk pread + CRC pass. The cache is a pure
 // accelerator, never an authority — every hit is double-checked
 // against the inner store's liveness, and every path that changes or
-// invalidates stored bytes (overwrite, delete, scrubber eviction,
+// invalidates stored bytes (overwrite, delete, a bad replica's eviction,
 // corruption injection, crash) evicts the cached copy first, so a
 // cached block can never outlive or contradict its replica.
 package hdfs
@@ -71,8 +71,8 @@ func (s *cachedBlockStore) Checksum(id BlockID) (uint32, error) {
 }
 
 // Get serves from the cache when it can. A hit is only served after
-// the inner store confirms it still holds the block — a replica the
-// scrubber evicted or a tombstoned delete must never be resurrected
+// the inner store confirms it still holds the block — a replica
+// VerifyReplica evicted or a tombstoned delete must never be resurrected
 // from cache memory (the stale-read hazard this wrapper exists to
 // rule out).
 func (s *cachedBlockStore) Get(id BlockID) ([]byte, error) { return s.GetInto(id, 0, wholeBlock, nil) }
@@ -102,7 +102,7 @@ func (s *cachedBlockStore) GetInto(id BlockID, offset, length int64, dst []byte)
 }
 
 // Delete evicts the cached copy before the tombstone lands, covering
-// both explicit deletes and the scrubber's corrupt-replica eviction
+// both explicit deletes and VerifyReplica's corrupt-replica eviction
 // (which deletes through the same path).
 func (s *cachedBlockStore) Delete(id BlockID) error {
 	s.mu.Lock()
@@ -119,7 +119,7 @@ func (s *cachedBlockStore) StoredBytes() int64 { return s.inner.StoredBytes() }
 
 // Corrupt evicts before flipping the stored byte: the injected rot
 // must be observable on the next read, not masked by a clean cached
-// copy — otherwise the scrubber's whole detection path is untestable
+// copy — otherwise the verifier's whole detection path is untestable
 // on a cached node.
 func (s *cachedBlockStore) Corrupt(id BlockID, offset int64) error {
 	s.mu.Lock()

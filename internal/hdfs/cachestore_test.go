@@ -58,7 +58,7 @@ func TestCachedStoreDeleteAndOverwriteInvalidate(t *testing.T) {
 		t.Fatalf("Get after overwrite = %q, %v; want v2", got, err)
 	}
 
-	// Delete — the scrubber's eviction path — must tombstone the cache
+	// Delete — VerifyReplica's eviction path — must tombstone the cache
 	// too: a deleted replica never resurrects from cache memory.
 	if err := st.Delete(1); err != nil {
 		t.Fatalf("Delete: %v", err)

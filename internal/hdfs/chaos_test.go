@@ -9,8 +9,8 @@ import (
 )
 
 // TestChaos drives a random operation sequence — writes, reads, raids,
-// transient failures, decommissions, bit rot, scrubber and fixer passes
-// — against a reference model, never exceeding the code's fault
+// transient failures, decommissions, bit rot, scrub sweeps and fixer
+// passes — against a reference model, never exceeding the code's fault
 // tolerance, and asserts that no acknowledged byte is ever lost or
 // corrupted.
 func TestChaos(t *testing.T) {
@@ -129,9 +129,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 			if err := c.InjectBitRot(locs[0][0], blockID, 0); err != nil {
 				t.Fatalf("seed %d step %d: rot: %v", seed, step, err)
 			}
-			if _, err := c.RunScrubberSlice(c.Machines()); err != nil {
-				t.Fatalf("seed %d step %d: scrub: %v", seed, step, err)
-			}
+			scrub(c)
 			runFixer()
 			checkFile(name)
 
@@ -152,9 +150,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	for _, name := range names {
 		checkFile(name)
 	}
-	if _, err := c.RunScrubberSlice(c.Machines()); err != nil {
-		t.Fatal(err)
-	}
+	scrub(c)
 	// A final fixer pass must find nothing to do.
 	report, err := c.RunBlockFixer()
 	if err != nil {

@@ -337,8 +337,8 @@ func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*strip
 // whose CRC-32 differs from the block's is refused by the destination's
 // store (storeChecked: the check rides on the chunk-table fill, the one
 // pass over the block's bytes) and counts unrecoverable: a helper served
-// rot its store could not detect, and the scrubber must evict it before
-// a later pass can rebuild.
+// rot its store could not detect, and VerifyReplica must evict it
+// before a later pass can rebuild.
 func (c *Cluster) applyStripeFixLocked(f *stripeFix, shards map[int][]byte, report *FixReport) {
 	worker := f.worker()
 	for i, bm := range f.lost {

@@ -199,10 +199,10 @@ func (f failingClose) Close() error {
 }
 
 // TestScrubberFindsOnDiskCorruption: InjectBitRot flips a byte IN THE
-// SEGMENT FILE; the scrubber's read goes back to disk (store-level CRC)
-// and must evict exactly that replica — without aborting the rest of
-// the pass, and the next fixer pass must repair only the affected
-// block.
+// SEGMENT FILE; VerifyReplica's read goes back to disk (store-level
+// CRC), and a sweep of every replica must evict exactly that one —
+// without aborting the rest of the sweep, and the next fixer pass must
+// repair only the affected block.
 func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := persistentCluster(t, t.TempDir(), reg)
@@ -223,18 +223,15 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := c.RunScrubberSlice(c.Machines())
-	if err != nil {
-		t.Fatalf("scrub pass aborted: %v", err)
+	evicted, affected := scrub(c)
+	if evicted != 1 {
+		t.Fatalf("scrub evicted %d replicas, want 1", evicted)
 	}
-	if report.CorruptReplicas != 1 {
-		t.Fatalf("scrub evicted %d replicas, want 1", report.CorruptReplicas)
-	}
-	if len(report.AffectedBlocks) != 1 || report.AffectedBlocks[0] != victimBlock {
-		t.Fatalf("affected blocks = %v, want [%d]", report.AffectedBlocks, victimBlock)
+	if !slices.Equal(affected, []BlockID{victimBlock}) {
+		t.Fatalf("affected blocks = %v, want [%d]", affected, victimBlock)
 	}
 	// The storage-level CRC failure must be the detection path (the
-	// node refuses the read; the scrubber never sees the rotted bytes).
+	// node refuses the read; the verifier never sees the rotted bytes).
 	if n := reg.Snapshot().Counters["hdfs_corrupt_reads_total"]; n == 0 {
 		t.Fatal("no storage-level corrupt read recorded")
 	}
@@ -255,12 +252,8 @@ func TestScrubberFindsOnDiskCorruption(t *testing.T) {
 		t.Fatalf("unrecoverable blocks: %v", fix.Unrecoverable)
 	}
 	// And the repaired cluster scrubs clean.
-	report, err = c.RunScrubberSlice(c.Machines())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.CorruptReplicas != 0 {
-		t.Fatalf("second scrub still found %d corrupt replicas", report.CorruptReplicas)
+	if evicted, _ := scrub(c); evicted != 0 {
+		t.Fatalf("second scrub still found %d corrupt replicas", evicted)
 	}
 	if got, err := c.ReadFile("f"); err != nil || len(got) != 4000 {
 		t.Fatalf("read after repair: %v", err)
@@ -323,9 +316,8 @@ func TestReReplicationSkipsRottedReplicas(t *testing.T) {
 				t.Fatalf("fixer: %+v, %v; want one block re-replicated", fix, err)
 			}
 			// The rot injected on l[0] is the only rot left.
-			scrub, err := c.RunScrubberSlice(c.Machines())
-			if err != nil || scrub.CorruptReplicas != 1 {
-				t.Fatalf("scrub after re-replication: %+v, %v; want only the injected rot", scrub, err)
+			if evicted, _ := scrub(c); evicted != 1 {
+				t.Fatalf("scrub after re-replication evicted %d replicas; want only the injected rot", evicted)
 			}
 			// With l[1] gone too, the new copy alone serves the file.
 			c.FailMachine(l[1])
@@ -342,10 +334,10 @@ func TestReReplicationSkipsRottedReplicas(t *testing.T) {
 // dies. Rot the store sees is refused at the read, so the fixer marks
 // position 1 erased and decodes block 0 from the other helpers in the
 // same pass. Rot under the CRC is served as sound, so the rebuilt block
-// 0 fails its checksum and is not stored; once the scrubber evicts the
-// rot, the next pass rebuilds both. The fixer used to store the wrong
-// block 0 on rot under the CRC, and to report it unrecoverable on rot
-// the store refuses. A degraded ReadFile before the first pass follows
+// 0 fails its checksum and is not stored; once VerifyReplica evicts
+// the rot, the next pass rebuilds both. The fixer used to store the
+// wrong block 0 on rot under the CRC, and to report it unrecoverable on
+// rot the store refuses. A degraded ReadFile before the first pass follows
 // the same rule: byte-identical when the store refuses the rot,
 // ErrCorruptReplica when it serves it. It used to return the wrong
 // bytes in the one case and fail on shard 1's checksum in the other.
@@ -395,9 +387,7 @@ func TestStripeRepairSkipsRottedHelpers(t *testing.T) {
 				}
 			}
 
-			if _, err := c.RunScrubberSlice(c.Machines()); err != nil {
-				t.Fatal(err)
-			}
+			scrub(c)
 			if fix, err := c.RunBlockFixer(); err != nil || len(fix.Unrecoverable) != 0 {
 				t.Fatalf("second pass: %+v, %v", fix, err)
 			}
@@ -442,38 +432,6 @@ func TestRebuiltBlockWithWrongCRCIsNeverWritten(t *testing.T) {
 	}
 	if got := appends() - before; got != int64(fix.RepairedStriped) {
 		t.Fatalf("the pass appended %d records for %d repaired blocks: the refused block was written", got, fix.RepairedStriped)
-	}
-}
-
-// TestScrubberSliceFindsOnDiskCorruption exercises the incremental
-// scrubber against store-level corruption: the slice covering the
-// victim machine must evict the replica instead of skipping it as a
-// read error.
-func TestScrubberSliceFindsOnDiskCorruption(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := persistentCluster(t, t.TempDir(), reg)
-	if err := c.WriteFile("f", randBytes(41, 2048)); err != nil {
-		t.Fatal(err)
-	}
-	locs, err := c.BlockLocations("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimBlock := c.files["f"].blocks[0]
-	if err := c.InjectBitRot(locs[0][0], victimBlock, 100); err != nil {
-		t.Fatal(err)
-	}
-	// One full cycle of slices must find it regardless of cursor phase.
-	total := 0
-	for i := 0; i < c.Machines(); i += 5 {
-		rep, err := c.RunScrubberSlice(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += rep.CorruptReplicas
-	}
-	if total != 1 {
-		t.Fatalf("slice cycle evicted %d corrupt replicas, want 1", total)
 	}
 }
 

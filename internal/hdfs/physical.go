@@ -181,8 +181,8 @@ func (d *dataNode) delete(id BlockID) {
 		return
 	}
 	// A failed durable delete — or one whose store a crash closes under
-	// it — leaves a stale replica the scrubber will find; it must not
-	// fail the metadata-side delete.
+	// it — leaves a stale replica the metadata no longer lists; it must
+	// not fail the metadata-side delete.
 	_ = st.Delete(id)
 }
 

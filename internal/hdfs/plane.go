@@ -3,7 +3,7 @@
 // one BlockFixer, the HDFS-RAID shape). The lock helpers and namespace
 // lookups are in shard.go, the datanodes and the machine lifecycle in
 // physical.go, writes and raiding in files.go, the BlockFixer in
-// fixer.go, the raid policy and scrubber in raidnode.go.
+// fixer.go, the raid policy and the replica verifier in raidnode.go.
 package hdfs
 
 import (
@@ -21,9 +21,9 @@ import (
 
 // Cluster is the miniature DFS: the namenode's metadata — files, their
 // blocks and stripes, and everything that serialises on them: a
-// metadata lock, a placement rng, a fixer pass, a scrubber cursor —
-// over the datanode stores and the cross-rack traffic fabric. It is the
-// only metadata plane.
+// metadata lock, a placement rng, a fixer pass — over the datanode
+// stores and the cross-rack traffic fabric. It is the only metadata
+// plane.
 //
 // Locking is layered so a serving frontend can drive many operations
 // concurrently (race-detector clean):
@@ -82,9 +82,6 @@ type Cluster struct {
 	inflight map[string]chan struct{}
 	// now is the logical clock driving the raid policy.
 	now time.Duration
-	// scrubCursor is the next machine an incremental scrubber slice
-	// starts from (round-robin over machines).
-	scrubCursor int
 }
 
 // New builds an empty cluster. Placement draws from a rng seeded with

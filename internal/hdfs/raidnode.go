@@ -1,12 +1,13 @@
-// RaidNode policy engine and scrubber.
+// RaidNode policy engine and replica verifier.
 //
 // §2.1 of the paper: "The most frequently accessed data is stored as 3
 // replicas ... the data which has not been accessed for more than three
 // months is stored as a (10,4) RS code." This file implements that
 // tiering loop — a logical clock, per-file access tracking, a cold-data
 // policy, and a RaidNode pass that erasure-codes every cold file — plus
-// the checksum scrubber that detects silently corrupted replicas so the
-// BlockFixer can reconstruct them.
+// the replica verifier a reader's report of a bad replica runs, which
+// evicts a replica only after its own read of it fails the block's
+// checksum, so the repair path can rebuild it.
 package hdfs
 
 import (
@@ -101,114 +102,77 @@ func (c *Cluster) RunRaidNode(policy RaidPolicy) (*RaidReport, error) {
 	return report, nil
 }
 
-// ScrubReport summarises one scrubber pass.
-type ScrubReport struct {
-	// ScannedReplicas counts replica payloads whose checksum was
-	// recomputed.
-	ScannedReplicas int
-	// CorruptReplicas counts replicas whose content no longer matched
-	// the block checksum; they are dropped so the fixer rebuilds them.
-	CorruptReplicas int
-	// AffectedBlocks lists blocks that lost at least one replica.
-	AffectedBlocks []BlockID
-	// Resumed reports that the slice continued from a mid-cycle cursor
-	// rather than starting at machine 0.
-	Resumed bool
-	// MachinesScanned counts the machines the slice covered;
-	// NextMachine is where the next slice resumes.
-	MachinesScanned int
-	NextMachine     int
+// ReplicaVerdict is what VerifyReplica found of one replica.
+type ReplicaVerdict uint8
+
+const (
+	// ReplicaSound: the replica's bytes match the block's CRC-32; it
+	// stays.
+	ReplicaSound ReplicaVerdict = iota
+	// ReplicaEvicted: they did not; the replica was deleted and the
+	// machine dropped from the block's holders, so the block is short
+	// one replica until a repair restores it.
+	ReplicaEvicted
+	// ReplicaNotHeld: the metadata lists no replica of the block on the
+	// machine (another report evicted it first, or it never held one).
+	ReplicaNotHeld
+)
+
+func (v ReplicaVerdict) String() string {
+	switch v {
+	case ReplicaSound:
+		return "sound"
+	case ReplicaEvicted:
+		return "evicted"
+	case ReplicaNotHeld:
+		return "not_held"
+	}
+	return "unknown"
 }
 
-// RunScrubberSlice is the scrubber: it reads every replica on the NEXT
-// machines (round-robin cursor over the cluster, wrapping), which
-// verifies its bytes against the store's chunk CRCs, checks the CRC-32
-// those chunks fold to against the block's recorded one, and evicts
-// corrupt replicas. It does not repair; run the BlockFixer afterwards, as the
-// production pipeline does. A repair manager schedules small slices on
-// a timer instead of stalling a control-loop tick on a full-cluster
-// sweep; a slice of Machines() machines is one full cycle, which scans
-// every machine and leaves the cursor where it began. Dead machines are
-// skipped (their replicas are unreadable, and the failure detector owns
-// that case). The report's Resumed field distinguishes a mid-cycle
-// slice from one that started a fresh cycle at machine 0.
-func (c *Cluster) RunScrubberSlice(machines int) (*ScrubReport, error) {
-	if machines < 1 {
-		return nil, errors.New("hdfs: scrub slice must cover at least one machine")
+// VerifyReplica re-reads block id's replica on machine through the
+// node's checked read (its store's chunk CRCs, node cache included),
+// compares the CRC-32 that read folds to with the block's, and evicts
+// the replica only on a mismatch: a store that refuses the read as
+// corrupt is a mismatch, any other failure to read (the machine is
+// down, the store lost the block) is returned as an error and changes
+// nothing. It does not repair; an evicted replica is a missing one, for
+// the repair manager or the BlockFixer to rebuild. A reader that
+// refused a replica reports it here through the namenode, so the word
+// of one reader is checked before any replica is dropped. An unknown
+// block or machine is an error.
+func (c *Cluster) VerifyReplica(id BlockID, machine int) (ReplicaVerdict, error) {
+	node, err := c.machine(machine)
+	if err != nil {
+		return 0, err
 	}
 	c.lockMeta()
 	defer c.mu.Unlock()
-	if machines > len(c.nodes) {
-		machines = len(c.nodes)
-	}
-	report := &ScrubReport{Resumed: c.scrubCursor != 0}
-	affected := make(map[BlockID]bool)
-	for i := 0; i < machines; i++ {
-		m := (c.scrubCursor + i) % len(c.nodes)
-		c.scrubMachineLocked(m, report, affected)
-		report.MachinesScanned++
-	}
-	c.scrubCursor = (c.scrubCursor + machines) % len(c.nodes)
-	report.NextMachine = c.scrubCursor
-	slices.Sort(report.AffectedBlocks)
-	return report, nil
-}
-
-// scrubMachineLocked checksums every replica held by one live machine,
-// evicting corrupt ones. affected dedups blocks across the machines of
-// one slice.
-func (c *Cluster) scrubMachineLocked(m int, report *ScrubReport, affected map[BlockID]bool) {
-	node := c.nodes[m]
-	if !node.isAlive() {
-		return
-	}
-	ids, ok := node.blockIDs()
+	bm, ok := c.blocks[id]
 	if !ok {
-		return // crashed store; nothing scannable until recovery
+		return 0, fmt.Errorf("hdfs: no block %d", id)
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		bm, ok := c.blocks[id]
-		if !ok {
-			continue
-		}
-		buf, err := node.readRange(id, 0, bm.size)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptReplica) {
-				continue // machine died mid-slice; the detector owns it
-			}
-			// Storage-level rot: fall through to eviction with an empty
-			// buffer, which cannot match the recorded checksum.
-			report.ScannedReplicas++
-			buf = nil
-		} else {
-			report.ScannedReplicas++
-		}
-		if buf != nil && node.checksum(id, buf) == bm.checksum {
-			continue
-		}
-		node.delete(id)
-		clean := bm.locations[:0]
-		for _, loc := range bm.locations {
-			if loc != m {
-				clean = append(clean, loc)
-			}
-		}
-		bm.locations = clean
-		report.CorruptReplicas++
-		if !affected[id] {
-			affected[id] = true
-			report.AffectedBlocks = append(report.AffectedBlocks, id)
-		}
+	if !slices.Contains(bm.locations, machine) {
+		return ReplicaNotHeld, nil
 	}
+	buf, err := node.readRange(id, 0, bm.size)
+	if err != nil && !errors.Is(err, ErrCorruptReplica) {
+		return 0, err
+	}
+	if err == nil && node.checksum(id, buf) == bm.checksum {
+		return ReplicaSound, nil
+	}
+	node.delete(id)
+	bm.locations = slices.DeleteFunc(bm.locations, func(loc int) bool { return loc == machine })
+	return ReplicaEvicted, nil
 }
 
 // InjectBitRot flips one byte of the replica of block id stored on the
 // given machine — a test hook standing in for the silent disk
-// corruption scrubbers exist to catch. It deliberately bypasses
+// corruption checksums exist to catch. It deliberately bypasses
 // checksum maintenance.
 //
-//repolint:ignore deadexport test fault for serve's TestPersistentCorruptedSegmentTargetedRepair, TestServeCorruptReplicaFallsBackDegraded, TestCorruptReplicaIsMatchedByItsCodeNotItsWording and TestLentBlocksCutADegradedReadToOneShard, and repairmgr's TestManagerScrubScheduling
+//repolint:ignore deadexport test fault for serve's TestPersistentCorruptedSegmentTargetedRepair, TestServeCorruptReplicaFallsBackDegraded, TestCorruptReplicaIsMatchedByItsCodeNotItsWording, TestLentBlocksCutADegradedReadToOneShard and TestReportedRotIsRebuiltWithinOnePoll, and repairmgr's TestManagerRepairsAnEvictedReplica
 func (c *Cluster) InjectBitRot(machine int, id BlockID, offset int64) error {
 	node, err := c.machine(machine)
 	if err != nil {

@@ -2,9 +2,34 @@ package hdfs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
+
+// scrub is the whole-cluster sweep the tests run: VerifyReplica over
+// every replica each live machine's store holds, in machine and block
+// order. It returns how many replicas it evicted and, sorted, the
+// blocks that lost one. A replica it cannot read for another reason
+// than rot, or one the metadata does not list, it leaves alone.
+func scrub(c *Cluster) (evicted int, affected []BlockID) {
+	for m := range c.Machines() {
+		if !c.MachineAlive(m) {
+			continue
+		}
+		for _, id := range c.BlocksOn(m) {
+			if v, err := c.VerifyReplica(id, m); err != nil || v != ReplicaEvicted {
+				continue
+			}
+			evicted++
+			if !slices.Contains(affected, id) {
+				affected = append(affected, id)
+			}
+		}
+	}
+	slices.Sort(affected)
+	return evicted, affected
+}
 
 func TestRaidPolicySelectsColdFiles(t *testing.T) {
 	c := testCluster(t, rsCode(t), 30)
@@ -115,15 +140,8 @@ func TestScrubberDetectsBitRot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := c.RunScrubberSlice(c.Machines())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.CorruptReplicas != 1 {
-		t.Fatalf("scrubber found %d corrupt replicas, want 1", report.CorruptReplicas)
-	}
-	if len(report.AffectedBlocks) != 1 || report.AffectedBlocks[0] != target {
-		t.Fatalf("affected blocks %v, want [%d]", report.AffectedBlocks, target)
+	if evicted, affected := scrub(c); evicted != 1 || !slices.Equal(affected, []BlockID{target}) {
+		t.Fatalf("scrub evicted %d replicas of %v, want 1 of [%d]", evicted, affected, target)
 	}
 
 	// The fixer reconstructs the evicted replica; contents are intact.
@@ -142,9 +160,58 @@ func TestScrubberDetectsBitRot(t *testing.T) {
 		t.Fatal("bit rot survived scrub + fix")
 	}
 	// A clean pass finds nothing.
-	report2, _ := c.RunScrubberSlice(c.Machines())
-	if report2.CorruptReplicas != 0 {
+	if evicted, _ := scrub(c); evicted != 0 {
 		t.Fatal("clean cluster reported corruption")
+	}
+}
+
+// TestVerifyReplicaVerdicts: a sound replica stays, a rotted one is
+// evicted — from the store and from the block's holders, so its stripe
+// is short a position — and a second report of it finds it not held.
+// An unknown block or machine, or a machine that is down, is an error
+// that changes nothing.
+func TestVerifyReplicaVerdicts(t *testing.T) {
+	c := testCluster(t, rsCode(t), 15)
+	raidedFile(t, c, "a", 4096)
+	_, blocks, err := c.FileBlocks("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, m := blocks[0], blocks[0].Locations[0]
+	if v, err := c.VerifyReplica(b.ID, m); err != nil || v != ReplicaSound {
+		t.Fatalf("a sound replica: %v, %v", v, err)
+	}
+	if h := c.Health(); !h.Healthy() {
+		t.Fatalf("a sound replica's verdict changed the cluster: %+v", h)
+	}
+	if err := c.InjectBitRot(m, b.ID, 10); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.VerifyReplica(b.ID, m); err != nil || v != ReplicaEvicted {
+		t.Fatalf("a rotted replica: %v, %v", v, err)
+	}
+	if h := c.Health(); h.MissingStriped != 1 {
+		t.Fatalf("health after the eviction: %+v", h)
+	}
+	if slices.Contains(c.BlocksOn(m), b.ID) {
+		t.Fatalf("machine %d's store still holds the evicted block %d", m, b.ID)
+	}
+	if v, err := c.VerifyReplica(b.ID, m); err != nil || v != ReplicaNotHeld {
+		t.Fatalf("a second report of the evicted replica: %v, %v", v, err)
+	}
+
+	down := blocks[1]
+	c.FailMachine(down.Locations[0])
+	for _, bad := range []struct {
+		id BlockID
+		m  int
+	}{{b.ID, -1}, {b.ID, c.Machines()}, {BlockID(1 << 40), m}, {down.ID, down.Locations[0]}} {
+		if v, err := c.VerifyReplica(bad.id, bad.m); err == nil {
+			t.Fatalf("block %d on machine %d: %v, want an error", bad.id, bad.m, v)
+		}
+	}
+	if h := c.Health(); h.MissingStriped != 2 {
+		t.Fatalf("health after the refused reports: %+v", h)
 	}
 }
 
@@ -159,12 +226,8 @@ func TestScrubberChecksReplicatedFiles(t *testing.T) {
 	if err := rotUnderCRC(c, locs[0][1], id, 0); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.RunScrubberSlice(c.Machines())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.CorruptReplicas != 1 {
-		t.Fatalf("found %d corrupt replicas, want 1", report.CorruptReplicas)
+	if evicted, _ := scrub(c); evicted != 1 {
+		t.Fatalf("found %d corrupt replicas, want 1", evicted)
 	}
 	// Two clean replicas remain; fixer restores the third.
 	fix, err := c.RunBlockFixer()

@@ -191,14 +191,13 @@ func TestRepairDiskReadsFollowThePlan(t *testing.T) {
 		if got, err := c.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: file wrong after repair: %v", code.Name(), err)
 		}
-		// The scrubber still verifies every byte: rot anywhere in a
+		// The verifier still checks every byte: rot anywhere in a
 		// replica, in a chunk no repair range of it would cover, is found.
 		if err := c.InjectBitRot(blocks[1].Locations[0], blocks[1].ID, blockSize-1); err != nil {
 			t.Fatal(err)
 		}
-		scrub, err := c.RunScrubberSlice(c.Machines())
-		if err != nil || scrub.CorruptReplicas != 1 {
-			t.Fatalf("%s: scrubber after rot in a block's last chunk: %+v, %v", code.Name(), scrub, err)
+		if v, err := c.VerifyReplica(blocks[1].ID, blocks[1].Locations[0]); err != nil || v != ReplicaEvicted {
+			t.Fatalf("%s: verifier after rot in a block's last chunk: %v, %v", code.Name(), v, err)
 		}
 	}
 	if got, want := diskBytes[plain.Name()], int64(k*blockSize); got != want {

@@ -1,8 +1,8 @@
 // The namespace of the one metadata shard: the metadata lock and its
 // contention counters, the placement rng, and the read-only lookups and
 // summaries the serving and repair layers ask for. Writes and raiding
-// are in files.go, the BlockFixer in fixer.go, the raid policy and
-// scrubber in raidnode.go.
+// are in files.go, the BlockFixer in fixer.go, the raid policy and the
+// replica verifier in raidnode.go.
 package hdfs
 
 import (
@@ -330,8 +330,8 @@ func (c *Cluster) MachineInventory(m int) MachineInventory {
 }
 
 // BlockInfoByID returns one block's client-visible snapshot by id —
-// the repair manager's health registry resolves scrub-affected blocks
-// through it. The boolean reports whether the block exists.
+// the repair manager's health registry resolves the blocks whose
+// replicas a report evicted through it. The boolean reports whether the block exists.
 func (c *Cluster) BlockInfoByID(id BlockID) (BlockInfo, bool) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()

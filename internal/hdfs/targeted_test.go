@@ -213,106 +213,6 @@ func TestMachineInventoryAndHealth(t *testing.T) {
 	}
 }
 
-// TestScrubberSliceRoundRobin: slices walk the machines round-robin,
-// report Resumed mid-cycle, a cycle of slices finds a rotted replica
-// exactly once, and one slice of Machines() machines is a full cycle
-// from wherever the cursor stands.
-func TestScrubberSliceRoundRobin(t *testing.T) {
-	c := testCluster(t, rsCode(t), 15)
-	raidedFile(t, c, "a", 4096)
-
-	first, err := c.RunScrubberSlice(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Resumed {
-		t.Fatal("first slice of a cycle reported Resumed")
-	}
-	if first.MachinesScanned != 1 || first.NextMachine != 1 {
-		t.Fatalf("first slice report %+v", first)
-	}
-	second, err := c.RunScrubberSlice(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Resumed || second.NextMachine != 3 {
-		t.Fatalf("second slice report %+v", second)
-	}
-
-	// Corrupt one replica, then scrub the remaining machines of the
-	// cycle in slices: the corruption is found exactly once.
-	locs, err := c.BlockLocations("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, blocks, err := c.FileBlocks("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := locs[0][0]
-	if err := c.InjectBitRot(victim, blocks[0].ID, 10); err != nil {
-		t.Fatal(err)
-	}
-	var corrupt int
-	for scanned := 3; scanned < c.Machines(); {
-		rep, err := c.RunScrubberSlice(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		corrupt += rep.CorruptReplicas
-		scanned += rep.MachinesScanned
-	}
-	// The cycle may have wrapped past machines 0-2 (already scanned
-	// clean before the corruption landed); if the victim lives there
-	// the wrap-around slice found it.
-	if corrupt != 1 {
-		t.Fatalf("cycle found %d corrupt replicas, want 1", corrupt)
-	}
-	if h := c.Health(); h.MissingStriped != 1 {
-		t.Fatalf("health after scrub eviction: %+v", h)
-	}
-
-	// A full-cycle slice started mid-cycle scans every machine, those
-	// below the cursor included, and leaves the cursor where it began.
-	n, victim := c.Machines(), -1
-	var rotted BlockID
-	for _, b := range blocks[1:] {
-		if m := b.Locations[0]; m < n-1 {
-			victim, rotted = m, b.ID
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no block with a replica below the last machine")
-	}
-	rep, err := c.RunScrubberSlice(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps := (victim + 1 - rep.NextMachine + n) % n; steps > 0 {
-		if _, err := c.RunScrubberSlice(steps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.InjectBitRot(victim, rotted, 10); err != nil {
-		t.Fatal(err)
-	}
-	full, err := c.RunScrubberSlice(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Resumed || full.MachinesScanned != n || full.NextMachine != victim+1 {
-		t.Fatalf("full cycle from cursor %d: %+v", victim+1, full)
-	}
-	if full.CorruptReplicas != 1 || len(full.AffectedBlocks) != 1 || full.AffectedBlocks[0] != rotted {
-		t.Fatalf("full cycle from cursor %d missed the rot on machine %d: %+v", victim+1, victim, full)
-	}
-
-	if _, err := c.RunScrubberSlice(0); err == nil {
-		t.Fatal("zero-machine slice accepted")
-	}
-}
-
 // getGate parks the first store Get made after arm until release.
 type getGate struct {
 	armed  atomic.Bool

@@ -6,11 +6,11 @@
 // The paper's operational finding is that recovery is a continuous
 // background process — a median of ~180 TB/day of cross-rack repair
 // traffic, dominated by single-block failures that are often transient
-// and arrive in bursts that contend with foreground jobs. Three design
+// and arrive in bursts that contend with foreground jobs. Two design
 // consequences, each a component here:
 //
-//   - Failures must be DETECTED, not reported: a heartbeat Detector
-//     tracks every datanode through alive → suspect → dead, and the
+//   - Machine failures must be DETECTED, not reported: a heartbeat
+//     Detector tracks every datanode through alive → suspect → dead, and the
 //     suspect state is a deliberate delayed-repair grace window —
 //     machines that return within it (the common case, §2.2; see also
 //     the HDFS-RAID delayed-repair rationale in "XORing Elephants")
@@ -24,10 +24,9 @@
 //     aging so a burst of high-risk arrivals cannot park single-erasure
 //     stripes forever.
 //
-//   - Repairs must be PACED: a token-bucket throttle caps cross-rack
-//     repair bytes/sec — the operator constraint the paper opens with —
-//     while the engine's partial-sum trees keep the throttled bytes
-//     folding rack-locally.
+// A rotted replica is the one failure a reader reports: the namenode
+// re-verifies it, evicts it, and hands the block to the Manager
+// (ReplicaEvicted), which triages it with the same Registry.
 //
 // The Manager ties them together in a poll loop that a serving
 // namenode runs; every component takes explicit timestamps, so tests

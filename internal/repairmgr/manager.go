@@ -1,11 +1,12 @@
 // The autonomous repair manager: the control loop every serving
 // namenode runs, the system's one recovery driver. Heartbeats feed the
-// failure detector; detector transitions drive the health registry;
-// the registry's degradations become risk-tiered queue entries; and a
-// token-bucket throttle paces how fast the queue drains into the
-// cluster's targeted repair paths (FixStripes, ReReplicateBlocks,
-// which decode on the BlockFixer's engine). An operator's "repair
-// now" is RepairNow: one full fixer pass, reconciled into the queue.
+// failure detector, and replicas the namenode evicted on a reader's
+// report (ReplicaEvicted) are the other input; detector transitions and
+// evictions drive the health registry; the registry's degradations
+// become risk-tiered queue entries; and each poll drains the queue into
+// the cluster's targeted repair paths (FixStripes, ReReplicateBlocks,
+// which decode on the BlockFixer's engine). An operator's "repair now"
+// is RepairNow: one full fixer pass, reconciled into the queue.
 //
 // Every timestamp flows through the injectable clock, and Poll — one
 // full control-loop iteration — is exported, so tests and simulations
@@ -25,10 +26,9 @@ import (
 )
 
 // Config parameterises a Manager. A zero SuspectAfter, PollInterval,
-// ScrubSliceMachines, CompletedLog, or Clock selects the DefaultConfig
-// value. GraceWindow, RepairBytesPerSec, AgingTier, and ScrubInterval
-// are NOT defaulted — for each of them zero is a meaningful setting
-// (eager repair, unthrottled, no aging, no scrubbing) — so start from
+// CompletedLog, or Clock selects the DefaultConfig value. GraceWindow
+// and AgingTier are NOT defaulted — for each of them zero is a
+// meaningful setting (eager repair, no aging) — so start from
 // DefaultConfig() and override to get the recommended windows.
 type Config struct {
 	// SuspectAfter and GraceWindow are the failure detector's timeouts
@@ -39,33 +39,16 @@ type Config struct {
 	GraceWindow  time.Duration
 	// PollInterval is the live control loop's tick.
 	PollInterval time.Duration
-	// RepairBytesPerSec caps sustained cross-rack repair traffic
-	// (token bucket); 0 leaves repair unthrottled.
-	//
-	//repolint:ignore deadexport ROADMAP 12: the trace replay through the real manager decides whether the throttle pays for itself
-	RepairBytesPerSec float64
-	// RepairBurstBytes is the bucket capacity (default: one second of
-	// rate).
-	//
-	//repolint:ignore deadexport ROADMAP 12: the trace replay through the real manager decides whether the throttle pays for itself
-	RepairBurstBytes float64
 	// AgingTier is the queue time that promotes a waiting repair one
 	// erasure tier (starvation aging); 0 disables aging.
 	AgingTier time.Duration
-	// ScrubInterval schedules incremental scrub slices through the
-	// control loop; 0 disables background scrubbing.
-	//
-	//repolint:ignore deadexport ROADMAP 12: the trace replay through the real manager decides the manager's defaults, scrubbing included
-	ScrubInterval time.Duration
-	// ScrubSliceMachines is the slice width (default 1).
-	ScrubSliceMachines int
 	// CompletedLog caps the completion log the status RPC exposes.
 	CompletedLog int
 	// Clock injects time; nil selects time.Now. Tests pass a fake.
 	Clock func() time.Time
 	// Telemetry, when non-nil, publishes the control plane's
 	// instruments into the registry: poll/repair/grace-save counters
-	// and queue-depth/throttle/degradation gauges.
+	// and queue-depth/degradation gauges.
 	Telemetry *telemetry.Registry
 }
 
@@ -73,8 +56,9 @@ type Config struct {
 // suspect timeout, the paper's 15-minute grace window (its cluster
 // starts recovering a machine only after 15 minutes of unavailability,
 // Fig. 3a, so a machine back inside it costs no repair traffic), a
-// 500ms control tick, unthrottled repair, 10-minute aging tiers, no
-// background scrubbing.
+// 500ms control tick and 10-minute aging tiers. A replica evicted on a
+// reader's report is repaired at the next tick, grace window or not:
+// its machine is alive, and nothing will bring the replica back.
 func DefaultConfig() Config {
 	return Config{
 		SuspectAfter: 3 * time.Second,
@@ -96,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompletedLog == 0 {
 		c.CompletedLog = def.CompletedLog
-	}
-	if c.ScrubSliceMachines == 0 {
-		c.ScrubSliceMachines = 1
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -147,13 +128,6 @@ type Status struct {
 	// LostBlocks counts un-striped blocks that lost every replica —
 	// nothing to re-replicate from.
 	LostBlocks int
-	// ScrubSlices / ScrubbedReplicas / ScrubCorrupt summarise
-	// background scrubbing.
-	ScrubSlices      int
-	ScrubbedReplicas int
-	ScrubCorrupt     int
-	// ThrottleBytesPerSec echoes the configured cap (0 = unlimited).
-	ThrottleBytesPerSec float64
 	// Completed is the completion log, oldest first, capped at
 	// Config.CompletedLog.
 	Completed []CompletedRepair
@@ -176,7 +150,6 @@ type Manager struct {
 	det     *Detector
 	reg     *Registry
 	queue   *Queue
-	bucket  *TokenBucket
 
 	width, tolerance int // codec geometry
 	dataShards       int
@@ -187,7 +160,8 @@ type Manager struct {
 	pollMu sync.Mutex
 
 	mu       sync.Mutex
-	pending  []Transition // heartbeat-produced transitions awaiting Poll
+	pending  []Transition   // heartbeat-produced transitions awaiting Poll
+	evicted  []hdfs.BlockID // blocks a report cost a replica, awaiting Poll
 	suspects map[int]suspectEstimate
 	paused   bool
 
@@ -210,10 +184,6 @@ type Manager struct {
 	avoided       int
 	avoidedBytes  int64
 	lostBlocks    int
-	scrubSlices   int
-	scrubScanned  int
-	scrubCorrupt  int
-	nextScrub     time.Time
 	completed     []CompletedRepair
 	completedSeq  int
 
@@ -248,23 +218,19 @@ func New(cluster *hdfs.Cluster, cfg Config) (*Manager, error) {
 		det:        det,
 		reg:        NewRegistry(cluster),
 		queue:      NewQueue(QueueConfig{AgingTier: cfg.AgingTier}),
-		bucket:     NewTokenBucket(cfg.RepairBytesPerSec, cfg.RepairBurstBytes, now),
 		width:      code.TotalShards(),
 		tolerance:  code.ParityShards(),
 		dataShards: code.DataShards(),
 		suspects:   make(map[int]suspectEstimate),
 		started:    now,
 	}
-	if cfg.ScrubInterval > 0 {
-		m.nextScrub = now.Add(cfg.ScrubInterval)
-	}
 	m.registerTelemetry()
 	return m, nil
 }
 
 // registerTelemetry publishes the manager's instruments. Counters are
-// incremented inline by the control loop; gauges read the live queue,
-// throttle, and registry state at snapshot time.
+// incremented inline by the control loop; gauges read the live queue
+// and registry state at snapshot time.
 func (m *Manager) registerTelemetry() {
 	reg := m.cfg.Telemetry
 	if reg == nil {
@@ -285,12 +251,6 @@ func (m *Manager) registerTelemetry() {
 			return float64(m.queue.DepthsByErasures()[tier])
 		})
 	}
-	reg.RegisterGauge("repair_throttle_level_bytes", func() float64 {
-		return m.bucket.Level(m.cfg.Clock())
-	})
-	reg.RegisterGauge("repair_throttle_bytes_per_sec", func() float64 {
-		return m.bucket.Rate()
-	})
 	reg.RegisterGauge("repair_degraded_stripes", func() float64 {
 		return float64(m.reg.DegradedStripes())
 	})
@@ -338,8 +298,8 @@ func (m *Manager) Stop() {
 	}
 }
 
-// Pause suspends queue draining (detection, triage, and scrubbing
-// continue); Resume lifts it. RepairNow runs either way.
+// Pause suspends queue draining (detection and triage, evictions
+// included, continue); Resume lifts it. RepairNow runs either way.
 //
 //repolint:ignore deadexport ROADMAP 10(b): node_repair pauses the manager, kills, reads detection off repair.status, and resumes
 func (m *Manager) Pause() {
@@ -371,11 +331,21 @@ func (m *Manager) Heartbeat(node int) error {
 	return nil
 }
 
+// ReplicaEvicted records that the namenode evicted a replica of block
+// id (hdfs.Cluster.VerifyReplica, on a reader's report). Like a
+// heartbeat's transitions, the block waits for the next Poll, which
+// re-examines its health and queues its repair.
+func (m *Manager) ReplicaEvicted(id hdfs.BlockID) {
+	m.mu.Lock()
+	m.evicted = append(m.evicted, id)
+	m.mu.Unlock()
+}
+
 // Poll runs one control-loop iteration: evaluate detector timeouts,
-// process transitions, schedule due scrub slices, and drain the repair
-// queue as far as the throttle allows. It returns the first repair
-// execution error (detection and triage never fail). Safe for
-// concurrent use: overlapping calls serialise.
+// process transitions, triage the blocks evictions left short, and
+// drain the repair queue. It returns the first repair execution error
+// (detection and triage never fail). Safe for concurrent use:
+// overlapping calls serialise.
 func (m *Manager) Poll() error {
 	m.pollMu.Lock()
 	defer m.pollMu.Unlock()
@@ -392,15 +362,17 @@ func (m *Manager) Poll() error {
 	now := m.cfg.Clock()
 
 	m.mu.Lock()
-	trans := m.pending
-	m.pending = nil
+	trans, evicted := m.pending, m.evicted
+	m.pending, m.evicted = nil, nil
 	m.mu.Unlock()
 	trans = append(trans, m.det.Evaluate(now)...)
 	for _, tr := range trans {
 		m.handleTransition(tr, now)
 	}
-
-	m.maybeScrub(now)
+	if len(evicted) > 0 {
+		stripes, blocks := m.reg.ExamineBlocks(evicted)
+		m.reconcile(stripes, blocks, now)
+	}
 
 	m.mu.Lock()
 	paused := m.paused
@@ -409,15 +381,13 @@ func (m *Manager) Poll() error {
 		return nil
 	}
 
-	// Drain the queue in risk order until it empties or the throttle
-	// says wait.
+	// Drain the queue in risk order until it empties.
 	var first error
 	for {
-		task, ok := m.queue.Peek()
-		if !ok || !m.bucket.Ready(task.Bytes, m.cfg.Clock()) {
+		task, ok := m.queue.Pop()
+		if !ok {
 			return first
 		}
-		m.queue.Pop()
 		if err := m.execute(task); err != nil && first == nil {
 			first = err
 		}
@@ -643,37 +613,6 @@ func (m *Manager) lossRisk(nodes, tolerance, erasures int, repairBytes float64) 
 	return 1 / hours
 }
 
-// maybeScrub runs one incremental scrub slice when due, feeding any
-// corruption it finds into the triage path.
-func (m *Manager) maybeScrub(now time.Time) {
-	if m.cfg.ScrubInterval <= 0 {
-		return
-	}
-	m.mu.Lock()
-	due := !now.Before(m.nextScrub)
-	if due {
-		m.nextScrub = now.Add(m.cfg.ScrubInterval)
-	}
-	m.mu.Unlock()
-	if !due {
-		return
-	}
-	rep, err := m.cluster.RunScrubberSlice(m.cfg.ScrubSliceMachines)
-	if err != nil {
-		return
-	}
-	m.mu.Lock()
-	m.scrubSlices++
-	m.scrubScanned += rep.ScannedReplicas
-	m.scrubCorrupt += rep.CorruptReplicas
-	m.mu.Unlock()
-	if len(rep.AffectedBlocks) == 0 {
-		return
-	}
-	stripes, blocks := m.reg.ExamineBlocks(rep.AffectedBlocks)
-	m.reconcile(stripes, blocks, now)
-}
-
 // execute runs one popped task and accounts it.
 func (m *Manager) execute(task Task) error {
 	var (
@@ -703,7 +642,6 @@ func (m *Manager) execute(task Task) error {
 	} else {
 		done.Bytes = rep.CrossRackBytes
 		done.Unrecoverable = len(rep.Unrecoverable) > 0
-		m.bucket.Spend(rep.CrossRackBytes, now)
 	}
 	// Refresh the registry so a clean repair clears its entry
 	// and a partial one stays visible (it re-enqueues when the next
@@ -741,12 +679,11 @@ func (m *Manager) QueueDepth() int { return m.queue.Len() }
 // Status snapshots the control plane.
 func (m *Manager) Status() Status {
 	s := Status{
-		Nodes:               m.det.Snapshot(),
-		QueueDepth:          m.queue.Len(),
-		QueueByErasures:     m.queue.DepthsByErasures(),
-		DegradedStripes:     m.reg.DegradedStripes(),
-		DegradedBlocks:      m.reg.DegradedBlocks(),
-		ThrottleBytesPerSec: m.bucket.Rate(),
+		Nodes:           m.det.Snapshot(),
+		QueueDepth:      m.queue.Len(),
+		QueueByErasures: m.queue.DepthsByErasures(),
+		DegradedStripes: m.reg.DegradedStripes(),
+		DegradedBlocks:  m.reg.DegradedBlocks(),
 	}
 	now := m.cfg.Clock()
 	m.mu.Lock()
@@ -765,9 +702,6 @@ func (m *Manager) Status() Status {
 	s.AvoidedRepairs = m.avoided
 	s.AvoidedRepairBytes = m.avoidedBytes
 	s.LostBlocks = m.lostBlocks
-	s.ScrubSlices = m.scrubSlices
-	s.ScrubbedReplicas = m.scrubScanned
-	s.ScrubCorrupt = m.scrubCorrupt
 	s.Completed = append([]CompletedRepair(nil), m.completed...)
 	return s
 }

@@ -280,88 +280,33 @@ func TestManagerPriorityOrdering(t *testing.T) {
 	}
 }
 
-// TestManagerThrottlePacesRepairs: a byte cap spreads the drain over
-// multiple control ticks instead of repairing everything at once.
-func TestManagerThrottlePacesRepairs(t *testing.T) {
-	h := newHarness(t, Config{
-		SuspectAfter: 2 * time.Second,
-		GraceWindow:  0, // eager: repairs enqueue at the first deadline
-		// Roughly one stripe repair (4 shards x 1 KiB padded) per two
-		// seconds of refill.
-		RepairBytesPerSec: 2048,
-		RepairBurstBytes:  4096,
-	})
-	for i := 0; i < 6; i++ {
-		h.raided(string(rune('a'+i)), 4096)
-	}
-	victim := h.victimOf("a")
-	h.cluster.FailMachine(victim)
-	queuedAfterKill := 0
-	var drainTicks []int
-	for i := 0; i < 60; i++ {
-		h.tick(time.Second)
-		st := h.mgr.Status()
-		if st.QueueDepth+st.RepairsDone > queuedAfterKill {
-			queuedAfterKill = st.QueueDepth + st.RepairsDone
-		}
-		drainTicks = append(drainTicks, st.RepairsDone)
-		if st.QueueDepth == 0 && st.RepairsDone > 0 && h.cluster.Health().Healthy() {
-			break
-		}
-	}
-	st := h.mgr.Status()
-	if !h.cluster.Health().Healthy() || st.RepairsDone == 0 {
-		t.Fatalf("throttled manager never healed: %+v", st)
-	}
-	if queuedAfterKill < 2 {
-		t.Skipf("victim held only %d repair targets; pacing unobservable", queuedAfterKill)
-	}
-	// Pacing means the drain was spread: some tick saw repairs both
-	// done and still pending.
-	spread := false
-	for i := 1; i < len(drainTicks); i++ {
-		if drainTicks[i] > drainTicks[i-1] && drainTicks[i] < st.RepairsDone {
-			spread = true
-		}
-	}
-	if !spread {
-		t.Fatalf("throttle did not pace the drain: progression %v", drainTicks)
-	}
-}
-
-// TestManagerScrubScheduling: the control loop runs incremental scrub
-// slices on its timer, and a corrupt replica found by a slice flows
-// through triage into a repair.
-func TestManagerScrubScheduling(t *testing.T) {
-	h := newHarness(t, Config{
-		SuspectAfter:       3 * time.Second,
-		GraceWindow:        5 * time.Second,
-		ScrubInterval:      2 * time.Second,
-		ScrubSliceMachines: 4,
-	})
+// TestManagerRepairsAnEvictedReplica: a replica the namenode evicted
+// on a reader's report waits, like a heartbeat's transitions, for the
+// next poll, which triages its stripe and repairs it — inside the grace
+// window, since the replica's machine is alive and nothing brings the
+// replica back.
+func TestManagerRepairsAnEvictedReplica(t *testing.T) {
+	h := newHarness(t, DefaultConfig())
 	data := h.raided("f", 4096)
 	_, blocks, err := h.cluster.FileBlocks("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := h.victimOf("f")
-	if err := h.cluster.InjectBitRot(victim, blocks[0].ID, 3); err != nil {
+	b := blocks[0]
+	if err := h.cluster.InjectBitRot(b.Locations[0], b.ID, 3); err != nil {
 		t.Fatal(err)
 	}
-	// 2s scrub interval, 4-machine slices, 20 machines: one full cycle
-	// takes 10 slices = 20s of ticks. Run 30 to cover triage + repair.
-	for i := 0; i < 30; i++ {
-		h.tick(time.Second)
+	if v, err := h.cluster.VerifyReplica(b.ID, b.Locations[0]); err != nil || v != hdfs.ReplicaEvicted {
+		t.Fatalf("verify of the rotted replica: %v, %v", v, err)
 	}
+	h.mgr.ReplicaEvicted(b.ID)
+	if st := h.mgr.Status(); st.DegradedStripes != 0 || st.QueueDepth != 0 {
+		t.Fatalf("the eviction was triaged before a poll: %+v", st)
+	}
+	h.tick(time.Second)
 	st := h.mgr.Status()
-	if st.ScrubSlices == 0 || st.ScrubbedReplicas == 0 {
-		t.Fatalf("scrubbing never ran: %+v", st)
-	}
-	if st.ScrubCorrupt != 1 {
-		t.Fatalf("scrub found %d corrupt replicas, want 1", st.ScrubCorrupt)
-	}
-	if st.RepairsDone == 0 {
-		t.Fatalf("corruption not repaired: %+v", st)
+	if st.RepairsDone != 1 || st.QueueDepth != 0 || st.DegradedStripes != 0 {
+		t.Fatalf("one poll after the eviction: %+v", st)
 	}
 	if !h.cluster.Health().Healthy() {
 		t.Fatalf("cluster not healthy: %+v", h.cluster.Health())
@@ -371,7 +316,7 @@ func TestManagerScrubScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("content differs after scrub-triggered repair")
+		t.Fatal("content differs after the eviction's repair")
 	}
 }
 

@@ -64,8 +64,8 @@ type Task struct {
 	// Tolerance how many it can lose before data loss.
 	Erasures  int
 	Tolerance int
-	// Bytes estimates the repair's cross-rack download — what the
-	// token-bucket throttle reserves before the repair starts.
+	// Bytes estimates the repair's cross-rack download; it sizes Risk
+	// (a bigger repair takes longer).
 	Bytes int64
 	// Risk is the loss rate of the degraded state (1/MTTDL-hours; see
 	// Manager.lossRisk). It refines ordering WITHIN an erasure tier —
@@ -197,16 +197,6 @@ func (q *Queue) Pop() (Task, bool) {
 	t := heap.Pop(&q.heap).(*Task)
 	delete(q.items, t.Key())
 	return *t, true
-}
-
-// Peek returns the highest-priority task without removing it.
-func (q *Queue) Peek() (Task, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.heap.Len() == 0 {
-		return Task{}, false
-	}
-	return *q.heap[0], true
 }
 
 // Len returns the queue depth.

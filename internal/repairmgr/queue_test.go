@@ -106,10 +106,11 @@ func TestQueueUpsertAndRemove(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("upsert duplicated the entry: depth %d", q.Len())
 	}
-	peeked, _ := q.Peek()
-	if peeked.Erasures != 2 || !peeked.Enqueued.Equal(t0) {
-		t.Fatalf("upsert lost state: %+v", peeked)
+	popped, _ := q.Pop()
+	if popped.Erasures != 2 || !popped.Enqueued.Equal(t0) {
+		t.Fatalf("upsert lost state: %+v", popped)
 	}
+	q.Upsert(popped)
 	if d := q.DepthsByErasures(); d[2] != 1 || d[1] != 0 {
 		t.Fatalf("depths %v", d)
 	}

@@ -1,8 +1,8 @@
 // The stripe health registry: the control plane's map from failure
 // events to repair targets. It is incremental by construction — a node
-// death, restart, or scrub report re-examines only the stripes and
+// death, restart, or replica eviction re-examines only the stripes and
 // replicated blocks that event touches (the machine's recorded
-// inventory, the scrub's affected list), never the whole namespace —
+// inventory, the evicted blocks), never the whole namespace —
 // and it reports exactly the entries whose erasure count changed, so
 // the manager upserts or cancels queue entries without rescans.
 package repairmgr
@@ -76,8 +76,8 @@ func (r *Registry) ExamineMachine(m int) ([]StripeHealth, []BlockHealth) {
 	return stripes, blocks
 }
 
-// ExamineBlocks re-derives the health of specific blocks — the
-// scrubber's affected list. Striped blocks resolve to their stripe.
+// ExamineBlocks re-derives the health of specific blocks — those that
+// lost a replica to an eviction. Striped blocks resolve to their stripe.
 func (r *Registry) ExamineBlocks(ids []hdfs.BlockID) ([]StripeHealth, []BlockHealth) {
 	var stripes []StripeHealth
 	var blocks []BlockHealth

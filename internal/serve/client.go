@@ -143,7 +143,7 @@ type Counters struct {
 	PartialSumBlocks     int64 // degraded reads served by the partial-sum pipeline
 	DegradedBytesFetched int64 // bytes received at this client for reconstructions
 	DegradedBytesLent    int64 // repair-plan bytes answered from blocks the read already held
-	CorruptReplicas      int64 // replica reads refused on checksum grounds: by the datanode's check, or by this client's of a marked whole-block read
+	CorruptReplicas      int64 // replica reads refused on checksum grounds: by the datanode's check, or by this client's of a marked whole-block read; each is reported
 	CacheHits            int64 // block reads served from the client block cache (WithBlockCache)
 	CacheMisses          int64 // block reads that consulted the cache and went to the network
 }
@@ -498,6 +498,16 @@ func (c *Client) readReplica(m int, b wireBlock, slot []byte) error {
 	return nil
 }
 
+// reportReplica tells the namenode that machine's replica of block
+// failed its checksum at this reader ("replica.report"), so that the
+// namenode verifies it and, if its own read fails too, evicts it for
+// the repair manager to rebuild. The report's outcome is not the read's
+// business: the read goes on around the replica either way, and if the
+// report is lost the next reader that meets the rot reports it again.
+func (c *Client) reportReplica(block int64, machine int) {
+	_, _ = c.nameCall(&request{Method: methodReportReplica, Block: block, Machine: machine}, nil)
+}
+
 // WriteFile stores data as a new file.
 func (c *Client) WriteFile(name string, data []byte) error {
 	if _, err := c.nameCall(&request{Method: methodWrite, Name: name}, data); err != nil {
@@ -537,9 +547,9 @@ func (c *Client) RunBlockFixer() (FixReport, error) {
 }
 
 // RepairStatus fetches the repair manager's status from the namenode:
-// queue depth, per-node detector states, throttle and grace-window
-// accounting, and the completion log that makes priority ordering
-// externally observable.
+// queue depth, per-node detector states, grace-window accounting, and
+// the completion log that makes priority ordering externally
+// observable.
 //
 //repolint:ignore deadexport ROADMAP 10(b): node_repair reads detection off repair.status and times the manager to Healthy()
 func (c *Client) RepairStatus() (*repairmgr.Status, error) {
@@ -717,10 +727,10 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 		}
 
 		if attempt > 0 || !reconstruct {
-			// Walk live replicas fastest-first. A replica the datanode
-			// refuses on checksum grounds is as gone as one on a dead
-			// machine — count it and keep going; the stripe reconstructs
-			// around it.
+			// Walk live replicas fastest-first. A replica refused on
+			// checksum grounds is as gone as one on a dead machine —
+			// count it, report it, and keep going; the stripe
+			// reconstructs around it.
 			for _, m := range c.replicaOrder(b.Locations) {
 				err := c.readReplica(m, b, slot)
 				if err == nil {
@@ -730,6 +740,7 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 				}
 				if isCorruptReplicaErr(err) {
 					c.cCorruptReps.Inc()
+					c.reportReplica(b.ID, m)
 				}
 				lastErr = err
 			}
@@ -856,7 +867,8 @@ func (c *Client) degradedRead(b wireBlock, lent [][]byte) ([]byte, error) {
 			return nil, fmt.Errorf("serve: stripe %d position %d has no live holder", b.Stripe, req.Shard)
 		}
 		// A helper none of whose replicas served, one of them refused on
-		// checksum grounds, is erased: the decode runs again without it.
+		// checksum grounds (and reported), is erased: the decode runs
+		// again without it.
 		var lastErr, rot error
 		dst := arena.Bytes(int(st.ShardSize))
 		for _, m := range c.replicaOrder(p.Locations) {
@@ -867,6 +879,7 @@ func (c *Client) degradedRead(b wireBlock, lent [][]byte) ([]byte, error) {
 			}
 			if isCorruptReplicaErr(err) {
 				c.cCorruptReps.Inc()
+				c.reportReplica(p.Block, m)
 				rot = err
 			}
 			lastErr = err

@@ -61,7 +61,7 @@ var methodNames = [...]string{
 	1: methodInfo, 3: methodBlocks, 4: methodStripe,
 	5: methodWrite, 6: methodRaid, 7: methodFixer,
 	10: methodHeartbeat, 11: methodRepairStatus,
-	13: methodDNRead, 15: methodDNPartial,
+	13: methodDNRead, 15: methodDNPartial, 16: methodReportReplica,
 }
 
 func methodID(name string) int64 {

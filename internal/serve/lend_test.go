@@ -214,7 +214,8 @@ func TestLentBlocksCutADegradedReadToOneShard(t *testing.T) {
 			}
 
 			// A replica the datanode refuses for bit rot is as lost as one
-			// on a dead machine, and reconstructed the same way.
+			// on a dead machine, and reconstructed the same way; the
+			// reader reports it, and no later reader is refused it.
 			t.Run("bit rot", func(t *testing.T) {
 				cfg, _ := onDisk(t, testConfig(code))
 				sys := startSystem(t, cfg)
@@ -229,6 +230,13 @@ func TestLentBlocksCutADegradedReadToOneShard(t *testing.T) {
 				want := planSplit(t, sys, 2)
 				if c := readLent(t, sys, data, want); c.CorruptReplicas != 1 || want.fetched != lendBlock {
 					t.Fatalf("counters %+v, plans %+v: want one refused replica rebuilt for one shard", c, want)
+				}
+				again := dial(t, sys)
+				if got, err := again.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("a read after the report: %v", err)
+				}
+				if c := again.Counters(); c.CorruptReplicas != 0 {
+					t.Fatalf("a reader after the report was refused the rot again: %+v", c)
 				}
 			})
 		})

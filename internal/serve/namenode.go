@@ -3,8 +3,10 @@
 // out ("stripe", the handshake of a degraded read), and hand it whole
 // files to place ("write"). It also runs the repair manager, the
 // system's one recovery driver: it raids files, takes the datanodes'
-// heartbeats into the manager's failure detector, answers "fixer" with
-// the manager's RepairNow, and reports the manager's status.
+// heartbeats into the manager's failure detector, verifies the replicas
+// readers report as rotted and hands the ones it evicts to the manager,
+// answers "fixer" with the manager's RepairNow, and reports the
+// manager's status.
 package serve
 
 import (
@@ -32,16 +34,23 @@ type NameNode struct {
 	// cDegradedPlans counts stripe-layout requests — each one is a
 	// client planning a degraded read (healthy reads never ask).
 	cDegradedPlans *telemetry.Counter
+	// cReports counts replica reports by the verdict of the namenode's
+	// own read of the replica.
+	cReports [hdfs.ReplicaNotHeld + 1]*telemetry.Counter
 }
 
 // startNameNode launches the namenode on an ephemeral localhost port.
 // mgr is the repair manager the namenode runs: dn.heartbeat frames
-// feed its failure detector, "fixer" is its RepairNow, and
-// repair.status returns its Status. tele may be nil.
+// feed its failure detector, a replica.report that evicts a replica
+// feeds its triage, "fixer" is its RepairNow, and repair.status
+// returns its Status. tele may be nil.
 func startNameNode(cluster *hdfs.Cluster, code ec.Code, dataNodeAddrs func() []string, mgr *repairmgr.Manager, tele *nodeTelemetry) (*NameNode, error) {
 	n := &NameNode{cluster: cluster, code: code, dataNodeAddrs: dataNodeAddrs, mgr: mgr, tele: tele}
 	if tele != nil && tele.reg != nil {
 		n.cDegradedPlans = tele.reg.Counter("serve_degraded_plans_total")
+		for v := range n.cReports {
+			n.cReports[v] = tele.reg.Counter(`serve_replica_reports_total{verdict="` + hdfs.ReplicaVerdict(v).String() + `"}`)
+		}
 	}
 	srv, err := newServer(n.handle, tele, maxPayloadBytes)
 	if err != nil {
@@ -139,6 +148,19 @@ func (n *NameNode) handle(req *request, payload []byte, _ *[]byte) (*response, [
 
 	case methodRepairStatus:
 		return coldResponse(n.mgr.Status()), nil
+
+	case methodReportReplica:
+		// The reader's word is checked, not taken: only the namenode's
+		// own read of the replica can evict it.
+		v, err := n.cluster.VerifyReplica(hdfs.BlockID(req.Block), req.Machine)
+		if err != nil {
+			return errResponse(err), nil
+		}
+		n.cReports[v].Inc()
+		if v == hdfs.ReplicaEvicted {
+			n.mgr.ReplicaEvicted(hdfs.BlockID(req.Block))
+		}
+		return okResponse(), nil
 
 	default:
 		return errResponse(fmt.Errorf("serve: namenode: unknown method %q", req.Method)), nil

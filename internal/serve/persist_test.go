@@ -124,8 +124,9 @@ func TestPersistentRestartWithinGraceZeroRepairBytes(t *testing.T) {
 
 // TestPersistentCorruptedSegmentTargetedRepair is the second
 // acceptance property: flip bytes in ONE replica's segment file; the
-// scrubber evicts exactly that replica, the fixer re-replicates only
-// the affected block, and reads stay byte-identical throughout.
+// verifier's read of it (hdfs.Cluster.VerifyReplica, what a reader's
+// report runs) evicts exactly that replica, the fixer re-replicates
+// only the affected block, and reads stay byte-identical throughout.
 func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 	leakcheck.Cleanup(t)
 	code := testCodecs(t)[0]
@@ -166,15 +167,13 @@ func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The scrubber finds it via the store's disk CRC and evicts only
+	// The verifier finds it via the store's disk CRC and evicts only
 	// that replica.
-	rep, err := sys.Cluster().RunScrubberSlice(sys.Cluster().Machines())
-	if err != nil {
-		t.Fatalf("scrub pass aborted: %v", err)
+	if v, err := sys.Cluster().VerifyReplica(victimBlock, victimMachine); err != nil || v != hdfs.ReplicaEvicted {
+		t.Fatalf("verify of the rotted replica: %v, %v", v, err)
 	}
-	if rep.CorruptReplicas != 1 || len(rep.AffectedBlocks) != 1 || rep.AffectedBlocks[0] != victimBlock {
-		t.Fatalf("scrub evicted %d replicas, affected %v; want 1 and [%d]",
-			rep.CorruptReplicas, rep.AffectedBlocks, victimBlock)
+	if h := sys.Cluster().Health(); h.UnderReplicated != 1 || h.MissingStriped != 0 {
+		t.Fatalf("health after the eviction: %+v", h)
 	}
 	if n := ext.Snapshot().Counters["extent_crc_failures_total"]; n == 0 {
 		t.Fatal("corruption was not detected at the extent store")
@@ -202,7 +201,8 @@ func TestPersistentCorruptedSegmentTargetedRepair(t *testing.T) {
 // TestServeCorruptReplicaFallsBackDegraded: when a datanode refuses a
 // raided block's only replica on checksum grounds, the CLIENT treats
 // it like a dead replica — counts it, reconstructs through the stripe,
-// and returns correct bytes.
+// and returns correct bytes — and reports it, so the namenode evicts it
+// and no later reader is refused it again.
 func TestServeCorruptReplicaFallsBackDegraded(t *testing.T) {
 	leakcheck.Cleanup(t)
 	code := testCodecs(t)[0]
@@ -243,11 +243,18 @@ func TestServeCorruptReplicaFallsBackDegraded(t *testing.T) {
 		t.Fatal("degraded read returned wrong bytes")
 	}
 	c := cl.Counters()
-	if c.CorruptReplicas == 0 {
-		t.Fatalf("corrupt replica not counted: %+v", c)
+	if c.CorruptReplicas != 1 {
+		t.Fatalf("corrupt replica not counted once: %+v", c)
 	}
-	if c.DegradedBlocks == 0 {
-		t.Fatalf("read did not take the degraded path: %+v", c)
+	if c.DegradedBlocks != 1 {
+		t.Fatalf("read did not take the degraded path once: %+v", c)
+	}
+	again := dial(t, sys)
+	if got, err := again.ReadFile("f-0"); err != nil || !bytes.Equal(got, files["f-0"]) {
+		t.Fatalf("a second read: %v", err)
+	}
+	if c := again.Counters(); c.CorruptReplicas != 0 {
+		t.Fatalf("a second reader was refused the reported replica: %+v", c)
 	}
 }
 
@@ -306,6 +313,15 @@ func TestCorruptReplicaIsMatchedByItsCodeNotItsWording(t *testing.T) {
 	}
 	if c := honest.Counters(); c.CorruptReplicas != 1 || c.DegradedBlocks != 1 {
 		t.Fatalf("bit rot was not counted once and reconstructed around: %+v", c)
+	}
+	// ReadFile reported the rot and the namenode evicted it: the block
+	// lists its holder no more, until a repair stores it anew.
+	again := dial(t, sys)
+	if got, err := again.ReadFile("f-0"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("a read after the report: %v", err)
+	}
+	if c := again.Counters(); c.CorruptReplicas != 0 {
+		t.Fatalf("a reader after the report was refused the rot again: %+v", c)
 	}
 }
 

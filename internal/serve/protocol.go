@@ -95,8 +95,10 @@
 //
 // The namenode answers metadata methods ("info", "blocks", "stripe"),
 // mutations ("write", "raid", and "fixer", the repair manager's
-// RepairNow), the datanodes' "dn.heartbeat" and the repair manager's
-// "repair.status". Datanodes answer "dn.read" (a replica range) and
+// RepairNow), the datanodes' "dn.heartbeat", the repair manager's
+// "repair.status", and "replica.report" (fields 3 and 6: a reader's
+// word that a machine's replica of a block failed its checksum; see
+// the next section). Datanodes answer "dn.read" (a replica range) and
 // "dn.partial" (fold this node's repair ranges and its children's
 // partial sums into one block-sized buffer). Errors travel in the
 // response header as text plus a code for the kinds a caller acts on
@@ -122,6 +124,16 @@
 // node cache or a store decorator, or on a system without sendfile(2),
 // copies and checks the replica as for any read, and the reader checks
 // it again: one CRC-32 pass over a block it already holds.
+//
+// A replica refused on checksum grounds — by the reader's check or by
+// the datanode's, in the replica walk or as a degraded read's helper —
+// is reported to the namenode ("replica.report"), and the read goes on
+// around it whatever becomes of the report. The namenode does not take
+// the reader's word: it re-reads the replica through the datanode's
+// checked read (hdfs.Cluster.VerifyReplica) and evicts it only if that
+// read fails the block's CRC-32, then hands the block to the repair
+// manager, whose next poll rebuilds it. A lost report costs nothing
+// but time: the next reader that meets the rot reports it again.
 //
 // # Degraded reads and lent blocks
 //
@@ -242,6 +254,9 @@ const (
 	// methodRepairStatus returns the control plane's status snapshot.
 	methodHeartbeat    = "dn.heartbeat"
 	methodRepairStatus = "repair.status"
+	// methodReportReplica is a reader's report of a replica that failed
+	// its checksum: Block and Machine name it.
+	methodReportReplica = "replica.report"
 )
 
 // Datanode RPC method names.

@@ -66,6 +66,11 @@ func markedRead(cl *Client, m int, b hdfs.BlockInfo) ([]byte, error) {
 
 func counter(sys *System, name string) int64 { return sys.Telemetry().Snapshot().Counters[name] }
 
+// reports reads the namenode's replica-report counter of one verdict.
+func reports(sys *System, v hdfs.ReplicaVerdict) int64 {
+	return counter(sys, `serve_replica_reports_total{verdict="`+v.String()+`"}`)
+}
+
 // refusedAsCorrupt reports whether err is a datanode's own refusal of
 // a replica that failed its checksum.
 func refusedAsCorrupt(err error) bool {
@@ -78,8 +83,10 @@ func refusedAsCorrupt(err error) bool {
 // A replica rotted on disk is sent just the same — the datanode checks
 // nothing, so hdfs_corrupt_reads_total stays put — while an unmarked
 // read of it is refused by the datanode; ReadFile refuses the sent rot
-// by the block's CRC-32, counts one corrupt replica, and returns the
-// file's bytes through the stripe.
+// by the block's CRC-32, counts one corrupt replica, reports it, and
+// returns the file's bytes through the stripe. The report's one read of
+// the replica — the namenode's, through the datanode's checked read —
+// is refused and evicts it.
 func TestSentReplicaIsCheckedByTheReader(t *testing.T) {
 	sys, data, blocks := sendSystem(t, 0)
 	b := blocks[0]
@@ -116,14 +123,18 @@ func TestSentReplicaIsCheckedByTheReader(t *testing.T) {
 	if c := reader.Counters(); c.CorruptReplicas != 1 || c.DegradedBlocks != 1 {
 		t.Fatalf("the reader did not refuse the rot once and rebuild the block: %+v", c)
 	}
-	if n := counter(sys, "hdfs_corrupt_reads_total"); n != refused {
-		t.Fatalf("a datanode refused %d reads: a sent replica is the reader's to check", n-refused)
+	if n := counter(sys, "hdfs_corrupt_reads_total") - refused; n != 1 {
+		t.Fatalf("%d checked reads of the rot, want 1 (the report's; a sent replica is the reader's to check)", n)
+	}
+	if n := reports(sys, hdfs.ReplicaEvicted); n != 1 {
+		t.Fatalf("%d reports evicted a replica, want 1", n)
 	}
 }
 
 // TestNodeCacheRefusesRotItself: a datanode backed by the node cache
 // serves from memory and has no file to send from, so a marked read
-// takes the copy path, and the datanode refuses rot itself.
+// takes the copy path, and the datanode refuses rot itself — and so
+// does the report's read of the replica, which evicts it.
 func TestNodeCacheRefusesRotItself(t *testing.T) {
 	sys, data, blocks := sendSystem(t, 1<<20)
 	b := blocks[0]
@@ -145,8 +156,11 @@ func TestNodeCacheRefusesRotItself(t *testing.T) {
 	if c := reader.Counters(); c.CorruptReplicas != 1 || c.DegradedBlocks != 1 {
 		t.Fatalf("the refusal was not counted once and read around: %+v", c)
 	}
-	if n := counter(sys, "hdfs_corrupt_reads_total") - refused; n != 2 {
-		t.Fatalf("the datanode refused %d reads of rot, want 2 (the marked read and ReadFile's)", n)
+	if n := counter(sys, "hdfs_corrupt_reads_total") - refused; n != 3 {
+		t.Fatalf("the datanode refused %d reads of rot, want 3 (the marked read, ReadFile's and the report's)", n)
+	}
+	if n := reports(sys, hdfs.ReplicaEvicted); n != 1 {
+		t.Fatalf("%d reports evicted a replica, want 1", n)
 	}
 }
 
@@ -257,6 +271,15 @@ func TestDegradedReadDecodesAroundARottedHelper(t *testing.T) {
 			}
 			if c := cl.Counters(); c.DegradedBlocks != 1 || c.CorruptReplicas != readsRot {
 				t.Fatalf("%+v: want one rebuilt block and %d corrupt replicas", c, readsRot)
+			}
+			// A refused parity was reported and evicted: the next
+			// reader's plan does not meet it.
+			again := dial(t, sys)
+			if got, err := again.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("a second ReadFile: %v", err)
+			}
+			if c := again.Counters(); c.CorruptReplicas != 0 {
+				t.Fatalf("a second reader met the reported rot: %+v", c)
 			}
 		})
 	}

@@ -91,6 +91,7 @@ var requiredInstruments = struct{ counters, gauges, histograms []string }{
 		"rpc_requests_total",
 		"rpc_response_bytes_total",
 		"serve_degraded_plans_total",
+		"serve_replica_reports_total",
 		"repair_polls_total",
 		"repair_repairs_done_total",
 	},
