@@ -40,7 +40,7 @@ func erasures(t *testing.T, c *Cluster, id StripeID) int {
 
 // TestFixStripesTargeted: FixStripes repairs exactly the named stripe
 // and leaves other degraded stripes alone — the property the repair
-// manager's priority queue depends on.
+// manager's risk-ordered drain depends on: one call per target.
 func TestFixStripesTargeted(t *testing.T) {
 	c := testCluster(t, rsCode(t), 11)
 	dataA := raidedFile(t, c, "a", 4096)

@@ -1,7 +1,7 @@
 // Package repairmgr is the autonomous repair control plane: the layer
 // that turns the repair machinery (codecs, stripe-repair engine,
-// partial-sum trees, targeted block fixer) into a self-healing system
-// with no manual triggers.
+// targeted block fixer) into a self-healing system with no manual
+// triggers.
 //
 // The paper's operational finding is that recovery is a continuous
 // background process — a median of ~180 TB/day of cross-rack repair
@@ -17,12 +17,11 @@
 //     trigger zero repair traffic.
 //
 //   - Repairs must be TRIAGED: a stripe health Registry maps node
-//     deaths and corruptions to affected stripes, and a risk-tiered
-//     priority Queue repairs the stripes closest to data loss first
-//     (erasures against the codec's tolerance, weighted by the
-//     MTTDL-derived loss risk of the degraded state), with starvation
-//     aging so a burst of high-risk arrivals cannot park single-erasure
-//     stripes forever.
+//     deaths and corruptions to affected stripes, and each poll
+//     repairs the stripes closest to data loss first (erasures against
+//     the codec's tolerance, weighted by the MTTDL-derived loss risk of
+//     the degraded state) — most affected stripes miss one block, so
+//     the rare multi-erasure ones jump the line.
 //
 // A rotted replica is the one failure a reader reports: the namenode
 // re-verifies it, evicts it, and hands the block to the Manager

@@ -3,10 +3,10 @@
 // failure detector, and replicas the namenode evicted on a reader's
 // report (ReplicaEvicted) are the other input; detector transitions and
 // evictions drive the health registry; the registry's degradations
-// become risk-tiered queue entries; and each poll drains the queue into
-// the cluster's targeted repair paths (FixStripes, ReReplicateBlocks,
-// which decode on the BlockFixer's engine). An operator's "repair now"
-// is RepairNow: one full fixer pass, reconciled into the queue.
+// become risk-ordered queue entries; and each poll drains the queue,
+// one target at a time, into the cluster's targeted repair paths
+// (FixStripes, ReReplicateBlocks). An operator's "repair now" is
+// RepairNow: one full fixer pass, reconciled into the queue.
 //
 // Every timestamp flows through the injectable clock, and Poll — one
 // full control-loop iteration — is exported, so tests and simulations
@@ -26,10 +26,9 @@ import (
 )
 
 // Config parameterises a Manager. A zero SuspectAfter, PollInterval,
-// CompletedLog, or Clock selects the DefaultConfig value. GraceWindow
-// and AgingTier are NOT defaulted — for each of them zero is a
-// meaningful setting (eager repair, no aging) — so start from
-// DefaultConfig() and override to get the recommended windows.
+// or Clock selects the DefaultConfig value. GraceWindow is NOT
+// defaulted — zero is a meaningful setting (eager repair) — so start
+// from DefaultConfig() and override to get the recommended window.
 type Config struct {
 	// SuspectAfter and GraceWindow are the failure detector's timeouts
 	// (see DetectorConfig). GraceWindow is the delayed-repair window:
@@ -39,11 +38,6 @@ type Config struct {
 	GraceWindow  time.Duration
 	// PollInterval is the live control loop's tick.
 	PollInterval time.Duration
-	// AgingTier is the queue time that promotes a waiting repair one
-	// erasure tier (starvation aging); 0 disables aging.
-	AgingTier time.Duration
-	// CompletedLog caps the completion log the status RPC exposes.
-	CompletedLog int
 	// Clock injects time; nil selects time.Now. Tests pass a fake.
 	Clock func() time.Time
 	// Telemetry, when non-nil, publishes the control plane's
@@ -55,17 +49,15 @@ type Config struct {
 // DefaultConfig returns the settings every serving System runs: a 3s
 // suspect timeout, the paper's 15-minute grace window (its cluster
 // starts recovering a machine only after 15 minutes of unavailability,
-// Fig. 3a, so a machine back inside it costs no repair traffic), a
-// 500ms control tick and 10-minute aging tiers. A replica evicted on a
-// reader's report is repaired at the next tick, grace window or not:
-// its machine is alive, and nothing will bring the replica back.
+// Fig. 3a, so a machine back inside it costs no repair traffic) and a
+// 500ms control tick. A replica evicted on a reader's report is
+// repaired at the next tick, grace window or not: its machine is
+// alive, and nothing will bring the replica back.
 func DefaultConfig() Config {
 	return Config{
 		SuspectAfter: 3 * time.Second,
 		GraceWindow:  15 * time.Minute,
 		PollInterval: 500 * time.Millisecond,
-		AgingTier:    10 * time.Minute,
-		CompletedLog: 256,
 	}
 }
 
@@ -78,14 +70,14 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval == 0 {
 		c.PollInterval = def.PollInterval
 	}
-	if c.CompletedLog == 0 {
-		c.CompletedLog = def.CompletedLog
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	return c
 }
+
+// completedLog caps the completion log the status RPC exposes.
+const completedLog = 256
 
 // CompletedRepair is one finished queue entry, in completion order.
 type CompletedRepair struct {
@@ -128,8 +120,8 @@ type Status struct {
 	// LostBlocks counts un-striped blocks that lost every replica —
 	// nothing to re-replicate from.
 	LostBlocks int
-	// Completed is the completion log, oldest first, capped at
-	// Config.CompletedLog.
+	// Completed is the completion log, oldest first: the last
+	// completedLog entries.
 	Completed []CompletedRepair
 	// UptimeSeconds is the manager's age (per its injected clock).
 	// SecondsSincePoll is how long ago the last Poll iteration
@@ -149,19 +141,21 @@ type Manager struct {
 	cluster *hdfs.Cluster
 	det     *Detector
 	reg     *Registry
-	queue   *Queue
 
 	width, tolerance int // codec geometry
 	dataShards       int
 
-	// pollMu serialises whole Poll iterations: the Start ticker loop
-	// and direct Poll callers (tests, benches) may overlap, and the
-	// drain's peek-check-pop sequence must not interleave.
+	// pollMu serialises whole Poll iterations and RepairNow: the Start
+	// ticker loop and direct Poll callers (tests, benches) may overlap,
+	// and only they change the queue, so a poll's sorted drain order
+	// holds while it runs.
 	pollMu sync.Mutex
 
 	mu       sync.Mutex
 	pending  []Transition   // heartbeat-produced transitions awaiting Poll
 	evicted  []hdfs.BlockID // blocks a report cost a replica, awaiting Poll
+	queue    map[target]Task
+	seq      int64 // counts new queue entries: their first-queued order
 	suspects map[int]suspectEstimate
 	paused   bool
 
@@ -217,7 +211,7 @@ func New(cluster *hdfs.Cluster, cfg Config) (*Manager, error) {
 		cluster:    cluster,
 		det:        det,
 		reg:        NewRegistry(cluster),
-		queue:      NewQueue(QueueConfig{AgingTier: cfg.AgingTier}),
+		queue:      make(map[target]Task),
 		width:      code.TotalShards(),
 		tolerance:  code.ParityShards(),
 		dataShards: code.DataShards(),
@@ -248,7 +242,8 @@ func (m *Manager) registerTelemetry() {
 	})
 	for tier := 1; tier <= m.tolerance; tier++ {
 		reg.RegisterGauge(`repair_queue_depth{erasures="`+strconv.Itoa(tier)+`"}`, func() float64 {
-			return float64(m.queue.DepthsByErasures()[tier])
+			_, tiers := m.queueDepths()
+			return float64(tiers[tier])
 		})
 	}
 	reg.RegisterGauge("repair_degraded_stripes", func() float64 {
@@ -381,17 +376,16 @@ func (m *Manager) Poll() error {
 		return nil
 	}
 
-	// Drain the queue in risk order until it empties.
+	// Drain the queue in risk order; an entry leaves it as its repair
+	// starts.
 	var first error
-	for {
-		task, ok := m.queue.Pop()
-		if !ok {
-			return first
-		}
+	for _, task := range m.repairOrder() {
+		m.cancel(task.target())
 		if err := m.execute(task); err != nil && first == nil {
 			first = err
 		}
 	}
+	return first
 }
 
 // RepairNow runs one full BlockFixer pass — every lost block the
@@ -482,19 +476,19 @@ func (m *Manager) reconcile(stripes []StripeHealth, blocks []BlockHealth, now ti
 }
 
 // reconcileStripe turns one stripe-health change into a queue upsert or
-// cancellation.
+// cancellation. The stripe's repair downloads dataShards blocks, which
+// sizes its risk (a bigger repair takes longer).
 func (m *Manager) reconcileStripe(h StripeHealth, now time.Time) {
 	t := Task{Kind: TaskStripe, Stripe: h.Stripe}
 	if h.Erasures == 0 {
-		m.queue.Remove(t.Key())
+		m.cancel(t.target())
 		return
 	}
 	t.Erasures = h.Erasures
-	t.Tolerance = m.tolerance
-	t.Bytes = h.ShardSize * int64(m.dataShards)
-	t.Risk = m.lossRisk(m.width, m.tolerance, h.Erasures, float64(t.Bytes))
+	bytes := h.ShardSize * int64(m.dataShards)
+	t.Risk = m.lossRisk(m.width, m.tolerance, h.Erasures, float64(bytes))
 	t.Enqueued = now
-	m.queue.Upsert(t)
+	m.upsert(t)
 }
 
 // reconcileBlock turns one replicated-block-health change into a queue
@@ -503,23 +497,22 @@ func (m *Manager) reconcileStripe(h StripeHealth, now time.Time) {
 func (m *Manager) reconcileBlock(h BlockHealth, now time.Time) {
 	t := Task{Kind: TaskReplicated, Block: h.Block}
 	if h.MissingReplicas == 0 {
-		m.queue.Remove(t.Key())
+		m.cancel(t.target())
 		return
 	}
 	if h.LiveReplicas == 0 {
-		m.queue.Remove(t.Key())
+		m.cancel(t.target())
 		m.mu.Lock()
 		m.lostBlocks++
 		m.mu.Unlock()
 		return
 	}
-	target := m.cluster.Replication()
+	replicas := m.cluster.Replication()
 	t.Erasures = h.MissingReplicas
-	t.Tolerance = target - 1
-	t.Bytes = h.Size * int64(h.MissingReplicas)
-	t.Risk = m.lossRisk(target, target-1, h.MissingReplicas, float64(t.Bytes))
+	bytes := h.Size * int64(h.MissingReplicas)
+	t.Risk = m.lossRisk(replicas, replicas-1, h.MissingReplicas, float64(bytes))
 	t.Enqueued = now
-	m.queue.Upsert(t)
+	m.upsert(t)
 }
 
 // estimateMachineRepair sizes the repair work THIS machine's death
@@ -531,7 +524,7 @@ func (m *Manager) reconcileBlock(h BlockHealth, now time.Time) {
 // under-credits the node's marginal share of a multi-failure repair,
 // which is the honest direction for a savings metric.
 func (m *Manager) estimateMachineRepair(machine int) (repairs int, bytes int64) {
-	target := m.cluster.Replication()
+	replicas := m.cluster.Replication()
 	seen := make(map[hdfs.StripeID]bool)
 	for _, bid := range m.cluster.BlocksOn(machine) {
 		info, ok := m.cluster.BlockInfoByID(bid)
@@ -546,7 +539,7 @@ func (m *Manager) estimateMachineRepair(machine int) (repairs int, bytes int64) 
 				continue
 			}
 			seen[info.Stripe] = true
-			if m.queue.Contains((&Task{Kind: TaskStripe, Stripe: info.Stripe}).Key()) {
+			if m.isQueued(target{TaskStripe, int64(info.Stripe)}) {
 				continue
 			}
 			detail, err := m.cluster.Stripe(info.Stripe)
@@ -562,7 +555,7 @@ func (m *Manager) estimateMachineRepair(machine int) (repairs int, bytes int64) 
 		// the ONE replica this node's return restores, not the block's
 		// whole deficit (other missing replicas repair regardless).
 		live := len(info.Locations)
-		if live == 0 || live >= target {
+		if live == 0 || live >= replicas {
 			continue
 		}
 		ours := false
@@ -571,7 +564,7 @@ func (m *Manager) estimateMachineRepair(machine int) (repairs int, bytes int64) 
 				ours = true
 			}
 		}
-		if ours || m.queue.Contains((&Task{Kind: TaskReplicated, Block: bid}).Key()) {
+		if ours || m.isQueued(target{TaskReplicated, int64(bid)}) {
 			continue
 		}
 		repairs++
@@ -661,7 +654,7 @@ func (m *Manager) execute(task Task) error {
 		m.unrecoverable++
 	}
 	m.completed = append(m.completed, done)
-	if over := len(m.completed) - m.cfg.CompletedLog; over > 0 {
+	if over := len(m.completed) - completedLog; over > 0 {
 		m.completed = append([]CompletedRepair(nil), m.completed[over:]...)
 	}
 	m.mu.Unlock()
@@ -674,17 +667,20 @@ func (m *Manager) execute(task Task) error {
 }
 
 // QueueDepth returns the number of pending repairs.
-func (m *Manager) QueueDepth() int { return m.queue.Len() }
+func (m *Manager) QueueDepth() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.queue)
+}
 
 // Status snapshots the control plane.
 func (m *Manager) Status() Status {
 	s := Status{
 		Nodes:           m.det.Snapshot(),
-		QueueDepth:      m.queue.Len(),
-		QueueByErasures: m.queue.DepthsByErasures(),
 		DegradedStripes: m.reg.DegradedStripes(),
 		DegradedBlocks:  m.reg.DegradedBlocks(),
 	}
+	s.QueueDepth, s.QueueByErasures = m.queueDepths()
 	now := m.cfg.Clock()
 	m.mu.Lock()
 	defer m.mu.Unlock()

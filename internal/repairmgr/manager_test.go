@@ -2,7 +2,9 @@ package repairmgr
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
 	"repro/internal/rs"
+	"repro/internal/telemetry"
 	"repro/internal/testutil/leakcheck"
 )
 
@@ -461,4 +464,137 @@ func TestRepairNowForfeitsTheGraceSave(t *testing.T) {
 	if st := h.mgr.Status(); st.Nodes[victim].State != StateAlive || st.AvoidedRepairs != 0 || st.AvoidedRepairBytes != 0 {
 		t.Fatalf("return after RepairNow: %+v, want alive and no grace save", st)
 	}
+}
+
+// TestRaidedBlockLeavesTheRegistry: a replicated block the registry
+// holds degraded and that is then raided belongs to a stripe, whose
+// health the registry tracks through the stripe. The block's own entry
+// goes, so the status shows nothing degraded once the cluster is
+// healthy.
+func TestRaidedBlockLeavesTheRegistry(t *testing.T) {
+	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
+	rng := rand.New(rand.NewSource(5))
+	data := make([]byte, 2048)
+	rng.Read(data)
+	if err := h.cluster.WriteFile("r", data); err != nil {
+		t.Fatal(err)
+	}
+	h.mgr.Pause()
+	h.cluster.FailMachine(h.victimOf("r"))
+	for i := 0; i < 5; i++ {
+		h.tick(time.Second)
+	}
+	if st := h.mgr.Status(); st.QueueDepth != 2 || st.DegradedBlocks != 2 {
+		t.Fatalf("the dead holder's blocks are not queued: %+v", st)
+	}
+	if err := h.cluster.RaidFile("r"); err != nil {
+		t.Fatal(err)
+	}
+	h.mgr.Resume()
+	h.tick(time.Second)
+	if _, err := h.mgr.RepairNow(); err != nil {
+		t.Fatal(err)
+	}
+	h.tick(time.Second)
+	if !h.cluster.Health().Healthy() {
+		t.Fatalf("cluster not healthy: %+v", h.cluster.Health())
+	}
+	if st := h.mgr.Status(); st.QueueDepth != 0 || st.DegradedBlocks != 0 || st.DegradedStripes != 0 {
+		t.Fatalf("a healthy cluster's status shows %d queued, %d degraded blocks, %d degraded stripes",
+			st.QueueDepth, st.DegradedBlocks, st.DegradedStripes)
+	}
+}
+
+// TestDrainOrderIsDeterministic: two managers over the same seeded
+// cluster, under the same kill schedule, complete the same repairs in
+// the same order. Most entries tie on priority (equal erasures, equal
+// stripe sizes), and the queue is a map, so the first-queued tie-break
+// alone makes the order repeat.
+func TestDrainOrderIsDeterministic(t *testing.T) {
+	type repair struct {
+		Kind     TaskKind
+		Stripe   hdfs.StripeID
+		Block    hdfs.BlockID
+		Erasures int
+		Seq      int
+	}
+	run := func() []repair {
+		h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
+		for i := 0; i < 16; i++ {
+			h.raided(fmt.Sprintf("f%02d", i), 4096)
+		}
+		locs, err := h.cluster.BlockLocations("f00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.cluster.FailMachine(locs[0][0])
+		h.cluster.FailMachine(locs[1][0])
+		for i := 0; i < 6; i++ {
+			h.tick(time.Second)
+		}
+		if !h.cluster.Health().Healthy() {
+			t.Fatalf("not healthy: %+v", h.cluster.Health())
+		}
+		var out []repair
+		for _, c := range h.mgr.Status().Completed {
+			out = append(out, repair{c.Kind, c.Stripe, c.Block, c.Erasures, c.Seq})
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) < 4 {
+		t.Fatalf("only %d repairs: too few for the order to show", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, same kills, different repair order:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestQueueDepthGaugesMatchStatus: the per-tier queue gauges read what
+// Status reports — while a paused manager holds two deaths' repairs,
+// and (all zero) once a poll has drained them.
+func TestQueueDepthGaugesMatchStatus(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second, Telemetry: reg})
+	for i := 0; i < 8; i++ {
+		h.raided(string(rune('a'+i)), 4096)
+	}
+	// Two holders of file a's one stripe: it loses two blocks.
+	locs, err := h.cluster.BlockLocations("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.mgr.Pause()
+	h.cluster.FailMachine(locs[0][0])
+	h.cluster.FailMachine(locs[1][0])
+	for i := 0; i < 6; i++ {
+		h.tick(time.Second)
+	}
+	check := func(when string, st Status) {
+		t.Helper()
+		g := reg.Snapshot().Gauges
+		if got := g["repair_queue_depth"]; got != float64(st.QueueDepth) {
+			t.Errorf("%s: repair_queue_depth %v, Status.QueueDepth %d", when, got, st.QueueDepth)
+		}
+		for tier := 1; tier <= h.cluster.Code().ParityShards(); tier++ {
+			name := fmt.Sprintf(`repair_queue_depth{erasures="%d"}`, tier)
+			if got, ok := g[name]; !ok || got != float64(st.QueueByErasures[tier]) {
+				t.Errorf("%s: %s %v (registered %v), Status.QueueByErasures[%d] %d",
+					when, name, got, ok, tier, st.QueueByErasures[tier])
+			}
+		}
+	}
+	st := h.mgr.Status()
+	if st.QueueByErasures[1] == 0 || st.QueueByErasures[2] == 0 {
+		t.Fatalf("paused two-death queue lacks a tier: %v", st.QueueByErasures)
+	}
+	check("paused", st)
+
+	h.mgr.Resume()
+	h.tick(time.Second)
+	st = h.mgr.Status()
+	if st.QueueDepth != 0 || len(st.QueueByErasures) != 0 {
+		t.Fatalf("queue not drained: %+v", st)
+	}
+	check("drained", st)
 }

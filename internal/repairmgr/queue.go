@@ -1,17 +1,16 @@
-// The risk-tiered repair queue. Stripes closest to data loss repair
-// first: the primary key is the erasure count against the codec's
-// tolerance, refined within a tier by the MTTDL-derived loss risk of
-// the degraded state, with starvation aging that promotes a waiting
-// task one full tier per AgingTier of queue time — so a sustained
-// burst of multi-erasure arrivals cannot park single-erasure stripes
-// forever, the scheduling lesson of the multi-level recovery
-// literature.
+// The risk-ordered repair queue: one map of pending repairs, one entry
+// per target, under the Manager's mutex. Stripes closest to data loss
+// repair first: the primary key is the erasure count against the
+// codec's tolerance, refined within a tier by the MTTDL-derived loss
+// risk of the degraded state, first come first served within ties. A
+// poll drains everything it triaged, so the order is fixed once per
+// poll, by one sort.
 package repairmgr
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/hdfs"
@@ -60,75 +59,37 @@ type Task struct {
 	Stripe hdfs.StripeID // TaskStripe
 	Block  hdfs.BlockID  // TaskReplicated
 	// Erasures is how many of the target's units are currently lost
-	// (missing blocks of the stripe; missing replicas of the block);
-	// Tolerance how many it can lose before data loss.
-	Erasures  int
-	Tolerance int
-	// Bytes estimates the repair's cross-rack download; it sizes Risk
-	// (a bigger repair takes longer).
-	Bytes int64
+	// (missing blocks of the stripe; missing replicas of the block).
+	Erasures int
 	// Risk is the loss rate of the degraded state (1/MTTDL-hours; see
 	// Manager.lossRisk). It refines ordering WITHIN an erasure tier —
 	// it is squashed below one tier's width, so risk never outranks an
 	// extra erasure.
 	Risk float64
-	// Enqueued drives starvation aging and FIFO tie-breaking. Upserts
-	// keep the original enqueue time, so a stripe whose erasure count
-	// grows in place keeps its queue age.
+	// Enqueued is when the target was first queued; the completion log
+	// reports the wait from it. Upserts keep it, so a stripe whose
+	// erasure count grows in place keeps its queue age.
 	Enqueued time.Time
 
-	seq   int64
-	index int // heap position, maintained by the queue
-	// prio is the static ordering key, computed at upsert. It is
-	// time-invariant (see Queue.priority), so computing it once is
-	// sound even while the task ages.
-	prio float64
+	seq int64 // first-queued order, the tie-break; kept by upserts
 }
 
-// Key identifies the task's repair target: one queue entry per target.
-func (t *Task) Key() string {
+// target identifies a task's repair target: one queue entry per target.
+type target struct {
+	kind TaskKind
+	id   int64
+}
+
+func (t *Task) target() target {
 	if t.Kind == TaskStripe {
-		return fmt.Sprintf("s%d", t.Stripe)
+		return target{TaskStripe, int64(t.Stripe)}
 	}
-	return fmt.Sprintf("b%d", t.Block)
+	return target{TaskReplicated, int64(t.Block)}
 }
 
-// QueueConfig parameterises ordering.
-type QueueConfig struct {
-	// AgingTier is the queue time that promotes a task one erasure
-	// tier. Zero disables aging (pure risk-tier ordering).
-	AgingTier time.Duration
-}
-
-// Queue is the priority queue. Safe for concurrent use.
-type Queue struct {
-	cfg QueueConfig
-
-	mu    sync.Mutex
-	items map[string]*Task
-	heap  taskHeap
-	seq   int64
-}
-
-// NewQueue builds an empty queue.
-func NewQueue(cfg QueueConfig) *Queue {
-	return &Queue{cfg: cfg, items: make(map[string]*Task)}
-}
-
-// priority returns the task's static ordering key: erasure tier plus a
-// sub-tier risk refinement in [0, 1), plus aging credit measured from
-// the enqueue time. Because every queued task ages at the same rate,
-// the relative order of these keys never changes as time passes —
-// which is what lets a heap hold aging tasks at all.
-func (q *Queue) priority(t *Task) float64 {
-	p := float64(t.Erasures) + riskBias(t.Risk)
-	if q.cfg.AgingTier > 0 {
-		// Earlier enqueue ⇒ more accumulated age ⇒ higher key. Measured
-		// against the fixed Unix epoch so the key is time-invariant.
-		p -= float64(t.Enqueued.UnixNano()) / float64(q.cfg.AgingTier.Nanoseconds())
-	}
-	return p
-}
+// priority orders repairs: the erasure tier plus a sub-tier risk
+// refinement in [0, 1).
+func (t *Task) priority() float64 { return float64(t.Erasures) + riskBias(t.Risk) }
 
 // riskBias squashes a loss rate into [0, 1) so risk refines an erasure
 // tier without ever jumping one: risk/(risk+pivot), with the pivot at
@@ -141,113 +102,65 @@ func riskBias(risk float64) float64 {
 	return risk / (risk + pivot)
 }
 
-// Upsert inserts the task or updates the existing entry for the same
-// target, keeping the original enqueue time (an upsert reflects new
+// upsert queues the task, or updates the entry for the same target
+// keeping its enqueue time and place in line (an upsert reflects new
 // information about the same pending repair, not new work).
-func (q *Queue) Upsert(t Task) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	key := t.Key()
-	if old, ok := q.items[key]; ok {
-		t.Enqueued = old.Enqueued
-		t.seq = old.seq
-		t.index = old.index
-		t.prio = q.priority(&t)
-		*old = t
-		heap.Fix(&q.heap, old.index)
-		return
+func (m *Manager) upsert(t Task) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	key := t.target()
+	if old, ok := m.queue[key]; ok {
+		t.Enqueued, t.seq = old.Enqueued, old.seq
+	} else {
+		m.seq++
+		t.seq = m.seq
 	}
-	q.seq++
-	t.seq = q.seq
-	t.prio = q.priority(&t)
-	nt := &t
-	q.items[key] = nt
-	heap.Push(&q.heap, nt)
+	m.queue[key] = t
 }
 
-// Remove cancels the pending repair for the target key, reporting
-// whether one was queued — the restart-within-grace path.
-func (q *Queue) Remove(key string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	t, ok := q.items[key]
-	if !ok {
-		return false
-	}
-	delete(q.items, key)
-	heap.Remove(&q.heap, t.index)
-	return true
+// cancel drops the pending repair for the target, if any — the
+// restart-within-grace path.
+func (m *Manager) cancel(key target) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.queue, key)
 }
 
-// Contains reports whether a repair is queued for the target key.
-func (q *Queue) Contains(key string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	_, ok := q.items[key]
+// isQueued reports whether a repair is pending for the target.
+func (m *Manager) isQueued(key target) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.queue[key]
 	return ok
 }
 
-// Pop removes and returns the highest-priority task.
-func (q *Queue) Pop() (Task, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.heap.Len() == 0 {
-		return Task{}, false
+// repairOrder returns the pending repairs in the order a poll runs
+// them: highest priority first, first queued first within exact ties.
+// The entries stay queued until their repairs start.
+func (m *Manager) repairOrder() []Task {
+	m.mu.Lock()
+	tasks := make([]Task, 0, len(m.queue))
+	for _, t := range m.queue {
+		tasks = append(tasks, t)
 	}
-	t := heap.Pop(&q.heap).(*Task)
-	delete(q.items, t.Key())
-	return *t, true
+	m.mu.Unlock()
+	slices.SortFunc(tasks, func(a, b Task) int {
+		if c := cmp.Compare(b.priority(), a.priority()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	return tasks
 }
 
-// Len returns the queue depth.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// DepthsByErasures returns the queue depth per erasure tier — the
-// status RPC's triage view.
-func (q *Queue) DepthsByErasures() map[int]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[int]int)
-	for _, t := range q.items {
-		out[t.Erasures]++
+// queueDepths returns the number of pending repairs, and that number
+// per erasure tier — the status RPC's triage view.
+func (m *Manager) queueDepths() (int, map[int]int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tiers := make(map[int]int)
+	for _, t := range m.queue {
+		tiers[t.Erasures]++
 	}
-	return out
-}
-
-// taskHeap orders tasks by descending priority, FIFO within ties.
-// Methods are called only with the queue's mutex held.
-type taskHeap []*Task
-
-func (h taskHeap) Len() int { return len(h) }
-
-func (h taskHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
-	}
-	return h[i].seq < h[j].seq // FIFO within exact ties
-}
-
-func (h taskHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *taskHeap) Push(x any) {
-	t := x.(*Task)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	return len(m.queue), tiers
 }

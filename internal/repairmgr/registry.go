@@ -181,10 +181,12 @@ func (r *Registry) examineStripe(sid hdfs.StripeID) (StripeHealth, bool) {
 }
 
 // examineBlock recomputes one replicated block's missing-replica
-// count, updates the registry, and reports whether it changed.
+// count, updates the registry, and reports whether it changed. A block
+// that is gone, or was raided since (its stripe's health now stands for
+// it), leaves the registry as healed.
 func (r *Registry) examineBlock(bid hdfs.BlockID) (BlockHealth, bool) {
 	info, ok := r.cluster.BlockInfoByID(bid)
-	if !ok {
+	if !ok || info.Stripe >= 0 {
 		r.mu.Lock()
 		_, known := r.blocks[bid]
 		delete(r.blocks, bid)
