@@ -88,11 +88,13 @@ loc:
 # twice more (-count=2) because their tests synchronize on progress
 # (fake clocks, status polling), not wall-clock sleeps, and repeating
 # them back-to-back is the regression gate for that flakiness class.
-# The metadata plane's concurrency storms also repeat.
+# The metadata plane's concurrency storms and the block cache (whose
+# hits copy out after the shard lock is released) also repeat.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/... ./internal/repairmgr/...
 	$(GO) test -race -count=2 -run TestConcurrent ./internal/hdfs/
+	$(GO) test -race -count=3 ./internal/cache/
 
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip
@@ -108,14 +110,17 @@ fuzz-smoke:
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/lrc/
 	$(GO) test -run=FuzzDecodeHeader -fuzz=FuzzDecodeHeader -fuzztime=3s ./internal/serve/
 
-# The determinism gate at full scale: one workload run twice on one
-# seed, and every metric the benchmark marks exact (the paper's
-# core.plan_bytes_frac_of_rs among them) must repeat. The test suite's
-# TestSelfCheckRepeats runs the same check on shrunken workloads only.
-# node_repair is not gated here yet: its serve.rpcs_per_op counts the
-# datanodes' timed heartbeats, so it differs between runs.
+# The determinism gate at full scale: each workload run twice on one
+# seed, and every metric the benchmark marks exact must repeat —
+# degraded_read for the paper's core.plan_bytes_frac_of_rs, hot_read
+# for the client cache's cache.client_hit_ratio and
+# cache.client_hits_per_op. The test suite's TestSelfCheckRepeats runs
+# the same check on shrunken workloads only. node_repair is not gated
+# here yet: its serve.rpcs_per_op counts the datanodes' timed
+# heartbeats, so it differs between runs.
 selfcheck:
 	$(GO) run ./benchmark -selfcheck -workload degraded_read
+	$(GO) run ./benchmark -selfcheck -workload hot_read
 
 # Full benchmark run (regenerates the paper's numbers as metrics).
 bench:

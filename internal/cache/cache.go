@@ -1,13 +1,19 @@
-// Package cache is a sharded approximate-LRU byte cache — the hot-data
-// tier under the serving layer's read path. The design follows the
-// classic sharded LRU shape (bpowers/approx-lru): the key space is
-// split across N independently locked shards by a mixed key hash, each
-// shard keeps a map plus an intrusive doubly-linked recency list, and
-// eviction is byte-budgeted per shard (total budget / shards). LRU is
-// therefore exact within a shard and approximate across the cache —
-// a globally-stale entry on a lightly loaded shard can outlive a
-// warmer entry on a full one — which is the standard trade for not
-// serialising every Get on one mutex.
+// Package cache is a sharded SIEVE byte cache — the hot-data tier under
+// the serving layer's read path. The key space is split across N
+// independently locked shards by a mixed key hash; each shard keeps a
+// map plus an intrusive list in insertion order, and a byte budget
+// (total budget / shards).
+//
+// Eviction is SIEVE (Zhang et al., "SIEVE is Simpler than LRU", NSDI
+// '24). A hit sets the entry's visited bit and moves nothing. A put
+// runs the shard's hand from the oldest entry toward the newest: the
+// hand clears each visited bit it passes and evicts the first unvisited
+// entry, until the new payload fits. An entry read since the hand last
+// passed it survives that pass, and an entry never read after its put
+// goes at the first, so a skewed (Zipf) working set keeps its hot end
+// where LRU churns it. Eviction order is per shard: a stale entry on a
+// lightly loaded shard can outlive a warm one on a full shard, which is
+// why a small budget wants few shards.
 //
 // Payload ownership: Put copies the value in and Get copies it out.
 // Both copies are deliberate — a payload handed to Put may be a view
@@ -26,16 +32,19 @@ package cache
 import "sync"
 
 // DefaultShards is the shard count when New is given n <= 0. Sixteen
-// shards keep mutex contention negligible at the client's concurrency
-// (a handful of workers) without fragmenting small byte budgets.
+// shards keep mutex contention negligible at a datanode's concurrency;
+// each shard gets a sixteenth of the budget, so a small budget is
+// better served by fewer.
 const DefaultShards = 16
 
-// entry is one cached block: an intrusive node of its shard's recency
-// list. prev/next are never nil for a linked entry (the list is
-// circular through the shard's root sentinel).
+// entry is one cached block: an intrusive node of its shard's list,
+// which runs newest (root.next) to oldest (root.prev). prev/next are
+// never nil for a linked entry (the list is circular through the
+// shard's root sentinel).
 type entry struct {
 	key        uint64
 	data       []byte
+	visited    bool
 	prev, next *entry
 }
 
@@ -48,7 +57,8 @@ type shard struct {
 	budget int64
 	bytes  int64
 	items  map[uint64]*entry
-	root   entry // sentinel: root.next = MRU ... root.prev = LRU
+	root   entry  // sentinel: root.next = newest ... root.prev = oldest
+	hand   *entry // the next eviction candidate; nil = the oldest
 
 	hits, misses, evictions, puts, deletes int64
 }
@@ -60,7 +70,7 @@ func (s *shard) init(budget int64) {
 	s.root.prev = &s.root
 }
 
-// attach links e at the MRU end. Callers hold s.mu.
+// attach links e at the newest end. Callers hold s.mu.
 func (s *shard) attach(e *entry) {
 	e.prev = &s.root
 	e.next = s.root.next
@@ -68,17 +78,45 @@ func (s *shard) attach(e *entry) {
 	s.root.next = e
 }
 
-// detach unlinks e. Callers hold s.mu.
+// detach unlinks e and drops it from the map and the byte count,
+// moving the hand off it to the next newer entry. Callers hold s.mu.
 func (s *shard) detach(e *entry) {
+	if s.hand == e {
+		s.hand = e.prev
+		if s.hand == &s.root {
+			s.hand = nil
+		}
+	}
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
+	delete(s.items, e.key)
+	s.bytes -= int64(len(e.data))
 }
 
-// lookup returns the entry's stored payload, refreshing the entry's
-// recency. The slice is the cache's own and is never written again (put
-// replaces e.data, it does not edit it), so the caller may read it
-// without the lock — and must not write it.
+// evict runs the hand toward the newest entry, clearing visited bits,
+// and evicts the first unvisited entry; past the newest it wraps to the
+// oldest. Callers hold s.mu and a non-empty shard.
+func (s *shard) evict() {
+	e := s.hand
+	if e == nil {
+		e = s.root.prev
+	}
+	for e.visited {
+		e.visited = false
+		if e = e.prev; e == &s.root {
+			e = s.root.prev
+		}
+	}
+	s.hand = e // detach moves it on to the next newer entry
+	s.detach(e)
+	s.evictions++
+}
+
+// lookup returns the entry's stored payload and marks it visited. The
+// slice is the cache's own and is never written again (put replaces
+// e.data, it does not edit it), so the caller may read it without the
+// lock — and must not write it.
 func (s *shard) lookup(key uint64) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,8 +125,7 @@ func (s *shard) lookup(key uint64) ([]byte, bool) {
 		s.misses++
 		return nil, false
 	}
-	s.detach(e)
-	s.attach(e)
+	e.visited = true
 	s.hits++
 	return e.data, true
 }
@@ -104,7 +141,9 @@ func (s *shard) getInto(key uint64, dst []byte) ([]byte, bool) {
 	return append(dst[:0], data...), true
 }
 
-// put stores a copy of data, evicting from the LRU tail until the
+// put stores a copy of data. A new key is evicted for until it fits and
+// then inserted as the newest entry. An overwrite keeps its place, swaps
+// in the copy and counts as a visit; a grown one then evicts until the
 // shard is back under budget. A payload larger than the whole shard
 // budget is not cached (it would evict everything and then miss).
 func (s *shard) put(key uint64, data []byte) {
@@ -120,21 +159,19 @@ func (s *shard) put(key uint64, data []byte) {
 	if e, ok := s.items[key]; ok {
 		s.bytes += size - int64(len(e.data))
 		e.data = owned
-		s.detach(e)
-		s.attach(e)
-	} else {
-		e := &entry{key: key, data: owned}
-		s.items[key] = e
-		s.attach(e)
-		s.bytes += size
+		e.visited = true
+		for s.bytes > s.budget {
+			s.evict()
+		}
+		return
 	}
-	for s.bytes > s.budget {
-		lru := s.root.prev
-		s.detach(lru)
-		delete(s.items, lru.key)
-		s.bytes -= int64(len(lru.data))
-		s.evictions++
+	for s.bytes+size > s.budget {
+		s.evict()
 	}
+	e := &entry{key: key, data: owned}
+	s.items[key] = e
+	s.attach(e)
+	s.bytes += size
 }
 
 // remove drops the entry if present.
@@ -146,8 +183,6 @@ func (s *shard) remove(key uint64) {
 		return
 	}
 	s.detach(e)
-	delete(s.items, key)
-	s.bytes -= int64(len(e.data))
 	s.deletes++
 }
 
@@ -158,6 +193,7 @@ func (s *shard) purge() {
 	s.items = make(map[uint64]*entry)
 	s.root.next = &s.root
 	s.root.prev = &s.root
+	s.hand = nil
 	s.bytes = 0
 }
 
@@ -224,8 +260,8 @@ func mix(k uint64) uint64 {
 
 func (c *Cache) shard(key uint64) *shard { return &c.shards[mix(key)&c.mask] }
 
-// Get returns a copy of the cached payload for key, refreshing its
-// recency. ok is false on a miss (and always on a nil cache).
+// Get returns a copy of the cached payload for key, marking it
+// visited. ok is false on a miss (and always on a nil cache).
 func (c *Cache) Get(key uint64) ([]byte, bool) { return c.GetInto(key, nil) }
 
 // GetInto is Get copying into dst when its capacity holds the payload
@@ -237,8 +273,10 @@ func (c *Cache) GetInto(key uint64, dst []byte) ([]byte, bool) {
 	return c.shard(key).getInto(key, dst)
 }
 
-// Put caches a copy of data under key, evicting least-recently-used
-// entries of the key's shard as needed to stay within budget.
+// Put caches a copy of data under key. When the key's shard lacks room,
+// its SIEVE hand evicts entries not read since the hand last passed
+// them until the payload fits (see the package doc); an overwrite keeps
+// the key's place and counts as a read.
 func (c *Cache) Put(key uint64, data []byte) {
 	if c == nil {
 		return

@@ -1,10 +1,12 @@
-// The datanode-side read cache: an optional sharded LRU in front of
-// any BlockStore, so nodes answer hot-block reads from memory instead of a disk pread + CRC pass. The cache is a pure
-// accelerator, never an authority — every hit is double-checked
-// against the inner store's liveness, and every path that changes or
-// invalidates stored bytes (overwrite, delete, a bad replica's eviction,
-// corruption injection, crash) evicts the cached copy first, so a
-// cached block can never outlive or contradict its replica.
+// The datanode-side read cache: an optional sharded SIEVE cache
+// (internal/cache) in front of any BlockStore, so nodes answer
+// hot-block reads from memory instead of a disk pread + CRC pass. The
+// cache is a pure accelerator, never an authority — every hit is
+// double-checked against the inner store's liveness, and every path
+// that changes or invalidates stored bytes (overwrite, delete, a bad
+// replica's eviction, corruption injection, crash) evicts the cached
+// copy first, so a cached block can never outlive or contradict its
+// replica.
 package hdfs
 
 import (

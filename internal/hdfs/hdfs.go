@@ -103,10 +103,11 @@ type Config struct {
 	// state.
 	StoreFactory func(machine int) (BlockStore, error)
 	// NodeCacheBytes, when positive, fronts every datanode's BlockStore
-	// with a sharded LRU read cache of this byte budget (per machine):
-	// hot-block reads skip the store's disk read + CRC pass. The cache invalidates on overwrite, delete, a bad replica's
-	// eviction, corruption injection, and crash, and every hit is
-	// liveness-double-checked, so cached bytes can never go stale.
+	// with a sharded SIEVE read cache of this byte budget (per machine,
+	// nodeCacheShards shards): hot-block reads skip the store's disk
+	// read + CRC pass. The cache invalidates on overwrite, delete, a bad
+	// replica's eviction, corruption injection, and crash, and every hit
+	// is liveness-double-checked, so cached bytes can never go stale.
 	NodeCacheBytes int64
 }
 

@@ -105,10 +105,12 @@ type Status struct {
 	// DegradedStripes / DegradedBlocks are the health registry's view.
 	DegradedStripes int
 	DegradedBlocks  int
-	// RepairsDone counts completed queue entries. RepairedBytes is
-	// their cross-rack traffic plus every RepairNow pass's;
-	// Unrecoverable counts permanently failed entries plus the blocks
-	// RepairNow passes could not restore.
+	// RepairsDone counts queue entries whose repair found work: a block
+	// rebuilt or re-replicated, or one it could not restore (an entry
+	// whose target had healed or been raided since is not counted).
+	// RepairedBytes is their cross-rack traffic plus every RepairNow
+	// pass's; Unrecoverable counts permanently failed entries plus the
+	// blocks RepairNow passes could not restore.
 	RepairsDone   int
 	RepairedBytes int64
 	Unrecoverable int
@@ -606,7 +608,10 @@ func (m *Manager) lossRisk(nodes, tolerance, erasures int, repairBytes float64) 
 	return 1 / hours
 }
 
-// execute runs one popped task and accounts it.
+// execute runs one popped task and accounts it. A task whose target
+// needed nothing by the time it ran — a stripe already healthy, or a
+// replicated block raided since it was queued, which re-replication
+// skips — clears its registry entry and books no repair.
 func (m *Manager) execute(task Task) error {
 	var (
 		rep *hdfs.FixReport
@@ -619,6 +624,18 @@ func (m *Manager) execute(task Task) error {
 		rep, err = m.cluster.ReReplicateBlocks([]hdfs.BlockID{task.Block})
 	default:
 		return fmt.Errorf("repairmgr: unknown task kind %v", task.Kind)
+	}
+	// Refresh the registry so a clean repair clears its entry
+	// and a partial one stays visible (it re-enqueues when the next
+	// event touches it).
+	switch task.Kind {
+	case TaskStripe:
+		m.reg.MarkStripeRepaired(task.Stripe)
+	case TaskReplicated:
+		m.reg.MarkBlockRepaired(task.Block)
+	}
+	if err == nil && rep.RepairedStriped == 0 && rep.ReReplicated == 0 && len(rep.Unrecoverable) == 0 {
+		return nil
 	}
 	now := m.cfg.Clock()
 	done := CompletedRepair{
@@ -635,15 +652,6 @@ func (m *Manager) execute(task Task) error {
 	} else {
 		done.Bytes = rep.CrossRackBytes
 		done.Unrecoverable = len(rep.Unrecoverable) > 0
-	}
-	// Refresh the registry so a clean repair clears its entry
-	// and a partial one stays visible (it re-enqueues when the next
-	// event touches it).
-	switch task.Kind {
-	case TaskStripe:
-		m.reg.MarkStripeRepaired(task.Stripe)
-	case TaskReplicated:
-		m.reg.MarkBlockRepaired(task.Block)
 	}
 	m.mu.Lock()
 	m.completedSeq++

