@@ -31,12 +31,6 @@ package cache
 
 import "sync"
 
-// DefaultShards is the shard count when New is given n <= 0. Sixteen
-// shards keep mutex contention negligible at a datanode's concurrency;
-// each shard gets a sixteenth of the budget, so a small budget is
-// better served by fewer.
-const DefaultShards = 16
-
 // entry is one cached block: an intrusive node of its shard's list,
 // which runs newest (root.next) to oldest (root.prev). prev/next are
 // never nil for a linked entry (the list is circular through the
@@ -218,16 +212,15 @@ type Cache struct {
 	mask   uint64
 }
 
-// New builds a cache holding at most totalBytes across the given
-// number of shards (<= 0 selects DefaultShards; counts round up to a
-// power of two for mask routing). totalBytes <= 0 returns nil — the
-// valid "caching disabled" cache.
+// New builds a cache holding at most totalBytes across shardCount
+// shards. The count is the caller's to choose — there is no default:
+// each shard gets an equal slice of the budget, so a small budget wants
+// few shards and a daemon's concurrency more. It rounds up to a power
+// of two for mask routing, and a count below one builds one shard.
+// totalBytes <= 0 returns nil — the valid "caching disabled" cache.
 func New(totalBytes int64, shardCount int) *Cache {
 	if totalBytes <= 0 {
 		return nil
-	}
-	if shardCount <= 0 {
-		shardCount = DefaultShards
 	}
 	n := 1
 	for n < shardCount {

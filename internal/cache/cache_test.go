@@ -395,11 +395,11 @@ func TestGetIntoAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkGetHitParallel: hits from every P at once, into a recycled
-// buffer, on the client's one shard and on DefaultShards. A hit holds
+// buffer, on the client's one shard and on a datanode's eight. A hit holds
 // the shard lock for a map lookup and a bit store; the copy-out runs
 // outside it.
 func BenchmarkGetHitParallel(b *testing.B) {
-	for _, shards := range []int{1, DefaultShards} {
+	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const keys = 256
 			// Four times the payload bytes: every shard holds its keys.
@@ -428,7 +428,7 @@ func BenchmarkGetHitParallel(b *testing.B) {
 }
 
 func BenchmarkPutEvict(b *testing.B) {
-	c := New(1<<20, DefaultShards)
+	c := New(1<<20, 8)
 	payload := make([]byte, 8<<10)
 	b.SetBytes(8 << 10)
 	b.ResetTimer()

@@ -70,8 +70,12 @@ type fileMeta struct {
 	blocks []BlockID
 	raided bool
 	// lastAccess is the logical-clock time (as nanoseconds) of the last
-	// write or read; the RaidNode's cold-data policy keys off it (§2.1).
-	// It is atomic so the read path can bump it while holding only the
+	// write, read or block-table fetch; the RaidNode's cold-data policy
+	// keys off it (§2.1), and reads it of unraided files only. A serve
+	// client with a block cache rereads a raided file by a table it kept,
+	// without asking the namenode, so such a reread does not touch it; an
+	// unraided file's table is never kept, so each of its reads does. It
+	// is atomic so the read path can bump it while holding only the
 	// metadata read lock.
 	lastAccess atomic.Int64
 }

@@ -85,7 +85,9 @@ func (c *Cluster) pickReplica(live []int) int {
 	return live[c.randIntn(len(live))]
 }
 
-// liveLocations returns the datanodes that are alive and hold the block.
+// liveLocations returns the datanodes that are alive and hold the block,
+// in a slice built for this call: it is the caller's to keep or hand on,
+// and shares nothing with the block's metadata.
 func (c *Cluster) liveLocations(bm *blockMeta) []int {
 	var out []int
 	for _, m := range bm.locations {
@@ -228,7 +230,7 @@ func (c *Cluster) FileBlocks(name string) (int64, []BlockInfo, error) {
 			Checksum:  bm.checksum,
 			Stripe:    bm.stripe,
 			StripePos: bm.stripePos,
-			Locations: append([]int(nil), c.liveLocations(bm)...),
+			Locations: c.liveLocations(bm),
 		}
 	}
 	return fm.size, out, nil
@@ -270,7 +272,7 @@ func (c *Cluster) Stripe(id StripeID) (StripeDetail, error) {
 		d.Positions[pos] = StripePosInfo{
 			Block:     bm.id,
 			Size:      bm.size,
-			Locations: append([]int(nil), c.liveLocations(bm)...),
+			Locations: c.liveLocations(bm),
 		}
 	}
 	return d, nil
@@ -344,7 +346,7 @@ func (c *Cluster) BlockInfoByID(id BlockID) (BlockInfo, bool) {
 		Size:      bm.size,
 		Stripe:    bm.stripe,
 		StripePos: bm.stripePos,
-		Locations: append([]int(nil), c.liveLocations(bm)...),
+		Locations: c.liveLocations(bm),
 	}, true
 }
 

@@ -146,6 +146,7 @@ type Counters struct {
 	CorruptReplicas      int64 // replica reads refused on checksum grounds: by the datanode's check, or by this client's of a marked whole-block read; each is reported
 	CacheHits            int64 // block reads served from the client block cache (WithBlockCache)
 	CacheMisses          int64 // block reads that consulted the cache and went to the network
+	TableHits            int64 // whole-file reads that took the block table from the client block cache and made no "blocks" RPC
 }
 
 // ClientOption configures a Client at dial time.
@@ -166,6 +167,16 @@ func WithPartialSumRepair() ClientOption {
 // — healthy, degraded, and partial-sum alike. Keys are block ids, which
 // is sound because stored blocks are immutable (rewrites allocate fresh
 // ids); n <= 0 leaves caching off.
+//
+// The same cache, under the same budget and eviction order, keeps the
+// block tables of raided files (see keepTable), so a reread whose blocks
+// all hit makes no RPC at all. A file is write-once and a block id is
+// never reused, so a kept table's ids, sizes and CRC-32s are the
+// namenode's for good; only its locations can go stale, and a block
+// none of whose listed replicas serves makes the read fetch a fresh
+// table, which replaces the kept one.
+// CacheHits and CacheMisses count block lookups only; TableHits counts
+// the reads a kept table spared a "blocks" RPC.
 //
 // The cache is one shard. A client's budget is a few MiB, so split in
 // sixteen each shard holds a handful of blocks and evicts by its own
@@ -220,6 +231,7 @@ type Client struct {
 	cCorruptReps    *telemetry.Counter
 	cCacheHits      *telemetry.Counter
 	cCacheMisses    *telemetry.Counter
+	cTableHits      *telemetry.Counter
 }
 
 // Dial connects to the namenode and fetches the cluster handshake.
@@ -243,6 +255,7 @@ func Dial(nameAddr string, code ec.Code, opts ...ClientOption) (*Client, error) 
 	c.cCorruptReps = c.reg.Counter("client_corrupt_replicas_total")
 	c.cCacheHits = c.reg.Counter("client_cache_hits_total")
 	c.cCacheMisses = c.reg.Counter("client_cache_misses_total")
+	c.cTableHits = c.reg.Counter("client_table_hits_total")
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -276,6 +289,7 @@ func (c *Client) Counters() Counters {
 		CorruptReplicas:      c.cCorruptReps.Value(),
 		CacheHits:            c.cCacheHits.Value(),
 		CacheMisses:          c.cCacheMisses.Value(),
+		TableHits:            c.cTableHits.Value(),
 	}
 }
 
@@ -572,13 +586,126 @@ func (c *Client) RepairStatus() (*repairmgr.Status, error) {
 	return st, nil
 }
 
-// fileBlocks fetches the file's size and block table.
+// fileTable is the block table one ReadFile reads by. kept says it came
+// from the client cache and the namenode has not been asked for it in
+// this read.
+type fileTable struct {
+	name   string
+	size   int64
+	blocks []wireBlock
+	kept   bool
+}
+
+// fileBlocks asks the namenode for the file's size and block table and
+// checks it. The table is namenode-reported wire data. It sizes the
+// result and cuts it into slots, so it must add up before a byte is
+// allocated or a datanode asked for one; and a block is never empty, so
+// a slot always has bytes to tell a held block from a lost one by.
 func (c *Client) fileBlocks(name string) (int64, []wireBlock, error) {
 	resp, err := c.nameCall(&request{Method: methodBlocks, Name: name}, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	return resp.Size, resp.Blocks, nil
+	size, blocks := resp.Size, resp.Blocks
+	if size < 0 || size > maxPayloadBytes {
+		return 0, nil, fmt.Errorf("serve: file %s reports size %d out of bounds", name, size)
+	}
+	var sum int64
+	for i := range blocks {
+		b := &blocks[i]
+		if b.Size <= 0 || b.Size > maxPayloadBytes {
+			return 0, nil, fmt.Errorf("serve: file %s block %d reports size %d out of bounds", name, b.ID, b.Size)
+		}
+		sum += b.Size
+	}
+	if sum != size {
+		return 0, nil, fmt.Errorf("serve: file %s block sizes do not add up to the %d bytes the namenode reports", name, size)
+	}
+	return size, blocks, nil
+}
+
+// tableKey is the cache key of the file's block table: FNV-1a of the
+// name with the top bit set. Block ids are non-negative, so no table key
+// is ever a block's.
+func tableKey(name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return 1<<63 | h
+}
+
+// keptTableBytes sizes the stack buffer a kept table is read into: a
+// few blocks' table fits, a larger one is read into the heap.
+const keptTableBytes = 256
+
+// keepTable caches a table the namenode just gave, if it may be kept,
+// and otherwise drops whatever the cache holds for the file. Only a
+// raided file's table is kept, and only while every block lists a live
+// holder: an unraided file's locations change when it is raided, and
+// each of its reads must reach the namenode, whose last-access time
+// drives the cold-raid policy; a block with no holder is what a repair
+// changes, and keeping it would hold a repaired file on the degraded
+// path. The value is the name, which rejects a hash collision, then the
+// table as the header codec writes a "blocks" reply.
+func (c *Client) keepTable(name string, size int64, blocks []wireBlock) {
+	if c.blockCache == nil {
+		return
+	}
+	keep := len(blocks) > 0
+	for i := range blocks {
+		keep = keep && blocks[i].Stripe >= 0 && len(blocks[i].Locations) > 0
+	}
+	if !keep {
+		c.blockCache.Delete(tableKey(name))
+		return
+	}
+	var buf [keptTableBytes]byte
+	v := appendString(buf[:0], name)
+	v = (&response{Size: size, Blocks: blocks}).appendHeader(put(v, headerVersion))
+	c.blockCache.Put(tableKey(name), v)
+}
+
+// keptTable returns the file's table from the client cache, if it holds
+// one.
+func (c *Client) keptTable(name string) (int64, []wireBlock, bool) {
+	var buf [keptTableBytes]byte
+	v, ok := c.blockCache.GetInto(tableKey(name), buf[:0])
+	if !ok {
+		return 0, nil, false
+	}
+	d := decoder{b: v}
+	if kept := d.bytes(); d.err != nil || string(kept) != name {
+		return 0, nil, false
+	}
+	var resp response
+	if resp.decodeHeader(d.b) != nil {
+		return 0, nil, false
+	}
+	return resp.Size, resp.Blocks, true
+}
+
+// refetch replaces the read's table by the namenode's current one and
+// keeps that, as keepTable allows. The blocks already in their slots
+// stay held: ids and sizes never change, only locations do.
+func (c *Client) refetch(t *fileTable) error {
+	size, fresh, err := c.fileBlocks(t.name)
+	if err != nil {
+		return err
+	}
+	if size != t.size || len(fresh) != len(t.blocks) {
+		return fmt.Errorf("serve: file %s changed its block table under the read", t.name)
+	}
+	for i := range fresh {
+		if fresh[i].Size != t.blocks[i].Size {
+			return fmt.Errorf("serve: block %d changed size from %d to %d under the read", fresh[i].ID, t.blocks[i].Size, fresh[i].Size)
+		}
+		fresh[i].held = t.blocks[i].held
+	}
+	c.keepTable(t.name, size, fresh)
+	t.blocks, t.kept = fresh, false
+	return nil
 }
 
 // ReadFile returns the file's contents. It is stripe-aware: every block
@@ -590,6 +717,9 @@ func (c *Client) fileBlocks(name string) (int64, []wireBlock, error) {
 // read of a whole stripe thus downloads k blocks, what a healthy one
 // does, not k−1 plus a full repair plan drawn from those same blocks.
 //
+// With WithBlockCache, a raided file's block table comes from the cache
+// when it holds one, and a reread whose blocks all hit makes no RPC.
+//
 // The result is the only buffer a block's bytes land in: it is allocated
 // unzeroed, each byte written once, each block owns its slot of it, and
 // a replica's reply or a cache hit is read straight into the slot (see
@@ -600,57 +730,46 @@ func (c *Client) fileBlocks(name string) (int64, []wireBlock, error) {
 // to it or reads from it (see "Who may write into or borrow the result"
 // in the package doc).
 func (c *Client) ReadFile(name string) ([]byte, error) {
-	size, blocks, err := c.fileBlocks(name)
-	if err != nil {
-		return nil, err
-	}
-	// The table is namenode-reported wire data. It sizes the result and
-	// cuts it into slots, so it must add up before a byte is allocated or
-	// a datanode asked for one; and a block is never empty, so a slot
-	// always has bytes to tell a held block from a lost one by.
-	if size < 0 || size > maxPayloadBytes {
-		return nil, fmt.Errorf("serve: file %s reports size %d out of bounds", name, size)
-	}
-	var sum int64
-	for i := range blocks {
-		b := &blocks[i]
-		if b.Size <= 0 || b.Size > maxPayloadBytes {
-			return nil, fmt.Errorf("serve: file %s block %d reports size %d out of bounds", name, b.ID, b.Size)
+	t := fileTable{name: name}
+	if t.size, t.blocks, t.kept = c.keptTable(name); !t.kept {
+		var err error
+		if t.size, t.blocks, err = c.fileBlocks(name); err != nil {
+			return nil, err
 		}
-		sum += b.Size
+		c.keepTable(name, t.size, t.blocks)
 	}
-	if sum != size {
-		return nil, fmt.Errorf("serve: file %s block sizes do not add up to the %d bytes the namenode reports", name, size)
-	}
-	out := uninitBytes(int(size))
+	out := uninitBytes(int(t.size))
 	type lostBlock struct {
 		index int
 		slot  []byte
 	}
 	var lost []lostBlock // no replica served these; in block order
 	off := int64(0)
-	for i := range blocks {
+	for i := range t.blocks {
 		// The slot's capacity ends where the next block's begins: whatever
 		// is read into it cannot run over a neighbour.
-		end := off + blocks[i].Size
+		end := off + t.blocks[i].Size
 		slot := out[off:end:end]
 		off = end
-		switch err := c.readBlock(name, i, blocks, slot, false); {
+		switch err := c.readBlock(&t, i, slot, false); {
 		case err == errLeftForStripe:
 			lost = append(lost, lostBlock{i, slot})
 		case err != nil:
 			return nil, fmt.Errorf("serve: read %s block %d: %w", name, i, err)
 		default:
-			blocks[i].held = slot
+			t.blocks[i].held = slot
 		}
 	}
 	// In block order, so a block reconstructed here is itself lent to the
 	// next loss in its stripe.
 	for _, l := range lost {
-		if err := c.readBlock(name, l.index, blocks, l.slot, true); err != nil {
+		if err := c.readBlock(&t, l.index, l.slot, true); err != nil {
 			return nil, fmt.Errorf("serve: read %s block %d: %w", name, l.index, err)
 		}
-		blocks[l.index].held = l.slot
+		t.blocks[l.index].held = l.slot
+	}
+	if t.kept {
+		c.cTableHits.Inc()
 	}
 	c.cReads.Inc()
 	return out, nil
@@ -686,24 +805,29 @@ func (c *Client) cacheFill(b wireBlock, data []byte) {
 	c.blockCache.Put(uint64(b.ID), data)
 }
 
-// readBlock reads blocks[index] into slot — its len(slot) == Size bytes
-// of ReadFile's result — retrying with refreshed metadata when replicas
-// or helpers die mid-flight. On success the slot holds the block; on
-// failure its contents are unspecified (a replica that died mid-payload
-// leaves it half written) and whatever serves the block next overwrites
-// all of it. The block cache is consulted before any RPC; every
-// successful read, healthy or degraded, fills it. ReadFile calls it
-// twice at most: with reconstruct false it returns errLeftForStripe in
-// place of reconstructing a striped block whose replicas (as the table
-// lists them) did not serve it, and with reconstruct true it picks up
-// exactly there, the blocks the table holds by then lent to the
+// readBlock reads t.blocks[index] into slot — its len(slot) == Size
+// bytes of ReadFile's result — retrying with a refreshed table when
+// replicas or helpers die mid-flight. On success the slot holds the
+// block; on failure its contents are unspecified (a replica that died
+// mid-payload leaves it half written) and whatever serves the block next
+// overwrites all of it. The block cache is consulted before any RPC;
+// every successful read, healthy or degraded, fills it. ReadFile calls
+// it twice at most: with reconstruct false it returns errLeftForStripe
+// in place of reconstructing a striped block whose replicas (as the
+// table lists them) did not serve it, and with reconstruct true it picks
+// up exactly there, the blocks the table holds by then lent to the
 // reconstruction.
+//
+// A kept table (see keepTable) may list stale locations: when none of a
+// block's listed replicas serves, the read fetches a fresh table once
+// (refetch, which replaces or drops the kept one) and walks the fresh
+// replicas before it leaves the block for its stripe.
 //
 // Who writes the slot: the cache and the replica chain read straight
 // into it, and a reconstruction's block is copied in once (the codec
 // allocates its output). All of it runs on ReadFile's goroutine.
-func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []byte, reconstruct bool) error {
-	b := blocks[index]
+func (c *Client) readBlock(t *fileTable, index int, slot []byte, reconstruct bool) error {
+	b := t.blocks[index]
 	if c.blockCache != nil && !reconstruct {
 		// A hit of another length than the table's (the namenode's word
 		// against an earlier one of its own) is not the block.
@@ -722,16 +846,10 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 			if err := c.refreshAddrs(); err != nil {
 				return err
 			}
-			_, fresh, err := c.fileBlocks(name)
-			if err != nil {
+			if err := c.refetch(t); err != nil {
 				return err
 			}
-			if index >= len(fresh) {
-				return fmt.Errorf("serve: block index %d vanished", index)
-			}
-			if b = fresh[index]; b.Size != int64(len(slot)) {
-				return fmt.Errorf("serve: block %d changed size from %d to %d under the read", b.ID, len(slot), b.Size)
-			}
+			b = t.blocks[index]
 		}
 
 		if attempt > 0 || !reconstruct {
@@ -752,8 +870,10 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 				}
 				lastErr = err
 			}
-			if attempt == 0 && b.Stripe >= 0 {
-				// ReadFile's first pass (attempt 0 comes here only then).
+			if t.kept {
+				continue // the next attempt fetches a fresh table
+			}
+			if !reconstruct && b.Stripe >= 0 {
 				return errLeftForStripe
 			}
 		}
@@ -761,7 +881,7 @@ func (c *Client) readBlock(name string, index int, blocks []wireBlock, slot []by
 		// Degraded path: reconstruct from the stripe, lent views of the
 		// result.
 		if b.Stripe >= 0 {
-			data, err := c.degradedRead(b, c.lentTo(b, blocks))
+			data, err := c.degradedRead(b, c.lentTo(b, t.blocks))
 			if err == nil && crc.Checksum(data) != b.Checksum {
 				// A helper served rot its store could not detect. The
 				// stripe gives the same bytes again, so no retry.

@@ -69,9 +69,9 @@ func TestClientBlockCacheServesRepeatReads(t *testing.T) {
 	}
 
 	// A skewed reread against a cache smaller than the working set: 48
-	// one-block files, a budget of two blocks per cache shard (at most
-	// 32 resident), Zipf-popular reads. The hot head must stay resident
-	// — at least half of all lookups hit.
+	// one-block files, a one-shard budget of 32 blocks (at most 32
+	// resident), Zipf-popular reads. The hot head must stay resident —
+	// at least half of all lookups hit.
 	small, err := Dial(sys.NameAddr(), codes[0], WithBlockCache(32*4096))
 	if err != nil {
 		t.Fatal(err)
