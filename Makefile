@@ -101,7 +101,9 @@ race:
 
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip
-# byte-identical. Under them, the gf256 kernels against a byte-at-a-time
+# byte-identical; then the repair executors of all three codecs
+# (FuzzJointRepair), which must also fetch exactly the planned bytes
+# and no dead shard. Under them, the gf256 kernels against a byte-at-a-time
 # reference and the CRC-32 kernel against hash/crc32; beside them, the
 # serving wire's header decoders against arbitrary bytes. Seed corpora
 # live in testdata/fuzz/.
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/rs/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/core/
 	$(GO) test -run=FuzzRoundTrip -fuzz=FuzzRoundTrip -fuzztime=3s ./internal/lrc/
+	$(GO) test -run=FuzzJointRepair -fuzz=FuzzJointRepair -fuzztime=3s ./internal/ec/
 	$(GO) test -run=FuzzDecodeHeader -fuzz=FuzzDecodeHeader -fuzztime=3s ./internal/serve/
 
 # The determinism gate at full scale: each workload run twice on one

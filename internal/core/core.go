@@ -433,7 +433,9 @@ func (c *Code) cheapRepairPossible(idx int, alive ec.AliveFunc) bool {
 	return alive(c.k) && alive(c.k+1+g)
 }
 
-// PlanRepair returns the reads needed to repair shard idx.
+// PlanRepair returns the reads needed to repair shard idx: the
+// distinct ranges of its linear plan, the one statement of what a
+// repair moves.
 //
 // For a data shard in a piggyback group of size s with all preferred
 // helpers alive, the plan reads (k+s) half-shards: the b-halves of the
@@ -442,51 +444,13 @@ func (c *Code) cheapRepairPossible(idx int, alive ec.AliveFunc) bool {
 // of (k+s)/2k of the RS baseline.
 //
 // Parity shards, ungrouped data shards, and degraded stripes fall back
-// to reading both halves of any k surviving shards (the RS cost).
+// to reading both halves of the first k surviving shards (the RS cost).
 func (c *Code) PlanRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
-	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
+	plan, err := c.PlanLinearRepair(idx, shardSize, alive)
+	if err != nil {
 		return nil, err
 	}
-	half := shardSize / 2
-	plan := &ec.RepairPlan{Shard: idx, ShardSize: shardSize}
-
-	if c.cheapRepairPossible(idx, alive) {
-		g := c.groupOf[idx]
-		// b-halves of the other data shards.
-		for i := 0; i < c.k; i++ {
-			if i == idx {
-				continue
-			}
-			plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: i, Offset: half, Length: half})
-		}
-		// b-half of the clean parity.
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: c.k, Offset: half, Length: half})
-		// b-half of the piggybacked parity for this group.
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: c.k + 1 + g, Offset: half, Length: half})
-		// a-halves of the other group members.
-		for _, m := range c.groups[g] {
-			if m == idx {
-				continue
-			}
-			plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: m, Offset: 0, Length: half})
-		}
-		return plan, nil
-	}
-
-	// Fallback: both halves of the first k alive shards (RS cost).
-	sources := make([]int, 0, c.k)
-	for i := 0; i < c.TotalShards() && len(sources) < c.k; i++ {
-		if i != idx && alive(i) {
-			sources = append(sources, i)
-		}
-	}
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
-	}
-	for _, s := range sources {
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize})
-	}
-	return plan, nil
+	return plan.RepairPlan(), nil
 }
 
 // linearAccum accumulates GF(2^8) coefficients per (helper range,
@@ -554,8 +518,8 @@ func (a *linearAccum) finish() *ec.LinearPlan {
 //     piggybacked-parity target re-adds its own group — every step a
 //     linear substitution, folded into per-range coefficients.
 //
-// Exactly the ranges of PlanRepair are read, and ExecuteRepair is one
-// evaluation of this plan.
+// PlanRepair is this plan's distinct reads, and ExecuteRepair is one
+// evaluation of it.
 func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.LinearPlan, error) {
 	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
 		return nil, err
@@ -603,14 +567,9 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 	}
 
 	// Fallback: k whole survivors, mirroring Reconstruct algebraically.
-	surv := make([]int, 0, c.k)
-	for i := 0; i < c.TotalShards() && len(surv) < c.k; i++ {
-		if i != idx && alive(i) {
-			surv = append(surv, i)
-		}
-	}
-	if len(surv) < c.k {
-		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(surv), c.k)
+	surv, err := ec.FirstAlive(c.k, c.TotalShards(), []int{idx}, alive)
+	if err != nil {
+		return nil, err
 	}
 	// Both substripes share one survivor set, hence one target vector.
 	ct, err := c.rsc.RecoveryCoefficients(idx, surv)
@@ -706,69 +665,20 @@ func (c *Code) AverageRepairFraction() float64 {
 }
 
 // PlanMultiRepair returns the reads to repair every missing shard of a
-// stripe. A single missing shard uses the cheap piggyback path; with
-// two or more missing, the code falls back to one full decode — both
-// halves of k surviving shards, the same joint cost RS pays — which is
-// still far cheaper than repeated single repairs.
+// stripe: ec.PlanWholeShardRepair. A single missing shard uses the
+// cheap piggyback path; with two or more missing, the code falls back
+// to one full decode — both halves of k surviving shards, the same
+// joint cost RS pays — which is still far cheaper than repeated single
+// repairs.
 func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
-	if err := ec.CheckMissing(missing, c.TotalShards(), alive); err != nil {
-		return nil, err
-	}
-	if len(missing) == 1 {
-		return c.PlanRepair(missing[0], shardSize, alive)
-	}
-	if shardSize <= 0 || shardSize%2 != 0 {
-		return nil, fmt.Errorf("%w: shard size %d (must be positive and even)", ec.ErrShardSize, shardSize)
-	}
-	skip := make(map[int]bool, len(missing))
-	for _, m := range missing {
-		skip[m] = true
-	}
-	sources := make([]int, 0, c.k)
-	for i := 0; i < c.TotalShards() && len(sources) < c.k; i++ {
-		if !skip[i] && alive(i) {
-			sources = append(sources, i)
-		}
-	}
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
-	}
-	plan := &ec.RepairPlan{Shard: missing[0], ShardSize: shardSize}
-	for _, s := range sources {
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize})
-	}
-	return plan, nil
+	return ec.PlanWholeShardRepair(c, missing, shardSize, alive)
 }
 
 // ExecuteMultiRepair reconstructs all missing shards, returning their
-// contents keyed by shard index.
+// contents keyed by shard index: ec.ExecuteJointRepair, a single one
+// through ExecuteRepair's linear plan, several from one joint decode.
 func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
-	if err := ec.CheckMissing(missing, c.TotalShards(), alive); err != nil {
-		return nil, err
-	}
-	if len(missing) == 1 {
-		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)
-		if err != nil {
-			return nil, err
-		}
-		return map[int][]byte{missing[0]: shard}, nil
-	}
-	plan, err := c.PlanMultiRepair(missing, shardSize, alive)
-	if err != nil {
-		return nil, err
-	}
-	shards, err := ec.FetchShards(plan, c.TotalShards(), fetch)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Reconstruct(shards); err != nil {
-		return nil, err
-	}
-	out := make(map[int][]byte, len(missing))
-	for _, m := range missing {
-		out[m] = shards[m]
-	}
-	return out, nil
+	return ec.ExecuteJointRepair(c, missing, shardSize, alive, fetch)
 }
 
 // Verify interface compliance.

@@ -14,14 +14,19 @@
 // traffic. ExecuteRepair performs the same reads through a caller-supplied
 // fetch function and returns the reconstructed shard, so distributed
 // stores and unit tests exercise the identical access pattern the plans
-// charge for. Every codec's single-shard ExecuteRepair is one
-// evaluation of its LinearPlan (EvaluateLinearPlan, linear.go); two or
-// more missing shards share one joint Reconstruct decode.
+// charge for. Every codec has one planner: its LinearPlan, whose
+// distinct reads are its PlanRepair (LinearPlan.RepairPlan) and one
+// evaluation of which is its ExecuteRepair (EvaluateLinearPlan,
+// linear.go). Joint repair has one executor, ExecuteJointRepair: a
+// single missing shard is ExecuteRepair, several share one Reconstruct
+// over the whole shards of the codec's PlanMultiRepair (for RS and
+// Piggybacked-RS, PlanWholeShardRepair).
 package ec
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Common validation errors.
@@ -207,13 +212,38 @@ func CheckRepairTarget(code Code, idx int, shardSize int64, alive AliveFunc) err
 	if total := code.TotalShards(); idx < 0 || idx >= total {
 		return fmt.Errorf("%w: %d of %d", ErrShardIndex, idx, total)
 	}
-	if unit := int64(code.MinShardSize()); shardSize <= 0 || shardSize%unit != 0 {
-		return fmt.Errorf("%w: shard size %d (must be a positive multiple of %d)", ErrShardSize, shardSize, unit)
+	if err := checkShardSize(code, shardSize); err != nil {
+		return err
 	}
 	if alive(idx) {
 		return fmt.Errorf("%w: shard %d", ErrShardPresent, idx)
 	}
 	return nil
+}
+
+// checkShardSize reports ErrShardSize unless shardSize is a positive
+// multiple of the codec's MinShardSize.
+func checkShardSize(code Code, shardSize int64) error {
+	if unit := int64(code.MinShardSize()); shardSize <= 0 || shardSize%unit != 0 {
+		return fmt.Errorf("%w: shard size %d (must be a positive multiple of %d)", ErrShardSize, shardSize, unit)
+	}
+	return nil
+}
+
+// FirstAlive returns the first n shards of [0, limit) outside skip that
+// alive reports available — the decode inputs of a whole-shard repair —
+// or ErrTooFewShards when fewer are.
+func FirstAlive(n, limit int, skip []int, alive AliveFunc) ([]int, error) {
+	out := make([]int, 0, n)
+	for i := 0; i < limit && len(out) < n; i++ {
+		if !slices.Contains(skip, i) && alive(i) {
+			out = append(out, i)
+		}
+	}
+	if len(out) < n {
+		return nil, fmt.Errorf("%w: %d alive, need %d", ErrTooFewShards, len(out), n)
+	}
+	return out, nil
 }
 
 // CheckMissing validates a multi-repair target list: non-empty, within
@@ -236,6 +266,32 @@ func CheckMissing(missing []int, total int, alive AliveFunc) error {
 		}
 	}
 	return nil
+}
+
+// PlanWholeShardRepair is the PlanMultiRepair of the MDS codecs (RS and
+// Piggybacked-RS): one missing shard is the codec's PlanRepair; several
+// share one decode of the first k alive shards, read whole — the joint
+// cost the paper's 1.87% double-failure stripes pay, versus 2k for two
+// separate repairs.
+func PlanWholeShardRepair(c Code, missing []int, shardSize int64, alive AliveFunc) (*RepairPlan, error) {
+	if err := CheckMissing(missing, c.TotalShards(), alive); err != nil {
+		return nil, err
+	}
+	if len(missing) == 1 {
+		return c.PlanRepair(missing[0], shardSize, alive)
+	}
+	if err := checkShardSize(c, shardSize); err != nil {
+		return nil, err
+	}
+	sources, err := FirstAlive(c.DataShards(), c.TotalShards(), missing, alive)
+	if err != nil {
+		return nil, err
+	}
+	plan := &RepairPlan{Shard: missing[0], ShardSize: shardSize}
+	for _, s := range sources {
+		plan.Reads = append(plan.Reads, ReadRequest{Shard: s, Offset: 0, Length: shardSize})
+	}
+	return plan, nil
 }
 
 // FetchShards performs the reads of a plan made of whole-shard reads —

@@ -234,3 +234,35 @@ func ExecuteLinearRepair(p LinearRepairPlanner, idx int, shardSize int64, alive 
 	}
 	return EvaluateLinearPlan(plan, fetch)
 }
+
+// ExecuteJointRepair is every codec's ExecuteMultiRepair. A single
+// missing shard is the codec's ExecuteRepair: one evaluation of its
+// linear plan, only the target computed. Several are one Reconstruct
+// over the whole shards of the codec's PlanMultiRepair, each fetched
+// once; a shard the plan does not read is rebuilt with them and
+// dropped. The fetch and ownership rules are ExecuteRepair's.
+func ExecuteJointRepair(c Code, missing []int, shardSize int64, alive AliveFunc, fetch FetchFunc) (map[int][]byte, error) {
+	if len(missing) == 1 {
+		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)
+		if err != nil {
+			return nil, err
+		}
+		return map[int][]byte{missing[0]: shard}, nil
+	}
+	plan, err := c.PlanMultiRepair(missing, shardSize, alive)
+	if err != nil {
+		return nil, err
+	}
+	shards, err := FetchShards(plan, c.TotalShards(), fetch)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Reconstruct(shards); err != nil {
+		return nil, err
+	}
+	out := make(map[int][]byte, len(missing))
+	for _, m := range missing {
+		out[m] = shards[m]
+	}
+	return out, nil
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -206,44 +208,74 @@ func checkExecutor(t *testing.T, code ec.Code, lp ec.LinearRepairPlanner, shards
 	}
 }
 
-// TestLinearPlanReadsMatchPlanRepair: the linear plan's distinct reads
-// move the same bytes as the codec's RepairPlan — partial-sum repair
-// changes where arithmetic happens, not what leaves helper disks.
+// TestLinearPlanReadsMatchPlanRepair pins what every codec's PlanRepair —
+// the distinct reads of its linear plan — takes from each shard to the
+// table in testdata/plan_bytes.golden. The table was captured while
+// Piggybacked-RS still had a second, hand-written planner that listed
+// its reads directly from the paper's three steps, so it is the
+// independent statement of the bytes a repair moves: for every target,
+// with every other shard alive and with each single further failure.
+// The closed-form oracles (core's TheoreticalRepairFraction) and the
+// Reconstruct decode (TestExecutorMatchesReconstruct) stay as the other
+// references.
 func TestLinearPlanReadsMatchPlanRepair(t *testing.T) {
-	const shardSize = 32
+	raw, err := os.ReadFile("testdata/plan_bytes.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if label, rest, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			want[label] = append(want[label], rest)
+		}
+	}
 	for _, lc := range linearCodecs(t) {
 		code := lc.code
 		t.Run(code.Name(), func(t *testing.T) {
-			lp := code.(ec.LinearRepairPlanner)
-			for idx := 0; idx < code.TotalShards(); idx++ {
-				alive := ec.AllAliveExcept(idx)
-				conv, err := code.PlanRepair(idx, shardSize, alive)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lin, err := lp.PlanLinearRepair(idx, shardSize, alive)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Compare per-shard byte totals: the linear planner may
-				// split whole-shard reads into halves or drop
-				// zero-coefficient sources, but it must never read a
-				// shard the conventional plan does not.
-				convBytes := make(map[int]int64)
-				for _, r := range conv.Reads {
-					convBytes[r.Shard] += r.Length
-				}
-				for _, r := range lin.Reads() {
-					if _, ok := convBytes[r.Shard]; !ok {
-						t.Fatalf("idx %d: linear plan reads shard %d outside the conventional plan", idx, r.Shard)
-					}
-				}
-				if lin.TotalBytes() > conv.TotalBytes() {
-					t.Fatalf("idx %d: linear plan reads %d bytes, conventional %d", idx, lin.TotalBytes(), conv.TotalBytes())
+			_, label, _ := strings.Cut(t.Name(), "/")
+			got := planBytes(t, code)
+			if len(got) != len(want[label]) {
+				t.Fatalf("%d cases, golden has %d", len(got), len(want[label]))
+			}
+			for i := range got {
+				if got[i] != want[label][i] {
+					t.Errorf("target, further failure, bytes per shard: %s, golden %s", got[i], want[label][i])
 				}
 			}
 		})
 	}
+}
+
+// planBytes renders one line per repair case — target, further failed
+// shard (-1 for none), and the bytes PlanRepair reads from each shard at
+// shard size 2, one digit per shard — or "refused" where too few shards
+// survive.
+func planBytes(t *testing.T, code ec.Code) []string {
+	t.Helper()
+	total := code.TotalShards()
+	var lines []string
+	for idx := 0; idx < total; idx++ {
+		for extra := -1; extra < total; extra++ {
+			if extra == idx {
+				continue
+			}
+			line := fmt.Sprintf("%d %d ", idx, extra)
+			plan, err := code.PlanRepair(idx, 2, ec.AllAliveExcept(idx, extra))
+			if errors.Is(err, ec.ErrTooFewShards) {
+				lines = append(lines, line+"refused")
+				continue
+			}
+			if err != nil {
+				t.Fatalf("target %d, %d down: %v", idx, extra, err)
+			}
+			per := bytes.Repeat([]byte{'0'}, total)
+			for _, r := range plan.Reads {
+				per[r.Shard] += byte(r.Length)
+			}
+			lines = append(lines, line+string(per))
+		}
+	}
+	return lines
 }
 
 // viewFetch serves requests as views of the stripe, the way a pooled

@@ -333,14 +333,9 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 		}
 		return plan, nil
 	}
-	sources := make([]int, 0, c.k)
-	for i := 0; i < c.k+c.r && len(sources) < c.k; i++ {
-		if i != idx && alive(i) {
-			sources = append(sources, i)
-		}
-	}
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive among data+global, need %d", ec.ErrTooFewShards, len(sources), c.k)
+	sources, err := ec.FirstAlive(c.k, c.k+c.r, []int{idx}, alive)
+	if err != nil {
+		return nil, err
 	}
 	coeffs := make([]byte, c.k)
 	if idx < c.k+c.r {
@@ -457,19 +452,9 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 			break
 		}
 		// Global pass: decode everything among data+globals at once.
-		aliveDG := 0
-		for i := 0; i < c.k+c.r; i++ {
-			if avail[i] {
-				aliveDG++
-			}
-		}
-		if aliveDG >= c.k {
-			count := 0
-			for i := 0; i < c.k+c.r && count < c.k; i++ {
-				if avail[i] {
-					addRead(i)
-					count++
-				}
+		if sources, err := ec.FirstAlive(c.k, c.k+c.r, nil, func(i int) bool { return avail[i] }); err == nil {
+			for _, i := range sources {
+				addRead(i)
 			}
 			for i := 0; i < c.k+c.r; i++ {
 				if !avail[i] {
@@ -494,89 +479,15 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 	return plan, nil
 }
 
-// ExecuteMultiRepair reconstructs all missing shards — one through
-// ExecuteRepair's linear plan, several by fetching the multi-repair
-// plan's reads and mirroring the planner's pass order:
-// local XOR repairs where a group lacks exactly one member, a global RS
-// decode for the rest. Only the planned reads are consumed — alive
-// shards outside the plan are never touched.
+// ExecuteMultiRepair reconstructs all missing shards, returning their
+// contents keyed by shard index: ec.ExecuteJointRepair, a single one
+// through ExecuteRepair's linear plan, several by fetching the
+// multi-repair plan's reads and running Reconstruct on them, whose
+// alternating local and global passes are the planner's. Only the
+// planned reads are fetched; the shards the plan did not read are
+// rebuilt with the missing ones and dropped.
 func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
-	if len(missing) == 1 {
-		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)
-		if err != nil {
-			return nil, err
-		}
-		return map[int][]byte{missing[0]: shard}, nil
-	}
-	plan, err := c.PlanMultiRepair(missing, shardSize, alive)
-	if err != nil {
-		return nil, err
-	}
-	have, err := ec.FetchShards(plan, c.TotalShards(), fetch)
-	if err != nil {
-		return nil, err
-	}
-	need := make(map[int]bool, len(missing))
-	for _, m := range missing {
-		need[m] = true
-	}
-
-	for len(need) > 0 {
-		progressed := false
-		// Local pass: a needed shard whose group is otherwise in hand.
-		for l, group := range c.localGroups {
-			pIdx := c.k + c.r + l
-			members := append(append([]int(nil), group...), pIdx)
-			miss, lack := -1, 0
-			for _, m := range members {
-				if have[m] == nil {
-					miss = m
-					lack++
-				}
-			}
-			if lack != 1 || !need[miss] {
-				continue
-			}
-			out := make([]byte, shardSize)
-			gf256.XorAllSlices(groupSlices(have, members, miss), out)
-			have[miss] = out
-			delete(need, miss)
-			progressed = true
-		}
-		if len(need) == 0 {
-			break
-		}
-		// Global pass: decode data+globals from whatever is in hand.
-		present := 0
-		for i := 0; i < c.k+c.r; i++ {
-			if have[i] != nil {
-				present++
-			}
-		}
-		if present >= c.k && present < c.k+c.r {
-			sub := make([][]byte, c.k+c.r)
-			copy(sub, have[:c.k+c.r])
-			if err := c.rsc.Reconstruct(sub); err != nil {
-				return nil, err
-			}
-			for i := 0; i < c.k+c.r; i++ {
-				if have[i] == nil {
-					have[i] = sub[i]
-					delete(need, i)
-					progressed = true
-				}
-			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("%w: %d shards unrecoverable during execution", ec.ErrTooFewShards, len(need))
-		}
-	}
-
-	out := make(map[int][]byte, len(missing))
-	for _, m := range missing {
-		out[m] = have[m]
-	}
-	return out, nil
+	return ec.ExecuteJointRepair(c, missing, shardSize, alive, fetch)
 }
 
 var (

@@ -16,7 +16,6 @@ package rs
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/ec"
@@ -351,9 +350,9 @@ func (c *Code) PlanLinearRepair(idx int, shardSize int64, alive ec.AliveFunc) (*
 	if err := ec.CheckRepairTarget(c, idx, shardSize, alive); err != nil {
 		return nil, err
 	}
-	sources := c.pickAlive([]int{idx}, alive)
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
+	sources, err := ec.FirstAlive(c.k, c.TotalShards(), []int{idx}, alive)
+	if err != nil {
+		return nil, err
 	}
 	coeffs, err := c.RecoveryCoefficients(idx, sources)
 	if err != nil {
@@ -383,17 +382,6 @@ func (c *Code) PlanRepair(idx int, shardSize int64, alive ec.AliveFunc) (*ec.Rep
 	return plan.RepairPlan(), nil
 }
 
-// pickAlive returns the first k alive shard indices outside skip.
-func (c *Code) pickAlive(skip []int, alive ec.AliveFunc) []int {
-	out := make([]int, 0, c.k)
-	for i := 0; i < c.TotalShards() && len(out) < c.k; i++ {
-		if !slices.Contains(skip, i) && alive(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ExecuteRepair reconstructs shard idx with one evaluation of its
 // linear plan: k whole-shard fetches folded in a single fused pass.
 func (c *Code) ExecuteRepair(idx int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) ([]byte, error) {
@@ -401,55 +389,17 @@ func (c *Code) ExecuteRepair(idx int, shardSize int64, alive ec.AliveFunc, fetch
 }
 
 // PlanMultiRepair returns the reads to repair every missing shard of a
-// stripe in one decode: k whole surviving shards, shared by all
-// reconstructions — the joint cost the paper's 1.87% double-failure
-// stripes pay, versus 2k for two separate repairs.
+// stripe: ec.PlanWholeShardRepair, k whole surviving shards shared by
+// every reconstruction.
 func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
-	if err := ec.CheckMissing(missing, c.TotalShards(), alive); err != nil {
-		return nil, err
-	}
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
-	}
-	sources := c.pickAlive(missing, alive)
-	if len(sources) < c.k {
-		return nil, fmt.Errorf("%w: %d alive, need %d", ec.ErrTooFewShards, len(sources), c.k)
-	}
-	plan := &ec.RepairPlan{Shard: missing[0], ShardSize: shardSize}
-	for _, s := range sources {
-		plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: s, Offset: 0, Length: shardSize})
-	}
-	return plan, nil
+	return ec.PlanWholeShardRepair(c, missing, shardSize, alive)
 }
 
 // ExecuteMultiRepair reconstructs all missing shards, returning
-// contents keyed by shard index: a single one through ExecuteRepair's
-// linear plan (the same reads, only the target computed), several from
-// one joint decode.
+// contents keyed by shard index: ec.ExecuteJointRepair, a single one
+// through ExecuteRepair's linear plan, several from one joint decode.
 func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
-	if len(missing) == 1 {
-		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)
-		if err != nil {
-			return nil, err
-		}
-		return map[int][]byte{missing[0]: shard}, nil
-	}
-	plan, err := c.PlanMultiRepair(missing, shardSize, alive)
-	if err != nil {
-		return nil, err
-	}
-	shards, err := ec.FetchShards(plan, c.TotalShards(), fetch)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Reconstruct(shards); err != nil {
-		return nil, err
-	}
-	out := make(map[int][]byte, len(missing))
-	for _, m := range missing {
-		out[m] = shards[m]
-	}
-	return out, nil
+	return ec.ExecuteJointRepair(c, missing, shardSize, alive, fetch)
 }
 
 var (

@@ -207,6 +207,9 @@ type Client struct {
 	// refreshedAt[m] is when a transport failure against machine m last
 	// made this client re-fetch addrs (see relocated).
 	refreshedAt map[int]time.Time
+	// addrGen counts the address tables this client has fetched, so a
+	// retry can tell whether addrs is already newer than its attempt.
+	addrGen atomic.Uint64
 
 	rr atomic.Uint64 // rotation among latency-tied replicas
 
@@ -371,6 +374,7 @@ func (c *Client) refreshAddrs() error {
 	c.addrs = resp.DataNodes
 	c.perRack = resp.MachinesPerRack
 	c.mu.Unlock()
+	c.addrGen.Add(1)
 	return nil
 }
 
@@ -839,18 +843,24 @@ func (c *Client) readBlock(t *fileTable, index int, slot []byte, reconstruct boo
 		c.cCacheMisses.Inc()
 	}
 	var lastErr error
+	var gen uint64 // the address table the attempt began with
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if attempt > 0 {
 			// Metadata may be stale: the holder set changed, daemons
-			// moved ports, or the block got fixed to a new machine.
-			if err := c.refreshAddrs(); err != nil {
-				return err
+			// moved ports, or the block got fixed to a new machine. The
+			// addresses are re-fetched unless a transport failure during
+			// the attempt already did so (see relocated).
+			if c.addrGen.Load() == gen {
+				if err := c.refreshAddrs(); err != nil {
+					return err
+				}
 			}
 			if err := c.refetch(t); err != nil {
 				return err
 			}
 			b = t.blocks[index]
 		}
+		gen = c.addrGen.Load()
 
 		if attempt > 0 || !reconstruct {
 			// Walk live replicas fastest-first. A replica refused on

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// The namenode's "blocks" requests, and every dn.read the datanodes
-// answered.
+// The namenode's "blocks" and "info" requests, and every dn.read the
+// datanodes answered.
 const (
 	blocksRPCs = `rpc_requests_total{role="namenode",method="blocks"}`
+	infoRPCs   = `rpc_requests_total{role="namenode",method="info"}`
 	dnReads    = `rpc_requests_total{role="datanode",method="dn.read"}`
 )
 
@@ -101,9 +102,10 @@ func TestBlockCacheRereadOfAnUnraidedFileAsksTheNamenode(t *testing.T) {
 
 // TestKeptTableIsRefetchedOnceWhenItsHolderDies: a kept table lists a
 // holder that has died and whose block the fixer has rebuilt elsewhere.
-// The reread's walk fails on the listed holder, fetches one fresh table
-// and reads the rebuilt replica from it — no degraded read — and the
-// fresh table is kept for the next reread.
+// The reread's walk fails on the listed holder, which fetches the
+// address table once, fetches one fresh block table and reads the
+// rebuilt replica from it — no degraded read — and the fresh table is
+// kept for the next reread.
 func TestKeptTableIsRefetchedOnceWhenItsHolderDies(t *testing.T) {
 	sys, cl, data := tableSystem(t, true)
 	reread(t, sys, cl, data)
@@ -120,9 +122,13 @@ func TestKeptTableIsRefetchedOnceWhenItsHolderDies(t *testing.T) {
 	if rep, err := admin.RunBlockFixer(); err != nil || rep.RepairedStriped == 0 {
 		t.Fatalf("fixer: %+v, %v", rep, err)
 	}
+	i0 := counter(sys, infoRPCs)
 	d, blocks := reread(t, sys, cl, data)
 	if blocks != 1 || d.DegradedBlocks != 0 || d.TableHits != 0 {
 		t.Fatalf("reread past the dead holder: %d blocks RPCs, counters %+v; want 1 RPC, no degraded block", blocks, d)
+	}
+	if info := counter(sys, infoRPCs) - i0; info != 1 {
+		t.Fatalf("reread past the dead holder: %d info RPCs, want 1", info)
 	}
 	_, table, ok = cl.keptTable("f")
 	if !ok || len(table[1].Locations) == 0 || table[1].Locations[0] == victim {
@@ -130,6 +136,38 @@ func TestKeptTableIsRefetchedOnceWhenItsHolderDies(t *testing.T) {
 	}
 	if d, blocks := reread(t, sys, cl, data); blocks != 0 || d.TableHits != 1 {
 		t.Fatalf("next reread: %d blocks RPCs, counters %+v; want none, 1 table hit", blocks, d)
+	}
+}
+
+// TestUncachedRetryPastADeadHolderFetchesTheAddressesOnce: the retry of
+// TestKeptTableIsRefetchedOnceWhenItsHolderDies without a block cache,
+// on a table fetched before the holder died. The failed call to the
+// holder fetches the address table (see relocated), so the retry that
+// follows fetches only the block table.
+func TestUncachedRetryPastADeadHolderFetchesTheAddressesOnce(t *testing.T) {
+	sys, _, data := tableSystem(t, false)
+	cl := dial(t, sys)
+	size, blocks, err := cl.fileBlocks("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table as it stood when the victim was block 1's only listed
+	// holder; the namenode's lists the other replicas.
+	victim := blocks[1].Locations[0]
+	blocks[1].Locations = []int{victim}
+	if err := sys.KillDataNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	i0, b0 := counter(sys, infoRPCs), counter(sys, blocksRPCs)
+	slot := make([]byte, blocks[1].Size)
+	if err := cl.readBlock(&fileTable{name: "f", size: size, blocks: blocks}, 1, slot, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(slot, data[4096:8192]) {
+		t.Fatal("block 1 read mismatched")
+	}
+	if info, blocks := counter(sys, infoRPCs)-i0, counter(sys, blocksRPCs)-b0; info != 1 || blocks != 1 {
+		t.Fatalf("read past the dead holder: %d info and %d blocks RPCs, want 1 and 1", info, blocks)
 	}
 }
 
