@@ -62,7 +62,10 @@ type RepairPlan struct {
 	Shard int
 	// ShardSize is the size, in bytes, of each shard in the stripe.
 	ShardSize int64
-	// Reads are the byte ranges fetched from surviving shards.
+	// Reads are the byte ranges fetched from surviving shards. A shard
+	// read in both halves (a Piggybacked-RS group member, or a survivor
+	// of its RS-cost fallback) is listed as its a-half and its b-half;
+	// an executor fetches the two as one range.
 	Reads []ReadRequest
 }
 

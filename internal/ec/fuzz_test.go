@@ -25,10 +25,12 @@ func FuzzJointRepair(f *testing.F) {
 	f.Add([]byte("piggybacking adds functions of one substripe onto the other"), uint64(0x7fff), uint64(30))
 	f.Add([]byte("local parities trade storage for cheap single repairs"), uint64(1<<63|0b101), uint64(42))
 	f.Add([]byte{1, 2, 3}, uint64(1<<6), uint64(107))
+	// lrc(6,3,3) missing {0,2}: the plan leaves the third group unread.
+	f.Add([]byte("three local groups, one of them never read"), uint64(0b101), uint64(179))
 	f.Fuzz(func(t *testing.T, data []byte, mask, params uint64) {
 		k := 2 + int(params%7)
 		r := 2 + int((params/7)%3)
-		g := 1 + int((params/63)%2)
+		g := 1 + int((params/63)%uint64(min(k, 4)))
 		var code ec.Code
 		var err error
 		switch (params / 21) % 3 {

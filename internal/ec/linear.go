@@ -239,8 +239,9 @@ func ExecuteLinearRepair(p LinearRepairPlanner, idx int, shardSize int64, alive 
 // missing shard is the codec's ExecuteRepair: one evaluation of its
 // linear plan, only the target computed. Several are one Reconstruct
 // over the whole shards of the codec's PlanMultiRepair, each fetched
-// once; a shard the plan does not read is rebuilt with them and
-// dropped. The fetch and ownership rules are ExecuteRepair's.
+// once. That Reconstruct need fill only the missing shards (LRC's stops
+// there); any other shard it rebuilds is dropped. The fetch and
+// ownership rules are ExecuteRepair's.
 func ExecuteJointRepair(c Code, missing []int, shardSize int64, alive AliveFunc, fetch FetchFunc) (map[int][]byte, error) {
 	if len(missing) == 1 {
 		shard, err := c.ExecuteRepair(missing[0], shardSize, alive, fetch)

@@ -21,6 +21,7 @@ package lrc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/ec"
 	"repro/internal/gf256"
@@ -194,26 +195,35 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 // decoding until every shard is restored or no further progress is
 // possible.
 func (c *Code) Reconstruct(shards [][]byte) error {
+	return c.reconstruct(shards, nil)
+}
+
+// reconstruct runs Reconstruct's passes until the shards in need (every
+// nil shard when need is nil) are filled; others may stay nil.
+func (c *Code) reconstruct(shards [][]byte, need []int) error {
 	size, err := ec.CheckShards(shards, c.TotalShards(), true)
 	if err != nil {
 		return err
 	}
+	if need == nil {
+		need = ec.MissingIndices(shards)
+	}
+	filled := func() bool {
+		return !slices.ContainsFunc(need, func(i int) bool { return shards[i] == nil })
+	}
 	for {
-		progressed := false
-		if c.localPass(shards, size) {
-			progressed = true
+		local := c.localPass(shards, size)
+		if filled() {
+			return nil
 		}
-		changed, err := c.globalPass(shards)
+		global, err := c.globalPass(shards)
 		if err != nil {
 			return err
 		}
-		if changed {
-			progressed = true
-		}
-		if len(ec.MissingIndices(shards)) == 0 {
+		if filled() {
 			return nil
 		}
-		if !progressed {
+		if !local && !global {
 			return fmt.Errorf("%w: %d shards unrecoverable", ec.ErrTooFewShards, len(ec.MissingIndices(shards)))
 		}
 	}
@@ -378,10 +388,11 @@ func (c *Code) ExecuteRepair(idx int, shardSize int64, alive ec.AliveFunc, fetch
 
 // PlanMultiRepair returns the reads to repair every missing shard of a
 // stripe in one pass; a single missing shard is PlanRepair's plan. For
-// two or more the planner mirrors Reconstruct: local groups
-// with a single missing member repair from their group; anything left
-// falls back to one global decode over k alive data+global shards. A
-// source read once serves every reconstruction that needs it.
+// two or more the planner runs Reconstruct's passes over which shards
+// are in hand: local groups with a single missing member repair from
+// their group; anything left falls back to one global decode over k
+// data+global shards. A source read once serves every reconstruction
+// that needs it.
 func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc) (*ec.RepairPlan, error) {
 	if err := ec.CheckMissing(missing, c.TotalShards(), alive); err != nil {
 		return nil, err
@@ -392,87 +403,59 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 	if shardSize <= 0 {
 		return nil, fmt.Errorf("%w: shard size %d", ec.ErrShardSize, shardSize)
 	}
-	// Track availability as the plan "repairs" shards. Shards the plan
-	// itself repairs become available as decode inputs but must never
-	// be scheduled as network reads — they are dead on the wire; their
-	// content exists only at the repairing node.
-	avail := make([]bool, c.TotalShards())
-	for i := range avail {
-		avail[i] = alive(i)
+	// held marks the surviving shards, avail those in hand as the plan
+	// proceeds: the held ones, then the ones it rebuilds. Only a held
+	// shard is read; a rebuilt one exists only at the repairing node.
+	held := make([]bool, c.TotalShards())
+	for i := range held {
+		held[i] = alive(i) && !slices.Contains(missing, i)
 	}
-	for _, m := range missing {
-		avail[m] = false
-	}
-	need := make(map[int]bool, len(missing))
-	for _, m := range missing {
-		need[m] = true
-	}
-	reads := make(map[int]bool)
-	repairedByPlan := make(map[int]bool)
-
-	addRead := func(i int) {
-		if !repairedByPlan[i] {
-			reads[i] = true
-		}
-	}
-	addGroupReads := func(l, skip int) {
-		for _, m := range c.localGroups[l] {
-			if m != skip {
-				addRead(m)
-			}
-		}
-		if p := c.k + c.r + l; p != skip {
-			addRead(p)
-		}
-	}
-
-	for len(need) > 0 {
+	avail := slices.Clone(held)
+	read := make([]bool, len(held))
+	use := func(i int) { read[i] = read[i] || held[i] }
+	done := func() bool { return !slices.ContainsFunc(missing, func(m int) bool { return !avail[m] }) }
+	for !done() {
 		progressed := false
-		// Local pass: any group with exactly one unavailable member.
+		// Local pass: any group with exactly one shard not in hand.
 		for l, group := range c.localGroups {
-			pIdx := c.k + c.r + l
-			miss, count := -1, 0
-			members := append(append([]int(nil), group...), pIdx)
+			members := append(slices.Clone(group), c.k+c.r+l)
+			lack, count := -1, 0
 			for _, m := range members {
 				if !avail[m] {
-					miss = m
-					count++
+					lack, count = m, count+1
 				}
 			}
 			if count != 1 {
 				continue
 			}
-			addGroupReads(l, miss)
-			avail[miss] = true
-			repairedByPlan[miss] = true
-			delete(need, miss)
+			for _, m := range members {
+				use(m)
+			}
+			avail[lack] = true
 			progressed = true
 		}
-		if len(need) == 0 {
+		if done() {
 			break
 		}
-		// Global pass: decode everything among data+globals at once.
+		// Global pass: decode everything among data+globals at once;
+		// only local parities can be left for the next local pass.
 		if sources, err := ec.FirstAlive(c.k, c.k+c.r, nil, func(i int) bool { return avail[i] }); err == nil {
 			for _, i := range sources {
-				addRead(i)
+				use(i)
 			}
 			for i := 0; i < c.k+c.r; i++ {
-				if !avail[i] {
-					avail[i] = true
-					repairedByPlan[i] = true
-					delete(need, i)
-				}
+				avail[i] = true
 			}
 			progressed = true
 		}
 		if !progressed {
-			return nil, fmt.Errorf("%w: %d shards unrecoverable", ec.ErrTooFewShards, len(need))
+			return nil, fmt.Errorf("%w: cannot rebuild all of %v", ec.ErrTooFewShards, missing)
 		}
 	}
 
 	plan := &ec.RepairPlan{Shard: missing[0], ShardSize: shardSize}
-	for i := 0; i < c.TotalShards(); i++ {
-		if reads[i] {
+	for i, r := range read {
+		if r {
 			plan.Reads = append(plan.Reads, ec.ReadRequest{Shard: i, Offset: 0, Length: shardSize})
 		}
 	}
@@ -482,13 +465,23 @@ func (c *Code) PlanMultiRepair(missing []int, shardSize int64, alive ec.AliveFun
 // ExecuteMultiRepair reconstructs all missing shards, returning their
 // contents keyed by shard index: ec.ExecuteJointRepair, a single one
 // through ExecuteRepair's linear plan, several by fetching the
-// multi-repair plan's reads and running Reconstruct on them, whose
-// alternating local and global passes are the planner's. Only the
-// planned reads are fetched; the shards the plan did not read are
-// rebuilt with the missing ones and dropped.
+// multi-repair plan's reads and running Reconstruct's alternating local
+// and global passes — the planner's — on them until the missing shards
+// are filled. Only the planned reads are fetched.
 func (c *Code) ExecuteMultiRepair(missing []int, shardSize int64, alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
-	return ec.ExecuteJointRepair(c, missing, shardSize, alive, fetch)
+	return ec.ExecuteJointRepair(jointCode{c, missing}, missing, shardSize, alive, fetch)
 }
+
+// jointCode is the code ExecuteMultiRepair hands the joint executor:
+// its Reconstruct stops once the missing shards are filled, since the
+// plan's reads need not determine the rest (with three or more local
+// groups, one the plan does not read stays empty).
+type jointCode struct {
+	*Code
+	missing []int
+}
+
+func (j jointCode) Reconstruct(shards [][]byte) error { return j.reconstruct(shards, j.missing) }
 
 var (
 	_ ec.Code                = (*Code)(nil)

@@ -67,19 +67,49 @@ func TestMultiRepairChainsGlobalThenLocal(t *testing.T) {
 
 func TestExecuteMultiRepairAllPairsXorbas(t *testing.T) {
 	c, _ := New(10, 4, 2)
-	rng := rand.New(rand.NewSource(2))
-	orig := randShards(rng, c, 64)
+	checkAllPairs(t, c, 2)
+}
+
+// TestExecuteMultiRepairAllPairsThreeGroups: with three local groups a
+// plan can leave a whole group unread ({0,2} of (6,3,3) reads only the
+// first two groups), and the executor must stop once the missing shards
+// are filled rather than fail on the group it cannot rebuild.
+func TestExecuteMultiRepairAllPairsThreeGroups(t *testing.T) {
+	c, _ := New(6, 3, 3)
+	checkAllPairs(t, c, 4)
+}
+
+// checkAllPairs repairs every pair of shards jointly and checks the
+// bytes and that exactly the plan's bytes were fetched.
+func checkAllPairs(t *testing.T, c *Code, seed int64) {
+	t.Helper()
+	const size = 64
+	orig := randShards(rand.New(rand.NewSource(seed)), c, size)
 	if err := c.Encode(orig); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
-		for j := i + 1; j < 16; j++ {
-			got, err := c.ExecuteMultiRepair([]int{i, j}, 64, ec.AllAliveExcept(i, j), memFetch(orig))
+	n := c.TotalShards()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			alive := ec.AllAliveExcept(i, j)
+			plan, err := c.PlanMultiRepair([]int{i, j}, size, alive)
+			if err != nil {
+				t.Fatalf("pair (%d,%d): plan: %v", i, j, err)
+			}
+			var fetched int64
+			fetch := memFetch(orig)
+			got, err := c.ExecuteMultiRepair([]int{i, j}, size, alive, func(req ec.ReadRequest) ([]byte, error) {
+				fetched += req.Length
+				return fetch(req)
+			})
 			if err != nil {
 				t.Fatalf("pair (%d,%d): %v", i, j, err)
 			}
 			if !bytes.Equal(got[i], orig[i]) || !bytes.Equal(got[j], orig[j]) {
 				t.Fatalf("pair (%d,%d): wrong bytes", i, j)
+			}
+			if fetched != plan.TotalBytes() {
+				t.Fatalf("pair (%d,%d): fetched %d bytes, plan charges %d", i, j, fetched, plan.TotalBytes())
 			}
 		}
 	}

@@ -207,9 +207,10 @@ type Client struct {
 	// refreshedAt[m] is when a transport failure against machine m last
 	// made this client re-fetch addrs (see relocated).
 	refreshedAt map[int]time.Time
-	// addrGen counts the address tables this client has fetched, so a
-	// retry can tell whether addrs is already newer than its attempt.
-	addrGen atomic.Uint64
+	// addrAsked numbers the address-table requests sent; addrsFrom is
+	// the number of the one addrs answers (0: the handshake's).
+	addrAsked atomic.Uint64
+	addrsFrom uint64
 
 	rr atomic.Uint64 // rotation among latency-tied replicas
 
@@ -364,17 +365,21 @@ func (c *Client) nameCallPayload(req *request, payload []byte) (*response, []byt
 }
 
 // refreshAddrs re-fetches the datanode address table — needed after a
-// daemon dies (its address empties) or restarts (fresh port).
+// daemon dies (its address empties) or restarts (fresh port). A reply
+// to an earlier request than the stored table's is dropped.
 func (c *Client) refreshAddrs() error {
+	asked := c.addrAsked.Add(1)
 	resp, err := c.nameCall(&request{Method: methodInfo}, nil)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.addrs = resp.DataNodes
-	c.perRack = resp.MachinesPerRack
+	if asked > c.addrsFrom {
+		c.addrs = resp.DataNodes
+		c.perRack = resp.MachinesPerRack
+		c.addrsFrom = asked
+	}
 	c.mu.Unlock()
-	c.addrGen.Add(1)
 	return nil
 }
 
@@ -843,14 +848,19 @@ func (c *Client) readBlock(t *fileTable, index int, slot []byte, reconstruct boo
 		c.cCacheMisses.Inc()
 	}
 	var lastErr error
-	var gen uint64 // the address table the attempt began with
+	var asked uint64 // address-table requests sent before the attempt began
 	for attempt := 0; attempt < readAttempts; attempt++ {
 		if attempt > 0 {
 			// Metadata may be stale: the holder set changed, daemons
 			// moved ports, or the block got fixed to a new machine. The
-			// addresses are re-fetched unless a transport failure during
-			// the attempt already did so (see relocated).
-			if c.addrGen.Load() == gen {
+			// addresses are re-fetched unless the stored table was asked
+			// for during the attempt: by a transport failure's refresh
+			// (see relocated), or by another reader's, which stands for
+			// this one too.
+			c.mu.Lock()
+			stale := c.addrsFrom <= asked
+			c.mu.Unlock()
+			if stale {
 				if err := c.refreshAddrs(); err != nil {
 					return err
 				}
@@ -860,7 +870,7 @@ func (c *Client) readBlock(t *fileTable, index int, slot []byte, reconstruct boo
 			}
 			b = t.blocks[index]
 		}
-		gen = c.addrGen.Load()
+		asked = c.addrAsked.Load()
 
 		if attempt > 0 || !reconstruct {
 			// Walk live replicas fastest-first. A replica refused on
