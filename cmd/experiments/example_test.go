@@ -86,7 +86,7 @@ func Example_run() {
 	//
 	// --- §4 (future work, later Hitchhiker): on-disk substripe layout ---
 	// paper   : code 'reduces the amount of read' — requires substripe-contiguous layout
-	// measured: disk bytes per data-block repair: rs 2.50 GB | pbrs coupled 1.75 GB | pbrs interleaved 3.50 GB
+	// measured: disk bytes per data-block repair: rs 2.50 GB | pbrs coupled 1.75 GB | pbrs interleaved 2.75 GB
 	//           naive byte-interleaving would EXCEED the RS disk read — hop-and-couple fixes it
 	//
 	// --- §5 (related work): regenerating-code lower bounds ---

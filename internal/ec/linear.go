@@ -142,7 +142,7 @@ func EvaluateLinearPlan(plan *LinearPlan, fetch FetchFunc) ([]byte, error) {
 		}
 		fetches[i] = t.Read
 	}
-	fetches = coalesceReads(fetches)
+	fetches = CoalesceReads(fetches)
 
 	// One backing array for the fetched buffers and the fold's inputs.
 	views := make([][]byte, len(fetches)+n)
@@ -171,9 +171,10 @@ func EvaluateLinearPlan(plan *LinearPlan, fetch FetchFunc) ([]byte, error) {
 	return out, nil
 }
 
-// coalesceReads sorts reads by (shard, offset) and merges, in place,
-// ranges of one shard that touch or overlap.
-func coalesceReads(reads []ReadRequest) []ReadRequest {
+// CoalesceReads sorts reads by (shard, offset) and merges, in place,
+// ranges of one shard that touch or overlap: the fetches an executor
+// issues for them, and the ranges a helper's disk serves.
+func CoalesceReads(reads []ReadRequest) []ReadRequest {
 	slices.SortFunc(reads, func(a, b ReadRequest) int {
 		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
 			return c

@@ -9,8 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/crc"
-	"repro/internal/ec"
-	"repro/internal/engine"
 )
 
 // WriteFile stores data as a new file with the configured replication.
@@ -253,11 +251,7 @@ func (c *Cluster) readBlockLocked(bm *blockMeta) ([]byte, error) {
 	if bm.stripe == noStripe {
 		return nil, fmt.Errorf("%w: block %d of %s", ErrBlockLost, bm.id, bm.file)
 	}
-	reader, err := c.pickLiveMachine(c.excludeRacksLocked(c.stripes[bm.stripe], bm.id))
-	if err != nil {
-		return nil, err
-	}
-	return c.reconstructBlockLocked(bm, reader)
+	return c.reconstructBlockLocked(bm)
 }
 
 // pickLiveMachine returns a random live machine, avoiding racks in the
@@ -530,88 +524,30 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// stripeAliveLocked reports per-position availability: phantom
-// positions are always available (they are known zeros), real positions
-// require a live holder. Callers hold c.mu in at least read mode for
-// every invocation of the returned func.
-func (c *Cluster) stripeAliveLocked(sm *stripeMeta) ec.AliveFunc {
-	return func(pos int) bool {
-		if pos < 0 || pos >= len(sm.blocks) {
-			return false
-		}
-		id := sm.blocks[pos]
-		if id < 0 {
-			return true // phantom zero block
-		}
-		return c.hasLiveLocation(c.blocks[id])
-	}
-}
-
-// stripeFetchLocked builds the codec fetch function for a stripe:
-// phantom positions yield zeros for free; real positions read from a
-// random live holder and charge the transfer to the destination
-// machine, and to a fixer pass's tally xrack (nil for a read). Each
-// fetch reads the range the plan asks for — not the
-// helper's whole block — once, into a shard-sized buffer drawn from
-// scratch (the fixer passes its worker's arena; nil allocates), and
-// returns a view of it — the codec only reads fetched
-// buffers and never returns one, so the arena can be reset as soon as
-// the repair returns. Callers hold c.mu in at least read mode for every
-// invocation of the returned func.
-func (c *Cluster) stripeFetchLocked(sm *stripeMeta, dst int, scratch *engine.Scratch, xrack *int64) ec.FetchFunc {
-	return func(req ec.ReadRequest) ([]byte, error) {
-		id := sm.blocks[req.Shard]
-		if id < 0 {
-			return make([]byte, req.Length), nil
-		}
-		bm := c.blocks[id]
-		live := c.liveLocations(bm)
-		if len(live) == 0 {
-			return nil, fmt.Errorf("%w: stripe %d position %d", ErrBlockLost, sm.id, req.Shard)
-		}
-		src := c.pickReplica(live)
-		var into []byte
-		if scratch != nil {
-			into = scratch.Bytes(int(sm.shardSize))
-		}
-		buf, err := c.nodes[src].readRangeInto(id, req.Offset, req.Length, into)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.transfer(src, dst, req.Length, xrack); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-}
-
-// reconstructBlockLocked rebuilds a striped block at the given machine,
-// charging all fetches to the network, and returns its bytes. It
-// decodes as a fixer pass does, around a helper whose read fails its
-// checksum (decodeAroundRot), and it never returns a rebuilt block whose
-// CRC-32 differs from the block's — a helper served rot its store could
-// not detect — but an error wrapping ErrCorruptReplica.
+// reconstructBlockLocked rebuilds a striped block from a snapshot of
+// its stripe (stripeDetailLocked), at a live machine off the racks of
+// the stripe's other holders, charging all fetches to the network, and
+// returns its bytes. It decodes as a fixer pass does, around a helper
+// whose read fails its checksum (decodeAroundRot), and it never returns
+// a rebuilt block whose CRC-32 differs from the block's — a helper
+// served rot its store could not detect — but an error wrapping
+// ErrCorruptReplica.
 //
-// The target position is FORCED erased for the repair plan regardless
-// of what the metadata thinks: the caller only lands here after every
+// The target position is FORCED erased in the snapshot regardless of
+// what the metadata thinks: the caller only lands here after every
 // listed replica failed to serve (dead mid-read, or the store refused
 // the bytes on checksum grounds), and the codec rejects repairing a
 // position its alive-view reports present. A replica that cannot be
 // read is a replica that does not exist.
-func (c *Cluster) reconstructBlockLocked(bm *blockMeta, at int) ([]byte, error) {
-	if bm.stripe == noStripe {
-		return nil, fmt.Errorf("%w: block %d is not striped", ErrBlockLost, bm.id)
-	}
-	sm := c.stripes[bm.stripe]
-	alive := c.stripeAliveLocked(sm)
-	aliveExceptTarget := func(pos int) bool {
-		if pos == bm.stripePos {
-			return false
-		}
-		return alive(pos)
+func (c *Cluster) reconstructBlockLocked(bm *blockMeta) ([]byte, error) {
+	d := c.stripeDetailLocked(c.stripes[bm.stripe])
+	d.Positions[bm.stripePos].Locations = nil
+	at, err := c.pickLiveMachine(c.racksOf(d))
+	if err != nil {
+		return nil, err
 	}
 	//repolint:ignore lockdiscipline the in-process degraded read decodes under the read lock, which stalls writers but no reader; the serving path decodes in the client
-	shards, err := c.decodeAroundRot(sm, []int{bm.stripePos}, aliveExceptTarget, c.stripeFetchLocked(sm, at, nil, nil), nil)
+	shards, err := c.decodeAroundRot(d, []int{bm.stripePos}, at, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -13,30 +13,6 @@ import (
 	"repro/internal/engine"
 )
 
-// stripeAlive is stripeAliveLocked behind a per-call read lock, for use
-// while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *Cluster) stripeAlive(sm *stripeMeta) ec.AliveFunc {
-	inner := c.stripeAliveLocked(sm)
-	return func(pos int) bool {
-		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return inner(pos)
-	}
-}
-
-// stripeFetch is stripeFetchLocked behind a per-call read lock, for use
-// while c.mu is not held (the BlockFixer's engine execution phase).
-func (c *Cluster) stripeFetch(sm *stripeMeta, dst int, scratch *engine.Scratch, xrack *int64) ec.FetchFunc {
-	inner := c.stripeFetchLocked(sm, dst, scratch, xrack)
-	return func(req ec.ReadRequest) ([]byte, error) {
-		//repolint:ignore lockdiscipline per-read closure on the engine execution path: charging every survivor fetch to LockStats would drown the serving-path contention signal
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return inner(req)
-	}
-}
-
 // FixReport summarises one BlockFixer pass.
 type FixReport struct {
 	// ScannedBlocks is the number of block records examined.
@@ -122,14 +98,16 @@ func (c *Cluster) finish(report *FixReport) *FixReport {
 // targeted FixStripes call. It groups the blocks by stripe, stripes in
 // the order their first lost block comes, and runs in three phases so
 // many stripes decode concurrently through the engine. Planning
-// (destination picks, which consume the cluster rng) stays serial in
-// stripe order for determinism and holds the metadata lock; execution
-// is one codec ExecuteMultiRepair task per stripe on the engine with
-// the lock RELEASED — each fetch takes the read lock for its own
-// duration, and the network fabric's byte accounting is thread-safe —
-// so foreground reads interleave with the decodes; application (stores,
-// onward shipping) retakes the lock and is serial again in stripe
-// order.
+// (a snapshot of each stripe and its destination picks, which consume
+// the cluster rng) stays serial in stripe order for determinism and
+// holds the metadata lock; execution is one codec ExecuteMultiRepair
+// task per stripe on the engine with the lock RELEASED — each decodes
+// from its stripe's snapshot and takes no metadata lock, and the
+// network fabric's byte accounting is thread-safe — so foreground reads
+// interleave with the decodes; application (stores, onward shipping)
+// retakes the lock and is serial again in stripe order. A helper whose
+// machine dies after the snapshot fails its fetch, and its stripe is
+// unrecoverable until the next pass.
 //
 // Callers hold fixerMu and c.mu exclusively; repairStripes returns
 // with c.mu still held.
@@ -161,7 +139,7 @@ func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
 	tasks := make([]func(*engine.Scratch) error, len(fixes))
 	for i, f := range fixes {
 		tasks[i] = func(s *engine.Scratch) (err error) {
-			shards[i], err = c.decodeAroundRot(f.sm, f.positions, c.stripeAlive(f.sm), c.stripeFetch(f.sm, f.worker(), s, &xrack[i]), s)
+			shards[i], err = c.decodeAroundRot(f.stripe, f.positions, f.worker(), s, &xrack[i])
 			return err
 		}
 	}
@@ -182,14 +160,49 @@ func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
 	}
 }
 
-// decodeAroundRot runs the joint decode of sm's positions over alive and
-// fetch — a stripe repair at its worker, or a degraded read — around
-// any helper whose read fails its checksum (engine.DecodeAroundRot).
-// scratch, when non-nil, is the arena fetch reads into.
-func (c *Cluster) decodeAroundRot(sm *stripeMeta, positions []int, alive ec.AliveFunc, fetch ec.FetchFunc, scratch *engine.Scratch) (map[int][]byte, error) {
-	return engine.DecodeAroundRot(alive, fetch, isCorruptReplica, scratch, func(alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
-		return c.cfg.Code.ExecuteMultiRepair(positions, sm.shardSize, alive, fetch)
+// decodeAroundRot runs the joint decode of the positions of stripe d,
+// a snapshot, at machine dst — a stripe repair at its worker, or a
+// degraded read — around any helper whose read fails its checksum
+// (engine.DecodeAroundRot). It reads no metadata, so callers need not
+// hold the lock. scratch and xrack are snapshotFetch's.
+func (c *Cluster) decodeAroundRot(d StripeDetail, positions []int, dst int, scratch *engine.Scratch, xrack *int64) (map[int][]byte, error) {
+	return engine.DecodeAroundRot(d.alive, c.snapshotFetch(d, dst, scratch, xrack), isCorruptReplica, scratch, func(alive ec.AliveFunc, fetch ec.FetchFunc) (map[int][]byte, error) {
+		return c.cfg.Code.ExecuteMultiRepair(positions, d.ShardSize, alive, fetch)
 	})
+}
+
+// snapshotFetch builds the codec fetch function over stripe snapshot d:
+// phantom positions yield zeros for free; real positions read from a
+// random listed holder and charge the transfer to machine dst, and to
+// a fixer pass's tally xrack (nil for a read). Each fetch reads the
+// range the plan asks for — not the helper's whole block — once, into
+// a shard-sized buffer drawn from scratch (the fixer passes its
+// worker's arena; nil allocates), and returns a view of it — the codec
+// only reads fetched buffers and never returns one, so the arena can
+// be reset as soon as the repair returns.
+func (c *Cluster) snapshotFetch(d StripeDetail, dst int, scratch *engine.Scratch, xrack *int64) ec.FetchFunc {
+	return func(req ec.ReadRequest) ([]byte, error) {
+		p := d.Positions[req.Shard]
+		if p.Block < 0 {
+			return make([]byte, req.Length), nil
+		}
+		if len(p.Locations) == 0 {
+			return nil, fmt.Errorf("%w: stripe %d position %d", ErrBlockLost, d.ID, req.Shard)
+		}
+		src := c.pickReplica(p.Locations)
+		var into []byte
+		if scratch != nil {
+			into = scratch.Bytes(int(d.ShardSize))
+		}
+		buf, err := c.nodes[src].readRangeInto(p.Block, req.Offset, req.Length, into)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.transfer(src, dst, req.Length, xrack); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
 }
 
 // isCorruptReplica reports whether a read failed on checksum grounds.
@@ -275,27 +288,24 @@ func (c *Cluster) restoreReplicationLocked(bm *blockMeta, report *FixReport) {
 	report.ReReplicated++
 }
 
-// excludeRacksLocked returns the racks hosting live blocks of the
-// stripe, skipping the given block.
-func (c *Cluster) excludeRacksLocked(sm *stripeMeta, skip BlockID) map[int]bool {
-	exclude := make(map[int]bool)
-	for _, peer := range sm.blocks {
-		if peer < 0 || peer == skip {
-			continue
-		}
-		for _, m := range c.liveLocations(c.blocks[peer]) {
-			exclude[c.cfg.Topology.RackOf(m)] = true
+// racksOf returns the racks of stripe snapshot d's holders.
+func (c *Cluster) racksOf(d StripeDetail) map[int]bool {
+	racks := make(map[int]bool)
+	for _, p := range d.Positions {
+		for _, m := range p.Locations {
+			racks[c.cfg.Topology.RackOf(m)] = true
 		}
 	}
-	return exclude
+	return racks
 }
 
-// stripeFix is one planned stripe repair: which positions to rebuild
-// and where each reconstructed block lands. The joint decode executes
-// at the first destination (the worker); the other blocks are shipped
-// onward from there.
+// stripeFix is one planned stripe repair: the stripe's snapshot it
+// decodes from, which positions to rebuild and where each
+// reconstructed block lands. The joint decode executes at the first
+// destination (the worker); the other blocks are shipped onward from
+// there.
 type stripeFix struct {
-	sm           *stripeMeta
+	stripe       StripeDetail
 	lost         []*blockMeta
 	positions    []int
 	destinations []int
@@ -304,17 +314,18 @@ type stripeFix struct {
 // worker returns the machine the joint decode runs on.
 func (f *stripeFix) worker() int { return f.destinations[0] }
 
-// planStripeFixLocked picks a fresh-rack destination for every lost
-// block of the stripe. Planning consumes the cluster rng, so callers
-// must plan stripes in deterministic order.
+// planStripeFixLocked snapshots the stripe and picks a destination for
+// every lost block off the racks of its holders and of the other
+// picks. Planning consumes the cluster rng, so callers must plan
+// stripes in deterministic order.
 func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*stripeFix, error) {
-	exclude := c.excludeRacksLocked(sm, -1)
 	fix := &stripeFix{
-		sm:           sm,
+		stripe:       c.stripeDetailLocked(sm),
 		lost:         lost,
 		positions:    make([]int, len(lost)),
 		destinations: make([]int, len(lost)),
 	}
+	exclude := c.racksOf(fix.stripe)
 	for i, bm := range lost {
 		fix.positions[i] = bm.stripePos
 		dst, err := c.pickLiveMachine(exclude)

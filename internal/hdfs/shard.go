@@ -17,10 +17,7 @@ import (
 // lockMeta / rlockMeta acquire the metadata mutex, charging the wait
 // to the lock-contention counters LockStats reports. EVERY
 // metadata-mutex acquisition goes through them — repolint's
-// lockdiscipline analyzer enforces it — with one carved-out exception:
-// the per-read closures the engine's execution phase calls
-// (stripeAlive/stripeFetch), where charging each survivor fetch would
-// drown the serving-path contention signal.
+// lockdiscipline analyzer enforces it.
 func (c *Cluster) lockMeta() {
 	t := time.Now()
 	c.mu.Lock()
@@ -252,9 +249,22 @@ type StripeDetail struct {
 	Positions []StripePosInfo
 }
 
+// alive reports whether the snapshot can serve position pos: a phantom
+// zero block always can, a real block needs a listed holder. It is the
+// AliveFunc every repair of the stripe plans from.
+func (d StripeDetail) alive(pos int) bool {
+	if pos < 0 || pos >= len(d.Positions) {
+		return false
+	}
+	p := d.Positions[pos]
+	return p.Block < 0 || len(p.Locations) > 0
+}
+
 // Stripe returns the layout of one stripe — what a serving-layer
 // client needs to execute a degraded read: per-position block ids,
 // sizes, and live locations, plus the shard size the codec decodes at.
+// It is the same snapshot every in-process repair decodes from
+// (stripeDetailLocked).
 func (c *Cluster) Stripe(id StripeID) (StripeDetail, error) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()
@@ -262,6 +272,15 @@ func (c *Cluster) Stripe(id StripeID) (StripeDetail, error) {
 	if !ok {
 		return StripeDetail{}, fmt.Errorf("hdfs: stripe %d not found", id)
 	}
+	return c.stripeDetailLocked(sm), nil
+}
+
+// stripeDetailLocked snapshots one stripe: per position its block, size
+// and live holders, in slices built for this call. A repair plans and
+// decodes from the snapshot alone, so its decode reads no metadata and
+// takes no metadata lock; a holder that dies after the snapshot fails
+// its fetch with ErrNodeDown. Callers hold c.mu in at least read mode.
+func (c *Cluster) stripeDetailLocked(sm *stripeMeta) StripeDetail {
 	d := StripeDetail{ID: sm.id, ShardSize: sm.shardSize, Positions: make([]StripePosInfo, len(sm.blocks))}
 	for pos, bid := range sm.blocks {
 		if bid < 0 {
@@ -275,7 +294,7 @@ func (c *Cluster) Stripe(id StripeID) (StripeDetail, error) {
 			Locations: c.liveLocations(bm),
 		}
 	}
-	return d, nil
+	return d
 }
 
 // MachineInventory is what a machine's loss puts at risk: the stripes

@@ -28,6 +28,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ec"
 )
@@ -106,11 +107,11 @@ func DiskReads(k Kind, blockSize, off, n int64) ([]Range, error) {
 // under a layout: how many contiguous ranges the helpers must read in
 // total and how many physical bytes leave their disks. Network bytes
 // are layout-independent (helpers filter before sending); disk bytes
-// are not — that asymmetry is the whole point. Each read is placed on
-// its own, so a shard listed as two halves (see ec.RepairPlan) counts
-// as two reads.
+// are not — that asymmetry is the whole point. The reads are placed as
+// the executor fetches them, coalesced (ec.CoalesceReads), so a shard
+// listed as two halves (see ec.RepairPlan) is one whole-shard read.
 func PlanGeometry(k Kind, plan *ec.RepairPlan) (ranges int, diskBytes int64, err error) {
-	for _, r := range plan.Reads {
+	for _, r := range ec.CoalesceReads(slices.Clone(plan.Reads)) {
 		rs, err := DiskReads(k, plan.ShardSize, r.Offset, r.Length)
 		if err != nil {
 			return 0, 0, err

@@ -79,12 +79,46 @@ func TestDiskReadsValidation(t *testing.T) {
 	}
 }
 
+// TestPlanGeometryCoalescesHalves: a plan listing one shard as its
+// a-half and its b-half reads the disk as the plan reading the shard
+// whole does — the executor fetches the two halves as one range
+// (ec.CoalesceReads) — under either layout.
+func TestPlanGeometryCoalescesHalves(t *testing.T) {
+	const size = int64(1000)
+	halves := &ec.RepairPlan{ShardSize: size, Reads: []ec.ReadRequest{
+		{Shard: 3, Offset: size / 2, Length: size / 2},
+		{Shard: 1, Offset: 0, Length: size / 2},
+		{Shard: 3, Offset: 0, Length: size / 2},
+	}}
+	whole := &ec.RepairPlan{ShardSize: size, Reads: []ec.ReadRequest{
+		{Shard: 1, Offset: 0, Length: size / 2},
+		{Shard: 3, Offset: 0, Length: size},
+	}}
+	for _, k := range []Kind{Coupled, Interleaved} {
+		hr, hd, err := PlanGeometry(k, halves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, wd, err := PlanGeometry(k, whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr != wr || hd != wd {
+			t.Fatalf("%v: halves read %d ranges, %d bytes; the whole shard %d ranges, %d bytes", k, hr, hd, wr, wd)
+		}
+	}
+	if halves.Reads[0] != (ec.ReadRequest{Shard: 3, Offset: size / 2, Length: size / 2}) {
+		t.Fatal("PlanGeometry reordered or merged the plan's own reads")
+	}
+}
+
 func TestPlanGeometryReproducesHitchhikerMotivation(t *testing.T) {
 	// The (10,4) piggybacked repair of a data shard:
 	//  - network bytes: 0.70 of the RS baseline under either layout;
-	//  - disk bytes: 0.70 of baseline under Coupled, but ~1.3x the RS
-	//    baseline under Interleaved (13 half-reads, each amplified to a
-	//    whole block). Hop-and-couple exists precisely to avoid this.
+	//  - disk bytes: 0.70 of baseline under Coupled, but 1.1x the RS
+	//    baseline under Interleaved (11 helpers, each a whole block or a
+	//    half-read amplified to one). Hop-and-couple exists precisely to
+	//    avoid this.
 	pb, err := core.New(10, 4)
 	if err != nil {
 		t.Fatal(err)
