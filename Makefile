@@ -88,15 +88,17 @@ loc:
 # twice more (-count=2) because their tests synchronize on progress
 # (fake clocks, status polling), not wall-clock sleeps, and repeating
 # them back-to-back is the regression gate for that flakiness class.
-# The metadata plane's concurrency storms and its fixer (whose decodes
-# run with the metadata lock released, from each stripe's snapshot),
-# the block cache (whose hits copy out after the shard lock is
-# released) and the client's kept block tables (shared by a client's
-# readers, dropped and refetched while a machine dies) also repeat.
+# The metadata plane's concurrency storms, its fixer (whose decodes
+# run with the metadata lock released, from each stripe's snapshot)
+# and its raids (plan, I/O with the lock released, commit; a failed
+# raid's rollback), the block cache (whose hits copy out after the
+# shard lock is released) and the client's kept block tables (shared
+# by a client's readers, dropped and refetched while a machine dies)
+# also repeat.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/... ./internal/repairmgr/...
-	$(GO) test -race -count=2 -run 'TestConcurrent|Fixer|FixStripes|Chaos' ./internal/hdfs/
+	$(GO) test -race -count=2 -run 'TestConcurrent|Fixer|FixStripes|Chaos|Raid' ./internal/hdfs/
 	$(GO) test -race -count=3 ./internal/cache/
 	$(GO) test -race -count=3 -run 'BlockCache|Table' ./internal/serve/
 

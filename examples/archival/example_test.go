@@ -9,6 +9,6 @@ func Example() {
 	// RaidNode pass: 29 files raided (290 blocks), 14.50 MB reclaimed; 1 hot file left replicated
 	// after raiding with piggybacked-rs(10,4): 13.62 MB stored (1.45x of 9.38 MB logical; replication was 3.00x)
 	//
-	// 3 machines decommissioned; fixer repaired 4 striped blocks (re-replicated 0) moving 848.00 KB cross-rack
+	// 3 machines decommissioned; fixer repaired 5 striped blocks (re-replicated 0) moving 1.16 MB cross-rack
 	// all 30 partitions verified bit-exact after repair
 }

@@ -283,15 +283,17 @@ func (c *Cluster) pickLiveMachine(excludeRacks map[int]bool) (int, error) {
 
 // RaidFile erasure-codes a file in place (the RaidNode path): its blocks
 // are grouped into stripes of k, parity blocks are computed at a random
-// encoder machine, every block of each stripe is re-placed on its own
-// rack, and the data blocks drop to a single replica. Short tail
-// stripes are padded with phantom all-zero blocks, exactly as HDFS-RAID
-// pads files whose block count is not a multiple of k.
+// encoder machine, each stripe spans one rack per block, and the data
+// blocks drop to a single replica, kept where one already lies when its
+// rack is free (HDFS-RAID lowers replication by deleting replicas).
+// Short tail stripes are padded with phantom all-zero blocks, exactly
+// as HDFS-RAID pads files whose block count is not a multiple of k.
 //
 // It runs in WriteFile's three phases. The plan, under the lock, draws
 // each stripe's encoder, placement and ids. The I/O, with the lock
-// released, reads each group once, encodes it, copies every data block
-// that moves from the buffer the encoder read, and stores the parity.
+// released, reads each group once, encodes it, copies the rare data
+// block that moves from the buffer the encoder read, and stores the
+// parity.
 // The commit publishes every stripe of the file at once, and only then
 // are the replicas the raid drops deleted: a raid that fails leaves the
 // file as it was, replicated and in no stripe.
@@ -364,8 +366,9 @@ type stripePlan struct {
 }
 
 // planStripeLocked draws one group of <= k data blocks' stripe: the
-// encoder, the placement, the stripe id and the parity ids, in the
-// order the placement rng has always been drawn.
+// encoder, the placement, the stripe id and the parity ids. The rng is
+// drawn for the encoder, then for each position, in order, that keeps
+// no replica in place, so a seeded run repeats.
 func (c *Cluster) planStripeLocked(group []BlockID) (*stripePlan, error) {
 	code := c.cfg.Code
 	k := code.DataShards()
@@ -397,9 +400,30 @@ func (c *Cluster) planStripeLocked(group []BlockID) (*stripePlan, error) {
 			return nil, fmt.Errorf("%w: block %d", ErrBlockLost, bm.id)
 		}
 	}
-	// Place the stripe: one rack per block, live machines only.
-	if p.placement, err = c.placeLiveLocked(width); err != nil {
-		return nil, err
+	// Place the stripe on distinct racks, live machines only. A data
+	// block stays on the first of its live holders whose rack the
+	// stripe does not use yet; one with no such holder, and every
+	// phantom and parity position, takes a fresh live machine off the
+	// used racks.
+	p.placement = make([]int, width)
+	used := make(map[int]bool, width)
+	for pos := range p.placement {
+		m := -1
+		if pos < len(p.data) {
+			for _, h := range p.sources[pos] {
+				if !used[c.cfg.Topology.RackOf(h)] {
+					m = h
+					break
+				}
+			}
+		}
+		if m < 0 {
+			if m, err = c.pickLiveMachine(used); err != nil {
+				return nil, err
+			}
+		}
+		p.placement[pos] = m
+		used[c.cfg.Topology.RackOf(m)] = true
 	}
 	for i, bm := range p.data {
 		p.move[i] = !containsInt(bm.locations, p.placement[i])
@@ -453,7 +477,9 @@ func (c *Cluster) encodeStripe(p *stripePlan) (stored []replica, err error) {
 	}
 
 	for i, bm := range p.data {
-		if !p.move[i] {
+		// A block kept where it lies moves after all if that holder
+		// died since the plan: storePlaced re-places it.
+		if !p.move[i] && c.nodes[p.placement[i]].isAlive() {
 			continue
 		}
 		dst, err := c.storePlaced(p.placement, i, bm.id, shards[i][:bm.size])

@@ -72,7 +72,10 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 	}
 	slices.Sort(ids)
 
-	var lost []*blockMeta
+	// Lost striped blocks are grouped by stripe, stripes in the order
+	// their first lost block comes, each with its stripe's snapshot.
+	var fixes []*stripeFix
+	bySID := make(map[StripeID]*stripeFix)
 	for _, id := range ids {
 		bm := c.blocks[id]
 		report.ScannedBlocks++
@@ -80,10 +83,16 @@ func (c *Cluster) RunBlockFixer() (*FixReport, error) {
 		case bm.stripe == noStripe:
 			c.restoreReplicationLocked(bm, report)
 		case !c.hasLiveLocation(bm):
-			lost = append(lost, bm)
+			f := bySID[bm.stripe]
+			if f == nil {
+				f = &stripeFix{stripe: c.stripeDetailLocked(c.stripes[bm.stripe])}
+				bySID[bm.stripe] = f
+				fixes = append(fixes, f)
+			}
+			f.lost = append(f.lost, bm)
 		}
 	}
-	c.repairStripes(lost, report)
+	c.repairStripes(fixes, report)
 	return c.finish(report), nil
 }
 
@@ -93,14 +102,13 @@ func (c *Cluster) finish(report *FixReport) *FixReport {
 	return report
 }
 
-// repairStripes runs the stripe-repair pipeline for the given lost
-// blocks — the shared engine behind a full RunBlockFixer pass and a
-// targeted FixStripes call. It groups the blocks by stripe, stripes in
-// the order their first lost block comes, and runs in three phases so
-// many stripes decode concurrently through the engine. Planning
-// (a snapshot of each stripe and its destination picks, which consume
-// the cluster rng) stays serial in stripe order for determinism and
-// holds the metadata lock; execution is one codec ExecuteMultiRepair
+// repairStripes runs the stripe-repair pipeline for the given stripes,
+// each its snapshot and the blocks it lost — the shared engine behind a
+// full RunBlockFixer pass and a targeted FixStripes call. It runs in
+// three phases so many stripes decode concurrently through the engine.
+// Planning (each stripe's destination picks, which consume the cluster
+// rng) stays serial in the given order for determinism and holds the
+// metadata lock; execution is one codec ExecuteMultiRepair
 // task per stripe on the engine with the lock RELEASED — each decodes
 // from its stripe's snapshot and takes no metadata lock, and the
 // network fabric's byte accounting is thread-safe — so foreground reads
@@ -111,26 +119,16 @@ func (c *Cluster) finish(report *FixReport) *FixReport {
 //
 // Callers hold fixerMu and c.mu exclusively; repairStripes returns
 // with c.mu still held.
-func (c *Cluster) repairStripes(lost []*blockMeta, report *FixReport) {
-	lostByStripe := make(map[StripeID][]*blockMeta)
-	var stripeOrder []StripeID
-	for _, bm := range lost {
-		if _, seen := lostByStripe[bm.stripe]; !seen {
-			stripeOrder = append(stripeOrder, bm.stripe)
-		}
-		lostByStripe[bm.stripe] = append(lostByStripe[bm.stripe], bm)
-	}
-	fixes := make([]*stripeFix, 0, len(stripeOrder))
-	for _, sid := range stripeOrder {
-		blocks := lostByStripe[sid]
-		fix, err := c.planStripeFixLocked(c.stripes[sid], blocks)
-		if err != nil {
-			for _, bm := range blocks {
+func (c *Cluster) repairStripes(planned []*stripeFix, report *FixReport) {
+	fixes := make([]*stripeFix, 0, len(planned))
+	for _, f := range planned {
+		if err := c.planStripeFixLocked(f); err != nil {
+			for _, bm := range f.lost {
 				report.Unrecoverable = append(report.Unrecoverable, bm.id)
 			}
 			continue
 		}
-		fixes = append(fixes, fix)
+		fixes = append(fixes, f)
 	}
 	shards := make([]map[int][]byte, len(fixes))
 	// Each task's fetches run one after another, so each tallies its
@@ -211,17 +209,19 @@ func isCorruptReplica(err error) bool { return errors.Is(err, ErrCorruptReplica)
 // FixStripes repairs exactly the given stripes — the repair manager's
 // targeted entry point, so a risk-prioritised queue can drain one
 // stripe at a time instead of sweeping the whole namespace the way
-// RunBlockFixer does. Lost blocks of each stripe run through the same
-// three-phase pipeline as a full fixer pass; stripes that turn out
-// healthy are scanned and skipped. Unknown stripe ids are an error.
-// Calls are serialised against full fixer passes by fixerMu.
+// RunBlockFixer does. Each stripe is snapshotted once: its lost blocks
+// are the real ones the snapshot lists no holder for, and the repair
+// plans from that same snapshot, through the same three-phase pipeline
+// as a full fixer pass; stripes that turn out healthy are scanned and
+// skipped. Unknown stripe ids are an error. Calls are serialised
+// against full fixer passes by fixerMu.
 func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 	c.fixerMu.Lock()
 	defer c.fixerMu.Unlock()
 	c.lockMeta()
 	defer c.mu.Unlock()
 	report := &FixReport{}
-	var lost []*blockMeta
+	var fixes []*stripeFix
 	seen := make(map[StripeID]bool, len(ids))
 	for _, sid := range ids {
 		if seen[sid] {
@@ -232,18 +232,21 @@ func (c *Cluster) FixStripes(ids []StripeID) (*FixReport, error) {
 		if !ok {
 			return nil, fmt.Errorf("hdfs: stripe %d not found", sid)
 		}
-		for _, bid := range sm.blocks {
-			if bid < 0 {
+		f := &stripeFix{stripe: c.stripeDetailLocked(sm)}
+		for _, p := range f.stripe.Positions {
+			if p.Block < 0 {
 				continue
 			}
-			bm := c.blocks[bid]
 			report.ScannedBlocks++
-			if !c.hasLiveLocation(bm) {
-				lost = append(lost, bm)
+			if len(p.Locations) == 0 {
+				f.lost = append(f.lost, c.blocks[p.Block])
 			}
 		}
+		if len(f.lost) > 0 {
+			fixes = append(fixes, f)
+		}
 	}
-	c.repairStripes(lost, report)
+	c.repairStripes(fixes, report)
 	return c.finish(report), nil
 }
 
@@ -314,28 +317,24 @@ type stripeFix struct {
 // worker returns the machine the joint decode runs on.
 func (f *stripeFix) worker() int { return f.destinations[0] }
 
-// planStripeFixLocked snapshots the stripe and picks a destination for
-// every lost block off the racks of its holders and of the other
-// picks. Planning consumes the cluster rng, so callers must plan
-// stripes in deterministic order.
-func (c *Cluster) planStripeFixLocked(sm *stripeMeta, lost []*blockMeta) (*stripeFix, error) {
-	fix := &stripeFix{
-		stripe:       c.stripeDetailLocked(sm),
-		lost:         lost,
-		positions:    make([]int, len(lost)),
-		destinations: make([]int, len(lost)),
-	}
+// planStripeFixLocked picks, for a fix that holds its stripe's snapshot
+// and lost blocks, a destination for every lost block off the racks of
+// the snapshot's holders and of the other picks. Planning consumes the
+// cluster rng, so callers must plan stripes in deterministic order.
+func (c *Cluster) planStripeFixLocked(fix *stripeFix) error {
+	fix.positions = make([]int, len(fix.lost))
+	fix.destinations = make([]int, len(fix.lost))
 	exclude := c.racksOf(fix.stripe)
-	for i, bm := range lost {
+	for i, bm := range fix.lost {
 		fix.positions[i] = bm.stripePos
 		dst, err := c.pickLiveMachine(exclude)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fix.destinations[i] = dst
 		exclude[c.cfg.Topology.RackOf(dst)] = true
 	}
-	return fix, nil
+	return nil
 }
 
 // applyStripeFixLocked stores the reconstructed blocks at their planned

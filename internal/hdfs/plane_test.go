@@ -14,9 +14,10 @@ import (
 // TestOneShardPlacementIsPinned pins what the cluster does with a seed
 // to what the single-lock cluster of every earlier revision did with
 // it: the values below were captured from that cluster (seed 42,
-// testCluster's topology). Placement draws the stream of Seed itself,
-// block and stripe ids are dense from 0, and the metadata-lock gauges
-// are published — so seeded experiments carry over unchanged.
+// testCluster's topology), the raided ones again once a raid kept each
+// data block on one of its holders. Placement draws the stream of Seed
+// itself, block and stripe ids are dense from 0, and the metadata-lock
+// gauges are published — so seeded experiments carry over unchanged.
 func TestOneShardPlacementIsPinned(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newForTest(t, Config{
@@ -34,8 +35,8 @@ func TestOneShardPlacementIsPinned(t *testing.T) {
 		want [][]int
 	}{
 		{"a", 3 * 1024, false, [][]int{{37, 15, 43}, {41, 17, 10}, {8, 32, 46}}},
-		{"dir/b", 6*1024 + 100, true, [][]int{{9}, {56}, {19}, {44}, {12}, {8}, {37}}},
-		{"c", 1024, true, [][]int{{39}}},
+		{"dir/b", 6*1024 + 100, true, [][]int{{31}, {12}, {26}, {2}, {51}, {6}, {33}}},
+		{"c", 1024, true, [][]int{{51}}},
 	} {
 		if err := c.WriteFile(f.name, randBytes(7, f.size)); err != nil {
 			t.Fatal(err)
@@ -55,9 +56,9 @@ func TestOneShardPlacementIsPinned(t *testing.T) {
 		at    []int
 	}
 	for sid, want := range [][]pos{
-		{{3, []int{9}}, {4, []int{56}}, {5, []int{19}}, {6, []int{44}}, {10, []int{26}}, {11, []int{5}}},
-		{{7, []int{12}}, {8, []int{8}}, {9, []int{37}}, {-1, nil}, {12, []int{29}}, {13, []int{43}}},
-		{{14, []int{39}}, {-1, nil}, {-1, nil}, {-1, nil}, {15, []int{54}}, {16, []int{37}}},
+		{{3, []int{31}}, {4, []int{12}}, {5, []int{26}}, {6, []int{2}}, {10, []int{29}}, {11, []int{38}}},
+		{{7, []int{51}}, {8, []int{6}}, {9, []int{33}}, {-1, nil}, {12, []int{37}}, {13, []int{58}}},
+		{{14, []int{51}}, {-1, nil}, {-1, nil}, {-1, nil}, {15, []int{22}}, {16, []int{20}}},
 	} {
 		d, err := c.Stripe(StripeID(sid))
 		if err != nil || d.ShardSize != 1024 || len(d.Positions) != len(want) {

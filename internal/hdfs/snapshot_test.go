@@ -39,9 +39,9 @@ func degradedStripe(t *testing.T, c *Cluster) ([]byte, StripeDetail, int) {
 }
 
 // TestFixStripesProbesLivenessOnce: a stripe repair asks each holder
-// whether it holds its block twice at most — once in the scan for lost
-// blocks and once in the stripe's snapshot — and never again while it
-// plans and fetches.
+// whether it holds its block once — in the stripe's snapshot, from
+// which it finds the lost blocks too — and never again while it plans
+// and fetches.
 func TestFixStripesProbesLivenessOnce(t *testing.T) {
 	var probes atomic.Int64
 	stores := extentStores(t)
@@ -62,8 +62,8 @@ func TestFixStripesProbesLivenessOnce(t *testing.T) {
 		t.Fatalf("repair report %+v", rep)
 	}
 	live := int64(c.Code().TotalShards() - 1)
-	if n := probes.Load(); n > 2*live {
-		t.Fatalf("the repair probed liveness %d times for %d live positions, want at most %d", n, live, 2*live)
+	if n := probes.Load(); n > live {
+		t.Fatalf("the repair probed liveness %d times for %d live positions, want at most %d", n, live, live)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestFixerDecodesWithoutTheMetadataLock(t *testing.T) {
 	defer c.mu.Unlock()
 	sm := c.stripes[d.ID]
 	bm := c.blocks[sm.blocks[0]]
-	fix, err := c.planStripeFixLocked(sm, []*blockMeta{bm})
-	if err != nil {
+	fix := &stripeFix{stripe: c.stripeDetailLocked(sm), lost: []*blockMeta{bm}}
+	if err := c.planStripeFixLocked(fix); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {

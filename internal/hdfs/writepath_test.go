@@ -330,7 +330,7 @@ func TestFailedWriteLeavesNoReplicas(t *testing.T) {
 }
 
 // TestFailedRaidLeavesTheFileReplicated fails the first parity Put of a
-// raid, after the data blocks have moved to their stripe machines. The
+// raid, after any data block that moves has moved. The
 // file must be exactly as it was: three replicas a block, no stripe,
 // nothing the raid stored left on any store. A retry raids it, and a
 // read that loses the only holder of a block then decodes it.
@@ -376,6 +376,243 @@ func TestFailedRaidLeavesTheFileReplicated(t *testing.T) {
 	c.FailMachine(blocks[0].Locations[0])
 	if err := readsOf(c, "f", data)(); err != nil {
 		t.Fatalf("reading after the only holder of block 0 failed: %v", err)
+	}
+}
+
+// ioCounts counts the Puts and Gets of each block id made of the
+// stores its factory builds, over all machines, since the last reset.
+type ioCounts struct {
+	mu         sync.Mutex
+	puts, gets map[BlockID]int
+}
+
+func newIOCounts() *ioCounts {
+	return &ioCounts{puts: map[BlockID]int{}, gets: map[BlockID]int{}}
+}
+
+func (n *ioCounts) add(into map[BlockID]int, id BlockID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	into[id]++
+}
+
+func (n *ioCounts) reset() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	clear(n.puts)
+	clear(n.gets)
+}
+
+// factory is a StoreFactory of counted extent stores.
+func (n *ioCounts) factory(t *testing.T) func(int) (BlockStore, error) {
+	stores := extentStores(t)
+	return func(m int) (BlockStore, error) {
+		st, err := stores(m)
+		if err != nil {
+			return nil, err
+		}
+		return ioCountingStore{BlockStore: st, counts: n}, nil
+	}
+}
+
+type ioCountingStore struct {
+	BlockStore
+	counts *ioCounts
+}
+
+func (s ioCountingStore) Put(id BlockID, data []byte) error {
+	s.counts.add(s.counts.puts, id)
+	return s.BlockStore.Put(id, data)
+}
+
+func (s ioCountingStore) Get(id BlockID) ([]byte, error) {
+	s.counts.add(s.counts.gets, id)
+	return s.BlockStore.Get(id)
+}
+
+// raidCounted raids file name on c with counts reset first, and returns
+// each block's holders before the raid and after it.
+func raidCounted(t *testing.T, c *Cluster, counts *ioCounts, name string) (before, after [][]int) {
+	t.Helper()
+	before, err := c.BlockLocations(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts.reset()
+	if err := c.RaidFile(name); err != nil {
+		t.Fatal(err)
+	}
+	if after, err = c.BlockLocations(name); err != nil {
+		t.Fatal(err)
+	}
+	return before, after
+}
+
+// assertStripeOnDistinctRacks fails unless each position of the file's
+// first stripe has one holder, every one on its own rack.
+func assertStripeOnDistinctRacks(t *testing.T, c *Cluster, name string) {
+	t.Helper()
+	sid, _ := stripeOf(t, c, name, 0)
+	racks := stripeRacks(t, c, sid)
+	distinct := slices.Clone(racks)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	if w := c.Code().TotalShards(); len(racks) != w || len(distinct) != w {
+		t.Fatalf("stripe %d holders sit on racks %v, want %d distinct", sid, racks, w)
+	}
+}
+
+// TestRaidKeepsEachDataBlockOnAHolder: raiding a 10-block file into one
+// Piggybacked-RS(10,4) stripe keeps every data block on one of the
+// machines that held it, so the raid stores the 4 parity blocks and no
+// data block, and the stripe still spans 14 racks. On this seed every
+// block has a holder on a rack the blocks before it left free;
+// TestRaidMovesABlockWithNoHolderOnAFreeRack covers one that has not.
+func TestRaidKeepsEachDataBlockOnAHolder(t *testing.T) {
+	code, err := core.New(10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := newIOCounts()
+	cfg := storeConfig(t, counts.factory(t))
+	cfg.Code = code
+	c := newForTest(t, cfg)
+	data := randBytes(53, 10*1024)
+	if err := c.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	before, after := raidCounted(t, c, counts, "f")
+	for i, at := range after {
+		if len(at) != 1 || !slices.Contains(before[i], at[0]) {
+			t.Errorf("block %d sits on %v after the raid, want one of its holders %v", i, at, before[i])
+		}
+	}
+	_, blocks, err := c.FileBlocks("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		if n := counts.puts[b.ID]; n != 0 {
+			t.Errorf("the raid stored data block %d %d times, want 0", b.ID, n)
+		}
+	}
+	if n := len(counts.puts); n != code.ParityShards() {
+		t.Errorf("the raid stored blocks %v, want only the %d parity blocks", counts.puts, code.ParityShards())
+	}
+	assertStripeOnDistinctRacks(t, c, "f")
+	if err := readsOf(c, "f", data)(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRaidMovesABlockWithNoHolderOnAFreeRack: on 6 racks of one machine
+// each, a 4-block file is written while machines 3-5 are down, so every
+// block's three replicas sit on machines 0-2, and the machines then
+// return. The raid keeps blocks 0-2 on those three racks; block 3 has
+// no holder left on a free rack, so it moves to one of machines 3-5,
+// copied from the shard the encoder read: the raid reads each block
+// once and stores block 3 and the parity. The stripe spans all 6 racks
+// and reads back, healthy and without block 3's new machine.
+func TestRaidMovesABlockWithNoHolderOnAFreeRack(t *testing.T) {
+	counts := newIOCounts()
+	cfg := storeConfig(t, counts.factory(t))
+	cfg.Topology = cluster.Topology{Racks: 6, MachinesPerRack: 1}
+	c := newForTest(t, cfg)
+	for m := 3; m < 6; m++ {
+		c.FailMachine(m)
+	}
+	data := randBytes(54, 4*1024)
+	if err := c.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	for m := 3; m < 6; m++ {
+		if err := c.RecoverMachine(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, after := raidCounted(t, c, counts, "f")
+	for i, at := range before {
+		if slices.Sort(at); !slices.Equal(at, []int{0, 1, 2}) {
+			t.Fatalf("block %d was written to %v, want machines 0-2", i, at)
+		}
+	}
+	for i, at := range after[:3] {
+		if len(at) != 1 || at[0] > 2 {
+			t.Errorf("block %d sits on %v after the raid, want one of its holders 0-2", i, at)
+		}
+	}
+	moved := after[3]
+	if len(moved) != 1 || moved[0] < 3 {
+		t.Fatalf("block 3 sits on %v after the raid, want one of machines 3-5", moved)
+	}
+
+	_, blocks, err := c.FileBlocks("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blocks {
+		want := 0
+		if i == 3 {
+			want = 1
+		}
+		if n := counts.puts[b.ID]; n != want {
+			t.Errorf("the raid stored block %d %d times, want %d", i, n, want)
+		}
+		if n := counts.gets[b.ID]; n != 1 {
+			t.Errorf("the raid read block %d %d times, want once, by the encoder", i, n)
+		}
+	}
+	if n, want := len(counts.puts), 1+c.Code().ParityShards(); n != want {
+		t.Errorf("the raid stored blocks %v, want block 3 and the parity, %d in all", counts.puts, want)
+	}
+	assertStripeOnDistinctRacks(t, c, "f")
+	if err := readsOf(c, "f", data)(); err != nil {
+		t.Fatalf("healthy read: %v", err)
+	}
+	c.FailMachine(moved[0])
+	if err := readsOf(c, "f", data)(); err != nil {
+		t.Fatalf("read without block 3's machine %d: %v", moved[0], err)
+	}
+}
+
+// TestRaidMovesABlockWhoseHolderDiedSinceThePlan: the raid plans to
+// keep block 0 on its first holder, which dies while the encoder's read
+// of it is parked. The raid stores the block elsewhere from the shard
+// it read, so the block does not end on a dead machine alone.
+func TestRaidMovesABlockWhoseHolderDiedSinceThePlan(t *testing.T) {
+	gate := &getGate{parked: make(chan struct{}, 1), open: make(chan struct{})}
+	c := newForTest(t, storeConfig(t, gate.wrap(extentStores(t))))
+	t.Cleanup(gate.release)
+	data := randBytes(55, 4*1024)
+	if err := c.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.BlockLocations("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	raided := async(func() error { return c.RaidFile("f") })
+	select {
+	case <-gate.parked:
+	case err := <-raided:
+		t.Fatalf("the raid returned before its first read: %v", err)
+	}
+	dead := before[0][0]
+	c.FailMachine(dead)
+	gate.release()
+	if err := <-raided; err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.BlockLocations("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after[0]) != 1 || after[0][0] == dead {
+		t.Fatalf("block 0 sits on live holders %v after the raid; its kept holder %d died mid-raid", after[0], dead)
+	}
+	if err := readsOf(c, "f", data)(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -215,7 +215,7 @@ func (s *System) RestartDataNode(machine int) error {
 // purely as latency. delay 0 clears the throttle; a restart also
 // clears it (the fresh daemon starts unthrottled).
 //
-//repolint:ignore deadexport ROADMAP 14: the rack-aware transport turns it into a per-node delay
+//repolint:ignore deadexport test fault for TestLatencyAwareOrderingAvoidsSlowReplica and TestDegradedReadSurvivesHelperDyingMidFetch
 func (s *System) ThrottleDataNode(machine int, delay time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
