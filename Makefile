@@ -92,15 +92,16 @@ loc:
 # run with the metadata lock released, from each stripe's snapshot)
 # and its raids (plan, I/O with the lock released, commit; a failed
 # raid's rollback), the block cache (whose hits copy out after the
-# shard lock is released) and the client's kept block tables (shared
+# shard lock is released), the client's kept block tables (shared
 # by a client's readers, dropped and refetched while a machine dies)
-# also repeat.
+# and the manager's retry of a repair whose stores refused the rebuilt
+# blocks (the control loop polling beside the status RPC) also repeat.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/serve/... ./internal/repairmgr/...
 	$(GO) test -race -count=2 -run 'TestConcurrent|Fixer|FixStripes|Chaos|Raid' ./internal/hdfs/
 	$(GO) test -race -count=3 ./internal/cache/
-	$(GO) test -race -count=3 -run 'BlockCache|Table' ./internal/serve/
+	$(GO) test -race -count=3 -run 'BlockCache|Table|RetriesAfter' ./internal/serve/
 
 # A few seconds of native Go fuzzing per codec: random data, random
 # erasure patterns up to each code's tolerance, decode must round-trip

@@ -277,8 +277,9 @@ func (c *Cache) Put(key uint64, data []byte) {
 	c.shard(key).put(key, data)
 }
 
-// Delete drops key if cached — the invalidation hook for deletes,
-// corruption injection, and eviction by the scrubber.
+// Delete drops key if cached — the invalidation hook for writes,
+// deletes, corruption injection, and VerifyReplica's eviction of a
+// rotted replica.
 func (c *Cache) Delete(key uint64) {
 	if c == nil {
 		return

@@ -20,7 +20,7 @@
 // ReadRangeInto preads and verifies only the chunks covering the range
 // it is asked for, so a repair that needs half a helper block reads and
 // checksums half of it; a whole-block read is still one pread, and Get
-// and the scrubber above still verify every byte. The compatibility
+// still verifies every byte. The compatibility
 // rule: v1 records ("EXTP", one CRC over the whole payload, written
 // before chunk tables existed) are never written but open, read and
 // compact verbatim beside v2 ones — a range read of a v1

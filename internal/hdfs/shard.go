@@ -351,8 +351,9 @@ func (c *Cluster) MachineInventory(m int) MachineInventory {
 }
 
 // BlockInfoByID returns one block's client-visible snapshot by id —
-// the repair manager's health registry resolves the blocks whose
-// replicas a report evicted through it. The boolean reports whether the block exists.
+// the repair manager re-examines a queued replicated block, and
+// resolves a block whose replica a report evicted to its stripe,
+// through it. The boolean reports whether the block exists.
 func (c *Cluster) BlockInfoByID(id BlockID) (BlockInfo, bool) {
 	c.rlockMeta()
 	defer c.mu.RUnlock()

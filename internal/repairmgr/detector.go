@@ -16,16 +16,18 @@
 //     the HDFS-RAID delayed-repair rationale in "XORing Elephants")
 //     trigger zero repair traffic.
 //
-//   - Repairs must be TRIAGED: a stripe health Registry maps node
-//     deaths and corruptions to affected stripes, and each poll
-//     repairs the stripes closest to data loss first (erasures against
-//     the codec's tolerance, weighted by the MTTDL-derived loss risk of
-//     the degraded state) — most affected stripes miss one block, so
-//     the rare multi-erasure ones jump the line.
+//   - Repairs must be TRIAGED: node deaths and corruptions name the
+//     stripes and blocks to re-examine, the repair queue holds every
+//     one found degraded, and each poll repairs the stripes closest to
+//     data loss first (erasures against the codec's tolerance, weighted
+//     by the MTTDL-derived loss risk of the degraded state) — most
+//     affected stripes miss one block, so the rare multi-erasure ones
+//     jump the line. A target leaves the queue only when a
+//     re-examination finds it healthy, so a failed repair is retried.
 //
 // A rotted replica is the one failure a reader reports: the namenode
 // re-verifies it, evicts it, and hands the block to the Manager
-// (ReplicaEvicted), which triages it with the same Registry.
+// (ReplicaEvicted), which triages it into the same queue.
 //
 // The Manager ties them together in a poll loop that a serving
 // namenode runs; every component takes explicit timestamps, so tests

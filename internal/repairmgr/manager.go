@@ -2,11 +2,13 @@
 // namenode runs, the system's one recovery driver. Heartbeats feed the
 // failure detector, and replicas the namenode evicted on a reader's
 // report (ReplicaEvicted) are the other input; detector transitions and
-// evictions drive the health registry; the registry's degradations
-// become risk-ordered queue entries; and each poll drains the queue,
-// one target at a time, into the cluster's targeted repair paths
-// (FixStripes, ReReplicateBlocks). An operator's "repair now" is
-// RepairNow: one full fixer pass, reconciled into the queue.
+// evictions name the targets to re-examine against the metadata plane;
+// the repair queue holds every target found degraded, risk-ordered;
+// and each poll drains the queue, one target at a time, into the
+// cluster's targeted repair paths (FixStripes, ReReplicateBlocks),
+// re-examining each target after its repair, so one still degraded
+// stays queued for the next poll. An operator's "repair now" is
+// RepairNow: one full fixer pass, then a re-examination of the queue.
 //
 // Every timestamp flows through the injectable clock, and Poll — one
 // full control-loop iteration — is exported, so tests and simulations
@@ -98,11 +100,14 @@ type CompletedRepair struct {
 // serve layer's status RPC returns.
 type Status struct {
 	Nodes []NodeStatus
-	// QueueDepth and QueueByErasures describe pending repairs.
+	// QueueDepth and QueueByErasures describe pending repairs: every
+	// queued target but the lost blocks.
 	QueueDepth      int
 	QueueByErasures map[int]int
 	Paused          bool
-	// DegradedStripes / DegradedBlocks are the health registry's view.
+	// DegradedStripes / DegradedBlocks count the queue's entries by
+	// kind: every stripe and replicated block known degraded, a failed
+	// repair's included, until a re-examination finds it healthy.
 	DegradedStripes int
 	DegradedBlocks  int
 	// RepairsDone counts queue entries whose repair found work: a block
@@ -136,13 +141,12 @@ type Status struct {
 }
 
 // Manager is the autonomous repair control plane over one metadata
-// plane: one failure detector, one health registry and one risk-ordered
-// repair queue.
+// plane: one failure detector and one risk-ordered repair queue of
+// every known degradation.
 type Manager struct {
 	cfg     Config
 	cluster *hdfs.Cluster
 	det     *Detector
-	reg     *Registry
 
 	width, tolerance int // codec geometry
 	dataShards       int
@@ -154,10 +158,10 @@ type Manager struct {
 	pollMu sync.Mutex
 
 	mu       sync.Mutex
-	pending  []Transition   // heartbeat-produced transitions awaiting Poll
-	evicted  []hdfs.BlockID // blocks a report cost a replica, awaiting Poll
-	queue    map[target]Task
-	seq      int64 // counts new queue entries: their first-queued order
+	pending  []Transition    // heartbeat-produced transitions awaiting Poll
+	evicted  []hdfs.BlockID  // blocks a report cost a replica, awaiting Poll
+	queue    map[target]Task // every known degradation
+	seq      int64           // counts new queue entries: their first-queued order
 	suspects map[int]suspectEstimate
 	paused   bool
 
@@ -212,7 +216,6 @@ func New(cluster *hdfs.Cluster, cfg Config) (*Manager, error) {
 		cfg:        cfg,
 		cluster:    cluster,
 		det:        det,
-		reg:        NewRegistry(cluster),
 		queue:      make(map[target]Task),
 		width:      code.TotalShards(),
 		tolerance:  code.ParityShards(),
@@ -226,7 +229,7 @@ func New(cluster *hdfs.Cluster, cfg Config) (*Manager, error) {
 
 // registerTelemetry publishes the manager's instruments. Counters are
 // incremented inline by the control loop; gauges read the live queue
-// and registry state at snapshot time.
+// at snapshot time.
 func (m *Manager) registerTelemetry() {
 	reg := m.cfg.Telemetry
 	if reg == nil {
@@ -249,10 +252,12 @@ func (m *Manager) registerTelemetry() {
 		})
 	}
 	reg.RegisterGauge("repair_degraded_stripes", func() float64 {
-		return float64(m.reg.DegradedStripes())
+		stripes, _ := m.degraded()
+		return float64(stripes)
 	})
 	reg.RegisterGauge("repair_degraded_blocks", func() float64 {
-		return float64(m.reg.DegradedBlocks())
+		_, blocks := m.degraded()
+		return float64(blocks)
 	})
 }
 
@@ -298,14 +303,14 @@ func (m *Manager) Stop() {
 // Pause suspends queue draining (detection and triage, evictions
 // included, continue); Resume lifts it. RepairNow runs either way.
 //
-//repolint:ignore deadexport ROADMAP 10(b): node_repair pauses the manager, kills, reads detection off repair.status, and resumes
+//repolint:ignore deadexport test control for TestManagerPriorityOrdering, TestQueueDepthGaugesMatchStatus and serve's TestManagedPriorityOrderingViaStatusRPC
 func (m *Manager) Pause() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.paused = true
 }
 
-//repolint:ignore deadexport ROADMAP 10(b): node_repair pauses the manager, kills, reads detection off repair.status, and resumes
+//repolint:ignore deadexport test control for TestManagerPriorityOrdering, TestQueueDepthGaugesMatchStatus and serve's TestManagedPriorityOrderingViaStatusRPC
 func (m *Manager) Resume() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -366,10 +371,7 @@ func (m *Manager) Poll() error {
 	for _, tr := range trans {
 		m.handleTransition(tr, now)
 	}
-	if len(evicted) > 0 {
-		stripes, blocks := m.reg.ExamineBlocks(evicted)
-		m.reconcile(stripes, blocks, now)
-	}
+	m.examineBlocks(evicted, now)
 
 	m.mu.Lock()
 	paused := m.paused
@@ -378,11 +380,10 @@ func (m *Manager) Poll() error {
 		return nil
 	}
 
-	// Drain the queue in risk order; an entry leaves it as its repair
-	// starts.
+	// Drain the queue in risk order; an entry leaves it when the
+	// re-examination after its repair finds the target healthy.
 	var first error
 	for _, task := range m.repairOrder() {
-		m.cancel(task.target())
 		if err := m.execute(task); err != nil && first == nil {
 			first = err
 		}
@@ -392,8 +393,8 @@ func (m *Manager) Poll() error {
 
 // RepairNow runs one full BlockFixer pass — every lost block the
 // cluster knows of, the grace window notwithstanding and whether or not
-// the queue is paused — and then reconciles the control plane with
-// what the pass did: queue entries it made healthy go, its bytes and
+// the queue is paused — and then re-examines every queued target
+// against what the pass did: entries it made healthy go, its bytes and
 // unrecoverable blocks join the status, and suspect nodes lose their
 // grace-window estimates, since a node that returns now saves nothing
 // the pass has not already spent. The pass is one call, so stripes
@@ -406,8 +407,7 @@ func (m *Manager) RepairNow() (*hdfs.FixReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	stripes, blocks := m.reg.ExamineKnown()
-	m.reconcile(stripes, blocks, m.cfg.Clock())
+	m.examineKnown(m.cfg.Clock())
 	m.mu.Lock()
 	clear(m.suspects)
 	m.repairedBytes += rep.CrossRackBytes
@@ -418,14 +418,13 @@ func (m *Manager) RepairNow() (*hdfs.FixReport, error) {
 	return rep, nil
 }
 
-// handleTransition routes one detector transition into the registry
-// and queue.
+// handleTransition routes one detector transition into the queue.
 func (m *Manager) handleTransition(tr Transition, now time.Time) {
 	switch {
 	case tr.To == StateSuspect:
 		// Snapshot what this node's death WOULD cost, so a return
 		// inside the grace window can credit the saving. Read-only
-		// against the cluster; the registry is untouched until death.
+		// against the cluster; the queue is untouched until death.
 		repairs, bytes := m.estimateMachineRepair(tr.Node)
 		m.mu.Lock()
 		m.suspects[tr.Node] = suspectEstimate{repairs: repairs, bytes: bytes}
@@ -435,7 +434,7 @@ func (m *Manager) handleTransition(tr Transition, now time.Time) {
 		m.mu.Lock()
 		delete(m.suspects, tr.Node)
 		m.mu.Unlock()
-		m.examineAndEnqueue(tr.Node, now)
+		m.examineMachine(tr.Node, now)
 
 	case tr.To == StateAlive && tr.From == StateSuspect:
 		m.mu.Lock()
@@ -453,74 +452,97 @@ func (m *Manager) handleTransition(tr Transition, now time.Time) {
 
 	case tr.To == StateAlive && tr.From == StateDead:
 		// The node returned after repairs were enqueued: re-examine its
-		// inventory, cancelling entries that recovered and refreshing
+		// inventory, dropping entries that recovered and refreshing
 		// the rest.
-		m.examineAndEnqueue(tr.Node, now)
+		m.examineMachine(tr.Node, now)
 	}
 }
 
-// examineAndEnqueue reconciles the queue with the registry's fresh
-// view of one machine's inventory.
-func (m *Manager) examineAndEnqueue(machine int, now time.Time) {
-	stripes, blocks := m.reg.ExamineMachine(machine)
-	m.reconcile(stripes, blocks, now)
-}
-
-// reconcile turns a registry examination's health changes into queue
-// upserts and cancellations.
-func (m *Manager) reconcile(stripes []StripeHealth, blocks []BlockHealth, now time.Time) {
-	for _, h := range stripes {
-		m.reconcileStripe(h, now)
+// examineMachine re-examines everything recorded on the machine — its
+// death adds erasures, its return removes them.
+func (m *Manager) examineMachine(machine int, now time.Time) {
+	inv := m.cluster.MachineInventory(machine)
+	for _, sid := range inv.Stripes {
+		m.examine(target{TaskStripe, int64(sid)}, now)
 	}
-	for _, h := range blocks {
-		m.reconcileBlock(h, now)
+	for _, bid := range inv.Replicated {
+		m.examine(target{TaskReplicated, int64(bid)}, now)
 	}
 }
 
-// reconcileStripe turns one stripe-health change into a queue upsert or
-// cancellation. The stripe's repair downloads dataShards blocks, which
-// sizes its risk (a bigger repair takes longer).
-func (m *Manager) reconcileStripe(h StripeHealth, now time.Time) {
-	t := Task{Kind: TaskStripe, Stripe: h.Stripe}
-	if h.Erasures == 0 {
-		m.cancel(t.target())
+// examineBlocks re-examines blocks that lost a replica to an eviction;
+// a striped block stands for its stripe.
+func (m *Manager) examineBlocks(ids []hdfs.BlockID, now time.Time) {
+	for _, bid := range ids {
+		info, ok := m.cluster.BlockInfoByID(bid)
+		if !ok {
+			continue
+		}
+		key := target{TaskReplicated, int64(bid)}
+		if info.Stripe >= 0 {
+			key = target{TaskStripe, int64(info.Stripe)}
+		}
+		m.examine(key, now)
+	}
+}
+
+// examineKnown re-examines every queued target — after a full fixer
+// pass, which repairs without going through the queue.
+func (m *Manager) examineKnown(now time.Time) {
+	m.mu.Lock()
+	keys := make([]target, 0, len(m.queue))
+	for key := range m.queue {
+		keys = append(keys, key)
+	}
+	m.mu.Unlock()
+	for _, key := range keys {
+		m.examine(key, now)
+	}
+}
+
+// examine recomputes one target's erasure count from the metadata
+// plane and brings its queue entry up to date: a degraded target is
+// upserted with its loss risk, a healthy or vanished one — or a
+// replicated block raided since, whose stripe now stands for it —
+// leaves the queue. A stripe's repair downloads dataShards blocks and
+// a block's its missing replicas, which sizes the risk (a bigger
+// repair takes longer).
+func (m *Manager) examine(key target, now time.Time) {
+	t := Task{Kind: key.kind, Enqueued: now}
+	if key.kind == TaskStripe {
+		t.Stripe = hdfs.StripeID(key.id)
+		detail, err := m.cluster.Stripe(t.Stripe)
+		if err == nil {
+			for _, p := range detail.Positions {
+				if p.Block >= 0 && len(p.Locations) == 0 {
+					t.Erasures++
+				}
+			}
+			bytes := detail.ShardSize * int64(m.dataShards)
+			t.Risk = m.lossRisk(m.width, m.tolerance, t.Erasures, float64(bytes))
+		}
+	} else {
+		t.Block = hdfs.BlockID(key.id)
+		info, ok := m.cluster.BlockInfoByID(t.Block)
+		if ok && info.Stripe < 0 {
+			replicas := m.cluster.Replication()
+			t.Erasures = max(replicas-len(info.Locations), 0)
+			t.lost = len(info.Locations) == 0
+			bytes := info.Size * int64(t.Erasures)
+			t.Risk = m.lossRisk(replicas, replicas-1, t.Erasures, float64(bytes))
+		}
+	}
+	if t.Erasures == 0 {
+		m.cancel(key)
 		return
 	}
-	t.Erasures = h.Erasures
-	bytes := h.ShardSize * int64(m.dataShards)
-	t.Risk = m.lossRisk(m.width, m.tolerance, h.Erasures, float64(bytes))
-	t.Enqueued = now
-	m.upsert(t)
-}
-
-// reconcileBlock turns one replicated-block-health change into a queue
-// upsert or cancellation. Blocks with no surviving replica are lost,
-// not repairable: counted, never queued.
-func (m *Manager) reconcileBlock(h BlockHealth, now time.Time) {
-	t := Task{Kind: TaskReplicated, Block: h.Block}
-	if h.MissingReplicas == 0 {
-		m.cancel(t.target())
-		return
-	}
-	if h.LiveReplicas == 0 {
-		m.cancel(t.target())
-		m.mu.Lock()
-		m.lostBlocks++
-		m.mu.Unlock()
-		return
-	}
-	replicas := m.cluster.Replication()
-	t.Erasures = h.MissingReplicas
-	bytes := h.Size * int64(h.MissingReplicas)
-	t.Risk = m.lossRisk(replicas, replicas-1, h.MissingReplicas, float64(bytes))
-	t.Enqueued = now
 	m.upsert(t)
 }
 
 // estimateMachineRepair sizes the repair work THIS machine's death
-// would enqueue, without touching the registry. Only degradation the
+// would enqueue, without touching the queue. Only degradation the
 // machine itself causes counts: a target already degraded by some
-// OTHER failure (a queued repair exists for it) will be repaired
+// OTHER failure (it is queued) will be repaired
 // whether or not this node returns, so crediting it to this node's
 // grace save would overstate the window's savings — if anything this
 // under-credits the node's marginal share of a multi-failure repair,
@@ -608,10 +630,13 @@ func (m *Manager) lossRisk(nodes, tolerance, erasures int, repairBytes float64) 
 	return 1 / hours
 }
 
-// execute runs one popped task and accounts it. A task whose target
-// needed nothing by the time it ran — a stripe already healthy, or a
-// replicated block raided since it was queued, which re-replication
-// skips — clears its registry entry and books no repair.
+// execute runs one queued repair, re-examines its target and accounts
+// it. A repair that found nothing to do — a stripe already healthy, or
+// a replicated block raided since it was queued, which re-replication
+// skips — books nothing, and neither does a retry that fails at the
+// erasure count its target last failed at, so a stuck entry is one
+// line of the completion log, not one a poll. A target the repair did
+// not heal stays queued for the next poll.
 func (m *Manager) execute(task Task) error {
 	var (
 		rep *hdfs.FixReport
@@ -625,70 +650,62 @@ func (m *Manager) execute(task Task) error {
 	default:
 		return fmt.Errorf("repairmgr: unknown task kind %v", task.Kind)
 	}
-	// Refresh the registry so a clean repair clears its entry
-	// and a partial one stays visible (it re-enqueues when the next
-	// event touches it).
-	switch task.Kind {
-	case TaskStripe:
-		m.reg.MarkStripeRepaired(task.Stripe)
-	case TaskReplicated:
-		m.reg.MarkBlockRepaired(task.Block)
-	}
+	now := m.cfg.Clock()
+	key := task.target()
+	m.examine(key, now)
 	if err == nil && rep.RepairedStriped == 0 && rep.ReReplicated == 0 && len(rep.Unrecoverable) == 0 {
 		return nil
 	}
-	now := m.cfg.Clock()
 	done := CompletedRepair{
 		Kind:        task.Kind,
 		Stripe:      task.Stripe,
 		Block:       task.Block,
 		Erasures:    task.Erasures,
 		WaitSeconds: now.Sub(task.Enqueued).Seconds(),
+		// An error means the target vanished (stripe deleted
+		// mid-flight); the re-examination dropped it.
+		Unrecoverable: err != nil || len(rep.Unrecoverable) > 0,
 	}
-	if err != nil {
-		// The target vanished (stripe deleted mid-flight): clear the
-		// registry entry and move on.
-		done.Unrecoverable = true
-	} else {
+	if err == nil {
 		done.Bytes = rep.CrossRackBytes
-		done.Unrecoverable = len(rep.Unrecoverable) > 0
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if done.Unrecoverable {
+		if t, ok := m.queue[key]; ok {
+			t.failedAt = task.Erasures
+			m.queue[key] = t
+		}
+		if task.failedAt == task.Erasures {
+			return err
+		}
+		m.unrecoverable++
+		m.cUnrecoverable.Inc()
+	}
 	m.completedSeq++
 	done.Seq = m.completedSeq
 	m.repairsDone++
 	m.repairedBytes += done.Bytes
-	if done.Unrecoverable {
-		m.unrecoverable++
-	}
 	m.completed = append(m.completed, done)
 	if over := len(m.completed) - completedLog; over > 0 {
 		m.completed = append([]CompletedRepair(nil), m.completed[over:]...)
 	}
-	m.mu.Unlock()
 	m.cRepairs.Inc()
 	m.cRepairedBytes.Add(done.Bytes)
-	if done.Unrecoverable {
-		m.cUnrecoverable.Inc()
-	}
 	return err
 }
 
 // QueueDepth returns the number of pending repairs.
 func (m *Manager) QueueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
+	depth, _ := m.queueDepths()
+	return depth
 }
 
 // Status snapshots the control plane.
 func (m *Manager) Status() Status {
-	s := Status{
-		Nodes:           m.det.Snapshot(),
-		DegradedStripes: m.reg.DegradedStripes(),
-		DegradedBlocks:  m.reg.DegradedBlocks(),
-	}
+	s := Status{Nodes: m.det.Snapshot()}
 	s.QueueDepth, s.QueueByErasures = m.queueDepths()
+	s.DegradedStripes, s.DegradedBlocks = m.degraded()
 	now := m.cfg.Clock()
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,14 +2,17 @@ package repairmgr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/rs"
 	"repro/internal/telemetry"
@@ -50,6 +53,13 @@ type testHarness struct {
 
 func newHarness(t *testing.T, cfg Config) *testHarness {
 	t.Helper()
+	return newHarnessOn(t, cfg, nil)
+}
+
+// newHarnessOn is newHarness with the datanodes' stores built by
+// stores (nil: the cluster's own extent stores).
+func newHarnessOn(t *testing.T, cfg Config, stores func(int) (hdfs.BlockStore, error)) *testHarness {
+	t.Helper()
 	// Catches a Run loop (or anything else) left behind at test end —
 	// most tests here are tick-driven and goroutine-free, but the
 	// Start/Stop smoke test spawns the live loop.
@@ -59,11 +69,12 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 		t.Fatal(err)
 	}
 	cl, err := hdfs.New(hdfs.Config{
-		Topology:    cluster.Topology{Racks: 10, MachinesPerRack: 2},
-		Code:        code,
-		BlockSize:   1024,
-		Replication: 3,
-		Seed:        42,
+		Topology:     cluster.Topology{Racks: 10, MachinesPerRack: 2},
+		Code:         code,
+		BlockSize:    1024,
+		Replication:  3,
+		Seed:         42,
+		StoreFactory: stores,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +419,7 @@ func TestDefaultGraceWindowIsFifteenMinutes(t *testing.T) {
 
 // TestRepairNowReconcilesTheQueue: a paused manager holds a dead
 // machine's repairs; RepairNow runs the full pass anyway, the entries
-// it made healthy leave the queue and the registry, and the pass's
+// it made healthy leave the queue, and the pass's
 // bytes join the status without counting as queue repairs.
 func TestRepairNowReconcilesTheQueue(t *testing.T) {
 	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
@@ -466,12 +477,11 @@ func TestRepairNowForfeitsTheGraceSave(t *testing.T) {
 	}
 }
 
-// TestRaidedBlockLeavesTheRegistry: a replicated block the registry
-// holds degraded and that is then raided belongs to a stripe, whose
-// health the registry tracks through the stripe. The block's own entry
-// goes, so the status shows nothing degraded once the cluster is
-// healthy.
-func TestRaidedBlockLeavesTheRegistry(t *testing.T) {
+// TestRaidedBlockLeavesTheQueue: a replicated block the queue holds
+// degraded and that is then raided belongs to a stripe, whose health
+// the queue tracks through the stripe. The block's own entry goes, so
+// the status shows nothing degraded once the cluster is healthy.
+func TestRaidedBlockLeavesTheQueue(t *testing.T) {
 	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 2048)
@@ -518,8 +528,8 @@ func TestRaidedBlockLeavesTheRegistry(t *testing.T) {
 }
 
 // TestHealedStripeIsNotBookedAsARepair: a stripe queued for repair and
-// healed by another pass before its turn leaves the queue and the
-// registry when the poll reaches it, and books no repair.
+// healed by another pass before its turn leaves the queue when the
+// poll reaches it, and books no repair.
 func TestHealedStripeIsNotBookedAsARepair(t *testing.T) {
 	h := newHarness(t, Config{SuspectAfter: 2 * time.Second, GraceWindow: 2 * time.Second})
 	h.raided("f", 4096)
@@ -610,25 +620,11 @@ func TestQueueDepthGaugesMatchStatus(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		h.tick(time.Second)
 	}
-	check := func(when string, st Status) {
-		t.Helper()
-		g := reg.Snapshot().Gauges
-		if got := g["repair_queue_depth"]; got != float64(st.QueueDepth) {
-			t.Errorf("%s: repair_queue_depth %v, Status.QueueDepth %d", when, got, st.QueueDepth)
-		}
-		for tier := 1; tier <= h.cluster.Code().ParityShards(); tier++ {
-			name := fmt.Sprintf(`repair_queue_depth{erasures="%d"}`, tier)
-			if got, ok := g[name]; !ok || got != float64(st.QueueByErasures[tier]) {
-				t.Errorf("%s: %s %v (registered %v), Status.QueueByErasures[%d] %d",
-					when, name, got, ok, tier, st.QueueByErasures[tier])
-			}
-		}
-	}
 	st := h.mgr.Status()
 	if st.QueueByErasures[1] == 0 || st.QueueByErasures[2] == 0 {
 		t.Fatalf("paused two-death queue lacks a tier: %v", st.QueueByErasures)
 	}
-	check("paused", st)
+	h.checkGauges(reg, "paused", st)
 
 	h.mgr.Resume()
 	h.tick(time.Second)
@@ -636,5 +632,113 @@ func TestQueueDepthGaugesMatchStatus(t *testing.T) {
 	if st.QueueDepth != 0 || len(st.QueueByErasures) != 0 {
 		t.Fatalf("queue not drained: %+v", st)
 	}
-	check("drained", st)
+	h.checkGauges(reg, "drained", st)
+}
+
+// checkGauges fails the test unless the manager's queue and
+// degradation gauges on reg read what st reports.
+func (h *testHarness) checkGauges(reg *telemetry.Registry, when string, st Status) {
+	t := h.t
+	t.Helper()
+	g := reg.Snapshot().Gauges
+	if got := g["repair_queue_depth"]; got != float64(st.QueueDepth) {
+		t.Errorf("%s: repair_queue_depth %v, Status.QueueDepth %d", when, got, st.QueueDepth)
+	}
+	for tier := 1; tier <= h.cluster.Code().ParityShards(); tier++ {
+		name := fmt.Sprintf(`repair_queue_depth{erasures="%d"}`, tier)
+		if got, ok := g[name]; !ok || got != float64(st.QueueByErasures[tier]) {
+			t.Errorf("%s: %s %v (registered %v), Status.QueueByErasures[%d] %d",
+				when, name, got, ok, tier, st.QueueByErasures[tier])
+		}
+	}
+	if got := g["repair_degraded_stripes"]; got != float64(st.DegradedStripes) {
+		t.Errorf("%s: repair_degraded_stripes %v, Status.DegradedStripes %d", when, got, st.DegradedStripes)
+	}
+	if got := g["repair_degraded_blocks"]; got != float64(st.DegradedBlocks) {
+		t.Errorf("%s: repair_degraded_blocks %v, Status.DegradedBlocks %d", when, got, st.DegradedBlocks)
+	}
+}
+
+// refusingStores is a StoreFactory of extent stores under a test
+// directory whose Put fails while refuse is set: every repair
+// destination then fails to store what it rebuilt.
+func refusingStores(t *testing.T, refuse *atomic.Bool) func(int) (hdfs.BlockStore, error) {
+	stores := hdfs.ExtentStoreFactory(t.TempDir(), extent.Options{})
+	return func(machine int) (hdfs.BlockStore, error) {
+		st, err := stores(machine)
+		if err != nil {
+			return nil, err
+		}
+		return refusingStore{st, refuse}, nil
+	}
+}
+
+type refusingStore struct {
+	hdfs.BlockStore
+	refuse *atomic.Bool
+}
+
+func (s refusingStore) Put(id hdfs.BlockID, data []byte) error {
+	if s.refuse.Load() {
+		return errors.New("store refuses writes")
+	}
+	return s.BlockStore.Put(id, data)
+}
+
+// TestFailedRepairIsRetriedByTheNextPoll: a stripe repair whose
+// destination cannot store the rebuilt block stays queued, and the
+// first poll after the fault clears repairs it.
+func TestFailedRepairIsRetriedByTheNextPoll(t *testing.T) {
+	var refuse atomic.Bool
+	h := newHarnessOn(t, Config{SuspectAfter: 3 * time.Second, GraceWindow: 5 * time.Second}, refusingStores(t, &refuse))
+	data := h.raided("f", 4096)
+	refuse.Store(true)
+	h.cluster.FailMachine(h.victimOf("f"))
+	for i := 0; i < 10; i++ {
+		h.tick(time.Second)
+	}
+	st := h.mgr.Status()
+	if st.RepairsDone != 1 || st.Unrecoverable != 1 || st.QueueDepth != 1 || st.DegradedStripes != 1 {
+		t.Fatalf("after the failed repair: %d done, %d unrecoverable, depth %d, %d degraded stripes; want 1 each",
+			st.RepairsDone, st.Unrecoverable, st.QueueDepth, st.DegradedStripes)
+	}
+
+	refuse.Store(false)
+	h.tick(time.Second)
+	st = h.mgr.Status()
+	if !h.cluster.Health().Healthy() || st.QueueDepth != 0 || st.DegradedStripes != 0 {
+		t.Fatalf("first poll after the fault cleared: healthy %v, depth %d, %d degraded stripes",
+			h.cluster.Health().Healthy(), st.QueueDepth, st.DegradedStripes)
+	}
+	if len(st.Completed) != 2 || !st.Completed[0].Unrecoverable || st.Completed[1].Unrecoverable {
+		t.Fatalf("completion log %+v; want the failure, then the success", st.Completed)
+	}
+	got, err := h.cluster.ReadFile("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("content differs after the retried repair")
+	}
+}
+
+// TestStuckRepairIsBookedOnce: a repair that fails on every poll, at
+// the same erasure count, is retried each poll but booked once.
+func TestStuckRepairIsBookedOnce(t *testing.T) {
+	var refuse atomic.Bool
+	reg := telemetry.NewRegistry()
+	cfg := Config{SuspectAfter: 3 * time.Second, GraceWindow: 5 * time.Second, Telemetry: reg}
+	h := newHarnessOn(t, cfg, refusingStores(t, &refuse))
+	h.raided("f", 4096)
+	refuse.Store(true)
+	h.cluster.FailMachine(h.victimOf("f"))
+	for i := 0; i < 20; i++ {
+		h.tick(time.Second)
+	}
+	st := h.mgr.Status()
+	if st.Unrecoverable != 1 || len(st.Completed) != 1 || st.QueueDepth != 1 {
+		t.Fatalf("20 polls with the fault on: %d unrecoverable, %d booked, depth %d; want 1, 1, 1",
+			st.Unrecoverable, len(st.Completed), st.QueueDepth)
+	}
+	h.checkGauges(reg, "stuck", st)
 }

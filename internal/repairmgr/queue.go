@@ -1,10 +1,12 @@
-// The risk-ordered repair queue: one map of pending repairs, one entry
-// per target, under the Manager's mutex. Stripes closest to data loss
-// repair first: the primary key is the erasure count against the
-// codec's tolerance, refined within a tier by the MTTDL-derived loss
-// risk of the degraded state, first come first served within ties. A
-// poll drains everything it triaged, so the order is fixed once per
-// poll, by one sort.
+// The risk-ordered repair queue: one map of every degradation the
+// manager knows of, one entry per target, under the Manager's mutex.
+// An entry stays until a re-examination finds its target healthy (or
+// gone), so a repair that fails leaves it queued and the next poll
+// retries it. Stripes closest to data loss repair first: the primary
+// key is the erasure count against the codec's tolerance, refined
+// within a tier by the MTTDL-derived loss risk of the degraded state,
+// first come first served within ties. A poll drains everything it
+// triaged, so the order is fixed once per poll, by one sort.
 package repairmgr
 
 import (
@@ -53,7 +55,7 @@ func (k *TaskKind) UnmarshalText(b []byte) error {
 	return fmt.Errorf("repairmgr: unknown task kind %q", b)
 }
 
-// Task is one pending repair.
+// Task is one known degradation: a pending repair, or a lost block.
 type Task struct {
 	Kind   TaskKind
 	Stripe hdfs.StripeID // TaskStripe
@@ -72,6 +74,13 @@ type Task struct {
 	Enqueued time.Time
 
 	seq int64 // first-queued order, the tie-break; kept by upserts
+	// failedAt is the erasure count the target's last failed repair
+	// ran at (0: none failed); kept by upserts. A retry that fails at
+	// the same count is not booked again.
+	failedAt int
+	// lost marks a replicated block with no live replica: nothing to
+	// copy from, so the entry is counted but never drained.
+	lost bool
 }
 
 // target identifies a task's repair target: one queue entry per target.
@@ -103,30 +112,34 @@ func riskBias(risk float64) float64 {
 }
 
 // upsert queues the task, or updates the entry for the same target
-// keeping its enqueue time and place in line (an upsert reflects new
-// information about the same pending repair, not new work).
+// keeping its enqueue time, place in line and last failure (an upsert
+// reflects new information about the same pending repair, not new
+// work). A block that becomes lost counts once in LostBlocks.
 func (m *Manager) upsert(t Task) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	key := t.target()
-	if old, ok := m.queue[key]; ok {
-		t.Enqueued, t.seq = old.Enqueued, old.seq
+	old, ok := m.queue[key]
+	if ok {
+		t.Enqueued, t.seq, t.failedAt = old.Enqueued, old.seq, old.failedAt
 	} else {
 		m.seq++
 		t.seq = m.seq
 	}
+	if t.lost && !old.lost {
+		m.lostBlocks++
+	}
 	m.queue[key] = t
 }
 
-// cancel drops the pending repair for the target, if any — the
-// restart-within-grace path.
+// cancel drops the target's entry, if any: it healed, or is gone.
 func (m *Manager) cancel(key target) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.queue, key)
 }
 
-// isQueued reports whether a repair is pending for the target.
+// isQueued reports whether the target is known degraded.
 func (m *Manager) isQueued(key target) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -134,14 +147,15 @@ func (m *Manager) isQueued(key target) bool {
 	return ok
 }
 
-// repairOrder returns the pending repairs in the order a poll runs
+// repairOrder returns the drainable entries in the order a poll runs
 // them: highest priority first, first queued first within exact ties.
-// The entries stay queued until their repairs start.
 func (m *Manager) repairOrder() []Task {
 	m.mu.Lock()
 	tasks := make([]Task, 0, len(m.queue))
 	for _, t := range m.queue {
-		tasks = append(tasks, t)
+		if !t.lost {
+			tasks = append(tasks, t)
+		}
 	}
 	m.mu.Unlock()
 	slices.SortFunc(tasks, func(a, b Task) int {
@@ -153,14 +167,32 @@ func (m *Manager) repairOrder() []Task {
 	return tasks
 }
 
-// queueDepths returns the number of pending repairs, and that number
+// queueDepths returns the number of drainable entries, and that number
 // per erasure tier — the status RPC's triage view.
 func (m *Manager) queueDepths() (int, map[int]int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tiers := make(map[int]int)
+	depth, tiers := 0, make(map[int]int)
 	for _, t := range m.queue {
-		tiers[t.Erasures]++
+		if !t.lost {
+			depth++
+			tiers[t.Erasures]++
+		}
 	}
-	return len(m.queue), tiers
+	return depth, tiers
+}
+
+// degraded counts the known degradations by kind — the status RPC's
+// health view.
+func (m *Manager) degraded() (stripes, blocks int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key := range m.queue {
+		if key.kind == TaskStripe {
+			stripes++
+		} else {
+			blocks++
+		}
+	}
+	return stripes, blocks
 }

@@ -582,7 +582,7 @@ func (c *Client) RunBlockFixer() (FixReport, error) {
 // the completion log that makes priority ordering externally
 // observable.
 //
-//repolint:ignore deadexport ROADMAP 10(b): node_repair reads detection off repair.status and times the manager to Healthy()
+//repolint:ignore deadexport the wire seam for ExampleClient_RepairStatus, TestManagedPriorityOrderingViaStatusRPC, TestAutonomousRepairRetriesAfterAFailedStore and TestMetricsScrapeCycle
 func (c *Client) RepairStatus() (*repairmgr.Status, error) {
 	resp, err := c.nameCall(&request{Method: methodRepairStatus}, nil)
 	if err != nil {

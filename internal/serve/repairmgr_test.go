@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/extent"
 	"repro/internal/hdfs"
 	"repro/internal/repairmgr"
 )
@@ -441,5 +444,68 @@ func TestRepairNowLeavesNoGraceSaveToCredit(t *testing.T) {
 	}
 	if st.AvoidedRepairs != 0 || st.AvoidedRepairBytes != 0 {
 		t.Fatalf("restart after the fixer credited a grace save: %+v", st)
+	}
+}
+
+// refusingStores is a StoreFactory of extent stores under a test
+// directory whose Put fails while refuse is set: every repair
+// destination then fails to store what it rebuilt.
+func refusingStores(t *testing.T, refuse *atomic.Bool) func(int) (hdfs.BlockStore, error) {
+	stores := hdfs.ExtentStoreFactory(t.TempDir(), extent.Options{})
+	return func(machine int) (hdfs.BlockStore, error) {
+		st, err := stores(machine)
+		if err != nil {
+			return nil, err
+		}
+		return refusingStore{st, refuse}, nil
+	}
+}
+
+type refusingStore struct {
+	hdfs.BlockStore
+	refuse *atomic.Bool
+}
+
+func (s refusingStore) Put(id hdfs.BlockID, data []byte) error {
+	if s.refuse.Load() {
+		return errors.New("store refuses writes")
+	}
+	return s.BlockStore.Put(id, data)
+}
+
+// TestAutonomousRepairRetriesAfterAFailedStore: repairs whose
+// destinations refuse the rebuilt blocks stay queued, and once the
+// stores take writes again the control loop retries them to full
+// health with no operator call.
+func TestAutonomousRepairRetriesAfterAFailedStore(t *testing.T) {
+	var refuse atomic.Bool
+	cfg := testConfig(testCodecs(t)[0]) // rs(4,2)
+	cfg.StoreFactory = refusingStores(t, &refuse)
+	sys := startSystem(t, cfg, withRepairConfig(repairmgr.Config{
+		SuspectAfter: 150 * time.Millisecond,
+		GraceWindow:  150 * time.Millisecond,
+		PollInterval: 20 * time.Millisecond,
+	}))
+	files := preloadRaided(t, sys, 3)
+	refuse.Store(true)
+	killFirstBlockHolder(t, sys, "f-0")
+	cl, err := Dial(sys.NameAddr(), sys.Code())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	waitFor(t, 30*time.Second, "a failed repair still queued", func() bool {
+		st, err := cl.RepairStatus()
+		return err == nil && st.Unrecoverable > 0 && st.QueueDepth > 0
+	})
+
+	refuse.Store(false)
+	waitFor(t, 30*time.Second, "the retried repairs to restore full health", func() bool {
+		return sys.Cluster().Health().Healthy() && sys.mgr.QueueDepth() == 0
+	})
+	for name, want := range files {
+		if got, err := cl.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after the retried repair: %v", name, err)
+		}
 	}
 }
